@@ -26,6 +26,16 @@ import (
 	"repro/internal/serve"
 )
 
+// Connection limits. A client must finish sending its request headers
+// within readHeaderTimeout, and an idle keep-alive connection is closed
+// after idleTimeout, so a client that trickles header bytes or parks a
+// connection cannot hold it forever. There is deliberately no
+// WriteTimeout: run streams stay open for the whole run.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	listen := flag.String("listen", ":8080", "address to serve HTTP on")
 	maxRuns := flag.Int("max-runs", 0, "run table capacity, pending+running+finished (0 = default 64)")
@@ -38,7 +48,12 @@ func main() {
 		MaxConcurrent:   *maxConcurrent,
 		MaxRequestBytes: *maxBody,
 	})
-	hs := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	hs := &http.Server{
+		Addr:              *listen,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -85,11 +85,20 @@ func (e *Entry) Medium() Medium { return e.medium }
 // residency the way bare pointers did before entries were pooled.
 func (e *Entry) Gen() uint64 { return e.gen }
 
+// entrySlab is the most entries one allocation carves for a pool.
+const entrySlab = 64
+
 // entryPool is a per-cache free list of Entry structs: eviction/insert
 // churn at steady state recycles entries instead of allocating. The free
-// list threads through the (otherwise nil) LRU next pointer.
+// list threads through the (otherwise nil) LRU next pointer. While a cache
+// fills, fresh entries are carved from slabs of at most entrySlab, each
+// clamped to the budget not yet carved. The budget starts at the cache's
+// capacity and Insert refuses a full cache, so a pool never holds more
+// entries than its cache can.
 type entryPool struct {
-	free *Entry
+	free   *Entry
+	slab   []Entry // carved but not yet handed out
+	budget int     // entries not yet carved
 }
 
 // get returns a reset entry for key on medium m, recycling if possible.
@@ -97,7 +106,14 @@ type entryPool struct {
 func (p *entryPool) get(key Key, m Medium) *Entry {
 	e := p.free
 	if e == nil {
-		return &Entry{key: key, medium: m}
+		if len(p.slab) == 0 {
+			p.slab = make([]Entry, min(entrySlab, p.budget))
+			p.budget -= len(p.slab)
+		}
+		e = &p.slab[0]
+		p.slab = p.slab[1:]
+		e.key, e.medium = key, m
+		return e
 	}
 	p.free = e.next
 	gen := e.gen
@@ -223,6 +239,7 @@ func (c *LRU) initLRU(capacity int, m Medium) {
 	c.capacity = capacity
 	c.medium = m
 	c.index = make(map[Key]*Entry, capacity)
+	c.pool = entryPool{budget: capacity}
 	c.lru.init(false)
 	c.dirties.init(true)
 }

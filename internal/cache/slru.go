@@ -37,6 +37,7 @@ func NewSLRU(capacity int, m Medium) *SLRU {
 		protectedCap: capacity / 2,
 		medium:       m,
 		index:        make(map[Key]*Entry, capacity),
+		pool:         entryPool{budget: capacity},
 	}
 	s.probation.init(false)
 	s.protected.init(false)

@@ -57,6 +57,7 @@ func NewTwoQ(capacity int, m Medium) *TwoQ {
 		medium:   m,
 		index:    make(map[Key]*Entry, capacity),
 		ghost:    make(map[Key]*ghostNode),
+		pool:     entryPool{budget: capacity},
 	}
 	q.a1in.init(false)
 	q.am.init(false)

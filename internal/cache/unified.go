@@ -30,6 +30,7 @@ func NewUnified(ramBufs, flashBufs int) *Unified {
 	}
 	u := &Unified{
 		index:     make(map[Key]*Entry, ramBufs+flashBufs),
+		pool:      entryPool{budget: ramBufs + flashBufs},
 		ramBufs:   ramBufs,
 		flashBufs: flashBufs,
 		freeRAM:   ramBufs,

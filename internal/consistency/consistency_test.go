@@ -147,7 +147,7 @@ func TestProtocolAcquireWriteOwnership(t *testing.T) {
 
 	b.blocks[9] = true
 	done := false
-	r.AcquireWrite(0, 9, func() { done = true })
+	r.AcquireWrite(0, 9, func(any) { done = true }, nil)
 	if !done {
 		t.Fatal("acquire never completed")
 	}
@@ -168,7 +168,7 @@ func TestProtocolAcquireWriteOwnership(t *testing.T) {
 	// Second write to the owned block is silent.
 	before := r.ControlMessages()
 	done = false
-	r.AcquireWrite(0, 9, func() { done = true })
+	r.AcquireWrite(0, 9, func(any) { done = true }, nil)
 	if !done || r.ControlMessages() != before {
 		t.Fatal("owned write was not silent")
 	}
@@ -184,13 +184,13 @@ func TestProtocolAcquireReadDowngrade(t *testing.T) {
 	r.SetCollect(true)
 
 	// Host 0 takes ownership and dirties the block.
-	r.AcquireWrite(0, 5, func() {})
+	r.AcquireWrite(0, 5, func(any) {}, nil)
 	a.blocks[5] = true
 	a.dirty[5] = true
 
 	// Host 1 reads: owner must flush and downgrade.
 	done := false
-	r.AcquireRead(1, 5, func() { done = true })
+	r.AcquireRead(1, 5, func(any) { done = true }, nil)
 	if !done {
 		t.Fatal("read acquire never completed")
 	}
@@ -202,7 +202,7 @@ func TestProtocolAcquireReadDowngrade(t *testing.T) {
 	}
 	// Subsequent reads are free (block now shared).
 	before := r.ControlMessages()
-	r.AcquireRead(1, 5, func() {})
+	r.AcquireRead(1, 5, func(any) {}, nil)
 	if r.ControlMessages() != before {
 		t.Fatal("shared read cost messages")
 	}
@@ -217,7 +217,7 @@ func TestProtocolInstantModeFree(t *testing.T) {
 	r.SetCollect(true)
 	b.blocks[3] = true
 	done := false
-	r.AcquireWrite(0, 3, func() { done = true })
+	r.AcquireWrite(0, 3, func(any) { done = true }, nil)
 	if !done {
 		t.Fatal("instant acquire blocked")
 	}
@@ -227,7 +227,7 @@ func TestProtocolInstantModeFree(t *testing.T) {
 	if r.ControlMessages() != 0 || a.controls != 0 {
 		t.Fatal("instant mode sent messages")
 	}
-	r.AcquireRead(1, 3, func() { done = true })
+	r.AcquireRead(1, 3, func(any) { done = true }, nil)
 	if r.Downgrades() != 0 {
 		t.Fatal("instant mode downgraded")
 	}

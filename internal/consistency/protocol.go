@@ -64,13 +64,15 @@ func (r *Registry) noteControl(n uint64) {
 }
 
 // AcquireWrite runs the consistency work for host's write of key and calls
-// cont when the write may commit. Under ModeInstant this is BlockWritten
+// fn(arg) when the write may commit. Under ModeInstant this is BlockWritten
 // plus an immediate continuation; under ModeCallback the writer pays for
-// ownership acquisition unless it already owns the block exclusively.
-func (r *Registry) AcquireWrite(host int, key uint64, cont func()) {
+// ownership acquisition unless it already owns the block exclusively. The
+// continuation is a static function and its argument, so the per-block fast
+// paths allocate nothing; only the message-passing slow path closes over it.
+func (r *Registry) AcquireWrite(host int, key uint64, fn func(any), arg any) {
 	if r.mode == ModeInstant {
 		r.BlockWritten(host, key)
-		cont()
+		fn(arg)
 		return
 	}
 	if r.owner == nil {
@@ -79,7 +81,7 @@ func (r *Registry) AcquireWrite(host int, key uint64, cont func()) {
 	if owner, ok := r.owner[key]; ok && owner == host {
 		// Exclusive ownership cached: silent write.
 		r.BlockWritten(host, key) // other copies cannot exist; counts the write
-		cont()
+		fn(arg)
 		return
 	}
 	if r.collect {
@@ -90,7 +92,7 @@ func (r *Registry) AcquireWrite(host int, key uint64, cont func()) {
 		// No link registered (tests with bare holders): fall back.
 		r.BlockWritten(host, key)
 		r.owner[key] = host
-		cont()
+		fn(arg)
 		return
 	}
 	// Request to server.
@@ -105,7 +107,7 @@ func (r *Registry) AcquireWrite(host int, key uint64, cont func()) {
 			r.owner[key] = host
 			// Grant back to the writer.
 			r.noteControl(1)
-			writer.SendControl(cont)
+			writer.SendControl(func() { fn(arg) })
 		}
 		if n == 0 {
 			grant()
@@ -126,17 +128,17 @@ func (r *Registry) AcquireWrite(host int, key uint64, cont func()) {
 }
 
 // AcquireRead runs the consistency work for host's read of key and calls
-// cont when the read may proceed. Under ModeCallback a block exclusively
+// fn(arg) when the read may proceed. Under ModeCallback a block exclusively
 // owned by another host must be downgraded: the owner flushes its dirty
 // copy to the filer and loses exclusivity.
-func (r *Registry) AcquireRead(host int, key uint64, cont func()) {
+func (r *Registry) AcquireRead(host int, key uint64, fn func(any), arg any) {
 	if r.mode == ModeInstant || r.owner == nil {
-		cont()
+		fn(arg)
 		return
 	}
 	owner, ok := r.owner[key]
 	if !ok || owner == noOwner || owner == host {
-		cont()
+		fn(arg)
 		return
 	}
 	if r.collect {
@@ -146,7 +148,7 @@ func (r *Registry) AcquireRead(host int, key uint64, cont func()) {
 	ownerPeer := r.peer(owner)
 	if reader == nil || ownerPeer == nil {
 		delete(r.owner, key)
-		cont()
+		fn(arg)
 		return
 	}
 	// Reader asks the server; server calls back the owner, who flushes
@@ -157,7 +159,7 @@ func (r *Registry) AcquireRead(host int, key uint64, cont func()) {
 			ownerPeer.FlushBlock(key, func() {
 				ownerPeer.SendControl(func() {
 					r.owner[key] = noOwner
-					reader.SendControl(cont)
+					reader.SendControl(func() { fn(arg) })
 				})
 			})
 		})

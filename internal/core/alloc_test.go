@@ -1,27 +1,37 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
+	"repro/internal/consistency"
+	"repro/internal/filer"
+	"repro/internal/rng"
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // The pooled request path's contract: once a host is warm (request records
 // pooled, cache entries recycling through their free lists, the engine's
-// heap at its high-water mark), serving a block request allocates at most
-// a small fixed amount — independent of how many requests have run.
+// heap at its high-water mark), serving a block request allocates nothing —
+// independent of how many requests have run.
 //
-// The budget is deliberately not zero: Go map internals (the fetch-dedup
-// pending table, cache indexes) may occasionally rehash, and the filer's
-// RNG draw feeds a histogram. It is a ceiling on the *steady state*, where
-// the closure-based predecessor allocated on every asynchronous hop.
-const allocBudgetPerRequest = 4.0
+// AllocsPerRun truncates the per-run average, so a rare map rehash (the
+// fetch-dedup pending table, cache indexes) still fits this ceiling. It
+// locks the *steady state*, where the closure-based predecessor allocated
+// on every asynchronous hop and the registry's func() continuation on
+// every block.
+const allocBudgetPerRequest = 0.0
 
 func TestWarmBlockPathAllocationBudget(t *testing.T) {
 	cfg := baseCfg(Naive)
 	cfg.RAMBlocks = 32
 	cfg.FlashBlocks = 128
-	r := newRig(t, cfg, testTiming())
+	// The instant-mode registry every multi-host sequential run carries:
+	// each read and write acquires through it.
+	r := newRigWithRegistry(t, cfg, testTiming(), consistency.NewRegistry())
 
 	const span = 512 // working set far larger than flash: steady eviction churn
 	key := func(i int) cache.Key { return cache.Key(i % span) }
@@ -49,6 +59,9 @@ func TestWarmBlockPathAllocationBudget(t *testing.T) {
 	if allocs > allocBudgetPerRequest {
 		t.Errorf("warm block request allocated %v per run, budget %v", allocs, allocBudgetPerRequest)
 	}
+	if r.reg.BlocksWritten() == 0 {
+		t.Error("writes bypassed the registry")
+	}
 }
 
 // A warm RAM hit — the most common event in every experiment — must be
@@ -66,4 +79,146 @@ func TestWarmRAMHitAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("warm RAM read hit allocated %v per run, want 0", allocs)
 	}
+}
+
+// loopSource is an endless single-thread trace of one-block reads over a
+// handful of blocks: the thread's queue never drains, so the driver holds
+// the head-of-line op on every pump.
+type loopSource struct{ n uint32 }
+
+func (s *loopSource) Next() (trace.Op, bool) {
+	s.n++
+	return trace.Op{Kind: trace.Read, File: 1, Block: s.n % 4, Count: 1}, true
+}
+
+// TestDriverHeldOpAllocationFree locks the driver's pump: a full thread
+// queue parks the next op by value, so completing an op — pump, kick and
+// the next op's RAM hit — allocates nothing.
+func TestDriverHeldOpAllocationFree(t *testing.T) {
+	eng, hosts, _ := buildCluster(t, 1, baseCfg(Naive), testTiming(), false)
+	d, err := NewDriver(eng, hosts, nil, &loopSource{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.start()
+	completeOne := func() {
+		for n := d.opsCompleted; d.opsCompleted == n; {
+			eng.Step()
+		}
+	}
+	for i := 0; i < 100; i++ { // warm: cache, op records, event heap
+		completeOne()
+	}
+	notHeld := 0
+	allocs := testing.AllocsPerRun(2000, func() {
+		completeOne()
+		// With an endless source the pump only stops by holding an op at
+		// a full queue; the completion's kick may then start one more.
+		if d.QueuedOps() < d.window-1 {
+			notHeld++
+		}
+	})
+	if notHeld != 0 {
+		t.Fatalf("%d completions ended without a held op", notHeld)
+	}
+	if allocs != 0 {
+		t.Errorf("completing an op with a held head-of-line op allocated %v per op, want 0", allocs)
+	}
+}
+
+// partitionedClusterSpec is clusterSpecForTest over a 4-partition filer.
+func partitionedClusterSpec(shards int) ClusterSpec {
+	spec := clusterSpecForTest(4, shards)
+	tm := spec.Timing
+	spec.NewFiler = func(eng *sim.Engine) *filer.Filer {
+		f, err := filer.NewPartitioned(eng, rng.New(7), filer.Config{
+			Partitions:   4,
+			FastRead:     tm.FilerFastRead,
+			SlowRead:     tm.FilerSlowRead,
+			Write:        tm.FilerWrite,
+			PrefetchRate: tm.FilerFastReadRate,
+		})
+		if err != nil {
+			panic(err)
+		}
+		return f
+	}
+	return spec
+}
+
+// waitGoroutines polls until the goroutine count returns to want: a worker
+// that has signalled its WaitGroup may not have exited yet.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, want %d", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPhase2WorkersAllocationFree locks the barrier's parallel phase 2:
+// the persistent partition workers serve a large batch without allocating,
+// and Start/Close leave no goroutine behind in either mode.
+func TestPhase2WorkersAllocationFree(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+
+	t.Run("parallel", func(t *testing.T) {
+		c, err := NewCluster(partitionedClusterSpec(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
+		c.Start()
+		// A batch of 16 per partition: well past the 4×partitions gate.
+		const n = 64
+		for i := 0; i < n; i++ {
+			key := uint64(i)
+			c.msgBatch = append(c.msgBatch, filerMsg{
+				at: sim.Time(i), host: int32(i % 4), seq: uint64(i),
+				part: int32(c.fsrv.Route(key)), write: i%2 == 0, key: key,
+			})
+		}
+		if !c.parallelPhase2() {
+			t.Fatalf("batch of %d over %d partitions did not take the parallel branch", n, c.nparts)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			for _, sh := range c.shards {
+				for p := range sh.inboxLanes {
+					sh.inboxLanes[p] = sh.inboxLanes[p][:0]
+				}
+			}
+			c.serviceFiler()
+		})
+		if allocs != 0 {
+			t.Errorf("parallel phase 2 allocated %v per barrier, want 0", allocs)
+		}
+		delivered := 0
+		for _, sh := range c.shards {
+			for _, lane := range sh.inboxLanes {
+				delivered += len(lane)
+			}
+		}
+		if delivered != n {
+			t.Errorf("phase 2 delivered %d of %d completions", delivered, n)
+		}
+		c.Close()
+		waitGoroutines(t, before)
+	})
+
+	t.Run("inline", func(t *testing.T) {
+		c, err := NewCluster(partitionedClusterSpec(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
+		c.Start()
+		if c.partWake != nil {
+			t.Fatal("inline cluster started partition workers")
+		}
+		c.Close()
+		waitGoroutines(t, before)
+	})
 }

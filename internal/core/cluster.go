@@ -455,6 +455,8 @@ type Cluster struct {
 	syncersStopped bool
 	end            sim.Time // the barrier the next Advance cycle runs to
 	wg             sync.WaitGroup
+	partWake       []chan struct{} // phase-2 partition workers (see serviceFiler); nil when inline or unpartitioned
+	partDone       chan struct{}   // one receive per woken partition worker
 	epochs         uint64
 	barrierMsgs    uint64
 
@@ -819,23 +821,18 @@ func (c *Cluster) serviceFiler() {
 		t0 = now
 	}
 
-	// Parallel phase 2 pays only when there are multiple backends, real
-	// processors, and a batch big enough to amortize the goroutine
-	// handshakes; the gate reads only batch shape, never results (phase 2
-	// is order-independent, so the cut-over cannot change them).
-	if c.nparts > 1 && !c.inline && len(c.msgBatch) >= 4*c.nparts {
-		var wg sync.WaitGroup
+	if c.parallelPhase2() {
+		woken := 0
 		for p := range c.partIdx {
 			if len(c.partIdx[p]) == 0 {
 				continue
 			}
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				c.servicePartition(p)
-			}(p)
+			c.partWake[p] <- struct{}{}
+			woken++
 		}
-		wg.Wait()
+		for ; woken > 0; woken-- {
+			<-c.partDone
+		}
 	} else {
 		for p := range c.partIdx {
 			c.servicePartition(p)
@@ -843,6 +840,27 @@ func (c *Cluster) serviceFiler() {
 	}
 	if c.wall != nil {
 		c.wall.AddFiler2(time.Since(t0))
+	}
+}
+
+// parallelPhase2 reports whether serviceFiler fans phase 2 out to the
+// partition workers. That pays only when there are multiple backends, real
+// processors (the persistent workers exist), and a batch big enough to
+// amortize the channel handshakes; the gate reads only batch shape, never
+// results (phase 2 is order-independent, so the cut-over cannot change
+// them).
+func (c *Cluster) parallelPhase2() bool {
+	return c.partWake != nil && len(c.msgBatch) >= 4*c.nparts
+}
+
+// partWorker is partition p's persistent phase-2 goroutine: each wake
+// services the partition's share of the barrier batch and reports on the
+// shared done channel.
+func (c *Cluster) partWorker(p int) {
+	defer c.wg.Done()
+	for range c.partWake[p] {
+		c.servicePartition(p)
+		c.partDone <- struct{}{}
 	}
 }
 
@@ -929,8 +947,9 @@ func (c *Cluster) eventHorizon() (sim.Time, bool) {
 	return minAt, found
 }
 
-// Start spawns the shard worker goroutines. It must be called (directly or
-// via Run) before Advance; pair it with Close.
+// Start spawns the shard worker goroutines and, with several filer
+// partitions, the phase-2 partition workers. It must be called (directly
+// or via Run) before Advance; pair it with Close.
 func (c *Cluster) Start() {
 	if c.started {
 		panic("core: cluster already started")
@@ -944,16 +963,26 @@ func (c *Cluster) Start() {
 		c.wall = obs.NewWallCollector(len(c.shards), !c.inline)
 		c.wallExec = make([]int64, len(c.shards))
 	}
-	if !c.inline {
-		for _, sh := range c.shards {
+	if c.inline {
+		return
+	}
+	for _, sh := range c.shards {
+		c.wg.Add(1)
+		go c.worker(sh)
+	}
+	if c.nparts > 1 {
+		c.partWake = make([]chan struct{}, c.nparts)
+		c.partDone = make(chan struct{})
+		for p := range c.partWake {
+			c.partWake[p] = make(chan struct{})
 			c.wg.Add(1)
-			go c.worker(sh)
+			go c.partWorker(p)
 		}
 	}
 }
 
-// Close stops the shard workers. Safe to call more than once; Run calls it
-// automatically.
+// Close stops the shard and partition workers. Safe to call more than
+// once; Run calls it automatically.
 func (c *Cluster) Close() {
 	if !c.started || c.closed {
 		return
@@ -962,6 +991,9 @@ func (c *Cluster) Close() {
 	if !c.inline {
 		for _, sh := range c.shards {
 			close(sh.cmd)
+		}
+		for _, ch := range c.partWake {
+			close(ch)
 		}
 		c.wg.Wait()
 	}

@@ -37,15 +37,25 @@ type rig struct {
 
 func newRig(t *testing.T, cfg HostConfig, tm Timing) *rig {
 	t.Helper()
+	return newRigWithRegistry(t, cfg, tm, nil)
+}
+
+// newRigWithRegistry is newRig with the host registered in reg (nil for
+// none), as flashsim wires every multi-host or consistency-tracking run.
+func newRigWithRegistry(t *testing.T, cfg HostConfig, tm Timing, reg *consistency.Registry) *rig {
+	t.Helper()
 	eng := &sim.Engine{}
 	fsrv := filer.New(eng, rng.New(1), tm.FilerFastRead, tm.FilerSlowRead, tm.FilerWrite, tm.FilerFastReadRate)
 	seg := netsim.NewSegment(eng, "seg0", tm.NetBase, tm.NetPerBit)
-	h, err := NewHost(eng, cfg, tm, seg, nil, fsrv, nil)
+	h, err := NewHost(eng, cfg, tm, seg, nil, fsrv, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.SetCollect(true)
-	return &rig{eng: eng, fsrv: fsrv, host: h}
+	if reg != nil {
+		reg.SetCollect(true)
+	}
+	return &rig{eng: eng, fsrv: fsrv, reg: reg, host: h}
 }
 
 // readLat runs a single read to completion and returns its latency.

@@ -25,7 +25,8 @@ type Driver struct {
 	queues  map[uint32][]trace.Op
 	qtimes  map[uint32][]sim.Time // per-op enqueue times; only when tracing
 	busy    map[uint32]bool
-	held    *trace.Op // head-of-line op whose thread queue is full
+	held    trace.Op // head-of-line op whose thread queue is full
+	hasHeld bool     // held is valid; by value, so pumping never allocates
 	srcDone bool
 	freeOps *opTask // free list of per-op execution records
 
@@ -115,8 +116,8 @@ func (d *Driver) hostFor(op trace.Op) *Host {
 func (d *Driver) pump() {
 	for {
 		var op trace.Op
-		if d.held != nil {
-			op = *d.held
+		if d.hasHeld {
+			op = d.held
 		} else {
 			if d.phaseLimit >= 0 && d.consumed >= d.phaseLimit {
 				return
@@ -131,11 +132,10 @@ func (d *Driver) pump() {
 		}
 		tk := threadKey(op.Host, op.Thread)
 		if len(d.queues[tk]) >= d.window {
-			held := op
-			d.held = &held
+			d.held, d.hasHeld = op, true
 			return
 		}
-		d.held = nil
+		d.hasHeld = false
 		d.queues[tk] = append(d.queues[tk], op)
 		if d.tracing() {
 			if d.qtimes == nil {
@@ -279,7 +279,7 @@ func (d *Driver) Done() bool { return d.done() }
 
 // done reports whether all trace work has completed.
 func (d *Driver) done() bool {
-	if !d.srcDone || d.held != nil || d.opsInFlight > 0 {
+	if !d.srcDone || d.hasHeld || d.opsInFlight > 0 {
 		return false
 	}
 	for _, q := range d.queues {

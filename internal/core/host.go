@@ -348,7 +348,7 @@ func (h *Host) read(key cache.Key, done cont) {
 		// Under the callback protocol an exclusively-owned block must be
 		// downgraded (and its dirty data flushed) before the read; under
 		// the paper's instant model this continues immediately.
-		h.reg.AcquireRead(h.cfg.ID, uint64(key), func() { readProceed(r) })
+		h.reg.AcquireRead(h.cfg.ID, uint64(key), readProceed, r)
 		return
 	}
 	if h.cport != nil {
@@ -409,7 +409,7 @@ func (h *Host) write(key cache.Key, done cont) {
 	// free (§3.8); under the callback protocol the writer first acquires
 	// exclusive ownership, paying the message round trips.
 	if h.reg != nil {
-		h.reg.AcquireWrite(h.cfg.ID, uint64(key), func() { writeProceed(r) })
+		h.reg.AcquireWrite(h.cfg.ID, uint64(key), writeProceed, r)
 		return
 	}
 	if h.cport != nil {
