@@ -300,9 +300,8 @@ func BenchmarkFleetPartitions(b *testing.B) {
 // --- sharded scenario benches ---
 
 // benchScenario runs the crash-recovery built-in on a 64-host fleet with
-// a persistent flash cache, either sequentially (shards = 0) or on the
-// cluster. The pair tracks the scenario engine's sharded speedup; the
-// cluster rows are bit-identical at every shard count.
+// a persistent flash cache on the cluster; results are bit-identical at
+// every shard count.
 func benchScenario(b *testing.B, shards int) {
 	b.Helper()
 	const scale = 4096
@@ -328,8 +327,6 @@ func benchScenario(b *testing.B, shards int) {
 	}
 	b.ReportMetric(float64(events), "events/run")
 }
-
-func BenchmarkScenarioSequential(b *testing.B) { benchScenario(b, 0) }
 
 // BenchmarkScenarioSharded drives the same scenario through the cluster's
 // epoch barrier at GOMAXPROCS shards (minimum two).

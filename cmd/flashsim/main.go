@@ -17,8 +17,10 @@
 // are partitioned over parallel event engines with results bit-identical
 // for every shard count — the callback consistency protocol (-protocol),
 // recovered starts (-recovered) and scenario runs included. -shards 0
-// (the default) picks GOMAXPROCS for multi-host runs and the sequential
-// engine otherwise; any value >= 1 forces the cluster executor:
+// (the default) picks GOMAXPROCS for multi-host runs; a single-host
+// steady-state run stays on the sequential engine, and a single-host
+// scenario runs as a one-shard cluster. Any value >= 1 forces the cluster
+// executor:
 //
 //	flashsim -hosts 256 -shared-wss -shards 0
 //	flashsim -hosts 256 -shared-wss -protocol -shards 8
@@ -30,8 +32,8 @@
 // Running a scripted scenario (a built-in name or a JSON file) instead of
 // a steady-state run, optionally exporting the time-resolved telemetry
 // (CSV, or NDJSON when the path ends in .ndjson; "-" writes to stdout).
-// Scenarios follow the same sharding rule, so a multi-host scenario runs
-// on the cluster by default:
+// Scenarios always run on the cluster (a single-host scenario at the
+// default -shards 0 is one shard, byte-identical to -shards 1):
 //
 //	flashsim -scenario crash-recovery -persistent -scale 2048
 //	flashsim -scenario crash-recovery -hosts 4 -shards 4 -persistent
@@ -98,7 +100,7 @@ func main() {
 	objectWriteThrough := flag.Bool("object-write-through", true, "copy buffered writes to the object tier in the background")
 	objectReadPromote := flag.Bool("object-read-promote", true, "install object-served blocks into the block tier")
 	parallel := flag.Int("parallel", 0, "worker pool size for multi-point sweeps (0 = all CPUs)")
-	shards := flag.Int("shards", 0, "engine shards within one simulation: hosts are partitioned over this many parallel event engines, results identical at every count (0 = sequential for one host, GOMAXPROCS cluster for multi-host; >= 1 forces the cluster)")
+	shards := flag.Int("shards", 0, "engine shards within one simulation: hosts are partitioned over this many parallel event engines, results identical at every count (0 = GOMAXPROCS cluster for multi-host; for one host, a one-shard cluster for scenarios and the sequential engine for steady-state runs; >= 1 forces the cluster)")
 	scenarioName := flag.String("scenario", "", "run a scripted scenario: a built-in name or a JSON file path")
 	listScenarios := flag.Bool("list-scenarios", false, "list built-in scenarios and exit")
 	telemetryPath := flag.String("telemetry", "", "write scenario telemetry to this file (.ndjson for NDJSON, else CSV; - for stdout)")
@@ -208,11 +210,11 @@ func main() {
 			sc, err = flashsim.BuiltinScenario(*scenarioName)
 		}
 		die(err)
-		// Scenario runs follow the same sharding rule as steady-state runs:
-		// -shards N >= 1 forces the cluster executor, and the multi-host
-		// auto default (applied to base above) selects it too — scenario
-		// results are bit-identical for every shard count, so the default
-		// multi-host output does not depend on this machine's core count.
+		// Scenario runs always execute on the cluster: -shards 0 on one
+		// host runs one shard, and the multi-host auto default (applied to
+		// base above) picks GOMAXPROCS — scenario results are bit-identical
+		// for every shard count, so the output does not depend on this
+		// machine's core count.
 		if *reportJSON != "" {
 			die(fmt.Errorf("-report-json applies to steady-state runs, not scenarios"))
 		}

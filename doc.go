@@ -37,13 +37,14 @@
 // (write mix, locality, working-set shift, sharing, thread count) and
 // boundary events (host crash with the §7.8 recovery path, cache flush,
 // host leave/join churn) — paired with a time-resolved telemetry probe
-// (stats.Sampler into stats.TimeSeries, CSV/NDJSON exportable) whose tick
-// allocates nothing at steady state. Five built-ins ship (warmup, burst,
-// ws-shift, crash-recovery, churn), scenarios load from JSON, cmd/flashsim
-// runs them via -scenario, and the ext-scenario experiment measures warmup
-// and crash-recovery transients against flash size. Runs are
-// byte-deterministic and golden-hash locked like the rest of the
-// simulator.
+// (stats.TimeSeries, CSV/NDJSON exportable) sampled at epoch barriers
+// forced onto the sampling grid. Every scenario runs on the sharded
+// cluster (Config.Shards 0 means one shard). Six built-ins ship (warmup,
+// burst, ws-shift, crash-recovery, filer-crash, churn), scenarios load
+// from JSON, cmd/flashsim runs them via -scenario, and the ext-scenario
+// experiment measures warmup and crash-recovery transients against flash
+// size. Runs are byte-deterministic and golden-hash locked like the rest
+// of the simulator.
 //
 // # Allocation-free event core
 //
@@ -71,11 +72,11 @@
 // RunScenario (phases, scripted faults and telemetry synchronizing at
 // the barrier) all execute sharded. The ext-fleet experiment sweeps the
 // population 64 -> 4096 hosts with and without the callback protocol;
-// the BenchmarkFleetSequential / BenchmarkFleetSharded and
-// BenchmarkScenarioSequential / BenchmarkScenarioSharded pairs
-// (BENCH_4.json) track the intra-simulation speedup.
+// the BenchmarkFleetSequential / BenchmarkFleetSharded pair
+// (BENCH_4.json) tracks the intra-simulation speedup and
+// BenchmarkScenarioSharded the scenario executor.
 // docs/ARCHITECTURE.md documents the layer map, the event lifecycle and
 // the full determinism contract; docs/SCENARIOS.md the scenario schema
-// and sharded-run caveats; docs/PERFORMANCE.md the zero-allocation rules
+// and sharded-run semantics; docs/PERFORMANCE.md the zero-allocation rules
 // and profiling recipes.
 package repro

@@ -67,11 +67,11 @@ func ExampleRunScenario() {
 	// telemetry columns: 7
 }
 
-// ExampleRunScenario_sharded runs a scripted crash on the sharded cluster
-// executor: with Shards >= 1 the scenario's phases, fault events and
+// ExampleRunScenario_sharded runs a scripted crash on a four-host cluster
+// split over two shards: the scenario's phases, fault events and
 // telemetry all synchronize at the epoch barrier, and the result is
 // bit-identical for every shard count — the output below is the same at
-// Shards 1, 2 or 4, on any machine.
+// Shards 0 (one shard), 1, 2 or 4, on any machine.
 func ExampleRunScenario_sharded() {
 	sc, err := flashsim.BuiltinScenario("crash-recovery")
 	if err != nil {

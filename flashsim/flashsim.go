@@ -309,8 +309,10 @@ type Config struct {
 	// the same exchange. Results are bit-identical for every Shards value
 	// >= 1 on any machine, but follow the cluster's (slightly different,
 	// fully deterministic) semantics rather than the sequential path's —
-	// see docs/ARCHITECTURE.md. 0 selects the classic sequential engine;
-	// a value larger than Hosts is clamped to Hosts.
+	// see docs/ARCHITECTURE.md. For steady-state Run/RunTrace, 0 selects
+	// the classic sequential engine; scenarios (RunScenario and friends)
+	// always run on the cluster, with 0 meaning one shard. A value larger
+	// than Hosts is clamped to Hosts.
 	Shards int
 
 	// Seed drives simulator randomness (filer prefetch outcomes).
@@ -565,7 +567,7 @@ func RunTrace(cfg Config, src trace.Source, warmupBlocks int64) (*Result, error)
 
 // simulation bundles the engine-level objects of one run: the engine, the
 // shared filer, the optional consistency registry, the hosts and the trace
-// driver. It is the common substrate of runTrace and RunScenario.
+// driver: the substrate of the sequential runTrace.
 type simulation struct {
 	eng   *sim.Engine
 	fsrv  *filer.Filer
@@ -575,7 +577,7 @@ type simulation struct {
 }
 
 // hostConfig maps the public Config onto one host's core configuration.
-// Every executor (sequential, sharded steady-state, sharded scenario)
+// Every executor (sequential steady-state, sharded steady-state, scenario)
 // builds its hosts through this single mapping, so a new Config knob
 // cannot reach one path and silently miss another.
 func hostConfig(cfg Config, id int) core.HostConfig {

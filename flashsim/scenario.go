@@ -3,7 +3,6 @@ package flashsim
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/filer"
@@ -151,9 +150,9 @@ type ScenarioResult struct {
 	SyncEvictions      uint64
 	DirtyBlocksEnd     uint64
 
-	// Barrier-schedule statistics (sharded runs only; zero otherwise).
-	// Shard-count invariant, and deliberately excluded from String():
-	// the golden-hash surface predates them.
+	// Barrier-schedule statistics. Shard-count invariant, and
+	// deliberately excluded from String(): the golden-hash surface
+	// predates them.
 	Epochs          uint64
 	BarrierMessages uint64
 
@@ -166,11 +165,11 @@ type ScenarioResult struct {
 	FilerObjectWrites uint64
 
 	// Observability (see the Result fields of the same names): sampled
-	// request-lifecycle spans (TraceSample > 0), the sharded executor's
-	// wall-clock self-profile (Config.WallProfile, sharded runs only),
-	// and the run's real-time footprint. All excluded from the
-	// golden-hash surface; String() reports the footprint on a trailing
-	// "runtime:" line that hash consumers strip.
+	// request-lifecycle spans (TraceSample > 0), the cluster's wall-clock
+	// self-profile (Config.WallProfile), and the run's real-time
+	// footprint. All excluded from the golden-hash surface; String()
+	// reports the footprint on a trailing "runtime:" line that hash
+	// consumers strip.
 	Trace            []TraceSpan
 	WallProfile      *WallProfile
 	WallClockSeconds float64
@@ -252,8 +251,7 @@ type aggSnap struct {
 }
 
 // snapshotHosts collects the aggregate over an explicit host list, in host
-// order; blocksIssued is supplied by the caller (the single driver's count
-// sequentially, the per-host drivers' sum on the cluster).
+// order; blocksIssued is supplied by the caller (the per-host drivers' sum).
 func snapshotHosts(hosts []*core.Host, blocksIssued uint64, out *aggSnap) {
 	*out = aggSnap{}
 	for _, h := range hosts {
@@ -272,10 +270,6 @@ func snapshotHosts(hosts []*core.Host, blocksIssued uint64, out *aggSnap) {
 		out.dirty += uint64(h.DirtyBlocks())
 	}
 	out.blocksIssued = blocksIssued
-}
-
-func snapshot(s *simulation, out *aggSnap) {
-	snapshotHosts(s.hosts, s.drv.BlocksIssued(), out)
 }
 
 // meanMicros returns (sum/count) in microseconds, 0 when count is 0.
@@ -302,117 +296,27 @@ func rate(hits, misses uint64) float64 {
 // The configuration's ColdStart/RecoveredStart/TotalBlocks knobs are
 // ignored — the scenario is the run's shape.
 //
-// Runs are deterministic: a fixed (cfg, scenario) pair produces identical
-// results, telemetry included, on every run. With Shards >= 1 the
-// scenario executes on the sharded cluster — phase trace is fed, fault
-// events run and telemetry samples are taken at epoch barriers — and the
-// result is additionally bit-identical for every shard count (see
-// scenario_sharded.go and docs/SCENARIOS.md for the few semantic
-// differences from the sequential path).
+// Runs execute on the sharded cluster — phase trace is fed, fault events
+// run and telemetry samples are taken at epoch barriers — so a fixed
+// (cfg, scenario) pair produces identical results, telemetry included, on
+// every run and at every shard count; Shards 0 runs as one shard (see
+// scenario_sharded.go and docs/SCENARIOS.md).
 func RunScenario(cfg Config, sc *Scenario) (*ScenarioResult, error) {
-	wallStart := time.Now()
-	cfg, sc, period, err := prepareScenario(cfg, sc)
-	if err != nil {
-		return nil, err
-	}
-
-	if cfg.Shards >= 1 {
-		// The sharded executor: the scenario's phases, events and
-		// telemetry all synchronize at the cluster's epoch barrier, with
-		// results bit-identical for every shard count.
-		res, err := runScenarioSharded(cfg, sc, period, ScenarioHooks{}, nil)
-		if err == nil {
-			res.WallClockSeconds, res.PeakHeapBytes = runtimeFootprint(wallStart)
-		}
-		return res, err
-	}
-
-	gen, err := scenarioGenerator(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s, err := buildSimulation(cfg, gen, 0)
-	if err != nil {
-		return nil, err
-	}
-	tr := attachTracer(cfg, s.hosts)
-	s.drv.StartCollection()
-
-	// The telemetry probe: one row per sampling period with interval
-	// deltas of the aggregate host statistics. The tick itself allocates
-	// nothing (see stats.Sampler); prev/cur live across ticks.
-	ts := stats.NewTimeSeries("scenario "+sc.Name, telemetryColumns...)
-	var prev, cur aggSnap
-	sampler := stats.NewSampler(s.eng, period, ts,
-		func(now sim.Time, row []float64) {
-			snapshot(s, &cur)
-			row[0] = meanMicros(cur.readSum-prev.readSum, cur.readCount-prev.readCount)
-			row[1] = meanMicros(cur.writeSum-prev.writeSum, cur.writeCount-prev.writeCount)
-			row[2] = rate(cur.ramHits-prev.ramHits, cur.ramMisses-prev.ramMisses)
-			row[3] = rate(cur.flashHits-prev.flashHits, cur.flashMisses-prev.flashMisses)
-			row[4] = float64(cur.blocksIssued - prev.blocksIssued)
-			row[5] = float64(s.drv.OpsInFlight())
-			row[6] = float64(cur.dirty)
-			prev = cur
-		})
-
-	res := &ScenarioResult{Scenario: sc.Name}
-	var phaseStart, phaseEnd aggSnap
-	for pi := range sc.Phases {
-		ph := &sc.Phases[pi]
-		if err := applyOverrides(gen, ph); err != nil {
-			return nil, fmt.Errorf("flashsim: scenario %s phase %s: %w", sc.Name, ph.Name, err)
-		}
-		for _, ev := range ph.Events {
-			er, err := executeEvent(s, cfg, pi, ev)
-			if err != nil {
-				return nil, fmt.Errorf("flashsim: scenario %s phase %s: %w", sc.Name, ph.Name, err)
-			}
-			res.Events = append(res.Events, er)
-		}
-		start := s.eng.Now()
-		snapshot(s, &phaseStart)
-		blocks := phaseBlocks(cfg, ph)
-		var deadline sim.Time
-		if ph.Seconds > 0 {
-			deadline = start + sim.Time(ph.Seconds*float64(sim.Second))
-		}
-		s.drv.RunPhase(blocks, deadline)
-		snapshot(s, &phaseEnd)
-		res.Phases = append(res.Phases, phaseResult(ph.Name, start, s.eng.Now(), &phaseStart, &phaseEnd))
-	}
-	// Wind down: stop the syncers, drain in-flight writebacks, and take
-	// one final sample so the series covers the whole run.
-	sampler.Stop()
-	for _, h := range s.hosts {
-		h.StopSyncers()
-	}
-	s.eng.Run()
-	sampler.Sample()
-
-	res.Telemetry = ts
-	res.BlocksIssued = s.drv.BlocksIssued()
-	res.SimulatedSeconds = s.eng.Now().Seconds()
-	res.EngineEvents = s.eng.Processed()
-	var fin aggSnap
-	snapshot(s, &fin)
-	fillScenarioTotals(res, &fin)
-	fillScenarioFilerStats(res, s.fsrv)
-	if tr != nil {
-		res.Trace = tr.Spans()
-	}
-	res.WallClockSeconds, res.PeakHeapBytes = runtimeFootprint(wallStart)
-	return res, nil
+	return RunScenarioStream(cfg, sc, ScenarioHooks{}, nil)
 }
 
 // prepareScenario runs the shared prelude of every scenario entry point:
 // configuration and scenario validation, the host/churn cross-checks, the
-// sampling-period resolution, and the fold of the scenario's filer spec
-// into the configuration. The scenario is cloned, so normalization never
-// mutates the caller's copy.
+// sampling-period resolution, the fold of the scenario's filer spec into
+// the configuration, and the shard-count normalization (Shards 0 means one
+// shard). The scenario is cloned, so normalization never mutates the
+// caller's copy.
 func prepareScenario(cfg Config, sc *Scenario) (Config, *Scenario, sim.Time, error) {
 	if err := cfg.Validate(); err != nil {
 		return cfg, nil, 0, err
+	}
+	if cfg.Shards < 1 {
+		cfg.Shards = 1
 	}
 	sc = sc.Clone()
 	if err := sc.Validate(); err != nil {
@@ -439,7 +343,8 @@ func prepareScenario(cfg Config, sc *Scenario) (Config, *Scenario, sim.Time, err
 
 // CheckScenario validates a (configuration, scenario) pair without running
 // it — every admission check RunScenario would apply — and returns the
-// effective configuration with the scenario's filer spec folded in. It is
+// effective configuration with the scenario's filer spec folded in and
+// Shards normalized to at least one. It is
 // the fail-fast gate for services that accept runs and execute them later.
 func CheckScenario(cfg Config, sc *Scenario) (Config, error) {
 	cfg, _, _, err := prepareScenario(cfg, sc)
@@ -518,7 +423,7 @@ func ApplyFilerSpec(cfg Config, f *ScenarioFilerSpec) (Config, error) {
 }
 
 // applyScenarioFiler folds the scenario's filer specification into the
-// configuration before either executor builds its filer, and checks the
+// configuration before the cluster builds its filer, and checks the
 // scenario's filer events against the resulting layout.
 func applyScenarioFiler(cfg Config, sc *Scenario) (Config, error) {
 	if sc.Filer == nil {
@@ -642,75 +547,6 @@ func applyOverrides(gen *tracegen.Generator, ph *ScenarioPhase) error {
 		}
 	}
 	return nil
-}
-
-// executeEvent runs one scripted fault with the simulation quiesced. The
-// foreground is already drained (phase boundary); the engine is run dry
-// first so no background writeback holds a pin, and again afterwards so
-// the event's own traffic completes before the phase starts.
-func executeEvent(s *simulation, cfg Config, phase int, ev ScenarioEvent) (EventResult, error) {
-	s.eng.Run()
-	h := s.hosts[ev.Host]
-	er := EventResult{Phase: phase, Kind: string(ev.Kind), Host: ev.Host}
-	start := s.eng.Now()
-	switch ev.Kind {
-	case scenario.EventCrash:
-		before := h.ResidentBlocks()
-		h.Crash()
-		if cfg.PersistentFlash && cfg.Arch != Unified {
-			// The flash cache survived; scan its metadata and flush the
-			// blocks that were dirty at the crash — the recovery phase
-			// the paper declined to simulate (§7.8).
-			done := false
-			er.Flushed = h.Recover(func() { done = true })
-			s.eng.Run()
-			if !done {
-				return er, fmt.Errorf("crash recovery did not complete")
-			}
-		}
-		er.Dropped = before - h.ResidentBlocks()
-	case scenario.EventFlush:
-		before := h.ResidentBlocks()
-		done := false
-		er.Flushed = h.Flush(ev.Fraction, func() { done = true })
-		s.eng.Run()
-		if !done {
-			return er, fmt.Errorf("flush did not complete")
-		}
-		er.Dropped = before - h.ResidentBlocks()
-	case scenario.EventLeave:
-		before := h.ResidentBlocks()
-		done := false
-		er.Flushed = h.Flush(1, func() { done = true })
-		s.eng.Run()
-		if !done {
-			return er, fmt.Errorf("leave flush did not complete")
-		}
-		er.Dropped = before - h.ResidentBlocks()
-		if err := s.drv.SetAttached(ev.Host, false); err != nil {
-			return er, err
-		}
-	case scenario.EventJoin:
-		if err := s.drv.SetAttached(ev.Host, true); err != nil {
-			return er, err
-		}
-	case scenario.EventFilerCrash:
-		er.Partition, er.Replica = ev.Partition, ev.Replica
-		if err := s.fsrv.CrashReplica(ev.Partition, ev.Replica); err != nil {
-			return er, err
-		}
-	case scenario.EventFilerRecover:
-		er.Partition, er.Replica = ev.Partition, ev.Replica
-		blocks, source, err := s.fsrv.RecoverReplica(ev.Partition, ev.Replica)
-		if err != nil {
-			return er, err
-		}
-		er.Resynced, er.ResyncSource = blocks, source
-	default:
-		return er, fmt.Errorf("unknown event kind %q", ev.Kind)
-	}
-	er.Seconds = (s.eng.Now() - start).Seconds()
-	return er, nil
 }
 
 // RunScenarioBatch executes one scenario per configuration on the worker

@@ -12,28 +12,25 @@ import (
 	"repro/internal/tracegen"
 )
 
-// This file executes a scenario on the sharded cluster (Config.Shards >= 1).
-// Everything the sequential scenario runner does between engine runs —
-// workload overrides, trace pumping, fault events, telemetry sampling —
-// happens here between epochs, at barrier times that are shard-count
-// invariant, so a scenario result is bit-identical for every shard count
-// (locked by TestScenarioShardCountInvariance).
+// This file is the scenario executor: every scenario runs on the sharded
+// cluster (Config.Shards 0 runs as one shard). Workload overrides, trace
+// feeding, fault events and telemetry sampling all happen between epochs,
+// at barrier times that are shard-count invariant, so a scenario result is
+// bit-identical for every shard count (locked by
+// TestScenarioShardCountInvariance).
 //
-// The trace reaches the per-host drivers differently than in a sequential
-// run: the shared generator cannot be consumed concurrently by the shards,
-// so the coordinator draws ops from it between epochs — one bounded batch
-// per block-bounded phase, barrier-timed chunks for time-bounded phases —
-// and splits them into per-host queues (trace.QueueSource), remapping ops
-// of detached hosts exactly like the sequential driver does. Three
-// deliberate, documented semantic differences from the sequential path
-// follow (see docs/SCENARIOS.md):
+// The shared generator cannot be consumed concurrently by the shards, so
+// the coordinator draws ops from it between epochs — one bounded batch per
+// block-bounded phase, barrier-timed chunks for time-bounded phases — and
+// splits them into per-host queues (trace.QueueSource), remapping ops of
+// detached hosts onto the attached ones. Three consequences define the
+// scenario semantics (see docs/SCENARIOS.md):
 //
 //   - Phases end fully drained: background writebacks complete before the
-//     next phase starts (sequentially they may straddle the boundary).
+//     next phase starts.
 //   - A time-bounded phase cuts consumption at the first barrier at or
 //     after its deadline and discards the ops it pre-generated but never
-//     dispatched; the generator stream position therefore differs from a
-//     sequential run's after such a phase.
+//     dispatched.
 //   - Telemetry samples are taken at barriers forced onto the sampling
 //     grid, so a sample reflects exactly the events up to its timestamp.
 
@@ -174,10 +171,9 @@ func runScenarioSharded(cfg Config, sc *Scenario, period sim.Time, hooks Scenari
 		}
 	}
 
-	// Wind down, mirroring the sequential order: sampling stops, the
-	// syncers halt, the remaining work drains, and one final sample closes
-	// the series. Phases drain fully at the barrier, so this is usually a
-	// no-op epoch.
+	// Wind down: sampling stops, the syncers halt, the remaining work
+	// drains, and one final sample closes the series. Phases drain fully
+	// at the barrier, so this is usually a no-op epoch.
 	cl.StopSyncers()
 	cl.Advance(0)
 	r.sample(cl.Now())
@@ -232,8 +228,8 @@ func (r *shardedScenarioRun) snapshot(out *aggSnap) {
 }
 
 // sample appends one telemetry row at time at, with interval deltas since
-// the previous sample — the barrier-driven analogue of the sequential
-// stats.Sampler tick.
+// the previous sample. Barriers are forced onto the sampling grid, so the
+// row reflects exactly the events up to at.
 func (r *shardedScenarioRun) sample(at sim.Time) {
 	r.snapshot(&r.cur)
 	cur, prev := &r.cur, &r.prev
@@ -252,9 +248,10 @@ func (r *shardedScenarioRun) sample(at sim.Time) {
 }
 
 // feed draws at least blocks trace blocks from the shared generator (the
-// last op may overshoot, like the sequential pump), splits them into the
-// per-host queues — remapping ops of detached hosts onto the attached
-// ones with the sequential driver's formula — and wakes the drivers.
+// last op may overshoot), splits them into the per-host queues —
+// remapping ops of detached hosts deterministically onto the attached
+// ones, so a departed cache server's clients go somewhere else — and
+// wakes the drivers.
 func (r *shardedScenarioRun) feed(blocks int64) {
 	var pushed int64
 	for pushed < blocks {
@@ -389,13 +386,7 @@ func (r *shardedScenarioRun) executeEvent(phase int, ev ScenarioEvent) (EventRes
 		}
 		er.Dropped = before - h.ResidentBlocks()
 	case scenario.EventLeave:
-		n := 0
-		for _, a := range r.attached {
-			if a {
-				n++
-			}
-		}
-		if n == 1 {
+		if len(r.active) == 1 {
 			return er, fmt.Errorf("cannot detach the last attached host")
 		}
 		before := h.ResidentBlocks()
@@ -430,8 +421,7 @@ func (r *shardedScenarioRun) executeEvent(phase int, ev ScenarioEvent) (EventRes
 	return er, nil
 }
 
-// setAttached updates the churn map the feed-time remap consults (the
-// sharded analogue of Driver.SetAttached).
+// setAttached updates the churn map the feed-time remap consults.
 func (r *shardedScenarioRun) setAttached(host int, attached bool) {
 	if r.attached[host] == attached {
 		return

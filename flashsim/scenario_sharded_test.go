@@ -2,12 +2,15 @@ package flashsim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // shardedScenarioConfig is the sharded-scenario lock configuration: four
 // hosts at the 1:4096 baseline (a persistent cache for crash recovery, as
-// in the sequential lock).
+// in the single-host lock).
 func shardedScenarioConfig(name string) Config {
 	cfg := ScaledConfig(4096)
 	cfg.Hosts = 4
@@ -35,8 +38,9 @@ func runScenarioWithShards(t *testing.T, cfg Config, name string, shards int) *S
 // TestScenarioShardCountInvariance locks the scenario half of the sharded
 // determinism contract: every built-in scenario — phases, fault events,
 // per-phase aggregates and the full telemetry series — is bit-identical at
-// shards 1, 2 and 4, because trace feeding, event execution and sampling
-// all happen at shard-count-invariant barrier times.
+// shards 0, 1, 2 and 4, because trace feeding, event execution and
+// sampling all happen at shard-count-invariant barrier times (Shards 0
+// runs as one shard).
 func TestScenarioShardCountInvariance(t *testing.T) {
 	for _, name := range BuiltinScenarioNames() {
 		t.Run(name, func(t *testing.T) {
@@ -45,7 +49,7 @@ func TestScenarioShardCountInvariance(t *testing.T) {
 			if ref.BlocksIssued == 0 || ref.Telemetry.Len() == 0 {
 				t.Fatalf("sharded scenario did no work: %s", ref)
 			}
-			for _, shards := range []int{2, 4} {
+			for _, shards := range []int{0, 2, 4} {
 				got := runScenarioWithShards(t, cfg, name, shards)
 				if !reflect.DeepEqual(ref, got) {
 					t.Errorf("shards=%d diverged from shards=1:\nref: %s\ngot: %s", shards, ref, got)
@@ -55,8 +59,8 @@ func TestScenarioShardCountInvariance(t *testing.T) {
 	}
 }
 
-// TestScenarioShardedGoldenChecksums pins the sharded scenario results the
-// way scenarioGoldens pins the sequential ones: any drift in the barrier
+// TestScenarioShardedGoldenChecksums pins the four-host scenario results
+// the way scenarioGoldens pins the single-host ones: any drift in the barrier
 // schedule, the feed split or the sampling grid shows up here. The hashes
 // were captured when the sharded executor was built; the shard count does
 // not matter (invariance above), so the lock runs at shards=2.
@@ -146,9 +150,10 @@ func TestScenarioShardedProtocol(t *testing.T) {
 	}
 }
 
-// TestScenarioShardedChurnRedistributes mirrors the sequential churn test
-// on the cluster: the leave flushes and drops, the join re-attaches, and
-// every phase still issues its full volume via the feed-time remap.
+// TestScenarioShardedChurnRedistributes mirrors the two-host churn test
+// on four hosts over two shards: the leave flushes and drops, the join
+// re-attaches, and every phase still issues its full volume via the
+// feed-time remap.
 func TestScenarioShardedChurnRedistributes(t *testing.T) {
 	cfg := shardedScenarioConfig("churn")
 	res := runScenarioWithShards(t, cfg, "churn", 2)
@@ -161,6 +166,30 @@ func TestScenarioShardedChurnRedistributes(t *testing.T) {
 	for _, p := range res.Phases {
 		if p.BlocksIssued == 0 {
 			t.Errorf("phase %s issued nothing", p.Name)
+		}
+	}
+}
+
+// A scripted scenario whose leave events detach every host must fail on
+// the last one, at every shard count: some host has to serve the trace.
+func TestScenarioLeaveLastHostFails(t *testing.T) {
+	sc := &Scenario{
+		Name: "exodus",
+		Phases: []ScenarioPhase{
+			{Name: "warm", Blocks: 1000},
+			{Name: "empty", Blocks: 1000, Events: []ScenarioEvent{
+				{Kind: scenario.EventLeave, Host: 0},
+				{Kind: scenario.EventLeave, Host: 1},
+			}},
+		},
+	}
+	for _, shards := range []int{0, 2} {
+		cfg := ScaledConfig(4096)
+		cfg.Hosts = 2
+		cfg.Shards = shards
+		_, err := RunScenario(cfg, sc)
+		if err == nil || !strings.Contains(err.Error(), "cannot detach the last attached host") {
+			t.Errorf("shards=%d: err = %v, want last-host detach failure", shards, err)
 		}
 	}
 }

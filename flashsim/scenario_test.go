@@ -41,16 +41,17 @@ func scenarioChecksum(t *testing.T, cfg Config, name string) string {
 }
 
 // Golden determinism lock for the scenario engine: each built-in scenario
-// at the 1:4096 baseline must hash to the value captured when the engine
-// was built, and a repeat run in the same process must reproduce it (the
-// generator, sampler and fault events share no hidden global state).
+// at the single-host 1:4096 baseline (Shards 0, i.e. one cluster shard)
+// must hash to the captured value, and a repeat run in the same process
+// must reproduce it (the generator, sampler and fault events share no
+// hidden global state).
 var scenarioGoldens = map[string]string{
-	"burst":          "64fec5e43ebc7aed0eea9611df15c8a019f8690aa74725c07fc969ee992caa5d",
-	"churn":          "a591dab681048387e3a80d34cea2a4f6eb673e8a56c67e8b2cee178990b9782e",
-	"crash-recovery": "8b47df58f43557f9fc0614425a9e94686f8a732f13e96a1e3139c20bfe98291f",
-	"filer-crash":    "cbf40a8c2624f74f4ee73f4a39f81473d07c38b06e023a35c0c011417dabb823",
-	"warmup":         "bf278f4ccc4379061d051fb356994e1b725f47a65992b56800fbe9005dea8ed6",
-	"ws-shift":       "2244fe0dad65414eb9875a189e04e62aca4a21c9f95556dec68fdb647a3a06ce",
+	"burst":          "bd9c43d24826333a531fd8e01a6b9bef120c5e1aec3b9aafc04b3b32216b42f5",
+	"churn":          "e8bf6dfb73dd01288b94781cdad005540ece448b9fea12a6a336050b6426015c",
+	"crash-recovery": "f08167a2c2f32c2887acb4bec774fd21463f552d4f5f09c0e89e85349dbb786d",
+	"filer-crash":    "0070614b79a27a34c0f5af78e1d3e91b1a5ce04850a132e6eaeb23683a7c02fe",
+	"warmup":         "5cc8a0ce33346216a0e76da99a243b972481e22acb3dc425ee2ca9ee18558a42",
+	"ws-shift":       "0f9c26adb4518f61ffba90f18e001f21684b326d1d31e4b156ac100af73dd649",
 }
 
 func TestScenarioGoldenChecksums(t *testing.T) {

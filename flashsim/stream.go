@@ -109,10 +109,8 @@ func (c *RunController) takePending() []ScenarioEvent {
 // RunScenarioStream executes a scenario like RunScenario but live: hooks
 // observe samples, phases and events as the cluster advances, and ctl —
 // when non-nil — can cancel the run or inject fault events between
-// epochs. The scenario always executes on the sharded cluster (Shards < 1
-// is normalized to one shard); a run with zero-value hooks and no
-// controller activity produces a result bit-identical to RunScenario's at
-// the same shard count.
+// epochs. A run with zero-value hooks and no controller activity produces
+// a result bit-identical to RunScenario's.
 //
 // Determinism: the simulation itself stays deterministic, but injected
 // events execute at whichever epoch barrier follows their wall-clock
@@ -123,9 +121,6 @@ func RunScenarioStream(cfg Config, sc *Scenario, hooks ScenarioHooks, ctl *RunCo
 	cfg, sc, period, err := prepareScenario(cfg, sc)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
 	}
 	res, err := runScenarioSharded(cfg, sc, period, hooks, ctl)
 	if err != nil {

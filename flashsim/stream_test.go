@@ -179,6 +179,23 @@ func TestStreamInjectsEvents(t *testing.T) {
 	}
 }
 
+// An injected leave of the last attached host fails the run the same way
+// a scripted one does: both injections below execute at the first barrier,
+// and the second would leave no host to serve the trace.
+func TestStreamInjectedLeaveLastHostFails(t *testing.T) {
+	cfg := streamConfig()
+	ctl := NewRunController(cfg)
+	for h := 0; h < cfg.Hosts; h++ {
+		if err := ctl.Inject(ScenarioEvent{Kind: scenario.EventLeave, Host: h}); err != nil {
+			t.Fatalf("Inject leave host %d: %v", h, err)
+		}
+	}
+	_, err := RunScenarioStream(cfg, streamScenario(), ScenarioHooks{}, ctl)
+	if err == nil || !strings.Contains(err.Error(), "cannot detach the last attached host") {
+		t.Fatalf("err = %v, want last-host detach failure", err)
+	}
+}
+
 // TestRunControllerInjectValidation covers the Inject-time admission
 // checks against the run layout.
 func TestRunControllerInjectValidation(t *testing.T) {

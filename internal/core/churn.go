@@ -6,11 +6,12 @@ import (
 )
 
 // This file implements the scripted-fault hooks the scenario engine drives
-// between phases: crashing a host, flushing its caches, and detaching or
-// re-attaching it (churn). All of them assume a quiescent host — no
-// foreground ops in flight and background writebacks drained — which the
-// scenario runner guarantees by executing events only at phase boundaries
-// after running the engine dry.
+// between phases: crashing a host and flushing its caches (a churn leave
+// is a full flush; the detach itself is a trace remap in the scenario
+// executor). All of them assume a quiescent host — no foreground ops in
+// flight and background writebacks drained — which the scenario runner
+// guarantees by executing scripted events only at phase boundaries, with
+// the cluster drained at the epoch barrier.
 
 // clearable is the least common denominator of every cache tier for bulk
 // clearing (the unified cache is not a cache.BlockCache).

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func layeredCfg(ram, flash int) HostConfig {
@@ -118,149 +116,5 @@ func TestFlushPartialDropKeepsSubsetInvariant(t *testing.T) {
 		if e != nil && !e.Dirty && r.host.flash.Peek(key) == nil {
 			t.Fatalf("clean RAM block %d has no flash backing after drop", key)
 		}
-	}
-}
-
-// phaseSrc is an unbounded generator of single-block reads round-robining
-// hosts and threads.
-type phaseSrc struct {
-	hosts, threads int
-	n              uint32
-}
-
-func (s *phaseSrc) Next() (trace.Op, bool) {
-	op := trace.Op{
-		Host:   uint16(int(s.n) % s.hosts),
-		Thread: uint16(int(s.n) % s.threads),
-		Kind:   trace.Read,
-		File:   1,
-		Block:  s.n % 4096,
-		Count:  1,
-	}
-	s.n++
-	return op, true
-}
-
-func multiHostDriver(t *testing.T, nhosts int) (*sim.Engine, []*Host, *Driver, *phaseSrc) {
-	t.Helper()
-	tm := testTiming()
-	hosts := make([]*Host, nhosts)
-	rig0 := newRig(t, layeredCfg(8, 32), tm)
-	eng := rig0.eng
-	hosts[0] = rig0.host
-	for i := 1; i < nhosts; i++ {
-		cfg := layeredCfg(8, 32)
-		cfg.ID = i
-		h, err := NewHost(eng, cfg, tm, rig0.host.seg, nil, rig0.fsrv, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hosts[i] = h
-	}
-	src := &phaseSrc{hosts: nhosts, threads: 2}
-	drv, err := NewDriver(eng, hosts, nil, src, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng, hosts, drv, src
-}
-
-func TestRunPhaseBlockBudget(t *testing.T) {
-	_, _, drv, _ := multiHostDriver(t, 1)
-	drv.StartCollection()
-	drv.RunPhase(100, 0)
-	if !drv.quiet() {
-		t.Fatal("driver not quiet at phase end")
-	}
-	// Consumption stops at the budget (single-block ops: exact).
-	if got := drv.BlocksConsumed(); got != 100 {
-		t.Fatalf("consumed %d blocks, want 100", got)
-	}
-	if drv.BlocksIssued() != 100 {
-		t.Fatalf("issued %d blocks, want 100", drv.BlocksIssued())
-	}
-	drv.RunPhase(50, 0)
-	if got := drv.BlocksConsumed(); got != 150 {
-		t.Fatalf("consumed %d blocks after second phase, want 150", got)
-	}
-}
-
-func TestRunPhaseDeadline(t *testing.T) {
-	eng, _, drv, _ := multiHostDriver(t, 1)
-	drv.StartCollection()
-	deadline := eng.Now() + 10*sim.Millisecond
-	drv.RunPhase(0, deadline)
-	if !drv.quiet() {
-		t.Fatal("driver not quiet at phase end")
-	}
-	if eng.Now() < deadline {
-		t.Fatalf("phase ended at %v, before deadline %v", eng.Now(), deadline)
-	}
-	// The drain spillover past the deadline is bounded by in-flight work.
-	if eng.Now() > deadline+sim.Second {
-		t.Fatalf("phase overshot deadline wildly: %v", eng.Now())
-	}
-	if drv.BlocksIssued() == 0 {
-		t.Fatal("no work happened before the deadline")
-	}
-}
-
-func TestRunPhaseBudgetBeforeDeadline(t *testing.T) {
-	eng, _, drv, _ := multiHostDriver(t, 1)
-	drv.StartCollection()
-	// A tiny block budget with a huge deadline must end at the budget, not
-	// spin daemon events until the deadline.
-	drv.RunPhase(10, eng.Now()+sim.Time(3600)*sim.Second)
-	if got := drv.BlocksConsumed(); got != 10 {
-		t.Fatalf("consumed %d blocks, want 10", got)
-	}
-	if eng.Now() > sim.Second {
-		t.Fatalf("clock ran to %v for a 10-block phase", eng.Now())
-	}
-}
-
-func TestSetAttachedRemapsOps(t *testing.T) {
-	_, hosts, drv, _ := multiHostDriver(t, 3)
-	drv.StartCollection()
-	drv.RunPhase(300, 0)
-	for i, h := range hosts {
-		if h.Stats().BlocksRead == 0 {
-			t.Fatalf("host %d served nothing while attached", i)
-		}
-	}
-	if err := drv.SetAttached(1, false); err != nil {
-		t.Fatal(err)
-	}
-	before := hosts[1].Stats().BlocksRead
-	others := hosts[0].Stats().BlocksRead + hosts[2].Stats().BlocksRead
-	drv.RunPhase(300, 0)
-	if hosts[1].Stats().BlocksRead != before {
-		t.Fatal("detached host still served ops")
-	}
-	if hosts[0].Stats().BlocksRead+hosts[2].Stats().BlocksRead <= others {
-		t.Fatal("remaining hosts absorbed no traffic")
-	}
-	if err := drv.SetAttached(1, true); err != nil {
-		t.Fatal(err)
-	}
-	drv.RunPhase(300, 0)
-	if hosts[1].Stats().BlocksRead == before {
-		t.Fatal("re-attached host served nothing")
-	}
-}
-
-func TestSetAttachedValidation(t *testing.T) {
-	_, _, drv, _ := multiHostDriver(t, 2)
-	if err := drv.SetAttached(5, false); err == nil {
-		t.Error("out-of-range host accepted")
-	}
-	if err := drv.SetAttached(0, false); err != nil {
-		t.Error(err)
-	}
-	if err := drv.SetAttached(1, false); err == nil {
-		t.Error("detached the last attached host")
-	}
-	if !drv.Attached(1) || drv.Attached(0) {
-		t.Error("attachment state wrong")
 	}
 }

@@ -35,21 +35,12 @@ type Driver struct {
 	warmupBlocks int64
 	collecting   bool
 
-	// Phase control (scenario runs). consumed counts blocks taken from the
-	// source; phaseLimit, when >= 0, stops pump from consuming past it.
-	consumed   int64
-	phaseLimit int64
+	consumed int64 // blocks taken from the source
 
-	// Host churn (scenario runs): ops addressed to a detached host are
-	// remapped deterministically onto the attached ones.
-	attached []bool
-	active   []int // indices of attached hosts, ascending
-
-	opsInFlight   int
-	opsCompleted  uint64
-	blocksIssued  uint64
-	queuedOps     int // ops sitting in thread queues, not yet started
-	threadsActive map[uint32]bool
+	opsInFlight  int
+	opsCompleted uint64
+	blocksIssued uint64
+	queuedOps    int // ops sitting in thread queues, not yet started
 }
 
 // threadKey packs (host, thread).
@@ -68,25 +59,15 @@ func NewDriver(eng *sim.Engine, hosts []*Host, reg *consistency.Registry,
 	if src == nil {
 		return nil, fmt.Errorf("core: driver needs a trace source")
 	}
-	attached := make([]bool, len(hosts))
-	active := make([]int, len(hosts))
-	for i := range hosts {
-		attached[i] = true
-		active[i] = i
-	}
 	return &Driver{
-		eng:           eng,
-		hosts:         hosts,
-		src:           src,
-		reg:           reg,
-		queues:        make(map[uint32][]trace.Op),
-		busy:          make(map[uint32]bool),
-		window:        16,
-		warmupBlocks:  warmupBlocks,
-		phaseLimit:    -1,
-		attached:      attached,
-		active:        active,
-		threadsActive: make(map[uint32]bool),
+		eng:          eng,
+		hosts:        hosts,
+		src:          src,
+		reg:          reg,
+		queues:       make(map[uint32][]trace.Op),
+		busy:         make(map[uint32]bool),
+		window:       16,
+		warmupBlocks: warmupBlocks,
 	}, nil
 }
 
@@ -100,28 +81,19 @@ func (d *Driver) BlocksIssued() uint64 { return d.blocksIssued }
 func (d *Driver) Collecting() bool { return d.collecting }
 
 // hostFor returns the host for a trace op, clamping out-of-range host IDs
-// (a trace recorded on more hosts than configured wraps around). Ops for a
-// detached host are remapped deterministically onto the attached hosts —
-// the clients of a departed cache server go somewhere else.
+// (a trace recorded on more hosts than configured wraps around).
 func (d *Driver) hostFor(op trace.Op) *Host {
-	idx := int(op.Host) % len(d.hosts)
-	if d.attached[idx] {
-		return d.hosts[idx]
-	}
-	return d.hosts[d.active[idx%len(d.active)]]
+	return d.hosts[int(op.Host)%len(d.hosts)]
 }
 
 // pump moves ops from the source into per-thread queues until a queue
-// fills, the source drains, or the phase's consumption budget is spent.
+// fills or the source drains.
 func (d *Driver) pump() {
 	for {
 		var op trace.Op
 		if d.hasHeld {
 			op = d.held
 		} else {
-			if d.phaseLimit >= 0 && d.consumed >= d.phaseLimit {
-				return
-			}
 			var ok bool
 			op, ok = d.src.Next()
 			if !ok {
@@ -290,8 +262,6 @@ func (d *Driver) done() bool {
 	return true
 }
 
-// --- scenario phase control ----------------------------------------------
-
 // OpsInFlight returns the number of trace ops currently executing; it is
 // the scenario telemetry probe's queue-depth signal.
 func (d *Driver) OpsInFlight() int { return d.opsInFlight }
@@ -301,93 +271,6 @@ func (d *Driver) QueuedOps() int { return d.queuedOps }
 
 // BlocksConsumed returns the number of blocks taken from the trace source.
 func (d *Driver) BlocksConsumed() int64 { return d.consumed }
-
-// StartCollection enables statistics collection immediately. Scenario runs
-// measure from the first block — warmup is expressed as an explicit phase
-// whose samples are reported like any other's.
-func (d *Driver) StartCollection() {
-	d.collecting = true
-	for _, h := range d.hosts {
-		h.SetCollect(true)
-	}
-	if d.reg != nil {
-		d.reg.SetCollect(true)
-	}
-}
-
-// SetAttached attaches or detaches a host. Ops addressed to a detached
-// host are remapped onto the attached ones (see hostFor). The caller is
-// responsible for quiescing the simulation first — detaching with ops in
-// flight on the host would strand their completions' cache state — and for
-// flushing or dropping the host's caches to match the story being told.
-// Detaching the last attached host is an error.
-func (d *Driver) SetAttached(host int, attached bool) error {
-	if host < 0 || host >= len(d.hosts) {
-		return fmt.Errorf("core: host %d out of range [0,%d)", host, len(d.hosts))
-	}
-	if d.attached[host] == attached {
-		return nil
-	}
-	if !attached {
-		n := 0
-		for _, a := range d.attached {
-			if a {
-				n++
-			}
-		}
-		if n == 1 {
-			return fmt.Errorf("core: cannot detach the last attached host")
-		}
-	}
-	d.attached[host] = attached
-	d.active = d.active[:0]
-	for i, a := range d.attached {
-		if a {
-			d.active = append(d.active, i)
-		}
-	}
-	return nil
-}
-
-// Attached reports whether a host is currently attached.
-func (d *Driver) Attached(host int) bool { return d.attached[host] }
-
-// quiet reports whether all dispatched foreground work has drained: no
-// ops executing and none queued. Unlike done, it says nothing about the
-// source — a quiet driver may have arbitrarily more trace to play.
-func (d *Driver) quiet() bool {
-	return d.opsInFlight == 0 && d.queuedOps == 0
-}
-
-// RunPhase advances the simulation by one scenario phase: up to maxBlocks
-// further trace blocks are consumed (0 = unlimited), stopping early when
-// the clock reaches deadline (0 = none), after which dispatched work is
-// drained. On return no foreground ops are queued or in flight, so the
-// caller may safely mutate the workload, crash hosts, or change the host
-// population before the next phase. Background writebacks may still be in
-// flight; callers needing full quiescence run the engine dry first.
-func (d *Driver) RunPhase(maxBlocks int64, deadline sim.Time) {
-	if maxBlocks > 0 {
-		d.phaseLimit = d.consumed + maxBlocks
-	} else {
-		d.phaseLimit = -1
-	}
-	d.pump()
-	// exhausted reports that this phase will consume no further trace ops;
-	// once it holds and the driver is quiet, only daemon events (ticker
-	// rearms) remain, and stepping those would spin forever.
-	exhausted := func() bool {
-		return d.srcDone || (d.phaseLimit >= 0 && d.consumed >= d.phaseLimit)
-	}
-	if deadline > 0 {
-		d.eng.RunWhile(func() bool {
-			return d.eng.Now() < deadline && !(exhausted() && d.quiet())
-		})
-		// Deadline reached: consume nothing further, drain what started.
-		d.phaseLimit = d.consumed
-	}
-	d.eng.RunWhile(func() bool { return !d.quiet() })
-}
 
 // PumpMore clears the source-drained latch and pumps again. Sharded
 // scenario runs append a phase (or chunk) of trace to an appendable source

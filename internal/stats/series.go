@@ -5,8 +5,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-
-	"repro/internal/sim"
 )
 
 // TimeSeries is a time-resolved telemetry table: a shared time column plus
@@ -16,9 +14,9 @@ import (
 // CSV or NDJSON.
 //
 // Storage is a single flat float64 slice (row-major), so appending a row
-// within the reserved capacity allocates nothing; the sampling hot path
+// within the existing capacity allocates nothing; the sampling hot path
 // stays allocation-free once the backing arrays reach their high-water
-// mark (or after an explicit Reserve).
+// mark.
 type TimeSeries struct {
 	name    string
 	columns []string
@@ -46,21 +44,6 @@ func (ts *TimeSeries) NumColumns() int { return len(ts.columns) }
 
 // Len returns the number of rows.
 func (ts *TimeSeries) Len() int { return len(ts.times) }
-
-// Reserve grows the backing arrays to hold at least rows rows, so that
-// the next (rows - Len()) appends allocate nothing.
-func (ts *TimeSeries) Reserve(rows int) {
-	if cap(ts.times) < rows {
-		t := make([]float64, len(ts.times), rows)
-		copy(t, ts.times)
-		ts.times = t
-	}
-	if want := rows * len(ts.columns); cap(ts.values) < want {
-		v := make([]float64, len(ts.values), want)
-		copy(v, ts.values)
-		ts.values = v
-	}
-}
 
 // Append adds one sample row. row must have exactly NumColumns values; the
 // contents are copied, so callers may reuse the slice.
@@ -180,49 +163,3 @@ func (ts *TimeSeries) NDJSON() string {
 	ts.WriteNDJSON(&sb)
 	return sb.String()
 }
-
-// Sampler drives periodic telemetry collection: every period of simulated
-// time it calls fill to populate one row and appends it to the series. The
-// row buffer is owned by the sampler and reused, so a tick performs no
-// allocation once the series' backing arrays have reached their high-water
-// mark (see TimeSeries.Reserve).
-//
-// The underlying ticker is a daemon: ticks fire while foreground events
-// advance the clock but do not by themselves keep the engine alive.
-type Sampler struct {
-	eng    *sim.Engine
-	ts     *TimeSeries
-	fill   func(now sim.Time, row []float64)
-	row    []float64
-	ticker *sim.Ticker
-}
-
-// NewSampler arms a sampler on the engine. fill receives the current
-// simulated time and the reusable row buffer (len == ts.NumColumns()); it
-// must overwrite every element.
-func NewSampler(eng *sim.Engine, period sim.Time, ts *TimeSeries, fill func(now sim.Time, row []float64)) *Sampler {
-	s := &Sampler{
-		eng:  eng,
-		ts:   ts,
-		fill: fill,
-		row:  make([]float64, ts.NumColumns()),
-	}
-	s.ticker = sim.NewTicker(eng, period, s.Sample)
-	return s
-}
-
-// Sample takes one snapshot immediately: fill populates the row, which is
-// appended at the engine's current time. The ticker calls this every
-// period; callers may also invoke it directly (e.g. one final sample at
-// the end of a run).
-func (s *Sampler) Sample() {
-	now := s.eng.Now()
-	s.fill(now, s.row)
-	s.ts.Append(now.Seconds(), s.row)
-}
-
-// Stop cancels future ticks.
-func (s *Sampler) Stop() { s.ticker.Stop() }
-
-// Series returns the series being filled.
-func (s *Sampler) Series() *TimeSeries { return s.ts }

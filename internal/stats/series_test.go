@@ -3,8 +3,6 @@ package stats
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 func TestTimeSeriesAppendAndAccess(t *testing.T) {
@@ -81,60 +79,3 @@ func TestAppendRowNDJSON(t *testing.T) {
 	}()
 	AppendRowNDJSON(nil, []string{"a", "b"}, 0, []float64{1})
 }
-
-func TestSamplerTicks(t *testing.T) {
-	var eng sim.Engine
-	ts := NewTimeSeries("probe", "x")
-	n := 0
-	NewSampler(&eng, 10*sim.Millisecond, ts, func(now sim.Time, row []float64) {
-		n++
-		row[0] = float64(n)
-	})
-	// Ticks are daemons: keep a foreground event stream alive past 5 ticks.
-	for i := 1; i <= 55; i++ {
-		eng.Schedule(sim.Time(i)*sim.Millisecond, func() {})
-	}
-	eng.Run()
-	if ts.Len() != 5 {
-		t.Fatalf("got %d samples, want 5", ts.Len())
-	}
-	if ts.Time(0) != 0.01 || ts.Row(4)[0] != 5 {
-		t.Fatalf("sample contents wrong: t0=%v last=%v", ts.Time(0), ts.Row(4))
-	}
-}
-
-// The scenario acceptance contract: at steady state (backing arrays at
-// their high-water mark) one telemetry tick allocates nothing.
-func TestSamplerTickAllocationFree(t *testing.T) {
-	var eng sim.Engine
-	ts := NewTimeSeries("probe", "a", "b", "c", "d", "e", "f", "g")
-	s := NewSampler(&eng, sim.Millisecond, ts, func(now sim.Time, row []float64) {
-		for i := range row {
-			row[i] = float64(i) + now.Seconds()
-		}
-	})
-	ts.Reserve(4096)
-	allocs := testing.AllocsPerRun(1000, s.Sample)
-	if allocs != 0 {
-		t.Errorf("Sample allocated %v per tick at steady state, want 0", allocs)
-	}
-
-	// Through the engine: tick + rearm must also be allocation-free.
-	for i := 0; i < 64; i++ {
-		eng.Schedule(sim.Time(i+1)*sim.Millisecond, func() {})
-	}
-	eng.Run()
-	base := ts.Len()
-	allocs = testing.AllocsPerRun(1000, func() {
-		eng.Schedule(sim.Millisecond, noopFn)
-		eng.Run()
-	})
-	if allocs != 0 {
-		t.Errorf("engine-driven tick allocated %v per run, want 0", allocs)
-	}
-	if ts.Len() <= base {
-		t.Fatal("engine-driven ticks did not sample")
-	}
-}
-
-func noopFn() {}
