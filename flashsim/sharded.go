@@ -26,19 +26,38 @@ import (
 // splitTrace drains the source into per-host op slices, mirroring the
 // sequential driver's host clamping (a trace recorded on more hosts than
 // configured wraps around). It returns the per-host streams and per-host
-// block volumes.
+// block volumes. The streams share one backing array: the ops are drained
+// once, counted per host, and placed stably, so the allocations do not
+// grow with the host count.
 func splitTrace(src trace.Source, hosts int) (perHost [][]trace.Op, blocks []int64, total int64) {
-	perHost = make([][]trace.Op, hosts)
-	blocks = make([]int64, hosts)
+	var all []trace.Op
 	for {
 		op, ok := src.Next()
 		if !ok {
 			break
 		}
+		all = append(all, op)
+	}
+	// start[h] is where host h's ops begin in the shared backing array.
+	start := make([]int, hosts+1)
+	blocks = make([]int64, hosts)
+	for _, op := range all {
 		hi := int(op.Host) % hosts
-		perHost[hi] = append(perHost[hi], op)
+		start[hi+1]++
 		blocks[hi] += int64(op.Count)
 		total += int64(op.Count)
+	}
+	for h := 0; h < hosts; h++ {
+		start[h+1] += start[h]
+	}
+	placed := make([]trace.Op, len(all))
+	perHost = make([][]trace.Op, hosts)
+	for h := range perHost {
+		perHost[h] = placed[start[h]:start[h]:start[h+1]]
+	}
+	for _, op := range all {
+		hi := int(op.Host) % hosts
+		perHost[hi] = append(perHost[hi], op) // within capacity: never reallocates
 	}
 	return perHost, blocks, total
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // fleetConfig returns a small multi-host configuration that exercises the
@@ -186,5 +188,49 @@ func TestShardedRecoveredStart(t *testing.T) {
 		if !reflect.DeepEqual(ref, got) {
 			t.Errorf("recovered shards=%d diverged from shards=1:\nref: %+v\ngot: %+v", shards, ref, got)
 		}
+	}
+}
+
+// TestSplitTrace checks the per-host split — stable order, host clamping,
+// block volumes — and locks its allocations: they must not grow with the
+// host count, since every per-host stream shares one backing array.
+func TestSplitTrace(t *testing.T) {
+	ops := make([]trace.Op, 4096)
+	for i := range ops {
+		ops[i] = trace.Op{Host: uint16(i * 7 % 1500), Kind: trace.Read, File: 1, Block: uint32(i), Count: uint32(1 + i%5)}
+	}
+	for _, hosts := range []int{1, 3, 1024} {
+		perHost, blocks, total := splitTrace(trace.NewSliceSource(ops), hosts)
+		want := make([][]trace.Op, hosts)
+		wantBlocks := make([]int64, hosts)
+		var wantTotal int64
+		for _, op := range ops {
+			hi := int(op.Host) % hosts
+			want[hi] = append(want[hi], op)
+			wantBlocks[hi] += int64(op.Count)
+			wantTotal += int64(op.Count)
+		}
+		for h := range want {
+			if len(want[h]) == 0 && len(perHost[h]) == 0 {
+				continue
+			}
+			if !reflect.DeepEqual(perHost[h], want[h]) {
+				t.Fatalf("hosts=%d: host %d stream differs from a stable split", hosts, h)
+			}
+		}
+		if !reflect.DeepEqual(blocks, wantBlocks) || total != wantTotal {
+			t.Fatalf("hosts=%d: blocks %v total %d, want %v %d", hosts, blocks, total, wantBlocks, wantTotal)
+		}
+	}
+
+	src := trace.NewSliceSource(ops)
+	allocsAt := func(hosts int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			src.Reset()
+			splitTrace(src, hosts)
+		})
+	}
+	if few, many := allocsAt(4), allocsAt(1024); many > few {
+		t.Errorf("splitTrace allocated %v times at 1024 hosts, %v at 4: want no growth with hosts", many, few)
 	}
 }

@@ -222,3 +222,145 @@ func TestPhase2WorkersAllocationFree(t *testing.T) {
 		waitGoroutines(t, before)
 	})
 }
+
+// TestReqArenaCarvesSlabs locks the request arena: raising a host's
+// in-flight high-water mark by n records allocates one slab per reqSlab
+// records (plus one for a partly used slab), not one record at a time.
+func TestReqArenaCarvesSlabs(t *testing.T) {
+	r := newRig(t, baseCfg(Naive), testTiming())
+	const n = 1000
+	inFlight := make([]*hostReq, 0, 2*n) // records held, as in-flight steps hold them
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < n; i++ {
+			inFlight = append(inFlight, r.host.getReq())
+		}
+	})
+	if limit := float64((n+reqSlab-1)/reqSlab + 1); allocs > limit {
+		t.Errorf("raising the high-water mark by %d records allocated %v times, want <= %v", n, allocs, limit)
+	}
+	for _, q := range inFlight {
+		if q.h != r.host {
+			t.Fatal("carved record not bound to its host")
+		}
+	}
+}
+
+// TestClusterShardsShareReqArena checks that a cluster hands each shard's
+// arena to every host on it, and that shared records stay bound to the
+// host that carved them.
+func TestClusterShardsShareReqArena(t *testing.T) {
+	c, err := NewCluster(clusterSpecForTest(4, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range c.shards {
+		for _, h := range sh.hosts {
+			if h.reqs != &sh.reqs {
+				t.Fatalf("host %d does not carve from its shard's arena", h.ID())
+			}
+		}
+	}
+	a, b := c.shards[0].hosts[0], c.shards[0].hosts[1]
+	ra, rb := a.getReq(), b.getReq()
+	if ra.h != a || rb.h != b {
+		t.Fatal("records carved from a shared arena lost their host")
+	}
+	a.putReq(ra)
+	if a.getReq() != ra {
+		t.Fatal("a released record did not recycle through its host's free list")
+	}
+}
+
+// TestResidencyIndexGrowthAllocations locks the slot-array index: indexing
+// K distinct resident blocks allocates what a bare map of those keys does
+// plus O(log K) array growth, never once per block.
+func TestResidencyIndexGrowthAllocations(t *testing.T) {
+	const hosts, keys = 100, 4096
+	bare := testing.AllocsPerRun(1, func() {
+		m := make(map[uint64]int32)
+		for k := 0; k < keys; k++ {
+			m[uint64(k)] = int32(k)
+		}
+	})
+	var ri *residencyIndex
+	allocs := testing.AllocsPerRun(1, func() {
+		ri = newResidencyIndex(hosts)
+		for k := 0; k < keys; k++ {
+			ri.update(uint64(k), k%hosts, true)
+		}
+	})
+	if limit := bare + 40; allocs > limit {
+		t.Errorf("indexing %d resident blocks allocated %v times, want <= %v (a bare map: %v)", keys, allocs, limit, bare)
+	}
+	// Emptied slots recycle: a second generation of blocks reuses them.
+	for k := 0; k < keys; k++ {
+		ri.update(uint64(k), k%hosts, false)
+	}
+	allocs = testing.AllocsPerRun(1, func() {
+		for k := 0; k < keys; k++ {
+			ri.update(uint64(keys+k), k%hosts, true)
+			ri.update(uint64(keys+k), k%hosts, false)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("recycled slots allocated %v times, want 0", allocs)
+	}
+}
+
+// probeSource is a slice source that runs probe before every op it hands
+// out, observing the driver in the middle of a pump.
+type probeSource struct {
+	ops   []trace.Op
+	probe func()
+}
+
+func (s *probeSource) Next() (trace.Op, bool) {
+	s.probe()
+	if len(s.ops) == 0 {
+		return trace.Op{}, false
+	}
+	op := s.ops[0]
+	s.ops = s.ops[1:]
+	return op, true
+}
+
+// TestDriverThreadQueueAllocatedOnce locks the driver's thread queues: each
+// is allocated once, at window capacity, when its thread key first
+// appears, and keeps that backing array for the driver's life.
+func TestDriverThreadQueueAllocatedOnce(t *testing.T) {
+	eng, hosts, _ := buildCluster(t, 2, baseCfg(Naive), testTiming(), false)
+	src := &probeSource{}
+	for j := 0; j < 600; j++ {
+		src.ops = append(src.ops, trace.Op{
+			Host: uint16(j % 2), Thread: uint16(j % 3), Kind: trace.Read,
+			File: 1, Block: uint32(j % 50), Count: uint32(1 + j%3),
+		})
+	}
+	total := len(src.ops)
+	d, err := NewDriver(eng, hosts, nil, src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backing := make(map[uint32]*trace.Op)
+	deepest := 0
+	src.probe = func() {
+		for tk, q := range d.queues {
+			deepest = max(deepest, len(q))
+			if cap(q) != d.window {
+				t.Fatalf("thread %#x queue capacity %d, want window %d", tk, cap(q), d.window)
+			}
+			p := &q[:1][0]
+			if prev, ok := backing[tk]; ok && prev != p {
+				t.Fatalf("thread %#x queue reallocated", tk)
+			}
+			backing[tk] = p
+		}
+	}
+	d.Run()
+	if deepest != d.window {
+		t.Fatalf("deepest queue %d, want a full window of %d", deepest, d.window)
+	}
+	if len(backing) != 6 || d.OpsCompleted() != uint64(total) {
+		t.Fatalf("%d thread queues, %d of %d ops completed", len(backing), d.OpsCompleted(), total)
+	}
+}

@@ -135,6 +135,7 @@ type clusterShard struct {
 	eng     *sim.Engine
 	hosts   []*Host
 	drivers []*Driver
+	reqs    reqArena // request records for every host on the shard (req.go)
 
 	// route maps a block key to its filer backend partition (the filer's
 	// pure hash, shared by every shard).
@@ -299,13 +300,9 @@ func (sh *clusterShard) applyInvalidations(batch []invMsg) {
 	for i := range batch {
 		m := &batch[i]
 		if sh.res != nil {
-			s := sh.res.sets[m.key]
-			if s == nil {
-				continue
-			}
 			// Snapshot the holders first: Invalidate fires the residency
 			// hooks, which mutate the set being read.
-			sh.res.scratch = s.appendLocals(sh.res.scratch[:0])
+			sh.res.scratch = sh.res.appendLocals(sh.res.scratch[:0], m.key)
 			for _, li := range sh.res.scratch {
 				h := sh.hosts[li]
 				if h.ID() == int(m.writer) {
@@ -544,6 +541,7 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
+		h.reqs = &sh.reqs
 		if spec.Tracer != nil {
 			// Per-host buffers are touched only by the owning shard's
 			// goroutine; the barrier handshake orders the final merge.
@@ -559,7 +557,8 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 		} else if c.track {
 			h.SetInvalidationSink(&clusterSink{sh: sh, host: int32(i)})
 			if sh.res == nil {
-				sh.res = newResidencyIndex()
+				// Shard s holds hosts s, s+shards, ...
+				sh.res = newResidencyIndex((n - i%shards + shards - 1) / shards)
 			}
 			sh.res.addHost(h, i/shards)
 		}

@@ -103,17 +103,28 @@ func (d *Driver) pump() {
 			d.consumed += int64(op.Count)
 		}
 		tk := threadKey(op.Host, op.Thread)
-		if len(d.queues[tk]) >= d.window {
+		q, seen := d.queues[tk]
+		if len(q) >= d.window {
 			d.held, d.hasHeld = op, true
 			return
 		}
 		d.hasHeld = false
-		d.queues[tk] = append(d.queues[tk], op)
+		if !seen {
+			// A queue never holds more than window ops, so allocating it
+			// at that capacity when its thread first appears means it
+			// never grows.
+			q = make([]trace.Op, 0, d.window)
+		}
+		d.queues[tk] = append(q, op)
 		if d.tracing() {
 			if d.qtimes == nil {
 				d.qtimes = make(map[uint32][]sim.Time)
 			}
-			d.qtimes[tk] = append(d.qtimes[tk], d.eng.Now())
+			qt, seen := d.qtimes[tk]
+			if !seen {
+				qt = make([]sim.Time, 0, d.window)
+			}
+			d.qtimes[tk] = append(qt, d.eng.Now())
 		}
 		d.queuedOps++
 		d.kick(tk)

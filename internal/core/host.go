@@ -93,8 +93,10 @@ type Host struct {
 	pending    map[cache.Key][]cont
 	waiterFree [][]cont
 
-	// freeReq is the host-local free list of request records (req.go).
+	// freeReq is the host-local free list of request records; reqs is
+	// the engine-shared arena they are carved from (req.go).
 	freeReq *hostReq
+	reqs    *reqArena
 	// dirtyScratch is the reusable buffer behind periodic flush scans.
 	dirtyScratch []*cache.Entry
 

@@ -91,13 +91,41 @@ type hostReq struct {
 	next *hostReq // free-list link
 }
 
-// getReq takes a record from the host's free list, allocating only when
-// the list is empty (i.e. only to raise the high-water mark of in-flight
-// steps; steady state recycles).
+// reqSlab is the number of records a request arena carves per
+// allocation.
+const reqSlab = 256
+
+// reqArena carves hostReq records in slabs. One arena serves every host of
+// an engine: the cluster hands its shard's arena to each host it builds,
+// and a host built alone gets its own on first use. A carved record
+// belongs to one host for life (r.h is set at carving) and recycles
+// through that host's free list, so the arena only grows with the engine's
+// total in-flight high-water mark — never a slab per host, which on a
+// 1024-host fleet would strand most of each slab.
+type reqArena struct {
+	slab []hostReq // the uncarved tail of the current slab
+}
+
+func (a *reqArena) carve(h *Host) *hostReq {
+	if len(a.slab) == 0 {
+		a.slab = make([]hostReq, reqSlab)
+	}
+	r := &a.slab[0]
+	a.slab = a.slab[1:]
+	r.h = h
+	return r
+}
+
+// getReq takes a record from the host's free list, carving from the arena
+// only when the list is empty (i.e. only to raise the high-water mark of
+// in-flight steps; steady state recycles).
 func (h *Host) getReq() *hostReq {
 	r := h.freeReq
 	if r == nil {
-		return &hostReq{h: h}
+		if h.reqs == nil {
+			h.reqs = new(reqArena)
+		}
+		return h.reqs.carve(h)
 	}
 	h.freeReq = r.next
 	return r

@@ -171,18 +171,39 @@ func (fs *FileSet) SampleWorkingSet(r *rng.RNG, targetBlocks int64, meanRegionBl
 		meanRegionBlocks = 1
 	}
 	ws := &WorkingSet{}
-	fs.appendRegions(r, ws, make(map[uint32][]Region), targetBlocks, meanRegionBlocks)
+	fs.appendRegions(r, ws, targetBlocks, meanRegionBlocks)
 	ws.buildIndex()
 	return ws, nil
 }
 
 // appendRegions grows ws with freshly sampled regions (disjoint from those
-// recorded in used) until it covers targetBlocks. It is the sampling core
+// already in it) until it covers targetBlocks. It is the sampling core
 // shared by SampleWorkingSet and ShiftWorkingSet.
-func (fs *FileSet) appendRegions(r *rng.RNG, ws *WorkingSet, used map[uint32][]Region,
-	targetBlocks int64, meanRegionBlocks float64) {
+func (fs *FileSet) appendRegions(r *rng.RNG, ws *WorkingSet, targetBlocks int64, meanRegionBlocks float64) {
+	// Each file's regions form a chain over ws.Regions: head[f] is the
+	// index of f's latest region and link[i] the one before region i (-1
+	// ends a chain), so the overlap check allocates nothing per file.
+	head := make(map[uint32]int32)
+	link := make([]int32, 0, len(ws.Regions))
+	chain := func(i int) {
+		f := ws.Regions[i].File
+		prev, ok := head[f]
+		if !ok {
+			prev = -1
+		}
+		link = append(link, prev)
+		head[f] = int32(i)
+	}
+	for i := range ws.Regions {
+		chain(i)
+	}
 	overlaps := func(f uint32, start, n uint32) bool {
-		for _, reg := range used[f] {
+		i, ok := head[f]
+		if !ok {
+			return false
+		}
+		for ; i >= 0; i = link[i] {
+			reg := &ws.Regions[i]
 			if start < reg.Start+reg.Blocks && reg.Start < start+n {
 				return true
 			}
@@ -227,9 +248,9 @@ func (fs *FileSet) appendRegions(r *rng.RNG, ws *WorkingSet, used map[uint32][]R
 			Blocks: n,
 			Weight: float64(f.Popularity),
 		}
-		used[f.ID] = append(used[f.ID], reg)
 		ws.Regions = append(ws.Regions, reg)
 		ws.TotalBlocks += int64(n)
+		chain(len(ws.Regions) - 1)
 	}
 }
 
@@ -249,7 +270,6 @@ func (fs *FileSet) ShiftWorkingSet(r *rng.RNG, ws *WorkingSet, fraction float64,
 	target := ws.TotalBlocks
 	dropTarget := int64(fraction * float64(target))
 	out := &WorkingSet{}
-	used := make(map[uint32][]Region)
 	var dropped int64
 	for _, reg := range ws.Regions {
 		if dropped < dropTarget {
@@ -258,9 +278,8 @@ func (fs *FileSet) ShiftWorkingSet(r *rng.RNG, ws *WorkingSet, fraction float64,
 		}
 		out.Regions = append(out.Regions, reg)
 		out.TotalBlocks += int64(reg.Blocks)
-		used[reg.File] = append(used[reg.File], reg)
 	}
-	fs.appendRegions(r, out, used, target, meanRegionBlocks)
+	fs.appendRegions(r, out, target, meanRegionBlocks)
 	out.buildIndex()
 	return out, nil
 }
