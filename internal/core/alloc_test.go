@@ -146,6 +146,27 @@ func partitionedClusterSpec(shards int) ClusterSpec {
 	return spec
 }
 
+// settledGoroutines returns the goroutine count once it has stopped
+// changing: a goroutine of an earlier test may still be exiting, and a
+// baseline taken mid-exit would make the exact check after Close fail.
+func settledGoroutines(t *testing.T) int {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	n, stable := runtime.NumGoroutine(), 0
+	for stable < 10 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine count still changing (%d) before Start", n)
+		}
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			stable++
+		} else {
+			n, stable = m, 0
+		}
+	}
+	return n
+}
+
 // waitGoroutines polls until the goroutine count returns to want: a worker
 // that has signalled its WaitGroup may not have exited yet.
 func waitGoroutines(t *testing.T, want int) {
@@ -170,7 +191,7 @@ func TestPhase2WorkersAllocationFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := runtime.NumGoroutine()
+		before := settledGoroutines(t)
 		c.Start()
 		// A batch of 16 per partition: well past the 4×partitions gate.
 		const n = 64
@@ -213,7 +234,7 @@ func TestPhase2WorkersAllocationFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := runtime.NumGoroutine()
+		before := settledGoroutines(t)
 		c.Start()
 		if c.partWake != nil {
 			t.Fatal("inline cluster started partition workers")

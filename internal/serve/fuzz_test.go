@@ -22,6 +22,11 @@ func FuzzRunRequest(f *testing.F) {
 	f.Add(tinySteadyBody)
 	f.Add(`{"config": {"scale": 1024, "arch": "unified", "ram_gb": 4, "write_pct": 25,
 		"filer": {"partitions": 2, "replicas": 3, "object_tier": true}}}`)
+	f.Add(`{"config": {"write_pct": 0, "prefetch": 0, "wall_profile": true}}`)
+	f.Add(`{"config": null}`)
+	f.Add(`{"config": {"hosts": 0}}`)
+	f.Add(`{"config": {"scale": 0}}`)
+	f.Add(`{"config": {"filer": {"object_read_us": 5}}}`)
 	for _, pc := range scenariotest.ParseErrorCases {
 		f.Add(fmt.Sprintf(`{"scenario": %s}`, pc.JSON))
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 
 	"repro/flashsim"
 	"repro/internal/scenario"
@@ -17,38 +16,11 @@ import (
 // multi-minute one; requests that want paper-scale fidelity say so.
 const DefaultScale = 4096
 
-// RunConfig is the wire form of a simulation configuration. It mirrors
-// the flashsim CLI flag surface: sizes in paper gigabytes, writes as a
-// percentage, architectures and policies by their short names. Zero
-// values mean "default", matching the CLI.
-type RunConfig struct {
-	Scale       int     `json:"scale,omitempty"`
-	Arch        string  `json:"arch,omitempty"`
-	RAMPolicy   string  `json:"ram_policy,omitempty"`
-	FlashPolicy string  `json:"flash_policy,omitempty"`
-	RAMGB       float64 `json:"ram_gb,omitempty"`
-	FlashGB     float64 `json:"flash_gb,omitempty"`
-	WSSGB       float64 `json:"wss_gb,omitempty"`
-	WritePct    float64 `json:"write_pct,omitempty"`
-
-	Hosts     int    `json:"hosts,omitempty"`
-	Threads   int    `json:"threads,omitempty"`
-	SharedWSS bool   `json:"shared_wss,omitempty"`
-	Seed      uint64 `json:"seed,omitempty"`
-
-	Persistent  bool    `json:"persistent,omitempty"`
-	Cold        bool    `json:"cold,omitempty"`
-	Recovered   bool    `json:"recovered,omitempty"`
-	Protocol    bool    `json:"protocol,omitempty"`
-	Replacement string  `json:"replacement,omitempty"`
-	FTL         bool    `json:"ftl,omitempty"`
-	Prefetch    float64 `json:"prefetch,omitempty"`
-
-	Filer *scenario.FilerSpec `json:"filer,omitempty"`
-
-	Shards      int     `json:"shards,omitempty"`
-	TraceSample float64 `json:"trace_sample,omitempty"`
-}
+// RunConfig is the wire form of a simulation configuration: the same
+// struct as the flashsim CLI's flags. A request's config is decoded onto
+// flashsim.DefaultRunConfig(DefaultScale), so an absent field keeps its
+// default and an explicit 0 is zero.
+type RunConfig = flashsim.RunConfig
 
 // RunRequest is the body of POST /v1/runs: an optional configuration plus
 // at most one of a built-in scenario name or an inline scenario document.
@@ -79,114 +51,23 @@ func (s *RunSpec) ScenarioName() string {
 	return s.Scenario.Name
 }
 
-// buildConfig maps a wire configuration to a flashsim.Config, applying
-// the same conversions and defaults as the CLI.
-func buildConfig(rc *RunConfig) (flashsim.Config, error) {
-	if rc == nil {
-		rc = &RunConfig{}
-	}
-	scale := rc.Scale
-	if scale == 0 {
-		scale = DefaultScale
-	}
-	if scale < 1 {
-		return flashsim.Config{}, fmt.Errorf("scale %d out of range", scale)
-	}
-	cfg := flashsim.ScaledConfig(scale)
-	var err error
-	if rc.Arch != "" {
-		if cfg.Arch, err = flashsim.ParseArchitecture(rc.Arch); err != nil {
-			return flashsim.Config{}, err
-		}
-	}
-	if rc.RAMPolicy != "" {
-		p, err := flashsim.ParsePolicy(rc.RAMPolicy)
-		if err != nil {
-			return flashsim.Config{}, err
-		}
-		cfg.RAMPolicy = flashsim.ScalePolicy(p, scale)
-	}
-	if rc.FlashPolicy != "" {
-		p, err := flashsim.ParsePolicy(rc.FlashPolicy)
-		if err != nil {
-			return flashsim.Config{}, err
-		}
-		cfg.FlashPolicy = flashsim.ScalePolicy(p, scale)
-	}
-	if rc.Replacement != "" {
-		if cfg.FlashReplacement, err = flashsim.ParseReplacement(rc.Replacement); err != nil {
-			return flashsim.Config{}, err
-		}
-	}
-	blocks := func(gb float64) int { return int(gb * float64(flashsim.BlocksPerGB) / float64(scale)) }
-	if rc.RAMGB < 0 || rc.FlashGB < 0 || rc.WSSGB < 0 {
-		return flashsim.Config{}, errors.New("cache and working-set sizes must be non-negative")
-	}
-	if rc.RAMGB > 0 {
-		cfg.RAMBlocks = blocks(rc.RAMGB)
-	}
-	if rc.FlashGB > 0 {
-		cfg.FlashBlocks = blocks(rc.FlashGB)
-	}
-	if rc.WSSGB > 0 {
-		cfg.Workload.WorkingSetBlocks = int64(blocks(rc.WSSGB))
-	}
-	if rc.WritePct != 0 {
-		if rc.WritePct < 0 || rc.WritePct > 100 {
-			return flashsim.Config{}, fmt.Errorf("write_pct %g out of range [0, 100]", rc.WritePct)
-		}
-		cfg.Workload.WriteFraction = rc.WritePct / 100
-	}
-	if rc.Hosts != 0 {
-		cfg.Hosts = rc.Hosts
-	}
-	if rc.Threads != 0 {
-		cfg.ThreadsPerHost = rc.Threads
-	}
-	cfg.Workload.SharedWorkingSet = rc.SharedWSS
-	if rc.Seed != 0 {
-		cfg.Workload.Seed = rc.Seed
-	}
-	cfg.PersistentFlash = rc.Persistent
-	cfg.ColdStart = rc.Cold
-	cfg.RecoveredStart = rc.Recovered
-	cfg.ConsistencyProtocol = rc.Protocol
-	cfg.FTLBackedFlash = rc.FTL
-	if rc.Prefetch != 0 {
-		cfg.Timing.FilerFastReadRate = rc.Prefetch
-	}
-	cfg.TraceSample = rc.TraceSample
-	if rc.Filer != nil {
-		if cfg, err = flashsim.ApplyFilerSpec(cfg, rc.Filer); err != nil {
-			return flashsim.Config{}, err
-		}
-	}
-	cfg.Shards = rc.Shards
-	if cfg.Shards == 0 && cfg.Hosts > 1 {
-		// Same auto rule as the CLI: multi-host runs default to the
-		// cluster executor, whose results are shard-count invariant.
-		cfg.Shards = runtime.GOMAXPROCS(0)
-		if cfg.Shards < 2 {
-			cfg.Shards = 2
-		}
-	}
-	return cfg, nil
-}
-
 // ParseRunRequest decodes and fully validates a POST /v1/runs body.
 // Unknown fields anywhere in the document are rejected, so a request
 // that typos a knob fails loudly instead of running with the default.
 func ParseRunRequest(data []byte) (*RunSpec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var req RunRequest
+	// The config decodes onto the defaults, so an absent field (or a
+	// null config, which leaves rc untouched) keeps its default.
+	rc := flashsim.DefaultRunConfig(DefaultScale)
+	req := RunRequest{Config: &rc}
 	if err := dec.Decode(&req); err != nil {
 		return nil, fmt.Errorf("run request: %w", err)
 	}
 	if dec.More() {
 		return nil, errors.New("run request: trailing data after JSON document")
 	}
-	cfg, err := buildConfig(req.Config)
+	cfg, err := rc.Config()
 	if err != nil {
 		return nil, fmt.Errorf("run request: %w", err)
 	}

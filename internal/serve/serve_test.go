@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -162,9 +163,13 @@ func TestCreateRejectsBadRequests(t *testing.T) {
 		{"builtin and scenario", `{"builtin": "warmup", "scenario": {"name": "x", "phases": [{"name": "p", "blocks": 1}]}}`, "mutually exclusive"},
 		{"unknown builtin", `{"builtin": "nope"}`, `unknown built-in "nope"`},
 		{"bad arch", `{"config": {"arch": "quantum"}}`, "quantum"},
+		{"empty arch", `{"config": {"arch": ""}}`, "unknown architecture"},
 		{"bad policy", `{"config": {"ram_policy": "zz"}}`, "zz"},
 		{"bad replacement", `{"config": {"replacement": "mru"}}`, "mru"},
 		{"negative scale", `{"config": {"scale": -4}}`, "scale -4 out of range"},
+		{"zero scale", `{"config": {"scale": 0}}`, "scale 0 out of range"},
+		{"zero hosts", `{"config": {"hosts": 0}}`, "at least one host"},
+		{"object tier settings without tier", `{"config": {"filer": {"object_read_us": 5}}}`, "object-tier settings without object_tier"},
 		{"negative ram", `{"config": {"ram_gb": -1}}`, "non-negative"},
 		{"write_pct over 100", `{"config": {"write_pct": 150}}`, "out of range"},
 		{"bad filer quorum", `{"config": {"filer": {"replicas": 2, "write_quorum": 3}}}`, "quorum"},
@@ -470,5 +475,23 @@ func TestParseRunRequestMapping(t *testing.T) {
 	}
 	if spec.ScenarioName() != "crash-recovery" {
 		t.Errorf("ScenarioName() = %q", spec.ScenarioName())
+	}
+
+	// An explicit zero is zero, not the default; a null config is the
+	// defaults; wall_profile reaches the config.
+	spec, err = ParseRunRequest([]byte(`{"config": {"write_pct": 0, "prefetch": 0, "wall_profile": true}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg := spec.Config; cfg.Workload.WriteFraction != 0 || cfg.Timing.FilerFastReadRate != 0 || !cfg.WallProfile {
+		t.Errorf("write fraction %v, fast-read rate %v, wall profile %v; want 0, 0, true",
+			cfg.Workload.WriteFraction, cfg.Timing.FilerFastReadRate, cfg.WallProfile)
+	}
+	spec, err = ParseRunRequest([]byte(`{"config": null}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(spec.Config, def) {
+		t.Errorf("null config = %+v, want ScaledConfig(%d)", spec.Config, DefaultScale)
 	}
 }
