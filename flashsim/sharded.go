@@ -27,21 +27,25 @@ import (
 // sequential driver's host clamping (a trace recorded on more hosts than
 // configured wraps around). It returns the per-host streams and per-host
 // block volumes. The streams share one backing array: the ops are drained
-// once, counted per host, and placed stably, so the allocations do not
-// grow with the host count.
+// once into chunks, counted per host, and placed stably, so the
+// allocations do not grow with the host count.
 func splitTrace(src trace.Source, hosts int) (perHost [][]trace.Op, blocks []int64, total int64) {
-	var all []trace.Op
+	// start[h] is where host h's ops begin in the shared backing array.
+	start := make([]int, hosts+1)
+	blocks = make([]int64, hosts)
+	var chunks [][]trace.Op
+	n := 0
 	for {
 		op, ok := src.Next()
 		if !ok {
 			break
 		}
-		all = append(all, op)
-	}
-	// start[h] is where host h's ops begin in the shared backing array.
-	start := make([]int, hosts+1)
-	blocks = make([]int64, hosts)
-	for _, op := range all {
+		if len(chunks) == 0 || len(chunks[len(chunks)-1]) == cap(chunks[len(chunks)-1]) {
+			chunks = append(chunks, make([]trace.Op, 0, splitChunkOps(n)))
+		}
+		last := &chunks[len(chunks)-1]
+		*last = append(*last, op)
+		n++
 		hi := int(op.Host) % hosts
 		start[hi+1]++
 		blocks[hi] += int64(op.Count)
@@ -50,17 +54,27 @@ func splitTrace(src trace.Source, hosts int) (perHost [][]trace.Op, blocks []int
 	for h := 0; h < hosts; h++ {
 		start[h+1] += start[h]
 	}
-	placed := make([]trace.Op, len(all))
+	placed := make([]trace.Op, n)
 	perHost = make([][]trace.Op, hosts)
 	for h := range perHost {
 		perHost[h] = placed[start[h]:start[h]:start[h+1]]
 	}
-	for _, op := range all {
-		hi := int(op.Host) % hosts
-		perHost[hi] = append(perHost[hi], op) // within capacity: never reallocates
+	for _, chunk := range chunks {
+		for _, op := range chunk {
+			hi := int(op.Host) % hosts
+			perHost[hi] = append(perHost[hi], op) // within capacity: never reallocates
+		}
 	}
 	return perHost, blocks, total
 }
+
+// splitChunkOps sizes the next chunk splitTrace drains into once it holds
+// n ops: as many again, from 256 up to 8192 (160 KiB). Chunks are never
+// copied, unlike one slice grown by append, whose abandoned copies add up
+// to several times the trace; how many of those the collector has freed
+// when the split allocates its placed array is a matter of timing, which
+// made a run's peak resident set vary from one run to the next.
+func splitChunkOps(n int) int { return min(max(n, 256), 8192) }
 
 // clusterSpec assembles the core.ClusterSpec shared by the sharded
 // steady-state and scenario executors; only the per-host trace sources and

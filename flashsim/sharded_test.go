@@ -3,7 +3,9 @@ package flashsim
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/trace"
 )
@@ -232,5 +234,29 @@ func TestSplitTrace(t *testing.T) {
 	}
 	if few, many := allocsAt(4), allocsAt(1024); many > few {
 		t.Errorf("splitTrace allocated %v times at 1024 hosts, %v at 4: want no growth with hosts", many, few)
+	}
+}
+
+// TestSplitTraceBytes locks how much splitTrace allocates: the drained
+// chunks and the placed array hold the trace twice, with at most one
+// partly filled chunk on top. A slice grown by append leaves copies behind
+// that add up to several times the trace, and how many of them the
+// collector has freed by the time the placed array is allocated is a
+// matter of timing.
+func TestSplitTraceBytes(t *testing.T) {
+	const n = 100_000
+	ops := make([]trace.Op, n)
+	for i := range ops {
+		ops[i] = trace.Op{Host: uint16(i % 4), Kind: trace.Read, File: 1, Block: uint32(i), Count: 1}
+	}
+	src := trace.NewSliceSource(ops)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	splitTrace(src, 4)
+	runtime.ReadMemStats(&after)
+	size := uint64(unsafe.Sizeof(trace.Op{}))
+	limit := uint64(2*n+splitChunkOps(n))*size + 4<<10
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("splitTrace allocated %d bytes for %d ops of %d bytes: want at most %d", got, n, size, limit)
 	}
 }

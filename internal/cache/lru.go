@@ -1,8 +1,12 @@
 // Package cache provides the LRU block-cache substrate used by every cache
-// tier in the simulator: an intrusive doubly-linked LRU list with a hash
-// index, dirty-block tracking on a second intrusive list (so the periodic
-// syncer can flush in O(dirty)), and a two-medium unified variant for the
-// paper's "unified" architecture.
+// tier in the simulator: an intrusive doubly-linked LRU list, dirty-block
+// tracking on a second intrusive list (so the periodic syncer can flush in
+// O(dirty)), and a two-medium unified variant for the paper's "unified"
+// architecture. Every policy finds its blocks through one Index: an
+// open-addressed, linear-probing table of pointers to the entries, sized
+// once from the cache's capacity, so a lookup is one hash and usually one
+// probe and a cache makes no allocation after construction beyond its
+// entry slabs.
 //
 // The package is purely a data structure: it tracks which blocks are
 // resident and in what state, but knows nothing about latencies or devices.
@@ -40,7 +44,7 @@ func (m Medium) String() string {
 // Entry is a resident cache block. Entries are owned by their cache and
 // must not be retained after removal.
 type Entry struct {
-	key    Key
+	n      Node // the entry's key, as its cache's Index holds it
 	medium Medium
 
 	// Dirty marks data newer than the next tier down.
@@ -51,19 +55,19 @@ type Entry struct {
 	// Pinned blocks cannot be chosen as eviction victims (e.g. a block
 	// whose fill from the filer has not completed).
 	Pinned bool
-	// DirtyEpoch increments on every application write; an asynchronous
-	// writeback captures the epoch when it starts so its completion can
-	// tell whether the block was re-dirtied in flight.
-	DirtyEpoch uint64
 	// Referenced is CLOCK's second-chance bit.
 	Referenced bool
 	// seg records which internal segment of a multi-queue policy (SLRU,
 	// 2Q) the entry currently occupies.
-	seg uint8
+	seg     uint8
+	inDirty bool
+	// DirtyEpoch increments on every application write; an asynchronous
+	// writeback captures the epoch when it starts so its completion can
+	// tell whether the block was re-dirtied in flight.
+	DirtyEpoch uint64
 
 	prev, next           *Entry // LRU list
 	dirtyPrev, dirtyNext *Entry // dirty list
-	inDirty              bool
 
 	// gen counts how many times this Entry struct has been removed from
 	// its cache. Entries are recycled through a per-cache free list, so a
@@ -75,7 +79,7 @@ type Entry struct {
 }
 
 // Key returns the entry's block key.
-func (e *Entry) Key() Key { return e.key }
+func (e *Entry) Key() Key { return e.n.key }
 
 // Medium returns the medium backing this entry's buffer.
 func (e *Entry) Medium() Medium { return e.medium }
@@ -112,12 +116,12 @@ func (p *entryPool) get(key Key, m Medium) *Entry {
 		}
 		e = &p.slab[0]
 		p.slab = p.slab[1:]
-		e.key, e.medium = key, m
+		e.n, e.medium = Node{key: key, e: e}, m
 		return e
 	}
 	p.free = e.next
 	gen := e.gen
-	*e = Entry{key: key, medium: m, gen: gen}
+	*e = Entry{n: Node{key: key, e: e}, medium: m, gen: gen}
 	return e
 }
 
@@ -157,8 +161,7 @@ func (l *list) links(e *Entry) (prev, next **Entry) {
 // pushFront inserts e at the MRU end.
 func (l *list) pushFront(e *Entry) {
 	ep, en := l.links(e)
-	sp, sn := l.links(&l.sentinel)
-	_ = sp
+	_, sn := l.links(&l.sentinel)
 	first := *sn
 	*ep = &l.sentinel
 	*en = first
@@ -172,10 +175,8 @@ func (l *list) pushFront(e *Entry) {
 func (l *list) remove(e *Entry) {
 	ep, en := l.links(e)
 	p, n := *ep, *en
-	pp, pn := l.links(p)
-	_ = pp
-	np, nn := l.links(n)
-	_ = nn
+	_, pn := l.links(p)
+	np, _ := l.links(n)
 	*pn = n
 	*np = p
 	*ep, *en = nil, nil
@@ -184,8 +185,6 @@ func (l *list) remove(e *Entry) {
 
 // back returns the LRU-end entry, or nil if empty.
 func (l *list) back() *Entry {
-	_, sn := l.links(&l.sentinel)
-	_ = sn
 	sp, _ := l.links(&l.sentinel)
 	if *sp == &l.sentinel {
 		return nil
@@ -206,7 +205,7 @@ func (l *list) front() *Entry {
 type LRU struct {
 	capacity int
 	medium   Medium
-	index    map[Key]*Entry
+	index    Index
 	lru      list
 	dirties  list
 	pool     entryPool
@@ -238,7 +237,7 @@ func (c *LRU) initLRU(capacity int, m Medium) {
 	}
 	c.capacity = capacity
 	c.medium = m
-	c.index = make(map[Key]*Entry, capacity)
+	c.index = NewIndex(capacity)
 	c.pool = entryPool{budget: capacity}
 	c.lru.init(false)
 	c.dirties.init(true)
@@ -268,8 +267,8 @@ func (c *LRU) Evictions() uint64 { return c.evictions }
 
 // Get looks up key, promoting it to MRU on hit and counting the outcome.
 func (c *LRU) Get(key Key) *Entry {
-	e, ok := c.index[key]
-	if !ok {
+	e := c.index.entry(key)
+	if e == nil {
 		c.misses++
 		return nil
 	}
@@ -281,7 +280,7 @@ func (c *LRU) Get(key Key) *Entry {
 
 // Peek looks up key without promoting or counting.
 func (c *LRU) Peek(key Key) *Entry {
-	return c.index[key]
+	return c.index.entry(key)
 }
 
 // Touch promotes an entry to MRU without counting a hit.
@@ -310,29 +309,33 @@ func (c *LRU) Victim() *Entry {
 // Insert adds key at MRU. The caller must have made room: Insert panics if
 // the cache is full (use Victim/Remove first) or if key is present.
 // Zero-capacity caches ignore the insert and return nil.
-func (c *LRU) Insert(key Key) *Entry {
-	if c.capacity == 0 {
-		return nil
+func (c *LRU) Insert(key Key) *Entry { return mustInsert(c, key, "cache") }
+
+// TryInsert returns key's entry: the resident one (inserted false), or,
+// when the cache has room, a new one at MRU (inserted true). It returns
+// nil, false when key is absent and the cache is full, with one probe of
+// the index either way.
+func (c *LRU) TryInsert(key Key) (e *Entry, inserted bool) {
+	old, i := c.index.lookup(key)
+	if old != nil {
+		return old.e, false
 	}
-	if _, ok := c.index[key]; ok {
-		panic(fmt.Sprintf("cache: duplicate insert of key %d", key))
+	if c.NeedsEviction() {
+		return nil, false
 	}
-	if c.lru.len >= c.capacity {
-		panic("cache: insert into full cache")
-	}
-	e := c.pool.get(key, c.medium)
-	c.index[key] = e
+	e = c.pool.get(key, c.medium)
+	c.index.place(i, &e.n)
 	c.lru.pushFront(e)
 	if c.resHook != nil {
 		c.resHook(key, true)
 	}
-	return e
+	return e, true
 }
 
 // Remove evicts e from the cache. Dirty state is the caller's problem: the
 // cache only maintains the bookkeeping.
 func (c *LRU) Remove(e *Entry) {
-	if c.index[e.key] != e {
+	if !c.index.Delete(&e.n) {
 		panic("cache: removing entry not in cache")
 	}
 	if e.inDirty {
@@ -340,11 +343,10 @@ func (c *LRU) Remove(e *Entry) {
 		e.inDirty = false
 		e.Dirty = false
 	}
-	delete(c.index, e.key)
 	c.lru.remove(e)
 	c.evictions++
 	if c.resHook != nil {
-		c.resHook(e.key, false)
+		c.resHook(e.n.key, false)
 	}
 	c.pool.put(e)
 }
@@ -388,7 +390,7 @@ func (c *LRU) AppendDirty(dst []*Entry) []*Entry {
 // Keys appends all resident keys, MRU first, to dst and returns it.
 func (c *LRU) Keys(dst []Key) []Key {
 	for e := c.lru.front(); e != nil && e != &c.lru.sentinel; e = e.next {
-		dst = append(dst, e.key)
+		dst = append(dst, e.n.key)
 	}
 	return dst
 }
@@ -396,8 +398,12 @@ func (c *LRU) Keys(dst []Key) []Key {
 // CheckInvariants verifies internal consistency; tests call this after
 // random operation sequences.
 func (c *LRU) CheckInvariants() error {
-	if c.lru.len != len(c.index) {
-		return fmt.Errorf("lru len %d != index len %d", c.lru.len, len(c.index))
+	indexed, err := c.index.Check()
+	if err != nil {
+		return err
+	}
+	if c.lru.len != indexed {
+		return fmt.Errorf("lru len %d != index len %d", c.lru.len, indexed)
 	}
 	if c.lru.len > c.capacity {
 		return fmt.Errorf("len %d exceeds capacity %d", c.lru.len, c.capacity)
@@ -405,11 +411,11 @@ func (c *LRU) CheckInvariants() error {
 	seen := 0
 	dirtySeen := 0
 	for e := c.lru.front(); e != nil && e != &c.lru.sentinel; e = e.next {
-		if c.index[e.key] != e {
-			return fmt.Errorf("entry %d on list but not indexed", e.key)
+		if c.index.entry(e.n.key) != e {
+			return fmt.Errorf("entry %d on list but not indexed", e.n.key)
 		}
 		if e.Dirty != e.inDirty {
-			return fmt.Errorf("entry %d dirty flag %v but inDirty %v", e.key, e.Dirty, e.inDirty)
+			return fmt.Errorf("entry %d dirty flag %v but inDirty %v", e.n.key, e.Dirty, e.inDirty)
 		}
 		if e.Dirty {
 			dirtySeen++

@@ -20,6 +20,7 @@ type BlockCache interface {
 	NeedsEviction() bool
 	Victim() *Entry
 	Insert(key Key) *Entry
+	TryInsert(key Key) (e *Entry, inserted bool)
 	Remove(e *Entry)
 
 	MarkDirty(e *Entry)
@@ -36,6 +37,26 @@ type BlockCache interface {
 	// fn(key, true) as the block is inserted, fn(key, false) as it is
 	// removed. Sharded runs use it to index which hosts hold a block.
 	SetResidencyHook(fn func(Key, bool))
+}
+
+// mustInsert is every policy's Insert, on top of its TryInsert: a
+// zero-capacity cache ignores the insert, and a duplicate key or a full
+// cache (what names the policy) is the caller's bug.
+func mustInsert(c interface {
+	Capacity() int
+	TryInsert(Key) (*Entry, bool)
+}, key Key, what string) *Entry {
+	if c.Capacity() == 0 {
+		return nil
+	}
+	e, inserted := c.TryInsert(key)
+	if !inserted {
+		if e != nil {
+			panic(fmt.Sprintf("cache: duplicate insert of key %d", key))
+		}
+		panic("cache: insert into full " + what)
+	}
+	return e
 }
 
 // Statically verify the implementations.
@@ -127,8 +148,8 @@ func NewFIFO(capacity int, m Medium) *FIFO {
 
 // Get looks up key without promoting.
 func (f *FIFO) Get(key Key) *Entry {
-	e, ok := f.index[key]
-	if !ok {
+	e := f.index.entry(key)
+	if e == nil {
 		f.misses++
 		return nil
 	}
@@ -155,8 +176,8 @@ func NewClock(capacity int, m Medium) *Clock {
 
 // Get looks up key and sets its referenced bit.
 func (c *Clock) Get(key Key) *Entry {
-	e, ok := c.index[key]
-	if !ok {
+	e := c.index.entry(key)
+	if e == nil {
 		c.misses++
 		return nil
 	}

@@ -2,15 +2,17 @@ package cache
 
 import "testing"
 
-// slabCache is the slice of the cache API the slab test drives; every
-// BlockCache and Unified provide it.
+// slabCache is the slice of the cache API the slab and churn tests drive;
+// every BlockCache and Unified provide it.
 type slabCache interface {
 	Capacity() int
 	Len() int
 	NeedsEviction() bool
 	Victim() *Entry
 	Insert(key Key) *Entry
+	TryInsert(key Key) (*Entry, bool)
 	Remove(e *Entry)
+	CheckInvariants() error
 }
 
 // TestEntrySlabsBoundedByCapacity fills, churns, empties and refills every
@@ -88,5 +90,70 @@ func TestEntrySlabsBoundedByCapacity(t *testing.T) {
 				t.Errorf("fill to capacity %d made %v entry allocations, want <= %v", capacity, got, slabs)
 			}
 		})
+	}
+}
+
+// policyConstructors builds each policy's cache at a given capacity.
+var policyConstructors = []struct {
+	name string
+	make func(capacity int) slabCache
+}{
+	{"lru", func(n int) slabCache { return NewLRU(n, Flash) }},
+	{"fifo", func(n int) slabCache { return NewFIFO(n, Flash) }},
+	{"clock", func(n int) slabCache { return NewClock(n, Flash) }},
+	{"slru", func(n int) slabCache { return NewSLRU(n, Flash) }},
+	{"2q", func(n int) slabCache { return NewTwoQ(n, Flash) }},
+	{"unified", func(n int) slabCache { return NewUnified(n/4, n-n/4) }},
+}
+
+// TestConstructorAllocationsIndependentOfCapacity locks the index's one
+// allocation per table: building a cache costs as many allocations at
+// capacity 1<<16 as at 16.
+func TestConstructorAllocationsIndependentOfCapacity(t *testing.T) {
+	for _, tc := range policyConstructors {
+		small := testing.AllocsPerRun(10, func() { tc.make(16) })
+		large := testing.AllocsPerRun(10, func() { tc.make(1 << 16) })
+		if small != large {
+			t.Errorf("%s: %v allocations at capacity 16, %v at 1<<16", tc.name, small, large)
+		}
+	}
+}
+
+// TestFullCacheChurnAllocationFree locks the steady state of every policy:
+// once a cache is full and its pools (2Q's ghost queue included) are warm,
+// evicting and inserting allocates nothing. Keys cycle over 5/4 of the
+// capacity, so a key comes back soon after its eviction and 2Q keeps
+// re-admitting ghosts.
+func TestFullCacheChurnAllocationFree(t *testing.T) {
+	const capacity, span = 512, 640
+	for _, tc := range policyConstructors {
+		c := tc.make(capacity)
+		k := Key(0)
+		step := func() {
+			if c.NeedsEviction() {
+				c.Remove(c.Victim())
+			}
+			if e, _ := c.TryInsert(k % span); e == nil {
+				t.Fatalf("%s: TryInsert(%d) into a cache with room returned nil", tc.name, k%span)
+			}
+			k++
+		}
+		for i := 0; i < 8*capacity; i++ {
+			step()
+		}
+		if q, ok := c.(*TwoQ); ok && (q.GhostLen() == 0 || q.am.len == 0) {
+			t.Fatalf("2q: ghost %d, Am %d: the churn does not exercise the ghost queue", q.GhostLen(), q.am.len)
+		}
+		allocs := testing.AllocsPerRun(1, func() {
+			for i := 0; i < 20*capacity; i++ {
+				step()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations over %d churn steps, want 0", tc.name, allocs, 20*capacity)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
 	}
 }

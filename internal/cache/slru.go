@@ -16,7 +16,7 @@ type SLRU struct {
 	capacity     int
 	protectedCap int
 	medium       Medium
-	index        map[Key]*Entry
+	index        Index
 	probation    list
 	protected    list
 	dirties      list
@@ -36,7 +36,7 @@ func NewSLRU(capacity int, m Medium) *SLRU {
 		capacity:     capacity,
 		protectedCap: capacity / 2,
 		medium:       m,
-		index:        make(map[Key]*Entry, capacity),
+		index:        NewIndex(capacity),
 		pool:         entryPool{budget: capacity},
 	}
 	s.probation.init(false)
@@ -64,8 +64,8 @@ func (s *SLRU) Evictions() uint64 { return s.evictions }
 
 // Get looks up key, promoting probation hits into the protected segment.
 func (s *SLRU) Get(key Key) *Entry {
-	e, ok := s.index[key]
-	if !ok {
+	e := s.index.entry(key)
+	if e == nil {
 		s.misses++
 		return nil
 	}
@@ -75,7 +75,7 @@ func (s *SLRU) Get(key Key) *Entry {
 }
 
 // Peek looks up key without promotion or counting.
-func (s *SLRU) Peek(key Key) *Entry { return s.index[key] }
+func (s *SLRU) Peek(key Key) *Entry { return s.index.entry(key) }
 
 // Touch promotes without counting a hit.
 func (s *SLRU) Touch(e *Entry) { s.promote(e) }
@@ -124,29 +124,30 @@ func (s *SLRU) Victim() *Entry {
 }
 
 // Insert adds key to the probationary segment's MRU end.
-func (s *SLRU) Insert(key Key) *Entry {
-	if s.capacity == 0 {
-		return nil
+func (s *SLRU) Insert(key Key) *Entry { return mustInsert(s, key, "SLRU") }
+
+// TryInsert implements BlockCache, inserting into probation.
+func (s *SLRU) TryInsert(key Key) (e *Entry, inserted bool) {
+	old, i := s.index.lookup(key)
+	if old != nil {
+		return old.e, false
 	}
-	if _, ok := s.index[key]; ok {
-		panic(fmt.Sprintf("cache: duplicate insert of key %d", key))
+	if s.NeedsEviction() {
+		return nil, false
 	}
-	if s.Len() >= s.capacity {
-		panic("cache: insert into full SLRU")
-	}
-	e := s.pool.get(key, s.medium)
+	e = s.pool.get(key, s.medium)
 	e.seg = segProbation
-	s.index[key] = e
+	s.index.place(i, &e.n)
 	s.probation.pushFront(e)
 	if s.resHook != nil {
 		s.resHook(key, true)
 	}
-	return e
+	return e, true
 }
 
 // Remove evicts e.
 func (s *SLRU) Remove(e *Entry) {
-	if s.index[e.key] != e {
+	if !s.index.Delete(&e.n) {
 		panic("cache: removing entry not in SLRU")
 	}
 	if e.inDirty {
@@ -154,7 +155,6 @@ func (s *SLRU) Remove(e *Entry) {
 		e.inDirty = false
 		e.Dirty = false
 	}
-	delete(s.index, e.key)
 	if e.seg == segProtected {
 		s.protected.remove(e)
 	} else {
@@ -162,7 +162,7 @@ func (s *SLRU) Remove(e *Entry) {
 	}
 	s.evictions++
 	if s.resHook != nil {
-		s.resHook(e.key, false)
+		s.resHook(e.n.key, false)
 	}
 	s.pool.put(e)
 }
@@ -196,10 +196,10 @@ func (s *SLRU) AppendDirty(dst []*Entry) []*Entry {
 // Keys implements BlockCache: protected MRU first, then probation.
 func (s *SLRU) Keys(dst []Key) []Key {
 	for e := s.protected.front(); e != nil && e != &s.protected.sentinel; e = e.next {
-		dst = append(dst, e.key)
+		dst = append(dst, e.n.key)
 	}
 	for e := s.probation.front(); e != nil && e != &s.probation.sentinel; e = e.next {
-		dst = append(dst, e.key)
+		dst = append(dst, e.n.key)
 	}
 	return dst
 }
@@ -210,11 +210,11 @@ func (s *SLRU) CheckInvariants() error {
 	dirty := 0
 	walk := func(l *list, seg uint8) error {
 		for e := l.front(); e != nil && e != &l.sentinel; e = e.next {
-			if s.index[e.key] != e {
-				return fmt.Errorf("entry %d on list but not indexed", e.key)
+			if s.index.entry(e.n.key) != e {
+				return fmt.Errorf("entry %d on list but not indexed", e.n.key)
 			}
 			if e.seg != seg {
-				return fmt.Errorf("entry %d on segment %d tagged %d", e.key, seg, e.seg)
+				return fmt.Errorf("entry %d on segment %d tagged %d", e.n.key, seg, e.seg)
 			}
 			if e.Dirty {
 				dirty++
@@ -229,8 +229,12 @@ func (s *SLRU) CheckInvariants() error {
 	if err := walk(&s.protected, segProtected); err != nil {
 		return err
 	}
-	if seen != len(s.index) {
-		return fmt.Errorf("walked %d entries, indexed %d", seen, len(s.index))
+	indexed, err := s.index.Check()
+	if err != nil {
+		return err
+	}
+	if seen != indexed {
+		return fmt.Errorf("walked %d entries, indexed %d", seen, indexed)
 	}
 	if seen > s.capacity {
 		return fmt.Errorf("population %d over capacity %d", seen, s.capacity)

@@ -19,25 +19,20 @@ type TwoQ struct {
 	ghostCap int
 	medium   Medium
 
-	index   map[Key]*Entry
+	index   Index
 	a1in    list // FIFO
 	am      list // LRU
 	dirties list
+	pool    entryPool
 
-	ghost      map[Key]*ghostNode
-	ghostHead  *ghostNode // most recent
-	ghostTail  *ghostNode // oldest
-	ghostCount int
-	pool       entryPool
-	ghostPool  *ghostNode // free list of ghost nodes
+	// ghost is A1out: entries that hold only the key of a block evicted
+	// from A1in, most recent at the front, with their own index and pool.
+	ghost      list
+	ghostIndex Index
+	ghostPool  entryPool
 	resHook    func(Key, bool)
 
 	hits, misses, evictions uint64
-}
-
-type ghostNode struct {
-	key        Key
-	prev, next *ghostNode
 }
 
 // NewTwoQ returns a 2Q cache with A1in sized to a quarter of capacity and
@@ -51,17 +46,19 @@ func NewTwoQ(capacity int, m Medium) *TwoQ {
 		a1 = 1
 	}
 	q := &TwoQ{
-		capacity: capacity,
-		a1inCap:  a1,
-		ghostCap: capacity / 2,
-		medium:   m,
-		index:    make(map[Key]*Entry, capacity),
-		ghost:    make(map[Key]*ghostNode),
-		pool:     entryPool{budget: capacity},
+		capacity:   capacity,
+		a1inCap:    a1,
+		ghostCap:   capacity / 2,
+		medium:     m,
+		index:      NewIndex(capacity),
+		pool:       entryPool{budget: capacity},
+		ghostIndex: NewIndex(capacity / 2),
+		ghostPool:  entryPool{budget: capacity / 2},
 	}
 	q.a1in.init(false)
 	q.am.init(false)
 	q.dirties.init(true)
+	q.ghost.init(false)
 	return q
 }
 
@@ -73,7 +70,7 @@ func (q *TwoQ) Medium() Medium { return q.medium }
 
 // A1inLen and GhostLen report internal queue sizes (for tests).
 func (q *TwoQ) A1inLen() int  { return q.a1in.len }
-func (q *TwoQ) GhostLen() int { return q.ghostCount }
+func (q *TwoQ) GhostLen() int { return q.ghost.len }
 
 // SetResidencyHook implements BlockCache.
 func (q *TwoQ) SetResidencyHook(fn func(Key, bool)) { q.resHook = fn }
@@ -86,8 +83,8 @@ func (q *TwoQ) Evictions() uint64 { return q.evictions }
 // Get looks up key. Hits in Am promote to MRU; hits in A1in stay put (2Q
 // deliberately ignores correlated references inside A1in).
 func (q *TwoQ) Get(key Key) *Entry {
-	e, ok := q.index[key]
-	if !ok {
+	e := q.index.entry(key)
+	if e == nil {
 		q.misses++
 		return nil
 	}
@@ -100,7 +97,7 @@ func (q *TwoQ) Get(key Key) *Entry {
 }
 
 // Peek looks up key without movement or counting.
-func (q *TwoQ) Peek(key Key) *Entry { return q.index[key] }
+func (q *TwoQ) Peek(key Key) *Entry { return q.index.entry(key) }
 
 // Touch promotes Am entries; A1in entries stay put.
 func (q *TwoQ) Touch(e *Entry) {
@@ -132,18 +129,19 @@ func (q *TwoQ) Victim() *Entry {
 }
 
 // Insert adds key: to Am if the ghost queue remembers it, else to A1in.
-func (q *TwoQ) Insert(key Key) *Entry {
-	if q.capacity == 0 {
-		return nil
+func (q *TwoQ) Insert(key Key) *Entry { return mustInsert(q, key, "2Q") }
+
+// TryInsert implements BlockCache, inserting as Insert describes.
+func (q *TwoQ) TryInsert(key Key) (e *Entry, inserted bool) {
+	old, i := q.index.lookup(key)
+	if old != nil {
+		return old.e, false
 	}
-	if _, ok := q.index[key]; ok {
-		panic(fmt.Sprintf("cache: duplicate insert of key %d", key))
+	if q.NeedsEviction() {
+		return nil, false
 	}
-	if q.Len() >= q.capacity {
-		panic("cache: insert into full 2Q")
-	}
-	e := q.pool.get(key, q.medium)
-	if g, remembered := q.ghost[key]; remembered {
+	e = q.pool.get(key, q.medium)
+	if g := q.ghostIndex.entry(key); g != nil {
 		q.ghostRemove(g)
 		e.seg = segAm
 		q.am.pushFront(e)
@@ -151,16 +149,16 @@ func (q *TwoQ) Insert(key Key) *Entry {
 		e.seg = segA1in
 		q.a1in.pushFront(e)
 	}
-	q.index[key] = e
+	q.index.place(i, &e.n)
 	if q.resHook != nil {
 		q.resHook(key, true)
 	}
-	return e
+	return e, true
 }
 
 // Remove evicts e; A1in evictions are remembered in the ghost queue.
 func (q *TwoQ) Remove(e *Entry) {
-	if q.index[e.key] != e {
+	if !q.index.Delete(&e.n) {
 		panic("cache: removing entry not in 2Q")
 	}
 	if e.inDirty {
@@ -168,66 +166,40 @@ func (q *TwoQ) Remove(e *Entry) {
 		e.inDirty = false
 		e.Dirty = false
 	}
-	delete(q.index, e.key)
 	if e.seg == segAm {
 		q.am.remove(e)
 	} else {
 		q.a1in.remove(e)
-		q.ghostAdd(e.key)
+		q.ghostAdd(e.n.key)
 	}
 	q.evictions++
 	if q.resHook != nil {
-		q.resHook(e.key, false)
+		q.resHook(e.n.key, false)
 	}
 	q.pool.put(e)
 }
 
+// ghostAdd remembers key at the front of the ghost queue, forgetting the
+// oldest key when the queue is full. Only a block leaving A1in is added,
+// and a resident block is never remembered, so key is not in the queue.
 func (q *TwoQ) ghostAdd(key Key) {
 	if q.ghostCap == 0 {
 		return
 	}
-	if g, ok := q.ghost[key]; ok {
-		q.ghostRemove(g)
+	if q.ghost.len == q.ghostCap {
+		q.ghostRemove(q.ghost.back())
 	}
-	g := q.ghostPool
-	if g == nil {
-		g = &ghostNode{}
-	} else {
-		q.ghostPool = g.next
+	g := q.ghostPool.get(key, q.medium)
+	if q.ghostIndex.Insert(&g.n) != nil {
+		panic(fmt.Sprintf("cache: key %d already in the 2Q ghost queue", key))
 	}
-	g.key = key
-	g.prev = nil
-	g.next = q.ghostHead
-	if q.ghostHead != nil {
-		q.ghostHead.prev = g
-	}
-	q.ghostHead = g
-	if q.ghostTail == nil {
-		q.ghostTail = g
-	}
-	q.ghost[key] = g
-	q.ghostCount++
-	for q.ghostCount > q.ghostCap {
-		q.ghostRemove(q.ghostTail)
-	}
+	q.ghost.pushFront(g)
 }
 
-func (q *TwoQ) ghostRemove(g *ghostNode) {
-	if g.prev != nil {
-		g.prev.next = g.next
-	} else {
-		q.ghostHead = g.next
-	}
-	if g.next != nil {
-		g.next.prev = g.prev
-	} else {
-		q.ghostTail = g.prev
-	}
-	delete(q.ghost, g.key)
-	q.ghostCount--
-	g.prev = nil
-	g.next = q.ghostPool
-	q.ghostPool = g
+func (q *TwoQ) ghostRemove(g *Entry) {
+	q.ghostIndex.Delete(&g.n)
+	q.ghost.remove(g)
+	q.ghostPool.put(g)
 }
 
 // MarkDirty implements BlockCache.
@@ -259,10 +231,10 @@ func (q *TwoQ) AppendDirty(dst []*Entry) []*Entry {
 // Keys implements BlockCache: Am MRU first, then A1in.
 func (q *TwoQ) Keys(dst []Key) []Key {
 	for e := q.am.front(); e != nil && e != &q.am.sentinel; e = e.next {
-		dst = append(dst, e.key)
+		dst = append(dst, e.n.key)
 	}
 	for e := q.a1in.front(); e != nil && e != &q.a1in.sentinel; e = e.next {
-		dst = append(dst, e.key)
+		dst = append(dst, e.n.key)
 	}
 	return dst
 }
@@ -272,14 +244,14 @@ func (q *TwoQ) CheckInvariants() error {
 	seen, dirty := 0, 0
 	walk := func(l *list, seg uint8) error {
 		for e := l.front(); e != nil && e != &l.sentinel; e = e.next {
-			if q.index[e.key] != e {
-				return fmt.Errorf("entry %d on list but not indexed", e.key)
+			if q.index.entry(e.n.key) != e {
+				return fmt.Errorf("entry %d on list but not indexed", e.n.key)
 			}
 			if e.seg != seg {
-				return fmt.Errorf("entry %d tagged %d on segment %d", e.key, e.seg, seg)
+				return fmt.Errorf("entry %d tagged %d on segment %d", e.n.key, e.seg, seg)
 			}
-			if _, ghosted := q.ghost[e.key]; ghosted {
-				return fmt.Errorf("resident entry %d also in ghost queue", e.key)
+			if q.ghostIndex.entry(e.n.key) != nil {
+				return fmt.Errorf("resident entry %d also in ghost queue", e.n.key)
 			}
 			if e.Dirty {
 				dirty++
@@ -294,21 +266,29 @@ func (q *TwoQ) CheckInvariants() error {
 	if err := walk(&q.am, segAm); err != nil {
 		return err
 	}
-	if seen != len(q.index) {
-		return fmt.Errorf("walked %d, indexed %d", seen, len(q.index))
+	indexed, err := q.index.Check()
+	if err != nil {
+		return err
+	}
+	if seen != indexed {
+		return fmt.Errorf("walked %d, indexed %d", seen, indexed)
 	}
 	if seen > q.capacity {
 		return fmt.Errorf("population %d over capacity %d", seen, q.capacity)
 	}
 	gs := 0
-	for g := q.ghostHead; g != nil; g = g.next {
-		if q.ghost[g.key] != g {
-			return fmt.Errorf("ghost %d not indexed", g.key)
+	for g := q.ghost.front(); g != nil && g != &q.ghost.sentinel; g = g.next {
+		if q.ghostIndex.entry(g.n.key) != g {
+			return fmt.Errorf("ghost %d not indexed", g.n.key)
 		}
 		gs++
 	}
-	if gs != q.ghostCount || gs != len(q.ghost) {
-		return fmt.Errorf("ghost count %d, list %d, map %d", q.ghostCount, gs, len(q.ghost))
+	ghosts, err := q.ghostIndex.Check()
+	if err != nil {
+		return err
+	}
+	if gs != q.ghost.len || gs != ghosts {
+		return fmt.Errorf("ghost count %d, list %d, index %d", q.ghost.len, gs, ghosts)
 	}
 	if gs > q.ghostCap {
 		return fmt.Errorf("ghost %d over cap %d", gs, q.ghostCap)

@@ -8,7 +8,7 @@ import "fmt"
 // buffer's medium, and never migrates. No attempt is made to prefer RAM over
 // flash.
 type Unified struct {
-	index   map[Key]*Entry
+	index   Index
 	lru     list
 	dirties list
 	pool    entryPool
@@ -29,7 +29,7 @@ func NewUnified(ramBufs, flashBufs int) *Unified {
 		panic("cache: negative buffer count")
 	}
 	u := &Unified{
-		index:     make(map[Key]*Entry, ramBufs+flashBufs),
+		index:     NewIndex(ramBufs + flashBufs),
 		pool:      entryPool{budget: ramBufs + flashBufs},
 		ramBufs:   ramBufs,
 		flashBufs: flashBufs,
@@ -66,8 +66,8 @@ func (u *Unified) HitsByMedium() (ram, flash uint64) {
 
 // Get looks up key, promoting to MRU and counting the outcome.
 func (u *Unified) Get(key Key) *Entry {
-	e, ok := u.index[key]
-	if !ok {
+	e := u.index.entry(key)
+	if e == nil {
 		u.misses++
 		return nil
 	}
@@ -83,7 +83,7 @@ func (u *Unified) Get(key Key) *Entry {
 }
 
 // Peek looks up key without promoting or counting.
-func (u *Unified) Peek(key Key) *Entry { return u.index[key] }
+func (u *Unified) Peek(key Key) *Entry { return u.index.entry(key) }
 
 // NeedsEviction reports whether an insert requires a victim.
 func (u *Unified) NeedsEviction() bool {
@@ -106,17 +106,21 @@ func (u *Unified) Victim() *Entry {
 // ratio without preferring RAM. Once full, callers must first Remove a
 // victim obtained from Victim; the freed buffer's medium is then inherited,
 // which is exactly "placed into the least recently used buffer".
-func (u *Unified) Insert(key Key) *Entry {
-	if u.Capacity() == 0 {
-		return nil
+func (u *Unified) Insert(key Key) *Entry { return mustInsert(u, key, "unified cache") }
+
+// TryInsert returns key's entry: the resident one (inserted false), or,
+// while a buffer is free, a new one placed as Insert places it (inserted
+// true). It returns nil, false when key is absent and no buffer is free.
+func (u *Unified) TryInsert(key Key) (e *Entry, inserted bool) {
+	old, i := u.index.lookup(key)
+	if old != nil {
+		return old.e, false
 	}
-	if _, ok := u.index[key]; ok {
-		panic(fmt.Sprintf("cache: duplicate insert of key %d", key))
+	if u.NeedsEviction() {
+		return nil, false
 	}
 	var m Medium
 	switch {
-	case u.freeRAM == 0 && u.freeFlash == 0:
-		panic("cache: insert into full unified cache")
 	case u.freeRAM == 0:
 		m = Flash
 	case u.freeFlash == 0:
@@ -144,18 +148,18 @@ func (u *Unified) Insert(key Key) *Entry {
 	} else {
 		u.freeFlash--
 	}
-	e := u.pool.get(key, m)
-	u.index[key] = e
+	e = u.pool.get(key, m)
+	u.index.place(i, &e.n)
 	u.lru.pushFront(e)
 	if u.resHook != nil {
 		u.resHook(key, true)
 	}
-	return e
+	return e, true
 }
 
 // Remove evicts e, returning its buffer to the free pool.
 func (u *Unified) Remove(e *Entry) {
-	if u.index[e.key] != e {
+	if !u.index.Delete(&e.n) {
 		panic("cache: removing entry not in unified cache")
 	}
 	if e.inDirty {
@@ -163,7 +167,6 @@ func (u *Unified) Remove(e *Entry) {
 		e.inDirty = false
 		e.Dirty = false
 	}
-	delete(u.index, e.key)
 	u.lru.remove(e)
 	if e.medium == RAM {
 		u.freeRAM++
@@ -173,7 +176,7 @@ func (u *Unified) Remove(e *Entry) {
 	}
 	u.evictions++
 	if u.resHook != nil {
-		u.resHook(e.key, false)
+		u.resHook(e.n.key, false)
 	}
 	u.pool.put(e)
 }
@@ -206,13 +209,17 @@ func (u *Unified) AppendDirty(dst []*Entry) []*Entry {
 
 // CheckInvariants verifies internal consistency.
 func (u *Unified) CheckInvariants() error {
-	if u.lru.len != len(u.index) {
-		return fmt.Errorf("lru len %d != index len %d", u.lru.len, len(u.index))
+	indexed, err := u.index.Check()
+	if err != nil {
+		return err
+	}
+	if u.lru.len != indexed {
+		return fmt.Errorf("lru len %d != index len %d", u.lru.len, indexed)
 	}
 	ram, flash, dirty := 0, 0, 0
 	for e := u.lru.front(); e != nil && e != &u.lru.sentinel; e = e.next {
-		if u.index[e.key] != e {
-			return fmt.Errorf("entry %d on list but not indexed", e.key)
+		if u.index.entry(e.n.key) != e {
+			return fmt.Errorf("entry %d on list but not indexed", e.n.key)
 		}
 		if e.medium == RAM {
 			ram++

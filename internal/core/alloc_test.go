@@ -19,7 +19,7 @@ import (
 // independent of how many requests have run.
 //
 // AllocsPerRun truncates the per-run average, so a rare map rehash (the
-// fetch-dedup pending table, cache indexes) still fits this ceiling. It
+// fetch-dedup pending table) still fits this ceiling. It
 // locks the *steady state*, where the closure-based predecessor allocated
 // on every asynchronous hop and the registry's func() continuation on
 // every block.
@@ -325,6 +325,43 @@ func TestResidencyIndexGrowthAllocations(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("recycled slots allocated %v times, want 0", allocs)
+	}
+}
+
+// TestResidencyIndexChurnAllocationFree locks the index's steady state: a
+// sliding window of resident blocks, each held by two hosts, where every
+// step indexes a fresh key and retires the oldest. Retired slots recycle
+// and the open-addressed table never rehashes, so the churn allocates
+// nothing once the window has been indexed.
+func TestResidencyIndexChurnAllocationFree(t *testing.T) {
+	const hosts, window = 100, 1000
+	ri := newResidencyIndex(hosts)
+	k := 0
+	step := func() {
+		ri.update(uint64(k), k%hosts, true)
+		ri.update(uint64(k), (k+37)%hosts, true)
+		if old := k - window; old >= 0 {
+			ri.update(uint64(old), old%hosts, false)
+			ri.update(uint64(old), (old+37)%hosts, false)
+		}
+		k++
+	}
+	for i := 0; i < 2*window; i++ {
+		step()
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 20*window; i++ {
+			step()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%d churn steps allocated %v times, want 0", 20*window, allocs)
+	}
+	if n, err := ri.index.Check(); err != nil || n != window {
+		t.Fatalf("index holds %d keys (%v), want the %d-key window", n, err, window)
+	}
+	if got := ri.appendLocals(nil, uint64(k-1)); len(got) != 2 {
+		t.Fatalf("newest key has holders %v, want two", got)
 	}
 }
 

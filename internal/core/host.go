@@ -527,9 +527,7 @@ func installRAMCleanRoom(a any) {
 	h := r.h
 	key, c := r.key, r.c
 	h.putReq(r)
-	if h.ram.Peek(key) == nil && !h.ram.NeedsEviction() {
-		h.ram.Insert(key)
-	}
+	h.ram.TryInsert(key)
 	h.ramDev.Write2(c.fn, c.arg)
 }
 
@@ -553,14 +551,11 @@ func (h *Host) writeLayered(r *hostReq) {
 func writeLayeredRoom(a any) {
 	r := a.(*hostReq)
 	h := r.h
-	e := h.ram.Peek(r.key)
+	e, _ := h.ram.TryInsert(r.key)
 	if e == nil {
-		if h.ram.NeedsEviction() {
-			// Room vanished to a racing insert; retry.
-			h.writeLayered(r)
-			return
-		}
-		e = h.ram.Insert(r.key)
+		// Room vanished to a racing insert; retry.
+		h.writeLayered(r)
+		return
 	}
 	h.commitRAMWrite(e, cont{finishWrite, r}, r.trSeq)
 }
@@ -694,13 +689,10 @@ func (h *Host) writeUnified(r *hostReq) {
 func writeUnifiedRoom(a any) {
 	r := a.(*hostReq)
 	h := r.h
-	e := h.uni.Peek(r.key)
+	e, _ := h.uni.TryInsert(r.key)
 	if e == nil {
-		if h.uni.NeedsEviction() {
-			h.writeUnified(r)
-			return
-		}
-		e = h.uni.Insert(r.key)
+		h.writeUnified(r)
+		return
 	}
 	h.commitUnifiedWrite(e, cont{finishWrite, r}, r.trSeq)
 }
@@ -877,8 +869,7 @@ func installUnifiedRoom(a any) {
 	h := r.h
 	key, c := r.key, r.c
 	h.putReq(r)
-	if h.uni.Peek(key) == nil && !h.uni.NeedsEviction() {
-		e := h.uni.Insert(key)
+	if e, inserted := h.uni.TryInsert(key); inserted {
 		if e.Medium() == cache.Flash {
 			if h.cfg.SyncMissFill {
 				h.flashIO.Write2(key, c.fn, c.arg)
@@ -895,8 +886,7 @@ func installFlashRoom(a any) {
 	h := r.h
 	key, c := r.key, r.c
 	h.putReq(r)
-	if h.flash.Peek(key) == nil && !h.flash.NeedsEviction() {
-		h.flash.Insert(key)
+	if _, inserted := h.flash.TryInsert(key); inserted {
 		if h.collect {
 			h.st.FlashFills++
 		}
@@ -933,16 +923,13 @@ func ensureFlashRoom(a any) {
 	h := r.h
 	key, ec := r.key, r.ec
 	h.putReq(r)
-	if e := h.flash.Peek(key); e != nil {
-		ec.fn(ec.arg, e)
-		return
-	}
-	if h.flash.NeedsEviction() {
+	e, _ := h.flash.TryInsert(key)
+	if e == nil {
 		// Lost the race for the freed slot; try again.
 		h.ensureFlashEntry(key, ec.fn, ec.arg)
 		return
 	}
-	ec.fn(ec.arg, h.flash.Insert(key))
+	ec.fn(ec.arg, e)
 }
 
 // --- room making (eviction) ---

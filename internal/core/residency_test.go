@@ -64,7 +64,16 @@ func checkResidencyIndex(t *testing.T, c *Cluster) (highWord int) {
 	for s, sh := range c.shards {
 		ri := sh.res
 		indexed := make([]int, len(sh.hosts))
-		for key, slot := range ri.slots {
+		live := 0
+		for slot := range ri.nodes {
+			if ri.n[slot] == 0 {
+				continue
+			}
+			live++
+			key := uint64(ri.nodes[slot].Key())
+			if nd := ri.index.Get(cache.Key(key)); nd != &ri.nodes[slot] || nd.Ref != int32(slot) {
+				t.Fatalf("shard %d key %d: slot %d not indexed", s, key, slot)
+			}
 			holders := ri.appendLocals(nil, key)
 			if len(holders) == 0 || int(ri.n[slot]) != len(holders) {
 				t.Fatalf("shard %d key %d: slot count %d, %d holders", s, key, ri.n[slot], len(holders))
@@ -81,6 +90,9 @@ func checkResidencyIndex(t *testing.T, c *Cluster) (highWord int) {
 					highWord++
 				}
 			}
+		}
+		if n, err := ri.index.Check(); err != nil || n != live {
+			t.Fatalf("shard %d: index holds %d keys, %d slots live (%v)", s, n, live, err)
 		}
 		for li, h := range sh.hosts {
 			if want := h.residentKeys(); indexed[li] != want {
@@ -140,5 +152,29 @@ func TestResidencyIndexMatchesCaches(t *testing.T) {
 				t.Fatalf("%d of %d ops completed", got, want)
 			}
 		})
+	}
+}
+
+// BenchmarkResidencyUpdate times one step of a shard's residency churn at
+// the 1024-host fleet's shape (512 hosts a shard, 8 bitmap words): a fresh
+// block becomes resident on one host while the block resident longest, of
+// a 2^16-block window, leaves its host.
+func BenchmarkResidencyUpdate(b *testing.B) {
+	const hosts, window = 512, 1 << 16
+	ri := newResidencyIndex(hosts)
+	k := 0
+	step := func() {
+		ri.update(uint64(k), k%hosts, true)
+		if old := k - window; old >= 0 {
+			ri.update(uint64(old), old%hosts, false)
+		}
+		k++
+	}
+	for i := 0; i < 2*window; i++ {
+		step()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
 	}
 }

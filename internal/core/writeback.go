@@ -283,8 +283,7 @@ func installCleanCopyRoom(a any) {
 	h := r.h
 	key := r.key
 	h.putReq(r)
-	if h.flash.Peek(key) == nil && !h.flash.NeedsEviction() {
-		h.flash.Insert(key)
+	if _, inserted := h.flash.TryInsert(key); inserted {
 		if h.collect {
 			h.st.FlashFills++
 		}
