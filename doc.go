@@ -13,20 +13,19 @@
 // The paper's evaluation is a grid of independent simulation points —
 // every point builds its own engine, hosts and filer, and shares no
 // mutable state with its neighbours. The repository exploits that
-// independence with a three-layer runner:
+// independence with one worker pool under two callers:
 //
 //   - internal/runner/pool: a bounded worker pool with a determinism
 //     contract — results collected by index, completions delivered in
 //     index order, lowest-index error wins.
-//   - internal/runner: the declarative sweep model. A Point is one
-//     labeled flashsim.Config (optionally trace-driven); a Grid is an
-//     ordered set of points; Run executes a grid on the pool.
-//   - flashsim.RunBatch / flashsim.RunGrid: the public batch API over
-//     plain []Config.
+//   - flashsim.RunBatch / flashsim.RunGrid / flashsim.RunScenarioBatch:
+//     the public batch API over plain []Config.
+//   - internal/experiments: each experiment declares its sweep as a grid
+//     of labeled points with per-point collectors and runs it on the pool.
 //
-// Every experiment in internal/experiments declares its sweeps as grids,
-// so output — figures, tables, even -v progress lines — is byte-identical
-// at any -parallel setting; only wall-clock time changes.
+// Experiment output — figures, tables, even -v progress lines — is
+// therefore byte-identical at any -parallel setting; only wall-clock time
+// changes.
 //
 // # Scenario engine
 //
@@ -56,7 +55,7 @@
 // records recycled through host-local free lists, and cache entries
 // recycle through per-cache free lists with generation counters. Golden
 // checksum tests pin simulation output to the pre-refactor engine bit for
-// bit; BENCH_2.json records the measured speedup. Both CLIs take
+// bit; the frozen BENCH_2.json records the measured speedup. Both CLIs take
 // -cpuprofile / -memprofile for hot-path measurement.
 //
 // # Sharded fleet execution
@@ -72,8 +71,9 @@
 // RunScenario (phases, scripted faults and telemetry synchronizing at
 // the barrier) all execute sharded. The ext-fleet experiment sweeps the
 // population 64 -> 4096 hosts with and without the callback protocol;
-// the BenchmarkFleetSequential / BenchmarkFleetSharded pair
-// (BENCH_4.json) tracks the intra-simulation speedup and
+// the BenchmarkFleetSequential / BenchmarkFleetSharded pair (gated in CI;
+// the frozen BENCH_4.json holds its history) tracks the intra-simulation
+// speedup and
 // BenchmarkScenarioSharded the scenario executor.
 // docs/ARCHITECTURE.md documents the layer map, the event lifecycle and
 // the full determinism contract; docs/SCENARIOS.md the scenario schema

@@ -195,10 +195,6 @@ type Config struct {
 	// were dirty at the crash (default 0.05).
 	RecoveryDirtyFraction float64
 
-	// TrackConsistency enables the invalidation registry even for a
-	// single host.
-	TrackConsistency bool
-
 	// ConsistencyProtocol switches from the paper's instant, free
 	// invalidation (§3.8) to a callback-based ownership protocol that
 	// charges control-message round trips and dirty-block downgrades
@@ -607,7 +603,7 @@ func buildSimulation(cfg Config, src trace.Source, warmupBlocks int64) (*simulat
 	fsrv := newFiler(eng, seedRNG.Fork(), cfg)
 
 	var reg *consistency.Registry
-	if cfg.Hosts > 1 || cfg.TrackConsistency {
+	if cfg.Hosts > 1 {
 		reg = consistency.NewRegistry()
 		if cfg.ConsistencyProtocol {
 			reg.SetMode(consistency.ModeCallback)

@@ -44,8 +44,7 @@ type Result struct {
 	RAMHitRate   float64
 	FlashHitRate float64
 
-	// Consistency metrics (zero unless multiple hosts or
-	// TrackConsistency).
+	// Consistency metrics (zero unless multiple hosts).
 	InvalidationFraction float64 // fraction of block writes invalidating a remote copy
 	Invalidations        uint64  // remote copies dropped
 	BlocksWrittenShared  uint64  // block writes observed by the registry

@@ -142,7 +142,7 @@ func runScenarioSharded(cfg Config, sc *Scenario, period sim.Time, hooks Scenari
 			return nil, fmt.Errorf("flashsim: scenario %s phase %s: %w", sc.Name, ph.Name, err)
 		}
 		for _, ev := range ph.Events {
-			er, err := r.executeEvent(pi, ev)
+			er, err := r.executeEvent(pi, ev, false)
 			if err != nil {
 				return nil, fmt.Errorf("flashsim: scenario %s phase %s: %w", sc.Name, ph.Name, err)
 			}
@@ -344,59 +344,69 @@ func (r *shardedScenarioRun) runTimedPhase(deadline sim.Time) error {
 	return r.driveToIdle()
 }
 
-// executeEvent runs one scripted fault with every shard quiescent (phase
-// boundary). Recovery scans and flush writebacks drain through the epoch
-// barrier before the phase begins.
-func (r *shardedScenarioRun) executeEvent(phase int, ev ScenarioEvent) (EventResult, error) {
+// executeEvent runs one fault event. A scripted event runs with every
+// shard quiescent (phase boundary): recovery scans and flush writebacks
+// drain through the epoch barrier before the phase begins, and the event
+// fails if they did not complete. An injected event (a live run's
+// controller, at an epoch barrier) only initiates: its crash/flush/leave
+// writeback traffic merges into the still-running phase, so Flushed and
+// Dropped count what the initiation scheduled and dropped synchronously,
+// and Seconds stays 0.
+func (r *shardedScenarioRun) executeEvent(phase int, ev ScenarioEvent, injected bool) (EventResult, error) {
 	// The event's own drains advance the cluster; mask the controller
 	// checkpoint so injections never execute inside another event.
 	r.inEvent = true
 	defer func() { r.inEvent = false }()
 	cl := r.cl
-	h := cl.Hosts()[ev.Host]
-	er := EventResult{Phase: phase, Kind: string(ev.Kind), Host: ev.Host}
+	er := EventResult{Phase: phase, Kind: string(ev.Kind), Host: ev.Host, Injected: injected}
 	start := cl.Now()
+	// settle waits out the writeback a scripted event started.
+	done := false
+	markDone := func() { done = true }
+	settle := func(what string) error {
+		if injected {
+			return nil
+		}
+		if err := r.driveToIdle(); err != nil {
+			return err
+		}
+		if !done {
+			return fmt.Errorf("%s did not complete", what)
+		}
+		return nil
+	}
 	switch ev.Kind {
 	case scenario.EventCrash:
+		h := cl.Hosts()[ev.Host]
 		before := h.ResidentBlocks()
 		h.Crash()
 		if r.cfg.PersistentFlash && r.cfg.Arch != Unified {
 			// The flash cache survived; scan its metadata and flush the
 			// blocks that were dirty at the crash — the recovery phase the
 			// paper declined to simulate (§7.8).
-			done := false
-			er.Flushed = h.Recover(func() { done = true })
-			if err := r.driveToIdle(); err != nil {
+			er.Flushed = h.Recover(markDone)
+			if err := settle("crash recovery"); err != nil {
 				return er, err
-			}
-			if !done {
-				return er, fmt.Errorf("crash recovery did not complete")
 			}
 		}
 		er.Dropped = before - h.ResidentBlocks()
 	case scenario.EventFlush:
+		h := cl.Hosts()[ev.Host]
 		before := h.ResidentBlocks()
-		done := false
-		er.Flushed = h.Flush(ev.Fraction, func() { done = true })
-		if err := r.driveToIdle(); err != nil {
+		er.Flushed = h.Flush(ev.Fraction, markDone)
+		if err := settle("flush"); err != nil {
 			return er, err
-		}
-		if !done {
-			return er, fmt.Errorf("flush did not complete")
 		}
 		er.Dropped = before - h.ResidentBlocks()
 	case scenario.EventLeave:
 		if len(r.active) == 1 {
 			return er, fmt.Errorf("cannot detach the last attached host")
 		}
+		h := cl.Hosts()[ev.Host]
 		before := h.ResidentBlocks()
-		done := false
-		er.Flushed = h.Flush(1, func() { done = true })
-		if err := r.driveToIdle(); err != nil {
+		er.Flushed = h.Flush(1, markDone)
+		if err := settle("leave flush"); err != nil {
 			return er, err
-		}
-		if !done {
-			return er, fmt.Errorf("leave flush did not complete")
 		}
 		er.Dropped = before - h.ResidentBlocks()
 		r.setAttached(ev.Host, false)

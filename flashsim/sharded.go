@@ -87,7 +87,7 @@ func clusterSpec(cfg Config, sources []trace.Source, warmup []int64, tr *obs.Tra
 		hostCfgs[i] = hostConfig(cfg, i)
 	}
 	seedRNG := rng.New(cfg.Seed)
-	track := cfg.Hosts > 1 || cfg.TrackConsistency
+	track := cfg.Hosts > 1
 	return core.ClusterSpec{
 		Shards:        cfg.Shards,
 		Hosts:         hostCfgs,

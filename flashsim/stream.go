@@ -142,7 +142,7 @@ func (r *shardedScenarioRun) checkpoint() error {
 		return ErrRunCanceled
 	}
 	for _, ev := range r.ctl.takePending() {
-		er, err := r.executeInjectedEvent(ev)
+		er, err := r.executeEvent(r.curPhase, ev, true)
 		if err != nil {
 			return fmt.Errorf("injected %s event: %w", ev.Kind, err)
 		}
@@ -152,57 +152,4 @@ func (r *shardedScenarioRun) checkpoint() error {
 		}
 	}
 	return nil
-}
-
-// executeInjectedEvent applies one injected fault at an epoch barrier.
-// Unlike a scripted event — which runs at a phase boundary with the
-// feeds drained and waits for its own writebacks — an injected fault
-// only initiates: the crash/flush/leave writeback traffic merges into
-// the still-running phase, which is exactly the live-operations
-// semantics the daemon wants. Flushed/Dropped therefore count what the
-// initiation scheduled and dropped synchronously.
-func (r *shardedScenarioRun) executeInjectedEvent(ev ScenarioEvent) (EventResult, error) {
-	cl := r.cl
-	er := EventResult{Phase: r.curPhase, Kind: string(ev.Kind), Host: ev.Host, Injected: true}
-	switch ev.Kind {
-	case scenario.EventCrash:
-		h := cl.Hosts()[ev.Host]
-		before := h.ResidentBlocks()
-		h.Crash()
-		if r.cfg.PersistentFlash && r.cfg.Arch != Unified {
-			er.Flushed = h.Recover(func() {})
-		}
-		er.Dropped = before - h.ResidentBlocks()
-	case scenario.EventFlush:
-		h := cl.Hosts()[ev.Host]
-		before := h.ResidentBlocks()
-		er.Flushed = h.Flush(ev.Fraction, func() {})
-		er.Dropped = before - h.ResidentBlocks()
-	case scenario.EventLeave:
-		if len(r.active) == 1 {
-			return er, fmt.Errorf("cannot detach the last attached host")
-		}
-		h := cl.Hosts()[ev.Host]
-		before := h.ResidentBlocks()
-		er.Flushed = h.Flush(1, func() {})
-		er.Dropped = before - h.ResidentBlocks()
-		r.setAttached(ev.Host, false)
-	case scenario.EventJoin:
-		r.setAttached(ev.Host, true)
-	case scenario.EventFilerCrash:
-		er.Partition, er.Replica = ev.Partition, ev.Replica
-		if err := cl.Filer().CrashReplica(ev.Partition, ev.Replica); err != nil {
-			return er, err
-		}
-	case scenario.EventFilerRecover:
-		er.Partition, er.Replica = ev.Partition, ev.Replica
-		blocks, source, err := cl.Filer().RecoverReplica(ev.Partition, ev.Replica)
-		if err != nil {
-			return er, err
-		}
-		er.Resynced, er.ResyncSource = blocks, source
-	default:
-		return er, fmt.Errorf("unknown event kind %q", ev.Kind)
-	}
-	return er, nil
 }

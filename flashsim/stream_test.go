@@ -1,6 +1,8 @@
 package flashsim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"strings"
@@ -130,21 +132,34 @@ func TestStreamCancel(t *testing.T) {
 	}
 }
 
-// TestStreamInjectsEvents drives a live crash injection mid-run: the event
-// executes at an epoch barrier, reaches the Event hook and the final
-// result marked Injected, and the run completes normally.
+// TestStreamInjectsEvents drives one live injection of every event kind,
+// each from its own Sample hook: the event executes at the barrier that
+// follows the sample, so placement is deterministic. Every event reaches
+// the Event hook and the final result marked Injected, only initiates its
+// work (Seconds stays exactly 0), and the run completes normally. The
+// event results and the run's hash are pinned, locking the injected
+// semantics bit for bit.
 func TestStreamInjectsEvents(t *testing.T) {
 	cfg := streamConfig()
+	cfg.FilerReplicas = 2
+	inject := []ScenarioEvent{
+		{Kind: scenario.EventCrash, Host: 0},
+		{Kind: scenario.EventFlush, Host: 1, Fraction: 0.5},
+		{Kind: scenario.EventLeave, Host: 1},
+		{Kind: scenario.EventJoin, Host: 1},
+		{Kind: scenario.EventFilerCrash, Partition: 0, Replica: 1},
+		{Kind: scenario.EventFilerRecover, Partition: 0, Replica: 1},
+	}
 	ctl := NewRunController(cfg)
-	injected := false
+	next := 0
 	var hooked []EventResult
 	hooks := ScenarioHooks{
 		Sample: func(float64, []float64) {
-			if !injected {
-				injected = true
-				if err := ctl.Inject(ScenarioEvent{Kind: scenario.EventCrash, Host: 0}); err != nil {
-					t.Errorf("Inject: %v", err)
+			if next < len(inject) {
+				if err := ctl.Inject(inject[next]); err != nil {
+					t.Errorf("Inject %s: %v", inject[next].Kind, err)
 				}
+				next++
 			}
 		},
 		Event: func(e EventResult) { hooked = append(hooked, e) },
@@ -153,29 +168,31 @@ func TestStreamInjectsEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var crash *EventResult
-	for i := range res.Events {
-		if res.Events[i].Injected {
-			if res.Events[i].Kind != string(scenario.EventCrash) || res.Events[i].Host != 0 {
-				t.Fatalf("injected event %+v, want crash on host 0", res.Events[i])
-			}
-			crash = &res.Events[i]
-		}
-	}
-	if crash == nil {
-		t.Fatalf("no injected event in result: %+v", res.Events)
-	}
-	if crash.Dropped == 0 {
-		t.Error("injected crash dropped no blocks (host cache was empty?)")
-	}
-	found := false
-	for _, e := range hooked {
+	var got []EventResult
+	for _, e := range res.Events {
 		if e.Injected {
-			found = true
+			got = append(got, e)
 		}
 	}
-	if !found {
-		t.Errorf("event hook never saw the injection: %+v", hooked)
+	want := []EventResult{
+		{Phase: 0, Kind: "crash", Host: 0, Dropped: 354, Injected: true},
+		{Phase: 0, Kind: "flush", Host: 1, Dropped: 738, Injected: true},
+		{Phase: 0, Kind: "leave", Host: 1, Flushed: 10, Injected: true},
+		{Phase: 0, Kind: "join", Host: 1, Injected: true},
+		{Phase: 1, Kind: "filer-crash", Replica: 1, Injected: true},
+		{Phase: 1, Kind: "filer-recover", Replica: 1, ResyncSource: "group", Injected: true},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("injected events:\n got %#v\nwant %#v", got, want)
+	}
+	if !reflect.DeepEqual(hooked, res.Events) {
+		t.Errorf("event hook sequence %+v != result events %+v", hooked, res.Events)
+	}
+	h := sha256.New()
+	h.Write([]byte(scrubScenarioRuntime(res).String()))
+	h.Write([]byte(res.Telemetry.CSV()))
+	if sum, want := hex.EncodeToString(h.Sum(nil)), "8abdb40c6c59b5d39e00c855e278dbed06a0f864c6dcd37a94fbf6138352487f"; sum != want {
+		t.Errorf("injected run hash %s, want %s", sum, want)
 	}
 }
 

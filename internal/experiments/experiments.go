@@ -8,8 +8,8 @@
 // crossovers that drive the results, while the unscaled Table 1 timing
 // model keeps latencies comparable to the paper's axes).
 //
-// Every experiment declares its simulation points as a grid (see sweep and
-// internal/runner) which a bounded worker pool executes with
+// Every experiment declares its simulation points as a grid (see sweep)
+// which a bounded worker pool (internal/runner/pool) executes with
 // Options.Parallel workers; results and progress are delivered in
 // declaration order, so reports are identical for every parallelism level.
 package experiments
@@ -20,7 +20,7 @@ import (
 	"sort"
 
 	"repro/flashsim"
-	"repro/internal/runner"
+	"repro/internal/runner/pool"
 	"repro/internal/stats"
 )
 
@@ -122,44 +122,59 @@ func sharedServer(o Options, maxWSGB float64) (*flashsim.FileSet, error) {
 	return flashsim.GenerateFileSet(gb(sizeGB, o.scale()), 42)
 }
 
-// sweep is the experiments-side view of a runner grid: each declared point
-// carries a collector closure that consumes its result. Declaration builds
-// the grid; run executes it on the worker pool and applies the collectors
-// in declaration order, so figures, tables and progress output are
-// byte-identical to a sequential loop no matter how the pool scheduled the
-// points.
+// sweep is one experiment's grid of simulation points: each declared point
+// carries a label and a collector closure that consumes its result.
+// Declaration builds the grid; run executes it on the worker pool and
+// applies the collectors in declaration order, so figures, tables and
+// progress output are byte-identical to a sequential loop no matter how
+// the pool scheduled the points.
 type sweep struct {
-	o       Options
-	grid    runner.Grid
-	collect []func(*flashsim.Result)
+	o      Options
+	name   string
+	points []sweepPoint
+}
+
+// sweepPoint is one declared simulation: its progress/error label, its
+// configuration and the collector that consumes its result.
+type sweepPoint struct {
+	label   string
+	cfg     flashsim.Config
+	collect func(*flashsim.Result)
 }
 
 // newSweep starts an empty grid declaration for one experiment.
 func newSweep(o Options, name string) *sweep {
-	return &sweep{o: o, grid: runner.Grid{Name: name}}
+	return &sweep{o: o, name: name}
 }
 
 // add declares one simulation point. collect, which may be nil, receives
 // the point's result during run, after all earlier points' collectors.
 func (s *sweep) add(label string, cfg flashsim.Config, collect func(*flashsim.Result)) {
-	s.grid.Add(label, cfg)
-	s.collect = append(s.collect, collect)
+	s.points = append(s.points, sweepPoint{label, cfg, collect})
 }
 
 // run executes the declared points and applies their collectors in order.
+// On failure the lowest-index point's error is returned, naming the grid,
+// the point index and its label.
 func (s *sweep) run() error {
-	results, err := runner.Run(&s.grid, runner.Options{
-		Parallel: s.o.Parallel,
-		OnPoint: func(i int, p runner.Point, res *flashsim.Result) {
-			s.o.logf("  %-40s read %8.1f us  write %8.1f us", p.Label,
-				res.ReadLatencyMicros, res.WriteLatencyMicros)
+	results, err := pool.Collect(len(s.points), s.o.Parallel,
+		func(i int) (*flashsim.Result, error) {
+			p := &s.points[i]
+			res, err := flashsim.Run(p.cfg)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: grid %s point %d (%s): %w", s.name, i, p.label, err)
+			}
+			return res, nil
 		},
-	})
+		func(i int, res *flashsim.Result) {
+			s.o.logf("  %-40s read %8.1f us  write %8.1f us", s.points[i].label,
+				res.ReadLatencyMicros, res.WriteLatencyMicros)
+		})
 	if err != nil {
-		return fmt.Errorf("experiments: %w", err)
+		return err
 	}
 	for i, res := range results {
-		if c := s.collect[i]; c != nil {
+		if c := s.points[i].collect; c != nil {
 			c(res)
 		}
 	}

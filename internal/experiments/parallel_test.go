@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -65,5 +66,31 @@ func TestProgressIdenticalAcrossParallelism(t *testing.T) {
 	}
 	if seqLog.String() != parLog.String() {
 		t.Errorf("progress logs differ:\nseq:\n%s\npar:\n%s", seqLog.String(), parLog.String())
+	}
+}
+
+// A failing sweep reports the same point at any parallelism: with two
+// invalid points, the error names the grid and the label of the lower-index
+// one, exactly as a sequential loop would have stopped on it.
+func TestSweepErrorNamesLowestPoint(t *testing.T) {
+	for _, parallel := range []int{1, 8} {
+		o := quickOpts()
+		o.Parallel = parallel
+		s := newSweep(o, "errgrid")
+		good := baseline(o)
+		bad := good
+		bad.Hosts = 0
+		s.add("good-0", good, nil)
+		s.add("bad-1", bad, nil)
+		s.add("good-2", good, nil)
+		s.add("bad-3", bad, nil)
+		err := s.run()
+		if err == nil {
+			t.Fatalf("parallel=%d: invalid points ran without error", parallel)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, "grid errgrid point 1 (bad-1)") || strings.Contains(msg, "bad-3") {
+			t.Errorf("parallel=%d: error %q does not name the lowest failing point", parallel, msg)
+		}
 	}
 }

@@ -685,33 +685,16 @@ func (f *Filer) MeanReadLatency() sim.Time {
 	return sim.Time(math.Round(mean))
 }
 
-// Read services a one-block read; done runs after the fast or slow (or
-// object-tier) latency.
-func (f *Filer) Read(key uint64, done func()) {
-	lat := f.TakeReadLatency(key)
-	if done != nil {
-		f.eng.Schedule(lat, done)
-	}
-}
-
-// Read2 is the allocation-free form of Read: fn is a static func(any) run
-// with arg after the service latency. Unlike Read(key, nil), a nil fn
-// still schedules a (shared, no-op) completion event.
+// Read2 services a one-block read: fn is a static func(any) run with arg
+// after the fast or slow (or object-tier) latency. A nil fn still
+// schedules a (shared, no-op) completion event.
 func (f *Filer) Read2(key uint64, fn func(any), arg any) {
 	f.eng.Schedule2(f.TakeReadLatency(key), fn, arg)
 }
 
-// Write services a one-block write; writes hit the filer's nonvolatile
-// buffer and are always fast.
-func (f *Filer) Write(key uint64, done func()) {
-	lat := f.TakeWriteLatency(key)
-	if done != nil {
-		f.eng.Schedule(lat, done)
-	}
-}
-
-// Write2 is the allocation-free form of Write. Unlike Write(key, nil), a
-// nil fn still schedules a (shared, no-op) completion event.
+// Write2 services a one-block write; writes hit the filer's nonvolatile
+// buffer and are always fast. A nil fn still schedules a (shared, no-op)
+// completion event.
 func (f *Filer) Write2(key uint64, fn func(any), arg any) {
 	f.eng.Schedule2(f.TakeWriteLatency(key), fn, arg)
 }

@@ -30,7 +30,7 @@ func TestWriteAlwaysFast(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		start := e.Now()
 		var done sim.Time
-		f.Write(uint64(i), func() { done = e.Now() })
+		f.Write2(uint64(i), func(any) { done = e.Now() }, nil)
 		e.Run()
 		if done-start != writeLat {
 			t.Fatalf("write latency %v", done-start)
@@ -46,7 +46,7 @@ func TestReadFastSlowMix(t *testing.T) {
 	f := New(&e, rng.New(2), fastRead, slowRead, writeLat, 0.9)
 	const n = 20000
 	for i := 0; i < n; i++ {
-		f.Read(uint64(i), nil)
+		f.Read2(uint64(i), nil, nil)
 	}
 	e.Run()
 	rate := float64(f.FastReads()) / n
@@ -64,7 +64,7 @@ func TestReadLatenciesAreFastOrSlow(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		start := e.Now()
 		var done sim.Time
-		f.Read(uint64(i), func() { done = e.Now() })
+		f.Read2(uint64(i), func(any) { done = e.Now() }, nil)
 		e.Run()
 		lat := done - start
 		if lat != fastRead && lat != slowRead {
@@ -77,7 +77,7 @@ func TestPrefetchRateExtremes(t *testing.T) {
 	var e sim.Engine
 	f := New(&e, rng.New(4), fastRead, slowRead, writeLat, 1.0)
 	for i := 0; i < 100; i++ {
-		f.Read(uint64(i), nil)
+		f.Read2(uint64(i), nil, nil)
 	}
 	e.Run()
 	if f.SlowReads() != 0 {
@@ -85,7 +85,7 @@ func TestPrefetchRateExtremes(t *testing.T) {
 	}
 	f2 := New(&e, rng.New(5), fastRead, slowRead, writeLat, 0.0)
 	for i := 0; i < 100; i++ {
-		f2.Read(uint64(i), nil)
+		f2.Read2(uint64(i), nil, nil)
 	}
 	e.Run()
 	if f2.FastReads() != 0 {
@@ -111,8 +111,8 @@ func TestFilerConcurrent(t *testing.T) {
 	var e sim.Engine
 	f := New(&e, rng.New(7), fastRead, slowRead, writeLat, 1.0)
 	var d1, d2 sim.Time
-	f.Read(1, func() { d1 = e.Now() })
-	f.Read(2, func() { d2 = e.Now() })
+	f.Read2(1, func(any) { d1 = e.Now() }, nil)
+	f.Read2(2, func(any) { d2 = e.Now() }, nil)
 	e.Run()
 	if d1 != fastRead || d2 != fastRead {
 		t.Fatalf("concurrent reads at %v/%v", d1, d2)

@@ -1,6 +1,6 @@
 // Package pool provides the bounded, deterministic worker pool underneath
-// the sweep runner (internal/runner) and the public batch API
-// (flashsim.RunBatch/RunGrid).
+// the experiment sweeps (internal/experiments) and the public batch API
+// (flashsim.RunBatch/RunGrid/RunScenarioBatch).
 //
 // Determinism contract: jobs are identified by index, results are collected
 // by index, and when several jobs fail the lowest-index error wins. A
