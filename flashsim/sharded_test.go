@@ -225,16 +225,39 @@ func TestSplitTrace(t *testing.T) {
 		}
 	}
 
+	// splitTrace's own allocations: start, blocks, the placed array and
+	// perHost, plus splitChunkAllocs for the chunks. None depends on the
+	// host count. The collector's first cycle allocates its workers, so
+	// it runs before the measurement; averaging over 20 calls absorbs
+	// fewer than 20 stray runtime allocations.
+	want := float64(4 + splitChunkAllocs(len(ops)))
 	src := trace.NewSliceSource(ops)
-	allocsAt := func(hosts int) float64 {
-		return testing.AllocsPerRun(5, func() {
+	runtime.GC()
+	for _, hosts := range []int{4, 1024} {
+		got := testing.AllocsPerRun(20, func() {
 			src.Reset()
 			splitTrace(src, hosts)
 		})
+		if got != want {
+			t.Errorf("splitTrace allocated %v times at %d hosts, want %v", got, hosts, want)
+		}
 	}
-	if few, many := allocsAt(4), allocsAt(1024); many > few {
-		t.Errorf("splitTrace allocated %v times at 1024 hosts, %v at 4: want no growth with hosts", many, few)
+}
+
+// splitChunkAllocs counts the allocations splitTrace makes for n ops'
+// chunks: one per chunk, sized by splitChunkOps, and one each time the
+// chunk list outgrows its capacity.
+func splitChunkAllocs(n int) int {
+	allocs := 0
+	var list [][]trace.Op
+	for drained := 0; drained < n; drained += splitChunkOps(drained) {
+		if len(list) == cap(list) {
+			allocs++
+		}
+		list = append(list, nil)
+		allocs++
 	}
+	return allocs
 }
 
 // TestSplitTraceBytes locks how much splitTrace allocates: the drained

@@ -55,24 +55,7 @@ func NewContendedFlashDevice(eng *sim.Engine, name string, readLat, writeLat sim
 	return d
 }
 
-// noop is the shared placeholder completion for nil-done requests: the
-// delay event must still occupy the engine (a drained engine means idle
-// hardware) but nothing is allocated per call.
-func noop() {}
-
-func (d *FlashDevice) access(lat sim.Time, done func()) {
-	d.busy += lat
-	if d.srv != nil {
-		d.srv.Use(lat, done)
-		return
-	}
-	if done == nil {
-		done = noop
-	}
-	d.eng.Schedule(lat, done)
-}
-
-func (d *FlashDevice) access2(lat sim.Time, fn func(any), arg any) {
+func (d *FlashDevice) access(lat sim.Time, fn func(any), arg any) {
 	d.busy += lat
 	if d.srv != nil {
 		d.srv.Use2(lat, fn, arg)
@@ -81,31 +64,19 @@ func (d *FlashDevice) access2(lat sim.Time, fn func(any), arg any) {
 	d.eng.Schedule2(lat, fn, arg) // nil fn schedules the engine's shared no-op
 }
 
-// Read services a one-block read; done runs at completion.
-func (d *FlashDevice) Read(done func()) {
-	d.reads++
-	d.access(d.readLat, done)
-}
-
-// Read2 is the allocation-free form of Read: fn is a static func(any) run
-// with arg at completion; a nil fn schedules the shared placeholder.
+// Read2 services a one-block read: fn is a static func(any) run with arg
+// at completion; a nil fn schedules the shared placeholder.
 func (d *FlashDevice) Read2(fn func(any), arg any) {
 	d.reads++
-	d.access2(d.readLat, fn, arg)
+	d.access(d.readLat, fn, arg)
 }
 
-// Write services a one-block write; done runs at completion. In persistent
-// mode the block's cache metadata is journalled alongside, costing a second
-// write.
-func (d *FlashDevice) Write(done func()) {
-	d.writes++
-	d.access(d.effectiveWriteLat(), done)
-}
-
-// Write2 is the allocation-free form of Write.
+// Write2 services a one-block write, completing like Read2. In persistent
+// mode the block's cache metadata is journalled alongside, costing a
+// second write.
 func (d *FlashDevice) Write2(fn func(any), arg any) {
 	d.writes++
-	d.access2(d.effectiveWriteLat(), fn, arg)
+	d.access(d.effectiveWriteLat(), fn, arg)
 }
 
 func (d *FlashDevice) effectiveWriteLat() sim.Time {
@@ -181,31 +152,14 @@ func NewRAMDevice(eng *sim.Engine, readLat, writeLat sim.Time) *RAMDevice {
 	return &RAMDevice{eng: eng, readLat: readLat, writeLat: writeLat}
 }
 
-// Read schedules done after one block-read delay.
-func (d *RAMDevice) Read(done func()) {
-	d.reads++
-	if done == nil {
-		done = noop
-	}
-	d.eng.Schedule(d.readLat, done)
-}
-
-// Read2 is the allocation-free form of Read.
+// Read2 runs fn(arg) after one block-read delay; a nil fn schedules the
+// shared placeholder.
 func (d *RAMDevice) Read2(fn func(any), arg any) {
 	d.reads++
 	d.eng.Schedule2(d.readLat, fn, arg)
 }
 
-// Write schedules done after one block-write delay.
-func (d *RAMDevice) Write(done func()) {
-	d.writes++
-	if done == nil {
-		done = noop
-	}
-	d.eng.Schedule(d.writeLat, done)
-}
-
-// Write2 is the allocation-free form of Write.
+// Write2 runs fn(arg) after one block-write delay.
 func (d *RAMDevice) Write2(fn func(any), arg any) {
 	d.writes++
 	d.eng.Schedule2(d.writeLat, fn, arg)

@@ -6,16 +6,20 @@ import (
 	"repro/internal/sim"
 )
 
+// callFunc runs the func() riding in the arg slot of an arg-carrying
+// completion.
+func callFunc(a any) { a.(func())() }
+
 func TestFlashDeviceLatencies(t *testing.T) {
 	var e sim.Engine
 	d := NewFlashDevice(&e, "flash", 88*sim.Microsecond, 21*sim.Microsecond, false)
 	var readDone, writeDone sim.Time
-	d.Read(func() { readDone = e.Now() })
+	d.Read2(callFunc, func() { readDone = e.Now() })
 	e.Run()
 	if readDone != 88*sim.Microsecond {
 		t.Fatalf("read done at %v", readDone)
 	}
-	d.Write(func() { writeDone = e.Now() })
+	d.Write2(callFunc, func() { writeDone = e.Now() })
 	e.Run()
 	if writeDone != readDone+21*sim.Microsecond {
 		t.Fatalf("write done at %v", writeDone)
@@ -32,9 +36,9 @@ func TestContendedFlashDeviceQueueing(t *testing.T) {
 		t.Fatal("Contended() = false")
 	}
 	var order []sim.Time
-	d.Write(func() { order = append(order, e.Now()) })
-	d.Read(func() { order = append(order, e.Now()) })
-	d.Read(func() { order = append(order, e.Now()) })
+	d.Write2(callFunc, func() { order = append(order, e.Now()) })
+	d.Read2(callFunc, func() { order = append(order, e.Now()) })
+	d.Read2(callFunc, func() { order = append(order, e.Now()) })
 	e.Run()
 	want := []sim.Time{20, 30, 40}
 	for i := range want {
@@ -54,8 +58,8 @@ func TestUncontendedFlashDeviceParallel(t *testing.T) {
 		t.Fatal("default device should be uncontended")
 	}
 	var r1, r2 sim.Time
-	d.Read(func() { r1 = e.Now() })
-	d.Read(func() { r2 = e.Now() })
+	d.Read2(callFunc, func() { r1 = e.Now() })
+	d.Read2(callFunc, func() { r2 = e.Now() })
 	e.Run()
 	// Concurrent reads both complete at the average access latency: the
 	// paper's measured per-block times already include device-internal
@@ -75,7 +79,7 @@ func TestFlashDevicePersistenceDoublesWrites(t *testing.T) {
 	var e sim.Engine
 	d := NewFlashDevice(&e, "flash", 88, 21, true)
 	var done sim.Time
-	d.Write(func() { done = e.Now() })
+	d.Write2(callFunc, func() { done = e.Now() })
 	e.Run()
 	if done != 42 {
 		t.Fatalf("persistent write done at %v, want 42", done)
@@ -91,7 +95,7 @@ func TestFlashDevicePersistenceDoublesWrites(t *testing.T) {
 	}
 	// Reads are unaffected by persistence.
 	start := e.Now()
-	d.Read(func() { done = e.Now() })
+	d.Read2(callFunc, func() { done = e.Now() })
 	e.Run()
 	if done-start != 88 {
 		t.Fatalf("persistent read took %v", done-start)
@@ -102,8 +106,8 @@ func TestRAMDeviceNoQueueing(t *testing.T) {
 	var e sim.Engine
 	d := NewRAMDevice(&e, 400, 300)
 	var t1, t2 sim.Time
-	d.Read(func() { t1 = e.Now() })
-	d.Write(func() { t2 = e.Now() })
+	d.Read2(callFunc, func() { t1 = e.Now() })
+	d.Write2(callFunc, func() { t2 = e.Now() })
 	e.Run()
 	// Both complete independently: RAM is a pure delay, not a queue.
 	if t1 != 400 || t2 != 300 {
@@ -140,8 +144,8 @@ func TestRAMNegativeLatencyPanics(t *testing.T) {
 func TestFlashDeviceAccessors(t *testing.T) {
 	var e sim.Engine
 	d := NewFlashDevice(&e, "f", 10, 20, false)
-	d.Read(nil)
-	d.Write(nil)
+	d.Read2(nil, nil)
+	d.Write2(nil, nil)
 	e.Run()
 	if d.Busy() != 30 {
 		t.Fatalf("busy = %v", d.Busy())
@@ -160,7 +164,7 @@ func TestFlashDeviceAccessors(t *testing.T) {
 func TestContendedFlashUtilisation(t *testing.T) {
 	var e sim.Engine
 	d := NewContendedFlashDevice(&e, "f", 10, 20, false)
-	d.Read(nil)
+	d.Read2(nil, nil)
 	e.Schedule(100, func() {})
 	e.Run()
 	if u := d.Utilisation(); u <= 0 || u > 0.2 {

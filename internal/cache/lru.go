@@ -89,20 +89,26 @@ func (e *Entry) Medium() Medium { return e.medium }
 // residency the way bare pointers did before entries were pooled.
 func (e *Entry) Gen() uint64 { return e.gen }
 
-// entrySlab is the most entries one allocation carves for a pool.
-const entrySlab = 64
+// A pool's first slab carves entrySlabMin entries, and each later one
+// twice as many as the last, up to entrySlabMax.
+const (
+	entrySlabMin = 64
+	entrySlabMax = 1024
+)
 
 // entryPool is a per-cache free list of Entry structs: eviction/insert
 // churn at steady state recycles entries instead of allocating. The free
 // list threads through the (otherwise nil) LRU next pointer. While a cache
-// fills, fresh entries are carved from slabs of at most entrySlab, each
-// clamped to the budget not yet carved. The budget starts at the cache's
-// capacity and Insert refuses a full cache, so a pool never holds more
-// entries than its cache can.
+// fills, fresh entries are carved from slabs that double from
+// entrySlabMin to entrySlabMax, each clamped to the budget not yet carved.
+// The budget starts at the cache's capacity and Insert refuses a full
+// cache, so a pool never holds more entries than its cache can, and the
+// carved-but-unused slack stays under one slab.
 type entryPool struct {
-	free   *Entry
-	slab   []Entry // carved but not yet handed out
-	budget int     // entries not yet carved
+	free     *Entry
+	slab     []Entry // carved but not yet handed out
+	budget   int     // entries not yet carved
+	nextSlab int     // size of the next slab before clamping; 0 = entrySlabMin
 }
 
 // get returns a reset entry for key on medium m, recycling if possible.
@@ -111,8 +117,10 @@ func (p *entryPool) get(key Key, m Medium) *Entry {
 	e := p.free
 	if e == nil {
 		if len(p.slab) == 0 {
-			p.slab = make([]Entry, min(entrySlab, p.budget))
+			n := max(p.nextSlab, entrySlabMin)
+			p.slab = make([]Entry, min(n, p.budget))
 			p.budget -= len(p.slab)
+			p.nextSlab = min(2*n, entrySlabMax)
 		}
 		e = &p.slab[0]
 		p.slab = p.slab[1:]

@@ -15,23 +15,35 @@ type slabCache interface {
 	CheckInvariants() error
 }
 
+// slabsToFill is the number of slabs a pool carves to fill capacity
+// entries: sizes double from entrySlabMin up to entrySlabMax, the last one
+// clamped to what is left.
+func slabsToFill(capacity int) int {
+	slabs := 0
+	for left, n := capacity, entrySlabMin; left > 0; n = min(2*n, entrySlabMax) {
+		left -= min(n, left)
+		slabs++
+	}
+	return slabs
+}
+
 // TestEntrySlabsBoundedByCapacity fills, churns, empties and refills every
 // policy's cache and checks the entry pool's slab carving: a pool never
 // carves more entries than its cache holds, a fill to capacity costs at
-// most one allocation per entrySlab entries, and recycled entries still
-// bump their reuse generation.
+// most one allocation per slab of the doubling sequence, and recycled
+// entries still bump their reuse generation.
 func TestEntrySlabsBoundedByCapacity(t *testing.T) {
-	const capacity = 200 // three full slabs and a clamped fourth
+	const capacity = 200 // slabs of 64 and 128, and a clamped 8
 	cases := []struct {
 		name string
-		make func() (slabCache, *entryPool)
+		make func(capacity int) (slabCache, *entryPool)
 	}{
-		{"lru", func() (slabCache, *entryPool) { c := NewLRU(capacity, Flash); return c, &c.pool }},
-		{"fifo", func() (slabCache, *entryPool) { c := NewFIFO(capacity, Flash); return c, &c.pool }},
-		{"clock", func() (slabCache, *entryPool) { c := NewClock(capacity, Flash); return c, &c.pool }},
-		{"slru", func() (slabCache, *entryPool) { c := NewSLRU(capacity, Flash); return c, &c.pool }},
-		{"2q", func() (slabCache, *entryPool) { c := NewTwoQ(capacity, Flash); return c, &c.pool }},
-		{"unified", func() (slabCache, *entryPool) { c := NewUnified(capacity/4, capacity-capacity/4); return c, &c.pool }},
+		{"lru", func(n int) (slabCache, *entryPool) { c := NewLRU(n, Flash); return c, &c.pool }},
+		{"fifo", func(n int) (slabCache, *entryPool) { c := NewFIFO(n, Flash); return c, &c.pool }},
+		{"clock", func(n int) (slabCache, *entryPool) { c := NewClock(n, Flash); return c, &c.pool }},
+		{"slru", func(n int) (slabCache, *entryPool) { c := NewSLRU(n, Flash); return c, &c.pool }},
+		{"2q", func(n int) (slabCache, *entryPool) { c := NewTwoQ(n, Flash); return c, &c.pool }},
+		{"unified", func(n int) (slabCache, *entryPool) { c := NewUnified(n/4, n-n/4); return c, &c.pool }},
 	}
 	fill := func(c slabCache, from Key) {
 		for k := from; c.Len() < c.Capacity(); k++ {
@@ -40,7 +52,7 @@ func TestEntrySlabsBoundedByCapacity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c, pool := tc.make()
+			c, pool := tc.make(capacity)
 			carved := func() int { return c.Capacity() - pool.budget }
 			check := func(phase string) {
 				t.Helper()
@@ -79,15 +91,27 @@ func TestEntrySlabsBoundedByCapacity(t *testing.T) {
 			}
 
 			// A fresh fill costs one allocation per slab, beyond the
-			// cache's own construction.
-			build := testing.AllocsPerRun(20, func() { tc.make() })
-			built := testing.AllocsPerRun(20, func() {
-				c, _ := tc.make()
-				fill(c, 0)
-			})
-			slabs := float64((capacity + entrySlab - 1) / entrySlab)
-			if got := built - build; got > slabs {
-				t.Errorf("fill to capacity %d made %v entry allocations, want <= %v", capacity, got, slabs)
+			// cache's own construction. 5000 entries take slabs of 64
+			// up to 1024, then two more of 1024 and a clamped 968.
+			for _, n := range []int{capacity, 5000} {
+				build := testing.AllocsPerRun(20, func() { tc.make(n) })
+				built := testing.AllocsPerRun(20, func() {
+					c, _ := tc.make(n)
+					fill(c, 0)
+				})
+				slabs := float64(slabsToFill(n))
+				if got := built - build; got > slabs {
+					t.Errorf("fill to capacity %d made %v entry allocations, want <= %v", n, got, slabs)
+				}
+			}
+			// Carved entries not yet handed out stay under one
+			// capped slab at every step of a large fill.
+			big, bigPool := tc.make(5000)
+			for k := Key(0); big.Len() < big.Capacity(); k++ {
+				big.Insert(k)
+				if len(bigPool.slab) >= entrySlabMax {
+					t.Fatalf("%d entries carved ahead of use at %d resident", len(bigPool.slab), big.Len())
+				}
 			}
 		})
 	}

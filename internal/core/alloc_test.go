@@ -422,3 +422,56 @@ func TestDriverThreadQueueAllocatedOnce(t *testing.T) {
 		t.Fatalf("%d thread queues, %d of %d ops completed", len(backing), d.OpsCompleted(), total)
 	}
 }
+
+// TestFlushRecoverAllocationsPerBlock locks the fan-out completions of
+// Flush and Recover: each flushed block and each metadata scan read
+// completes through one static *sim.Join callback, so ten times the dirty
+// blocks costs no more allocations than the dirty-list growth. Building
+// the method value join.Done per block cost one closure each.
+func TestFlushRecoverAllocationsPerBlock(t *testing.T) {
+	mallocs := func(f func()) int {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return int(after.Mallocs - before.Mallocs)
+	}
+	// measure returns the allocations of Recover and of Flush over n
+	// dirty blocks, after two warm rounds grow the record arena and the
+	// engine's heap.
+	measure := func(n int) (recovered, flushed int) {
+		cfg := layeredCfg(8, 256)
+		cfg.PersistentFlash = true
+		cfg.RAMPolicy = PolicySync
+		r := newRig(t, cfg, testTiming())
+		runtime.GC()
+		for round := 0; round < 3; round++ {
+			dirtyUp(r, n)
+			r.host.Crash()
+			if got := r.host.flash.DirtyLen(); got != n {
+				t.Fatalf("%d dirty flash blocks after crash, want %d", got, n)
+			}
+			recovered = mallocs(func() {
+				r.host.Recover(nil)
+				r.eng.Run()
+			})
+			dirtyUp(r, n)
+			flushed = mallocs(func() {
+				r.host.Flush(0, nil)
+				r.eng.Run()
+			})
+			if r.host.DirtyBlocks() != 0 {
+				t.Fatal("dirty blocks remain after flush")
+			}
+		}
+		return recovered, flushed
+	}
+	const few, many = 20, 200
+	r1, f1 := measure(few)
+	r2, f2 := measure(many)
+	const slack = (many - few) / 10 // far below one allocation per block
+	if r2-r1 >= slack || f2-f1 >= slack {
+		t.Errorf("%d more dirty blocks cost %d more allocations in Recover (%d → %d) and %d in Flush (%d → %d), want < %d",
+			many-few, r2-r1, r1, r2, f2-f1, f1, f2, slack)
+	}
+}

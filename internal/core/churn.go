@@ -118,7 +118,7 @@ func (h *Host) flushTier(appendDirty func([]*cache.Entry) []*cache.Entry,
 		if e.WritebackInFlight || e.Pinned {
 			continue
 		}
-		h.propagate(mv, t, e.Key(), e, e.Gen(), bgLane, funcCont(join.Done), 0)
+		h.propagate(mv, t, e.Key(), e, e.Gen(), bgLane, cont{joinDone, join}, 0)
 	}
 }
 

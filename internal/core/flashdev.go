@@ -15,12 +15,9 @@ import (
 // collection, so device-level contention, write amplification and wear
 // emerge instead of being assumed away.
 type FlashDev interface {
-	Read(key cache.Key, done func())
-	Write(key cache.Key, done func())
-	// Read2 and Write2 are the allocation-free forms used by the pooled
-	// request path: fn is a static func(any) run with arg at completion;
-	// a nil fn still schedules a placeholder completion so a drained
-	// engine means idle hardware.
+	// Read2 and Write2 access one block: fn is a static func(any) run
+	// with arg at completion; a nil fn still schedules a placeholder
+	// completion so a drained engine means idle hardware.
 	Read2(key cache.Key, fn func(any), arg any)
 	Write2(key cache.Key, fn func(any), arg any)
 	Reads() uint64
@@ -33,15 +30,11 @@ type fixedFlashDev struct {
 	d *blockdev.FlashDevice
 }
 
-func (f fixedFlashDev) Read(_ cache.Key, done func())          { f.d.Read(done) }
-func (f fixedFlashDev) Write(_ cache.Key, done func())         { f.d.Write(done) }
-func (f fixedFlashDev) Read2(_ cache.Key, fn func(any), a any) { f.d.Read2(fn, a) }
-func (f fixedFlashDev) Write2(_ cache.Key, fn func(any), a any) {
-	f.d.Write2(fn, a)
-}
-func (f fixedFlashDev) Reads() uint64        { return f.d.Reads() }
-func (f fixedFlashDev) Writes() uint64       { return f.d.Writes() }
-func (f fixedFlashDev) Utilisation() float64 { return f.d.Utilisation() }
+func (f fixedFlashDev) Read2(_ cache.Key, fn func(any), a any)  { f.d.Read2(fn, a) }
+func (f fixedFlashDev) Write2(_ cache.Key, fn func(any), a any) { f.d.Write2(fn, a) }
+func (f fixedFlashDev) Reads() uint64                           { return f.d.Reads() }
+func (f fixedFlashDev) Writes() uint64                          { return f.d.Writes() }
+func (f fixedFlashDev) Utilisation() float64                    { return f.d.Utilisation() }
 
 // ftlFlashDev routes cache traffic through the FTL simulator. Cache block
 // keys are hashed onto the device's logical page space; the hash only
@@ -88,41 +81,18 @@ func (f *ftlFlashDev) lpn(key cache.Key) int {
 	return int(mix(key) % uint64(f.dev.LogicalPages()))
 }
 
-func (f *ftlFlashDev) Read(key cache.Key, done func()) {
-	f.reads++
-	f.dev.Read(f.lpn(key), func(sim.Time) {
-		if done != nil {
-			done()
-		}
-	})
-}
-
 func (f *ftlFlashDev) Read2(key cache.Key, fn func(any), arg any) {
 	f.reads++
 	f.dev.Read2(f.lpn(key), fn, arg)
-}
-
-func (f *ftlFlashDev) Write(key cache.Key, done func()) {
-	f.writes++
-	lpn := f.lpn(key)
-	if f.persistent {
-		// The recoverable cache journals its index next to the data:
-		// one extra page write in a metadata region (§7.8's "two flash
-		// writes per block", realised at the FTL level).
-		meta := (lpn + f.dev.LogicalPages()/2) % f.dev.LogicalPages()
-		f.dev.Write2(meta, nil, nil)
-	}
-	f.dev.Write(lpn, func(sim.Time) {
-		if done != nil {
-			done()
-		}
-	})
 }
 
 func (f *ftlFlashDev) Write2(key cache.Key, fn func(any), arg any) {
 	f.writes++
 	lpn := f.lpn(key)
 	if f.persistent {
+		// The recoverable cache journals its index next to the data:
+		// one extra page write in a metadata region (§7.8's "two flash
+		// writes per block", realised at the FTL level).
 		meta := (lpn + f.dev.LogicalPages()/2) % f.dev.LogicalPages()
 		f.dev.Write2(meta, nil, nil)
 	}

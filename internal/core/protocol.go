@@ -28,7 +28,8 @@ func (h *Host) Holds(key uint64) bool {
 // SendControl implements consistency.ProtocolPeer: one small packet on the
 // host's demand link.
 func (h *Host) SendControl(done func()) {
-	h.seg.Send(netsim.ToFiler, controlMessageBytes, done)
+	c := funcCont(done)
+	h.seg.Send2(netsim.ToFiler, controlMessageBytes, c.fn, c.arg)
 }
 
 // FlushBlock implements consistency.ProtocolPeer: write the block back to

@@ -68,10 +68,10 @@ func (h *Host) Recover(done func()) (dirtyFlushed int) {
 	for i := 0; i < scanReads; i++ {
 		// Metadata pages are addressed outside the data key space; the
 		// key only shapes FTL-backed device placement.
-		h.flashIO.Read(cache.Key(^uint64(i)), join.Done)
+		h.flashIO.Read2(cache.Key(^uint64(i)), joinDone, join)
 	}
 	for _, e := range dirty {
-		h.propagate(moveToFiler, tierFlash, e.Key(), e, e.Gen(), bgLane, funcCont(join.Done), 0)
+		h.propagate(moveToFiler, tierFlash, e.Key(), e, e.Gen(), bgLane, cont{joinDone, join}, 0)
 	}
 	return dirtyFlushed
 }

@@ -44,6 +44,11 @@ func (c cont) run() {
 // not allocate.
 func callFunc(a any) { a.(func())() }
 
+// joinDone signals one completion of the *sim.Join riding in the arg
+// slot, so a fan-out passes the same join to every completion without
+// building the method value join.Done once per block.
+func joinDone(a any) { a.(*sim.Join).Done() }
+
 // funcCont wraps a possibly-nil func() as a cont.
 func funcCont(done func()) cont {
 	if done == nil {

@@ -168,7 +168,7 @@ func ExtWear(o Options) (*Report, error) {
 		churn = 4 * n
 	}
 	for i := 0; i < churn; i++ {
-		dev.Write(r.Intn(n), nil)
+		dev.Write2(r.Intn(n), nil, nil)
 		eng.Run()
 	}
 	snap := dev.Snapshot()

@@ -15,6 +15,9 @@ import (
 const (
 	goldenFig4 = "b5a49972e9d8e6511580d83f739d2c96ceeddb31f45abc66fe746a060aab1bbf"
 	goldenFig8 = "db36b16636ba7939237dc28627a1ec4f63cfb79358e7668909d79bed434930a2"
+	// goldenFig1 pins the FTL-device figure; captured before its
+	// completion callbacks moved to the arg-carrying form.
+	goldenFig1 = "b8913554bebb168a0cc08385dd0a0fb9a811c2d7f63bd9a75e82c374e3f8d38b"
 )
 
 // reportChecksum hashes everything a Report renders: name, description,
@@ -39,6 +42,7 @@ func TestGoldenReportChecksums(t *testing.T) {
 	}{
 		{"fig4", Fig4, goldenFig4},
 		{"fig8", Fig8, goldenFig8},
+		{"fig1", Fig1, goldenFig1},
 	} {
 		for _, par := range []int{1, 4, 8} {
 			t.Run(fmt.Sprintf("%s/parallel=%d", tc.name, par), func(t *testing.T) {

@@ -36,6 +36,21 @@ func Table1(o Options) (*Report, error) {
 	}, nil
 }
 
+// latencyProbe records one in-flight device op's host-observed latency:
+// start is the engine time the op was issued, and probeDone adds the
+// elapsed time to acc at completion. The loop runs one op at a time, so
+// one probe per op kind serves every op.
+type latencyProbe struct {
+	eng   *sim.Engine
+	start sim.Time
+	acc   *stats.LatencyAccum
+}
+
+func probeDone(a any) {
+	p := a.(*latencyProbe)
+	p.acc.Add(p.eng.Now() - p.start)
+}
+
 // Fig1 regenerates Figure 1: SSD read and write latency as a function of
 // cumulative I/Os, on the FTL device model standing in for the paper's
 // measured consumer SSDs (see DESIGN.md substitutions). The device is 58 GB
@@ -73,6 +88,8 @@ func Fig1(o Options) (*Report, error) {
 		perBucket = 1
 	}
 	var readAcc, writeAcc stats.LatencyAccum
+	readProbe := &latencyProbe{eng: &eng, acc: &readAcc}
+	writeProbe := &latencyProbe{eng: &eng, acc: &writeAcc}
 	done := 0
 	for i := 0; i < total; i++ {
 		// Caching workloads are not random (paper §6.2): concentrate
@@ -84,9 +101,11 @@ func Fig1(o Options) (*Report, error) {
 			lpn = r.Intn(logical)
 		}
 		if r.Bool(0.3) {
-			dev.Write(lpn, func(lat sim.Time) { writeAcc.Add(lat) })
+			writeProbe.start = eng.Now()
+			dev.Write2(lpn, probeDone, writeProbe)
 		} else {
-			dev.Read(lpn, func(lat sim.Time) { readAcc.Add(lat) })
+			readProbe.start = eng.Now()
+			dev.Read2(lpn, probeDone, readProbe)
 		}
 		eng.Run() // closed loop, one op at a time
 		done++

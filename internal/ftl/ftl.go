@@ -163,34 +163,11 @@ func (d *Device) jitter(t sim.Time) sim.Time {
 	return sim.Time(float64(t) * f)
 }
 
-// Read services a host read of logical page lpn. done receives the host
-// observed latency (queueing behind background NAND work included).
-func (d *Device) Read(lpn int, done func(lat sim.Time)) {
-	if lpn < 0 || lpn >= d.logicalPages {
-		panic(fmt.Sprintf("ftl: read of LPN %d out of range", lpn))
-	}
-	d.hostReads++
-	start := d.eng.Now()
-	if d.mapping[lpn] == invalidPPN {
-		// Unwritten page: device returns zeroes without touching NAND.
-		d.eng.Schedule(d.jitter(d.cfg.WriteAckLat/2), func() {
-			if done != nil {
-				done(d.eng.Now() - start)
-			}
-		})
-		return
-	}
-	d.nandReads++
-	d.die.Use(d.jitter(d.cfg.PageReadLat), func() {
-		if done != nil {
-			done(d.eng.Now() - start)
-		}
-	})
-}
-
-// Read2 is the allocation-free form of Read for callers that do not need
-// the observed latency: fn is a static func(any) run with arg at
-// completion; a nil fn schedules the engine's shared placeholder.
+// Read2 services a host read of logical page lpn and runs fn(arg) at
+// completion; fn is a static func(any), and a nil fn schedules the
+// engine's shared placeholder. The host-observed latency, queueing behind
+// background NAND work included, is the engine time at completion minus
+// the time of the call, which a caller can keep in arg.
 func (d *Device) Read2(lpn int, fn func(any), arg any) {
 	if lpn < 0 || lpn >= d.logicalPages {
 		panic(fmt.Sprintf("ftl: read of LPN %d out of range", lpn))
@@ -205,26 +182,10 @@ func (d *Device) Read2(lpn int, fn func(any), arg any) {
 	d.die.Use2(d.jitter(d.cfg.PageReadLat), fn, arg)
 }
 
-// Write services a host write of logical page lpn. The host is acknowledged
-// after the buffer-insert latency; the NAND program (and any garbage
-// collection it forces) proceeds in the background on the die.
-func (d *Device) Write(lpn int, done func(lat sim.Time)) {
-	if lpn < 0 || lpn >= d.logicalPages {
-		panic(fmt.Sprintf("ftl: write of LPN %d out of range", lpn))
-	}
-	d.hostWrites++
-	start := d.eng.Now()
-	d.eng.Schedule(d.jitter(d.cfg.WriteAckLat), func() {
-		if done != nil {
-			done(d.eng.Now() - start)
-		}
-	})
-	d.program(lpn, false)
-	d.maybeGC()
-}
-
-// Write2 is the allocation-free form of Write for callers that do not need
-// the observed latency.
+// Write2 services a host write of logical page lpn, completing like
+// Read2. The host is acknowledged after the buffer-insert latency; the
+// NAND program (and any garbage collection it forces) proceeds in the
+// background on the die.
 func (d *Device) Write2(lpn int, fn func(any), arg any) {
 	if lpn < 0 || lpn >= d.logicalPages {
 		panic(fmt.Sprintf("ftl: write of LPN %d out of range", lpn))
@@ -256,7 +217,7 @@ func (d *Device) program(lpn int, fromGC bool) {
 	if fromGC {
 		d.gcPrograms++
 	}
-	d.die.Use(d.jitter(d.cfg.PageProgramLat), nil)
+	d.die.Use2(d.jitter(d.cfg.PageProgramLat), nil, nil)
 }
 
 func (d *Device) advanceOpenBlock() {
@@ -286,7 +247,7 @@ func (d *Device) maybeGC() {
 			}
 			// Relocate: NAND read + program.
 			d.nandReads++
-			d.die.Use(d.jitter(d.cfg.PageReadLat), nil)
+			d.die.Use2(d.jitter(d.cfg.PageReadLat), nil, nil)
 			d.program(int(lpn), true)
 		}
 		if d.valid[victim] != 0 {
@@ -294,7 +255,7 @@ func (d *Device) maybeGC() {
 		}
 		d.eraseCount++
 		d.erases[victim]++
-		d.die.Use(d.jitter(d.cfg.EraseLat), nil)
+		d.die.Use2(d.jitter(d.cfg.EraseLat), nil, nil)
 		d.freeBlocks = append(d.freeBlocks, victim)
 	}
 }

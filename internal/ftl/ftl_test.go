@@ -22,6 +22,33 @@ func smallConfig() Config {
 	}
 }
 
+// latProbe measures host-observed latency for a closed loop of device
+// ops, one in flight at a time: issue records the engine time, and
+// latDone stores the elapsed time at completion.
+type latProbe struct {
+	eng        *sim.Engine
+	start, lat sim.Time
+	total      sim.Time
+	count      int
+}
+
+func latDone(a any) {
+	p := a.(*latProbe)
+	p.lat = p.eng.Now() - p.start
+	p.total += p.lat
+	p.count++
+}
+
+func (p *latProbe) read(d *Device, lpn int) {
+	p.start = p.eng.Now()
+	d.Read2(lpn, latDone, p)
+}
+
+func (p *latProbe) write(d *Device, lpn int) {
+	p.start = p.eng.Now()
+	d.Write2(lpn, latDone, p)
+}
+
 func mustDevice(t *testing.T, eng *sim.Engine, cfg Config) *Device {
 	t.Helper()
 	d, err := NewDevice(eng, cfg)
@@ -49,28 +76,29 @@ func TestGeometryValidation(t *testing.T) {
 func TestWriteAckLatencyConstant(t *testing.T) {
 	var e sim.Engine
 	d := mustDevice(t, &e, smallConfig())
-	var lats []sim.Time
+	p := &latProbe{eng: &e}
 	for i := 0; i < 50; i++ {
-		d.Write(i%d.LogicalPages(), func(l sim.Time) { lats = append(lats, l) })
+		p.write(d, i%d.LogicalPages())
 		e.Run()
-	}
-	for _, l := range lats {
-		if l != 21*sim.Microsecond {
-			t.Fatalf("write ack latency %v, want 21us", l)
+		if p.lat != 21*sim.Microsecond {
+			t.Fatalf("write ack latency %v, want 21us", p.lat)
 		}
+	}
+	if p.count != 50 {
+		t.Fatalf("%d completions, want 50", p.count)
 	}
 }
 
 func TestUnwrittenReadReturnsWithoutNAND(t *testing.T) {
 	var e sim.Engine
 	d := mustDevice(t, &e, smallConfig())
-	var lat sim.Time
-	d.Read(5, func(l sim.Time) { lat = l })
+	p := &latProbe{eng: &e}
+	p.read(d, 5)
 	e.Run()
 	if d.Snapshot().NANDReads != 0 {
 		t.Fatal("unwritten read touched NAND")
 	}
-	if lat <= 0 {
+	if p.count != 1 || p.lat <= 0 {
 		t.Fatal("zero latency for unwritten read")
 	}
 }
@@ -78,16 +106,16 @@ func TestUnwrittenReadReturnsWithoutNAND(t *testing.T) {
 func TestReadAfterWriteUsesNAND(t *testing.T) {
 	var e sim.Engine
 	d := mustDevice(t, &e, smallConfig())
-	d.Write(7, nil)
+	d.Write2(7, nil, nil)
 	e.Run()
-	var lat sim.Time
-	d.Read(7, func(l sim.Time) { lat = l })
+	p := &latProbe{eng: &e}
+	p.read(d, 7)
 	e.Run()
 	if d.Snapshot().NANDReads != 1 {
 		t.Fatalf("NAND reads = %d, want 1", d.Snapshot().NANDReads)
 	}
-	if lat < 60*sim.Microsecond {
-		t.Fatalf("read latency %v below page read time", lat)
+	if p.lat < 60*sim.Microsecond {
+		t.Fatalf("read latency %v below page read time", p.lat)
 	}
 }
 
@@ -95,7 +123,7 @@ func TestOverwriteInvalidatesOldPage(t *testing.T) {
 	var e sim.Engine
 	d := mustDevice(t, &e, smallConfig())
 	for i := 0; i < 10; i++ {
-		d.Write(3, nil)
+		d.Write2(3, nil, nil)
 		e.Run()
 	}
 	if err := d.CheckInvariants(); err != nil {
@@ -115,7 +143,7 @@ func TestGCReclaimsAndConservesData(t *testing.T) {
 	// many GC cycles.
 	n := d.LogicalPages() / 2
 	for i := 0; i < n*20; i++ {
-		d.Write(i%n, nil)
+		d.Write2(i%n, nil, nil)
 		e.Run()
 		if i%100 == 0 {
 			if err := d.CheckInvariants(); err != nil {
@@ -146,7 +174,7 @@ func TestWriteAmplificationGrowsWithFill(t *testing.T) {
 		span := int(float64(d.LogicalPages()) * frac)
 		before := d.Snapshot()
 		for i := 0; i < writes; i++ {
-			d.Write(r.Intn(span), nil)
+			d.Write2(r.Intn(span), nil, nil)
 			e.Run()
 		}
 		after := d.Snapshot()
@@ -171,26 +199,25 @@ func TestReadLatencyDegradesWithWritePressure(t *testing.T) {
 	n := d.LogicalPages()
 
 	measure := func(ops int) sim.Time {
-		var total sim.Time
-		var count int
+		p := &latProbe{eng: &e}
 		for i := 0; i < ops; i++ {
 			lpn := r.Intn(n)
 			if r.Bool(0.7) {
-				d.Write(lpn, nil)
+				d.Write2(lpn, nil, nil)
 			} else {
-				d.Read(lpn, func(l sim.Time) { total += l; count++ })
+				p.read(d, lpn)
 			}
 			e.Run() // closed loop: one op at a time
 		}
-		if count == 0 {
+		if p.count == 0 {
 			return 0
 		}
-		return total / sim.Time(count)
+		return p.total / sim.Time(p.count)
 	}
 
 	early := measure(500)
 	for i := 0; i < 20000; i++ { // age the device
-		d.Write(r.Intn(n), nil)
+		d.Write2(r.Intn(n), nil, nil)
 		e.Run()
 	}
 	late := measure(500)
@@ -203,7 +230,7 @@ func TestEraseWearTracked(t *testing.T) {
 	var e sim.Engine
 	d := mustDevice(t, &e, smallConfig())
 	for i := 0; i < d.LogicalPages()*10; i++ {
-		d.Write(i%(d.LogicalPages()/3), nil)
+		d.Write2(i%(d.LogicalPages()/3), nil, nil)
 		e.Run()
 	}
 	s := d.Snapshot()
@@ -223,7 +250,7 @@ func TestOutOfRangePanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	d.Read(d.LogicalPages(), nil)
+	d.Read2(d.LogicalPages(), nil, nil)
 }
 
 func TestDefaultConfigSane(t *testing.T) {
@@ -243,14 +270,14 @@ func TestJitterBounded(t *testing.T) {
 	cfg := smallConfig()
 	cfg.LatencyJitter = 0.25
 	d := mustDevice(t, &e, cfg)
-	d.Write(0, nil)
+	d.Write2(0, nil, nil)
 	e.Run()
+	p := &latProbe{eng: &e}
 	for i := 0; i < 200; i++ {
-		var lat sim.Time
-		d.Read(0, func(l sim.Time) { lat = l })
+		p.read(d, 0)
 		e.Run()
-		if lat <= 0 {
-			t.Fatalf("non-positive jittered latency %v", lat)
+		if p.lat <= 0 {
+			t.Fatalf("non-positive jittered latency %v", p.lat)
 		}
 	}
 }
@@ -266,7 +293,7 @@ func BenchmarkFTLWrite(b *testing.B) {
 	r := rng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Write(r.Intn(d.LogicalPages()), nil)
+		d.Write2(r.Intn(d.LogicalPages()), nil, nil)
 		e.Run()
 	}
 }

@@ -62,19 +62,9 @@ func (s *Segment) PacketTime(dataBytes int) sim.Time {
 // synchronization bound sharded runs build their epoch barrier from.
 func (s *Segment) Lookahead() sim.Time { return s.PacketTime(0) }
 
-// Send transmits a packet with dataBytes of payload in the given direction;
-// done runs when the packet has fully arrived.
-func (s *Segment) Send(dir Direction, dataBytes int, done func()) {
-	s.packets++
-	srv := s.up
-	if dir == FromFiler {
-		srv = s.down
-	}
-	srv.Use(s.PacketTime(dataBytes), done)
-}
-
-// Send2 is the allocation-free form of Send: fn is a static func(any) run
-// with arg when the packet has fully arrived.
+// Send2 transmits a packet with dataBytes of payload in the given
+// direction and runs fn(arg) when it has fully arrived. fn is a static
+// func(any); a nil fn schedules the engine's shared placeholder.
 func (s *Segment) Send2(dir Direction, dataBytes int, fn func(any), arg any) {
 	s.packets++
 	srv := s.up

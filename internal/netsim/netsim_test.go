@@ -6,6 +6,10 @@ import (
 	"repro/internal/sim"
 )
 
+// callFunc runs the func() riding in the arg slot of an arg-carrying
+// completion.
+func callFunc(a any) { a.(func())() }
+
 const (
 	baseLat = 8200 * sim.Nanosecond // 8.2 us
 	perBit  = 1 * sim.Nanosecond
@@ -28,8 +32,8 @@ func TestHalfDuplexSerializesBothDirections(t *testing.T) {
 	var e sim.Engine
 	s := NewSegment(&e, "host0", 100, 0)
 	var done []sim.Time
-	s.Send(ToFiler, 0, func() { done = append(done, e.Now()) })
-	s.Send(FromFiler, 0, func() { done = append(done, e.Now()) })
+	s.Send2(ToFiler, 0, callFunc, func() { done = append(done, e.Now()) })
+	s.Send2(FromFiler, 0, callFunc, func() { done = append(done, e.Now()) })
 	e.Run()
 	if done[0] != 100 || done[1] != 200 {
 		t.Fatalf("half-duplex completions %v, want [100 200]", done)
@@ -46,8 +50,8 @@ func TestDuplexParallelDirections(t *testing.T) {
 	var e sim.Engine
 	s := NewDuplexSegment(&e, "host0", 100, 0)
 	var done []sim.Time
-	s.Send(ToFiler, 0, func() { done = append(done, e.Now()) })
-	s.Send(FromFiler, 0, func() { done = append(done, e.Now()) })
+	s.Send2(ToFiler, 0, callFunc, func() { done = append(done, e.Now()) })
+	s.Send2(FromFiler, 0, callFunc, func() { done = append(done, e.Now()) })
 	e.Run()
 	if done[0] != 100 || done[1] != 100 {
 		t.Fatalf("duplex completions %v, want [100 100]", done)
@@ -61,8 +65,8 @@ func TestDuplexSerializesSameDirection(t *testing.T) {
 	var e sim.Engine
 	s := NewDuplexSegment(&e, "host0", 100, 0)
 	var done []sim.Time
-	s.Send(ToFiler, 0, func() { done = append(done, e.Now()) })
-	s.Send(ToFiler, 0, func() { done = append(done, e.Now()) })
+	s.Send2(ToFiler, 0, callFunc, func() { done = append(done, e.Now()) })
+	s.Send2(ToFiler, 0, callFunc, func() { done = append(done, e.Now()) })
 	e.Run()
 	if done[0] != 100 || done[1] != 200 {
 		t.Fatalf("same-direction completions %v", done)
@@ -72,8 +76,8 @@ func TestDuplexSerializesSameDirection(t *testing.T) {
 func TestBusyAndWaited(t *testing.T) {
 	var e sim.Engine
 	s := NewSegment(&e, "host0", 50, 0)
-	s.Send(ToFiler, 0, nil)
-	s.Send(FromFiler, 0, nil)
+	s.Send2(ToFiler, 0, nil, nil)
+	s.Send2(FromFiler, 0, nil, nil)
 	e.Run()
 	if s.Busy() != 100 {
 		t.Fatalf("busy = %v", s.Busy())
@@ -88,8 +92,8 @@ func TestDataSizeAffectsOccupancy(t *testing.T) {
 	s := NewSegment(&e, "host0", baseLat, perBit)
 	var reqDone, respDone sim.Time
 	// Request with no payload, then a 4 KiB response behind it.
-	s.Send(ToFiler, 0, func() { reqDone = e.Now() })
-	s.Send(FromFiler, 4096, func() { respDone = e.Now() })
+	s.Send2(ToFiler, 0, callFunc, func() { reqDone = e.Now() })
+	s.Send2(FromFiler, 4096, callFunc, func() { respDone = e.Now() })
 	e.Run()
 	if reqDone != baseLat {
 		t.Fatalf("request done %v", reqDone)
@@ -104,10 +108,10 @@ func TestDuplexBusyAndWaitedAggregate(t *testing.T) {
 	s := NewDuplexSegment(&e, "host0", 50, 0)
 	// Two packets per direction: each wire is busy 100 and queues one
 	// packet for 50; the segment reports the sum of both directions.
-	s.Send(ToFiler, 0, nil)
-	s.Send(ToFiler, 0, nil)
-	s.Send(FromFiler, 0, nil)
-	s.Send(FromFiler, 0, nil)
+	s.Send2(ToFiler, 0, nil, nil)
+	s.Send2(ToFiler, 0, nil, nil)
+	s.Send2(FromFiler, 0, nil, nil)
+	s.Send2(FromFiler, 0, nil, nil)
 	e.Run()
 	if s.Busy() != 200 {
 		t.Fatalf("duplex busy = %v, want 200", s.Busy())

@@ -47,36 +47,36 @@ func TestSchedule2AllocationFree(t *testing.T) {
 func TestServerUseAllocationFree(t *testing.T) {
 	var e Engine
 	s := NewServer(&e, "srv")
-	done := func() {}
-	s.Use(1, done)
+	s.Use2(1, nil, nil)
 	e.RunAll()
 
-	// Closure form (callback built once, outside the measured loop) and
-	// the nil-done placeholder path must both be allocation-free.
-	allocs := testing.AllocsPerRun(1000, func() {
-		s.Use(5, done)
-		e.Step()
-	})
-	if allocs != 0 {
-		t.Errorf("Use allocated %v per run, want 0", allocs)
-	}
-	allocs = testing.AllocsPerRun(1000, func() {
-		s.Use(5, nil)
-		e.Step()
-	})
-	if allocs != 0 {
-		t.Errorf("Use(nil done) allocated %v per run, want 0", allocs)
-	}
-
+	// A static completion with its state in arg, a func() passed through
+	// callFunc, and the nil-fn placeholder path must all be
+	// allocation-free.
 	type probe struct{ n int }
 	p := &probe{}
 	fn := func(a any) { a.(*probe).n++ }
-	allocs = testing.AllocsPerRun(1000, func() {
+	allocs := testing.AllocsPerRun(1000, func() {
 		s.Use2(5, fn, p)
 		e.Step()
 	})
 	if allocs != 0 {
 		t.Errorf("Use2 allocated %v per run, want 0", allocs)
+	}
+	done := func() {}
+	allocs = testing.AllocsPerRun(1000, func() {
+		s.Use2(5, callFunc, done)
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("Use2(callFunc, func) allocated %v per run, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		s.Use2(5, nil, nil)
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("Use2(nil fn) allocated %v per run, want 0", allocs)
 	}
 }
 

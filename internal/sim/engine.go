@@ -22,6 +22,8 @@
 // arg-carrying forms (Schedule2, At2, ScheduleDaemon2): the callback is a
 // static func(any) and the argument rides inside the event struct. Passing
 // a pointer (or any pointer-shaped value) as the argument does not allocate.
+// Server completions (Use2, UseAt2) and the hardware models built on them
+// take only this form.
 package sim
 
 import "fmt"
@@ -60,13 +62,10 @@ type event struct {
 	daemon bool
 }
 
-// noop is the shared placeholder completion scheduled when a caller has no
-// callback of its own but the engine must still see a drain-blocking event.
-func noop() {}
-
-// noopArg is noop's arg-carrying twin, substituted when an arg-carrying
-// schedule call passes a nil callback: the event still occupies the engine
-// (a drained engine means idle hardware) and nothing is allocated.
+// noopArg is the shared placeholder completion, substituted when an
+// arg-carrying schedule call passes a nil callback: the event still
+// occupies the engine (a drained engine means idle hardware) and nothing
+// is allocated.
 func noopArg(any) {}
 
 // eventHeap is an implicit (array-indexed) 4-ary min-heap ordered by

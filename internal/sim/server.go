@@ -27,39 +27,23 @@ func NewServer(eng *Engine, name string) *Server {
 // Name returns the server's diagnostic name.
 func (s *Server) Name() string { return s.name }
 
-// Use enqueues a request with the given service duration and calls done when
-// the request completes service. done may be nil.
-func (s *Server) Use(service Time, done func()) {
-	s.UseAt(s.eng.Now(), service, done)
-}
-
-// Use2 is the allocation-free form of Use: fn is a static func(any) run
-// with arg at completion.
+// Use2 enqueues a request with the given service duration and runs
+// fn(arg) when the request completes service. fn is a static func(any)
+// and arg its state, so nothing is allocated per request; a nil fn
+// schedules the engine's shared placeholder, so Engine.Run does not
+// return while the server is still busy (callers rely on a drained
+// engine meaning idle hardware).
 func (s *Server) Use2(service Time, fn func(any), arg any) {
 	s.UseAt2(s.eng.Now(), service, fn, arg)
 }
 
-// UseAt enqueues a request that arrived at the given time (not before now is
-// required of the completion, but arrival bookkeeping uses arrive).
-func (s *Server) UseAt(arrive, service Time, done func()) {
-	finish := s.admit(arrive, service)
-	if done == nil {
-		// Schedule the shared placeholder completion so Engine.Run does
-		// not return while the server is still busy; callers rely on a
-		// drained engine meaning idle hardware. One package-level no-op
-		// serves every such request — nothing is allocated per call.
-		done = noop
-	}
-	s.eng.At(finish, done)
-}
-
-// UseAt2 is the arg-carrying form of UseAt. A nil fn schedules the shared
-// placeholder completion, like a nil done in UseAt.
+// UseAt2 is Use2 for a request that arrived at the given time: service
+// starts no earlier than now, but queueing delay is counted from arrive.
 func (s *Server) UseAt2(arrive, service Time, fn func(any), arg any) {
 	s.eng.At2(s.admit(arrive, service), fn, arg)
 }
 
-// admit performs the FIFO bookkeeping shared by all Use forms and returns
+// admit performs the FIFO bookkeeping of Use2 and UseAt2 and returns
 // the request's completion time.
 func (s *Server) admit(arrive, service Time) Time {
 	if service < 0 {

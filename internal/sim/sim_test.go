@@ -5,6 +5,10 @@ import (
 	"testing/quick"
 )
 
+// callFunc runs the func() riding in the arg slot of an arg-carrying
+// completion.
+func callFunc(a any) { a.(func())() }
+
 func TestScheduleOrdering(t *testing.T) {
 	var e Engine
 	var order []int
@@ -143,9 +147,9 @@ func TestServerSerializes(t *testing.T) {
 	var e Engine
 	s := NewServer(&e, "dev")
 	var finish []Time
-	s.Use(10, func() { finish = append(finish, e.Now()) })
-	s.Use(10, func() { finish = append(finish, e.Now()) })
-	s.Use(10, func() { finish = append(finish, e.Now()) })
+	s.Use2(10, callFunc, func() { finish = append(finish, e.Now()) })
+	s.Use2(10, callFunc, func() { finish = append(finish, e.Now()) })
+	s.Use2(10, callFunc, func() { finish = append(finish, e.Now()) })
 	e.Run()
 	want := []Time{10, 20, 30}
 	for i := range want {
@@ -168,9 +172,9 @@ func TestServerIdleGap(t *testing.T) {
 	var e Engine
 	s := NewServer(&e, "dev")
 	var finished Time
-	s.Use(5, nil)
+	s.Use2(5, nil, nil)
 	e.Schedule(100, func() {
-		s.Use(5, func() { finished = e.Now() })
+		s.Use2(5, callFunc, func() { finished = e.Now() })
 	})
 	e.Run()
 	if finished != 105 {
@@ -184,7 +188,7 @@ func TestServerIdleGap(t *testing.T) {
 func TestServerUtilisation(t *testing.T) {
 	var e Engine
 	s := NewServer(&e, "dev")
-	s.Use(50, nil)
+	s.Use2(50, nil, nil)
 	e.Schedule(100, func() {}) // stretch the clock
 	e.Run()
 	if u := s.Utilisation(); u < 0.49 || u > 0.51 {
@@ -200,7 +204,7 @@ func TestServerNegativeServicePanics(t *testing.T) {
 			t.Fatal("negative service did not panic")
 		}
 	}()
-	s.Use(-1, nil)
+	s.Use2(-1, nil, nil)
 }
 
 func TestServerBusyConservation(t *testing.T) {
@@ -214,7 +218,7 @@ func TestServerBusyConservation(t *testing.T) {
 		for _, v := range svcs {
 			sv := Time(v)
 			sum += sv
-			s.Use(sv, func() { last = e.Now() })
+			s.Use2(sv, callFunc, func() { last = e.Now() })
 		}
 		e.Run()
 		return s.Busy() == sum && last == sum
@@ -352,7 +356,7 @@ func BenchmarkServerUse(b *testing.B) {
 	var e Engine
 	s := NewServer(&e, "dev")
 	for i := 0; i < b.N; i++ {
-		s.Use(1, nil)
+		s.Use2(1, nil, nil)
 	}
 	e.Run()
 }
