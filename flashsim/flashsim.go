@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/filer"
 	"repro/internal/netsim"
@@ -562,12 +561,13 @@ func RunTrace(cfg Config, src trace.Source, warmupBlocks int64) (*Result, error)
 }
 
 // simulation bundles the engine-level objects of one run: the engine, the
-// shared filer, the optional consistency registry, the hosts and the trace
-// driver: the substrate of the sequential runTrace.
+// shared filer, the consistency accounting (nil for a single host, which
+// has nothing to invalidate), the hosts and the trace driver: the
+// substrate of the sequential runTrace.
 type simulation struct {
 	eng   *sim.Engine
 	fsrv  *filer.Filer
-	reg   *consistency.Registry
+	cons  *core.ConsistencyStats
 	hosts []*core.Host
 	drv   *core.Driver
 }
@@ -602,14 +602,6 @@ func buildSimulation(cfg Config, src trace.Source, warmupBlocks int64) (*simulat
 	seedRNG := rng.New(cfg.Seed)
 	fsrv := newFiler(eng, seedRNG.Fork(), cfg)
 
-	var reg *consistency.Registry
-	if cfg.Hosts > 1 {
-		reg = consistency.NewRegistry()
-		if cfg.ConsistencyProtocol {
-			reg.SetMode(consistency.ModeCallback)
-		}
-	}
-
 	hosts := make([]*core.Host, cfg.Hosts)
 	for i := range hosts {
 		hc := hostConfig(cfg, i)
@@ -622,18 +614,22 @@ func buildSimulation(cfg Config, src trace.Source, warmupBlocks int64) (*simulat
 			seg = netsim.NewDuplexSegment(eng, fmt.Sprintf("seg%d", i), cfg.Timing.NetBase, cfg.Timing.NetPerBit)
 			bgSeg = netsim.NewDuplexSegment(eng, fmt.Sprintf("seg%d-bg", i), cfg.Timing.NetBase, cfg.Timing.NetPerBit)
 		}
-		h, err := core.NewHost(eng, hc, cfg.Timing, seg, bgSeg, fsrv, reg)
+		h, err := core.NewHost(eng, hc, cfg.Timing, seg, bgSeg, fsrv)
 		if err != nil {
 			return nil, err
 		}
 		hosts[i] = h
 	}
 
-	drv, err := core.NewDriver(eng, hosts, reg, src, warmupBlocks)
+	var cons *core.ConsistencyStats
+	if cfg.Hosts > 1 {
+		cons = core.TrackConsistency(hosts, cfg.ConsistencyProtocol)
+	}
+	drv, err := core.NewDriver(eng, hosts, src, warmupBlocks)
 	if err != nil {
 		return nil, err
 	}
-	return &simulation{eng: eng, fsrv: fsrv, reg: reg, hosts: hosts, drv: drv}, nil
+	return &simulation{eng: eng, fsrv: fsrv, cons: cons, hosts: hosts, drv: drv}, nil
 }
 
 // attachTracer builds the run's request-lifecycle tracer and wires its
@@ -683,7 +679,16 @@ func runTrace(cfg Config, src trace.Source, warmupBlocks int64, pre prestartFn) 
 	}
 	s.drv.Run()
 
-	res := buildResult(cfg, s.eng, s.fsrv, s.reg, s.hosts, s.drv)
+	var cons core.ConsistencyStats
+	if s.cons != nil {
+		cons = *s.cons
+	}
+	res := buildResult(&Result{
+		OpsCompleted:     s.drv.OpsCompleted(),
+		BlocksIssued:     s.drv.BlocksIssued(),
+		SimulatedSeconds: s.eng.Now().Seconds(),
+		Events:           s.eng.Processed(),
+	}, s.hosts, s.fsrv, cons)
 	res.RecoverySeconds = recoverySeconds
 	if tr != nil {
 		res.Trace = tr.Spans()

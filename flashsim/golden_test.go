@@ -67,6 +67,13 @@ var goldenRuns = []struct {
 		cfg.FlashReplacement = ReplaceClock
 		return cfg
 	}, "3825a707eedcb0baf7462738c5eaa67b1fb9c572f5a72b30ae38ca581dc36cf9"},
+	{"multihost-instant", func() Config {
+		cfg := ScaledConfig(4096)
+		cfg.Hosts = 2
+		cfg.Workload.SharedWorkingSet = true
+		cfg.Shards = 0
+		return cfg
+	}, "51928e4c442ea48c2734d30af92ce49cf0f38ee31b376e6ee775aa42d9fc4775"},
 	{"multihost-protocol", func() Config {
 		cfg := ScaledConfig(4096)
 		cfg.Hosts = 2

@@ -6,11 +6,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/filer"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // Re-exported observability types (internal/obs).
@@ -159,14 +157,10 @@ func fillScenarioFilerStats(res *ScenarioResult, fsrv *filer.Filer) {
 	}
 }
 
-func buildResult(cfg Config, eng *sim.Engine, fsrv *filer.Filer,
-	reg *consistency.Registry, hosts []*core.Host, drv *core.Driver) *Result {
-	res := &Result{
-		OpsCompleted:     drv.OpsCompleted(),
-		BlocksIssued:     drv.BlocksIssued(),
-		SimulatedSeconds: eng.Now().Seconds(),
-		Events:           eng.Processed(),
-	}
+// buildResult completes res, which carries the executor's own run totals
+// (ops, blocks, simulated time, events, and a cluster's barrier counters),
+// with the host, filer and consistency aggregates every executor shares.
+func buildResult(res *Result, hosts []*core.Host, fsrv *filer.Filer, cons core.ConsistencyStats) *Result {
 	fillFilerStats(res, fsrv)
 	var busy float64
 	for _, h := range hosts {
@@ -184,14 +178,12 @@ func buildResult(cfg Config, eng *sim.Engine, fsrv *filer.Filer,
 	res.WriteP99Micros = res.Hosts.WriteHist.Quantile(0.99).Micros()
 	res.RAMHitRate = res.Hosts.ReadHitRateRAM()
 	res.FlashHitRate = res.Hosts.ReadHitRateFlash()
-	if reg != nil {
-		res.InvalidationFraction = reg.InvalidationFraction()
-		res.Invalidations = reg.Invalidations()
-		res.BlocksWrittenShared = reg.BlocksWritten()
-		res.ControlMessages = reg.ControlMessages()
-		res.OwnershipAcquires = reg.OwnershipAcquires()
-		res.Downgrades = reg.Downgrades()
-	}
+	res.InvalidationFraction = cons.InvalidationFraction()
+	res.Invalidations = cons.Invalidations
+	res.BlocksWrittenShared = cons.BlocksWritten
+	res.ControlMessages = cons.ControlMessages
+	res.OwnershipAcquires = cons.OwnershipAcquires
+	res.Downgrades = cons.Downgrades
 	return res
 }
 

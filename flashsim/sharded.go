@@ -161,50 +161,18 @@ func runSharded(cfg Config, src trace.Source, warmupBlocks int64, pre prestartFn
 	}
 	cl.StartDrivers()
 	cl.RunToCompletion()
-	res := buildShardedResult(cfg, cl)
-	res.RecoverySeconds = recoverySeconds
-	if tr != nil {
-		res.Trace = tr.Spans()
-	}
-	res.WallProfile = cl.WallProfile()
-	return res, nil
-}
-
-// buildShardedResult mirrors buildResult over the cluster's aggregates.
-func buildShardedResult(cfg Config, cl *core.Cluster) *Result {
-	fsrv := cl.Filer()
-	res := &Result{
+	res := buildResult(&Result{
 		OpsCompleted:     cl.OpsCompleted(),
 		BlocksIssued:     cl.BlocksIssued(),
 		SimulatedSeconds: cl.Now().Seconds(),
 		Events:           cl.Events(),
 		Epochs:           cl.Epochs(),
 		BarrierMessages:  cl.BarrierMessages(),
+	}, cl.Hosts(), cl.Filer(), cl.Consistency())
+	res.RecoverySeconds = recoverySeconds
+	if tr != nil {
+		res.Trace = tr.Spans()
 	}
-	fillFilerStats(res, fsrv)
-	hosts := cl.Hosts()
-	var busy float64
-	for _, h := range hosts {
-		res.Hosts.Merge(h.Stats())
-		busy += h.FlashDevice().Utilisation()
-		res.FlashDeviceReads += h.FlashDevice().Reads()
-		res.FlashDeviceWrites += h.FlashDevice().Writes()
-	}
-	res.FlashBusyFraction = busy / float64(len(hosts))
-	res.ReadLatencyMicros = res.Hosts.ReadLat.MeanMicros()
-	res.WriteLatencyMicros = res.Hosts.WriteLat.MeanMicros()
-	res.ReadP50Micros = res.Hosts.ReadHist.Quantile(0.5).Micros()
-	res.ReadP99Micros = res.Hosts.ReadHist.Quantile(0.99).Micros()
-	res.WriteP50Micros = res.Hosts.WriteHist.Quantile(0.5).Micros()
-	res.WriteP99Micros = res.Hosts.WriteHist.Quantile(0.99).Micros()
-	res.RAMHitRate = res.Hosts.ReadHitRateRAM()
-	res.FlashHitRate = res.Hosts.ReadHitRateFlash()
-	cons := cl.Consistency()
-	res.InvalidationFraction = cons.InvalidationFraction()
-	res.Invalidations = cons.Invalidations
-	res.BlocksWrittenShared = cons.BlocksWritten
-	res.ControlMessages = cons.ControlMessages
-	res.OwnershipAcquires = cons.OwnershipAcquires
-	res.Downgrades = cons.Downgrades
-	return res
+	res.WallProfile = cl.WallProfile()
+	return res, nil
 }

@@ -164,6 +164,19 @@ func TestShardedProtocolShardCountInvariance(t *testing.T) {
 // when the sharded protocol was built.
 const shardedProtocolGolden = "04f9d2a9d250cdeec4180cc572e2187fd392cc3b73d4e6018e3fc8aa7d2b2ba7"
 
+// shardedInstantGolden pins one instant-consistency cluster run: shard
+// count invariance cannot see a drift every shard count shares. Captured
+// before the cluster's instant invalidation sink became a consistency port.
+const shardedInstantGolden = "3e1851da64d169ba69ecd0f91f9cb60745fcb68d46142a5d9619f7ce2897008d"
+
+func TestShardedInstantGoldenChecksum(t *testing.T) {
+	cfg := fleetConfig(4)
+	cfg.Shards = 2
+	if got := resultChecksum(t, cfg); got != shardedInstantGolden {
+		t.Errorf("sharded instant checksum drifted:\ngot  %s\nwant %s", got, shardedInstantGolden)
+	}
+}
+
 func TestShardedProtocolGoldenChecksum(t *testing.T) {
 	cfg := fleetConfig(4)
 	cfg.ConsistencyProtocol = true

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/consistency"
 	"repro/internal/filer"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -31,7 +30,8 @@ func TestWarmBlockPathAllocationBudget(t *testing.T) {
 	cfg.FlashBlocks = 128
 	// The instant-mode registry every multi-host sequential run carries:
 	// each read and write acquires through it.
-	r := newRigWithRegistry(t, cfg, testTiming(), consistency.NewRegistry())
+	r := newRig(t, cfg, testTiming())
+	cons := TrackConsistency([]*Host{r.host}, false)
 
 	const span = 512 // working set far larger than flash: steady eviction churn
 	key := func(i int) cache.Key { return cache.Key(i % span) }
@@ -59,8 +59,8 @@ func TestWarmBlockPathAllocationBudget(t *testing.T) {
 	if allocs > allocBudgetPerRequest {
 		t.Errorf("warm block request allocated %v per run, budget %v", allocs, allocBudgetPerRequest)
 	}
-	if r.reg.BlocksWritten() == 0 {
-		t.Error("writes bypassed the registry")
+	if cons.BlocksWritten == 0 {
+		t.Error("writes bypassed the consistency port")
 	}
 }
 
@@ -96,7 +96,7 @@ func (s *loopSource) Next() (trace.Op, bool) {
 // the next op's RAM hit — allocates nothing.
 func TestDriverHeldOpAllocationFree(t *testing.T) {
 	eng, hosts, _ := buildCluster(t, 1, baseCfg(Naive), testTiming(), false)
-	d, err := NewDriver(eng, hosts, nil, &loopSource{}, 0)
+	d, err := NewDriver(eng, hosts, &loopSource{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestDriverThreadQueueAllocatedOnce(t *testing.T) {
 		})
 	}
 	total := len(src.ops)
-	d, err := NewDriver(eng, hosts, nil, src, 0)
+	d, err := NewDriver(eng, hosts, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,17 +114,23 @@ func (p *clusterPort) Write2(key uint64, fn func(any), arg any) {
 		filerMsg{at: p.sh.eng.Now(), host: p.host, seq: p.seq, part: part, key: key, write: true, fn: fn, arg: arg})
 }
 
-// clusterSink is the per-host InvalidationSink of a sharded run.
+// clusterSink is the per-host ConsistencyPort of a sharded instant-mode
+// run. Both operations proceed at once (invalidation is free, §3.8); a
+// write also records (writer, key), and remote copies drop at the next
+// epoch barrier instead of this very instant.
 type clusterSink struct {
-	sh   *clusterShard
-	host int32
-	seq  uint64
+	sh  *clusterShard
+	h   *Host
+	seq uint64
 }
 
-func (s *clusterSink) BlockWritten(host int, key uint64, collecting bool) {
+func (s *clusterSink) AcquireRead(_ uint64, fn func(any), arg any) { fn(arg) }
+
+func (s *clusterSink) AcquireWrite(key uint64, fn func(any), arg any) {
 	s.seq++
 	s.sh.outInv = append(s.sh.outInv,
-		invMsg{at: s.sh.eng.Now(), writer: int32(host), seq: s.seq, key: key, collect: collecting})
+		invMsg{at: s.sh.eng.Now(), writer: int32(s.h.cfg.ID), seq: s.seq, key: key, collect: s.h.collect})
+	fn(arg)
 }
 
 // clusterShard is one shard: a private engine plus the hosts and per-host
@@ -291,37 +297,24 @@ func (sh *clusterShard) sealOutbox() {
 }
 
 // applyInvalidations drops local copies named by the sorted batch, before
-// any of the epoch's events run. With the residency index the per-message
-// work is proportional to the hosts actually holding the block; the
-// fallback probes every host in the shard. Both visit hosts in ascending
-// local (= global, within a shard) ID order, so the two paths make
-// identical Invalidate calls.
+// any of the epoch's events run. Invalidation messages come only from
+// instant-mode runs, in which NewCluster gives every shard a residency
+// index (shards are clamped to the host count, so each holds a host). The
+// per-message work is therefore proportional to the hosts actually holding
+// the block, visited in ascending local (= global, within a shard) ID
+// order.
 func (sh *clusterShard) applyInvalidations(batch []invMsg) {
 	for i := range batch {
 		m := &batch[i]
-		if sh.res != nil {
-			// Snapshot the holders first: Invalidate fires the residency
-			// hooks, which mutate the set being read.
-			sh.res.scratch = sh.res.appendLocals(sh.res.scratch[:0], m.key)
-			for _, li := range sh.res.scratch {
-				h := sh.hosts[li]
-				if h.ID() == int(m.writer) {
-					continue
-				}
-				if h.Invalidate(m.key) {
-					sh.invDrops[i] = true
-					if m.collect {
-						sh.invalidations++
-					}
-				}
-			}
-			continue
-		}
-		for _, h := range sh.hosts {
+		// Snapshot the holders first: invalidate fires the residency
+		// hooks, which mutate the set being read.
+		sh.res.scratch = sh.res.appendLocals(sh.res.scratch[:0], m.key)
+		for _, li := range sh.res.scratch {
+			h := sh.hosts[li]
 			if h.ID() == int(m.writer) {
 				continue
 			}
-			if h.Invalidate(m.key) {
+			if h.invalidate(m.key) {
 				sh.invDrops[i] = true
 				if m.collect {
 					sh.invalidations++
@@ -358,7 +351,7 @@ type ClusterSpec struct {
 	Warmup  []int64
 
 	// TrackInvalidations enables the barrier-deferred consistency
-	// accounting (the sharded analogue of consistency.Registry).
+	// accounting (the sharded analogue of TrackConsistency).
 	TrackInvalidations bool
 
 	// ConsistencyProtocol switches from instant (barrier-deferred)
@@ -366,7 +359,7 @@ type ClusterSpec struct {
 	// exclusive ownership through the barrier coordinator, paying
 	// control-message transits and holder callbacks; readers of an
 	// exclusively-owned block force a downgrade and dirty flush. The
-	// sharded analogue of consistency.ModeCallback; implies the
+	// sharded analogue of TrackConsistency's protocol mode; implies the
 	// TrackInvalidations accounting.
 	ConsistencyProtocol bool
 
@@ -392,29 +385,6 @@ type ClusterSpec struct {
 	WallProfile bool
 }
 
-// ClusterConsistency aggregates the invalidation accounting of a sharded
-// run; fields mirror consistency.Registry's counters. The protocol fields
-// are zero unless ClusterSpec.ConsistencyProtocol was set.
-type ClusterConsistency struct {
-	BlocksWritten      uint64
-	WritesInvalidating uint64
-	Invalidations      uint64
-
-	// Callback-protocol traffic (ConsistencyProtocol runs only).
-	ControlMessages   uint64
-	OwnershipAcquires uint64
-	Downgrades        uint64
-}
-
-// InvalidationFraction returns writes-requiring-invalidation over all
-// block writes, the paper's Figure 11/12 metric.
-func (c ClusterConsistency) InvalidationFraction() float64 {
-	if c.BlocksWritten == 0 {
-		return 0
-	}
-	return float64(c.WritesInvalidating) / float64(c.BlocksWritten)
-}
-
 // Cluster is a sharded simulation: hosts partitioned over per-shard
 // engines, synchronized by a conservative epoch barrier (see the file
 // comment for the protocol and its determinism contract).
@@ -438,7 +408,7 @@ type Cluster struct {
 	srcInv     [][]invMsg
 	srcProto   [][]protoMsg
 	partIdx    [][]int32
-	cons       ClusterConsistency
+	cons       ConsistencyStats
 	track      bool
 	proto      *protoCoordinator   // nil outside protocol runs
 	protoPorts []*clusterProtoPort // by host ID; nil outside protocol runs
@@ -537,7 +507,7 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 			}
 		}
 		h, err := NewHost(sh.eng, hc, spec.Timing, seg, bgSeg,
-			&clusterPort{sh: sh, host: int32(i)}, nil)
+			&clusterPort{sh: sh, host: int32(i)})
 		if err != nil {
 			return nil, err
 		}
@@ -555,14 +525,14 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 			c.protoPorts[i] = p
 			h.SetConsistencyPort(p)
 		} else if c.track {
-			h.SetInvalidationSink(&clusterSink{sh: sh, host: int32(i)})
+			h.SetConsistencyPort(&clusterSink{sh: sh, h: h})
 			if sh.res == nil {
 				// Shard s holds hosts s, s+shards, ...
 				sh.res = newResidencyIndex((n - i%shards + shards - 1) / shards)
 			}
 			sh.res.addHost(h, i/shards)
 		}
-		drv, err := NewDriver(sh.eng, []*Host{h}, nil, spec.Sources[i], spec.Warmup[i])
+		drv, err := NewDriver(sh.eng, []*Host{h}, spec.Sources[i], spec.Warmup[i])
 		if err != nil {
 			return nil, err
 		}
@@ -600,7 +570,7 @@ func (c *Cluster) Drivers() []*Driver { return c.drivers }
 // protocol the coordinator's counters are folded together with the
 // per-host port counters (silent-owner writes, request-side control
 // messages); call it only between epochs or after the run.
-func (c *Cluster) Consistency() ClusterConsistency {
+func (c *Cluster) Consistency() ConsistencyStats {
 	cons := c.cons
 	if c.proto != nil {
 		c.proto.fold(&cons)

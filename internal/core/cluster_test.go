@@ -63,7 +63,7 @@ func clusterSpecForTest(hosts, shards int) ClusterSpec {
 type clusterSnapshot struct {
 	Ops, Blocks, Events uint64
 	Now                 sim.Time
-	Cons                ClusterConsistency
+	Cons                ConsistencyStats
 	Fast, Slow, Writes  uint64
 	Stats               []HostStats
 }
@@ -165,24 +165,6 @@ func TestClusterProtocolInvariance(t *testing.T) {
 			t.Errorf("protocol shards=%d diverged from shards=1:\nref: %+v\ngot: %+v", shards, ref, snap)
 		}
 	}
-}
-
-// TestClusterProtocolExclusivePortPanics locks the mutual exclusion of the
-// consistency hooks: a host cannot carry both an invalidation sink and a
-// protocol port.
-func TestClusterProtocolExclusivePortPanics(t *testing.T) {
-	spec := clusterSpecForTest(2, 1)
-	spec.ConsistencyProtocol = true
-	c, err := NewCluster(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("setting an invalidation sink on a protocol host should panic")
-		}
-	}()
-	c.Hosts()[0].SetInvalidationSink(&clusterSink{})
 }
 
 // TestClusterSpecValidation covers the constructor's error paths.

@@ -3,8 +3,8 @@ package core
 import "repro/internal/sim"
 
 // This file implements the callback consistency protocol on the sharded
-// cluster: the same AFS/Sprite-style ownership protocol as
-// consistency.ModeCallback (a writer acquires exclusive ownership from the
+// cluster: the same AFS/Sprite-style ownership protocol as the sequential
+// registry in consistency.go (a writer acquires exclusive ownership from the
 // server, paying control messages and callback round trips to every holder;
 // a reader of an exclusively-owned block forces a downgrade that flushes
 // the owner's dirty data), rebuilt so every cross-host interaction crosses
@@ -77,7 +77,7 @@ const noProtoOwner = int32(-1)
 
 // clusterProtoPort is one host's entry into the sharded protocol. The
 // acquire methods run on the shard's goroutine during an epoch; the
-// counters are folded into ClusterConsistency after the run.
+// counters are folded into ConsistencyStats after the run.
 type clusterProtoPort struct {
 	sh   *clusterShard
 	h    *Host
@@ -86,7 +86,7 @@ type clusterProtoPort struct {
 	co   *protoCoordinator
 
 	// Request-side accounting, gated by the host's own collect flag at
-	// request time (the per-host analogue of Registry.SetCollect).
+	// request time, as in the sequential registry.
 	silentWrites      uint64 // exclusively-owned writes committed without traffic
 	controlMessages   uint64
 	ownershipAcquires uint64
@@ -96,7 +96,7 @@ type clusterProtoPort struct {
 // send records a control-packet transit on the host's link ending in a
 // protocol message at the server.
 func (p *clusterProtoPort) send(m protoMsg) {
-	p.h.SendControl(func() {
+	p.h.sendControl(func() {
 		p.seq++
 		m.at = p.sh.eng.Now()
 		m.host = p.host
@@ -141,7 +141,7 @@ func (p *clusterProtoPort) AcquireRead(key uint64, fn func(any), arg any) {
 }
 
 // fold adds the port's request-side counters into the aggregate.
-func (p *clusterProtoPort) fold(cons *ClusterConsistency) {
+func (p *clusterProtoPort) fold(cons *ConsistencyStats) {
 	cons.BlocksWritten += p.silentWrites
 	cons.ControlMessages += p.controlMessages
 	cons.OwnershipAcquires += p.ownershipAcquires
@@ -199,7 +199,7 @@ func (pc *protoCoordinator) ownerOf(key uint64) int32 {
 func (pc *protoCoordinator) pending() int { return len(pc.reqs) }
 
 // fold adds the coordinator's counters into the aggregate.
-func (pc *protoCoordinator) fold(cons *ClusterConsistency) {
+func (pc *protoCoordinator) fold(cons *ConsistencyStats) {
 	cons.BlocksWritten += pc.blocksWritten
 	cons.WritesInvalidating += pc.writesInvalidating
 	cons.Invalidations += pc.invalidations
@@ -249,7 +249,7 @@ func (pc *protoCoordinator) writeAcquire(m *protoMsg) {
 	}
 	holders := pc.holderScratch[:0]
 	for _, h := range pc.c.hosts {
-		if int32(h.ID()) != m.host && h.Holds(m.key) {
+		if int32(h.ID()) != m.host && h.holds(m.key) {
 			holders = append(holders, h)
 		}
 	}
@@ -274,9 +274,9 @@ func (pc *protoCoordinator) deliverCallback(at sim.Time, holder *Host, key uint6
 	c := pc.c
 	port := c.protoPorts[holder.ID()]
 	c.hostShard[holder.ID()].eng.At(at+c.lookahead, func() {
-		holder.SendControl(func() { // callback packet reaches the holder
-			dropped := holder.Invalidate(key)
-			holder.SendControl(func() { // ack packet returns
+		holder.sendControl(func() { // callback packet reaches the holder
+			dropped := holder.invalidate(key)
+			holder.sendControl(func() { // ack packet returns
 				port.seq++
 				port.sh.outProto = append(port.sh.outProto, protoMsg{
 					at: port.sh.eng.Now(), host: port.host, seq: port.seq,
@@ -322,7 +322,7 @@ func (pc *protoCoordinator) grantWrite(at sim.Time, writer int32, key uint64,
 	c := pc.c
 	w := c.hosts[writer]
 	c.hostShard[writer].eng.At(at+c.lookahead, func() {
-		w.SendControl(func() { fn(arg) })
+		w.sendControl(func() { fn(arg) })
 	})
 }
 
@@ -340,9 +340,9 @@ func (pc *protoCoordinator) readAcquire(m *protoMsg) {
 	owner := c.hosts[o]
 	port := c.protoPorts[o]
 	c.hostShard[o].eng.At(m.at+c.lookahead, func() {
-		owner.SendControl(func() { // server's callback reaches the owner
-			owner.FlushBlock(m.key, func() { // dirty data becomes durable
-				owner.SendControl(func() { // ack packet returns
+		owner.sendControl(func() { // server's callback reaches the owner
+			owner.flushBlock(m.key, func() { // dirty data becomes durable
+				owner.sendControl(func() { // ack packet returns
 					port.seq++
 					port.sh.outProto = append(port.sh.outProto, protoMsg{
 						at: port.sh.eng.Now(), host: port.host, seq: port.seq,
@@ -372,6 +372,6 @@ func (pc *protoCoordinator) replyRead(at sim.Time, reader int32, fn func(any), a
 	c := pc.c
 	r := c.hosts[reader]
 	c.hostShard[reader].eng.At(at+c.lookahead, func() {
-		r.SendControl(func() { fn(arg) })
+		r.sendControl(func() { fn(arg) })
 	})
 }

@@ -49,6 +49,7 @@ func ParseArchitecture(s string) (Architecture, error) {
 	}
 }
 
+// String returns the architecture's name as ParseArchitecture accepts it.
 func (a Architecture) String() string {
 	switch a {
 	case Naive:

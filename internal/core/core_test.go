@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/consistency"
 	"repro/internal/filer"
 	"repro/internal/netsim"
 	"repro/internal/rng"
@@ -31,31 +30,20 @@ func testTiming() Timing {
 type rig struct {
 	eng  *sim.Engine
 	fsrv *filer.Filer
-	reg  *consistency.Registry
 	host *Host
 }
 
 func newRig(t *testing.T, cfg HostConfig, tm Timing) *rig {
 	t.Helper()
-	return newRigWithRegistry(t, cfg, tm, nil)
-}
-
-// newRigWithRegistry is newRig with the host registered in reg (nil for
-// none), as flashsim wires every multi-host or consistency-tracking run.
-func newRigWithRegistry(t *testing.T, cfg HostConfig, tm Timing, reg *consistency.Registry) *rig {
-	t.Helper()
 	eng := &sim.Engine{}
 	fsrv := filer.New(eng, rng.New(1), tm.FilerFastRead, tm.FilerSlowRead, tm.FilerWrite, tm.FilerFastReadRate)
 	seg := netsim.NewSegment(eng, "seg0", tm.NetBase, tm.NetPerBit)
-	h, err := NewHost(eng, cfg, tm, seg, nil, fsrv, reg)
+	h, err := NewHost(eng, cfg, tm, seg, nil, fsrv)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.SetCollect(true)
-	if reg != nil {
-		reg.SetCollect(true)
-	}
-	return &rig{eng: eng, fsrv: fsrv, reg: reg, host: h}
+	return &rig{eng: eng, fsrv: fsrv, host: h}
 }
 
 // readLat runs a single read to completion and returns its latency.
@@ -537,20 +525,19 @@ func TestInvalidationBetweenHosts(t *testing.T) {
 	tm := testTiming()
 	eng := &sim.Engine{}
 	fsrv := filer.New(eng, rng.New(1), tm.FilerFastRead, tm.FilerSlowRead, tm.FilerWrite, tm.FilerFastReadRate)
-	reg := consistency.NewRegistry()
 	var hosts []*Host
 	for i := 0; i < 2; i++ {
 		cfg := baseCfg(Naive)
 		cfg.ID = i
 		seg := netsim.NewSegment(eng, "seg", tm.NetBase, tm.NetPerBit)
-		h, err := NewHost(eng, cfg, tm, seg, nil, fsrv, reg)
+		h, err := NewHost(eng, cfg, tm, seg, nil, fsrv)
 		if err != nil {
 			t.Fatal(err)
 		}
 		h.SetCollect(true)
 		hosts = append(hosts, h)
 	}
-	reg.SetCollect(true)
+	reg := TrackConsistency(hosts, false)
 
 	// Host 0 reads block 1 (cached), then host 1 writes it.
 	var step int
@@ -567,9 +554,9 @@ func TestInvalidationBetweenHosts(t *testing.T) {
 	if hosts[0].flash.Peek(1) != nil || hosts[0].ram.Peek(1) != nil {
 		t.Fatal("host 0's stale copy not invalidated")
 	}
-	if reg.Invalidations() == 0 || reg.WritesInvalidating() != 1 {
+	if reg.Invalidations == 0 || reg.WritesInvalidating != 1 {
 		t.Fatalf("registry counts wrong: inval=%d writes=%d",
-			reg.Invalidations(), reg.WritesInvalidating())
+			reg.Invalidations, reg.WritesInvalidating)
 	}
 	if reg.InvalidationFraction() <= 0 {
 		t.Fatal("invalidation fraction zero")

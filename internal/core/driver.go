@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
-	"repro/internal/consistency"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -20,7 +19,6 @@ type Driver struct {
 	eng   *sim.Engine
 	hosts []*Host
 	src   trace.Source
-	reg   *consistency.Registry // may be nil
 
 	queues  map[uint32][]trace.Op
 	qtimes  map[uint32][]sim.Time // per-op enqueue times; only when tracing
@@ -51,8 +49,7 @@ func threadKey(host, thread uint16) uint32 {
 // NewDriver builds a driver over the hosts. warmupBlocks gates statistics:
 // collection starts once that many blocks have been issued (the paper uses
 // half the trace volume).
-func NewDriver(eng *sim.Engine, hosts []*Host, reg *consistency.Registry,
-	src trace.Source, warmupBlocks int64) (*Driver, error) {
+func NewDriver(eng *sim.Engine, hosts []*Host, src trace.Source, warmupBlocks int64) (*Driver, error) {
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("core: driver needs at least one host")
 	}
@@ -63,7 +60,6 @@ func NewDriver(eng *sim.Engine, hosts []*Host, reg *consistency.Registry,
 		eng:          eng,
 		hosts:        hosts,
 		src:          src,
-		reg:          reg,
 		queues:       make(map[uint32][]trace.Op),
 		busy:         make(map[uint32]bool),
 		window:       16,
@@ -249,9 +245,6 @@ func (d *Driver) noteIssue(blocks int64) {
 		for _, h := range d.hosts {
 			h.SetCollect(true)
 		}
-		if d.reg != nil {
-			d.reg.SetCollect(true)
-		}
 	}
 }
 
@@ -304,9 +297,6 @@ func (d *Driver) start() {
 		d.collecting = true
 		for _, h := range d.hosts {
 			h.SetCollect(true)
-		}
-		if d.reg != nil {
-			d.reg.SetCollect(true)
 		}
 	}
 	d.pump()

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/consistency"
 	"repro/internal/filer"
 	"repro/internal/netsim"
 	"repro/internal/rng"
@@ -12,25 +11,26 @@ import (
 	"repro/internal/trace"
 )
 
-// buildCluster wires n hosts to one filer over private segments.
-func buildCluster(t *testing.T, n int, cfg HostConfig, tm Timing, withReg bool) (*sim.Engine, []*Host, *consistency.Registry) {
+// buildCluster wires n hosts to one filer over private segments, with
+// instant consistency across them when withReg is set (nil stats if not).
+func buildCluster(t *testing.T, n int, cfg HostConfig, tm Timing, withReg bool) (*sim.Engine, []*Host, *ConsistencyStats) {
 	t.Helper()
 	eng := &sim.Engine{}
 	fsrv := filer.New(eng, rng.New(11), tm.FilerFastRead, tm.FilerSlowRead, tm.FilerWrite, tm.FilerFastReadRate)
-	var reg *consistency.Registry
-	if withReg {
-		reg = consistency.NewRegistry()
-	}
 	var hosts []*Host
 	for i := 0; i < n; i++ {
 		c := cfg
 		c.ID = i
 		seg := netsim.NewSegment(eng, "seg", tm.NetBase, tm.NetPerBit)
-		h, err := NewHost(eng, c, tm, seg, nil, fsrv, reg)
+		h, err := NewHost(eng, c, tm, seg, nil, fsrv)
 		if err != nil {
 			t.Fatal(err)
 		}
 		hosts = append(hosts, h)
+	}
+	var reg *ConsistencyStats
+	if withReg {
+		reg = TrackConsistency(hosts, false)
 	}
 	return eng, hosts, reg
 }
@@ -42,7 +42,7 @@ func TestDriverCompletesAllOps(t *testing.T) {
 		{Host: 0, Thread: 1, Kind: trace.Write, File: 1, Block: 4, Count: 2},
 		{Host: 0, Thread: 0, Kind: trace.Read, File: 2, Block: 0, Count: 1},
 	}
-	d, err := NewDriver(eng, hosts, nil, trace.NewSliceSource(ops), 0)
+	d, err := NewDriver(eng, hosts, trace.NewSliceSource(ops), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestDriverWarmupGating(t *testing.T) {
 		ops = append(ops, trace.Op{Host: 0, Thread: 0, Kind: trace.Read, File: 1, Block: uint32(i), Count: 1})
 	}
 	// Warmup covers the first 5 blocks.
-	d, err := NewDriver(eng, hosts, nil, trace.NewSliceSource(ops), 5)
+	d, err := NewDriver(eng, hosts, trace.NewSliceSource(ops), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestDriverOneIOPerThread(t *testing.T) {
 			{Host: 0, Thread: 0, Kind: trace.Read, File: 1, Block: 0, Count: 1},
 			{Host: 0, Thread: thread2, Kind: trace.Read, File: 2, Block: 0, Count: 1},
 		}
-		d, err := NewDriver(eng, hosts, nil, trace.NewSliceSource(ops), 0)
+		d, err := NewDriver(eng, hosts, trace.NewSliceSource(ops), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestDriverMultiHostWrap(t *testing.T) {
 	ops := []trace.Op{
 		{Host: 5, Thread: 0, Kind: trace.Read, File: 1, Block: 0, Count: 1},
 	}
-	d, err := NewDriver(eng, hosts, nil, trace.NewSliceSource(ops), 0)
+	d, err := NewDriver(eng, hosts, trace.NewSliceSource(ops), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,18 +128,18 @@ func TestDriverMultiHostWrap(t *testing.T) {
 
 func TestDriverValidation(t *testing.T) {
 	eng := &sim.Engine{}
-	if _, err := NewDriver(eng, nil, nil, trace.NewSliceSource(nil), 0); err == nil {
+	if _, err := NewDriver(eng, nil, trace.NewSliceSource(nil), 0); err == nil {
 		t.Fatal("empty host list accepted")
 	}
 	_, hosts, _ := buildCluster(t, 1, baseCfg(Naive), testTiming(), false)
-	if _, err := NewDriver(eng, hosts, nil, nil, 0); err == nil {
+	if _, err := NewDriver(eng, hosts, nil, 0); err == nil {
 		t.Fatal("nil source accepted")
 	}
 }
 
 func TestDriverEmptyTrace(t *testing.T) {
 	eng, hosts, _ := buildCluster(t, 1, baseCfg(Naive), testTiming(), false)
-	d, err := NewDriver(eng, hosts, nil, trace.NewSliceSource(nil), 0)
+	d, err := NewDriver(eng, hosts, trace.NewSliceSource(nil), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestIntegrationConservation(t *testing.T) {
 			name := arch.String() + "/" + pol.String()
 			eng, hosts, _ := buildCluster(t, 1, cfg, tm, false)
 			src := syntheticSource(4000, 2000, 0.3, 17)
-			d, err := NewDriver(eng, hosts, nil, src, 2000)
+			d, err := NewDriver(eng, hosts, src, 2000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -267,12 +267,12 @@ func TestIntegrationSharedWorkingSetInvalidations(t *testing.T) {
 			Count:  1,
 		})
 	}
-	d, err := NewDriver(eng, hosts, reg, trace.NewSliceSource(ops), 3000)
+	d, err := NewDriver(eng, hosts, trace.NewSliceSource(ops), 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.Run()
-	if reg.BlocksWritten() == 0 {
+	if reg.BlocksWritten == 0 {
 		t.Fatal("no writes recorded")
 	}
 	// Two hosts hammering one small shared set: most writes must
@@ -295,7 +295,7 @@ func BenchmarkDriverNaive(b *testing.B) {
 		eng := &sim.Engine{}
 		fsrv := filer.New(eng, rng.New(1), tm.FilerFastRead, tm.FilerSlowRead, tm.FilerWrite, tm.FilerFastReadRate)
 		seg := netsim.NewSegment(eng, "seg", tm.NetBase, tm.NetPerBit)
-		h, err := NewHost(eng, cfg, tm, seg, nil, fsrv, nil)
+		h, err := NewHost(eng, cfg, tm, seg, nil, fsrv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func BenchmarkDriverNaive(b *testing.B) {
 				File: 1, Block: uint32(r.Intn(8192)), Count: 1,
 			})
 		}
-		d, err := NewDriver(eng, []*Host{h}, nil, trace.NewSliceSource(ops), 10000)
+		d, err := NewDriver(eng, []*Host{h}, trace.NewSliceSource(ops), 10000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -327,7 +327,6 @@ func TestUnifiedInvalidationAcrossHosts(t *testing.T) {
 	cfg.RAMBlocks = 4
 	cfg.FlashBlocks = 32
 	eng, hosts, reg := buildCluster(t, 2, cfg, tm, true)
-	reg.SetCollect(true)
 	for _, h := range hosts {
 		h.SetCollect(true)
 	}
@@ -342,8 +341,8 @@ func TestUnifiedInvalidationAcrossHosts(t *testing.T) {
 	if hosts[0].uni.Peek(7) != nil {
 		t.Fatal("unified stale copy survived a remote write")
 	}
-	if reg.Invalidations() != 1 {
-		t.Fatalf("invalidations = %d", reg.Invalidations())
+	if reg.Invalidations != 1 {
+		t.Fatalf("invalidations = %d", reg.Invalidations)
 	}
 	for _, h := range hosts {
 		h.StopSyncers()
@@ -375,7 +374,7 @@ func TestDriverRandomTracesProperty(t *testing.T) {
 			cfg.FlashPolicy.Period = 10 * sim.Millisecond
 		}
 		nhosts := 1 + r.Intn(2)
-		eng, hosts, reg := buildCluster(t, nhosts, cfg, DefaultTiming(), nhosts > 1)
+		eng, hosts, _ := buildCluster(t, nhosts, cfg, DefaultTiming(), nhosts > 1)
 		var ops []trace.Op
 		nops := 200 + r.Intn(400)
 		for i := 0; i < nops; i++ {
@@ -396,7 +395,7 @@ func TestDriverRandomTracesProperty(t *testing.T) {
 		for _, op := range ops {
 			want += uint64(op.Count)
 		}
-		d, err := NewDriver(eng, hosts, reg, trace.NewSliceSource(ops), 0)
+		d, err := NewDriver(eng, hosts, trace.NewSliceSource(ops), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -443,7 +442,7 @@ func TestDriverHeadOfLineWindow(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		ops = append(ops, trace.Op{Kind: trace.Read, File: 1, Block: uint32(i), Count: 1})
 	}
-	d, err := NewDriver(eng, hosts, nil, trace.NewSliceSource(ops), 0)
+	d, err := NewDriver(eng, hosts, trace.NewSliceSource(ops), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/cache"
-	"repro/internal/consistency"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -28,24 +27,15 @@ type FilerPort interface {
 	Write2(key uint64, fn func(any), arg any)
 }
 
-// InvalidationSink observes block writes for cross-host invalidation in
-// sharded runs, replacing the consistency.Registry's instant global
-// knowledge: the sink records (writer, key) and the cluster drops remote
-// copies at the next epoch barrier.
-type InvalidationSink interface {
-	// BlockWritten is called when host commits a new version of key into
-	// its cache; collecting reports whether the host is past warmup, which
-	// gates the invalidation statistics exactly like Registry.SetCollect.
-	BlockWritten(host int, key uint64, collecting bool)
-}
-
-// ConsistencyPort routes a host's reads and writes through a sharded
-// callback consistency protocol (the Cluster analogue of
-// consistency.Registry in ModeCallback): a write acquires exclusive
-// ownership — paying control-message round trips through the epoch
-// barrier — before it may commit, and a read of a block exclusively owned
-// elsewhere forces a downgrade and dirty flush first. fn(arg) runs when
-// the operation may proceed.
+// ConsistencyPort is a host's one route to cross-host consistency: every
+// read and write acquires through it, and fn(arg) runs when the operation
+// may proceed. Under the paper's instant model (§3.8) a write drops remote
+// copies for free and both calls continue at once; under the callback
+// protocol a write first acquires exclusive ownership, paying control
+// messages, and a read of a block owned elsewhere forces a downgrade and
+// dirty flush. Sequential runs implement it with registry
+// (consistency.go); sharded runs with clusterSink (instant, remote copies
+// drop at the next epoch barrier) and clusterProtoPort (clusterproto.go).
 type ConsistencyPort interface {
 	AcquireRead(key uint64, fn func(any), arg any)
 	AcquireWrite(key uint64, fn func(any), arg any)
@@ -83,9 +73,7 @@ type Host struct {
 	seg   *netsim.Segment
 	bgSeg *netsim.Segment
 	fsrv  FilerPort
-	reg   *consistency.Registry // nil when consistency is not modeled
-	inv   InvalidationSink      // nil outside sharded runs
-	cport ConsistencyPort       // nil outside sharded protocol runs
+	cons  ConsistencyPort // nil when consistency is not modeled
 
 	// pending de-duplicates concurrent demand fetches of the same block:
 	// waiters are woken when the single fetch completes. Waiter slices
@@ -125,11 +113,11 @@ type Host struct {
 // dirty pressure with tiny caches.
 const evictionRetryDelay = 5 * sim.Microsecond
 
-// NewHost builds a host attached to the shared engine, filer and (possibly
-// nil) consistency registry. seg is the host's private link for demand
-// traffic; bgSeg, if nil, defaults to seg (single shared lane).
+// NewHost builds a host attached to the shared engine and filer. seg is
+// the host's private link for demand traffic; bgSeg, if nil, defaults to
+// seg (single shared lane).
 func NewHost(eng *sim.Engine, cfg HostConfig, timing Timing,
-	seg *netsim.Segment, bgSeg *netsim.Segment, fsrv FilerPort, reg *consistency.Registry) (*Host, error) {
+	seg *netsim.Segment, bgSeg *netsim.Segment, fsrv FilerPort) (*Host, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -163,7 +151,6 @@ func NewHost(eng *sim.Engine, cfg HostConfig, timing Timing,
 		seg:     seg,
 		bgSeg:   bgSeg,
 		fsrv:    fsrv,
-		reg:     reg,
 		pending: make(map[cache.Key][]cont),
 	}
 	if cfg.Arch == Unified {
@@ -176,18 +163,12 @@ func NewHost(eng *sim.Engine, cfg HostConfig, timing Timing,
 		}
 		h.flash = flash
 	}
-	if reg != nil {
-		reg.Register(h)
-	}
 	h.startSyncers()
 	return h, nil
 }
 
 // ID returns the host's identifier.
 func (h *Host) ID() int { return h.cfg.ID }
-
-// HostID implements consistency.CacheHolder.
-func (h *Host) HostID() int { return h.cfg.ID }
 
 // Config returns the host's configuration.
 func (h *Host) Config() HostConfig { return h.cfg }
@@ -268,33 +249,9 @@ func (h *Host) SetCollect(on bool) { h.collect = on }
 // Collecting reports whether the host is currently recording statistics.
 func (h *Host) Collecting() bool { return h.collect }
 
-// SetInvalidationSink routes this host's write notifications to a sharded
-// run's barrier-deferred invalidation exchange. It is mutually exclusive
-// with a consistency.Registry, which models the same traffic with instant
-// global knowledge.
-func (h *Host) SetInvalidationSink(s InvalidationSink) {
-	if h.reg != nil {
-		panic("core: host has both a consistency registry and an invalidation sink")
-	}
-	if h.cport != nil {
-		panic("core: host has both a consistency port and an invalidation sink")
-	}
-	h.inv = s
-}
-
-// SetConsistencyPort routes this host's reads and writes through a sharded
-// run's barrier-deferred callback protocol. It is mutually exclusive with
-// both a consistency.Registry (the sequential protocol) and an
-// InvalidationSink (sharded instant mode).
-func (h *Host) SetConsistencyPort(p ConsistencyPort) {
-	if h.reg != nil {
-		panic("core: host has both a consistency registry and a consistency port")
-	}
-	if h.inv != nil {
-		panic("core: host has both an invalidation sink and a consistency port")
-	}
-	h.cport = p
-}
+// SetConsistencyPort routes this host's reads and writes through p (nil:
+// no consistency is modeled).
+func (h *Host) SetConsistencyPort(p ConsistencyPort) { h.cons = p }
 
 // StopSyncers halts periodic writeback daemons so the engine can drain at
 // end of trace.
@@ -304,9 +261,9 @@ func (h *Host) StopSyncers() {
 	}
 }
 
-// Invalidate implements consistency.CacheHolder: drop any copy of key,
-// instantly and free of charge (paper §3.8).
-func (h *Host) Invalidate(key uint64) bool {
+// invalidate drops any copy of key, instantly and free of charge (paper
+// §3.8), reporting whether one was dropped.
+func (h *Host) invalidate(key uint64) bool {
 	dropped := false
 	k := cache.Key(key)
 	if h.uni != nil {
@@ -346,17 +303,11 @@ func (h *Host) read(key cache.Key, done cont) {
 	if h.tr != nil {
 		r.trSeq = h.tr.StartReq()
 	}
-	if h.reg != nil {
+	if h.cons != nil {
 		// Under the callback protocol an exclusively-owned block must be
 		// downgraded (and its dirty data flushed) before the read; under
 		// the paper's instant model this continues immediately.
-		h.reg.AcquireRead(h.cfg.ID, uint64(key), readProceed, r)
-		return
-	}
-	if h.cport != nil {
-		// Sharded callback protocol: the downgrade round trips thread
-		// through the epoch barrier (see clusterproto.go).
-		h.cport.AcquireRead(uint64(key), readProceed, r)
+		h.cons.AcquireRead(uint64(key), readProceed, r)
 		return
 	}
 	readProceed(r)
@@ -410,21 +361,9 @@ func (h *Host) write(key cache.Key, done cont) {
 	// now stale. Under the paper's model the invalidation is instant and
 	// free (§3.8); under the callback protocol the writer first acquires
 	// exclusive ownership, paying the message round trips.
-	if h.reg != nil {
-		h.reg.AcquireWrite(h.cfg.ID, uint64(key), writeProceed, r)
+	if h.cons != nil {
+		h.cons.AcquireWrite(uint64(key), writeProceed, r)
 		return
-	}
-	if h.cport != nil {
-		// Sharded callback protocol: ownership acquisition (and the
-		// invalidation it implies) crosses shards at the epoch barrier.
-		h.cport.AcquireWrite(uint64(key), writeProceed, r)
-		return
-	}
-	if h.inv != nil {
-		// Sharded instant-mode consistency: the writer proceeds
-		// immediately (invalidation is free, §3.8); remote copies drop at
-		// the next epoch barrier instead of this very instant.
-		h.inv.BlockWritten(h.cfg.ID, uint64(key), h.collect)
 	}
 	writeProceed(r)
 }

@@ -125,6 +125,7 @@ func (p Policy) Validate() error {
 	}
 }
 
+// String returns the kind's lower-case name.
 func (k PolicyKind) String() string {
 	switch k {
 	case WriteThroughSync:

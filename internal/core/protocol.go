@@ -6,15 +6,15 @@ import (
 )
 
 // This file implements the host side of the callback consistency protocol
-// (consistency.ModeCallback): small control messages on the host's demand
-// link and synchronous flushes of exclusively-held dirty blocks.
+// (registry and clusterProtoPort): small control messages on the host's
+// demand link and synchronous flushes of exclusively-held dirty blocks.
 
 // controlMessageBytes is the payload of one protocol control message
 // (block identity, lease epoch, flags).
 const controlMessageBytes = 64
 
-// Holds implements consistency.CacheHolder.
-func (h *Host) Holds(key uint64) bool {
+// holds reports whether any cache tier holds key.
+func (h *Host) holds(key uint64) bool {
 	k := cache.Key(key)
 	if h.uni != nil {
 		return h.uni.Peek(k) != nil
@@ -25,16 +25,17 @@ func (h *Host) Holds(key uint64) bool {
 	return h.flash != nil && h.flash.Peek(k) != nil
 }
 
-// SendControl implements consistency.ProtocolPeer: one small packet on the
-// host's demand link.
-func (h *Host) SendControl(done func()) {
+// sendControl delivers one small control message between the host and the
+// server (either direction costs the same) on the host's demand link; done
+// fires on arrival.
+func (h *Host) sendControl(done func()) {
 	c := funcCont(done)
 	h.seg.Send2(netsim.ToFiler, controlMessageBytes, c.fn, c.arg)
 }
 
-// FlushBlock implements consistency.ProtocolPeer: write the block back to
-// the filer if any tier holds it dirty; done fires when durable.
-func (h *Host) FlushBlock(key uint64, done func()) {
+// flushBlock writes the block back to the filer if any tier holds it
+// dirty; done fires when durable (at once if clean or absent).
+func (h *Host) flushBlock(key uint64, done func()) {
 	k := cache.Key(key)
 	if h.uni != nil {
 		if e := h.uni.Peek(k); e != nil && e.Dirty {

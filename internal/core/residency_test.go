@@ -32,14 +32,6 @@ func sharedWSClusterSpec(hosts, shards int, cfg HostConfig) ClusterSpec {
 	return spec
 }
 
-// holds reports whether key is resident in any of h's cache tiers.
-func (h *Host) holds(key cache.Key) bool {
-	if h.uni != nil {
-		return h.uni.Peek(key) != nil
-	}
-	return h.ram.Peek(key) != nil || h.flash.Peek(key) != nil
-}
-
 // residentKeys counts the distinct keys resident in any of h's tiers.
 func (h *Host) residentKeys() int {
 	if h.uni != nil {
@@ -82,7 +74,7 @@ func checkResidencyIndex(t *testing.T, c *Cluster) (highWord int) {
 				if i > 0 && li <= holders[i-1] {
 					t.Fatalf("shard %d key %d: holders %v not ascending", s, key, holders)
 				}
-				if !sh.hosts[li].holds(cache.Key(key)) {
+				if !sh.hosts[li].holds(key) {
 					t.Fatalf("shard %d: key %d indexed on host %d, which misses it", s, key, sh.hosts[li].ID())
 				}
 				indexed[li]++

@@ -84,7 +84,7 @@ func ftlAmplification(o Options) float64 {
 		FlashPolicy: core.PolicyNone,
 		FTLBacked:   true,
 	}
-	h, err := core.NewHost(eng, hc, tm, seg, nil, fsrv, nil)
+	h, err := core.NewHost(eng, hc, tm, seg, nil, fsrv)
 	if err != nil {
 		return 0
 	}

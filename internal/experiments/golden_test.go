@@ -18,6 +18,11 @@ const (
 	// goldenFig1 pins the FTL-device figure; captured before its
 	// completion callbacks moved to the arg-carrying form.
 	goldenFig1 = "b8913554bebb168a0cc08385dd0a0fb9a811c2d7f63bd9a75e82c374e3f8d38b"
+	// goldenFig11 and goldenFig12 pin sequential multi-host instant
+	// consistency (the invalidation-fraction figures); captured before the
+	// sequential consistency registry moved behind the host's one port.
+	goldenFig11 = "bfb415f6f8efb6c0d238682f798083d2eff4d8a9bfc2ec135531fb143c44c66f"
+	goldenFig12 = "318fc7c3ac6a3d92f36b1c5f7d985e4c7e19b8a0e606a6d100034bc95ae3c27d"
 )
 
 // reportChecksum hashes everything a Report renders: name, description,
@@ -43,6 +48,8 @@ func TestGoldenReportChecksums(t *testing.T) {
 		{"fig4", Fig4, goldenFig4},
 		{"fig8", Fig8, goldenFig8},
 		{"fig1", Fig1, goldenFig1},
+		{"fig11", Fig11, goldenFig11},
+		{"fig12", Fig12, goldenFig12},
 	} {
 		for _, par := range []int{1, 4, 8} {
 			t.Run(fmt.Sprintf("%s/parallel=%d", tc.name, par), func(t *testing.T) {
