@@ -215,6 +215,35 @@ func TestRecoveredStartDirtyFlush(t *testing.T) {
 	}
 }
 
+// A lookaside flash cache never holds dirty data, so a recovered start
+// finds none to flush whatever RecoveryDirtyFraction says: recovery is
+// the metadata scan alone, as with a vanishing dirty fraction, on the
+// sequential engine and on the cluster.
+func TestRecoveredStartLookasideScanOnly(t *testing.T) {
+	for _, shards := range []int{0, 1} {
+		run := func(dirty float64) float64 {
+			cfg := ScaledConfig(4096)
+			cfg.Arch = Lookaside
+			cfg.PersistentFlash = true
+			cfg.RecoveredStart = true
+			cfg.RecoveryDirtyFraction = dirty
+			cfg.Shards = shards
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.RecoverySeconds
+		}
+		scan, defaulted := run(1e-12), run(0)
+		if scan <= 0 {
+			t.Fatalf("shards=%d: recovery paid no metadata scan", shards)
+		}
+		if defaulted != scan {
+			t.Errorf("shards=%d: recovery took %.6fs, the scan alone %.6fs", shards, defaulted, scan)
+		}
+	}
+}
+
 func TestConsistencyProtocolCharges(t *testing.T) {
 	mk := func(protocol bool) *Result {
 		cfg := smallConfig()

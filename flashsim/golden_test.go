@@ -81,6 +81,38 @@ var goldenRuns = []struct {
 		cfg.Workload.SharedWorkingSet = true
 		return cfg
 	}, "b38b34418827c3a78778b07b365704f0802d25a73003bde3409f9bdbcb55817d"},
+	// The four rows below were captured before the host's cache tiers
+	// moved into one table: lookaside's periodic RAM syncer, both unified
+	// syncers, dirty unified evictions, and the callback protocol on
+	// unified hosts.
+	{"lookaside-periodic", func() Config {
+		cfg := ScaledConfig(4096)
+		cfg.Arch = Lookaside
+		cfg.Workload.WriteFraction = 0.6 // dirty RAM evictions too
+		return cfg
+	}, "0b53f3945161cc9948d5ab0e2b3fdac72c24812fdc50f3786812f8a386014e2c"},
+	{"unified-periodic-trickle", func() Config {
+		cfg := ScaledConfig(4096)
+		cfg.Arch = Unified
+		cfg.FlashPolicy = Policy{Kind: core.Trickle, Period: 10 * sim.Millisecond}
+		return cfg
+	}, "227a378b83385d2188b572364ec5e265851a97f3ec29cbc4071eb882e08bb045"},
+	{"unified-none-small", func() Config {
+		cfg := ScaledConfig(4096)
+		cfg.Arch = Unified
+		cfg.RAMPolicy = PolicyNone
+		cfg.FlashPolicy = PolicyNone
+		cfg.RAMBlocks /= 4
+		return cfg
+	}, "2e51f143b571fa4b6c7cc0424fdb4fa49e3d4973f5d5c812d3ae482612b24e00"},
+	{"multihost-unified-protocol", func() Config {
+		cfg := ScaledConfig(4096)
+		cfg.Arch = Unified
+		cfg.Hosts = 2
+		cfg.ConsistencyProtocol = true
+		cfg.Workload.SharedWorkingSet = true
+		return cfg
+	}, "3ea1b21013b17f9b7216dd21694530d33f974381acc747df3c803c1a835ee436"},
 	{"ablations", func() Config {
 		cfg := ScaledConfig(4096)
 		cfg.HalfDuplexNet = true

@@ -74,6 +74,38 @@ func TestScenarioGoldenChecksums(t *testing.T) {
 	}
 }
 
+// scenarioArchGoldens pins the fault-hook scenarios (churn's full flush
+// and drop, crash-recovery's crash and recovery scan) on the two
+// architectures the single-host goldens above leave out; captured before
+// the host's cache tiers moved into one table. The lookaside crash keeps
+// scenarioGoldenConfig's persistent flash; a unified cache loses both
+// media in a crash, so its crash runs with volatile flash.
+var scenarioArchGoldens = []struct {
+	scenario string
+	arch     Architecture
+	want     string
+}{
+	{"churn", Lookaside, "1dc633581aeb27d87d9542538ce42d8da7c6c8ddffba660ac9a251cc79da7ee6"},
+	{"churn", Unified, "d0790270a5476f13ae5c16081f8d5724d8c46cd2b220a7ae2245ef43edbb6bab"},
+	{"crash-recovery", Lookaside, "c0e28929867183aa7e902d73d24df6b9d1ec53e8db0eb88b0c37dbf0a912e1dc"},
+	{"crash-recovery", Unified, "ceaaee8d01d73e7b2cfba7c8d063215cf31861d115af9411804dbe26ec2217ae"},
+}
+
+func TestScenarioArchGoldenChecksums(t *testing.T) {
+	for _, tc := range scenarioArchGoldens {
+		t.Run(tc.scenario+"/"+tc.arch.String(), func(t *testing.T) {
+			cfg := scenarioGoldenConfig(tc.scenario)
+			cfg.Arch = tc.arch
+			if tc.arch == Unified {
+				cfg.PersistentFlash = false
+			}
+			if got := scenarioChecksum(t, cfg, tc.scenario); got != tc.want {
+				t.Errorf("scenario checksum drifted:\ngot  %s\nwant %s", got, tc.want)
+			}
+		})
+	}
+}
+
 // The batch runner's determinism contract extends to scenarios: results
 // are identical at every parallelism.
 func TestScenarioBatchParallelIdentical(t *testing.T) {

@@ -1,0 +1,197 @@
+package cache
+
+import "fmt"
+
+// base is the bookkeeping every replacement policy embeds: the index, the
+// entry pool, the dirty list, the residency hook, the hit, miss and
+// eviction counters and the capacity. A policy adds only its own resident
+// lists and the order it keeps them in. The dirty list's sentinel holds
+// self-pointers, so a policy must never be copied after initialisation.
+type base struct {
+	capacity int
+	// medium is the medium admit gives a new entry; the unified cache
+	// re-picks it per entry.
+	medium  Medium
+	index   Index
+	pool    entryPool
+	dirties list
+
+	// resHook, when set, observes every residency transition: called with
+	// (key, true) as admit indexes the block and (key, false) as drop
+	// removes it. Sharded runs use it to maintain a block→holders index so
+	// barrier invalidation only visits hosts that actually hold a copy.
+	resHook func(Key, bool)
+
+	hits, misses, evictions uint64
+}
+
+func (b *base) init(capacity int, m Medium) {
+	if capacity < 0 {
+		panic("cache: negative capacity")
+	}
+	b.capacity = capacity
+	b.medium = m
+	b.index = NewIndex(capacity)
+	b.pool = entryPool{budget: capacity}
+	b.dirties.init(true)
+}
+
+// Capacity returns the maximum number of resident blocks.
+func (b *base) Capacity() int { return b.capacity }
+
+// Len returns the number of resident blocks.
+func (b *base) Len() int { return b.index.n }
+
+// DirtyLen returns the number of dirty resident blocks.
+func (b *base) DirtyLen() int { return b.dirties.len }
+
+// NeedsEviction reports whether inserting one more block requires a victim.
+func (b *base) NeedsEviction() bool { return b.index.n >= b.capacity }
+
+// Peek looks up key without promoting or counting.
+func (b *base) Peek(key Key) *Entry { return b.index.entry(key) }
+
+// SetResidencyHook registers fn to observe every block entering (added
+// true) and leaving (added false) the cache. Set once, before any
+// inserts; a nil hook (the default) costs nothing on the hot paths.
+func (b *base) SetResidencyHook(fn func(Key, bool)) { b.resHook = fn }
+
+// Hits returns the number of Get calls that found their block.
+func (b *base) Hits() uint64 { return b.hits }
+
+// Misses returns the number of Get calls that did not.
+func (b *base) Misses() uint64 { return b.misses }
+
+// Evictions returns the number of blocks removed from the cache.
+func (b *base) Evictions() uint64 { return b.evictions }
+
+// MarkDirty flags e dirty and places it on the dirty list.
+func (b *base) MarkDirty(e *Entry) {
+	if !e.inDirty {
+		b.dirties.pushFront(e)
+		e.inDirty = true
+	}
+	e.Dirty = true
+}
+
+// MarkClean clears e's dirty flag and removes it from the dirty list.
+func (b *base) MarkClean(e *Entry) {
+	if e.inDirty {
+		b.dirties.remove(e)
+		e.inDirty = false
+	}
+	e.Dirty = false
+}
+
+// AppendDirty appends all dirty entries, oldest first, to dst and returns
+// it. The returned entries remain owned by the cache.
+func (b *base) AppendDirty(dst []*Entry) []*Entry {
+	for e := b.dirties.back(); e != nil && e != &b.dirties.sentinel; e = e.dirtyPrev {
+		dst = append(dst, e)
+	}
+	return dst
+}
+
+// lookup is the shared half of every Get: it finds key's entry and counts
+// the hit or the miss, leaving promotion to the policy.
+func (b *base) lookup(key Key) *Entry {
+	e := b.index.entry(key)
+	if e == nil {
+		b.misses++
+		return nil
+	}
+	b.hits++
+	return e
+}
+
+// admit is the shared half of every TryInsert, with one probe of the
+// index. It returns key's resident entry (inserted false), or nil, false
+// when key is absent and the cache is full. Otherwise it takes a fresh
+// entry from the pool, indexes it and tells the residency hook; the
+// policy then links it into its own lists.
+func (b *base) admit(key Key) (e *Entry, inserted bool) {
+	old, slot := b.index.lookup(key)
+	if old != nil {
+		return old.e, false
+	}
+	if b.NeedsEviction() {
+		return nil, false
+	}
+	e = b.pool.get(key, b.medium)
+	b.index.place(slot, &e.n)
+	if b.resHook != nil {
+		b.resHook(key, true)
+	}
+	return e, true
+}
+
+// drop is the shared half of every Remove: it unindexes e, takes it off
+// the dirty list and unlinks it from l, the policy list holding it, then
+// counts the eviction, tells the residency hook and recycles the entry.
+// Dirty state is the caller's problem: the cache only keeps the books.
+func (b *base) drop(e *Entry, l *list) {
+	if !b.index.Delete(&e.n) {
+		panic("cache: removing entry not in cache")
+	}
+	if e.inDirty {
+		b.dirties.remove(e)
+		e.inDirty = false
+		e.Dirty = false
+	}
+	l.remove(e)
+	b.evictions++
+	if b.resHook != nil {
+		b.resHook(e.n.key, false)
+	}
+	b.pool.put(e)
+}
+
+// checkLists verifies the books every policy shares against its resident
+// lists: each listed entry is indexed and its dirty flag matches its
+// dirty-list membership, each list's walk matches its recorded length,
+// the lists together hold exactly the indexed entries and no more than the
+// capacity, and the dirty flags add up to the dirty list. each, when
+// non-nil, adds the policy's own check of an entry on lists[i].
+func (b *base) checkLists(each func(e *Entry, i int) error, lists ...*list) error {
+	indexed, err := b.index.Check()
+	if err != nil {
+		return err
+	}
+	seen, dirty := 0, 0
+	for i, l := range lists {
+		n := 0
+		for e := l.front(); e != nil && e != &l.sentinel; e = e.next {
+			if b.index.entry(e.n.key) != e {
+				return fmt.Errorf("entry %d on list but not indexed", e.n.key)
+			}
+			if e.Dirty != e.inDirty {
+				return fmt.Errorf("entry %d dirty flag %v but inDirty %v", e.n.key, e.Dirty, e.inDirty)
+			}
+			if e.Dirty {
+				dirty++
+			}
+			if each != nil {
+				if err := each(e, i); err != nil {
+					return err
+				}
+			}
+			if n++; n > l.len {
+				return fmt.Errorf("list longer than its recorded length %d", l.len)
+			}
+		}
+		if n != l.len {
+			return fmt.Errorf("walked %d entries, list records %d", n, l.len)
+		}
+		seen += n
+	}
+	if seen != indexed {
+		return fmt.Errorf("walked %d entries, indexed %d", seen, indexed)
+	}
+	if seen > b.capacity {
+		return fmt.Errorf("population %d over capacity %d", seen, b.capacity)
+	}
+	if dirty != b.dirties.len {
+		return fmt.Errorf("dirty flags %d != dirty list %d", dirty, b.dirties.len)
+	}
+	return nil
+}

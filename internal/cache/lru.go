@@ -2,11 +2,13 @@
 // tier in the simulator: an intrusive doubly-linked LRU list, dirty-block
 // tracking on a second intrusive list (so the periodic syncer can flush in
 // O(dirty)), and a two-medium unified variant for the paper's "unified"
-// architecture. Every policy finds its blocks through one Index: an
-// open-addressed, linear-probing table of pointers to the entries, sized
-// once from the cache's capacity, so a lookup is one hash and usually one
-// probe and a cache makes no allocation after construction beyond its
-// entry slabs.
+// architecture. Every policy, the unified cache included, embeds one
+// bookkeeping core (base.go) — index, entry pool, dirty list, residency
+// hook, counters — and adds only its own lists and their order. Blocks
+// are found through one Index: an open-addressed, linear-probing table of
+// pointers to the entries, sized once from the cache's capacity, so a
+// lookup is one hash and usually one probe and a cache makes no
+// allocation after construction beyond its entry slabs.
 //
 // The package is purely a data structure: it tracks which blocks are
 // resident and in what state, but knows nothing about latencies or devices.
@@ -30,6 +32,7 @@ const (
 	Flash
 )
 
+// String returns the medium's name: "ram" or "flash".
 func (m Medium) String() string {
 	switch m {
 	case RAM:
@@ -209,23 +212,28 @@ func (l *list) front() *Entry {
 	return *sn
 }
 
+// lastUnpinned returns the unpinned entry nearest l's LRU end, or nil.
+func (l *list) lastUnpinned() *Entry {
+	for e := l.back(); e != nil && e != &l.sentinel; e = e.prev {
+		if !e.Pinned {
+			return e
+		}
+	}
+	return nil
+}
+
+// appendKeys appends l's keys, MRU first, to dst and returns it.
+func (l *list) appendKeys(dst []Key) []Key {
+	for e := l.front(); e != nil && e != &l.sentinel; e = e.next {
+		dst = append(dst, e.n.key)
+	}
+	return dst
+}
+
 // LRU is a fixed-capacity single-medium LRU cache of blocks.
 type LRU struct {
-	capacity int
-	medium   Medium
-	index    Index
-	lru      list
-	dirties  list
-	pool     entryPool
-
-	// resHook, when set, observes every residency transition: called with
-	// (key, true) as Insert indexes the block and (key, false) as Remove
-	// drops it. Sharded runs use it to maintain a block→holders index so
-	// barrier invalidation only visits hosts that actually hold a copy.
-	resHook func(Key, bool)
-
-	// Statistics.
-	hits, misses, evictions uint64
+	base
+	lru list
 }
 
 // NewLRU returns an LRU cache holding at most capacity blocks on medium m.
@@ -240,55 +248,20 @@ func NewLRU(capacity int, m Medium) *LRU {
 // hold self-pointers, so an LRU must never be copied after initialisation;
 // embedding types initialise through this method.
 func (c *LRU) initLRU(capacity int, m Medium) {
-	if capacity < 0 {
-		panic("cache: negative capacity")
-	}
-	c.capacity = capacity
-	c.medium = m
-	c.index = NewIndex(capacity)
-	c.pool = entryPool{budget: capacity}
+	c.init(capacity, m)
 	c.lru.init(false)
-	c.dirties.init(true)
 }
-
-// Capacity returns the maximum number of resident blocks.
-func (c *LRU) Capacity() int { return c.capacity }
-
-// Len returns the number of resident blocks.
-func (c *LRU) Len() int { return c.lru.len }
-
-// DirtyLen returns the number of dirty resident blocks.
-func (c *LRU) DirtyLen() int { return c.dirties.len }
 
 // Medium returns the cache's storage medium.
 func (c *LRU) Medium() Medium { return c.medium }
 
-// SetResidencyHook registers fn to observe every block entering (added
-// true) and leaving (added false) this cache. Set once, before any
-// inserts; a nil hook (the default) costs nothing on the hot paths.
-func (c *LRU) SetResidencyHook(fn func(Key, bool)) { c.resHook = fn }
-
-// Hits and Misses report Get outcomes; Evictions reports victims removed.
-func (c *LRU) Hits() uint64      { return c.hits }
-func (c *LRU) Misses() uint64    { return c.misses }
-func (c *LRU) Evictions() uint64 { return c.evictions }
-
 // Get looks up key, promoting it to MRU on hit and counting the outcome.
 func (c *LRU) Get(key Key) *Entry {
-	e := c.index.entry(key)
-	if e == nil {
-		c.misses++
-		return nil
+	e := c.lookup(key)
+	if e != nil {
+		c.Touch(e)
 	}
-	c.hits++
-	c.lru.remove(e)
-	c.lru.pushFront(e)
 	return e
-}
-
-// Peek looks up key without promoting or counting.
-func (c *LRU) Peek(key Key) *Entry {
-	return c.index.entry(key)
 }
 
 // Touch promotes an entry to MRU without counting a hit.
@@ -297,22 +270,10 @@ func (c *LRU) Touch(e *Entry) {
 	c.lru.pushFront(e)
 }
 
-// NeedsEviction reports whether inserting one more block requires a victim.
-func (c *LRU) NeedsEviction() bool {
-	return c.lru.len >= c.capacity
-}
-
 // Victim returns the least recently used unpinned entry, or nil if none
 // exists. It does not remove the entry: callers that must write back a
 // dirty victim do so first, then call Remove.
-func (c *LRU) Victim() *Entry {
-	for e := c.lru.back(); e != nil && e != &c.lru.sentinel; e = e.prev {
-		if !e.Pinned {
-			return e
-		}
-	}
-	return nil
-}
+func (c *LRU) Victim() *Entry { return c.lru.lastUnpinned() }
 
 // Insert adds key at MRU. The caller must have made room: Insert panics if
 // the cache is full (use Victim/Remove first) or if key is present.
@@ -324,120 +285,19 @@ func (c *LRU) Insert(key Key) *Entry { return mustInsert(c, key, "cache") }
 // nil, false when key is absent and the cache is full, with one probe of
 // the index either way.
 func (c *LRU) TryInsert(key Key) (e *Entry, inserted bool) {
-	old, i := c.index.lookup(key)
-	if old != nil {
-		return old.e, false
+	if e, inserted = c.admit(key); inserted {
+		c.lru.pushFront(e)
 	}
-	if c.NeedsEviction() {
-		return nil, false
-	}
-	e = c.pool.get(key, c.medium)
-	c.index.place(i, &e.n)
-	c.lru.pushFront(e)
-	if c.resHook != nil {
-		c.resHook(key, true)
-	}
-	return e, true
+	return e, inserted
 }
 
 // Remove evicts e from the cache. Dirty state is the caller's problem: the
 // cache only maintains the bookkeeping.
-func (c *LRU) Remove(e *Entry) {
-	if !c.index.Delete(&e.n) {
-		panic("cache: removing entry not in cache")
-	}
-	if e.inDirty {
-		c.dirties.remove(e)
-		e.inDirty = false
-		e.Dirty = false
-	}
-	c.lru.remove(e)
-	c.evictions++
-	if c.resHook != nil {
-		c.resHook(e.n.key, false)
-	}
-	c.pool.put(e)
-}
-
-// MarkDirty flags e dirty and places it on the dirty list.
-func (c *LRU) MarkDirty(e *Entry) {
-	if !e.inDirty {
-		c.dirties.pushFront(e)
-		e.inDirty = true
-	}
-	e.Dirty = true
-}
-
-// MarkClean clears e's dirty flag and removes it from the dirty list.
-func (c *LRU) MarkClean(e *Entry) {
-	if e.inDirty {
-		c.dirties.remove(e)
-		e.inDirty = false
-	}
-	e.Dirty = false
-}
-
-// OldestDirty returns the least recently dirtied entry, or nil.
-func (c *LRU) OldestDirty() *Entry {
-	e := c.dirties.back()
-	if e == &c.dirties.sentinel {
-		return nil
-	}
-	return e
-}
-
-// AppendDirty appends all dirty entries, oldest first, to dst and returns
-// it. The returned entries remain owned by the cache.
-func (c *LRU) AppendDirty(dst []*Entry) []*Entry {
-	for e := c.dirties.back(); e != nil && e != &c.dirties.sentinel; e = e.dirtyPrev {
-		dst = append(dst, e)
-	}
-	return dst
-}
+func (c *LRU) Remove(e *Entry) { c.drop(e, &c.lru) }
 
 // Keys appends all resident keys, MRU first, to dst and returns it.
-func (c *LRU) Keys(dst []Key) []Key {
-	for e := c.lru.front(); e != nil && e != &c.lru.sentinel; e = e.next {
-		dst = append(dst, e.n.key)
-	}
-	return dst
-}
+func (c *LRU) Keys(dst []Key) []Key { return c.lru.appendKeys(dst) }
 
 // CheckInvariants verifies internal consistency; tests call this after
 // random operation sequences.
-func (c *LRU) CheckInvariants() error {
-	indexed, err := c.index.Check()
-	if err != nil {
-		return err
-	}
-	if c.lru.len != indexed {
-		return fmt.Errorf("lru len %d != index len %d", c.lru.len, indexed)
-	}
-	if c.lru.len > c.capacity {
-		return fmt.Errorf("len %d exceeds capacity %d", c.lru.len, c.capacity)
-	}
-	seen := 0
-	dirtySeen := 0
-	for e := c.lru.front(); e != nil && e != &c.lru.sentinel; e = e.next {
-		if c.index.entry(e.n.key) != e {
-			return fmt.Errorf("entry %d on list but not indexed", e.n.key)
-		}
-		if e.Dirty != e.inDirty {
-			return fmt.Errorf("entry %d dirty flag %v but inDirty %v", e.n.key, e.Dirty, e.inDirty)
-		}
-		if e.Dirty {
-			dirtySeen++
-		}
-		seen++
-		if seen > c.lru.len {
-			return fmt.Errorf("lru list longer than recorded length")
-		}
-	}
-	if seen != c.lru.len {
-		return fmt.Errorf("walked %d entries, recorded %d", seen, c.lru.len)
-	}
-	if dirtySeen != c.dirties.len {
-		return fmt.Errorf("dirty flags %d != dirty list %d", dirtySeen, c.dirties.len)
-	}
-	return nil
-}
+func (c *LRU) CheckInvariants() error { return c.checkLists(nil, &c.lru) }

@@ -82,11 +82,11 @@ func TestLRUDirtyTracking(t *testing.T) {
 	if c.DirtyLen() != 2 {
 		t.Fatalf("dirty len = %d", c.DirtyLen())
 	}
-	if od := c.OldestDirty(); od != e1 {
+	if od := c.AppendDirty(nil)[0]; od != e1 {
 		t.Fatalf("oldest dirty = %v, want entry 1", od.Key())
 	}
 	c.MarkClean(e1)
-	if c.DirtyLen() != 1 || c.OldestDirty() != e2 {
+	if c.DirtyLen() != 1 || c.AppendDirty(nil)[0] != e2 {
 		t.Fatal("dirty list wrong after clean")
 	}
 	// Re-marking dirty should not duplicate.

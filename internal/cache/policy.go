@@ -80,6 +80,7 @@ const (
 	Replace2Q
 )
 
+// String returns the policy's name as ParseReplacement accepts it.
 func (k ReplacementKind) String() string {
 	switch k {
 	case ReplaceLRU:
@@ -147,15 +148,7 @@ func NewFIFO(capacity int, m Medium) *FIFO {
 }
 
 // Get looks up key without promoting.
-func (f *FIFO) Get(key Key) *Entry {
-	e := f.index.entry(key)
-	if e == nil {
-		f.misses++
-		return nil
-	}
-	f.hits++
-	return e
-}
+func (f *FIFO) Get(key Key) *Entry { return f.lookup(key) }
 
 // Touch is a no-op: FIFO order is insertion order.
 func (f *FIFO) Touch(e *Entry) {}
@@ -176,13 +169,10 @@ func NewClock(capacity int, m Medium) *Clock {
 
 // Get looks up key and sets its referenced bit.
 func (c *Clock) Get(key Key) *Entry {
-	e := c.index.entry(key)
-	if e == nil {
-		c.misses++
-		return nil
+	e := c.lookup(key)
+	if e != nil {
+		e.Referenced = true
 	}
-	c.hits++
-	e.Referenced = true
 	return e
 }
 

@@ -13,69 +13,36 @@ const (
 // probation first. Scan-resistant relative to plain LRU, which matters for
 // a flash cache polluted by the workload's 20% whole-file-server traffic.
 type SLRU struct {
-	capacity     int
+	base
 	protectedCap int
-	medium       Medium
-	index        Index
 	probation    list
 	protected    list
-	dirties      list
-	pool         entryPool
-	resHook      func(Key, bool)
-
-	hits, misses, evictions uint64
 }
 
 // NewSLRU returns a segmented LRU with the protected segment sized to half
 // the capacity.
 func NewSLRU(capacity int, m Medium) *SLRU {
-	if capacity < 0 {
-		panic("cache: negative capacity")
-	}
-	s := &SLRU{
-		capacity:     capacity,
-		protectedCap: capacity / 2,
-		medium:       m,
-		index:        NewIndex(capacity),
-		pool:         entryPool{budget: capacity},
-	}
+	s := &SLRU{protectedCap: capacity / 2}
+	s.init(capacity, m)
 	s.probation.init(false)
 	s.protected.init(false)
-	s.dirties.init(true)
 	return s
 }
 
-// Capacity, Len, DirtyLen, Medium implement BlockCache.
-func (s *SLRU) Capacity() int  { return s.capacity }
-func (s *SLRU) Len() int       { return s.probation.len + s.protected.len }
-func (s *SLRU) DirtyLen() int  { return s.dirties.len }
+// Medium returns the cache's storage medium.
 func (s *SLRU) Medium() Medium { return s.medium }
 
 // ProtectedLen reports the protected segment's population (for tests).
 func (s *SLRU) ProtectedLen() int { return s.protected.len }
 
-// SetResidencyHook implements BlockCache.
-func (s *SLRU) SetResidencyHook(fn func(Key, bool)) { s.resHook = fn }
-
-// Hits, Misses, Evictions implement BlockCache.
-func (s *SLRU) Hits() uint64      { return s.hits }
-func (s *SLRU) Misses() uint64    { return s.misses }
-func (s *SLRU) Evictions() uint64 { return s.evictions }
-
 // Get looks up key, promoting probation hits into the protected segment.
 func (s *SLRU) Get(key Key) *Entry {
-	e := s.index.entry(key)
-	if e == nil {
-		s.misses++
-		return nil
+	e := s.lookup(key)
+	if e != nil {
+		s.promote(e)
 	}
-	s.hits++
-	s.promote(e)
 	return e
 }
-
-// Peek looks up key without promotion or counting.
-func (s *SLRU) Peek(key Key) *Entry { return s.index.entry(key) }
 
 // Touch promotes without counting a hit.
 func (s *SLRU) Touch(e *Entry) { s.promote(e) }
@@ -104,23 +71,13 @@ func (s *SLRU) promote(e *Entry) {
 	}
 }
 
-// NeedsEviction implements BlockCache.
-func (s *SLRU) NeedsEviction() bool { return s.Len() >= s.capacity }
-
 // Victim returns the probationary LRU entry, falling back to the
 // protected segment when probation is empty or fully pinned.
 func (s *SLRU) Victim() *Entry {
-	for e := s.probation.back(); e != nil && e != &s.probation.sentinel; e = e.prev {
-		if !e.Pinned {
-			return e
-		}
+	if e := s.probation.lastUnpinned(); e != nil {
+		return e
 	}
-	for e := s.protected.back(); e != nil && e != &s.protected.sentinel; e = e.prev {
-		if !e.Pinned {
-			return e
-		}
-	}
-	return nil
+	return s.protected.lastUnpinned()
 }
 
 // Insert adds key to the probationary segment's MRU end.
@@ -128,122 +85,41 @@ func (s *SLRU) Insert(key Key) *Entry { return mustInsert(s, key, "SLRU") }
 
 // TryInsert implements BlockCache, inserting into probation.
 func (s *SLRU) TryInsert(key Key) (e *Entry, inserted bool) {
-	old, i := s.index.lookup(key)
-	if old != nil {
-		return old.e, false
+	if e, inserted = s.admit(key); inserted {
+		e.seg = segProbation
+		s.probation.pushFront(e)
 	}
-	if s.NeedsEviction() {
-		return nil, false
-	}
-	e = s.pool.get(key, s.medium)
-	e.seg = segProbation
-	s.index.place(i, &e.n)
-	s.probation.pushFront(e)
-	if s.resHook != nil {
-		s.resHook(key, true)
-	}
-	return e, true
+	return e, inserted
 }
 
 // Remove evicts e.
 func (s *SLRU) Remove(e *Entry) {
-	if !s.index.Delete(&e.n) {
-		panic("cache: removing entry not in SLRU")
-	}
-	if e.inDirty {
-		s.dirties.remove(e)
-		e.inDirty = false
-		e.Dirty = false
-	}
 	if e.seg == segProtected {
-		s.protected.remove(e)
+		s.drop(e, &s.protected)
 	} else {
-		s.probation.remove(e)
+		s.drop(e, &s.probation)
 	}
-	s.evictions++
-	if s.resHook != nil {
-		s.resHook(e.n.key, false)
-	}
-	s.pool.put(e)
-}
-
-// MarkDirty implements BlockCache.
-func (s *SLRU) MarkDirty(e *Entry) {
-	if !e.inDirty {
-		s.dirties.pushFront(e)
-		e.inDirty = true
-	}
-	e.Dirty = true
-}
-
-// MarkClean implements BlockCache.
-func (s *SLRU) MarkClean(e *Entry) {
-	if e.inDirty {
-		s.dirties.remove(e)
-		e.inDirty = false
-	}
-	e.Dirty = false
-}
-
-// AppendDirty implements BlockCache (oldest first).
-func (s *SLRU) AppendDirty(dst []*Entry) []*Entry {
-	for e := s.dirties.back(); e != nil && e != &s.dirties.sentinel; e = e.dirtyPrev {
-		dst = append(dst, e)
-	}
-	return dst
 }
 
 // Keys implements BlockCache: protected MRU first, then probation.
 func (s *SLRU) Keys(dst []Key) []Key {
-	for e := s.protected.front(); e != nil && e != &s.protected.sentinel; e = e.next {
-		dst = append(dst, e.n.key)
-	}
-	for e := s.probation.front(); e != nil && e != &s.probation.sentinel; e = e.next {
-		dst = append(dst, e.n.key)
-	}
-	return dst
+	return s.probation.appendKeys(s.protected.appendKeys(dst))
 }
 
 // CheckInvariants implements BlockCache.
 func (s *SLRU) CheckInvariants() error {
-	seen := 0
-	dirty := 0
-	walk := func(l *list, seg uint8) error {
-		for e := l.front(); e != nil && e != &l.sentinel; e = e.next {
-			if s.index.entry(e.n.key) != e {
-				return fmt.Errorf("entry %d on list but not indexed", e.n.key)
-			}
-			if e.seg != seg {
-				return fmt.Errorf("entry %d on segment %d tagged %d", e.n.key, seg, e.seg)
-			}
-			if e.Dirty {
-				dirty++
-			}
-			seen++
+	segs := [...]uint8{segProbation, segProtected}
+	err := s.checkLists(func(e *Entry, i int) error {
+		if e.seg != segs[i] {
+			return fmt.Errorf("entry %d on segment %d tagged %d", e.n.key, segs[i], e.seg)
 		}
 		return nil
-	}
-	if err := walk(&s.probation, segProbation); err != nil {
-		return err
-	}
-	if err := walk(&s.protected, segProtected); err != nil {
-		return err
-	}
-	indexed, err := s.index.Check()
+	}, &s.probation, &s.protected)
 	if err != nil {
 		return err
 	}
-	if seen != indexed {
-		return fmt.Errorf("walked %d entries, indexed %d", seen, indexed)
-	}
-	if seen > s.capacity {
-		return fmt.Errorf("population %d over capacity %d", seen, s.capacity)
-	}
 	if s.protected.len > s.protectedCap {
 		return fmt.Errorf("protected %d over quota %d", s.protected.len, s.protectedCap)
-	}
-	if dirty != s.dirties.len {
-		return fmt.Errorf("dirty flags %d != dirty list %d", dirty, s.dirties.len)
 	}
 	return nil
 }

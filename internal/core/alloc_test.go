@@ -24,43 +24,59 @@ import (
 // every block.
 const allocBudgetPerRequest = 0.0
 
+// The lock covers every architecture under four policy pairs, so each
+// tier's eviction, write-through, syncer and delayed-timer stages run in
+// the measured loop. Every request advances the engine by a fixed
+// simulated millisecond, so the syncers tick inside the loop too (Run
+// alone returns once only daemon events remain).
 func TestWarmBlockPathAllocationBudget(t *testing.T) {
-	cfg := baseCfg(Naive)
-	cfg.RAMBlocks = 32
-	cfg.FlashBlocks = 128
-	// The instant-mode registry every multi-host sequential run carries:
-	// each read and write acquires through it.
-	r := newRig(t, cfg, testTiming())
-	cons := TrackConsistency([]*Host{r.host}, false)
-
-	const span = 512 // working set far larger than flash: steady eviction churn
-	key := func(i int) cache.Key { return cache.Key(i % span) }
-
-	// Warm: fill caches, populate free lists, grow the event heap.
-	for i := 0; i < 4*span; i++ {
-		if i%3 == 0 {
-			r.host.Write(key(i), nil)
-		} else {
-			r.host.Read(key(i), nil)
-		}
-		r.eng.Run()
+	policies := []struct {
+		name       string
+		ram, flash Policy
+	}{
+		{"periodic/async", Policy{Kind: Periodic, Period: 20 * sim.Millisecond}, PolicyAsync},
+		{"none/none", PolicyNone, PolicyNone},
+		{"sync/sync", PolicySync, PolicySync},
+		{"delayed/trickle", Policy{Kind: Delayed, Period: 5 * sim.Millisecond},
+			Policy{Kind: Trickle, Period: sim.Millisecond}},
 	}
+	for _, arch := range []Architecture{Naive, Lookaside, Unified} {
+		for _, pol := range policies {
+			t.Run(arch.String()+"/"+pol.name, func(t *testing.T) {
+				cfg := baseCfg(arch)
+				cfg.RAMBlocks = 32
+				cfg.FlashBlocks = 128
+				cfg.RAMPolicy, cfg.FlashPolicy = pol.ram, pol.flash
+				r := newRig(t, cfg, testTiming())
+				// The instant-mode registry every multi-host sequential
+				// run carries: each read and write acquires through it.
+				cons := TrackConsistency([]*Host{r.host}, false)
 
-	i := 0
-	allocs := testing.AllocsPerRun(2000, func() {
-		if i%3 == 0 {
-			r.host.Write(key(i), nil)
-		} else {
-			r.host.Read(key(i), nil)
+				const span = 512 // working set far larger than flash: steady eviction churn
+				key := func(i int) cache.Key { return cache.Key(i % span) }
+				i := 0
+				request := func() {
+					if i%3 == 0 {
+						r.host.Write(key(i), nil)
+					} else {
+						r.host.Read(key(i), nil)
+					}
+					i++
+					r.eng.RunUntil(r.eng.Now() + sim.Millisecond)
+				}
+
+				// Warm: fill caches, populate free lists, grow the event heap.
+				for range 4 * span {
+					request()
+				}
+				if allocs := testing.AllocsPerRun(2000, request); allocs > allocBudgetPerRequest {
+					t.Errorf("warm block request allocated %v per run, budget %v", allocs, allocBudgetPerRequest)
+				}
+				if cons.BlocksWritten == 0 {
+					t.Error("writes bypassed the consistency port")
+				}
+			})
 		}
-		i++
-		r.eng.Run()
-	})
-	if allocs > allocBudgetPerRequest {
-		t.Errorf("warm block request allocated %v per run, budget %v", allocs, allocBudgetPerRequest)
-	}
-	if cons.BlocksWritten == 0 {
-		t.Error("writes bypassed the consistency port")
 	}
 }
 

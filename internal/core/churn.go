@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/cache"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // This file implements the scripted-fault hooks the scenario engine drives
 // between phases: crashing a host and flushing its caches (a churn leave
@@ -13,20 +10,12 @@ import (
 // guarantees by executing scripted events only at phase boundaries, with
 // the cluster drained at the epoch barrier.
 
-// clearable is the least common denominator of every cache tier for bulk
-// clearing (the unified cache is not a cache.BlockCache).
-type clearable interface {
-	Len() int
-	Victim() *cache.Entry
-	Remove(e *cache.Entry)
-}
-
 // clearAll removes every resident entry without writing anything back.
 // Dirty entries are simply dropped — data loss is the caller's story.
 // Victim never returns pinned entries, so any that remain are left
 // resident; on the quiescent hosts these hooks are defined for, nothing
 // is pinned.
-func clearAll(c clearable) int {
+func clearAll(c tierCache) int {
 	n := 0
 	for c.Len() > 0 {
 		v := c.Victim()
@@ -42,18 +31,24 @@ func clearAll(c clearable) int {
 // DirtyBlocks returns the number of dirty resident blocks across the
 // host's cache tiers; it is the scenario telemetry probe's dirty signal.
 func (h *Host) DirtyBlocks() int {
-	if h.uni != nil {
-		return h.uni.DirtyLen()
+	n := 0
+	for _, c := range h.tiers {
+		if c != nil {
+			n += c.DirtyLen()
+		}
 	}
-	return h.ram.DirtyLen() + h.flash.DirtyLen()
+	return n
 }
 
 // ResidentBlocks returns the number of resident blocks across tiers.
 func (h *Host) ResidentBlocks() int {
-	if h.uni != nil {
-		return h.uni.Len()
+	n := 0
+	for _, c := range h.tiers {
+		if c != nil {
+			n += c.Len()
+		}
 	}
-	return h.ram.Len() + h.flash.Len()
+	return n
 }
 
 // Crash models a power failure at a quiescent instant. RAM contents —
@@ -63,50 +58,49 @@ func (h *Host) ResidentBlocks() int {
 // cannot be recoverable (its RAM half dies with the host), so it always
 // loses everything. Returns the number of blocks dropped.
 func (h *Host) Crash() int {
-	if h.uni != nil {
-		return clearAll(h.uni)
-	}
-	dropped := clearAll(h.ram)
-	if !h.cfg.PersistentFlash {
-		dropped += clearAll(h.flash)
+	dropped := 0
+	for t, c := range h.tiers {
+		if c != nil && !(tier(t) == tierFlash && h.cfg.PersistentFlash) {
+			dropped += clearAll(c)
+		}
 	}
 	return dropped
 }
 
-// Flush writes every dirty block down on the background lane — RAM-tier
-// dirty data takes the architecture's normal downward path (to flash under
-// naive, to the filer under lookaside), then dirty flash data goes to the
-// filer — and, once the writebacks are durable, drops the coldest fraction
-// of resident blocks (fraction >= 1 empties the caches). done fires after
-// the drop. Returns the number of dirty blocks at the start of the flush.
+// Flush writes every dirty block down on the background lane, one tier
+// after another — RAM-tier dirty data takes the architecture's normal
+// downward path (to flash under naive, to the filer under lookaside), then
+// dirty flash data goes to the filer — and, once the writebacks are
+// durable, drops the coldest fraction of resident blocks (fraction >= 1
+// empties the caches). done fires after the drop. Returns the number of
+// dirty blocks at the start of the flush.
 //
 // Flushing in tier order keeps the naive architecture's RAM ⊆ flash
 // property intact: a RAM block cleaned by the flush is clean *because* its
 // data just landed in flash.
 func (h *Host) Flush(fraction float64, done func()) int {
 	dirty := h.DirtyBlocks()
-	finish := func() {
+	next := func() {
 		h.DropColdest(fraction)
 		if done != nil {
 			done()
 		}
 	}
-	if h.uni != nil {
-		h.flushTier(h.uni.AppendDirty, tierUnified, moveToFiler, finish)
-		return dirty
+	for t := len(h.tiers) - 1; t >= 0; t-- {
+		if h.tiers[t] != nil {
+			t, after := tier(t), next
+			next = func() { h.flushTier(t, after) }
+		}
 	}
-	h.flushTier(h.ram.AppendDirty, tierRAM, h.ramMove(), func() {
-		h.flushTier(h.flash.AppendDirty, tierFlash, moveToFiler, finish)
-	})
+	next()
 	return dirty
 }
 
-// flushTier writes back one tier's current dirty set and calls next when
+// flushTier writes back tier t's current dirty set and calls next when
 // every writeback is durable below. Entries already mid-writeback are
 // skipped — their in-flight propagation covers them.
-func (h *Host) flushTier(appendDirty func([]*cache.Entry) []*cache.Entry,
-	t tier, mv moveKind, next func()) {
-	h.dirtyScratch = appendDirty(h.dirtyScratch[:0])
+func (h *Host) flushTier(t tier, next func()) {
+	h.dirtyScratch = h.tiers[t].AppendDirty(h.dirtyScratch[:0])
 	n := 0
 	for _, e := range h.dirtyScratch {
 		if !e.WritebackInFlight && !e.Pinned {
@@ -114,6 +108,7 @@ func (h *Host) flushTier(appendDirty func([]*cache.Entry) []*cache.Entry,
 		}
 	}
 	join := sim.NewJoin(n, next)
+	mv := h.tierMove(t)
 	for _, e := range h.dirtyScratch {
 		if e.WritebackInFlight || e.Pinned {
 			continue
@@ -123,15 +118,20 @@ func (h *Host) flushTier(appendDirty func([]*cache.Entry) []*cache.Entry,
 }
 
 // DropColdest removes the coldest fraction of each tier's resident blocks
-// (clean removal; callers flush first if the dirty data matters). Flash
-// drops shoot down clean RAM copies so the naive architecture's RAM ⊆
-// flash property survives. Returns the number of blocks dropped.
+// (clean removal; callers flush first if the dirty data matters), flash
+// before RAM. Flash drops shoot down clean RAM copies so the naive
+// architecture's RAM ⊆ flash property survives. Returns the number of
+// blocks dropped.
 func (h *Host) DropColdest(fraction float64) int {
 	if fraction <= 0 {
 		return 0
 	}
 	dropped := 0
-	dropFrom := func(c clearable, shootdown bool) {
+	for _, t := range [...]tier{tierFlash, tierRAM, tierUnified} {
+		c := h.tiers[t]
+		if c == nil {
+			continue
+		}
 		target := int(fraction * float64(c.Len()))
 		if fraction >= 1 {
 			target = c.Len()
@@ -139,21 +139,15 @@ func (h *Host) DropColdest(fraction float64) int {
 		for i := 0; i < target; i++ {
 			v := c.Victim()
 			if v == nil {
-				return
+				break
 			}
 			key := v.Key()
 			c.Remove(v)
-			if shootdown {
+			if t == tierFlash {
 				h.shootdownRAMSubset(key)
 			}
 			dropped++
 		}
 	}
-	if h.uni != nil {
-		dropFrom(h.uni, false)
-		return dropped
-	}
-	dropFrom(h.flash, true)
-	dropFrom(h.ram, false)
 	return dropped
 }

@@ -60,6 +60,12 @@ type Host struct {
 	flash cache.BlockCache
 	// Unified architecture.
 	uni *cache.Unified
+	// tiers holds the same caches indexed by tier, nil for a tier the
+	// architecture lacks: every tier-generic step (eviction, syncers,
+	// writeback re-validation, invalidation, the fault hooks) runs once
+	// over this table, while the read and write routing uses the
+	// concrete fields above.
+	tiers [3]tierCache
 
 	ramDev  *blockdev.RAMDevice
 	flashIO FlashDev
@@ -155,6 +161,7 @@ func NewHost(eng *sim.Engine, cfg HostConfig, timing Timing,
 	}
 	if cfg.Arch == Unified {
 		h.uni = cache.NewUnified(cfg.RAMBlocks, cfg.FlashBlocks)
+		h.tiers[tierUnified] = h.uni
 	} else {
 		h.ram = cache.NewLRU(cfg.RAMBlocks, cache.RAM)
 		flash, err := cache.NewBlockCache(cfg.FlashReplacement, cfg.FlashBlocks, cache.Flash)
@@ -162,6 +169,7 @@ func NewHost(eng *sim.Engine, cfg HostConfig, timing Timing,
 			return nil, err
 		}
 		h.flash = flash
+		h.tiers[tierRAM], h.tiers[tierFlash] = h.ram, flash
 	}
 	h.startSyncers()
 	return h, nil
@@ -184,27 +192,29 @@ func (h *Host) Segment() *netsim.Segment { return h.seg }
 
 // setResidencyHook registers fn to observe any-tier residency
 // transitions: fn(key, true) when a block becomes resident in some cache
-// tier, fn(key, false) when the last copy leaves. For the layered
-// architectures a tier's own insert/remove only changes any-tier
-// residency when the sibling tier has no copy, hence the Peek guards.
-// Sharded runs install the hook at construction to index which hosts hold
-// each block (see residency.go); sequential runs leave it unset and pay
-// nothing.
+// tier, fn(key, false) when the last copy leaves. A tier's own
+// insert/remove only changes any-tier residency when its sibling tier (the
+// other layered tier; the unified cache has none) holds no copy, hence the
+// Peek guard. Sharded runs install the hook at construction to index which
+// hosts hold each block (see residency.go); sequential runs leave it unset
+// and pay nothing.
 func (h *Host) setResidencyHook(fn func(key uint64, held bool)) {
-	if h.uni != nil {
-		h.uni.SetResidencyHook(func(k cache.Key, added bool) { fn(uint64(k), added) })
-		return
+	for t, c := range h.tiers {
+		if c == nil {
+			continue
+		}
+		var sibling tierCache
+		for u, o := range h.tiers {
+			if u != t && o != nil {
+				sibling = o
+			}
+		}
+		c.SetResidencyHook(func(k cache.Key, added bool) {
+			if sibling == nil || sibling.Peek(k) == nil {
+				fn(uint64(k), added)
+			}
+		})
 	}
-	h.ram.SetResidencyHook(func(k cache.Key, added bool) {
-		if h.flash.Peek(k) == nil {
-			fn(uint64(k), added)
-		}
-	})
-	h.flash.SetResidencyHook(func(k cache.Key, added bool) {
-		if h.ram.Peek(k) == nil {
-			fn(uint64(k), added)
-		}
-	})
 }
 
 // setUpCounter attaches the shard's in-flight up-packet counter; every
@@ -265,22 +275,13 @@ func (h *Host) StopSyncers() {
 // §3.8), reporting whether one was dropped.
 func (h *Host) invalidate(key uint64) bool {
 	dropped := false
-	k := cache.Key(key)
-	if h.uni != nil {
-		if e := h.uni.Peek(k); e != nil {
-			e.Pinned = false
-			h.uni.Remove(e)
-			dropped = true
+	for _, c := range h.tiers {
+		if c == nil {
+			continue
 		}
-	} else {
-		if e := h.ram.Peek(k); e != nil {
+		if e := c.Peek(cache.Key(key)); e != nil {
 			e.Pinned = false
-			h.ram.Remove(e)
-			dropped = true
-		}
-		if e := h.flash.Peek(k); e != nil {
-			e.Pinned = false
-			h.flash.Remove(e)
+			c.Remove(e)
 			dropped = true
 		}
 	}
@@ -458,7 +459,7 @@ func (h *Host) installRAMClean(key cache.Key, c cont) {
 	r := h.getReq()
 	r.key = key
 	r.c = c
-	h.makeRoomRAM(cont{installRAMCleanRoom, r})
+	h.makeRoom(tierRAM, cont{installRAMCleanRoom, r})
 }
 
 func installRAMCleanRoom(a any) {
@@ -484,7 +485,7 @@ func (h *Host) writeLayered(r *hostReq) {
 	}
 	// Write-allocate: traces are block-granular, so no read-modify-write
 	// fetch is needed.
-	h.makeRoomRAM(cont{writeLayeredRoom, r})
+	h.makeRoom(tierRAM, cont{writeLayeredRoom, r})
 }
 
 func writeLayeredRoom(a any) {
@@ -518,7 +519,7 @@ func commitRAMWritten(a any) {
 	h := r.h
 	key, e, gen, c, trSeq := r.key, r.e, r.gen, r.c, r.trSeq
 	h.putReq(r)
-	h.applyPolicy(h.cfg.RAMPolicy, h.ramMove(), tierRAM, key, e, gen, c, trSeq)
+	h.applyPolicy(h.cfg.RAMPolicy, tierRAM, key, e, gen, c, trSeq)
 }
 
 // writeNoRAM handles writes with no RAM tier (paper §7.5's "0 really means
@@ -572,7 +573,7 @@ func writeNoRAMFlashed(a any) {
 	h := r.h
 	key, e, gen, c, trSeq := r.key, r.e, r.gen, r.c, r.trSeq
 	h.putReq(r)
-	h.applyPolicy(h.cfg.FlashPolicy, moveToFiler, tierFlash, key, e, gen, c, trSeq)
+	h.applyPolicy(h.cfg.FlashPolicy, tierFlash, key, e, gen, c, trSeq)
 }
 
 // --- unified paths ---
@@ -622,7 +623,7 @@ func (h *Host) writeUnified(r *hostReq) {
 		h.commitUnifiedWrite(e, cont{finishWrite, r}, r.trSeq)
 		return
 	}
-	h.makeRoomUnified(cont{writeUnifiedRoom, r})
+	h.makeRoom(tierUnified, cont{writeUnifiedRoom, r})
 }
 
 func writeUnifiedRoom(a any) {
@@ -666,7 +667,7 @@ func commitUnifiedWritten(a any) {
 		policy = h.cfg.FlashPolicy
 	}
 	h.putReq(r)
-	h.applyPolicy(policy, moveToFiler, tierUnified, key, e, gen, c, trSeq)
+	h.applyPolicy(policy, tierUnified, key, e, gen, c, trSeq)
 }
 
 // --- demand fetch ---
@@ -790,7 +791,7 @@ func (h *Host) installAfterFetch(key cache.Key, c cont) {
 		r := h.getReq()
 		r.key = key
 		r.c = c
-		h.makeRoomUnified(cont{installUnifiedRoom, r})
+		h.makeRoom(tierUnified, cont{installUnifiedRoom, r})
 		return
 	}
 	if h.flash.Capacity() == 0 {
@@ -800,7 +801,7 @@ func (h *Host) installAfterFetch(key cache.Key, c cont) {
 	r := h.getReq()
 	r.key = key
 	r.c = c
-	h.makeRoomFlash(cont{installFlashRoom, r})
+	h.makeRoom(tierFlash, cont{installFlashRoom, r})
 }
 
 func installUnifiedRoom(a any) {
@@ -854,7 +855,7 @@ func (h *Host) ensureFlashEntry(key cache.Key, fn func(any, *cache.Entry), arg a
 	r := h.getReq()
 	r.key = key
 	r.ec = entryCont{fn, arg}
-	h.makeRoomFlash(cont{ensureFlashRoom, r})
+	h.makeRoom(tierFlash, cont{ensureFlashRoom, r})
 }
 
 func ensureFlashRoom(a any) {
@@ -873,26 +874,29 @@ func ensureFlashRoom(a any) {
 
 // --- room making (eviction) ---
 
-// makeRoomRAM evicts from the RAM cache until an insert can proceed.
-// Dirty victims are written down first — to flash under naive, to the
-// filer under lookaside — synchronously, blocking the requester, which is
-// how the "none" policy's eviction convoys arise (paper §7.1).
-func (h *Host) makeRoomRAM(c cont) {
-	if !h.ram.NeedsEviction() {
+// makeRoom evicts from tier t until an insert can proceed. Dirty victims
+// are written down first, synchronously, blocking the requester, which is
+// how the "none" policy's eviction convoys arise (paper §7.1): a RAM
+// victim takes the architecture's downward move (to flash under naive, to
+// the filer under lookaside), a flash or unified victim goes to the filer.
+func (h *Host) makeRoom(t tier, c cont) {
+	tc := h.tiers[t]
+	if !tc.NeedsEviction() {
 		c.run()
 		return
 	}
-	v := h.ram.Victim()
+	v := tc.Victim()
 	if v == nil {
 		h.st.EvictionRetries++
 		r := h.getReq()
+		r.t = t
 		r.c = c
-		h.eng.Schedule2(evictionRetryDelay, retryRoomRAM, r)
+		h.eng.Schedule2(evictionRetryDelay, retryRoom, r)
 		return
 	}
 	if !v.Dirty {
-		h.ram.Remove(v)
-		h.makeRoomRAM(c)
+		h.evict(t, v)
+		h.makeRoom(t, c)
 		return
 	}
 	if h.collect {
@@ -903,139 +907,40 @@ func (h *Host) makeRoomRAM(c cont) {
 	r.key = v.Key()
 	r.e = v
 	r.gen = v.Gen()
+	r.t = t
 	r.c = c
-	h.move(h.ramMove(), r.key, demandLane, cont{ramEvictWritten, r}, 0)
+	h.move(h.tierMove(t), r.key, demandLane, cont{evictWritten, r}, 0)
 }
 
-func retryRoomRAM(a any) {
+func retryRoom(a any) {
 	r := a.(*hostReq)
 	h := r.h
-	c := r.c
+	t, c := r.t, r.c
 	h.putReq(r)
-	h.makeRoomRAM(c)
+	h.makeRoom(t, c)
 }
 
-func ramEvictWritten(a any) {
+func evictWritten(a any) {
 	r := a.(*hostReq)
 	h := r.h
-	if h.ram.Peek(r.key) == r.e && r.e.Gen() == r.gen {
+	if h.live(r.t, r.key, r.e, r.gen) {
 		r.e.Pinned = false
-		h.ram.MarkClean(r.e)
-		h.ram.Remove(r.e)
+		h.tiers[r.t].MarkClean(r.e)
+		h.evict(r.t, r.e)
 	}
-	c := r.c
+	t, c := r.t, r.c
 	h.putReq(r)
-	h.makeRoomRAM(c)
+	h.makeRoom(t, c)
 }
 
-// makeRoomFlash evicts from the flash cache until an insert can proceed.
-// Clean RAM copies of the evicted block are shot down to preserve the
-// RAM ⊆ flash property; dirty RAM copies survive (they will re-insert into
-// flash when written back).
-func (h *Host) makeRoomFlash(c cont) {
-	if !h.flash.NeedsEviction() {
-		c.run()
-		return
-	}
-	v := h.flash.Victim()
-	if v == nil {
-		h.st.EvictionRetries++
-		r := h.getReq()
-		r.c = c
-		h.eng.Schedule2(evictionRetryDelay, retryRoomFlash, r)
-		return
-	}
-	if !v.Dirty {
+// evict removes a clean victim from tier t. A flash victim first shoots
+// down its clean RAM copy to preserve the RAM ⊆ flash property; a dirty
+// RAM copy survives (it re-inserts into flash when written back).
+func (h *Host) evict(t tier, v *cache.Entry) {
+	if t == tierFlash {
 		h.shootdownRAMSubset(v.Key())
-		h.flash.Remove(v)
-		h.makeRoomFlash(c)
-		return
 	}
-	if h.collect {
-		h.st.SyncEvictions++
-	}
-	v.Pinned = true
-	r := h.getReq()
-	r.key = v.Key()
-	r.e = v
-	r.gen = v.Gen()
-	r.c = c
-	h.writeBlockToFiler(r.key, demandLane, cont{flashEvictWritten, r}, 0)
-}
-
-func retryRoomFlash(a any) {
-	r := a.(*hostReq)
-	h := r.h
-	c := r.c
-	h.putReq(r)
-	h.makeRoomFlash(c)
-}
-
-func flashEvictWritten(a any) {
-	r := a.(*hostReq)
-	h := r.h
-	if h.flash.Peek(r.key) == r.e && r.e.Gen() == r.gen {
-		r.e.Pinned = false
-		h.flash.MarkClean(r.e)
-		h.shootdownRAMSubset(r.key)
-		h.flash.Remove(r.e)
-	}
-	c := r.c
-	h.putReq(r)
-	h.makeRoomFlash(c)
-}
-
-// makeRoomUnified evicts from the unified cache; dirty victims write back
-// to the filer synchronously.
-func (h *Host) makeRoomUnified(c cont) {
-	if !h.uni.NeedsEviction() {
-		c.run()
-		return
-	}
-	v := h.uni.Victim()
-	if v == nil {
-		h.st.EvictionRetries++
-		r := h.getReq()
-		r.c = c
-		h.eng.Schedule2(evictionRetryDelay, retryRoomUnified, r)
-		return
-	}
-	if !v.Dirty {
-		h.uni.Remove(v)
-		h.makeRoomUnified(c)
-		return
-	}
-	if h.collect {
-		h.st.SyncEvictions++
-	}
-	v.Pinned = true
-	r := h.getReq()
-	r.key = v.Key()
-	r.e = v
-	r.gen = v.Gen()
-	r.c = c
-	h.writeBlockToFiler(r.key, demandLane, cont{unifiedEvictWritten, r}, 0)
-}
-
-func retryRoomUnified(a any) {
-	r := a.(*hostReq)
-	h := r.h
-	c := r.c
-	h.putReq(r)
-	h.makeRoomUnified(c)
-}
-
-func unifiedEvictWritten(a any) {
-	r := a.(*hostReq)
-	h := r.h
-	if h.uni.Peek(r.key) == r.e && r.e.Gen() == r.gen {
-		r.e.Pinned = false
-		h.uni.MarkClean(r.e)
-		h.uni.Remove(r.e)
-	}
-	c := r.c
-	h.putReq(r)
-	h.makeRoomUnified(c)
+	h.tiers[t].Remove(v)
 }
 
 // shootdownRAMSubset drops a clean RAM copy when its flash backing is

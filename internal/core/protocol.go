@@ -15,14 +15,12 @@ const controlMessageBytes = 64
 
 // holds reports whether any cache tier holds key.
 func (h *Host) holds(key uint64) bool {
-	k := cache.Key(key)
-	if h.uni != nil {
-		return h.uni.Peek(k) != nil
+	for _, c := range h.tiers {
+		if c != nil && c.Peek(cache.Key(key)) != nil {
+			return true
+		}
 	}
-	if h.ram != nil && h.ram.Peek(k) != nil {
-		return true
-	}
-	return h.flash != nil && h.flash.Peek(k) != nil
+	return false
 }
 
 // sendControl delivers one small control message between the host and the
@@ -34,26 +32,19 @@ func (h *Host) sendControl(done func()) {
 }
 
 // flushBlock writes the block back to the filer if any tier holds it
-// dirty; done fires when durable (at once if clean or absent).
+// dirty, checking RAM before flash; done fires when durable (at once if
+// clean or absent). The freshest copy lives in the first tier holding it
+// dirty, and the protocol needs it at the filer, so a dirty RAM block
+// bypasses the flash tier.
 func (h *Host) flushBlock(key uint64, done func()) {
-	k := cache.Key(key)
-	if h.uni != nil {
-		if e := h.uni.Peek(k); e != nil && e.Dirty {
-			h.propagate(moveToFiler, tierUnified, e.Key(), e, e.Gen(), demandLane, funcCont(done), 0)
+	for t, c := range h.tiers {
+		if c == nil {
+			continue
+		}
+		if e := c.Peek(cache.Key(key)); e != nil && e.Dirty {
+			h.propagate(moveToFiler, tier(t), e.Key(), e, e.Gen(), demandLane, funcCont(done), 0)
 			return
 		}
-		h.eng.Schedule(0, done)
-		return
-	}
-	if e := h.ram.Peek(k); e != nil && e.Dirty {
-		// The freshest copy lives in RAM; the protocol needs it at the
-		// filer, so it bypasses the flash tier.
-		h.propagate(moveToFiler, tierRAM, e.Key(), e, e.Gen(), demandLane, funcCont(done), 0)
-		return
-	}
-	if e := h.flash.Peek(k); e != nil && e.Dirty {
-		h.propagate(moveToFiler, tierFlash, e.Key(), e, e.Gen(), demandLane, funcCont(done), 0)
-		return
 	}
 	h.eng.Schedule(0, done)
 }

@@ -22,8 +22,9 @@ const metadataBlocksPerRead = 64
 
 // Prefill populates the flash cache with surviving blocks, marking the
 // given fraction dirty, without advancing simulated time — this is the
-// state the crash left on the device. Layered architectures only (the
-// unified cache's RAM half cannot survive a crash, so a recoverable
+// state the crash left on the device. A lookaside flash cache never holds
+// dirty data, so its blocks all survive clean. Layered architectures only
+// (the unified cache's RAM half cannot survive a crash, so a recoverable
 // unified cache is not meaningful).
 func (h *Host) Prefill(keys []cache.Key, dirtyFraction float64, rnd *rng.RNG) int {
 	if h.flash == nil || h.flash.Capacity() == 0 {
@@ -38,7 +39,7 @@ func (h *Host) Prefill(keys []cache.Key, dirtyFraction float64, rnd *rng.RNG) in
 			continue
 		}
 		e := h.flash.Insert(key)
-		if rnd.Bool(dirtyFraction) {
+		if h.cfg.Arch != Lookaside && rnd.Bool(dirtyFraction) {
 			h.flash.MarkDirty(e)
 		}
 		n++

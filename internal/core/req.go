@@ -18,9 +18,10 @@ import (
 // one, it carries (key, entry, Gen()) captured at a point of known
 // validity, and the resuming stage re-checks
 //
-//	tierPeek(tier, key) == entry && entry.Gen() == gen
+//	h.tiers[t].Peek(key) == entry && entry.Gen() == gen
 //
-// before mutating the entry. Event-generating work (device writes, filer
+// (Host.live, with t the tier the record names) before mutating the
+// entry. Event-generating work (device writes, filer
 // round trips) is performed unconditionally, exactly as the closure-based
 // code did for entries that were evicted in flight — the golden
 // determinism tests hold the refactor to byte-identical reports.
@@ -80,7 +81,6 @@ type hostReq struct {
 	gen   uint64
 	epoch uint64
 	t     tier
-	mv    moveKind
 
 	// Read/Write bookkeeping.
 	start   sim.Time

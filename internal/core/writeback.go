@@ -59,10 +59,10 @@ func (h *Host) move(mv moveKind, key cache.Key, ln lane, c cont, trSeq uint64) {
 	}
 }
 
-// tier names the cache a policy operates on, so the same policy machinery
+// tier names one of a host's cache tiers: it indexes Host.tiers and rides
+// in pooled records, so the same policy, eviction and syncer machinery
 // drives the layered RAM tier, the layered flash tier, and both media of
-// the unified cache. (The pre-pooling code boxed per-tier adapter structs
-// into an interface at every call; an enum rides in the pooled record.)
+// the unified cache.
 type tier uint8
 
 const (
@@ -71,26 +71,37 @@ const (
 	tierUnified
 )
 
-func (h *Host) tierPeek(t tier, key cache.Key) *cache.Entry {
-	switch t {
-	case tierRAM:
-		return h.ram.Peek(key)
-	case tierFlash:
-		return h.flash.Peek(key)
-	default:
-		return h.uni.Peek(key)
-	}
+// tierCache is what the tier-generic steps need of a cache tier;
+// *cache.LRU (RAM), cache.BlockCache (flash) and *cache.Unified all
+// satisfy it.
+type tierCache interface {
+	Len() int
+	DirtyLen() int
+	Peek(key cache.Key) *cache.Entry
+	NeedsEviction() bool
+	Victim() *cache.Entry
+	Remove(e *cache.Entry)
+	MarkClean(e *cache.Entry)
+	AppendDirty(dst []*cache.Entry) []*cache.Entry
+	SetResidencyHook(fn func(cache.Key, bool))
+	CheckInvariants() error
 }
 
-func (h *Host) tierMarkClean(t tier, e *cache.Entry) {
-	switch t {
-	case tierRAM:
-		h.ram.MarkClean(e)
-	case tierFlash:
-		h.flash.MarkClean(e)
-	default:
-		h.uni.MarkClean(e)
+// live reports whether (key, e, gen) still names tier t's resident entry:
+// the re-check every stage resuming across an asynchronous boundary makes
+// before it mutates a retained entry (see req.go).
+func (h *Host) live(t tier, key cache.Key, e *cache.Entry, gen uint64) bool {
+	return h.tiers[t].Peek(key) == e && e.Gen() == gen
+}
+
+// tierMove returns the route a dirty block of tier t takes down: the
+// architecture's RAM move for the RAM tier, the filer for flash and the
+// unified cache.
+func (h *Host) tierMove(t tier) moveKind {
+	if t == tierRAM {
+		return h.ramMove()
 	}
+	return moveToFiler
 }
 
 // applyPolicy runs after a write has been committed to a tier. For
@@ -102,17 +113,17 @@ func (h *Host) tierMarkClean(t tier, e *cache.Entry) {
 // (key, e, gen) identify the written entry as of the caller's last validity
 // point; the entry may since have been evicted (and possibly recycled), so
 // downstream stages re-verify before mutating it.
-func (h *Host) applyPolicy(p Policy, mv moveKind, t tier, key cache.Key, e *cache.Entry, gen uint64, c cont, trSeq uint64) {
+func (h *Host) applyPolicy(p Policy, t tier, key cache.Key, e *cache.Entry, gen uint64, c cont, trSeq uint64) {
 	switch p.Kind {
 	case WriteThroughSync:
-		h.propagate(mv, t, key, e, gen, demandLane, c, trSeq)
+		h.propagate(h.tierMove(t), t, key, e, gen, demandLane, c, trSeq)
 	case WriteThroughAsync:
 		// The async writeback still belongs to the triggering request's
 		// trace: its spans show the background work the write spawned.
-		h.propagate(mv, t, key, e, gen, bgLane, cont{}, trSeq)
+		h.propagate(h.tierMove(t), t, key, e, gen, bgLane, cont{}, trSeq)
 		c.run()
 	case Delayed:
-		h.scheduleDelayed(p.Period, mv, t, key, e, gen)
+		h.scheduleDelayed(p.Period, t, key, e, gen)
 		c.run()
 	default: // Periodic, Trickle, None
 		c.run()
@@ -122,27 +133,26 @@ func (h *Host) applyPolicy(p Policy, mv moveKind, t tier, key cache.Key, e *cach
 // scheduleDelayed arms a per-block timer: the block writes back Period
 // after this write, unless a newer write supersedes it (the newer write's
 // own timer then covers the block — natural coalescing via DirtyEpoch).
-func (h *Host) scheduleDelayed(period sim.Time, mv moveKind, t tier, key cache.Key, e *cache.Entry, gen uint64) {
+func (h *Host) scheduleDelayed(period sim.Time, t tier, key cache.Key, e *cache.Entry, gen uint64) {
 	r := h.getReq()
 	r.key = key
 	r.e = e
 	r.gen = gen
 	r.epoch = e.DirtyEpoch
 	r.t = t
-	r.mv = mv
 	h.eng.Schedule2(period, delayedFire, r)
 }
 
 func delayedFire(a any) {
 	r := a.(*hostReq)
 	h := r.h
-	key, e, gen, epoch, t, mv := r.key, r.e, r.gen, r.epoch, r.t, r.mv
+	key, e, gen, epoch, t := r.key, r.e, r.gen, r.epoch, r.t
 	h.putReq(r)
-	if h.tierPeek(t, key) != e || e.Gen() != gen ||
+	if !h.live(t, key, e, gen) ||
 		!e.Dirty || e.DirtyEpoch != epoch || e.WritebackInFlight || e.Pinned {
 		return
 	}
-	h.propagate(mv, t, key, e, gen, bgLane, cont{}, 0)
+	h.propagate(h.tierMove(t), t, key, e, gen, bgLane, cont{}, 0)
 }
 
 // propagate writes e's current version to the next tier; on completion the
@@ -153,7 +163,7 @@ func delayedFire(a any) {
 // still name the resident entry.
 func (h *Host) propagate(mv moveKind, t tier, key cache.Key, e *cache.Entry, gen uint64, ln lane, c cont, trSeq uint64) {
 	epoch := e.DirtyEpoch
-	if h.tierPeek(t, key) == e && e.Gen() == gen {
+	if h.live(t, key, e, gen) {
 		e.WritebackInFlight = true
 	}
 	r := h.getReq()
@@ -169,10 +179,10 @@ func (h *Host) propagate(mv moveKind, t tier, key cache.Key, e *cache.Entry, gen
 func propagated(a any) {
 	r := a.(*hostReq)
 	h := r.h
-	if cur := h.tierPeek(r.t, r.key); cur == r.e && r.e.Gen() == r.gen {
+	if h.live(r.t, r.key, r.e, r.gen) {
 		r.e.WritebackInFlight = false
 		if r.e.DirtyEpoch == r.epoch {
-			h.tierMarkClean(r.t, r.e)
+			h.tiers[r.t].MarkClean(r.e)
 		}
 	}
 	c := r.c
@@ -275,7 +285,7 @@ func (h *Host) installFlashCleanCopy(key cache.Key) {
 	}
 	r := h.getReq()
 	r.key = key
-	h.makeRoomFlash(cont{installCleanCopyRoom, r})
+	h.makeRoom(tierFlash, cont{installCleanCopyRoom, r})
 }
 
 func installCleanCopyRoom(a any) {
@@ -358,78 +368,46 @@ func filerWriteArrived(a any) {
 // --- periodic syncers ---
 
 // startSyncers launches the periodic writeback daemons the configured
-// policies require. Lookaside's flash tier never holds dirty data, so its
-// flash syncer is pointless and skipped. (These closures are built once
-// per host at construction; the per-tick path allocates nothing.)
+// policies require, one per row of the table below that applies, in row
+// order. Each syncer flushes one medium of one tier. Lookaside's flash
+// tier never holds dirty data, so its flash syncer is pointless and
+// skipped. (These closures are built once per host at construction; the
+// per-tick path allocates nothing.)
 func (h *Host) startSyncers() {
-	// limit <= 0 flushes everything (Periodic); Trickle drains one block
-	// per tick.
-	daemonFor := func(p Policy, flush func(limit int)) {
-		switch p.Kind {
+	uni := h.cfg.Arch == Unified
+	for _, s := range [...]struct {
+		p  Policy
+		t  tier
+		m  cache.Medium
+		on bool
+	}{
+		{h.cfg.RAMPolicy, tierRAM, cache.RAM, !uni && h.cfg.RAMBlocks > 0},
+		{h.cfg.FlashPolicy, tierFlash, cache.Flash, !uni && h.cfg.FlashBlocks > 0 && h.cfg.Arch != Lookaside},
+		{h.cfg.RAMPolicy, tierUnified, cache.RAM, uni},
+		{h.cfg.FlashPolicy, tierUnified, cache.Flash, uni},
+	} {
+		if !s.on {
+			continue
+		}
+		// limit <= 0 flushes everything (Periodic); Trickle drains one
+		// block per tick.
+		t, m := s.t, s.m
+		switch s.p.Kind {
 		case Periodic:
-			h.syncers = append(h.syncers, sim.NewTicker(h.eng, p.Period, func() { flush(0) }))
+			h.syncers = append(h.syncers, sim.NewTicker(h.eng, s.p.Period, func() { h.flush(t, m, 0) }))
 		case Trickle:
-			h.syncers = append(h.syncers, sim.NewTicker(h.eng, p.Period, func() { flush(1) }))
+			h.syncers = append(h.syncers, sim.NewTicker(h.eng, s.p.Period, func() { h.flush(t, m, 1) }))
 		}
-	}
-	if h.cfg.Arch == Unified {
-		daemonFor(h.cfg.RAMPolicy, func(limit int) { h.flushUnified(cache.RAM, limit) })
-		daemonFor(h.cfg.FlashPolicy, func(limit int) { h.flushUnified(cache.Flash, limit) })
-		return
-	}
-	if h.cfg.RAMBlocks > 0 {
-		daemonFor(h.cfg.RAMPolicy, h.flushRAM)
-	}
-	if h.cfg.FlashBlocks > 0 && h.cfg.Arch != Lookaside {
-		daemonFor(h.cfg.FlashPolicy, h.flushFlash)
 	}
 }
 
-// flushRAM writes dirty RAM blocks down (oldest first), skipping blocks
-// already mid-writeback. limit bounds how many blocks are flushed; <= 0
-// means all.
-func (h *Host) flushRAM(limit int) {
-	mv := h.ramMove()
+// flush writes tier t's dirty blocks on medium m down (oldest first) on
+// the background lane, skipping blocks already mid-writeback. limit bounds
+// how many blocks are flushed; <= 0 means all.
+func (h *Host) flush(t tier, m cache.Medium, limit int) {
+	mv := h.tierMove(t)
 	flushed := 0
-	h.dirtyScratch = h.ram.AppendDirty(h.dirtyScratch[:0])
-	for _, e := range h.dirtyScratch {
-		if limit > 0 && flushed >= limit {
-			break
-		}
-		if e.WritebackInFlight || e.Pinned {
-			if h.collect {
-				h.st.CoalescedSkips++
-			}
-			continue
-		}
-		h.propagate(mv, tierRAM, e.Key(), e, e.Gen(), bgLane, cont{}, 0)
-		flushed++
-	}
-}
-
-// flushFlash writes dirty flash blocks back to the filer.
-func (h *Host) flushFlash(limit int) {
-	flushed := 0
-	h.dirtyScratch = h.flash.AppendDirty(h.dirtyScratch[:0])
-	for _, e := range h.dirtyScratch {
-		if limit > 0 && flushed >= limit {
-			break
-		}
-		if e.WritebackInFlight || e.Pinned {
-			if h.collect {
-				h.st.CoalescedSkips++
-			}
-			continue
-		}
-		h.propagate(moveToFiler, tierFlash, e.Key(), e, e.Gen(), bgLane, cont{}, 0)
-		flushed++
-	}
-}
-
-// flushUnified writes back dirty unified entries living on medium m.
-func (h *Host) flushUnified(m cache.Medium, limit int) {
-	flushed := 0
-	h.dirtyScratch = h.uni.AppendDirty(h.dirtyScratch[:0])
+	h.dirtyScratch = h.tiers[t].AppendDirty(h.dirtyScratch[:0])
 	for _, e := range h.dirtyScratch {
 		if limit > 0 && flushed >= limit {
 			break
@@ -443,7 +421,7 @@ func (h *Host) flushUnified(m cache.Medium, limit int) {
 			}
 			continue
 		}
-		h.propagate(moveToFiler, tierUnified, e.Key(), e, e.Gen(), bgLane, cont{}, 0)
+		h.propagate(mv, t, e.Key(), e, e.Gen(), bgLane, cont{}, 0)
 		flushed++
 	}
 }

@@ -23,6 +23,10 @@ const (
 	// sequential consistency registry moved behind the host's one port.
 	goldenFig11 = "bfb415f6f8efb6c0d238682f798083d2eff4d8a9bfc2ec135531fb143c44c66f"
 	goldenFig12 = "318fc7c3ac6a3d92f36b1c5f7d985e4c7e19b8a0e606a6d100034bc95ae3c27d"
+	// goldenFig2 sweeps all three architectures under the s/a/p1/n
+	// policy pairs; captured before the host's cache tiers moved into one
+	// table.
+	goldenFig2 = "5cb4bf3a077501a9af874e41680f9bae8e5228fad85ff3b0da61fbe1d9242dbe"
 )
 
 // reportChecksum hashes everything a Report renders: name, description,
@@ -50,6 +54,7 @@ func TestGoldenReportChecksums(t *testing.T) {
 		{"fig1", Fig1, goldenFig1},
 		{"fig11", Fig11, goldenFig11},
 		{"fig12", Fig12, goldenFig12},
+		{"fig2", Fig2, goldenFig2},
 	} {
 		for _, par := range []int{1, 4, 8} {
 			t.Run(fmt.Sprintf("%s/parallel=%d", tc.name, par), func(t *testing.T) {

@@ -102,9 +102,9 @@ func CrossCheck(flashBlocks int, ops []trace.Op, timing core.Timing, seed uint64
 		}
 		return timing.FilerSlowRead
 	}
-	// makeRoom mirrors core.(*Host).makeRoomFlash for the single-threaded
-	// none-policy case: each dirty victim costs a synchronous filer
-	// write round trip.
+	// makeRoom mirrors core.(*Host).makeRoom on the flash tier for the
+	// single-threaded none-policy case: each dirty victim costs a
+	// synchronous filer write round trip.
 	makeRoom := func() sim.Time {
 		var t sim.Time
 		for lru.NeedsEviction() {
