@@ -1,6 +1,7 @@
 // Repository-level benchmarks: one per table and figure of the paper's
 // evaluation (regenerated in reduced Quick form at 1:4096 scale), plus
-// ablation benches for the design choices called out in DESIGN.md.
+// the baseline configuration and one bench per cache architecture at
+// 1:1024.
 //
 // Run with:
 //
@@ -71,11 +72,11 @@ func BenchmarkFig10Persistence(b *testing.B)    { benchExperiment(b, "fig10") }
 func BenchmarkFig11InvalWritePct(b *testing.B)  { benchExperiment(b, "fig11") }
 func BenchmarkFig12InvalWSS(b *testing.B)       { benchExperiment(b, "fig12") }
 
-// --- ablation benches ---
+// --- baseline and architecture benches ---
 
-// benchAblation runs the baseline with a config mutation and reports the
+// benchVariant runs the baseline with a config mutation and reports the
 // read and write latencies as metrics.
-func benchAblation(b *testing.B, mutate func(*flashsim.Config)) {
+func benchVariant(b *testing.B, mutate func(*flashsim.Config)) {
 	b.Helper()
 	var read, write float64
 	for i := 0; i < b.N; i++ {
@@ -91,50 +92,22 @@ func benchAblation(b *testing.B, mutate func(*flashsim.Config)) {
 	b.ReportMetric(write, "us/write")
 }
 
-func BenchmarkAblationBaseline(b *testing.B) {
-	benchAblation(b, func(cfg *flashsim.Config) {})
-}
-
-// Pending-fetch deduplication: without it, concurrent misses on a block
-// each pay a filer round trip.
-func BenchmarkAblationNoFetchDedup(b *testing.B) {
-	benchAblation(b, func(cfg *flashsim.Config) { cfg.DisableFetchDedup = true })
-}
-
-// Charging the flash miss-fill write to the requester instead of
-// performing it in the background.
-func BenchmarkAblationSyncFill(b *testing.B) {
-	benchAblation(b, func(cfg *flashsim.Config) { cfg.SyncMissFill = true })
-}
-
-// Letting clean RAM copies outlive their flash backing (RAM no longer a
-// subset of flash).
-func BenchmarkAblationNoSubsetShootdown(b *testing.B) {
-	benchAblation(b, func(cfg *flashsim.Config) { cfg.DisableSubsetShootdown = true })
-}
-
-// One half-duplex wire shared by demand and writeback traffic.
-func BenchmarkAblationHalfDuplexNet(b *testing.B) {
-	benchAblation(b, func(cfg *flashsim.Config) { cfg.HalfDuplexNet = true })
-}
-
-// Serializing the flash device behind a single FIFO queue.
-func BenchmarkAblationContendedFlash(b *testing.B) {
-	benchAblation(b, func(cfg *flashsim.Config) { cfg.ContendedFlash = true })
+func BenchmarkBaseline(b *testing.B) {
+	benchVariant(b, func(cfg *flashsim.Config) {})
 }
 
 // Architecture comparison at the benchmark scale (the Figure 2/3 story in
 // three rows).
 func BenchmarkArchNaive(b *testing.B) {
-	benchAblation(b, func(cfg *flashsim.Config) { cfg.Arch = flashsim.Naive })
+	benchVariant(b, func(cfg *flashsim.Config) { cfg.Arch = flashsim.Naive })
 }
 
 func BenchmarkArchLookaside(b *testing.B) {
-	benchAblation(b, func(cfg *flashsim.Config) { cfg.Arch = flashsim.Lookaside })
+	benchVariant(b, func(cfg *flashsim.Config) { cfg.Arch = flashsim.Lookaside })
 }
 
 func BenchmarkArchUnified(b *testing.B) {
-	benchAblation(b, func(cfg *flashsim.Config) { cfg.Arch = flashsim.Unified })
+	benchVariant(b, func(cfg *flashsim.Config) { cfg.Arch = flashsim.Unified })
 }
 
 // --- sweep runner benches ---

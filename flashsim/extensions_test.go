@@ -96,41 +96,6 @@ func TestFTLBackedThroughPublicAPI(t *testing.T) {
 	}
 }
 
-func TestHalfDuplexSlower(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Workload.WriteFraction = 0.6 // plenty of writeback traffic
-	duplex, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.HalfDuplexNet = true
-	half, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if half.ReadLatencyMicros <= duplex.ReadLatencyMicros {
-		t.Fatalf("half duplex (%.1f) not slower than duplex lanes (%.1f)",
-			half.ReadLatencyMicros, duplex.ReadLatencyMicros)
-	}
-}
-
-func TestContendedFlashSlower(t *testing.T) {
-	cfg := smallConfig()
-	base, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ContendedFlash = true
-	cont, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cont.ReadLatencyMicros <= base.ReadLatencyMicros {
-		t.Fatalf("contended device (%.1f) not slower than latency model (%.1f)",
-			cont.ReadLatencyMicros, base.ReadLatencyMicros)
-	}
-}
-
 func TestPersistentFlashRuntimeCostInvisible(t *testing.T) {
 	// The paper's §7.8 headline: doubling the flash write latency for
 	// persistence metadata is invisible to the application.

@@ -200,29 +200,11 @@ type Config struct {
 	// (extension; quantifies the traffic the paper left unmodeled).
 	ConsistencyProtocol bool
 
-	// HalfDuplexNet serializes both directions of each host's network
-	// segment onto one wire. The default (full duplex, one packet per
-	// direction) matches gigabit Ethernet and keeps background writeback
-	// data from queueing ahead of read fills, which is required for the
-	// paper's Figure 8 stability; half duplex is kept as an ablation.
-	HalfDuplexNet bool
-
-	// ContendedFlash serializes flash device requests (ablation; see
-	// core.HostConfig.ContendedFlash).
-	ContendedFlash bool
-
 	// FTLBackedFlash routes flash traffic through the page-mapped FTL
 	// simulator (extension toward the paper's §8 future work): device
 	// contention, garbage collection and wear emerge rather than being
 	// averaged into a fixed latency.
 	FTLBackedFlash bool
-
-	// DisableFetchDedup, SyncMissFill and DisableSubsetShootdown are
-	// ablation knobs for design choices called out in DESIGN.md; see
-	// core.HostConfig for semantics.
-	DisableFetchDedup      bool
-	SyncMissFill           bool
-	DisableSubsetShootdown bool
 
 	Timing   Timing
 	Workload Workload
@@ -586,12 +568,7 @@ func hostConfig(cfg Config, id int) core.HostConfig {
 		FlashPolicy:      cfg.FlashPolicy,
 		FlashReplacement: cfg.FlashReplacement,
 		PersistentFlash:  cfg.PersistentFlash,
-		ContendedFlash:   cfg.ContendedFlash,
 		FTLBacked:        cfg.FTLBackedFlash,
-
-		DisableFetchDedup:      cfg.DisableFetchDedup,
-		SyncMissFill:           cfg.SyncMissFill,
-		DisableSubsetShootdown: cfg.DisableSubsetShootdown,
 	}
 }
 
@@ -605,15 +582,8 @@ func buildSimulation(cfg Config, src trace.Source, warmupBlocks int64) (*simulat
 	hosts := make([]*core.Host, cfg.Hosts)
 	for i := range hosts {
 		hc := hostConfig(cfg, i)
-		var seg, bgSeg *netsim.Segment
-		if cfg.HalfDuplexNet {
-			// Ablation: one shared half-duplex wire for everything.
-			seg = netsim.NewSegment(eng, fmt.Sprintf("seg%d", i), cfg.Timing.NetBase, cfg.Timing.NetPerBit)
-			bgSeg = seg
-		} else {
-			seg = netsim.NewDuplexSegment(eng, fmt.Sprintf("seg%d", i), cfg.Timing.NetBase, cfg.Timing.NetPerBit)
-			bgSeg = netsim.NewDuplexSegment(eng, fmt.Sprintf("seg%d-bg", i), cfg.Timing.NetBase, cfg.Timing.NetPerBit)
-		}
+		seg := netsim.NewSegment(eng, fmt.Sprintf("seg%d", i), cfg.Timing.NetBase, cfg.Timing.NetPerBit)
+		bgSeg := netsim.NewSegment(eng, fmt.Sprintf("seg%d-bg", i), cfg.Timing.NetBase, cfg.Timing.NetPerBit)
 		h, err := core.NewHost(eng, hc, cfg.Timing, seg, bgSeg, fsrv)
 		if err != nil {
 			return nil, err

@@ -17,7 +17,7 @@ import (
 // The configs cover every hot path the refactor touched: all three
 // architectures, every writeback-policy kind, the FTL-backed and
 // persistent devices, the replacement-policy extensions, multi-host
-// consistency (instant and protocol), and the ablation toggles.
+// consistency (instant and protocol).
 var goldenRuns = []struct {
 	name string
 	cfg  func() Config
@@ -113,13 +113,6 @@ var goldenRuns = []struct {
 		cfg.Workload.SharedWorkingSet = true
 		return cfg
 	}, "3ea1b21013b17f9b7216dd21694530d33f974381acc747df3c803c1a835ee436"},
-	{"ablations", func() Config {
-		cfg := ScaledConfig(4096)
-		cfg.HalfDuplexNet = true
-		cfg.ContendedFlash = true
-		cfg.SyncMissFill = true
-		return cfg
-	}, "aab7efe4f1834efec6ab846a1eccad0905f6243fce91cb48d0ed9e355ff07874"},
 }
 
 // scrubRuntime zeroes a result's real-time footprint — wall clock and

@@ -68,7 +68,7 @@ func TestTraceSpanInvariance(t *testing.T) {
 // with heavy sampling on: recording spans must not move a single
 // checksum, because tracing schedules no events and draws no RNG.
 func TestTracingDoesNotPerturbGoldens(t *testing.T) {
-	traced := map[string]bool{"baseline-naive": true, "multihost-protocol": true, "ablations": true}
+	traced := map[string]bool{"baseline-naive": true, "multihost-protocol": true, "unified-periodic-trickle": true}
 	for _, tc := range goldenRuns {
 		if !traced[tc.name] {
 			continue

@@ -87,23 +87,18 @@ func clusterSpec(cfg Config, sources []trace.Source, warmup []int64, tr *obs.Tra
 		hostCfgs[i] = hostConfig(cfg, i)
 	}
 	seedRNG := rng.New(cfg.Seed)
-	track := cfg.Hosts > 1
 	return core.ClusterSpec{
-		Shards:        cfg.Shards,
-		Hosts:         hostCfgs,
-		Timing:        cfg.Timing,
-		HalfDuplexNet: cfg.HalfDuplexNet,
-		Tracer:        tr,
-		WallProfile:   cfg.WallProfile,
+		Shards:      cfg.Shards,
+		Hosts:       hostCfgs,
+		Timing:      cfg.Timing,
+		Tracer:      tr,
+		WallProfile: cfg.WallProfile,
 		NewFiler: func(eng *sim.Engine) *filer.Filer {
 			return newFiler(eng, seedRNG.Fork(), cfg)
 		},
-		Sources: sources,
-		Warmup:  warmup,
-		// Invalidation accounting mirrors the sequential path's registry
-		// rule; single-host clusters have nothing to invalidate.
-		TrackInvalidations:  track,
-		ConsistencyProtocol: cfg.ConsistencyProtocol && track,
+		Sources:             sources,
+		Warmup:              warmup,
+		ConsistencyProtocol: cfg.ConsistencyProtocol,
 	}
 }
 

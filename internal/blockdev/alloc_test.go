@@ -12,7 +12,7 @@ type counter struct{ n int }
 func count(a any) { a.(*counter).n++ }
 
 // TestDeviceAccessAllocationFree locks the per-block device path: Read2
-// and Write2 on the plain and contended flash devices and on the RAM
+// and Write2 on the plain and persistent flash devices and on the RAM
 // device allocate nothing, with a static completion or a nil fn.
 func TestDeviceAccessAllocationFree(t *testing.T) {
 	var e sim.Engine
@@ -25,8 +25,8 @@ func TestDeviceAccessAllocationFree(t *testing.T) {
 		name string
 		dev  device
 	}{
-		{"flash", NewFlashDevice(&e, "flash", 88, 21, false)},
-		{"contended", NewContendedFlashDevice(&e, "contended", 88, 21, true)},
+		{"flash", NewFlashDevice(&e, 88, 21, false)},
+		{"persistent", NewFlashDevice(&e, 88, 21, true)},
 		{"ram", NewRAMDevice(&e, 400, 300)},
 	} {
 		for i := 0; i < 64; i++ { // warm the engine's heap

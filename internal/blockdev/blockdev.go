@@ -1,6 +1,6 @@
 // Package blockdev models the block devices the client cache sits on: a
-// flash device with a FIFO request queue and fixed per-block access
-// latencies, and a RAM "device" that is a pure delay.
+// flash device with fixed average per-block access latencies, and a RAM
+// "device" that is a pure delay.
 //
 // The paper treats the flash as a block device behind a flash translation
 // layer ("We treat the flash itself as a block device ... We assume a flash
@@ -14,14 +14,12 @@ import "repro/internal/sim"
 
 // FlashDevice is a flash block device. All latencies are per 4 KiB block.
 //
-// By default the device services requests concurrently at a fixed average
-// latency: the paper derives per-block access times from measuring real
-// SSDs under the caching workload (§6.2), so queueing inside the device is
-// already embedded in those averages. A contended (single-queue) variant is
-// available for the ablation bench quantifying that modeling choice.
+// The device services requests concurrently at a fixed average latency:
+// the paper derives per-block access times from measuring real SSDs under
+// the caching workload (§6.2), so queueing inside the device is already
+// embedded in those averages.
 type FlashDevice struct {
 	eng      *sim.Engine
-	srv      *sim.Server // non-nil only in contended mode
 	readLat  sim.Time
 	writeLat sim.Time
 
@@ -35,7 +33,7 @@ type FlashDevice struct {
 }
 
 // NewFlashDevice returns a flash device attached to the engine.
-func NewFlashDevice(eng *sim.Engine, name string, readLat, writeLat sim.Time, persistent bool) *FlashDevice {
+func NewFlashDevice(eng *sim.Engine, readLat, writeLat sim.Time, persistent bool) *FlashDevice {
 	if readLat < 0 || writeLat < 0 {
 		panic("blockdev: negative latency")
 	}
@@ -47,20 +45,8 @@ func NewFlashDevice(eng *sim.Engine, name string, readLat, writeLat sim.Time, pe
 	}
 }
 
-// NewContendedFlashDevice returns a flash device with a single FIFO request
-// queue, for the ablation quantifying the pure-delay modeling choice.
-func NewContendedFlashDevice(eng *sim.Engine, name string, readLat, writeLat sim.Time, persistent bool) *FlashDevice {
-	d := NewFlashDevice(eng, name, readLat, writeLat, persistent)
-	d.srv = sim.NewServer(eng, name)
-	return d
-}
-
 func (d *FlashDevice) access(lat sim.Time, fn func(any), arg any) {
 	d.busy += lat
-	if d.srv != nil {
-		d.srv.Use2(lat, fn, arg)
-		return
-	}
 	d.eng.Schedule2(lat, fn, arg) // nil fn schedules the engine's shared no-op
 }
 
@@ -76,18 +62,8 @@ func (d *FlashDevice) Read2(fn func(any), arg any) {
 // second write.
 func (d *FlashDevice) Write2(fn func(any), arg any) {
 	d.writes++
-	d.access(d.effectiveWriteLat(), fn, arg)
+	d.access(d.WriteLatency(), fn, arg)
 }
-
-func (d *FlashDevice) effectiveWriteLat() sim.Time {
-	if d.persistent {
-		return d.writeLat * 2
-	}
-	return d.writeLat
-}
-
-// Contended reports whether the device serializes requests.
-func (d *FlashDevice) Contended() bool { return d.srv != nil }
 
 // ReadLatency returns the configured per-block read latency.
 func (d *FlashDevice) ReadLatency() sim.Time { return d.readLat }
@@ -104,24 +80,18 @@ func (d *FlashDevice) WriteLatency() sim.Time {
 // Persistent reports whether the device journals cache metadata.
 func (d *FlashDevice) Persistent() bool { return d.persistent }
 
-// Reads and Writes report operation counts; Busy and Waited report service
-// statistics (Waited is zero for the uncontended device).
-func (d *FlashDevice) Reads() uint64  { return d.reads }
-func (d *FlashDevice) Writes() uint64 { return d.writes }
-func (d *FlashDevice) Busy() sim.Time { return d.busy }
-func (d *FlashDevice) Waited() sim.Time {
-	if d.srv != nil {
-		return d.srv.Waited()
-	}
-	return 0
-}
+// Reads returns the number of block reads serviced.
+func (d *FlashDevice) Reads() uint64 { return d.reads }
 
-// Utilisation returns service time over elapsed time, capped at 1. For the
-// uncontended device it is a demand estimate rather than a hard occupancy.
+// Writes returns the number of block writes serviced.
+func (d *FlashDevice) Writes() uint64 { return d.writes }
+
+// Busy returns the total service time demanded of the device.
+func (d *FlashDevice) Busy() sim.Time { return d.busy }
+
+// Utilisation returns service time over elapsed time, capped at 1. Since
+// requests overlap, it is a demand estimate rather than a hard occupancy.
 func (d *FlashDevice) Utilisation() float64 {
-	if d.srv != nil {
-		return d.srv.Utilisation()
-	}
 	if d.eng.Now() == 0 {
 		return 0
 	}
@@ -165,10 +135,14 @@ func (d *RAMDevice) Write2(fn func(any), arg any) {
 	d.eng.Schedule2(d.writeLat, fn, arg)
 }
 
-// ReadLatency and WriteLatency return the per-block access times.
-func (d *RAMDevice) ReadLatency() sim.Time  { return d.readLat }
+// ReadLatency returns the per-block read time.
+func (d *RAMDevice) ReadLatency() sim.Time { return d.readLat }
+
+// WriteLatency returns the per-block write time.
 func (d *RAMDevice) WriteLatency() sim.Time { return d.writeLat }
 
-// Reads and Writes report operation counts.
-func (d *RAMDevice) Reads() uint64  { return d.reads }
+// Reads returns the number of block reads serviced.
+func (d *RAMDevice) Reads() uint64 { return d.reads }
+
+// Writes returns the number of block writes serviced.
 func (d *RAMDevice) Writes() uint64 { return d.writes }

@@ -12,7 +12,7 @@ func callFunc(a any) { a.(func())() }
 
 func TestFlashDeviceLatencies(t *testing.T) {
 	var e sim.Engine
-	d := NewFlashDevice(&e, "flash", 88*sim.Microsecond, 21*sim.Microsecond, false)
+	d := NewFlashDevice(&e, 88*sim.Microsecond, 21*sim.Microsecond, false)
 	var readDone, writeDone sim.Time
 	d.Read2(callFunc, func() { readDone = e.Now() })
 	e.Run()
@@ -29,34 +29,9 @@ func TestFlashDeviceLatencies(t *testing.T) {
 	}
 }
 
-func TestContendedFlashDeviceQueueing(t *testing.T) {
-	var e sim.Engine
-	d := NewContendedFlashDevice(&e, "flash", 10, 20, false)
-	if !d.Contended() {
-		t.Fatal("Contended() = false")
-	}
-	var order []sim.Time
-	d.Write2(callFunc, func() { order = append(order, e.Now()) })
-	d.Read2(callFunc, func() { order = append(order, e.Now()) })
-	d.Read2(callFunc, func() { order = append(order, e.Now()) })
-	e.Run()
-	want := []sim.Time{20, 30, 40}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("completions %v, want %v", order, want)
-		}
-	}
-	if d.Waited() != 20+30 {
-		t.Fatalf("waited = %v", d.Waited())
-	}
-}
-
 func TestUncontendedFlashDeviceParallel(t *testing.T) {
 	var e sim.Engine
-	d := NewFlashDevice(&e, "flash", 10, 20, false)
-	if d.Contended() {
-		t.Fatal("default device should be uncontended")
-	}
+	d := NewFlashDevice(&e, 10, 20, false)
 	var r1, r2 sim.Time
 	d.Read2(callFunc, func() { r1 = e.Now() })
 	d.Read2(callFunc, func() { r2 = e.Now() })
@@ -67,9 +42,6 @@ func TestUncontendedFlashDeviceParallel(t *testing.T) {
 	if r1 != 10 || r2 != 10 {
 		t.Fatalf("parallel reads at %v/%v, want 10/10", r1, r2)
 	}
-	if d.Waited() != 0 {
-		t.Fatal("uncontended device reported queueing")
-	}
 	if d.Busy() != 20 {
 		t.Fatalf("busy = %v, want 20 (demand)", d.Busy())
 	}
@@ -77,7 +49,7 @@ func TestUncontendedFlashDeviceParallel(t *testing.T) {
 
 func TestFlashDevicePersistenceDoublesWrites(t *testing.T) {
 	var e sim.Engine
-	d := NewFlashDevice(&e, "flash", 88, 21, true)
+	d := NewFlashDevice(&e, 88, 21, true)
 	var done sim.Time
 	d.Write2(callFunc, func() { done = e.Now() })
 	e.Run()
@@ -128,7 +100,7 @@ func TestNegativeLatencyPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewFlashDevice(&e, "x", -1, 0, false)
+	NewFlashDevice(&e, -1, 0, false)
 }
 
 func TestRAMNegativeLatencyPanics(t *testing.T) {
@@ -143,7 +115,7 @@ func TestRAMNegativeLatencyPanics(t *testing.T) {
 
 func TestFlashDeviceAccessors(t *testing.T) {
 	var e sim.Engine
-	d := NewFlashDevice(&e, "f", 10, 20, false)
+	d := NewFlashDevice(&e, 10, 20, false)
 	d.Read2(nil, nil)
 	d.Write2(nil, nil)
 	e.Run()
@@ -155,19 +127,28 @@ func TestFlashDeviceAccessors(t *testing.T) {
 	}
 	// Fresh device with no elapsed time reports zero utilisation.
 	var e2 sim.Engine
-	d2 := NewFlashDevice(&e2, "f2", 10, 20, false)
+	d2 := NewFlashDevice(&e2, 10, 20, false)
 	if d2.Utilisation() != 0 {
 		t.Fatal("fresh device utilisation not 0")
 	}
 }
 
-func TestContendedFlashUtilisation(t *testing.T) {
+// TestFlashUtilisationIsDemand locks Utilisation as demanded service time
+// over elapsed time: overlapping requests add up, and the ratio caps at 1.
+func TestFlashUtilisationIsDemand(t *testing.T) {
 	var e sim.Engine
-	d := NewContendedFlashDevice(&e, "f", 10, 20, false)
+	d := NewFlashDevice(&e, 10, 20, false)
+	d.Read2(nil, nil)
 	d.Read2(nil, nil)
 	e.Schedule(100, func() {})
 	e.Run()
-	if u := d.Utilisation(); u <= 0 || u > 0.2 {
-		t.Fatalf("utilisation = %v, want ~0.1", u)
+	if u := d.Utilisation(); u != 0.2 {
+		t.Fatalf("utilisation = %v, want 0.2", u)
+	}
+	for i := 0; i < 20; i++ {
+		d.Write2(nil, nil)
+	}
+	if u := d.Utilisation(); u != 1 {
+		t.Fatalf("overloaded utilisation = %v, want capped 1", u)
 	}
 }

@@ -336,10 +336,6 @@ type ClusterSpec struct {
 	// Timing is the shared timing model.
 	Timing Timing
 
-	// HalfDuplexNet selects one shared half-duplex wire per host instead
-	// of the default duplex demand + background lanes.
-	HalfDuplexNet bool
-
 	// NewFiler builds the shared filer. The engine argument is shard 0's
 	// engine; the barrier services the filer directly, so the engine is
 	// only a construction convenience.
@@ -350,17 +346,14 @@ type ClusterSpec struct {
 	Sources []trace.Source
 	Warmup  []int64
 
-	// TrackInvalidations enables the barrier-deferred consistency
-	// accounting (the sharded analogue of TrackConsistency).
-	TrackInvalidations bool
-
 	// ConsistencyProtocol switches from instant (barrier-deferred)
 	// invalidation to the callback ownership protocol: writers acquire
 	// exclusive ownership through the barrier coordinator, paying
 	// control-message transits and holder callbacks; readers of an
 	// exclusively-owned block force a downgrade and dirty flush. The
-	// sharded analogue of TrackConsistency's protocol mode; implies the
-	// TrackInvalidations accounting.
+	// sharded analogue of TrackConsistency's protocol mode. Like the
+	// barrier-deferred accounting, it applies only to clusters of more
+	// than one host: a single host has nothing to invalidate.
 	ConsistencyProtocol bool
 
 	// FixedLookahead pins the epoch schedule to the classic fixed-
@@ -462,7 +455,7 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 		hosts:     make([]*Host, n),
 		drivers:   make([]*Driver, n),
 		hostShard: make([]*clusterShard, n),
-		track:     spec.TrackInvalidations,
+		track:     n > 1,
 		profile:   spec.WallProfile,
 	}
 	for s := range c.shards {
@@ -483,24 +476,19 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 		sh.inboxLanes = make([][]schedEvent, c.nparts)
 		sh.laneMin = make([]sim.Time, c.nparts)
 	}
-	adaptive := !spec.FixedLookahead && !spec.ConsistencyProtocol
+	protocol := spec.ConsistencyProtocol && c.track
+	adaptive := !spec.FixedLookahead && !protocol
 	upTransit := sim.Time(-1) // min wire transit over every request lane, found below
 
-	if spec.ConsistencyProtocol {
+	if protocol {
 		c.proto = newProtoCoordinator(c)
 		c.protoPorts = make([]*clusterProtoPort, n)
 	}
 
 	for i, hc := range spec.Hosts {
 		sh := c.shards[i%shards]
-		var seg, bgSeg *netsim.Segment
-		if spec.HalfDuplexNet {
-			seg = netsim.NewSegment(sh.eng, fmt.Sprintf("seg%d", i), spec.Timing.NetBase, spec.Timing.NetPerBit)
-			bgSeg = seg
-		} else {
-			seg = netsim.NewDuplexSegment(sh.eng, fmt.Sprintf("seg%d", i), spec.Timing.NetBase, spec.Timing.NetPerBit)
-			bgSeg = netsim.NewDuplexSegment(sh.eng, fmt.Sprintf("seg%d-bg", i), spec.Timing.NetBase, spec.Timing.NetPerBit)
-		}
+		seg := netsim.NewSegment(sh.eng, fmt.Sprintf("seg%d", i), spec.Timing.NetBase, spec.Timing.NetPerBit)
+		bgSeg := netsim.NewSegment(sh.eng, fmt.Sprintf("seg%d-bg", i), spec.Timing.NetBase, spec.Timing.NetPerBit)
 		for _, s := range []*netsim.Segment{seg, bgSeg} {
 			if lk := s.Lookahead(); upTransit < 0 || lk < upTransit {
 				upTransit = lk
@@ -565,11 +553,11 @@ func (c *Cluster) Filer() *filer.Filer { return c.fsrv }
 // runs feed and poll them between epochs.
 func (c *Cluster) Drivers() []*Driver { return c.drivers }
 
-// Consistency returns the invalidation accounting (zero unless
-// TrackInvalidations or ConsistencyProtocol was set). Under the callback
-// protocol the coordinator's counters are folded together with the
-// per-host port counters (silent-owner writes, request-side control
-// messages); call it only between epochs or after the run.
+// Consistency returns the invalidation accounting (zero for a single-host
+// cluster). Under the callback protocol the coordinator's counters are
+// folded together with the per-host port counters (silent-owner writes,
+// request-side control messages); call it only between epochs or after
+// the run.
 func (c *Cluster) Consistency() ConsistencyStats {
 	cons := c.cons
 	if c.proto != nil {

@@ -54,9 +54,8 @@ func clusterSpecForTest(hosts, shards int) ClusterSpec {
 			return filer.New(eng, rng.New(7),
 				tm.FilerFastRead, tm.FilerSlowRead, tm.FilerWrite, tm.FilerFastReadRate)
 		},
-		Sources:            sources,
-		Warmup:             warmup,
-		TrackInvalidations: true,
+		Sources: sources,
+		Warmup:  warmup,
 	}
 }
 

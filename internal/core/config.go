@@ -88,32 +88,11 @@ type HostConfig struct {
 	// latency (§7.8).
 	PersistentFlash bool
 
-	// ContendedFlash serializes flash device requests through a single
-	// FIFO queue instead of the default fixed-average-latency model.
-	// Ablation only: the paper's measured per-block access times already
-	// embed device-internal concurrency (§6.2).
-	ContendedFlash bool
-
 	// FTLBacked routes flash cache traffic through the page-mapped FTL
 	// simulator instead of the fixed-latency device, so garbage
 	// collection, write amplification and wear emerge. Extension toward
 	// the paper's future work (§8).
 	FTLBacked bool
-
-	// DisableFetchDedup turns off the pending-fetch table: concurrent
-	// misses on the same block each fetch from the filer independently.
-	// Ablation for the dedup design choice.
-	DisableFetchDedup bool
-
-	// SyncMissFill charges the flash install write on the miss path to
-	// the requester instead of performing it in the background.
-	// Ablation for the async-fill design choice.
-	SyncMissFill bool
-
-	// DisableSubsetShootdown stops flash evictions from dropping clean
-	// RAM copies, letting RAM drift out of the flash subset. Ablation
-	// for the RAM ⊆ flash property.
-	DisableSubsetShootdown bool
 }
 
 // Validate reports configuration errors.

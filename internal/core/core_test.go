@@ -169,6 +169,52 @@ func TestNaiveReadMissPath(t *testing.T) {
 	}
 }
 
+// TestBackgroundLaneKeepsReadFillsUncontended locks the reason each host
+// has two segments: background writeback data rides its own lane, so a
+// cold read miss issued alongside it costs exactly the uncontended 1202
+// of TestNaiveReadMissPath. On one shared lane the read's request packet
+// queues behind the writeback's data packet for one packet time.
+func TestBackgroundLaneKeepsReadFillsUncontended(t *testing.T) {
+	tm := testTiming()
+	for _, tc := range []struct {
+		name     string
+		separate bool
+		want     sim.Time
+	}{
+		{"separate-lanes", true, 1202},
+		{"shared-lane", false, 1202 + tm.NetBase},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := &sim.Engine{}
+			fsrv := filer.New(eng, rng.New(1), tm.FilerFastRead, tm.FilerSlowRead, tm.FilerWrite, tm.FilerFastReadRate)
+			seg := netsim.NewSegment(eng, "seg0", tm.NetBase, tm.NetPerBit)
+			var bgSeg *netsim.Segment
+			if tc.separate {
+				bgSeg = netsim.NewSegment(eng, "seg0-bg", tm.NetBase, tm.NetPerBit)
+			}
+			h, err := NewHost(eng, baseCfg(Naive), tm, seg, bgSeg, fsrv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wbDone := sim.Time(-1)
+			h.writeBlockToFiler(99, bgLane, funcCont(func() { wbDone = eng.Now() }), 0)
+			var readDone sim.Time
+			h.Read(1, func() { readDone = eng.Now() })
+			eng.Run()
+			if wbDone < 0 {
+				t.Fatal("background writeback never completed")
+			}
+			if readDone != tc.want {
+				t.Fatalf("cold miss beside a background writeback took %v, want %v", readDone, tc.want)
+			}
+			if tc.separate && (h.bgSeg == h.seg || bgSeg.Packets() != 2 || seg.Packets() != 2) {
+				t.Fatalf("lanes not separate: demand %d packets, background %d",
+					seg.Packets(), bgSeg.Packets())
+			}
+		})
+	}
+}
+
 func TestNaiveReadRAMHit(t *testing.T) {
 	r := newRig(t, baseCfg(Naive), testTiming())
 	r.readLat(1) // fill

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/blockdev"
 	"repro/internal/cache"
 	"repro/internal/netsim"
@@ -141,11 +139,7 @@ func NewHost(eng *sim.Engine, cfg HostConfig, timing Timing,
 		}
 		flashIO = fdev
 	} else {
-		newFlash := blockdev.NewFlashDevice
-		if cfg.ContendedFlash {
-			newFlash = blockdev.NewContendedFlashDevice
-		}
-		flashIO = fixedFlashDev{newFlash(eng, fmt.Sprintf("flash%d", cfg.ID),
+		flashIO = fixedFlashDev{blockdev.NewFlashDevice(eng,
 			timing.FlashRead, timing.FlashWrite, cfg.PersistentFlash)}
 	}
 	h := &Host{
@@ -679,21 +673,6 @@ func commitUnifiedWritten(a any) {
 // spans; a sampled request that joins another's in-flight fetch records a
 // dedup marker instead.
 func (h *Host) fetchFromFiler(key cache.Key, c cont, trSeq uint64) {
-	if h.cfg.DisableFetchDedup {
-		if h.collect {
-			h.st.FilerFetches++
-		}
-		r := h.getReq()
-		r.key = key
-		r.c = c
-		if trSeq != 0 {
-			r.trSeq = trSeq
-			r.tMark = h.eng.Now()
-		}
-		h.noteUpSend()
-		h.seg.Send2(netsim.ToFiler, 0, fetchSent, r)
-		return
-	}
 	if waiters, inflight := h.pending[key]; inflight {
 		if trSeq != 0 {
 			h.mark(trSeq, obs.KindDedup, key)
@@ -707,7 +686,6 @@ func (h *Host) fetchFromFiler(key cache.Key, c cont, trSeq uint64) {
 	}
 	r := h.getReq()
 	r.key = key
-	r.dedup = true
 	if trSeq != 0 {
 		r.trSeq = trSeq
 		r.tMark = h.eng.Now()
@@ -754,13 +732,7 @@ func fetchArrived(a any) {
 	if r.trSeq != 0 {
 		h.span(r.trSeq, obs.KindNetDown, r.key, r.tMark)
 	}
-	if r.dedup {
-		h.installAfterFetch(r.key, cont{fetchWake, r})
-		return
-	}
-	key, c := r.key, r.c
-	h.putReq(r)
-	h.installAfterFetch(key, c)
+	h.installAfterFetch(r.key, cont{fetchWake, r})
 }
 
 // fetchWake completes a de-duplicated fetch: every waiter queued while the
@@ -781,7 +753,7 @@ func fetchWake(a any) {
 // installAfterFetch places a freshly fetched block into the flash tier
 // (layered) or the unified cache. The requester is not charged for the
 // install data write — it proceeds once the block is indexed; the write
-// occupies the device in the background. (Ablation: SyncFill charges it.)
+// occupies the device in the background.
 func (h *Host) installAfterFetch(key cache.Key, c cont) {
 	if h.cfg.Arch == Unified {
 		if h.uni.Capacity() == 0 {
@@ -811,10 +783,6 @@ func installUnifiedRoom(a any) {
 	h.putReq(r)
 	if e, inserted := h.uni.TryInsert(key); inserted {
 		if e.Medium() == cache.Flash {
-			if h.cfg.SyncMissFill {
-				h.flashIO.Write2(key, c.fn, c.arg)
-				return
-			}
 			h.flashIO.Write2(key, nil, nil)
 		}
 	}
@@ -829,10 +797,6 @@ func installFlashRoom(a any) {
 	if _, inserted := h.flash.TryInsert(key); inserted {
 		if h.collect {
 			h.st.FlashFills++
-		}
-		if h.cfg.SyncMissFill {
-			h.flashIO.Write2(key, c.fn, c.arg)
-			return
 		}
 		h.flashIO.Write2(key, nil, nil)
 	}
@@ -947,9 +911,6 @@ func (h *Host) evict(t tier, v *cache.Entry) {
 // evicted, preserving RAM ⊆ flash. A dirty RAM copy is newer than
 // anything below it and stays.
 func (h *Host) shootdownRAMSubset(key cache.Key) {
-	if h.cfg.DisableSubsetShootdown {
-		return
-	}
 	if h.ram == nil || h.ram.Capacity() == 0 {
 		return
 	}

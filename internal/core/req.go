@@ -85,7 +85,6 @@ type hostReq struct {
 	// Read/Write bookkeeping.
 	start   sim.Time
 	collect bool
-	dedup   bool
 
 	// Observability (internal/obs): the sampled request's trace sequence
 	// (0 = untraced, disabling every stage's recording with one integer

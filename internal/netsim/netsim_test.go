@@ -28,27 +28,9 @@ func TestPacketTime(t *testing.T) {
 	}
 }
 
-func TestHalfDuplexSerializesBothDirections(t *testing.T) {
-	var e sim.Engine
-	s := NewSegment(&e, "host0", 100, 0)
-	var done []sim.Time
-	s.Send2(ToFiler, 0, callFunc, func() { done = append(done, e.Now()) })
-	s.Send2(FromFiler, 0, callFunc, func() { done = append(done, e.Now()) })
-	e.Run()
-	if done[0] != 100 || done[1] != 200 {
-		t.Fatalf("half-duplex completions %v, want [100 200]", done)
-	}
-	if s.Duplex() {
-		t.Fatal("Duplex() = true")
-	}
-	if s.Packets() != 2 {
-		t.Fatalf("packets = %d", s.Packets())
-	}
-}
-
 func TestDuplexParallelDirections(t *testing.T) {
 	var e sim.Engine
-	s := NewDuplexSegment(&e, "host0", 100, 0)
+	s := NewSegment(&e, "host0", 100, 0)
 	var done []sim.Time
 	s.Send2(ToFiler, 0, callFunc, func() { done = append(done, e.Now()) })
 	s.Send2(FromFiler, 0, callFunc, func() { done = append(done, e.Now()) })
@@ -56,14 +38,14 @@ func TestDuplexParallelDirections(t *testing.T) {
 	if done[0] != 100 || done[1] != 100 {
 		t.Fatalf("duplex completions %v, want [100 100]", done)
 	}
-	if !s.Duplex() {
-		t.Fatal("Duplex() = false")
+	if s.Packets() != 2 {
+		t.Fatalf("packets = %d", s.Packets())
 	}
 }
 
 func TestDuplexSerializesSameDirection(t *testing.T) {
 	var e sim.Engine
-	s := NewDuplexSegment(&e, "host0", 100, 0)
+	s := NewSegment(&e, "host0", 100, 0)
 	var done []sim.Time
 	s.Send2(ToFiler, 0, callFunc, func() { done = append(done, e.Now()) })
 	s.Send2(ToFiler, 0, callFunc, func() { done = append(done, e.Now()) })
@@ -76,13 +58,14 @@ func TestDuplexSerializesSameDirection(t *testing.T) {
 func TestBusyAndWaited(t *testing.T) {
 	var e sim.Engine
 	s := NewSegment(&e, "host0", 50, 0)
+	// Opposite directions overlap: both wires are busy, nobody queues.
 	s.Send2(ToFiler, 0, nil, nil)
 	s.Send2(FromFiler, 0, nil, nil)
 	e.Run()
 	if s.Busy() != 100 {
 		t.Fatalf("busy = %v", s.Busy())
 	}
-	if s.Waited() != 50 {
+	if s.Waited() != 0 {
 		t.Fatalf("waited = %v", s.Waited())
 	}
 }
@@ -90,22 +73,23 @@ func TestBusyAndWaited(t *testing.T) {
 func TestDataSizeAffectsOccupancy(t *testing.T) {
 	var e sim.Engine
 	s := NewSegment(&e, "host0", baseLat, perBit)
-	var reqDone, respDone sim.Time
-	// Request with no payload, then a 4 KiB response behind it.
-	s.Send2(ToFiler, 0, callFunc, func() { reqDone = e.Now() })
+	var ackDone, respDone sim.Time
+	// An empty response, then a 4 KiB response queued behind it on the
+	// same wire.
+	s.Send2(FromFiler, 0, callFunc, func() { ackDone = e.Now() })
 	s.Send2(FromFiler, 4096, callFunc, func() { respDone = e.Now() })
 	e.Run()
-	if reqDone != baseLat {
-		t.Fatalf("request done %v", reqDone)
+	if ackDone != baseLat {
+		t.Fatalf("empty response done %v", ackDone)
 	}
 	if respDone != baseLat+baseLat+32768 {
-		t.Fatalf("response done %v", respDone)
+		t.Fatalf("data response done %v", respDone)
 	}
 }
 
 func TestDuplexBusyAndWaitedAggregate(t *testing.T) {
 	var e sim.Engine
-	s := NewDuplexSegment(&e, "host0", 50, 0)
+	s := NewSegment(&e, "host0", 50, 0)
 	// Two packets per direction: each wire is busy 100 and queues one
 	// packet for 50; the segment reports the sum of both directions.
 	s.Send2(ToFiler, 0, nil, nil)
@@ -126,7 +110,7 @@ func TestDuplexBusyAndWaitedAggregate(t *testing.T) {
 
 func TestDuplexSend2(t *testing.T) {
 	var e sim.Engine
-	s := NewDuplexSegment(&e, "host0", 100, 0)
+	s := NewSegment(&e, "host0", 100, 0)
 	var done []sim.Time
 	note := func(any) { done = append(done, e.Now()) }
 	s.Send2(ToFiler, 0, note, nil)
@@ -140,10 +124,9 @@ func TestDuplexSend2(t *testing.T) {
 
 func TestLookahead(t *testing.T) {
 	var e sim.Engine
-	half := NewSegment(&e, "h", baseLat, perBit)
-	duplex := NewDuplexSegment(&e, "d", baseLat, perBit)
-	if half.Lookahead() != baseLat || duplex.Lookahead() != baseLat {
-		t.Fatalf("lookahead %v / %v, want %v", half.Lookahead(), duplex.Lookahead(), baseLat)
+	s := NewSegment(&e, "host0", baseLat, perBit)
+	if s.Lookahead() != baseLat {
+		t.Fatalf("lookahead %v, want %v", s.Lookahead(), baseLat)
 	}
 }
 

@@ -4,9 +4,9 @@
 // The paper validated its simulator against NetApp's Mercury hardware
 // (§6.1), matching throughput, latencies and hit rates within 10%. That
 // hardware is unavailable, so this package substitutes the strongest check
-// we can construct (see DESIGN.md): replay the identical trace, in the
-// identical single-threaded flash-only configuration the paper used for
-// its validation ("we played them back directly through a ... flash cache
+// we can construct (see docs/ARCHITECTURE.md, "Departures from the
+// paper"): replay the identical trace, in the identical single-threaded
+// flash-only configuration the paper used for its validation ("we played them back directly through a ... flash cache
 // ... we set the RAM cache size to zero"), through
 //
 //  1. the full event-driven stack (engine, devices, network, filer), and
