@@ -283,13 +283,15 @@ type Config struct {
 	// shared filer serviced in globally sorted arrival order at the
 	// barrier; consistency traffic (instant invalidations or the callback
 	// protocol), crash-recovery metadata scans and scenario runs all ride
-	// the same exchange. Results are bit-identical for every Shards value
-	// >= 1 on any machine, but follow the cluster's (slightly different,
-	// fully deterministic) semantics rather than the sequential path's —
-	// see docs/ARCHITECTURE.md. For steady-state Run/RunTrace, 0 selects
-	// the classic sequential engine; scenarios (RunScenario and friends)
-	// always run on the cluster, with 0 meaning one shard. A value larger
-	// than Hosts is clamped to Hosts.
+	// the same exchange. Steady-state runs and scenarios share one
+	// coordinator (cluster.go): it splits the trace into per-host queues,
+	// and each host warms up on its own share of the trace. Results are
+	// bit-identical for every Shards value >= 1 on any machine, but follow
+	// the cluster's (slightly different, fully deterministic) semantics
+	// rather than the sequential path's — see docs/ARCHITECTURE.md. For
+	// steady-state Run/RunTrace, 0 selects the classic sequential engine;
+	// scenarios (RunScenario and friends) always run on the cluster, with
+	// 0 meaning one shard. A value larger than Hosts is clamped to Hosts.
 	Shards int
 
 	// Seed drives simulator randomness (filer prefetch outcomes).
@@ -582,8 +584,8 @@ func buildSimulation(cfg Config, src trace.Source, warmupBlocks int64) (*simulat
 	hosts := make([]*core.Host, cfg.Hosts)
 	for i := range hosts {
 		hc := hostConfig(cfg, i)
-		seg := netsim.NewSegment(eng, fmt.Sprintf("seg%d", i), cfg.Timing.NetBase, cfg.Timing.NetPerBit)
-		bgSeg := netsim.NewSegment(eng, fmt.Sprintf("seg%d-bg", i), cfg.Timing.NetBase, cfg.Timing.NetPerBit)
+		seg := netsim.NewSegment(eng, cfg.Timing.NetBase, cfg.Timing.NetPerBit)
+		bgSeg := netsim.NewSegment(eng, cfg.Timing.NetBase, cfg.Timing.NetPerBit)
 		h, err := core.NewHost(eng, hc, cfg.Timing, seg, bgSeg, fsrv)
 		if err != nil {
 			return nil, err
@@ -624,7 +626,7 @@ func runTrace(cfg Config, src trace.Source, warmupBlocks int64, pre prestartFn) 
 	}
 	wallStart := time.Now()
 	if cfg.Shards >= 1 {
-		res, err := runSharded(cfg, src, warmupBlocks, pre)
+		res, err := runCluster(cfg, src, warmupBlocks, pre)
 		if err == nil {
 			res.WallClockSeconds, res.PeakHeapBytes = runtimeFootprint(wallStart)
 		}

@@ -133,22 +133,12 @@ func runtimeFootprint(start time.Time) (float64, uint64) {
 type FilerPartitionStats = filer.PartitionStats
 
 // fillFilerStats copies the filer's aggregate and per-partition counters
-// into the result (shared by the sequential and sharded builders).
+// into the result (shared by every executor; scenarios copy the fields
+// their results carry).
 func fillFilerStats(res *Result, fsrv *filer.Filer) {
 	res.FilerFastReads = fsrv.FastReads()
 	res.FilerSlowReads = fsrv.SlowReads()
 	res.FilerWrites = fsrv.Writes()
-	res.FilerObjectReads = fsrv.ObjectReads()
-	res.FilerObjectWrites = fsrv.ObjectWrites()
-	res.FilerPartitions = make([]FilerPartitionStats, fsrv.Partitions())
-	for p := range res.FilerPartitions {
-		res.FilerPartitions[p] = fsrv.PartitionStats(p)
-	}
-}
-
-// fillScenarioFilerStats mirrors fillFilerStats for scenario results,
-// which only carry the diagnostic (non-golden) filer fields.
-func fillScenarioFilerStats(res *ScenarioResult, fsrv *filer.Filer) {
 	res.FilerObjectReads = fsrv.ObjectReads()
 	res.FilerObjectWrites = fsrv.ObjectWrites()
 	res.FilerPartitions = make([]FilerPartitionStats, fsrv.Partitions())

@@ -300,7 +300,7 @@ func rate(hits, misses uint64) float64 {
 // run and telemetry samples are taken at epoch barriers — so a fixed
 // (cfg, scenario) pair produces identical results, telemetry included, on
 // every run and at every shard count; Shards 0 runs as one shard (see
-// scenario_sharded.go and docs/SCENARIOS.md).
+// cluster.go and docs/SCENARIOS.md).
 func RunScenario(cfg Config, sc *Scenario) (*ScenarioResult, error) {
 	return RunScenarioStream(cfg, sc, ScenarioHooks{}, nil)
 }

@@ -1,6 +1,8 @@
 package flashsim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"reflect"
 	"runtime"
@@ -8,6 +10,7 @@ import (
 	"unsafe"
 
 	"repro/internal/trace"
+	"repro/internal/tracegen"
 )
 
 // fleetConfig returns a small multi-host configuration that exercises the
@@ -186,6 +189,67 @@ func TestShardedProtocolGoldenChecksum(t *testing.T) {
 	}
 }
 
+// shardedStartGoldens pin cluster runs that shard-count invariance cannot
+// guard alone (a drift every shard count shares): a crash-recovered start,
+// a cold start, and an explicit trace recorded on more hosts than the
+// cluster has, replayed with a warmup that each host takes its share of.
+// Captured before the steady-state and scenario runs shared one cluster
+// coordinator.
+var shardedStartGoldens = []struct {
+	name string
+	run  func(cfg Config) (*Result, error)
+	want string
+}{
+	{"recovered-start", func(cfg Config) (*Result, error) {
+		cfg.PersistentFlash = true
+		cfg.RecoveredStart = true
+		return Run(cfg)
+	}, "bc3b62626f30240b2bf8891f610024054958c52ffec9e32e30ee45c163b1d7f3"},
+	{"cold-start", func(cfg Config) (*Result, error) {
+		cfg.ColdStart = true
+		return Run(cfg)
+	}, "30b766cc4c860be983575fc4099d9c63ca6b4e0ca435d1ef1040ad95d6727e69"},
+	{"trace-wider-than-cluster", func(cfg Config) (*Result, error) {
+		wide := cfg
+		wide.Hosts = 6
+		fs, err := workloadFileSet(wide)
+		if err != nil {
+			return nil, err
+		}
+		gen, err := tracegen.NewGenerator(tracegen.Config{
+			Seed:             wide.Workload.Seed,
+			Hosts:            wide.Hosts,
+			ThreadsPerHost:   wide.ThreadsPerHost,
+			WorkingSetBlocks: wide.Workload.WorkingSetBlocks,
+			SharedWorkingSet: true,
+			WriteFraction:    wide.Workload.WriteFraction,
+			MeanIOBlocks:     wide.Workload.MeanIOBlocks,
+			FileSet:          fs,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return RunTrace(cfg, gen, gen.WarmupBlocks())
+	}, "d8b93689d3e6e0358219f2ededfbe17fa49f92a8cfde0defd0cb48c0610a7ee6"},
+}
+
+func TestShardedStartGoldenChecksums(t *testing.T) {
+	for _, tc := range shardedStartGoldens {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := fleetConfig(4)
+			cfg.Shards = 2
+			res, err := tc.run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256([]byte(scrubRuntime(res).String()))
+			if got := hex.EncodeToString(sum[:]); got != tc.want {
+				t.Errorf("%s checksum drifted:\ngot  %s\nwant %s", tc.name, got, tc.want)
+			}
+		})
+	}
+}
+
 // TestShardedRecoveredStart locks crash recovery on the cluster: the
 // prefill and the metadata scan + dirty flush drain through the epoch
 // barrier, the recovery delay is reported, and the result is invariant
@@ -206,16 +270,48 @@ func TestShardedRecoveredStart(t *testing.T) {
 	}
 }
 
-// TestSplitTrace checks the per-host split — stable order, host clamping,
-// block volumes — and locks its allocations: they must not grow with the
-// host count, since every per-host stream shares one backing array.
+// feedAll feeds the whole source into a new feeder and returns each
+// host's ops.
+func feedAll(src trace.Source, hosts int) (perHost [][]trace.Op, blocks []int64, total int64) {
+	f := newFeeder(hosts)
+	total = f.feed(src, math.MaxInt64)
+	perHost = make([][]trace.Op, hosts)
+	for h, q := range f.queues {
+		perHost[h] = q.Pending()
+	}
+	return perHost, f.blocks, total
+}
+
+// drainQueues consumes every queued op.
+func drainQueues(queues []*trace.QueueSource) {
+	for _, q := range queues {
+		for {
+			if _, ok := q.Next(); !ok {
+				break
+			}
+		}
+	}
+}
+
+// resetFeeder returns f to a new feeder's state without allocating.
+func resetFeeder(f *feeder) {
+	for _, q := range f.queues {
+		*q = trace.QueueSource{}
+	}
+	f.placed = nil
+}
+
+// TestSplitTrace checks the feeder's per-host split — stable order, host
+// clamping, block volumes — and locks its allocations: they must not grow
+// with the host count, since every per-host queue is a window of one
+// backing array.
 func TestSplitTrace(t *testing.T) {
 	ops := make([]trace.Op, 4096)
 	for i := range ops {
 		ops[i] = trace.Op{Host: uint16(i * 7 % 1500), Kind: trace.Read, File: 1, Block: uint32(i), Count: uint32(1 + i%5)}
 	}
 	for _, hosts := range []int{1, 3, 1024} {
-		perHost, blocks, total := splitTrace(trace.NewSliceSource(ops), hosts)
+		perHost, blocks, total := feedAll(trace.NewSliceSource(ops), hosts)
 		want := make([][]trace.Op, hosts)
 		wantBlocks := make([]int64, hosts)
 		var wantTotal int64
@@ -238,32 +334,101 @@ func TestSplitTrace(t *testing.T) {
 		}
 	}
 
-	// splitTrace's own allocations: start, blocks, the placed array and
-	// perHost, plus splitChunkAllocs for the chunks. None depends on the
-	// host count. The collector's first cycle allocates its workers, so
-	// it runs before the measurement; averaging over 20 calls absorbs
-	// fewer than 20 stray runtime allocations.
-	want := float64(4 + splitChunkAllocs(len(ops)))
+	// A new feeder's first feed allocates the placed array, plus
+	// feedChunkAllocs for the chunks. None depends on the host count. The
+	// collector's first cycle allocates its workers, so it runs before the
+	// measurement; averaging over 20 calls absorbs fewer than 20 stray
+	// runtime allocations.
+	want := float64(1 + feedChunkAllocs(len(ops)))
 	src := trace.NewSliceSource(ops)
 	runtime.GC()
 	for _, hosts := range []int{4, 1024} {
+		f := newFeeder(hosts)
 		got := testing.AllocsPerRun(20, func() {
 			src.Reset()
-			splitTrace(src, hosts)
+			resetFeeder(f)
+			f.feed(src, math.MaxInt64)
 		})
 		if got != want {
-			t.Errorf("splitTrace allocated %v times at %d hosts, want %v", got, hosts, want)
+			t.Errorf("a feed allocated %v times at %d hosts, want %v", got, hosts, want)
 		}
 	}
 }
 
-// splitChunkAllocs counts the allocations splitTrace makes for n ops'
-// chunks: one per chunk, sized by splitChunkOps, and one each time the
+// TestSplitTraceRefill feeds the same queues twice, as a scenario's
+// successive phases do. Ops still pending from the first feed stay ahead
+// of the second's, in order; and once the queues have drained, the second
+// feed places into the first's array and allocates only its chunks — no
+// queue grows, whatever the host count.
+func TestSplitTraceRefill(t *testing.T) {
+	ops := make([]trace.Op, 4096)
+	for i := range ops {
+		ops[i] = trace.Op{Host: uint16(i * 7 % 1500), Thread: uint16(i % 3), Kind: trace.Write, File: 2, Block: uint32(i), Count: 1}
+	}
+	// A remap that sends every odd host to its even neighbour, the way a
+	// detached host's ops go to an attached one.
+	route := func(hosts int) []int {
+		r := make([]int, hosts)
+		for h := range r {
+			r[h] = h &^ 1
+		}
+		return r
+	}
+
+	// Half the ops, a partial drain, then the rest: each host's queue is
+	// its pending ops from the first feed followed by its new ones.
+	const hosts = 6
+	f := newFeeder(hosts)
+	f.route = route(hosts)
+	src := trace.NewSliceSource(ops)
+	f.feed(src, int64(len(ops)/2))
+	for _, q := range f.queues {
+		q.Next()
+	}
+	f.feed(src, math.MaxInt64)
+	want := make([][]trace.Op, hosts)
+	for _, op := range ops {
+		h := int(op.Host) % hosts &^ 1
+		want[h] = append(want[h], op)
+	}
+	for h, q := range f.queues {
+		if len(want[h]) > 0 {
+			want[h] = want[h][1:] // the partial drain took one op
+		}
+		if got := q.Pending(); len(got) != len(want[h]) || (len(got) > 0 && !reflect.DeepEqual(got, want[h])) {
+			t.Fatalf("host %d: refilled queue differs from its pending ops followed by the new ones", h)
+		}
+	}
+
+	// Two feeds of equal size with a full drain between them, the shape
+	// of crash-recovery's two phases: only the first allocates a placed
+	// array.
+	wantAllocs := 1 + 2*feedChunkAllocs(len(ops)/2)
+	runtime.GC()
+	for _, hosts := range []int{4, 1024} {
+		f := newFeeder(hosts)
+		f.route = route(hosts)
+		got := testing.AllocsPerRun(20, func() {
+			src.Reset()
+			resetFeeder(f)
+			f.feed(src, int64(len(ops)/2))
+			drainQueues(f.queues)
+			f.feed(src, math.MaxInt64)
+			drainQueues(f.queues)
+		})
+		if got != float64(wantAllocs) {
+			t.Errorf("two feeds allocated %v times at %d hosts, want %v", got, hosts, wantAllocs)
+		}
+	}
+}
+
+// feedChunkAllocs counts the allocations a feed makes for n ops'
+// chunks: one per chunk, sized by feedChunkOps, and one each time the
 // chunk list outgrows its capacity.
-func splitChunkAllocs(n int) int {
+func feedChunkAllocs(n int) int {
 	allocs := 0
 	var list [][]trace.Op
-	for drained := 0; drained < n; drained += splitChunkOps(drained) {
+	for drained := 0; drained < n; drained += feedChunkOps(drained) {
 		if len(list) == cap(list) {
 			allocs++
 		}
@@ -273,7 +438,7 @@ func splitChunkAllocs(n int) int {
 	return allocs
 }
 
-// TestSplitTraceBytes locks how much splitTrace allocates: the drained
+// TestSplitTraceBytes locks how much the feeder allocates: the drained
 // chunks and the placed array hold the trace twice, with at most one
 // partly filled chunk on top. A slice grown by append leaves copies behind
 // that add up to several times the trace, and how many of them the
@@ -286,13 +451,14 @@ func TestSplitTraceBytes(t *testing.T) {
 		ops[i] = trace.Op{Host: uint16(i % 4), Kind: trace.Read, File: 1, Block: uint32(i), Count: 1}
 	}
 	src := trace.NewSliceSource(ops)
+	f := newFeeder(4)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	splitTrace(src, 4)
+	f.feed(src, math.MaxInt64)
 	runtime.ReadMemStats(&after)
 	size := uint64(unsafe.Sizeof(trace.Op{}))
-	limit := uint64(2*n+splitChunkOps(n))*size + 4<<10
+	limit := uint64(2*n+feedChunkOps(n))*size + 4<<10
 	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
-		t.Errorf("splitTrace allocated %d bytes for %d ops of %d bytes: want at most %d", got, n, size, limit)
+		t.Errorf("a feed allocated %d bytes for %d ops of %d bytes: want at most %d", got, n, size, limit)
 	}
 }

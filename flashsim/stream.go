@@ -122,7 +122,7 @@ func RunScenarioStream(cfg Config, sc *Scenario, hooks ScenarioHooks, ctl *RunCo
 	if err != nil {
 		return nil, err
 	}
-	res, err := runScenarioSharded(cfg, sc, period, hooks, ctl)
+	res, err := runScenarioCluster(cfg, sc, period, hooks, ctl)
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +134,7 @@ func RunScenarioStream(cfg Config, sc *Scenario, hooks ScenarioHooks, ctl *RunCo
 // cancellation aborts the run, then queued injections execute in arrival
 // order. Nested drains (an event's own writeback drain advances the
 // cluster) skip the checkpoint so injections never recurse.
-func (r *shardedScenarioRun) checkpoint() error {
+func (r *clusterRun) checkpoint() error {
 	if r.ctl == nil || r.inEvent {
 		return nil
 	}

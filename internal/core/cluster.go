@@ -342,9 +342,8 @@ type ClusterSpec struct {
 	NewFiler func(*sim.Engine) *filer.Filer
 
 	// Sources holds each host's private trace stream (same length as
-	// Hosts) and Warmup each host's warmup volume in blocks.
+	// Hosts).
 	Sources []trace.Source
-	Warmup  []int64
 
 	// ConsistencyProtocol switches from instant (barrier-deferred)
 	// invalidation to the callback ownership protocol: writers acquire
@@ -406,12 +405,12 @@ type Cluster struct {
 	proto      *protoCoordinator   // nil outside protocol runs
 	protoPorts []*clusterProtoPort // by host ID; nil outside protocol runs
 
-	// Lifecycle (see Start/StartDrivers/Advance/Run/Close).
+	// Lifecycle (see Start/StartDrivers/Advance/RunToCompletion/Close).
 	started        bool
 	inline         bool // epochs run on the coordinator goroutine itself
 	closed         bool
 	driversStarted bool
-	autoStop       bool // Run-mode: stop syncers at the barrier after trace completion
+	autoStop       bool // RunToCompletion: stop syncers at the barrier after trace completion
 	syncersStopped bool
 	end            sim.Time // the barrier the next Advance cycle runs to
 	wg             sync.WaitGroup
@@ -436,8 +435,8 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("core: cluster needs at least one host")
 	}
-	if len(spec.Sources) != n || len(spec.Warmup) != n {
-		return nil, fmt.Errorf("core: cluster needs one trace source and warmup per host")
+	if len(spec.Sources) != n {
+		return nil, fmt.Errorf("core: cluster needs one trace source per host")
 	}
 	if spec.NewFiler == nil {
 		return nil, fmt.Errorf("core: cluster needs a filer constructor")
@@ -487,8 +486,8 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 
 	for i, hc := range spec.Hosts {
 		sh := c.shards[i%shards]
-		seg := netsim.NewSegment(sh.eng, fmt.Sprintf("seg%d", i), spec.Timing.NetBase, spec.Timing.NetPerBit)
-		bgSeg := netsim.NewSegment(sh.eng, fmt.Sprintf("seg%d-bg", i), spec.Timing.NetBase, spec.Timing.NetPerBit)
+		seg := netsim.NewSegment(sh.eng, spec.Timing.NetBase, spec.Timing.NetPerBit)
+		bgSeg := netsim.NewSegment(sh.eng, spec.Timing.NetBase, spec.Timing.NetPerBit)
 		for _, s := range []*netsim.Segment{seg, bgSeg} {
 			if lk := s.Lookahead(); upTransit < 0 || lk < upTransit {
 				upTransit = lk
@@ -520,7 +519,7 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 			}
 			sh.res.addHost(h, i/shards)
 		}
-		drv, err := NewDriver(sh.eng, []*Host{h}, spec.Sources[i], spec.Warmup[i])
+		drv, err := NewDriver(sh.eng, []*Host{h}, spec.Sources[i], 0)
 		if err != nil {
 			return nil, err
 		}
@@ -956,16 +955,20 @@ func (c *Cluster) Close() {
 	}
 }
 
-// StartDrivers primes every per-host trace driver: collection flags are
-// set per the warmup configuration and the initial op windows are pumped,
-// scheduling each host's first events. Run calls it; step-mode users call
-// it once after any prestart work (e.g. crash recovery) has drained.
-func (c *Cluster) StartDrivers() {
+// StartDrivers primes every per-host trace driver: host i collects
+// statistics once it has issued warmup[i] blocks (nil: from the first
+// block), and the initial op windows are pumped, scheduling each host's
+// first events. Run calls it; step-mode users call it once after any
+// prestart work (e.g. crash recovery) has drained.
+func (c *Cluster) StartDrivers(warmup []int64) {
 	if c.driversStarted {
 		panic("core: cluster drivers already started")
 	}
 	c.driversStarted = true
-	for _, d := range c.drivers {
+	for i, d := range c.drivers {
+		if warmup != nil {
+			d.warmupBlocks = warmup[i]
+		}
 		d.start()
 	}
 }
@@ -1067,22 +1070,10 @@ func (c *Cluster) Advance(pause sim.Time) bool {
 // RunToCompletion drives a started cluster (drivers already primed) until
 // all trace work has drained: syncers stop at the first barrier after
 // completion — the sharded analogue of Driver.Run's shutdown — and the
-// call returns once the system is quiescent. Step-mode callers that need
-// prestart work (crash recovery) use Start + Advance + StartDrivers +
-// RunToCompletion; everyone else just calls Run.
+// call returns once the system is quiescent. A steady-state run is Start,
+// any prestart work drained by Advance(0), StartDrivers, then
+// RunToCompletion.
 func (c *Cluster) RunToCompletion() {
 	c.autoStop = true
 	c.Advance(0)
-}
-
-// Run executes the sharded simulation to completion: it starts every
-// per-host driver, advances the shards epoch by epoch, stops the periodic
-// syncers at the first barrier after all trace work has drained (the
-// sharded analogue of Driver.Run's shutdown), and returns once the system
-// is quiescent.
-func (c *Cluster) Run() {
-	c.Start()
-	defer c.Close()
-	c.StartDrivers()
-	c.RunToCompletion()
 }

@@ -17,7 +17,6 @@ func clusterSpecForTest(hosts, shards int) ClusterSpec {
 	tm := DefaultTiming()
 	cfgs := make([]HostConfig, hosts)
 	sources := make([]trace.Source, hosts)
-	warmup := make([]int64, hosts)
 	for i := range cfgs {
 		cfgs[i] = HostConfig{
 			ID:          i,
@@ -44,7 +43,6 @@ func clusterSpecForTest(hosts, shards int) ClusterSpec {
 			})
 		}
 		sources[i] = trace.NewSliceSource(ops)
-		warmup[i] = 100
 	}
 	return ClusterSpec{
 		Shards: shards,
@@ -55,8 +53,20 @@ func clusterSpecForTest(hosts, shards int) ClusterSpec {
 				tm.FilerFastRead, tm.FilerSlowRead, tm.FilerWrite, tm.FilerFastReadRate)
 		},
 		Sources: sources,
-		Warmup:  warmup,
 	}
+}
+
+// runTestCluster runs c to completion with every host collecting after
+// its first 100 blocks.
+func runTestCluster(c *Cluster) {
+	warmup := make([]int64, len(c.Hosts()))
+	for i := range warmup {
+		warmup[i] = 100
+	}
+	c.Start()
+	defer c.Close()
+	c.StartDrivers(warmup)
+	c.RunToCompletion()
 }
 
 type clusterSnapshot struct {
@@ -92,7 +102,7 @@ func TestClusterSingleShardMatchesMulti(t *testing.T) {
 		if got := c.Shards(); got != shards {
 			t.Fatalf("Shards() = %d, want %d", got, shards)
 		}
-		c.Run()
+		runTestCluster(c)
 		snap := snapshotCluster(c)
 		if snap.Ops == 0 || snap.Blocks == 0 {
 			t.Fatalf("shards=%d: no work executed: %+v", shards, snap)
@@ -114,7 +124,7 @@ func TestClusterInvalidationAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Run()
+	runTestCluster(c)
 	cons := c.Consistency()
 	if cons.BlocksWritten == 0 {
 		t.Error("no block writes observed while collecting")
@@ -145,7 +155,7 @@ func TestClusterProtocolInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewCluster(shards=%d): %v", shards, err)
 		}
-		c.Run()
+		runTestCluster(c)
 		snap := snapshotCluster(c)
 		if i == 0 {
 			ref = snap

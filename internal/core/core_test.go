@@ -37,7 +37,7 @@ func newRig(t *testing.T, cfg HostConfig, tm Timing) *rig {
 	t.Helper()
 	eng := &sim.Engine{}
 	fsrv := filer.New(eng, rng.New(1), tm.FilerFastRead, tm.FilerSlowRead, tm.FilerWrite, tm.FilerFastReadRate)
-	seg := netsim.NewSegment(eng, "seg0", tm.NetBase, tm.NetPerBit)
+	seg := netsim.NewSegment(eng, tm.NetBase, tm.NetPerBit)
 	h, err := NewHost(eng, cfg, tm, seg, nil, fsrv)
 	if err != nil {
 		t.Fatal(err)
@@ -187,10 +187,10 @@ func TestBackgroundLaneKeepsReadFillsUncontended(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := &sim.Engine{}
 			fsrv := filer.New(eng, rng.New(1), tm.FilerFastRead, tm.FilerSlowRead, tm.FilerWrite, tm.FilerFastReadRate)
-			seg := netsim.NewSegment(eng, "seg0", tm.NetBase, tm.NetPerBit)
+			seg := netsim.NewSegment(eng, tm.NetBase, tm.NetPerBit)
 			var bgSeg *netsim.Segment
 			if tc.separate {
-				bgSeg = netsim.NewSegment(eng, "seg0-bg", tm.NetBase, tm.NetPerBit)
+				bgSeg = netsim.NewSegment(eng, tm.NetBase, tm.NetPerBit)
 			}
 			h, err := NewHost(eng, baseCfg(Naive), tm, seg, bgSeg, fsrv)
 			if err != nil {
@@ -575,7 +575,7 @@ func TestInvalidationBetweenHosts(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		cfg := baseCfg(Naive)
 		cfg.ID = i
-		seg := netsim.NewSegment(eng, "seg", tm.NetBase, tm.NetPerBit)
+		seg := netsim.NewSegment(eng, tm.NetBase, tm.NetPerBit)
 		h, err := NewHost(eng, cfg, tm, seg, nil, fsrv)
 		if err != nil {
 			t.Fatal(err)

@@ -21,7 +21,7 @@ func buildCluster(t *testing.T, n int, cfg HostConfig, tm Timing, withReg bool) 
 	for i := 0; i < n; i++ {
 		c := cfg
 		c.ID = i
-		seg := netsim.NewSegment(eng, "seg", tm.NetBase, tm.NetPerBit)
+		seg := netsim.NewSegment(eng, tm.NetBase, tm.NetPerBit)
 		h, err := NewHost(eng, c, tm, seg, nil, fsrv)
 		if err != nil {
 			t.Fatal(err)
@@ -294,7 +294,7 @@ func BenchmarkDriverNaive(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := &sim.Engine{}
 		fsrv := filer.New(eng, rng.New(1), tm.FilerFastRead, tm.FilerSlowRead, tm.FilerWrite, tm.FilerFastReadRate)
-		seg := netsim.NewSegment(eng, "seg", tm.NetBase, tm.NetPerBit)
+		seg := netsim.NewSegment(eng, tm.NetBase, tm.NetPerBit)
 		h, err := NewHost(eng, cfg, tm, seg, nil, fsrv)
 		if err != nil {
 			b.Fatal(err)

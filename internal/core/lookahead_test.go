@@ -112,7 +112,7 @@ func TestClusterAdaptiveLookaheadInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewCluster(shards=%d, pinned=%v): %v", shards, pinned, err)
 		}
-		c.Run()
+		runTestCluster(c)
 		return snapshotCluster(c), c.Epochs()
 	}
 

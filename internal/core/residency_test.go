@@ -27,7 +27,6 @@ func sharedWSClusterSpec(hosts, shards int, cfg HostConfig) ClusterSpec {
 			})
 		}
 		spec.Sources[i] = trace.NewSliceSource(ops)
-		spec.Warmup[i] = 0
 	}
 	return spec
 }
@@ -124,7 +123,7 @@ func TestResidencyIndexMatchesCaches(t *testing.T) {
 			}
 			c.Start()
 			defer c.Close()
-			c.StartDrivers()
+			c.StartDrivers(nil)
 			c.autoStop = true
 			barriers, highWord := 0, 0
 			for {

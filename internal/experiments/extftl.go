@@ -75,7 +75,7 @@ func ftlAmplification(o Options) float64 {
 	eng := &sim.Engine{}
 	tm := core.DefaultTiming()
 	fsrv := filer.New(eng, rng.New(2), tm.FilerFastRead, tm.FilerSlowRead, tm.FilerWrite, tm.FilerFastReadRate)
-	seg := netsim.NewSegment(eng, "v", tm.NetBase, tm.NetPerBit)
+	seg := netsim.NewSegment(eng, tm.NetBase, tm.NetPerBit)
 	hc := core.HostConfig{
 		RAMBlocks:   64,
 		FlashBlocks: 2048,

@@ -127,7 +127,7 @@ func NewDevice(eng *sim.Engine, cfg Config) (*Device, error) {
 	d := &Device{
 		cfg:          cfg,
 		eng:          eng,
-		die:          sim.NewServer(eng, "nand-die"),
+		die:          sim.NewServer(eng),
 		rnd:          rng.New(cfg.Seed),
 		logicalPages: logical,
 		mapping:      make([]int32, logical),

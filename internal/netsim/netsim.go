@@ -36,10 +36,10 @@ const (
 
 // NewSegment returns a segment with the given fixed per-packet latency and
 // per-bit data latency.
-func NewSegment(eng *sim.Engine, name string, baseLat, perBit sim.Time) *Segment {
+func NewSegment(eng *sim.Engine, baseLat, perBit sim.Time) *Segment {
 	return &Segment{
-		up:      sim.NewServer(eng, name+"/up"),
-		down:    sim.NewServer(eng, name+"/down"),
+		up:      sim.NewServer(eng),
+		down:    sim.NewServer(eng),
 		baseLat: baseLat,
 		perBit:  perBit,
 	}

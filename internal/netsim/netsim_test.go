@@ -17,7 +17,7 @@ const (
 
 func TestPacketTime(t *testing.T) {
 	var e sim.Engine
-	s := NewSegment(&e, "host0", baseLat, perBit)
+	s := NewSegment(&e, baseLat, perBit)
 	if got := s.PacketTime(0); got != baseLat {
 		t.Fatalf("empty packet time %v", got)
 	}
@@ -30,7 +30,7 @@ func TestPacketTime(t *testing.T) {
 
 func TestDuplexParallelDirections(t *testing.T) {
 	var e sim.Engine
-	s := NewSegment(&e, "host0", 100, 0)
+	s := NewSegment(&e, 100, 0)
 	var done []sim.Time
 	s.Send2(ToFiler, 0, callFunc, func() { done = append(done, e.Now()) })
 	s.Send2(FromFiler, 0, callFunc, func() { done = append(done, e.Now()) })
@@ -45,7 +45,7 @@ func TestDuplexParallelDirections(t *testing.T) {
 
 func TestDuplexSerializesSameDirection(t *testing.T) {
 	var e sim.Engine
-	s := NewSegment(&e, "host0", 100, 0)
+	s := NewSegment(&e, 100, 0)
 	var done []sim.Time
 	s.Send2(ToFiler, 0, callFunc, func() { done = append(done, e.Now()) })
 	s.Send2(ToFiler, 0, callFunc, func() { done = append(done, e.Now()) })
@@ -57,7 +57,7 @@ func TestDuplexSerializesSameDirection(t *testing.T) {
 
 func TestBusyAndWaited(t *testing.T) {
 	var e sim.Engine
-	s := NewSegment(&e, "host0", 50, 0)
+	s := NewSegment(&e, 50, 0)
 	// Opposite directions overlap: both wires are busy, nobody queues.
 	s.Send2(ToFiler, 0, nil, nil)
 	s.Send2(FromFiler, 0, nil, nil)
@@ -72,7 +72,7 @@ func TestBusyAndWaited(t *testing.T) {
 
 func TestDataSizeAffectsOccupancy(t *testing.T) {
 	var e sim.Engine
-	s := NewSegment(&e, "host0", baseLat, perBit)
+	s := NewSegment(&e, baseLat, perBit)
 	var ackDone, respDone sim.Time
 	// An empty response, then a 4 KiB response queued behind it on the
 	// same wire.
@@ -89,7 +89,7 @@ func TestDataSizeAffectsOccupancy(t *testing.T) {
 
 func TestDuplexBusyAndWaitedAggregate(t *testing.T) {
 	var e sim.Engine
-	s := NewSegment(&e, "host0", 50, 0)
+	s := NewSegment(&e, 50, 0)
 	// Two packets per direction: each wire is busy 100 and queues one
 	// packet for 50; the segment reports the sum of both directions.
 	s.Send2(ToFiler, 0, nil, nil)
@@ -110,7 +110,7 @@ func TestDuplexBusyAndWaitedAggregate(t *testing.T) {
 
 func TestDuplexSend2(t *testing.T) {
 	var e sim.Engine
-	s := NewSegment(&e, "host0", 100, 0)
+	s := NewSegment(&e, 100, 0)
 	var done []sim.Time
 	note := func(any) { done = append(done, e.Now()) }
 	s.Send2(ToFiler, 0, note, nil)
@@ -124,7 +124,7 @@ func TestDuplexSend2(t *testing.T) {
 
 func TestLookahead(t *testing.T) {
 	var e sim.Engine
-	s := NewSegment(&e, "host0", baseLat, perBit)
+	s := NewSegment(&e, baseLat, perBit)
 	if s.Lookahead() != baseLat {
 		t.Fatalf("lookahead %v, want %v", s.Lookahead(), baseLat)
 	}
@@ -135,7 +135,7 @@ func TestLookahead(t *testing.T) {
 // int dataBytes*8 product would wrap — still time out correctly.
 func TestPacketTimeLargePayload(t *testing.T) {
 	var e sim.Engine
-	s := NewSegment(&e, "host0", baseLat, perBit)
+	s := NewSegment(&e, baseLat, perBit)
 	const big = 1 << 29 // 512 MiB payload: big*8 wraps a 32-bit int
 	want := baseLat + sim.Time(big)*8*perBit
 	if got := s.PacketTime(big); got != want {

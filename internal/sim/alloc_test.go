@@ -46,7 +46,7 @@ func TestSchedule2AllocationFree(t *testing.T) {
 
 func TestServerUseAllocationFree(t *testing.T) {
 	var e Engine
-	s := NewServer(&e, "srv")
+	s := NewServer(&e)
 	s.Use2(1, nil, nil)
 	e.RunAll()
 

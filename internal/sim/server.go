@@ -10,7 +10,6 @@ package sim
 // sufficient: a request arriving at time t begins service at max(t, freeAt).
 type Server struct {
 	eng    *Engine
-	name   string
 	freeAt Time
 
 	// Utilisation accounting.
@@ -20,12 +19,9 @@ type Server struct {
 }
 
 // NewServer returns a FIFO server attached to the engine.
-func NewServer(eng *Engine, name string) *Server {
-	return &Server{eng: eng, name: name}
+func NewServer(eng *Engine) *Server {
+	return &Server{eng: eng}
 }
-
-// Name returns the server's diagnostic name.
-func (s *Server) Name() string { return s.name }
 
 // Use2 enqueues a request with the given service duration and runs
 // fn(arg) when the request completes service. fn is a static func(any)

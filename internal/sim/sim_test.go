@@ -145,7 +145,7 @@ func TestHeapOrderingProperty(t *testing.T) {
 
 func TestServerSerializes(t *testing.T) {
 	var e Engine
-	s := NewServer(&e, "dev")
+	s := NewServer(&e)
 	var finish []Time
 	s.Use2(10, callFunc, func() { finish = append(finish, e.Now()) })
 	s.Use2(10, callFunc, func() { finish = append(finish, e.Now()) })
@@ -170,7 +170,7 @@ func TestServerSerializes(t *testing.T) {
 
 func TestServerIdleGap(t *testing.T) {
 	var e Engine
-	s := NewServer(&e, "dev")
+	s := NewServer(&e)
 	var finished Time
 	s.Use2(5, nil, nil)
 	e.Schedule(100, func() {
@@ -187,7 +187,7 @@ func TestServerIdleGap(t *testing.T) {
 
 func TestServerUtilisation(t *testing.T) {
 	var e Engine
-	s := NewServer(&e, "dev")
+	s := NewServer(&e)
 	s.Use2(50, nil, nil)
 	e.Schedule(100, func() {}) // stretch the clock
 	e.Run()
@@ -198,7 +198,7 @@ func TestServerUtilisation(t *testing.T) {
 
 func TestServerNegativeServicePanics(t *testing.T) {
 	var e Engine
-	s := NewServer(&e, "dev")
+	s := NewServer(&e)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative service did not panic")
@@ -212,7 +212,7 @@ func TestServerBusyConservation(t *testing.T) {
 	// last completion is at least that sum (single server).
 	f := func(svcs []uint8) bool {
 		var e Engine
-		s := NewServer(&e, "dev")
+		s := NewServer(&e)
 		var sum Time
 		var last Time
 		for _, v := range svcs {
@@ -354,7 +354,7 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 
 func BenchmarkServerUse(b *testing.B) {
 	var e Engine
-	s := NewServer(&e, "dev")
+	s := NewServer(&e)
 	for i := 0; i < b.N; i++ {
 		s.Use2(1, nil, nil)
 	}

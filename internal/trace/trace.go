@@ -24,6 +24,7 @@ const (
 	Write
 )
 
+// String returns the kind's letter in the text encoding: "R" or "W".
 func (k Kind) String() string {
 	switch k {
 	case Read:
@@ -63,6 +64,7 @@ func (o Op) Validate() error {
 // Bytes returns the op's transfer size in bytes.
 func (o Op) Bytes() int64 { return int64(o.Count) * BlockSize }
 
+// String renders the op for diagnostics, e.g. "h0 t1 R f2 b100 n8".
 func (o Op) String() string {
 	return fmt.Sprintf("h%d t%d %s f%d b%d n%d", o.Host, o.Thread, o.Kind, o.File, o.Block, o.Count)
 }
@@ -104,39 +106,25 @@ func (s *SliceSource) Next() (Op, bool) {
 // Reset rewinds the source to the beginning.
 func (s *SliceSource) Reset() { s.pos = 0 }
 
-// QueueSource is an appendable Source: a FIFO of ops that can be extended
-// with Push between drains. Sharded scenario runs feed each host's driver
-// one phase (or chunk) of trace at a time through one of these; the driver
-// sees an ordinary Source that temporarily runs dry between feeds.
+// QueueSource is a refillable Source: a FIFO of ops that its owner
+// replaces with Load between drains. Cluster runs feed each host's driver
+// through one of these; the driver sees an ordinary Source that
+// temporarily runs dry between feeds. The zero value is an empty queue.
 type QueueSource struct {
 	ops  []Op
 	head int
 }
 
-// NewQueueSource returns an empty appendable source.
-func NewQueueSource() *QueueSource { return &QueueSource{} }
+// Load replaces the queue's contents with ops, which it keeps without
+// copying. A feed that must keep what is still pending puts Pending's ops
+// first.
+func (q *QueueSource) Load(ops []Op) { q.ops, q.head = ops, 0 }
 
-// Push appends one op to the queue.
-func (q *QueueSource) Push(op Op) {
-	if q.head == len(q.ops) {
-		// Fully drained: recycle the backing array instead of growing it
-		// forever across feeds.
-		q.ops = q.ops[:0]
-		q.head = 0
-	} else if q.head > 1024 && q.head > len(q.ops)/2 {
-		// Mostly drained: compact the consumed prefix away so a long
-		// feed-while-draining phase holds O(pending), not O(ever pushed).
-		n := copy(q.ops, q.ops[q.head:])
-		q.ops = q.ops[:n]
-		q.head = 0
-	}
-	q.ops = append(q.ops, op)
-}
+// Pending returns the ops loaded but not yet consumed, oldest first. The
+// slice aliases the queue's storage.
+func (q *QueueSource) Pending() []Op { return q.ops[q.head:] }
 
-// Pending returns the number of ops pushed but not yet consumed.
-func (q *QueueSource) Pending() int { return len(q.ops) - q.head }
-
-// DropPending discards the ops pushed but not yet consumed and returns the
+// DropPending discards the ops loaded but not yet consumed and returns the
 // number of blocks they covered. Time-bounded scenario phases call it at
 // their deadline: pre-generated trace that was never dispatched is simply
 // never issued.
