@@ -172,7 +172,7 @@ func TestCloseCancelsEverything(t *testing.T) {
 		if st := run.State(); !st.Terminal() {
 			t.Errorf("run %s state %s after Close", run.ID(), st)
 		}
-		if _, done, _ := run.hub.next(1 << 30); !done {
+		if _, done := run.hub.next(1 << 30); !done {
 			t.Errorf("run %s stream still open after Close", run.ID())
 		}
 	}

@@ -108,11 +108,13 @@ func (s *Server) execute(r *Run) {
 	)
 	if r.spec.Scenario != nil {
 		cols := flashsim.TelemetryColumns()
+		// The coordinator calls Sample from one goroutine, and publish
+		// copies the line, so one encode buffer serves the whole run.
+		var line []byte
 		hooks := flashsim.ScenarioHooks{
 			Sample: func(sec float64, row []float64) {
-				b := append([]byte(nil), `{"type":"sample","data":`...)
-				b = stats.AppendRowNDJSON(b, cols, sec, row)
-				r.hub.publish("sample", append(b, '}'))
+				line = appendSampleLine(line[:0], cols, sec, row)
+				r.hub.publish("sample", line)
 			},
 			Phase: func(p flashsim.PhaseResult) {
 				r.hub.publish("phase", dataLine("phase", flashsim.NewReportPhase(p)))
@@ -151,6 +153,14 @@ func (s *Server) execute(r *Run) {
 		r.hub.publish("end", endLine(StateDone, ""))
 	}
 	r.hub.close()
+}
+
+// appendSampleLine appends the stream envelope of one telemetry row to
+// dst.
+func appendSampleLine(dst []byte, cols []string, sec float64, row []float64) []byte {
+	dst = append(dst, `{"type":"sample","data":`...)
+	dst = stats.AppendRowNDJSON(dst, cols, sec, row)
+	return append(dst, '}')
 }
 
 // helloLine builds the stream's opening envelope: the run identity and

@@ -405,10 +405,16 @@ func TestRunTableFull(t *testing.T) {
 	}
 }
 
-// TestStreamSSE checks the alternate Server-Sent Events framing.
+// TestStreamSSE checks the alternate Server-Sent Events framing: for a
+// scenario run, the SSE body is exactly "event: <type>\ndata: <line>\n\n"
+// over every line of the NDJSON body, byte for byte.
 func TestStreamSSE(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	id := createRun(t, ts, tinySteadyBody)
+	id := createRun(t, ts, tinyScenarioBody)
+	status, ndjson := do(t, http.MethodGet, ts.URL+"/v1/runs/"+id+"/stream", "")
+	if status != http.StatusOK {
+		t.Fatalf("stream = %d: %s", status, ndjson)
+	}
 	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/runs/"+id+"/stream", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -422,15 +428,34 @@ func TestStreamSSE(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("content type %q", ct)
 	}
-	b, err := io.ReadAll(resp.Body)
+	got, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := string(b)
-	for _, want := range []string{"event: hello\n", "event: end\n", "data: {"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("SSE stream missing %q:\n%s", want, text)
+
+	var want bytes.Buffer
+	kinds := make(map[string]bool)
+	for _, line := range bytes.SplitAfter(ndjson, []byte("\n")) {
+		if len(line) == 0 {
+			continue
 		}
+		var env struct {
+			Type string `json:"type"`
+		}
+		if err := json.Unmarshal(line, &env); err != nil {
+			t.Fatalf("stream line %q: %v", line, err)
+		}
+		kinds[env.Type] = true
+		fmt.Fprintf(&want, "event: %s\ndata: %s\n", env.Type, line)
+	}
+	for _, k := range []string{"hello", "sample", "event", "phase", "end"} {
+		if !kinds[k] {
+			t.Errorf("NDJSON stream has no %q line", k)
+		}
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("SSE body (%d B) != NDJSON body framed as SSE (%d B):\ngot:  %.300s\nwant: %.300s",
+			len(got), want.Len(), got, want.Bytes())
 	}
 }
 

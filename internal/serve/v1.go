@@ -240,17 +240,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
+	sig := run.hub.subscribe()
+	defer run.hub.unsubscribe(sig)
 	cursor := 0
 	for {
-		lines, done, wait := run.hub.next(cursor)
+		lines, done := run.hub.next(cursor)
 		for _, ln := range lines {
-			var err error
-			if sse {
-				_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ln.kind, ln.data)
-			} else {
-				_, err = fmt.Fprintf(w, "%s\n", ln.data)
-			}
-			if err != nil {
+			if err := writeLine(w, ln, sse); err != nil {
 				return // client went away
 			}
 		}
@@ -261,12 +257,37 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if done {
 			return
 		}
-		if wait != nil {
-			select {
-			case <-wait:
-			case <-r.Context().Done():
-				return
-			}
+		// Every publish after next leaves a wake-up on the signal, so
+		// waiting here misses no line.
+		select {
+		case <-sig:
+		case <-r.Context().Done():
+			return
 		}
 	}
+}
+
+// writeLine writes one stored line: as is for NDJSON, or framed as the
+// Server-Sent Event "event: <kind>\ndata: <line>\n\n" (the line carries
+// its own '\n').
+func writeLine(w io.Writer, ln streamLine, sse bool) error {
+	if sse {
+		if _, err := io.WriteString(w, "event: "); err != nil {
+			return err
+		}
+		if _, err := io.WriteString(w, ln.kind); err != nil {
+			return err
+		}
+		if _, err := io.WriteString(w, "\ndata: "); err != nil {
+			return err
+		}
+	}
+	if _, err := w.Write(ln.data); err != nil {
+		return err
+	}
+	if sse {
+		_, err := io.WriteString(w, "\n")
+		return err
+	}
+	return nil
 }
