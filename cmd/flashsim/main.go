@@ -141,26 +141,14 @@ func main() {
 		// RunConfig.Config) picks GOMAXPROCS — scenario results are
 		// bit-identical for every shard count, so the output does not
 		// depend on this machine's core count.
-		if *reportJSON != "" {
-			die(fmt.Errorf("-report-json applies to steady-state runs, not scenarios"))
-		}
 		cfg := point(wssList[0], writesList[0])
 		res, err := flashsim.RunScenario(cfg, sc)
 		die(err)
 		fmt.Println(header(wssList[0], writesList[0]))
 		fmt.Print(res)
-		printEpochStats(*epochstats, res.Epochs, res.BarrierMessages, res.SimulatedSeconds,
-			res.FilerPartitions, res.WallProfile)
-		if *traceOut != "" {
-			die(withOutput(*traceOut, func(w io.Writer) error {
-				return flashsim.WriteChromeTrace(w, res.Trace, cfg.Timing)
-			}))
-		}
-		if *epochstatsJSON != "" {
-			rep := flashsim.NewEpochStatsReport(res.Epochs, res.BarrierMessages,
-				res.SimulatedSeconds, res.FilerPartitions, res.WallProfile)
-			die(withOutput(*epochstatsJSON, rep.WriteJSON))
-		}
+		printEpochStats(*epochstats, &res.Result)
+		die(exportRun(cfg, &res.Result, func() *flashsim.Report { return flashsim.NewScenarioReport(cfg, res) },
+			*traceOut, *reportJSON, *epochstatsJSON))
 		die(writeTelemetry(*telemetryPath, res.Telemetry))
 		return
 	}
@@ -183,9 +171,9 @@ func main() {
 		die(r.Err())
 		fmt.Println(header(wssList[0], writesList[0]))
 		fmt.Print(res)
-		printEpochStats(*epochstats, res.Epochs, res.BarrierMessages, res.SimulatedSeconds,
-			res.FilerPartitions, res.WallProfile)
-		die(exportRun(cfg, res, *traceOut, *reportJSON, *epochstatsJSON))
+		printEpochStats(*epochstats, res)
+		die(exportRun(cfg, res, func() *flashsim.Report { return flashsim.NewReport(cfg, res) },
+			*traceOut, *reportJSON, *epochstatsJSON))
 		return
 	}
 
@@ -204,9 +192,9 @@ func main() {
 	_, err = flashsim.RunGrid(cfgs, *parallel, func(i int, res *flashsim.Result) {
 		fmt.Println(header(wssList[i/len(writesList)], writesList[i%len(writesList)]))
 		fmt.Print(res)
-		printEpochStats(*epochstats, res.Epochs, res.BarrierMessages, res.SimulatedSeconds,
-			res.FilerPartitions, res.WallProfile)
-		die(exportRun(cfgs[i], res, *traceOut, *reportJSON, *epochstatsJSON))
+		printEpochStats(*epochstats, res)
+		die(exportRun(cfgs[i], res, func() *flashsim.Report { return flashsim.NewReport(cfgs[i], res) },
+			*traceOut, *reportJSON, *epochstatsJSON))
 		if len(cfgs) > 1 && i < len(cfgs)-1 {
 			fmt.Println()
 		}
@@ -214,10 +202,11 @@ func main() {
 	die(err)
 }
 
-// exportRun writes one steady-state result's observability artifacts —
-// the Chrome trace, the machine-readable report and the epoch-stats
+// exportRun writes one run's observability artifacts — the Chrome trace,
+// the machine-readable report (built by report) and the epoch-stats
 // snapshot — each gated on its flag.
-func exportRun(cfg flashsim.Config, res *flashsim.Result, traceOut, reportJSON, epochstatsJSON string) error {
+func exportRun(cfg flashsim.Config, res *flashsim.Result, report func() *flashsim.Report,
+	traceOut, reportJSON, epochstatsJSON string) error {
 	if traceOut != "" {
 		if err := withOutput(traceOut, func(w io.Writer) error {
 			return flashsim.WriteChromeTrace(w, res.Trace, cfg.Timing)
@@ -226,14 +215,12 @@ func exportRun(cfg flashsim.Config, res *flashsim.Result, traceOut, reportJSON, 
 		}
 	}
 	if reportJSON != "" {
-		if err := withOutput(reportJSON, flashsim.NewReport(cfg, res).WriteJSON); err != nil {
+		if err := withOutput(reportJSON, report().WriteJSON); err != nil {
 			return err
 		}
 	}
 	if epochstatsJSON != "" {
-		rep := flashsim.NewEpochStatsReport(res.Epochs, res.BarrierMessages,
-			res.SimulatedSeconds, res.FilerPartitions, res.WallProfile)
-		if err := withOutput(epochstatsJSON, rep.WriteJSON); err != nil {
+		if err := withOutput(epochstatsJSON, flashsim.NewEpochStatsReport(res).WriteJSON); err != nil {
 			return err
 		}
 	}
@@ -263,14 +250,13 @@ func withOutput(path string, fn func(io.Writer) error) error {
 // and barrier queue depths — and, when the run profiled itself
 // (-wall-profile), the wall-clock breakdown. Sequential runs have no
 // barrier schedule (epochs == 0) and print nothing.
-func printEpochStats(enabled bool, epochs, msgs uint64, simSeconds float64,
-	parts []flashsim.FilerPartitionStats, wp *flashsim.WallProfile) {
-	if !enabled || epochs == 0 {
+func printEpochStats(enabled bool, res *flashsim.Result) {
+	if !enabled || res.Epochs == 0 {
 		return
 	}
-	fmt.Printf("epochs %d  mean epoch %.1f us  messages/barrier %.2f\n",
-		epochs, 1e6*simSeconds/float64(epochs), float64(msgs)/float64(epochs))
-	for p, st := range parts {
+	fmt.Printf("epochs %d  mean epoch %.1f us  messages/barrier %.2f\n", res.Epochs,
+		1e6*res.SimulatedSeconds/float64(res.Epochs), float64(res.BarrierMessages)/float64(res.Epochs))
+	for p, st := range res.FilerPartitions {
 		fmt.Printf("filer partition %d: %d serviced (%d fast, %d slow, %d object, %d writes)  max queue %d  mean queue %.2f\n",
 			p, st.Serviced(), st.FastReads, st.SlowReads, st.ObjectReads, st.Writes,
 			st.MaxBarrierQueue, st.MeanBarrierQueue)
@@ -290,8 +276,8 @@ func printEpochStats(enabled bool, epochs, msgs uint64, simSeconds float64,
 			}
 		}
 	}
-	if wp != nil {
-		fmt.Print(wp.Summary())
+	if res.WallProfile != nil {
+		fmt.Print(res.WallProfile.Summary())
 	}
 }
 

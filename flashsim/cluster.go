@@ -230,24 +230,20 @@ func newClusterRun(cfg Config, queues []*trace.QueueSource, fixedLookahead bool)
 	return r, nil
 }
 
-// baseResult is the tail every run shares: it reads the result fields
-// common to both kinds of run, the sampled spans and the wall profile off
-// the drained cluster.
-func (r *clusterRun) baseResult() Result {
+// result completes res off the drained cluster: the run totals the
+// coordinator reads from the cluster, the sampled spans and the wall
+// profile, then the host, filer and consistency aggregates every executor
+// shares (buildResult). Steady-state and scenario runs both end here.
+func (r *clusterRun) result(res *Result) *Result {
 	cl := r.cl
-	res := Result{
-		OpsCompleted:     cl.OpsCompleted(),
-		BlocksIssued:     cl.BlocksIssued(),
-		SimulatedSeconds: cl.Now().Seconds(),
-		Events:           cl.Events(),
-		Epochs:           cl.Epochs(),
-		BarrierMessages:  cl.BarrierMessages(),
-		WallProfile:      cl.WallProfile(),
-	}
+	res.OpsCompleted, res.BlocksIssued = cl.OpsCompleted(), cl.BlocksIssued()
+	res.SimulatedSeconds, res.Events = cl.Now().Seconds(), cl.Events()
+	res.Epochs, res.BarrierMessages = cl.Epochs(), cl.BarrierMessages()
+	res.WallProfile = cl.WallProfile()
 	if r.tr != nil {
 		res.Trace = r.tr.Spans()
 	}
-	return res
+	return buildResult(res, cl.Hosts(), cl.Filer(), cl.Consistency())
 }
 
 // runCluster executes a steady-state run on the cluster. pre, when
@@ -299,17 +295,14 @@ func runCluster(cfg Config, src trace.Source, warmupBlocks int64, pre prestartFn
 	}
 	cl.StartDrivers(warmup)
 	cl.RunToCompletion()
-	base := r.baseResult()
-	res := buildResult(&base, cl.Hosts(), cl.Filer(), cl.Consistency())
-	res.RecoverySeconds = recoverySeconds
-	return res, nil
+	return r.result(&Result{RecoverySeconds: recoverySeconds}), nil
 }
 
 // runScenarioCluster executes a validated, cloned scenario on the
 // cluster. hooks and ctl are the streaming surfaces (stream.go); batch
 // runs pass zero values and take exactly the batch path.
 func runScenarioCluster(cfg Config, sc *Scenario, period sim.Time, hooks ScenarioHooks, ctl *RunController) (*ScenarioResult, error) {
-	gen, err := scenarioGenerator(cfg)
+	gen, err := newGenerator(cfg, scenarioTraceBlocks)
 	if err != nil {
 		return nil, err
 	}
@@ -384,16 +377,10 @@ func runScenarioCluster(cfg Config, sc *Scenario, period sim.Time, hooks Scenari
 	cl.Advance(0)
 	r.sample(cl.Now())
 
-	base := r.baseResult()
-	fillFilerStats(&base, cl.Filer())
+	r.result(&res.Result)
+	res.EngineEvents = res.Result.Events
 	res.Telemetry = r.ts
-	res.BlocksIssued, res.SimulatedSeconds, res.EngineEvents = base.BlocksIssued, base.SimulatedSeconds, base.Events
-	res.Epochs, res.BarrierMessages = base.Epochs, base.BarrierMessages
-	res.FilerPartitions, res.FilerObjectReads, res.FilerObjectWrites = base.FilerPartitions, base.FilerObjectReads, base.FilerObjectWrites
-	res.Trace, res.WallProfile = base.Trace, base.WallProfile
-	var fin aggSnap
-	r.snapshot(&fin)
-	fillScenarioTotals(res, &fin)
+	res.DirtyBlocksEnd = r.prev.dirty // the closing sample's snapshot
 	return res, nil
 }
 

@@ -456,18 +456,15 @@ func workloadFileSet(cfg Config) (*FileSet, error) {
 	return tracegen.GenerateFileSet(fsCfg)
 }
 
-// Run executes the simulation and returns its results.
-func Run(cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-
+// newGenerator builds the trace generator of the configuration's
+// workload, bounded at totalBlocks (0 lets the generator pick its
+// default volume).
+func newGenerator(cfg Config, totalBlocks int64) (*tracegen.Generator, error) {
 	fs, err := workloadFileSet(cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	genCfg := tracegen.Config{
+	return tracegen.NewGenerator(tracegen.Config{
 		Seed:               cfg.Workload.Seed,
 		Hosts:              cfg.Hosts,
 		ThreadsPerHost:     cfg.ThreadsPerHost,
@@ -475,23 +472,28 @@ func Run(cfg Config) (*Result, error) {
 		SharedWorkingSet:   cfg.Workload.SharedWorkingSet,
 		WorkingSetFraction: cfg.Workload.WorkingSetFraction,
 		WriteFraction:      cfg.Workload.WriteFraction,
-		TotalBlocks:        cfg.Workload.TotalBlocks,
+		TotalBlocks:        totalBlocks,
 		MeanIOBlocks:       cfg.Workload.MeanIOBlocks,
 		FileSet:            fs,
+	})
+}
+
+// Run executes the simulation and returns its results.
+func Run(cfg Config) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
+
+	total := cfg.Workload.TotalBlocks
 	if cfg.ColdStart || cfg.RecoveredStart {
 		// Run only the measured half against post-crash caches: the
 		// warmup the trace would have provided was "lost in the crash".
-		if genCfg.TotalBlocks == 0 {
-			sets := int64(cfg.Hosts)
-			if genCfg.SharedWorkingSet {
-				sets = 1
-			}
-			genCfg.TotalBlocks = 4 * genCfg.WorkingSetBlocks * sets
+		if total == 0 {
+			total = 4 * cfg.Workload.WorkingSetBlocks * workingSets(cfg)
 		}
-		genCfg.TotalBlocks /= 2
+		total /= 2
 	}
-	gen, err := tracegen.NewGenerator(genCfg)
+	gen, err := newGenerator(cfg, total)
 	if err != nil {
 		return nil, err
 	}

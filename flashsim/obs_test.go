@@ -266,14 +266,14 @@ func TestReadReportSchemas(t *testing.T) {
 }
 
 func TestEpochStatsReport(t *testing.T) {
-	rep := NewEpochStatsReport(100, 400, 1.0, nil, nil)
+	rep := NewEpochStatsReport(&Result{Epochs: 100, BarrierMessages: 400, SimulatedSeconds: 1})
 	if rep.MeanEpochMicros != 10000 || rep.MessagesPerBarrier != 4 {
 		t.Errorf("epoch stats %v/%v", rep.MeanEpochMicros, rep.MessagesPerBarrier)
 	}
 	if rep.WallClock != nil {
 		t.Error("nil profile produced a wall_clock section")
 	}
-	seq := NewEpochStatsReport(0, 0, 1.0, nil, nil)
+	seq := NewEpochStatsReport(&Result{SimulatedSeconds: 1})
 	if seq.MeanEpochMicros != 0 || seq.MessagesPerBarrier != 0 {
 		t.Errorf("sequential epoch stats %v/%v", seq.MeanEpochMicros, seq.MessagesPerBarrier)
 	}

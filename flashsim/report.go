@@ -299,83 +299,20 @@ func reportWallClock(wp *WallProfile) *ReportWallClock {
 // CSV/NDJSON).
 type ReportScenario struct {
 	Name             string        `json:"name"`
-	Phases           []ReportPhase `json:"phases"`
-	Events           []ReportEvent `json:"events,omitempty"`
+	Phases           []PhaseResult `json:"phases"`
+	Events           []EventResult `json:"events,omitempty"`
 	TelemetrySamples int           `json:"telemetry_samples"`
 }
 
-// ReportPhase is one phase's aggregate measurements in a report.
-type ReportPhase struct {
-	Name               string  `json:"name"`
-	StartSeconds       float64 `json:"start_s"`
-	EndSeconds         float64 `json:"end_s"`
-	BlocksIssued       uint64  `json:"blocks_issued"`
-	ReadLatencyMicros  float64 `json:"read_latency_us"`
-	WriteLatencyMicros float64 `json:"write_latency_us"`
-	RAMHitRate         float64 `json:"ram_hit_rate"`
-	FlashHitRate       float64 `json:"flash_hit_rate"`
-	FilerFetches       uint64  `json:"filer_fetches"`
-	FilerWritebacks    uint64  `json:"filer_writebacks"`
-	SyncEvictions      uint64  `json:"sync_evictions"`
-	DirtyBlocksEnd     uint64  `json:"dirty_blocks_end"`
-}
-
-// ReportEvent is one executed fault event in a report. Injected marks
-// events delivered to a live run through the daemon rather than scripted.
-type ReportEvent struct {
-	Phase        int     `json:"phase"`
-	Kind         string  `json:"kind"`
-	Host         int     `json:"host"`
-	Seconds      float64 `json:"seconds,omitempty"`
-	Flushed      int     `json:"flushed,omitempty"`
-	Dropped      int     `json:"dropped,omitempty"`
-	Partition    int     `json:"partition,omitempty"`
-	Replica      int     `json:"replica,omitempty"`
-	Resynced     int     `json:"resynced,omitempty"`
-	ResyncSource string  `json:"resync_source,omitempty"`
-	Injected     bool    `json:"injected,omitempty"`
-}
-
-// NewReportPhase converts one phase result to its report shape.
-func NewReportPhase(p PhaseResult) ReportPhase {
-	return ReportPhase{
-		Name:               p.Name,
-		StartSeconds:       p.StartSeconds,
-		EndSeconds:         p.EndSeconds,
-		BlocksIssued:       p.BlocksIssued,
-		ReadLatencyMicros:  p.ReadLatencyMicros,
-		WriteLatencyMicros: p.WriteLatencyMicros,
-		RAMHitRate:         p.RAMHitRate,
-		FlashHitRate:       p.FlashHitRate,
-		FilerFetches:       p.FilerFetches,
-		FilerWritebacks:    p.FilerWritebacks,
-		SyncEvictions:      p.SyncEvictions,
-		DirtyBlocksEnd:     p.DirtyBlocksEnd,
-	}
-}
-
-// NewReportEvent converts one event result to its report shape.
-func NewReportEvent(e EventResult) ReportEvent {
-	return ReportEvent{
-		Phase:        e.Phase,
-		Kind:         e.Kind,
-		Host:         e.Host,
-		Seconds:      e.Seconds,
-		Flushed:      e.Flushed,
-		Dropped:      e.Dropped,
-		Partition:    e.Partition,
-		Replica:      e.Replica,
-		Resynced:     e.Resynced,
-		ResyncSource: e.ResyncSource,
-		Injected:     e.Injected,
-	}
-}
+// ReportEvent is one executed fault event as a report or a stream line
+// carries it.
+type ReportEvent = EventResult
 
 // NewScenarioReport assembles a scripted run's report: the same schema as
-// NewReport with the scenario section filled in and the headline metrics
-// taken from the scenario's whole-run aggregates. Fields a scenario run
-// does not measure (percentiles, histograms, flash busy fraction) stay
-// zero.
+// NewReport with the scenario section filled in. Its headline metrics and
+// counters are a scenario's own set: the latency percentiles, the
+// histograms and the flash busy fraction stay zero, and the counters omit
+// the host, device and consistency totals the embedded Result carries.
 func NewScenarioReport(cfg Config, res *ScenarioResult) *Report {
 	rep := &Report{
 		Schema:             ReportSchema,
@@ -390,31 +327,28 @@ func NewScenarioReport(cfg Config, res *ScenarioResult) *Report {
 			"events":              res.EngineEvents,
 			"epochs":              res.Epochs,
 			"barrier_messages":    res.BarrierMessages,
-			"filer_fetches":       res.FilerFetches,
-			"filer_writebacks":    res.FilerWritebacks,
-			"sync_evictions":      res.SyncEvictions,
+			"filer_fetches":       res.Hosts.FilerFetches,
+			"filer_writebacks":    res.Hosts.FilerWritebacks,
+			"sync_evictions":      res.Hosts.SyncEvictions,
 			"dirty_blocks_end":    res.DirtyBlocksEnd,
 			"filer_object_reads":  res.FilerObjectReads,
 			"filer_object_writes": res.FilerObjectWrites,
 			"scenario_events":     uint64(len(res.Events)),
 		},
+		Scenario: &ReportScenario{
+			Name:   res.Scenario,
+			Phases: res.Phases,
+			Events: res.Events,
+		},
+		FilerPartitions:  reportPartitions(res.FilerPartitions),
+		WallClock:        reportWallClock(res.WallProfile),
 		WallClockSeconds: res.WallClockSeconds,
 		PeakHeapBytes:    res.PeakHeapBytes,
 		TraceSpans:       len(res.Trace),
 	}
-	sc := &ReportScenario{Name: res.Scenario}
-	for _, p := range res.Phases {
-		sc.Phases = append(sc.Phases, NewReportPhase(p))
-	}
-	for _, e := range res.Events {
-		sc.Events = append(sc.Events, NewReportEvent(e))
-	}
 	if res.Telemetry != nil {
-		sc.TelemetrySamples = res.Telemetry.Len()
+		rep.Scenario.TelemetrySamples = res.Telemetry.Len()
 	}
-	rep.Scenario = sc
-	rep.FilerPartitions = reportPartitions(res.FilerPartitions)
-	rep.WallClock = reportWallClock(res.WallProfile)
 	return rep
 }
 
@@ -431,19 +365,18 @@ type EpochStatsReport struct {
 	WallClock          *ReportWallClock  `json:"wall_clock,omitempty"`
 }
 
-// NewEpochStatsReport assembles the epoch-stats snapshot from the fields
-// Result and ScenarioResult both carry.
-func NewEpochStatsReport(epochs, msgs uint64, simSeconds float64,
-	parts []FilerPartitionStats, wp *WallProfile) *EpochStatsReport {
+// NewEpochStatsReport assembles the epoch-stats snapshot of a run's
+// result (a scenario's embedded Result included).
+func NewEpochStatsReport(res *Result) *EpochStatsReport {
 	rep := &EpochStatsReport{
-		Epochs:          epochs,
-		BarrierMessages: msgs,
-		FilerPartitions: reportPartitions(parts),
-		WallClock:       reportWallClock(wp),
+		Epochs:          res.Epochs,
+		BarrierMessages: res.BarrierMessages,
+		FilerPartitions: reportPartitions(res.FilerPartitions),
+		WallClock:       reportWallClock(res.WallProfile),
 	}
-	if epochs > 0 {
-		rep.MeanEpochMicros = 1e6 * simSeconds / float64(epochs)
-		rep.MessagesPerBarrier = float64(msgs) / float64(epochs)
+	if res.Epochs > 0 {
+		rep.MeanEpochMicros = 1e6 * res.SimulatedSeconds / float64(res.Epochs)
+		rep.MessagesPerBarrier = float64(res.BarrierMessages) / float64(res.Epochs)
 	}
 	return rep
 }

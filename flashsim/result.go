@@ -132,10 +132,10 @@ func runtimeFootprint(start time.Time) (float64, uint64) {
 // see filer.PartitionStats for field semantics.
 type FilerPartitionStats = filer.PartitionStats
 
-// fillFilerStats copies the filer's aggregate and per-partition counters
-// into the result (shared by every executor; scenarios copy the fields
-// their results carry).
-func fillFilerStats(res *Result, fsrv *filer.Filer) {
+// buildResult completes res, which carries the executor's own run totals
+// (ops, blocks, simulated time, events, and a cluster's barrier counters),
+// with the host, filer and consistency aggregates every executor shares.
+func buildResult(res *Result, hosts []*core.Host, fsrv *filer.Filer, cons core.ConsistencyStats) *Result {
 	res.FilerFastReads = fsrv.FastReads()
 	res.FilerSlowReads = fsrv.SlowReads()
 	res.FilerWrites = fsrv.Writes()
@@ -145,13 +145,6 @@ func fillFilerStats(res *Result, fsrv *filer.Filer) {
 	for p := range res.FilerPartitions {
 		res.FilerPartitions[p] = fsrv.PartitionStats(p)
 	}
-}
-
-// buildResult completes res, which carries the executor's own run totals
-// (ops, blocks, simulated time, events, and a cluster's barrier counters),
-// with the host, filer and consistency aggregates every executor shares.
-func buildResult(res *Result, hosts []*core.Host, fsrv *filer.Filer, cons core.ConsistencyStats) *Result {
-	fillFilerStats(res, fsrv)
 	var busy float64
 	for _, h := range hosts {
 		res.Hosts.Merge(h.Stats())

@@ -69,111 +69,91 @@ func TelemetryColumns() []string {
 
 // PhaseResult carries one phase's aggregate measurements: deltas of the
 // host statistics between the phase's start (after its events) and end.
+// The json tags are its wire form in the scenario report and on the
+// daemon's phase stream lines.
 type PhaseResult struct {
-	Name string
+	Name string `json:"name"`
 
 	// StartSeconds and EndSeconds bound the phase on the simulated clock
 	// (events at the phase boundary execute before StartSeconds).
-	StartSeconds float64
-	EndSeconds   float64
+	StartSeconds float64 `json:"start_s"`
+	EndSeconds   float64 `json:"end_s"`
 
 	// BlocksIssued counts block accesses issued during the phase.
-	BlocksIssued uint64
+	BlocksIssued uint64 `json:"blocks_issued"`
 
-	ReadLatencyMicros  float64
-	WriteLatencyMicros float64
-	RAMHitRate         float64
-	FlashHitRate       float64
+	ReadLatencyMicros  float64 `json:"read_latency_us"`
+	WriteLatencyMicros float64 `json:"write_latency_us"`
+	RAMHitRate         float64 `json:"ram_hit_rate"`
+	FlashHitRate       float64 `json:"flash_hit_rate"`
 
-	FilerFetches    uint64
-	FilerWritebacks uint64
-	SyncEvictions   uint64
+	FilerFetches    uint64 `json:"filer_fetches"`
+	FilerWritebacks uint64 `json:"filer_writebacks"`
+	SyncEvictions   uint64 `json:"sync_evictions"`
 
 	// DirtyBlocksEnd is the resident dirty-block count at phase end.
-	DirtyBlocksEnd uint64
+	DirtyBlocksEnd uint64 `json:"dirty_blocks_end"`
 }
 
-// EventResult records one executed scripted fault.
+// EventResult records one executed scripted fault. The json tags are its
+// wire form in the scenario report and on the daemon's event stream
+// lines.
 type EventResult struct {
 	// Phase is the index of the phase at whose start the event ran.
-	Phase int
-	Kind  string
-	Host  int
+	Phase int    `json:"phase"`
+	Kind  string `json:"kind"`
+	Host  int    `json:"host"`
 	// Seconds is the simulated time the event consumed (crash recovery
 	// scan + flush, flush writeback drain).
-	Seconds float64
+	Seconds float64 `json:"seconds,omitempty"`
 	// Flushed counts dirty blocks written back by the event; Dropped
 	// counts resident blocks discarded.
-	Flushed int
-	Dropped int
+	Flushed int `json:"flushed,omitempty"`
+	Dropped int `json:"dropped,omitempty"`
 
 	// Filer-event fields (filer-crash / filer-recover): the target
 	// replica, and for recoveries the re-sync volume in blocks plus its
 	// source ("group" or "object").
-	Partition    int
-	Replica      int
-	Resynced     int
-	ResyncSource string
+	Partition    int    `json:"partition,omitempty"`
+	Replica      int    `json:"replica,omitempty"`
+	Resynced     int    `json:"resynced,omitempty"`
+	ResyncSource string `json:"resync_source,omitempty"`
 
 	// Injected marks an event delivered to a live run through a
 	// RunController rather than scripted in the scenario. Injected events
 	// execute at the next epoch barrier, so their placement depends on
 	// wall-clock arrival; scripted runs never set this.
-	Injected bool
+	Injected bool `json:"injected,omitempty"`
 }
 
-// ScenarioResult is everything a scenario run measured: per-phase results,
-// the executed events, and the time-resolved telemetry series.
+// ScenarioResult is everything a scenario run measured: the whole-run
+// Result, built off the drained cluster exactly as a steady-state
+// cluster run's is (latencies and percentiles, hit rates, consistency,
+// filer and device counters, barrier statistics, spans, wall profile and
+// runtime footprint), plus the per-phase results, the executed events and
+// the time-resolved telemetry series.
+//
+// A scenario collects from its first block, so the whole-run figures
+// include what a steady-state run would discard as warmup. String()
+// renders only the scenario fields below and the run bookkeeping: the
+// golden-hash surface predates the embedded measurements.
 type ScenarioResult struct {
+	Result
+
 	Scenario string
 	Phases   []PhaseResult
-	Events   []EventResult
+	// Events is the executed fault-event log. It shadows the embedded
+	// Result.Events engine-event count, which EngineEvents carries.
+	Events []EventResult
 
 	// Telemetry holds one row per sampling interval (see Col* constants).
 	Telemetry *TimeSeries
 
-	// Run bookkeeping.
-	BlocksIssued     uint64
-	SimulatedSeconds float64
-	EngineEvents     uint64
-
-	// Whole-run aggregates over every host, measured at the end of the
-	// run (phases carry the per-leg deltas). Shard-count invariant;
-	// excluded from String() — the golden-hash surface predates them —
-	// but carried into the scenario run report (NewScenarioReport).
-	ReadLatencyMicros  float64
-	WriteLatencyMicros float64
-	RAMHitRate         float64
-	FlashHitRate       float64
-	FilerFetches       uint64
-	FilerWritebacks    uint64
-	SyncEvictions      uint64
-	DirtyBlocksEnd     uint64
-
-	// Barrier-schedule statistics. Shard-count invariant, and
-	// deliberately excluded from String(): the golden-hash surface
-	// predates them.
-	Epochs          uint64
-	BarrierMessages uint64
-
-	// Filer backend statistics: per-partition load accounting (see
-	// Result.FilerPartitions) and object-tier traffic. The service
-	// counters are shard- and partition-count invariant; like the barrier
-	// statistics they are excluded from String().
-	FilerPartitions   []FilerPartitionStats
-	FilerObjectReads  uint64
-	FilerObjectWrites uint64
-
-	// Observability (see the Result fields of the same names): sampled
-	// request-lifecycle spans (TraceSample > 0), the cluster's wall-clock
-	// self-profile (Config.WallProfile), and the run's real-time
-	// footprint. All excluded from the golden-hash surface; String()
-	// reports the footprint on a trailing "runtime:" line that hash
-	// consumers strip.
-	Trace            []TraceSpan
-	WallProfile      *WallProfile
-	WallClockSeconds float64
-	PeakHeapBytes    uint64
+	// EngineEvents is the simulation events executed (Result.Events).
+	EngineEvents uint64
+	// DirtyBlocksEnd is the resident dirty-block count across hosts at
+	// the end of the run.
+	DirtyBlocksEnd uint64
 }
 
 // String renders a deterministic human-readable summary: the phase table,
@@ -363,19 +343,6 @@ func FilerLayout(cfg Config) (partitions, replicas int) {
 	return partitions, replicas
 }
 
-// fillScenarioTotals sets the whole-run aggregate fields from the final
-// host snapshot.
-func fillScenarioTotals(res *ScenarioResult, fin *aggSnap) {
-	res.ReadLatencyMicros = meanMicros(fin.readSum, fin.readCount)
-	res.WriteLatencyMicros = meanMicros(fin.writeSum, fin.writeCount)
-	res.RAMHitRate = rate(fin.ramHits, fin.ramMisses)
-	res.FlashHitRate = rate(fin.flashHits, fin.flashMisses)
-	res.FilerFetches = fin.filerFetches
-	res.FilerWritebacks = fin.filerWritebacks
-	res.SyncEvictions = fin.syncEvictions
-	res.DirtyBlocksEnd = fin.dirty
-}
-
 // ApplyFilerSpec folds a scenario-style filer specification into the
 // configuration — partition/replica layout, quorum, slow-replica factor
 // and the object tier — then re-validates the resulting filer layout (a
@@ -463,27 +430,6 @@ func checkFilerEvents(sc *Scenario, fc filer.Config) error {
 		}
 	}
 	return nil
-}
-
-// scenarioGenerator builds the effectively-unbounded trace generator of a
-// scenario run (phase bounds, not the generator, end the trace).
-func scenarioGenerator(cfg Config) (*tracegen.Generator, error) {
-	fs, err := workloadFileSet(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return tracegen.NewGenerator(tracegen.Config{
-		Seed:               cfg.Workload.Seed,
-		Hosts:              cfg.Hosts,
-		ThreadsPerHost:     cfg.ThreadsPerHost,
-		WorkingSetBlocks:   cfg.Workload.WorkingSetBlocks,
-		SharedWorkingSet:   cfg.Workload.SharedWorkingSet,
-		WorkingSetFraction: cfg.Workload.WorkingSetFraction,
-		WriteFraction:      cfg.Workload.WriteFraction,
-		TotalBlocks:        scenarioTraceBlocks,
-		MeanIOBlocks:       cfg.Workload.MeanIOBlocks,
-		FileSet:            fs,
-	})
 }
 
 // phaseBlocks resolves a phase's block bound against the configuration's

@@ -193,3 +193,29 @@ func TestScenarioLeaveLastHostFails(t *testing.T) {
 		}
 	}
 }
+
+// TestScenarioSharedInvalidations locks the consistency statistics a
+// scenario reports: four hosts churning over one shared working set
+// invalidate remote copies on some but not all of their block writes
+// (the paper's §7.9 metric), identically at one, two and four shards.
+func TestScenarioSharedInvalidations(t *testing.T) {
+	cfg := shardedScenarioConfig("churn")
+	cfg.Workload.SharedWorkingSet = true
+	ref := runScenarioWithShards(t, cfg, "churn", 1)
+	if ref.BlocksWrittenShared == 0 || ref.Invalidations == 0 ||
+		ref.InvalidationFraction <= 0 || ref.InvalidationFraction >= 1 {
+		t.Fatalf("shared churn: %.3f of %d block writes invalidating (%d copies dropped), want a fraction in (0, 1)",
+			ref.InvalidationFraction, ref.BlocksWrittenShared, ref.Invalidations)
+	}
+	t.Logf("shared churn: %.1f%% of %d block writes invalidating (%d copies dropped)",
+		100*ref.InvalidationFraction, ref.BlocksWrittenShared, ref.Invalidations)
+	for _, shards := range []int{2, 4} {
+		got := runScenarioWithShards(t, cfg, "churn", shards)
+		if got.BlocksWrittenShared != ref.BlocksWrittenShared || got.Invalidations != ref.Invalidations ||
+			got.InvalidationFraction != ref.InvalidationFraction {
+			t.Errorf("shards=%d: %.6f of %d writes (%d dropped), shards=1: %.6f of %d (%d dropped)",
+				shards, got.InvalidationFraction, got.BlocksWrittenShared, got.Invalidations,
+				ref.InvalidationFraction, ref.BlocksWrittenShared, ref.Invalidations)
+		}
+	}
+}

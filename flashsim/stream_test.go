@@ -293,8 +293,8 @@ func TestNewScenarioReport(t *testing.T) {
 	if rep.ReadLatencyMicros != res.ReadLatencyMicros || rep.RAMHitRate != res.RAMHitRate {
 		t.Error("headline metrics not taken from scenario totals")
 	}
-	if res.RAMHitRate == 0 || res.FilerWritebacks == 0 {
-		t.Errorf("whole-run totals empty: hit=%v wb=%d", res.RAMHitRate, res.FilerWritebacks)
+	if res.RAMHitRate == 0 || res.Hosts.FilerWritebacks == 0 {
+		t.Errorf("whole-run totals empty: hit=%v wb=%d", res.RAMHitRate, res.Hosts.FilerWritebacks)
 	}
 	if rep.Counters["blocks_issued"] != res.BlocksIssued || rep.Counters["scenario_events"] != 1 {
 		t.Errorf("counters %+v", rep.Counters)
@@ -310,5 +310,42 @@ func TestNewScenarioReport(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rep, back) {
 		t.Fatalf("report round trip changed:\n%+v\n%+v", rep, back)
+	}
+}
+
+// scenarioReportGoldens pins the scenario report JSON, runtime footprint
+// zeroed, as captured before the scenario result embedded Result: the
+// report keeps its scenario-only counter set and its phase and event
+// records keep their wire names.
+var scenarioReportGoldens = []struct {
+	name string
+	cfg  func() Config
+	sc   func() *Scenario
+	want string
+}{
+	{"stream-test", streamConfig, streamScenario, "6f00c86d0453f0917d2dbf4bf6b3f8d8b8608746b39d9cb43a9b8696f09a8043"},
+	{"crash-recovery", func() Config { return scenarioGoldenConfig("crash-recovery") }, func() *Scenario {
+		sc, _ := BuiltinScenario("crash-recovery")
+		return sc
+	}, "52fde14e8416b1704a92590b60c4ef9acc8838eb826cc6ba504628ccb573f48c"},
+}
+
+func TestScenarioReportPinned(t *testing.T) {
+	for _, tc := range scenarioReportGoldens {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg()
+			res, err := RunScenario(cfg, tc.sc())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sb strings.Builder
+			if err := NewScenarioReport(cfg, scrubScenarioRuntime(res)).WriteJSON(&sb); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256([]byte(sb.String()))
+			if got := hex.EncodeToString(sum[:]); got != tc.want {
+				t.Errorf("scenario report drifted:\ngot  %s\nwant %s\n%s", got, tc.want, sb.String())
+			}
+		})
 	}
 }

@@ -530,7 +530,7 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 		c.hostShard[i] = sh
 	}
 	var err error
-	if c.bound, err = newEdgeLookahead(c.fsrv.PartitionFloors(), upTransit, adaptive); err != nil {
+	if c.bound, err = newEdgeLookahead(c.lookahead, upTransit, adaptive); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -633,17 +633,7 @@ func (c *Cluster) BlocksIssued() uint64 {
 func (c *Cluster) worker(sh *clusterShard) {
 	defer c.wg.Done()
 	for end := range sh.cmd {
-		if c.wall == nil {
-			sh.beginEpoch(c.invBatch)
-			sh.eng.RunUntil(end)
-			sh.sealOutbox()
-		} else {
-			t0 := time.Now()
-			sh.beginEpoch(c.invBatch)
-			sh.eng.RunUntil(end)
-			sh.sealOutbox()
-			sh.execNanos += int64(time.Since(t0))
-		}
+		c.epoch(sh, end)
 		sh.done <- struct{}{}
 	}
 }
@@ -654,17 +644,7 @@ func (c *Cluster) worker(sh *clusterShard) {
 func (c *Cluster) runEpoch(end sim.Time) {
 	if c.inline {
 		for _, sh := range c.shards {
-			if c.wall == nil {
-				sh.beginEpoch(c.invBatch)
-				sh.eng.RunUntil(end)
-				sh.sealOutbox()
-				continue
-			}
-			t0 := time.Now()
-			sh.beginEpoch(c.invBatch)
-			sh.eng.RunUntil(end)
-			sh.sealOutbox()
-			sh.execNanos += int64(time.Since(t0))
+			c.epoch(sh, end)
 		}
 		return
 	}
@@ -673,6 +653,23 @@ func (c *Cluster) runEpoch(end sim.Time) {
 	}
 	for _, sh := range c.shards {
 		<-sh.done
+	}
+}
+
+// epoch advances one shard to end: it delivers the barrier's serviced
+// completions, applies the coordinator's invalidation batch, runs the
+// engine and seals the outbox. With the wall profiler on, that interval
+// is the shard's execution time.
+func (c *Cluster) epoch(sh *clusterShard, end sim.Time) {
+	var t0 time.Time
+	if c.wall != nil {
+		t0 = time.Now()
+	}
+	sh.beginEpoch(c.invBatch)
+	sh.eng.RunUntil(end)
+	sh.sealOutbox()
+	if c.wall != nil {
+		sh.execNanos += int64(time.Since(t0))
 	}
 }
 

@@ -38,19 +38,12 @@ import (
 // state, so the barrier schedule — and with it every delivery decision —
 // stays identical for every shard count.
 type edgeLookahead struct {
-	// floors holds one host→filer service edge per filer backend
-	// partition: the smallest latency that partition ever adds to a
-	// request (filer.PartitionFloors).
-	floors []sim.Time
-	// floor is the effective widening bound: the minimum over floors. A
-	// future request can route to any partition — the hash is over keys
-	// the schedule cannot predict — so the epoch horizon is bounded by
-	// the fastest partition a request could possibly meet. With the
-	// homogeneous partitions the filer models today every per-partition
-	// edge shares one floor and the bound degenerates to the classic
-	// global minimum; heterogeneous floors would tighten nothing further
-	// without per-key routing knowledge, which conservative lookahead by
-	// definition does not have before the events run.
+	// floor is the host→filer service edge: the smallest latency the
+	// filer ever adds to a request (filer.MinServiceLatency). Every
+	// partition and replica shares it — the slow-replica factor only
+	// scales latencies up, and a crashed replica can only raise a group's
+	// true minimum — so one floor bounds the edge to any backend a future
+	// request could route to, through any crash/recover sequence.
 	floor sim.Time
 	// upTransit is the network edge: the minimum one-way wire latency
 	// (netsim Segment.Lookahead) over every host's request lanes.
@@ -60,28 +53,18 @@ type edgeLookahead struct {
 	adaptive bool
 }
 
-// newEdgeLookahead validates the per-edge bounds. Every partition floor
-// must be positive — a zero floor would admit same-instant
-// request/response cycles that no finite epoch can cut. A zero upTransit
-// is legal (a free wire simply contributes no widening); a negative one
-// is a config bug.
-func newEdgeLookahead(floors []sim.Time, upTransit sim.Time, adaptive bool) (edgeLookahead, error) {
-	if len(floors) == 0 {
-		return edgeLookahead{}, fmt.Errorf("core: sharded run needs at least one filer partition floor")
-	}
-	min := floors[0]
-	for _, f := range floors {
-		if f <= 0 {
-			return edgeLookahead{}, fmt.Errorf("core: sharded run needs a positive filer service latency (epoch lookahead)")
-		}
-		if f < min {
-			min = f
-		}
+// newEdgeLookahead validates the edge bounds. The filer floor must be
+// positive — a zero floor would admit same-instant request/response
+// cycles that no finite epoch can cut. A zero upTransit is legal (a free
+// wire simply contributes no widening); a negative one is a config bug.
+func newEdgeLookahead(floor, upTransit sim.Time, adaptive bool) (edgeLookahead, error) {
+	if floor <= 0 {
+		return edgeLookahead{}, fmt.Errorf("core: sharded run needs a positive filer service latency (epoch lookahead)")
 	}
 	if upTransit < 0 {
 		return edgeLookahead{}, fmt.Errorf("core: negative network transit %v", upTransit)
 	}
-	return edgeLookahead{floors: floors, floor: min, upTransit: upTransit, adaptive: adaptive}, nil
+	return edgeLookahead{floor: floor, upTransit: upTransit, adaptive: adaptive}, nil
 }
 
 // next places the barrier after prev. horizon is the globally earliest

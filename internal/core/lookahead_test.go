@@ -16,7 +16,7 @@ const us = sim.Microsecond
 func TestEdgeLookaheadNext(t *testing.T) {
 	cases := []struct {
 		name          string
-		floors        []sim.Time
+		floor         sim.Time
 		upTransit     sim.Time
 		adaptive      bool
 		prev, horizon sim.Time
@@ -25,31 +25,25 @@ func TestEdgeLookaheadNext(t *testing.T) {
 		want          sim.Time
 	}{
 		// Pinned schedule: fixed steps, indifferent to the wire.
-		{"pinned/step", []sim.Time{100 * us}, 8 * us, false, 0, 50 * us, true, false, 100 * us},
-		{"pinned/step-ignores-flight", []sim.Time{100 * us}, 8 * us, false, 0, 50 * us, true, true, 100 * us},
-		{"pinned/jump-to-horizon", []sim.Time{100 * us}, 8 * us, false, 0, 700 * us, true, false, 700 * us},
-		{"pinned/no-horizon", []sim.Time{100 * us}, 8 * us, false, 300 * us, 0, false, false, 400 * us},
+		{"pinned/step", 100 * us, 8 * us, false, 0, 50 * us, true, false, 100 * us},
+		{"pinned/step-ignores-flight", 100 * us, 8 * us, false, 0, 50 * us, true, true, 100 * us},
+		{"pinned/jump-to-horizon", 100 * us, 8 * us, false, 0, 700 * us, true, false, 700 * us},
+		{"pinned/no-horizon", 100 * us, 8 * us, false, 300 * us, 0, false, false, 400 * us},
 		// Adaptive schedule: horizon + floor, + one transit on an empty wire.
-		{"adaptive/busy-wire", []sim.Time{100 * us}, 8 * us, true, 0, 50 * us, true, true, 150 * us},
-		{"adaptive/empty-wire", []sim.Time{100 * us}, 8 * us, true, 0, 50 * us, true, false, 158 * us},
-		{"adaptive/idle-jump", []sim.Time{100 * us}, 8 * us, true, 0, 900 * us, true, true, 1000 * us},
-		{"adaptive/no-horizon", []sim.Time{100 * us}, 8 * us, true, 300 * us, 0, false, false, 400 * us},
+		{"adaptive/busy-wire", 100 * us, 8 * us, true, 0, 50 * us, true, true, 150 * us},
+		{"adaptive/empty-wire", 100 * us, 8 * us, true, 0, 50 * us, true, false, 158 * us},
+		{"adaptive/idle-jump", 100 * us, 8 * us, true, 0, 900 * us, true, true, 1000 * us},
+		{"adaptive/no-horizon", 100 * us, 8 * us, true, 300 * us, 0, false, false, 400 * us},
 		// Degenerate single-edge cluster: a free wire widens nothing, so
 		// the adaptive bound collapses to the filer edge alone.
-		{"adaptive/zero-transit", []sim.Time{100 * us}, 0, true, 0, 50 * us, true, false, 150 * us},
+		{"adaptive/zero-transit", 100 * us, 0, true, 0, 50 * us, true, false, 150 * us},
 		// Safety clamp: a (theoretically impossible) stale horizon must
 		// still advance the schedule.
-		{"adaptive/clamp", []sim.Time{100 * us}, 0, true, 500 * us, 10 * us, true, true, 600 * us},
-		// Partitioned filer: the bound is the fastest relevant partition —
-		// the minimum over the per-partition floors, since a future
-		// arrival can route to any backend.
-		{"pinned/partitioned", []sim.Time{100 * us, 100 * us, 100 * us, 100 * us}, 8 * us, false, 0, 50 * us, true, false, 100 * us},
-		{"adaptive/partitioned-homogeneous", []sim.Time{100 * us, 100 * us}, 8 * us, true, 0, 50 * us, true, true, 150 * us},
-		{"adaptive/partitioned-min-governs", []sim.Time{400 * us, 100 * us, 250 * us}, 8 * us, true, 0, 50 * us, true, true, 150 * us},
+		{"adaptive/clamp", 100 * us, 0, true, 500 * us, 10 * us, true, true, 600 * us},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			l, err := newEdgeLookahead(tc.floors, tc.upTransit, tc.adaptive)
+			l, err := newEdgeLookahead(tc.floor, tc.upTransit, tc.adaptive)
 			if err != nil {
 				t.Fatalf("newEdgeLookahead: %v", err)
 			}
@@ -70,24 +64,18 @@ func TestEdgeLookaheadNext(t *testing.T) {
 // and a negative wire transit.
 func TestEdgeLookaheadValidation(t *testing.T) {
 	for _, adaptive := range []bool{false, true} {
-		if _, err := newEdgeLookahead([]sim.Time{0}, 8*us, adaptive); err == nil ||
+		if _, err := newEdgeLookahead(0, 8*us, adaptive); err == nil ||
 			!strings.Contains(err.Error(), "positive filer service latency") {
 			t.Errorf("adaptive=%v: zero floor: err = %v", adaptive, err)
 		}
-		if _, err := newEdgeLookahead([]sim.Time{-us}, 8*us, adaptive); err == nil {
+		if _, err := newEdgeLookahead(-us, 8*us, adaptive); err == nil {
 			t.Errorf("adaptive=%v: negative floor accepted", adaptive)
 		}
-		if _, err := newEdgeLookahead([]sim.Time{100 * us, 0, 100 * us}, 8*us, adaptive); err == nil {
-			t.Errorf("adaptive=%v: zero floor hidden among partitions accepted", adaptive)
-		}
-		if _, err := newEdgeLookahead(nil, 8*us, adaptive); err == nil {
-			t.Errorf("adaptive=%v: empty floor set accepted", adaptive)
-		}
-		if _, err := newEdgeLookahead([]sim.Time{100 * us}, -us, adaptive); err == nil ||
+		if _, err := newEdgeLookahead(100*us, -us, adaptive); err == nil ||
 			!strings.Contains(err.Error(), "negative network transit") {
 			t.Errorf("adaptive=%v: negative transit: err = %v", adaptive, err)
 		}
-		if _, err := newEdgeLookahead([]sim.Time{100 * us}, 0, adaptive); err != nil {
+		if _, err := newEdgeLookahead(100*us, 0, adaptive); err != nil {
 			t.Errorf("adaptive=%v: zero transit rejected: %v", adaptive, err)
 		}
 	}

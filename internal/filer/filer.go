@@ -615,24 +615,36 @@ func (f *Filer) ObserveBarrierQueue(part, depth int) {
 // PrefetchRate returns the configured fast-read rate.
 func (f *Filer) PrefetchRate() float64 { return f.cfg.PrefetchRate }
 
-// FastReads, SlowReads, ObjectReads, Writes and ObjectWrites report
-// service counts summed over partitions. Writes counts requests, not
-// replica acks (see ReplicaStats).
+// FastReads reports fast-path reads summed over partitions.
 func (f *Filer) FastReads() uint64 { return f.sum(func(p *partition) uint64 { return p.fastReads }) }
+
+// SlowReads reports slow-path reads summed over partitions.
 func (f *Filer) SlowReads() uint64 { return f.sum(func(p *partition) uint64 { return p.slowReads }) }
+
+// ObjectReads reports reads served by the object tier, summed over
+// partitions.
 func (f *Filer) ObjectReads() uint64 {
 	return f.sum(func(p *partition) uint64 { return p.objectReads })
 }
+
+// Writes reports write requests summed over partitions: requests, not
+// replica acks (see ReplicaStats).
 func (f *Filer) Writes() uint64 { return f.sum(func(p *partition) uint64 { return p.writes }) }
+
+// ObjectWrites reports background write-through copies to the object
+// tier, summed over partitions.
 func (f *Filer) ObjectWrites() uint64 {
 	return f.sum(func(p *partition) uint64 { return p.objectWrites })
 }
 
-// DegradedReads and DegradedWrites report the below-strength service
-// counts summed over partitions (see PartitionStats).
+// DegradedReads reports reads served while a group was below full
+// strength, summed over partitions (see PartitionStats).
 func (f *Filer) DegradedReads() uint64 {
 	return f.sum(func(p *partition) uint64 { return p.degradedReads })
 }
+
+// DegradedWrites reports writes acknowledged by fewer live replicas than
+// the quorum, summed over partitions (see PartitionStats).
 func (f *Filer) DegradedWrites() uint64 {
 	return f.sum(func(p *partition) uint64 { return p.degradedWrites })
 }
@@ -732,19 +744,4 @@ func (f *Filer) MinServiceLatency() sim.Time {
 		min = f.cfg.Write
 	}
 	return min
-}
-
-// PartitionFloors returns each partition's minimum service latency, the
-// per-(shard,partition)-edge lookahead floors of a sharded run. Every
-// floor is the min over the group's replicas, which equals
-// MinServiceLatency (the slow-replica factor only scales latencies up);
-// crashing a replica can only raise a group's true minimum, so the floors
-// stay conservative through any crash/recover sequence without the
-// barrier schedule ever depending on liveness.
-func (f *Filer) PartitionFloors() []sim.Time {
-	floors := make([]sim.Time, len(f.parts))
-	for i := range floors {
-		floors[i] = f.MinServiceLatency()
-	}
-	return floors
 }

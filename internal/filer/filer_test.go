@@ -364,25 +364,16 @@ func TestPartitionStats(t *testing.T) {
 	}
 }
 
-// TestPartitionFloors: one floor per partition, each the filer's minimum
-// service latency (homogeneous partitions today), and the object tier
-// never lowers the floor.
-func TestPartitionFloors(t *testing.T) {
+// TestMinServiceLatency: the epoch lookahead floor of a partitioned
+// filer is its fastest block-tier latency, and the object tier never
+// lowers it.
+func TestMinServiceLatency(t *testing.T) {
 	var e sim.Engine
 	cfg := blockConfig(3, 0.9)
 	cfg.Object = &ObjectTier{Read: 2 * slowRead, Write: slowRead}
 	f, err := NewPartitioned(&e, rng.New(1), cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	floors := f.PartitionFloors()
-	if len(floors) != 3 {
-		t.Fatalf("%d floors for 3 partitions", len(floors))
-	}
-	for i, fl := range floors {
-		if fl != f.MinServiceLatency() {
-			t.Fatalf("floor %d = %v, want %v", i, fl, f.MinServiceLatency())
-		}
 	}
 	if f.MinServiceLatency() != fastRead {
 		t.Fatalf("min service latency %v, want %v", f.MinServiceLatency(), fastRead)

@@ -363,11 +363,9 @@ func TestReplicaAccessors(t *testing.T) {
 	if f.LiveReplicas(1) != 3 {
 		t.Fatalf("live = %d", f.LiveReplicas(1))
 	}
-	// The floors ignore replication entirely.
-	for _, fl := range f.PartitionFloors() {
-		if fl != f.MinServiceLatency() {
-			t.Fatalf("floor %v != min service latency %v", fl, f.MinServiceLatency())
-		}
+	// The lookahead floor ignores replication entirely.
+	if f.MinServiceLatency() != fastRead {
+		t.Fatalf("min service latency %v, want %v", f.MinServiceLatency(), fastRead)
 	}
 }
 

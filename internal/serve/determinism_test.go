@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"net/http"
 	"strings"
@@ -87,5 +89,35 @@ func TestStreamDeterministicAcrossShards(t *testing.T) {
 	if streamed != sb.String() {
 		t.Errorf("streamed sample bytes != batch NDJSON export:\nstream: %.200s\nbatch:  %.200s",
 			streamed, sb.String())
+	}
+}
+
+// TestStreamPhaseEventLinesPinned locks the wire bytes of the phase and
+// event stream lines of two builtins — crash-recovery's host crash and
+// filer-crash's replica crash and re-sync — against the hash captured
+// before those lines were marshaled from the result records directly.
+func TestStreamPhaseEventLinesPinned(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	h := sha256.New()
+	lines := 0
+	for _, name := range []string{"crash-recovery", "filer-crash"} {
+		id := createRun(t, ts, fmt.Sprintf(
+			`{"config": {"hosts": 4, "persistent": true, "shards": 2}, "builtin": %q}`, name))
+		status, b := do(t, http.MethodGet, ts.URL+"/v1/runs/"+id+"/stream", "")
+		if status != http.StatusOK || !strings.Contains(string(b), `"state":"done"`) {
+			t.Fatalf("%s stream = %d: %s", name, status, b)
+		}
+		for _, line := range strings.Split(string(b), "\n") {
+			if strings.HasPrefix(line, `{"type":"phase",`) || strings.HasPrefix(line, `{"type":"event",`) {
+				h.Write([]byte(line + "\n"))
+				lines++
+			}
+		}
+	}
+	if lines != 8 {
+		t.Errorf("%d phase and event lines, want 8", lines)
+	}
+	if got, want := hex.EncodeToString(h.Sum(nil)), "b71d5c520bd1e8ca5dcc3e906aacb27265a9bd54e5979e76ae69614967b25fee"; got != want {
+		t.Errorf("phase/event stream lines drifted:\ngot  %s\nwant %s", got, want)
 	}
 }

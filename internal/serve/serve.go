@@ -117,10 +117,10 @@ func (s *Server) execute(r *Run) {
 				r.hub.publish("sample", line)
 			},
 			Phase: func(p flashsim.PhaseResult) {
-				r.hub.publish("phase", dataLine("phase", flashsim.NewReportPhase(p)))
+				r.hub.publish("phase", dataLine("phase", p))
 			},
 			Event: func(e flashsim.EventResult) {
-				r.hub.publish("event", dataLine("event", flashsim.NewReportEvent(e)))
+				r.hub.publish("event", dataLine("event", e))
 			},
 		}
 		var res *flashsim.ScenarioResult
