@@ -251,12 +251,10 @@ func BenchmarkFleetShards(b *testing.B) {
 }
 
 // BenchmarkFleetPartitions sweeps the filer partition count on the
-// 4-shard fleet with the object tier enabled: with partitions > 1 the
-// coordinator services the backends on persistent per-partition workers,
-// so on a multi-core machine the partitioned rows should shave the
-// barrier's serial filer-service time (results are bit-identical at every
-// count; see TestPartitionCountInvariance). Run with -cpu 1,2,4 to see the
-// crossover against the handshake overhead.
+// 4-shard fleet with the object tier enabled. The barrier services every
+// partition in the same two serial walks, so the rows should match:
+// partitioning adds only routing and per-partition accounting (results
+// are bit-identical at every count; see TestPartitionCountInvariance).
 func BenchmarkFleetPartitions(b *testing.B) {
 	for _, parts := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("parts=%d", parts), func(b *testing.B) {

@@ -215,9 +215,8 @@ type Config struct {
 	// tier residency and (on sharded runs) barrier queue gauges.
 	// Partitioning never changes simulated results — they are
 	// bit-identical for every (Shards × FilerPartitions) combination —
-	// only the backend load accounting and the wall-clock shape of
-	// sharded runs. 0 selects one partition; negative values are
-	// rejected.
+	// only the backend load accounting. 0 selects one partition; negative
+	// values are rejected.
 	FilerPartitions int
 
 	// FilerReplicas replicates each filer partition over that many

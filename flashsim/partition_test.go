@@ -3,8 +3,11 @@ package flashsim
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"reflect"
 	"testing"
+
+	"repro/internal/filer"
 )
 
 // Partition invariance locks: the filer's backend partitioning is pure
@@ -112,6 +115,56 @@ func TestPartitionStatsSumToAggregates(t *testing.T) {
 			fast, slow, object, writes, objWrites,
 			res.FilerFastReads, res.FilerSlowReads, res.FilerObjectReads,
 			res.FilerWrites, res.FilerObjectWrites)
+	}
+}
+
+// partitionStatsGolden pins the full per-partition split (every service
+// counter, both barrier-queue gauges and the per-replica split) of the
+// replicated fleet, by partition count; every shard count must produce it.
+var partitionStatsGolden = map[int]string{
+	2: "f41e85f28413eae3043ddb99e3d2e9d80b6a8d739a4ea7090054fbf510579fa3",
+	4: "16bbaacc1437479626019b4bd73eb565949129ea193343a0864691710570f3f5",
+}
+
+// TestPartitionStatsPinned locks the part of a Result that the invariance
+// matrix strips: the per-backend load accounting. The split depends on
+// the partition count, but not on how the barrier's filer service is
+// scheduled or on the shard count.
+func TestPartitionStatsPinned(t *testing.T) {
+	base := partitionFleetConfig()
+	base.FilerReplicas = 3
+	for _, parts := range []int{2, 4} {
+		var ref []filer.PartitionStats
+		for _, shards := range partitionMatrix {
+			cfg := base
+			cfg.Shards = shards
+			cfg.FilerPartitions = parts
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("Run(shards=%d, partitions=%d): %v", shards, parts, err)
+			}
+			if len(res.FilerPartitions) != parts || len(res.FilerPartitions[0].Replicas) != 3 {
+				t.Fatalf("shards=%d partitions=%d: split has the wrong shape: %+v",
+					shards, parts, res.FilerPartitions)
+			}
+			js, err := json.Marshal(res.FilerPartitions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(js)
+			if got := hex.EncodeToString(sum[:]); got != partitionStatsGolden[parts] {
+				t.Errorf("shards=%d partitions=%d split drifted:\ngot  %s\nwant %s\n%s",
+					shards, parts, got, partitionStatsGolden[parts], js)
+			}
+			if ref == nil {
+				ref = res.FilerPartitions
+				continue
+			}
+			if !reflect.DeepEqual(ref, res.FilerPartitions) {
+				t.Errorf("partitions=%d: shards=%d split differs from shards=%d:\nref: %+v\ngot: %+v",
+					parts, shards, partitionMatrix[0], ref, res.FilerPartitions)
+			}
+		}
 	}
 }
 

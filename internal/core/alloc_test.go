@@ -196,9 +196,10 @@ func waitGoroutines(t *testing.T, want int) {
 	}
 }
 
-// TestPhase2WorkersAllocationFree locks the barrier's parallel phase 2:
-// the persistent partition workers serve a large batch without allocating,
-// and Start/Close leave no goroutine behind in either mode.
+// TestPhase2WorkersAllocationFree locks the barrier's phase 2 (the filer
+// service) under parallel shard workers: both serial walks serve a batch
+// spread over every partition without allocating, every completion reaches
+// its shard's inbox, and Start/Close leave no goroutine behind.
 func TestPhase2WorkersAllocationFree(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 
@@ -209,51 +210,36 @@ func TestPhase2WorkersAllocationFree(t *testing.T) {
 		}
 		before := settledGoroutines(t)
 		c.Start()
-		// A batch of 16 per partition: well past the 4×partitions gate.
+		if c.inline {
+			t.Fatal("two shards on two processors ran inline; want parallel shard workers")
+		}
 		const n = 64
 		for i := 0; i < n; i++ {
-			key := uint64(i)
 			c.msgBatch = append(c.msgBatch, filerMsg{
 				at: sim.Time(i), host: int32(i % 4), seq: uint64(i),
-				part: int32(c.fsrv.Route(key)), write: i%2 == 0, key: key,
+				write: i%2 == 0, key: uint64(i),
 			})
-		}
-		if !c.parallelPhase2() {
-			t.Fatalf("batch of %d over %d partitions did not take the parallel branch", n, c.nparts)
 		}
 		allocs := testing.AllocsPerRun(200, func() {
 			for _, sh := range c.shards {
-				for p := range sh.inboxLanes {
-					sh.inboxLanes[p] = sh.inboxLanes[p][:0]
-				}
+				sh.inbox = sh.inbox[:0]
 			}
 			c.serviceFiler()
 		})
 		if allocs != 0 {
-			t.Errorf("parallel phase 2 allocated %v per barrier, want 0", allocs)
+			t.Errorf("filer service allocated %v per barrier, want 0", allocs)
+		}
+		for p, d := range c.depth {
+			if d == 0 {
+				t.Errorf("partition %d received none of the %d requests", p, n)
+			}
 		}
 		delivered := 0
 		for _, sh := range c.shards {
-			for _, lane := range sh.inboxLanes {
-				delivered += len(lane)
-			}
+			delivered += len(sh.inbox)
 		}
 		if delivered != n {
-			t.Errorf("phase 2 delivered %d of %d completions", delivered, n)
-		}
-		c.Close()
-		waitGoroutines(t, before)
-	})
-
-	t.Run("inline", func(t *testing.T) {
-		c, err := NewCluster(partitionedClusterSpec(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := settledGoroutines(t)
-		c.Start()
-		if c.partWake != nil {
-			t.Fatal("inline cluster started partition workers")
+			t.Errorf("filer service delivered %d of %d completions", delivered, n)
 		}
 		c.Close()
 		waitGoroutines(t, before)

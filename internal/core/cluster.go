@@ -72,7 +72,7 @@ type filerMsg struct {
 	at    sim.Time // arrival time at the filer (up-segment transit end)
 	host  int32
 	seq   uint64 // per-host issue counter; breaks same-instant ties
-	part  int32  // filer backend partition the key routes to
+	part  int32  // filer backend partition the key routes to (service phase 1)
 	write bool
 	fast  bool  // reads: the pre-drawn fast/slow outcome (service phase 1)
 	rep   int32 // reads: the pre-drawn serving replica (service phase 1)
@@ -91,9 +91,7 @@ type invMsg struct {
 }
 
 // clusterPort is the per-host FilerPort of a sharded run: it appends the
-// request to the shard's per-partition outbox lane for the key's filer
-// backend (routing is a pure hash, safe on the shard goroutine). It runs
-// on the shard's goroutine only.
+// request to the shard's outbox. It runs on the shard's goroutine only.
 type clusterPort struct {
 	sh   *clusterShard
 	host int32
@@ -102,16 +100,14 @@ type clusterPort struct {
 
 func (p *clusterPort) Read2(key uint64, fn func(any), arg any) {
 	p.seq++
-	part := p.sh.route(key)
-	p.sh.outMsgs[part] = append(p.sh.outMsgs[part],
-		filerMsg{at: p.sh.eng.Now(), host: p.host, seq: p.seq, part: part, key: key, fn: fn, arg: arg})
+	p.sh.outMsgs = append(p.sh.outMsgs,
+		filerMsg{at: p.sh.eng.Now(), host: p.host, seq: p.seq, key: key, fn: fn, arg: arg})
 }
 
 func (p *clusterPort) Write2(key uint64, fn func(any), arg any) {
 	p.seq++
-	part := p.sh.route(key)
-	p.sh.outMsgs[part] = append(p.sh.outMsgs[part],
-		filerMsg{at: p.sh.eng.Now(), host: p.host, seq: p.seq, part: part, key: key, write: true, fn: fn, arg: arg})
+	p.sh.outMsgs = append(p.sh.outMsgs,
+		filerMsg{at: p.sh.eng.Now(), host: p.host, seq: p.seq, key: key, write: true, fn: fn, arg: arg})
 }
 
 // clusterSink is the per-host ConsistencyPort of a sharded instant-mode
@@ -143,20 +139,11 @@ type clusterShard struct {
 	drivers []*Driver
 	reqs    reqArena // request records for every host on the shard (req.go)
 
-	// route maps a block key to its filer backend partition (the filer's
-	// pure hash, shared by every shard).
-	route func(uint64) int32
-
-	// outMsgs is one outbox lane per filer partition; sealOutbox merges
-	// the lanes into sealed — the shard's globally mergeable sorted stream
-	// — on the shard's own goroutine at the epoch barrier, keeping the
-	// per-partition bookkeeping out of the coordinator's serial section.
-	outMsgs   [][]filerMsg
-	sealed    []filerMsg
-	outSorted []filerMsg   // backing store sealed points into when lanes merge
-	outHeads  [][]filerMsg // merge head scratch, reused across epochs
-	outInv    []invMsg
-	outProto  []protoMsg
+	// The shard's outboxes, appended in engine execution order and
+	// canonicalized by the coordinator at the barrier (see gather).
+	outMsgs  []filerMsg
+	outInv   []invMsg
+	outProto []protoMsg
 
 	// Barrier-deferred invalidation delivery (worker side). res indexes
 	// block residency so a batch message visits only actual holders; it
@@ -174,20 +161,17 @@ type clusterShard struct {
 	// the adaptive schedule is active.
 	upInFlight int64
 
-	// inboxLanes holds the filer completions the barrier serviced, one
-	// lane per filer partition: the service phase appends each completion
-	// to its (owning shard, partition) lane, so distinct partitions write
-	// distinct slices and may be serviced concurrently. The worker merges
-	// and schedules the lanes itself at the start of the next epoch,
-	// keeping the coordinator's between-epoch work flat in the message
-	// count. laneMin[p] (valid while lane p is non-empty) folds into the
-	// event horizon, which must see pending completions.
-	inboxLanes   [][]schedEvent
-	laneMin      []sim.Time
-	inboxScratch []schedEvent
+	// inbox holds the filer completions the barrier serviced for this
+	// shard's hosts. The worker sorts and schedules them itself at the
+	// start of the next epoch, keeping the coordinator's between-epoch
+	// work flat in the message count. inboxMin (valid while the inbox is
+	// non-empty) folds into the event horizon, which must see pending
+	// completions.
+	inbox    []schedEvent
+	inboxMin sim.Time
 
 	// execNanos is this shard's cumulative wall time spent executing
-	// epochs (inbox delivery, event execution, outbox sealing). Written by
+	// epochs (inbox delivery, invalidations, event execution). Written by
 	// the shard's goroutine, read by the coordinator between epochs (the
 	// channel handshake orders the two); only maintained when the cluster
 	// carries a wall-clock profiler.
@@ -198,11 +182,10 @@ type clusterShard struct {
 }
 
 // schedEvent is one barrier-serviced completion awaiting delivery onto a
-// shard engine. The arrival key (arrAt, host, seq) rides along so lane
-// delivery can restore the canonical global order: the engine runs
-// equal-time events in insertion order, and inserting by (at, then
-// arrival key) is exactly the order the pre-partitioned coordinator
-// produced by appending completions as it walked the sorted batch.
+// shard engine. The arrival key (arrAt, host, seq) rides along so delivery
+// order is canonical: the engine runs equal-time events in insertion
+// order, and inserting by (at, then arrival key) fixes that order for
+// every shard count.
 type schedEvent struct {
 	at    sim.Time // completion time on the host's engine
 	arrAt sim.Time // arrival time at the filer (the service-order key)
@@ -212,7 +195,7 @@ type schedEvent struct {
 	arg   any
 }
 
-// cmpSchedEvent orders lane-merged completions for delivery: completion
+// cmpSchedEvent orders inbox completions for delivery: completion
 // time first, then the partition-independent arrival key. The key triple
 // is unique per message, so the order is total and sort-algorithm
 // independent.
@@ -256,44 +239,20 @@ func (sh *clusterShard) beginEpoch(inv []invMsg) {
 	sh.applyInvalidations(inv)
 }
 
-// deliverInbox merges the per-partition completion lanes and schedules
-// them onto the shard engine in canonical (completion, arrival) order —
-// see schedEvent. Delivering in ascending completion time also happens to
-// be the engine heap's cheapest insertion order.
+// deliverInbox schedules the barrier's completions onto the shard engine
+// in canonical (completion, arrival) order — see schedEvent. Delivering in
+// ascending completion time also happens to be the engine heap's cheapest
+// insertion order.
 func (sh *clusterShard) deliverInbox() {
-	sh.inboxScratch = sh.inboxScratch[:0]
-	for p := range sh.inboxLanes {
-		sh.inboxScratch = append(sh.inboxScratch, sh.inboxLanes[p]...)
-		sh.inboxLanes[p] = sh.inboxLanes[p][:0]
-	}
-	if len(sh.inboxScratch) == 0 {
+	if len(sh.inbox) == 0 {
 		return
 	}
-	slices.SortFunc(sh.inboxScratch, cmpSchedEvent)
-	for i := range sh.inboxScratch {
-		ev := &sh.inboxScratch[i]
+	slices.SortFunc(sh.inbox, cmpSchedEvent)
+	for i := range sh.inbox {
+		ev := &sh.inbox[i]
 		sh.eng.At2(ev.at, ev.fn, ev.arg)
 	}
-}
-
-// sealOutbox canonicalizes this shard's per-partition outbox lanes and
-// merges them into one sorted stream for the coordinator's global merge.
-// It runs on the shard's goroutine (the coordinator's in inline mode), so
-// with several shards the per-partition merge work is itself parallel.
-func (sh *clusterShard) sealOutbox() {
-	for p := range sh.outMsgs {
-		canonicalizeRuns(sh.outMsgs[p], filerMsgAt, cmpFilerMsg)
-	}
-	if len(sh.outMsgs) == 1 {
-		sh.sealed = sh.outMsgs[0]
-		return
-	}
-	sh.outHeads = sh.outHeads[:0]
-	for p := range sh.outMsgs {
-		sh.outHeads = append(sh.outHeads, sh.outMsgs[p])
-	}
-	sh.outSorted = mergeSorted(sh.outSorted[:0], sh.outHeads, cmpFilerMsg)
-	sh.sealed = sh.outSorted
+	sh.inbox = sh.inbox[:0]
 }
 
 // applyInvalidations drops local copies named by the sorted batch, before
@@ -386,20 +345,19 @@ type Cluster struct {
 	drivers   []*Driver // by host ID
 	hostShard []*clusterShard
 	fsrv      *filer.Filer
-	nparts    int      // filer backend partitions
 	lookahead sim.Time // the filer floor: protocol hop cost and pinned epoch length
 	bound     edgeLookahead
 
 	// Coordinator state between epochs. The batches and the per-shard
-	// merge source slices are reused across epochs (see gather), as are
-	// the per-partition service index lists (see serviceFiler).
+	// merge source slices are reused across epochs (see gather), as is
+	// the per-partition barrier queue count (see serviceFiler).
 	msgBatch   []filerMsg
 	invBatch   []invMsg
 	protoBatch []protoMsg
 	srcMsgs    [][]filerMsg
 	srcInv     [][]invMsg
 	srcProto   [][]protoMsg
-	partIdx    [][]int32
+	depth      []int
 	cons       ConsistencyStats
 	track      bool
 	proto      *protoCoordinator   // nil outside protocol runs
@@ -414,8 +372,6 @@ type Cluster struct {
 	syncersStopped bool
 	end            sim.Time // the barrier the next Advance cycle runs to
 	wg             sync.WaitGroup
-	partWake       []chan struct{} // phase-2 partition workers (see serviceFiler); nil when inline or unpartitioned
-	partDone       chan struct{}   // one receive per woken partition worker
 	epochs         uint64
 	barrierMsgs    uint64
 
@@ -465,16 +421,8 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 		}
 	}
 	c.fsrv = spec.NewFiler(c.shards[0].eng)
-	c.nparts = c.fsrv.Partitions()
 	c.lookahead = c.fsrv.MinServiceLatency()
-	c.partIdx = make([][]int32, c.nparts)
-	route := func(key uint64) int32 { return int32(c.fsrv.Route(key)) }
-	for _, sh := range c.shards {
-		sh.route = route
-		sh.outMsgs = make([][]filerMsg, c.nparts)
-		sh.inboxLanes = make([][]schedEvent, c.nparts)
-		sh.laneMin = make([]sim.Time, c.nparts)
-	}
+	c.depth = make([]int, c.fsrv.Partitions())
 	protocol := spec.ConsistencyProtocol && c.track
 	adaptive := !spec.FixedLookahead && !protocol
 	upTransit := sim.Time(-1) // min wire transit over every request lane, found below
@@ -627,9 +575,8 @@ func (c *Cluster) BlocksIssued() uint64 {
 }
 
 // worker is one shard's goroutine: per epoch it delivers the barrier's
-// serviced completions, applies the coordinator's invalidation batch,
-// advances its engine to the epoch end, then seals its outbox lanes into
-// one sorted stream so the coordinator's serial merge stays S-way.
+// serviced completions, applies the coordinator's invalidation batch and
+// advances its engine to the epoch end.
 func (c *Cluster) worker(sh *clusterShard) {
 	defer c.wg.Done()
 	for end := range sh.cmd {
@@ -657,9 +604,9 @@ func (c *Cluster) runEpoch(end sim.Time) {
 }
 
 // epoch advances one shard to end: it delivers the barrier's serviced
-// completions, applies the coordinator's invalidation batch, runs the
-// engine and seals the outbox. With the wall profiler on, that interval
-// is the shard's execution time.
+// completions, applies the coordinator's invalidation batch and runs the
+// engine. With the wall profiler on, that interval is the shard's
+// execution time.
 func (c *Cluster) epoch(sh *clusterShard, end sim.Time) {
 	var t0 time.Time
 	if c.wall != nil {
@@ -667,7 +614,6 @@ func (c *Cluster) epoch(sh *clusterShard, end sim.Time) {
 	}
 	sh.beginEpoch(c.invBatch)
 	sh.eng.RunUntil(end)
-	sh.sealOutbox()
 	if c.wall != nil {
 		sh.execNanos += int64(time.Since(t0))
 	}
@@ -701,11 +647,8 @@ func (c *Cluster) gather() {
 
 	// Merge the shard streams into the reused batches — the full global
 	// order by the partition-independent delivery keys, with no per-epoch
-	// allocation (see exchange.go). The filer streams were canonicalized
-	// and partition-merged ("sealed") on the shard goroutines at the
-	// barrier; the invalidation and protocol outboxes are single-lane and
-	// canonicalized here. The workers size and clear their own drop flags
-	// at the next epoch's start.
+	// allocation (see exchange.go). The workers size and clear their own
+	// drop flags at the next epoch's start.
 	c.msgBatch = c.msgBatch[:0]
 	c.invBatch = c.invBatch[:0]
 	c.protoBatch = c.protoBatch[:0]
@@ -713,9 +656,10 @@ func (c *Cluster) gather() {
 	c.srcInv = c.srcInv[:0]
 	c.srcProto = c.srcProto[:0]
 	for _, sh := range c.shards {
+		canonicalizeRuns(sh.outMsgs, filerMsgAt, cmpFilerMsg)
 		canonicalizeRuns(sh.outInv, invMsgAt, cmpInvMsg)
 		canonicalizeRuns(sh.outProto, protoMsgAt, cmpProtoMsg)
-		c.srcMsgs = append(c.srcMsgs, sh.sealed)
+		c.srcMsgs = append(c.srcMsgs, sh.outMsgs)
 		c.srcInv = append(c.srcInv, sh.outInv)
 		c.srcProto = append(c.srcProto, sh.outProto)
 	}
@@ -724,29 +668,24 @@ func (c *Cluster) gather() {
 	c.protoBatch = mergeSorted(c.protoBatch, c.srcProto, cmpProtoMsg)
 	c.barrierMsgs += uint64(len(c.msgBatch) + len(c.invBatch) + len(c.protoBatch))
 	for _, sh := range c.shards {
-		for p := range sh.outMsgs {
-			sh.outMsgs[p] = sh.outMsgs[p][:0]
-		}
-		sh.sealed = nil
+		sh.outMsgs = sh.outMsgs[:0]
 		sh.outInv = sh.outInv[:0]
 		sh.outProto = sh.outProto[:0]
 	}
 }
 
-// serviceFiler services every gathered arrival in two phases. Phase 1 is
-// serial and order-critical: it walks the globally sorted batch drawing
-// the fast/slow outcome for each read — the draw order is what keeps the
-// filer's RNG stream shard- and partition-count invariant — while
-// building the per-partition index lists and recording each backend's
-// barrier queue depth. Phase 2 carries no RNG and no cross-partition
-// state: each partition's requests take their tier latencies and land in
-// the owning shard's per-partition inbox lane; with several backends and
-// real parallelism the partitions are serviced concurrently (distinct
-// partitions touch distinct filer counters, residency maps and lane
-// slices). The shard merges and schedules its lanes at the next epoch's
-// start, restoring the canonical order (see schedEvent). Completions
-// always land at or after the next barrier because the epoch bound never
-// outruns the arrival-plus-floor guarantee (lookahead.go).
+// serviceFiler services every gathered arrival in two serial walks over
+// the globally sorted batch. Phase 1 is order-critical: it routes each
+// request to its backend partition, draws the fast/slow outcome and
+// serving replica for each read — the draw order is what keeps the
+// filer's RNG stream shard- and partition-count invariant — and records
+// each backend's barrier queue depth. Phase 2 carries no RNG: each request
+// takes its tier latency from its own partition (which therefore sees its
+// requests in global order) and lands in the owning shard's inbox, which
+// the shard sorts and schedules at the next epoch's start (see
+// schedEvent). Completions always land at or after the next barrier
+// because the epoch bound never outruns the arrival-plus-floor guarantee
+// (lookahead.go).
 func (c *Cluster) serviceFiler() {
 	if len(c.msgBatch) == 0 {
 		return
@@ -755,18 +694,17 @@ func (c *Cluster) serviceFiler() {
 	if c.wall != nil {
 		t0 = time.Now()
 	}
-	for p := range c.partIdx {
-		c.partIdx[p] = c.partIdx[p][:0]
-	}
+	clear(c.depth)
 	for i := range c.msgBatch {
 		m := &c.msgBatch[i]
+		m.part = int32(c.fsrv.Route(m.key))
 		if !m.write {
 			m.fast, m.rep = c.fsrv.DrawReadAt(int(m.part))
 		}
-		c.partIdx[m.part] = append(c.partIdx[m.part], int32(i))
+		c.depth[m.part]++
 	}
-	for p := range c.partIdx {
-		c.fsrv.ObserveBarrierQueue(p, len(c.partIdx[p]))
+	for p, n := range c.depth {
+		c.fsrv.ObserveBarrierQueue(p, n)
 	}
 	if c.wall != nil {
 		now := time.Now()
@@ -774,68 +712,24 @@ func (c *Cluster) serviceFiler() {
 		t0 = now
 	}
 
-	if c.parallelPhase2() {
-		woken := 0
-		for p := range c.partIdx {
-			if len(c.partIdx[p]) == 0 {
-				continue
-			}
-			c.partWake[p] <- struct{}{}
-			woken++
-		}
-		for ; woken > 0; woken-- {
-			<-c.partDone
-		}
-	} else {
-		for p := range c.partIdx {
-			c.servicePartition(p)
-		}
-	}
-	if c.wall != nil {
-		c.wall.AddFiler2(time.Since(t0))
-	}
-}
-
-// parallelPhase2 reports whether serviceFiler fans phase 2 out to the
-// partition workers. That pays only when there are multiple backends, real
-// processors (the persistent workers exist), and a batch big enough to
-// amortize the channel handshakes; the gate reads only batch shape, never
-// results (phase 2 is order-independent, so the cut-over cannot change
-// them).
-func (c *Cluster) parallelPhase2() bool {
-	return c.partWake != nil && len(c.msgBatch) >= 4*c.nparts
-}
-
-// partWorker is partition p's persistent phase-2 goroutine: each wake
-// services the partition's share of the barrier batch and reports on the
-// shared done channel.
-func (c *Cluster) partWorker(p int) {
-	defer c.wg.Done()
-	for range c.partWake[p] {
-		c.servicePartition(p)
-		c.partDone <- struct{}{}
-	}
-}
-
-// servicePartition is serviceFiler's phase 2 for one backend partition:
-// tier bookkeeping, latency, and delivery into per-(shard,partition)
-// inbox lanes. Safe to run concurrently with other partitions.
-func (c *Cluster) servicePartition(p int) {
-	for _, i := range c.partIdx[p] {
+	for i := range c.msgBatch {
 		m := &c.msgBatch[i]
 		var lat sim.Time
 		if m.write {
-			lat = c.fsrv.ServeWrite(p, m.key)
+			lat = c.fsrv.ServeWrite(int(m.part), m.key)
 		} else {
-			lat = c.fsrv.ServeRead(p, m.rep, m.key, m.fast)
+			lat = c.fsrv.ServeRead(int(m.part), m.rep, m.key, m.fast)
 		}
 		sh := c.hostShard[m.host]
 		at := m.at + lat
-		if len(sh.inboxLanes[p]) == 0 || at < sh.laneMin[p] {
-			sh.laneMin[p] = at
+		if len(sh.inbox) == 0 || at < sh.inboxMin {
+			sh.inboxMin = at
 		}
-		sh.inboxLanes[p] = append(sh.inboxLanes[p],
+		sh.inbox = append(sh.inbox,
 			schedEvent{at: at, arrAt: m.at, host: m.host, seq: m.seq, fn: m.fn, arg: m.arg})
+	}
+	if c.wall != nil {
+		c.wall.AddFiler2(time.Since(t0))
 	}
 }
 
@@ -882,8 +776,7 @@ func (c *Cluster) nextEpochEnd(end sim.Time) sim.Time {
 
 // eventHorizon returns the globally earliest pending event — across the
 // shard engines and the not-yet-delivered barrier completions in the
-// shards' per-partition inbox lanes — or false when nothing is pending
-// anywhere.
+// shard inboxes — or false when nothing is pending anywhere.
 func (c *Cluster) eventHorizon() (sim.Time, bool) {
 	var minAt sim.Time
 	found := false
@@ -891,17 +784,14 @@ func (c *Cluster) eventHorizon() (sim.Time, bool) {
 		if at, ok := sh.eng.NextEventAt(); ok && (!found || at < minAt) {
 			minAt, found = at, true
 		}
-		for p := range sh.inboxLanes {
-			if len(sh.inboxLanes[p]) > 0 && (!found || sh.laneMin[p] < minAt) {
-				minAt, found = sh.laneMin[p], true
-			}
+		if len(sh.inbox) > 0 && (!found || sh.inboxMin < minAt) {
+			minAt, found = sh.inboxMin, true
 		}
 	}
 	return minAt, found
 }
 
-// Start spawns the shard worker goroutines and, with several filer
-// partitions, the phase-2 partition workers. It must be called (directly
+// Start spawns the shard worker goroutines. It must be called (directly
 // or via Run) before Advance; pair it with Close.
 func (c *Cluster) Start() {
 	if c.started {
@@ -923,18 +813,9 @@ func (c *Cluster) Start() {
 		c.wg.Add(1)
 		go c.worker(sh)
 	}
-	if c.nparts > 1 {
-		c.partWake = make([]chan struct{}, c.nparts)
-		c.partDone = make(chan struct{})
-		for p := range c.partWake {
-			c.partWake[p] = make(chan struct{})
-			c.wg.Add(1)
-			go c.partWorker(p)
-		}
-	}
 }
 
-// Close stops the shard and partition workers. Safe to call more than
+// Close stops the shard workers. Safe to call more than
 // once; Run calls it automatically.
 func (c *Cluster) Close() {
 	if !c.started || c.closed {
@@ -944,9 +825,6 @@ func (c *Cluster) Close() {
 	if !c.inline {
 		for _, sh := range c.shards {
 			close(sh.cmd)
-		}
-		for _, ch := range c.partWake {
-			close(ch)
 		}
 		c.wg.Wait()
 	}

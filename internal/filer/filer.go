@@ -16,9 +16,9 @@
 // consumed in global service order, and per-block tier state lives wholly
 // inside the block's one partition, so the union over partitions is the
 // same set for every partition count. What partitioning changes is the
-// load accounting (how many requests each backend absorbs per barrier) and
-// the wall-clock shape of sharded runs, whose coordinator services the
-// partitions' tier bookkeeping independently (see core/cluster.go).
+// load accounting: how many requests each backend absorbs per barrier (see
+// core/cluster.go, whose barrier services every partition in one serial
+// walk).
 //
 // # Replica groups
 //
@@ -699,32 +699,21 @@ func (f *Filer) MeanReadLatency() sim.Time {
 
 // Read2 services a one-block read: fn is a static func(any) run with arg
 // after the fast or slow (or object-tier) latency. A nil fn still
-// schedules a (shared, no-op) completion event.
+// schedules a (shared, no-op) completion event. Sharded runs service the
+// filer at the epoch barrier instead, in globally sorted arrival order;
+// their two-phase form (Route and DrawReadAt, then ServeRead) is this
+// sequence split in two.
 func (f *Filer) Read2(key uint64, fn func(any), arg any) {
-	f.eng.Schedule2(f.TakeReadLatency(key), fn, arg)
+	part := f.Route(key)
+	fast, rep := f.DrawReadAt(part)
+	f.eng.Schedule2(f.ServeRead(part, rep, key, fast), fn, arg)
 }
 
 // Write2 services a one-block write; writes hit the filer's nonvolatile
 // buffer and are always fast. A nil fn still schedules a (shared, no-op)
 // completion event.
 func (f *Filer) Write2(key uint64, fn func(any), arg any) {
-	f.eng.Schedule2(f.TakeWriteLatency(key), fn, arg)
-}
-
-// TakeReadLatency draws one read's service time without scheduling the
-// completion — routing, draw, replica pick and tier bookkeeping in one
-// call. Sharded runs service the filer at the epoch barrier in globally
-// sorted arrival order; the coordinator's two-phase form (DrawReadAt then
-// ServeRead) is equivalent to calling this per message in that order.
-func (f *Filer) TakeReadLatency(key uint64) sim.Time {
-	part := f.Route(key)
-	fast, rep := f.DrawReadAt(part)
-	return f.ServeRead(part, rep, key, fast)
-}
-
-// TakeWriteLatency is TakeReadLatency's write-side twin.
-func (f *Filer) TakeWriteLatency(key uint64) sim.Time {
-	return f.ServeWrite(f.Route(key), key)
+	f.eng.Schedule2(f.ServeWrite(f.Route(key), key), fn, arg)
 }
 
 // MinServiceLatency returns the smallest latency the filer can ever add to

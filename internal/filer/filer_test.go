@@ -24,6 +24,21 @@ func blockConfig(parts int, rate float64) Config {
 	}
 }
 
+// readLatency issues one read through Read2, drains the engine and
+// returns the read's service time.
+func readLatency(f *Filer, key uint64) sim.Time { return serviceTime(f, key, f.Read2) }
+
+// writeLatency is readLatency for one write through Write2.
+func writeLatency(f *Filer, key uint64) sim.Time { return serviceTime(f, key, f.Write2) }
+
+func serviceTime(f *Filer, key uint64, issue func(uint64, func(any), any)) sim.Time {
+	start := f.eng.Now()
+	var done sim.Time
+	issue(key, func(any) { done = f.eng.Now() }, nil)
+	f.eng.Run()
+	return done - start
+}
+
 func TestWriteAlwaysFast(t *testing.T) {
 	var e sim.Engine
 	f := New(&e, rng.New(1), fastRead, slowRead, writeLat, 0.9)
@@ -247,9 +262,9 @@ func TestPartitionCountInvariance(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			key := uint64(i % 331)
 			if i%3 == 0 {
-				lats = append(lats, f.TakeWriteLatency(key))
+				lats = append(lats, writeLatency(f, key))
 			} else {
-				lats = append(lats, f.TakeReadLatency(key))
+				lats = append(lats, readLatency(f, key))
 			}
 		}
 		return lats
@@ -281,16 +296,16 @@ func TestObjectTierSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if lat := f.TakeReadLatency(7); lat != objRead {
+	if lat := readLatency(f, 7); lat != objRead {
 		t.Fatalf("cold read latency %v, want object read %v", lat, objRead)
 	}
-	if lat := f.TakeReadLatency(7); lat != slowRead {
+	if lat := readLatency(f, 7); lat != slowRead {
 		t.Fatalf("promoted re-read latency %v, want slow read %v", lat, slowRead)
 	}
-	if lat := f.TakeWriteLatency(8); lat != writeLat {
+	if lat := writeLatency(f, 8); lat != writeLat {
 		t.Fatalf("write latency %v, want buffered %v", lat, writeLat)
 	}
-	if lat := f.TakeReadLatency(8); lat != slowRead {
+	if lat := readLatency(f, 8); lat != slowRead {
 		t.Fatalf("read after write latency %v, want slow read %v", lat, slowRead)
 	}
 	if f.ObjectReads() != 1 {
@@ -307,7 +322,7 @@ func TestObjectTierSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if lat := g.TakeReadLatency(7); lat != objRead {
+		if lat := readLatency(g, 7); lat != objRead {
 			t.Fatalf("unpromoted read %d latency %v, want %v", i, lat, objRead)
 		}
 	}
@@ -327,9 +342,9 @@ func TestPartitionStats(t *testing.T) {
 	const n = 1000
 	for i := 0; i < n; i++ {
 		if i%2 == 0 {
-			f.TakeReadLatency(uint64(i))
+			readLatency(f, uint64(i))
 		} else {
-			f.TakeWriteLatency(uint64(i))
+			writeLatency(f, uint64(i))
 		}
 	}
 	var serviced, writes uint64

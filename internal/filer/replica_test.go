@@ -78,9 +78,9 @@ func TestReplicaCountInvariance(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			key := uint64(i % 331)
 			if i%3 == 0 {
-				lats = append(lats, f.TakeWriteLatency(key))
+				lats = append(lats, writeLatency(f, key))
 			} else {
-				lats = append(lats, f.TakeReadLatency(key))
+				lats = append(lats, readLatency(f, key))
 			}
 		}
 		return lats
@@ -116,14 +116,14 @@ func TestWriteQuorumCompletion(t *testing.T) {
 		}
 		return f
 	}
-	if lat := build(2).TakeWriteLatency(7); lat != writeLat {
+	if lat := writeLatency(build(2), 7); lat != writeLat {
 		t.Fatalf("majority quorum write latency %v, want %v", lat, writeLat)
 	}
 	slow := sim.Time(math.Round(float64(writeLat) * 10))
-	if lat := build(3).TakeWriteLatency(7); lat != slow {
+	if lat := writeLatency(build(3), 7); lat != slow {
 		t.Fatalf("write-all quorum latency %v, want slow %v", lat, slow)
 	}
-	if lat := build(1).TakeWriteLatency(7); lat != writeLat {
+	if lat := writeLatency(build(1), 7); lat != writeLat {
 		t.Fatalf("quorum-1 write latency %v, want fastest %v", lat, writeLat)
 	}
 }
@@ -139,7 +139,7 @@ func TestSlowReplicaReadRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		f.TakeReadLatency(uint64(i))
+		readLatency(f, uint64(i))
 	}
 	st := f.PartitionStats(0)
 	if n := st.Replicas[2].FastReads + st.Replicas[2].SlowReads; n != 0 {
@@ -161,7 +161,7 @@ func TestSlowReplicaReadRouting(t *testing.T) {
 	slowFast := sim.Time(math.Round(float64(fastRead) * 10))
 	slowSlow := sim.Time(math.Round(float64(slowRead) * 10))
 	for i := 0; i < 100; i++ {
-		if lat := f.TakeReadLatency(uint64(i)); lat != slowFast && lat != slowSlow {
+		if lat := readLatency(f, uint64(i)); lat != slowFast && lat != slowSlow {
 			t.Fatalf("read latency %v from the slow survivor, want %v or %v", lat, slowFast, slowSlow)
 		}
 	}
@@ -181,7 +181,7 @@ func TestHomogeneousGroupSpreadsReads(t *testing.T) {
 	}
 	const n = 3000
 	for i := 0; i < n; i++ {
-		f.TakeReadLatency(uint64(i))
+		readLatency(f, uint64(i))
 	}
 	st := f.PartitionStats(0)
 	for r, rs := range st.Replicas {
@@ -221,7 +221,7 @@ func TestCrashRecoverSemantics(t *testing.T) {
 
 	// Seed residency, then crash replica 1: writes ack below quorum
 	// (2/2+1 = 2 > 1 live) and count degraded.
-	f.TakeWriteLatency(7)
+	writeLatency(f, 7)
 	if err := f.CrashReplica(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestCrashRecoverSemantics(t *testing.T) {
 	if err := f.CrashReplica(0, 1); err == nil {
 		t.Fatal("double crash accepted")
 	}
-	if lat := f.TakeWriteLatency(8); lat != writeLat {
+	if lat := writeLatency(f, 8); lat != writeLat {
 		t.Fatalf("degraded write latency %v, want surviving ack %v", lat, writeLat)
 	}
 	if f.DegradedWrites() == 0 {
@@ -243,10 +243,10 @@ func TestCrashRecoverSemantics(t *testing.T) {
 	if err := f.CrashReplica(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if lat := f.TakeReadLatency(9); lat != objRead {
+	if lat := readLatency(f, 9); lat != objRead {
 		t.Fatalf("group-down read latency %v, want object %v", lat, objRead)
 	}
-	if lat := f.TakeWriteLatency(10); lat != objWrite {
+	if lat := writeLatency(f, 10); lat != objWrite {
 		t.Fatalf("group-down write latency %v, want object %v", lat, objWrite)
 	}
 	if f.DegradedReads() == 0 {
@@ -280,7 +280,7 @@ func TestCrashRecoverSemantics(t *testing.T) {
 	}
 
 	// After full recovery, service is back to normal latencies.
-	if lat := f.TakeWriteLatency(11); lat != writeLat {
+	if lat := writeLatency(f, 11); lat != writeLat {
 		t.Fatalf("recovered write latency %v, want %v", lat, writeLat)
 	}
 }
@@ -321,8 +321,8 @@ func TestCrashedReplicaTakesNoTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		f.TakeReadLatency(uint64(i))
-		f.TakeWriteLatency(uint64(i))
+		readLatency(f, uint64(i))
+		writeLatency(f, uint64(i))
 	}
 	st := f.PartitionStats(0)
 	down := st.Replicas[1]
@@ -339,7 +339,7 @@ func TestCrashedReplicaTakesNoTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		f.TakeWriteLatency(uint64(i))
+		writeLatency(f, uint64(i))
 	}
 	if st = f.PartitionStats(0); st.Replicas[1].Writes == 0 {
 		t.Fatal("recovered replica acks no writes")

@@ -37,27 +37,37 @@ const (
 	// KindQueue is the host-queue wait: the op sat in its thread's
 	// driver queue from enqueue to dispatch.
 	KindQueue Kind = iota
-	// KindRead and KindWrite are whole-request spans, entry to completion
+	// KindRead is a whole read request's span, entry to completion
 	// callback.
 	KindRead
+	// KindWrite is a whole write request's span, entry to completion
+	// callback.
 	KindWrite
-	// Cache-lookup outcomes (zero-duration markers at decision time).
+	// KindRAMHit marks a lookup served by the RAM cache (cache-lookup
+	// outcomes are zero-duration markers at decision time).
 	KindRAMHit
+	// KindFlashHit marks a lookup served by the flash cache.
 	KindFlashHit
+	// KindMiss marks a lookup that missed every cache tier.
 	KindMiss
 	// KindDedup marks a read that joined another request's in-flight
 	// filer fetch instead of issuing its own.
 	KindDedup
-	// Demand-fetch stages: request packet up the wire, filer partition
-	// service, data packet down the wire.
+	// KindNetUp is a demand fetch's request packet crossing the wire up
+	// to the filer.
 	KindNetUp
+	// KindFiler is a demand fetch's filer partition service.
 	KindFiler
+	// KindNetDown is a demand fetch's data packet crossing the wire back
+	// down to the host.
 	KindNetDown
-	// Writeback stages: the flash-device writeback write, and the filer
-	// writeback's up-wire / service / down-wire legs.
+	// KindWBFlash is a writeback's flash-device write.
 	KindWBFlash
+	// KindWBNetUp is a filer writeback's up-wire leg.
 	KindWBNetUp
+	// KindWBFiler is a filer writeback's service at the filer.
 	KindWBFiler
+	// KindWBNetDown is a filer writeback's down-wire acknowledgement leg.
 	KindWBNetDown
 
 	kindCount
@@ -106,7 +116,6 @@ type Span struct {
 // goroutine, so recording needs no synchronization (the cluster's epoch
 // handshake orders buffers for the final merge).
 type Tracer struct {
-	rate      float64
 	thresh    uint64
 	sampleAll bool
 	hosts     []*HostTrace
@@ -115,7 +124,7 @@ type Tracer struct {
 // NewTracer builds a tracer sampling the given fraction of requests
 // (clamped to [0,1]; 1 traces everything).
 func NewTracer(sampleRate float64) *Tracer {
-	t := &Tracer{rate: sampleRate}
+	t := &Tracer{}
 	switch {
 	case sampleRate >= 1:
 		t.sampleAll = true
@@ -124,9 +133,6 @@ func NewTracer(sampleRate float64) *Tracer {
 	}
 	return t
 }
-
-// SampleRate returns the configured sampling fraction.
-func (t *Tracer) SampleRate() float64 { return t.rate }
 
 // Host returns (registering on first use) the span buffer for host id.
 func (t *Tracer) Host(id int) *HostTrace {

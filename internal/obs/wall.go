@@ -40,7 +40,8 @@ type WallProfile struct {
 	// (the epoch handshakes, end to end).
 	EpochSpanNanos int64
 	// Coordinator serial sections: outbox merge (gather) and the filer
-	// barrier service's serial draw phase and parallel tier phase.
+	// barrier service's two serial walks (routing and draws, then tier
+	// latencies and inbox delivery).
 	MergeNanos       int64
 	FilerPhase1Nanos int64
 	FilerPhase2Nanos int64
@@ -99,14 +100,6 @@ func (p *WallProfile) BarrierShare() float64 {
 		return 0
 	}
 	return float64(p.BarrierWaitNanos) / float64(total)
-}
-
-// MeanEpochSim returns the mean epoch length in simulated time.
-func (p *WallProfile) MeanEpochSim(simSeconds float64) float64 {
-	if p.Epochs == 0 {
-		return 0
-	}
-	return simSeconds / float64(p.Epochs)
 }
 
 func ms(nanos int64) float64 { return float64(nanos) / 1e6 }
@@ -199,10 +192,16 @@ func (c *WallCollector) EpochEnd(exec []int64, epochSim sim.Time, now sim.Time) 
 	}
 }
 
-// AddMerge, AddFiler1 and AddFiler2 charge the coordinator's serial
-// sections.
-func (c *WallCollector) AddMerge(d time.Duration)  { c.P.MergeNanos += int64(d) }
+// AddMerge charges the coordinator's barrier merge (gathering the shard
+// outboxes into the global batches).
+func (c *WallCollector) AddMerge(d time.Duration) { c.P.MergeNanos += int64(d) }
+
+// AddFiler1 charges the filer service's first walk: routing, read draws
+// and barrier queue depths.
 func (c *WallCollector) AddFiler1(d time.Duration) { c.P.FilerPhase1Nanos += int64(d) }
+
+// AddFiler2 charges the filer service's second walk: tier latencies and
+// delivery into the shard inboxes.
 func (c *WallCollector) AddFiler2(d time.Duration) { c.P.FilerPhase2Nanos += int64(d) }
 
 // flushWindow appends one series row covering the epochs since the last.

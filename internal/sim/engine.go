@@ -178,17 +178,9 @@ func (e *Engine) Schedule2(d Time, fn func(any), arg any) {
 	e.at2(e.now+d, fn, arg, false)
 }
 
-// ScheduleDaemon is Schedule for daemon events: background activity (e.g.
-// a periodic syncer's next tick) that should not by itself keep Run alive.
-// Run returns when only daemon events remain.
-func (e *Engine) ScheduleDaemon(d Time, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	e.at(e.now+d, fn, true)
-}
-
-// ScheduleDaemon2 is the arg-carrying form of ScheduleDaemon.
+// ScheduleDaemon2 is Schedule2 for daemon events: background activity
+// (e.g. a periodic syncer's next tick) that should not by itself keep Run
+// alive. Run returns when only daemon events remain.
 func (e *Engine) ScheduleDaemon2(d Time, fn func(any), arg any) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
@@ -198,7 +190,7 @@ func (e *Engine) ScheduleDaemon2(d Time, fn func(any), arg any) {
 
 // At runs fn at absolute time t, which must not be before Now.
 func (e *Engine) At(t Time, fn func()) {
-	e.at(t, fn, false)
+	e.at(t, fn)
 }
 
 // At2 is the arg-carrying form of At.
@@ -206,15 +198,13 @@ func (e *Engine) At2(t Time, fn func(any), arg any) {
 	e.at2(t, fn, arg, false)
 }
 
-func (e *Engine) at(t Time, fn func(), daemon bool) {
+func (e *Engine) at(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
 	}
 	e.seq++
-	if !daemon {
-		e.nonDaemon++
-	}
-	e.events = append(e.events, event{at: t, seq: e.seq, fn: fn, daemon: daemon})
+	e.nonDaemon++
+	e.events = append(e.events, event{at: t, seq: e.seq, fn: fn})
 	e.events.siftUp(len(e.events) - 1)
 }
 

@@ -60,9 +60,6 @@ func (s *Server) admit(arrive, service Time) Time {
 	return finish
 }
 
-// FreeAt returns the time the server next becomes idle.
-func (s *Server) FreeAt() Time { return s.freeAt }
-
 // Busy returns the total service time granted so far.
 func (s *Server) Busy() Time { return s.busy }
 
