@@ -3,8 +3,7 @@ package cache
 import "fmt"
 
 // base is the bookkeeping every replacement policy embeds: the index, the
-// entry pool, the dirty list, the residency hook, the hit, miss and
-// eviction counters and the capacity. A policy adds only its own resident
+// entry pool, the dirty list, the hit, miss and eviction counters and the capacity. A policy adds only its own resident
 // lists and the order it keeps them in. The dirty list's sentinel holds
 // self-pointers, so a policy must never be copied after initialisation.
 type base struct {
@@ -15,12 +14,6 @@ type base struct {
 	index   Index
 	pool    entryPool
 	dirties list
-
-	// resHook, when set, observes every residency transition: called with
-	// (key, true) as admit indexes the block and (key, false) as drop
-	// removes it. Sharded runs use it to maintain a block→holders index so
-	// barrier invalidation only visits hosts that actually hold a copy.
-	resHook func(Key, bool)
 
 	hits, misses, evictions uint64
 }
@@ -50,11 +43,6 @@ func (b *base) NeedsEviction() bool { return b.index.n >= b.capacity }
 
 // Peek looks up key without promoting or counting.
 func (b *base) Peek(key Key) *Entry { return b.index.entry(key) }
-
-// SetResidencyHook registers fn to observe every block entering (added
-// true) and leaving (added false) the cache. Set once, before any
-// inserts; a nil hook (the default) costs nothing on the hot paths.
-func (b *base) SetResidencyHook(fn func(Key, bool)) { b.resHook = fn }
 
 // Hits returns the number of Get calls that found their block.
 func (b *base) Hits() uint64 { return b.hits }
@@ -107,8 +95,8 @@ func (b *base) lookup(key Key) *Entry {
 // admit is the shared half of every TryInsert, with one probe of the
 // index. It returns key's resident entry (inserted false), or nil, false
 // when key is absent and the cache is full. Otherwise it takes a fresh
-// entry from the pool, indexes it and tells the residency hook; the
-// policy then links it into its own lists.
+// entry from the pool and indexes it; the policy then links it into its
+// own lists.
 func (b *base) admit(key Key) (e *Entry, inserted bool) {
 	old, slot := b.index.lookup(key)
 	if old != nil {
@@ -119,15 +107,12 @@ func (b *base) admit(key Key) (e *Entry, inserted bool) {
 	}
 	e = b.pool.get(key, b.medium)
 	b.index.place(slot, &e.n)
-	if b.resHook != nil {
-		b.resHook(key, true)
-	}
 	return e, true
 }
 
 // drop is the shared half of every Remove: it unindexes e, takes it off
 // the dirty list and unlinks it from l, the policy list holding it, then
-// counts the eviction, tells the residency hook and recycles the entry.
+// counts the eviction and recycles the entry.
 // Dirty state is the caller's problem: the cache only keeps the books.
 func (b *base) drop(e *Entry, l *list) {
 	if !b.index.Delete(&e.n) {
@@ -140,9 +125,6 @@ func (b *base) drop(e *Entry, l *list) {
 	}
 	l.remove(e)
 	b.evictions++
-	if b.resHook != nil {
-		b.resHook(e.n.key, false)
-	}
 	b.pool.put(e)
 }
 

@@ -3,12 +3,12 @@
 // tracking on a second intrusive list (so the periodic syncer can flush in
 // O(dirty)), and a two-medium unified variant for the paper's "unified"
 // architecture. Every policy, the unified cache included, embeds one
-// bookkeeping core (base.go) — index, entry pool, dirty list, residency
-// hook, counters — and adds only its own lists and their order. Blocks
-// are found through one Index: an open-addressed, linear-probing table of
-// pointers to the entries, sized once from the cache's capacity, so a
-// lookup is one hash and usually one probe and a cache makes no
-// allocation after construction beyond its entry slabs.
+// bookkeeping core (base.go) — index, entry pool, dirty list, counters —
+// and adds only its own lists and their order. Blocks are found through
+// one Index: an open-addressed, linear-probing table of pointers to the
+// entries, sized once from the cache's capacity, so a lookup is one hash
+// and usually one probe and a cache makes no allocation after
+// construction beyond its entry slabs.
 //
 // The package is purely a data structure: it tracks which blocks are
 // resident and in what state, but knows nothing about latencies or devices.

@@ -32,11 +32,6 @@ type BlockCache interface {
 	Misses() uint64
 	Evictions() uint64
 	CheckInvariants() error
-
-	// SetResidencyHook registers an observer of residency transitions:
-	// fn(key, true) as the block is inserted, fn(key, false) as it is
-	// removed. Sharded runs use it to index which hosts hold a block.
-	SetResidencyHook(fn func(Key, bool))
 }
 
 // mustInsert is every policy's Insert, on top of its TryInsert: a

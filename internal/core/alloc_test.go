@@ -294,10 +294,10 @@ func TestClusterShardsShareReqArena(t *testing.T) {
 	}
 }
 
-// TestResidencyIndexGrowthAllocations locks the slot-array index: indexing
-// K distinct resident blocks allocates what a bare map of those keys does
-// plus O(log K) array growth, never once per block.
-func TestResidencyIndexGrowthAllocations(t *testing.T) {
+// TestHolderSetGrowthAllocations locks the slot-array set: marking K
+// distinct keys allocates what a bare map of those keys does plus O(log K)
+// array growth, never once per key.
+func TestHolderSetGrowthAllocations(t *testing.T) {
 	const hosts, keys = 100, 4096
 	bare := testing.AllocsPerRun(1, func() {
 		m := make(map[uint64]int32)
@@ -305,50 +305,33 @@ func TestResidencyIndexGrowthAllocations(t *testing.T) {
 			m[uint64(k)] = int32(k)
 		}
 	})
-	var ri *residencyIndex
 	allocs := testing.AllocsPerRun(1, func() {
-		ri = newResidencyIndex(hosts)
+		hs := newHolderSet(hosts)
 		for k := 0; k < keys; k++ {
-			ri.update(uint64(k), k%hosts, true)
+			hs.mark(cache.Key(k), int32(k%hosts))
 		}
 	})
 	if limit := bare + 40; allocs > limit {
-		t.Errorf("indexing %d resident blocks allocated %v times, want <= %v (a bare map: %v)", keys, allocs, limit, bare)
-	}
-	// Emptied slots recycle: a second generation of blocks reuses them.
-	for k := 0; k < keys; k++ {
-		ri.update(uint64(k), k%hosts, false)
-	}
-	allocs = testing.AllocsPerRun(1, func() {
-		for k := 0; k < keys; k++ {
-			ri.update(uint64(keys+k), k%hosts, true)
-			ri.update(uint64(keys+k), k%hosts, false)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("recycled slots allocated %v times, want 0", allocs)
+		t.Errorf("marking %d keys allocated %v times, want <= %v (a bare map: %v)", keys, allocs, limit, bare)
 	}
 }
 
-// TestResidencyIndexChurnAllocationFree locks the index's steady state: a
-// sliding window of resident blocks, each held by two hosts, where every
-// step indexes a fresh key and retires the oldest. Retired slots recycle
-// and the open-addressed table never rehashes, so the churn allocates
-// nothing once the window has been indexed.
-func TestResidencyIndexChurnAllocationFree(t *testing.T) {
+// TestHolderSetChurnAllocationFree locks the set's steady state over a
+// bounded key space, as a run's file-set model gives it: once every key
+// has a slot, marking holders and clearing them the way a probe does
+// allocates nothing, however long the churn runs.
+func TestHolderSetChurnAllocationFree(t *testing.T) {
 	const hosts, window = 100, 1000
-	ri := newResidencyIndex(hosts)
+	hs := newHolderSet(hosts)
 	k := 0
 	step := func() {
-		ri.update(uint64(k), k%hosts, true)
-		ri.update(uint64(k), (k+37)%hosts, true)
-		if old := k - window; old >= 0 {
-			ri.update(uint64(old), old%hosts, false)
-			ri.update(uint64(old), (old+37)%hosts, false)
-		}
+		key := k % window
+		hs.mark(cache.Key(key), int32(k%hosts))
+		hs.mark(cache.Key(key), int32((k+37)%hosts))
+		clear(hs.bitmap(uint64((k + window/2) % window)))
 		k++
 	}
-	for i := 0; i < 2*window; i++ {
+	for i := 0; i < window; i++ {
 		step()
 	}
 	allocs := testing.AllocsPerRun(1, func() {
@@ -359,11 +342,15 @@ func TestResidencyIndexChurnAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("%d churn steps allocated %v times, want 0", 20*window, allocs)
 	}
-	if n, err := ri.index.Check(); err != nil || n != window {
-		t.Fatalf("index holds %d keys (%v), want the %d-key window", n, err, window)
+	if n, err := hs.index.Check(); err != nil || n != window {
+		t.Fatalf("index holds %d keys (%v), want the %d-key space", n, err, window)
 	}
-	if got := ri.appendLocals(nil, uint64(k-1)); len(got) != 2 {
-		t.Fatalf("newest key has holders %v, want two", got)
+	newest := k - 1
+	set := hs.bitmap(uint64(newest % window))
+	for _, li := range []int{newest % hosts, (newest + 37) % hosts} {
+		if set[li>>6]&(1<<uint(li&63)) == 0 {
+			t.Fatalf("newest key's bitmap %b lacks holder %d", set, li)
+		}
 	}
 }
 

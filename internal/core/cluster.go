@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -145,11 +146,11 @@ type clusterShard struct {
 	outInv   []invMsg
 	outProto []protoMsg
 
-	// Barrier-deferred invalidation delivery (worker side). res indexes
-	// block residency so a batch message visits only actual holders; it
-	// is nil under the callback protocol (which never uses the batch) and
-	// in untracked runs.
-	res           *residencyIndex
+	// Barrier-deferred invalidation delivery (worker side). holders is
+	// the superset of hosts that may hold each block, so a batch message
+	// visits only those; it is nil under the callback protocol (which
+	// never uses the batch) and in untracked runs.
+	holders       *holderSet
 	invDrops      []bool // per message of the current batch: a local copy dropped
 	invalidations uint64 // local copies dropped while collecting
 
@@ -257,26 +258,30 @@ func (sh *clusterShard) deliverInbox() {
 
 // applyInvalidations drops local copies named by the sorted batch, before
 // any of the epoch's events run. Invalidation messages come only from
-// instant-mode runs, in which NewCluster gives every shard a residency
-// index (shards are clamped to the host count, so each holds a host). The
-// per-message work is therefore proportional to the hosts actually holding
+// instant-mode runs, in which NewCluster gives every shard a holder set
+// (shards are clamped to the host count, so each holds a host). The
+// per-message work is therefore proportional to the hosts that may hold
 // the block, visited in ascending local (= global, within a shard) ID
-// order.
+// order; a visited host holds no copy afterwards, so its bit is cleared.
+// The writer is skipped and keeps its bit.
 func (sh *clusterShard) applyInvalidations(batch []invMsg) {
 	for i := range batch {
 		m := &batch[i]
-		// Snapshot the holders first: invalidate fires the residency
-		// hooks, which mutate the set being read.
-		sh.res.scratch = sh.res.appendLocals(sh.res.scratch[:0], m.key)
-		for _, li := range sh.res.scratch {
-			h := sh.hosts[li]
-			if h.ID() == int(m.writer) {
-				continue
-			}
-			if h.invalidate(m.key) {
-				sh.invDrops[i] = true
-				if m.collect {
-					sh.invalidations++
+		set := sh.holders.bitmap(m.key)
+		for w, word := range set {
+			for word != 0 {
+				b := word & -word
+				word &^= b
+				h := sh.hosts[w<<6|bits.TrailingZeros64(b)]
+				if h.ID() == int(m.writer) {
+					continue
+				}
+				set[w] &^= b
+				if h.invalidate(m.key) {
+					sh.invDrops[i] = true
+					if m.collect {
+						sh.invalidations++
+					}
 				}
 			}
 		}
@@ -461,11 +466,11 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 			h.SetConsistencyPort(p)
 		} else if c.track {
 			h.SetConsistencyPort(&clusterSink{sh: sh, h: h})
-			if sh.res == nil {
+			if sh.holders == nil {
 				// Shard s holds hosts s, s+shards, ...
-				sh.res = newResidencyIndex((n - i%shards + shards - 1) / shards)
+				sh.holders = newHolderSet((n - i%shards + shards - 1) / shards)
 			}
-			sh.res.addHost(h, i/shards)
+			h.holders, h.holderLocal = sh.holders, int32(i/shards)
 		}
 		drv, err := NewDriver(sh.eng, []*Host{h}, spec.Sources[i], 0)
 		if err != nil {
@@ -486,9 +491,6 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 
 // Shards returns the number of engine partitions.
 func (c *Cluster) Shards() int { return len(c.shards) }
-
-// Lookahead returns the epoch length bound.
-func (c *Cluster) Lookahead() sim.Time { return c.lookahead }
 
 // Hosts returns the hosts in ID order.
 func (c *Cluster) Hosts() []*Host { return c.hosts }

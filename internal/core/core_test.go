@@ -6,6 +6,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/filer"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -522,6 +523,46 @@ func TestZeroRAMWriteGoesToFlash(t *testing.T) {
 	r.eng.Run()
 }
 
+// TestZeroRAMLookasideWriteFilerFirst covers a lookaside write with no
+// RAM tier to a flash-resident block: the block goes to the filer first
+// and the flash copy is rewritten, clean, only after the filer's ack, so
+// the write pays the filer round trip.
+func TestZeroRAMLookasideWriteFilerFirst(t *testing.T) {
+	cfg := baseCfg(Lookaside)
+	cfg.RAMBlocks = 0
+	r := newRig(t, cfg, testTiming())
+	r.readLat(1) // miss, fills flash only
+	flashWrites := r.host.FlashDevice().Writes()
+	if r.host.flash.Peek(1) == nil || r.fsrv.Writes() != 0 {
+		t.Fatal("read fill did not leave a flash copy and an idle filer")
+	}
+	start := r.eng.Now()
+	var end sim.Time
+	r.host.Write(1, func() { end = r.eng.Now() })
+	// Packet (100) + filer write (500) + ack (100) = 700: just before the
+	// ack the filer holds the write and flash has not been touched.
+	r.eng.RunUntil(start + 699)
+	if got := r.fsrv.Writes(); got != 1 {
+		t.Fatalf("%d filer writes before the ack, want 1", got)
+	}
+	if got := r.host.FlashDevice().Writes() - flashWrites; got != 0 {
+		t.Fatalf("%d flash writes before the filer ack, want 0", got)
+	}
+	r.eng.Run()
+	if lat := end - start; lat < 700 {
+		t.Fatalf("zero-RAM lookaside write %v, want at least the 700 filer round trip", lat)
+	}
+	if got := r.host.FlashDevice().Writes() - flashWrites; got != 1 {
+		t.Fatalf("%d flash writes after the ack, want 1", got)
+	}
+	if r.fsrv.Writes() != 1 {
+		t.Fatalf("%d filer writes, want 1", r.fsrv.Writes())
+	}
+	if e := r.host.flash.Peek(1); e == nil || e.Dirty || r.host.flash.DirtyLen() != 0 {
+		t.Fatal("flash copy missing or dirty after a lookaside write")
+	}
+}
+
 func TestNoFlashFallsThroughToFiler(t *testing.T) {
 	cfg := baseCfg(Naive)
 	cfg.FlashBlocks = 0
@@ -535,6 +576,40 @@ func TestNoFlashFallsThroughToFiler(t *testing.T) {
 	// Reads miss straight to the filer.
 	if lat := r.readLat(9); lat != 1202 {
 		t.Fatalf("no-flash miss %v, want 1202", lat)
+	}
+}
+
+// TestTracedFilerWriteAckSpans runs sync writes through to the filer with
+// every request sampled: each filer writeback records its acknowledgement
+// leg as a wb_net_down span lasting one down-wire transit, and tracing
+// leaves the write latency unchanged.
+func TestTracedFilerWriteAckSpans(t *testing.T) {
+	cfg := baseCfg(Naive)
+	cfg.FlashBlocks = 0
+	cfg.RAMBlocks = 2
+	cfg.RAMPolicy = PolicySync
+	tm := testTiming()
+	r := newRig(t, cfg, tm)
+	tr := obs.NewTracer(1)
+	r.host.SetTrace(tr.Host(0))
+	const writes = 4
+	for k := cache.Key(1); k <= writes; k++ {
+		if lat := r.writeLat(k); lat != 702 {
+			t.Fatalf("traced sync write %v, want 702", lat)
+		}
+	}
+	acks := 0
+	for _, s := range tr.Spans() {
+		if s.Kind != obs.KindWBNetDown {
+			continue
+		}
+		acks++
+		if d := s.End - s.Start; d != tm.NetBase {
+			t.Errorf("wb_net_down span of key %d lasts %v, want one transit %v", s.Key, d, tm.NetBase)
+		}
+	}
+	if acks != writes {
+		t.Fatalf("%d wb_net_down spans, want %d", acks, writes)
 	}
 }
 

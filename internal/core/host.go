@@ -109,6 +109,12 @@ type Host struct {
 	// wire transit whenever the counter is globally zero (lookahead.go).
 	upInFlight *int64
 
+	// holders, when non-nil, is the shard's holder superset for barrier
+	// invalidation and holderLocal this host's shard-local index in it;
+	// sequential runs leave it nil.
+	holders     *holderSet
+	holderLocal int32
+
 	syncers []*sim.Ticker
 }
 
@@ -172,43 +178,21 @@ func NewHost(eng *sim.Engine, cfg HostConfig, timing Timing,
 // ID returns the host's identifier.
 func (h *Host) ID() int { return h.cfg.ID }
 
-// Config returns the host's configuration.
-func (h *Host) Config() HostConfig { return h.cfg }
-
 // Stats returns the host's accumulated statistics.
 func (h *Host) Stats() *HostStats { return &h.st }
 
 // FlashDevice exposes the flash device for utilisation reporting.
 func (h *Host) FlashDevice() FlashDev { return h.flashIO }
 
-// Segment exposes the host's network segment.
-func (h *Host) Segment() *netsim.Segment { return h.seg }
-
-// setResidencyHook registers fn to observe any-tier residency
-// transitions: fn(key, true) when a block becomes resident in some cache
-// tier, fn(key, false) when the last copy leaves. A tier's own
-// insert/remove only changes any-tier residency when its sibling tier (the
-// other layered tier; the unified cache has none) holds no copy, hence the
-// Peek guard. Sharded runs install the hook at construction to index which
-// hosts hold each block (see residency.go); sequential runs leave it unset
-// and pay nothing.
-func (h *Host) setResidencyHook(fn func(key uint64, held bool)) {
-	for t, c := range h.tiers {
-		if c == nil {
-			continue
-		}
-		var sibling tierCache
-		for u, o := range h.tiers {
-			if u != t && o != nil {
-				sibling = o
-			}
-		}
-		c.SetResidencyHook(func(k cache.Key, added bool) {
-			if sibling == nil || sibling.Peek(k) == nil {
-				fn(uint64(k), added)
-			}
-		})
+// tryInsert inserts key into tier t, as the tier's TryInsert does, and
+// marks this host in the shard's holder superset whenever the key goes in
+// (residency.go). Every insertion into any tier goes through it.
+func (h *Host) tryInsert(t tier, key cache.Key) (e *cache.Entry, inserted bool) {
+	e, inserted = h.tiers[t].TryInsert(key)
+	if inserted && h.holders != nil {
+		h.holders.mark(key, h.holderLocal)
 	}
+	return e, inserted
 }
 
 // setUpCounter attaches the shard's in-flight up-packet counter; every
@@ -249,9 +233,6 @@ func (h *Host) mark(seq uint64, kind obs.Kind, key cache.Key) {
 
 // SetCollect enables statistics collection (called after warmup).
 func (h *Host) SetCollect(on bool) { h.collect = on }
-
-// Collecting reports whether the host is currently recording statistics.
-func (h *Host) Collecting() bool { return h.collect }
 
 // SetConsistencyPort routes this host's reads and writes through p (nil:
 // no consistency is modeled).
@@ -461,7 +442,7 @@ func installRAMCleanRoom(a any) {
 	h := r.h
 	key, c := r.key, r.c
 	h.putReq(r)
-	h.ram.TryInsert(key)
+	h.tryInsert(tierRAM, key)
 	h.ramDev.Write2(c.fn, c.arg)
 }
 
@@ -485,7 +466,7 @@ func (h *Host) writeLayered(r *hostReq) {
 func writeLayeredRoom(a any) {
 	r := a.(*hostReq)
 	h := r.h
-	e, _ := h.ram.TryInsert(r.key)
+	e, _ := h.tryInsert(tierRAM, r.key)
 	if e == nil {
 		// Room vanished to a racing insert; retry.
 		h.writeLayered(r)
@@ -623,7 +604,7 @@ func (h *Host) writeUnified(r *hostReq) {
 func writeUnifiedRoom(a any) {
 	r := a.(*hostReq)
 	h := r.h
-	e, _ := h.uni.TryInsert(r.key)
+	e, _ := h.tryInsert(tierUnified, r.key)
 	if e == nil {
 		h.writeUnified(r)
 		return
@@ -781,7 +762,7 @@ func installUnifiedRoom(a any) {
 	h := r.h
 	key, c := r.key, r.c
 	h.putReq(r)
-	if e, inserted := h.uni.TryInsert(key); inserted {
+	if e, inserted := h.tryInsert(tierUnified, key); inserted {
 		if e.Medium() == cache.Flash {
 			h.flashIO.Write2(key, nil, nil)
 		}
@@ -794,7 +775,7 @@ func installFlashRoom(a any) {
 	h := r.h
 	key, c := r.key, r.c
 	h.putReq(r)
-	if _, inserted := h.flash.TryInsert(key); inserted {
+	if _, inserted := h.tryInsert(tierFlash, key); inserted {
 		if h.collect {
 			h.st.FlashFills++
 		}
@@ -827,7 +808,7 @@ func ensureFlashRoom(a any) {
 	h := r.h
 	key, ec := r.key, r.ec
 	h.putReq(r)
-	e, _ := h.flash.TryInsert(key)
+	e, _ := h.tryInsert(tierFlash, key)
 	if e == nil {
 		// Lost the race for the freed slot; try again.
 		h.ensureFlashEntry(key, ec.fn, ec.arg)

@@ -38,7 +38,7 @@ func (h *Host) Prefill(keys []cache.Key, dirtyFraction float64, rnd *rng.RNG) in
 		if h.flash.Peek(key) != nil {
 			continue
 		}
-		e := h.flash.Insert(key)
+		e, _ := h.tryInsert(tierFlash, key)
 		if h.cfg.Arch != Lookaside && rnd.Bool(dirtyFraction) {
 			h.flash.MarkDirty(e)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
@@ -31,85 +32,76 @@ func sharedWSClusterSpec(hosts, shards int, cfg HostConfig) ClusterSpec {
 	return spec
 }
 
-// residentKeys counts the distinct keys resident in any of h's tiers.
-func (h *Host) residentKeys() int {
-	if h.uni != nil {
-		return h.uni.Len()
-	}
-	n := h.flash.Len()
-	for _, k := range h.ram.Keys(nil) {
-		if h.flash.Peek(k) == nil {
-			n++
-		}
-	}
-	return n
-}
+// sharedWSKey is the key of block b of the shared working set.
+func sharedWSKey(b int) uint64 { return trace.BlockKey(1, uint32(b%96)) }
 
-// checkResidencyIndex asserts that every shard's index equals its hosts'
-// cache contents: each indexed (key, host) pair hits, each slot's count
-// matches its bitmap, and each host is indexed for exactly as many keys as
-// it holds. It returns how many indexed pairs name a host past the first
+// checkHolderSuperset asserts that every shard's holder set covers its
+// hosts' cache contents: each shared-working-set key a host holds in any
+// tier has the host's bit set, and every slot is indexed under its key.
+// It then trims the set to the exact holders — clearing a non-holder's bit
+// only spares a probe that would find nothing — so that a missing mark
+// shows at the next barrier even when an earlier insertion of the key set
+// the bit. It returns how many held keys name a host past the first
 // bitmap word.
-func checkResidencyIndex(t *testing.T, c *Cluster) (highWord int) {
+func checkHolderSuperset(t *testing.T, c *Cluster) (highWord int) {
 	t.Helper()
 	for s, sh := range c.shards {
-		ri := sh.res
-		indexed := make([]int, len(sh.hosts))
-		live := 0
-		for slot := range ri.nodes {
-			if ri.n[slot] == 0 {
-				continue
+		hs := sh.holders
+		if n, err := hs.index.Check(); err != nil || n != len(hs.nodes) {
+			t.Fatalf("shard %d: index holds %d keys, %d slots (%v)", s, n, len(hs.nodes), err)
+		}
+		for slot := range hs.nodes {
+			if nd := hs.index.Get(hs.nodes[slot].Key()); nd != &hs.nodes[slot] || nd.Ref != int32(slot) {
+				t.Fatalf("shard %d key %d: slot %d not indexed", s, hs.nodes[slot].Key(), slot)
 			}
-			live++
-			key := uint64(ri.nodes[slot].Key())
-			if nd := ri.index.Get(cache.Key(key)); nd != &ri.nodes[slot] || nd.Ref != int32(slot) {
-				t.Fatalf("shard %d key %d: slot %d not indexed", s, key, slot)
-			}
-			holders := ri.appendLocals(nil, key)
-			if len(holders) == 0 || int(ri.n[slot]) != len(holders) {
-				t.Fatalf("shard %d key %d: slot count %d, %d holders", s, key, ri.n[slot], len(holders))
-			}
-			for i, li := range holders {
-				if i > 0 && li <= holders[i-1] {
-					t.Fatalf("shard %d key %d: holders %v not ascending", s, key, holders)
+		}
+		for b := 0; b < 96; b++ {
+			key := sharedWSKey(b)
+			set := hs.bitmap(key)
+			for li, h := range sh.hosts {
+				if !h.holds(key) {
+					if set != nil {
+						set[li>>6] &^= 1 << uint(li&63)
+					}
+					continue
 				}
-				if !sh.hosts[li].holds(key) {
-					t.Fatalf("shard %d: key %d indexed on host %d, which misses it", s, key, sh.hosts[li].ID())
+				if set == nil || set[li>>6]&(1<<uint(li&63)) == 0 {
+					t.Fatalf("shard %d: host %d holds key %d but is not in its holder set", s, h.ID(), key)
 				}
-				indexed[li]++
 				if li >= 64 {
 					highWord++
 				}
-			}
-		}
-		if n, err := ri.index.Check(); err != nil || n != live {
-			t.Fatalf("shard %d: index holds %d keys, %d slots live (%v)", s, n, live, err)
-		}
-		for li, h := range sh.hosts {
-			if want := h.residentKeys(); indexed[li] != want {
-				t.Fatalf("shard %d host %d: %d keys indexed, %d resident", s, h.ID(), indexed[li], want)
 			}
 		}
 	}
 	return highWord
 }
 
-// TestResidencyIndexMatchesCaches is the residency half of the cluster
-// invariant checker: at every barrier of a shared-working-set run whose
-// shards hold more than 64 hosts (two-word bitmaps), the index equals the
-// actual cache contents, for layered LRU, a non-LRU flash policy and the
-// unified cache.
-func TestResidencyIndexMatchesCaches(t *testing.T) {
+// TestHolderSetCoversCaches is the holder half of the cluster invariant
+// checker: at every barrier of a shared-working-set run whose shards hold
+// more than 64 hosts (two-word bitmaps), every host holding a key in any
+// tier is in the key's holder set, for layered LRU, a non-LRU flash
+// policy, the unified cache, lookaside and a flash-only layered host (whose
+// writes insert into flash directly). The layered hosts start from a
+// prefilled flash cache, as a recovered run does.
+func TestHolderSetCoversCaches(t *testing.T) {
 	layered := HostConfig{RAMBlocks: 4, FlashBlocks: 16, Arch: Naive,
 		RAMPolicy: PolicyP1, FlashPolicy: PolicyAsync}
 	clock := layered
 	clock.FlashReplacement = cache.ReplaceClock
 	unified := layered
 	unified.Arch = Unified
+	lookaside := layered
+	lookaside.Arch = Lookaside
+	noRAM := layered
+	noRAM.RAMBlocks = 0
 	for _, tc := range []struct {
 		name string
 		cfg  HostConfig
-	}{{"layered-lru", layered}, {"layered-clock", clock}, {"unified", unified}} {
+	}{
+		{"layered-lru", layered}, {"layered-clock", clock}, {"unified", unified},
+		{"lookaside", lookaside}, {"no-ram", noRAM},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const hosts, shards = 140, 2
 			c, err := NewCluster(sharedWSClusterSpec(hosts, shards, tc.cfg))
@@ -117,10 +109,15 @@ func TestResidencyIndexMatchesCaches(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, sh := range c.shards {
-				if sh.res.words != 2 {
-					t.Fatalf("shard of %d hosts has %d bitmap words, want 2", len(sh.hosts), sh.res.words)
+				if sh.holders.words != 2 {
+					t.Fatalf("shard of %d hosts has %d bitmap words, want 2", len(sh.hosts), sh.holders.words)
 				}
 			}
+			rnd := rng.New(1)
+			for i, h := range c.Hosts() {
+				h.Prefill([]cache.Key{cache.Key(sharedWSKey(i)), cache.Key(sharedWSKey(i + 48))}, 0.5, rnd)
+			}
+			checkHolderSuperset(t, c)
 			c.Start()
 			defer c.Close()
 			c.StartDrivers(nil)
@@ -130,13 +127,13 @@ func TestResidencyIndexMatchesCaches(t *testing.T) {
 				// Pausing at the pending barrier runs exactly one epoch.
 				idle := c.Advance(max(c.end, 1))
 				barriers++
-				highWord += checkResidencyIndex(t, c)
+				highWord += checkHolderSuperset(t, c)
 				if idle {
 					break
 				}
 			}
 			if c.Consistency().Invalidations == 0 || highWord == 0 {
-				t.Fatalf("%d barriers, %d invalidations, %d second-word holders: the run did not exercise the index",
+				t.Fatalf("%d barriers, %d invalidations, %d second-word holders: the run did not exercise the set",
 					barriers, c.Consistency().Invalidations, highWord)
 			}
 			if got, want := c.OpsCompleted(), uint64(hosts*120); got != want {
@@ -146,26 +143,76 @@ func TestResidencyIndexMatchesCaches(t *testing.T) {
 	}
 }
 
-// BenchmarkResidencyUpdate times one step of a shard's residency churn at
-// the 1024-host fleet's shape (512 hosts a shard, 8 bitmap words): a fresh
-// block becomes resident on one host while the block resident longest, of
-// a 2^16-block window, leaves its host.
-func BenchmarkResidencyUpdate(b *testing.B) {
-	const hosts, window = 512, 1 << 16
-	ri := newResidencyIndex(hosts)
-	k := 0
-	step := func() {
-		ri.update(uint64(k), k%hosts, true)
-		if old := k - window; old >= 0 {
-			ri.update(uint64(old), old%hosts, false)
+// TestHolderSetFillAfterProbe covers the race the mark-on-insert rule
+// exists for: host 0's fetch of key k is still crossing the filer when the
+// barrier probes host 0 for host 1's write of k, so the probe finds no
+// copy and the fill lands afterwards with a stale copy. The fill's insert
+// marks host 0, and host 1's next write of k drops that copy.
+func TestHolderSetFillAfterProbe(t *testing.T) {
+	const k = 5
+	spec := clusterSpecForTest(2, 1)
+	spec.Sources[0] = trace.NewSliceSource([]trace.Op{
+		{Host: 0, Kind: trace.Read, File: 1, Block: k, Count: 1},
+	})
+	ops := []trace.Op{{Host: 1, Kind: trace.Write, File: 1, Block: k, Count: 1}}
+	for j := uint32(0); j < 20; j++ {
+		ops = append(ops, trace.Op{Host: 1, Kind: trace.Read, File: 1, Block: 1000 + j, Count: 1})
+	}
+	ops = append(ops, trace.Op{Host: 1, Kind: trace.Write, File: 1, Block: k, Count: 1})
+	spec.Sources[1] = trace.NewSliceSource(ops)
+	c, err := NewCluster(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := trace.BlockKey(1, k)
+	h0 := c.Hosts()[0]
+	c.Start()
+	defer c.Close()
+	c.StartDrivers(nil)
+	c.autoStop = true
+	probed, refilled := false, false
+	for {
+		idle := c.Advance(max(c.end, 1))
+		if !probed && c.Consistency().BlocksWritten > 0 {
+			// The first write's barrier probe has run.
+			probed = true
+			if _, inFlight := h0.pending[cache.Key(key)]; !inFlight || h0.holds(key) {
+				t.Fatal("host 0's fetch is not in flight at the first write's probe")
+			}
 		}
-		k++
+		if probed && h0.holds(key) {
+			refilled = true
+		}
+		if idle {
+			break
+		}
 	}
-	for i := 0; i < 2*window; i++ {
-		step()
+	if !probed || !refilled {
+		t.Fatalf("probed %v, refilled %v: the run did not fill after the probe", probed, refilled)
 	}
+	if h0.holds(key) {
+		t.Fatal("host 1's second write left host 0's stale copy")
+	}
+	if got, all := h0.Stats().InvalidatedHere, c.Consistency().Invalidations; got != 1 || all != 1 {
+		t.Fatalf("host 0 invalidated %d times, the cluster %d, want 1 and 1", got, all)
+	}
+}
+
+// BenchmarkHolderSetMark times one step of a shard's holder traffic at the
+// 1024-host fleet's shard shape (512 hosts, 8 bitmap words) over a
+// 2^16-key space whose keys all have slots: one host marks a key as it
+// inserts it, and a probe clears another key's bitmap.
+func BenchmarkHolderSetMark(b *testing.B) {
+	const hosts, keys = 512, 1 << 16
+	hs := newHolderSet(hosts)
+	for k := 0; k < keys; k++ {
+		hs.mark(cache.Key(k), int32(k%hosts))
+	}
+	k := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		step()
+		hs.mark(cache.Key(k&(keys-1)), int32(k%hosts))
+		clear(hs.bitmap(uint64((k + keys/2) & (keys - 1))))
+		k += 7
 	}
 }

@@ -80,10 +80,10 @@ type tierCache interface {
 	Peek(key cache.Key) *cache.Entry
 	NeedsEviction() bool
 	Victim() *cache.Entry
+	TryInsert(key cache.Key) (e *cache.Entry, inserted bool)
 	Remove(e *cache.Entry)
 	MarkClean(e *cache.Entry)
 	AppendDirty(dst []*cache.Entry) []*cache.Entry
-	SetResidencyHook(fn func(cache.Key, bool))
 	CheckInvariants() error
 }
 
@@ -293,7 +293,7 @@ func installCleanCopyRoom(a any) {
 	h := r.h
 	key := r.key
 	h.putReq(r)
-	if _, inserted := h.flash.TryInsert(key); inserted {
+	if _, inserted := h.tryInsert(tierFlash, key); inserted {
 		if h.collect {
 			h.st.FlashFills++
 		}

@@ -76,14 +76,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
-func (r *RNG) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("rng: Int63n called with n <= 0")
-	}
-	return int64(r.Uint64n(uint64(n)))
-}
-
 // Uint64n returns a uniform uint64 in [0, n) using Lemire's multiply-shift
 // rejection method. It panics if n == 0.
 func (r *RNG) Uint64n(n uint64) uint64 {

@@ -33,9 +33,6 @@ func NewTimeSeries(name string, columns ...string) *TimeSeries {
 	return &TimeSeries{name: name, columns: append([]string(nil), columns...)}
 }
 
-// Name returns the series name.
-func (ts *TimeSeries) Name() string { return ts.name }
-
 // Columns returns the value column names.
 func (ts *TimeSeries) Columns() []string { return append([]string(nil), ts.columns...) }
 

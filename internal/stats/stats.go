@@ -117,9 +117,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	h.accum.Merge(&other.accum)
 }
 
-// Mean returns the mean sample.
-func (h *Histogram) Mean() sim.Time { return h.accum.Mean() }
-
 // Quantile returns an approximate quantile (q in [0,1]) using bucket lower
 // bounds; adequate for reporting p50/p99 shapes.
 func (h *Histogram) Quantile(q float64) sim.Time {
