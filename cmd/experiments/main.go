@@ -32,7 +32,6 @@ func main() {
 	scale := flag.Int("scale", 128, "size scale divisor (1 = the paper's full sizes)")
 	quick := flag.Bool("quick", false, "trim sweeps for a fast pass")
 	parallel := flag.Int("parallel", 0, "simulation worker pool size (0 = all CPUs, 1 = sequential; results are identical)")
-	shards := flag.Int("shards", 0, "engine shards per fleet-scale simulation (ext-fleet; 0 = GOMAXPROCS; results are identical for every count)")
 	outDir := flag.String("out", "", "directory for CSV output (optional)")
 	verbose := flag.Bool("v", false, "log each simulation as it completes")
 	list := flag.Bool("list", false, "list available experiments and exit")
@@ -49,7 +48,7 @@ func main() {
 		return
 	}
 
-	opts := experiments.Options{Scale: *scale, Quick: *quick, Parallel: *parallel, Shards: *shards}
+	opts := experiments.Options{Scale: *scale, Quick: *quick, Parallel: *parallel}
 	if *verbose {
 		opts.Progress = os.Stderr
 	}

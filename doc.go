@@ -2,9 +2,9 @@
 // Wald and Seltzer, "Flash Caching on the Storage Client" (USENIX ATC
 // 2013).
 //
-// The public API lives in repro/flashsim; executables live under cmd/
-// (flashsim, tracegen, experiments); runnable examples live under
-// examples/. The root package exists to host the repository-level
+// The public API lives in repro/flashsim, whose Example functions go test
+// runs and checks; executables live under cmd/ (flashsim, tracegen,
+// experiments). The root package exists to host the repository-level
 // benchmark suite (bench_test.go), which regenerates every table and
 // figure of the paper's evaluation in reduced form.
 //

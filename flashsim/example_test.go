@@ -3,6 +3,7 @@ package flashsim_test
 import (
 	"fmt"
 	"log"
+	"os"
 	"strings"
 
 	"repro/flashsim"
@@ -21,6 +22,36 @@ func ExampleRun() {
 	// Output:
 	// completed 1932 ops, 7680 blocks
 	// reads hit a cache: true
+}
+
+// ExampleRunTrace replays a binary trace file through the cache stack, the
+// path a user with real block traces follows after converting them to the
+// repository's format. testdata/wss1024.fctr is a 1,030-op trace over a
+// 1,024-block working set, written by
+//
+//	go run ./cmd/tracegen -wss-blocks 1024 -writes 30 -o flashsim/testdata/wss1024.fctr
+func ExampleRunTrace() {
+	f, err := os.Open("testdata/wss1024.fctr")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer f.Close()
+	src, err := flashsim.OpenBinaryTrace(f)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg := flashsim.ScaledConfig(8192)
+	// The trace's volume is 4x its working set; the first half warms the
+	// caches, as in the synthetic runs.
+	res, err := flashsim.RunTrace(cfg, src, 2048)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("completed %d ops, %d blocks\n", res.OpsCompleted, res.BlocksIssued)
+	fmt.Printf("RAM hits %.1f%%, flash hits %.1f%%\n", 100*res.RAMHitRate, 100*res.FlashHitRate)
+	// Output:
+	// completed 1030 ops, 4096 blocks
+	// RAM hits 24.2%, flash hits 84.4%
 }
 
 // ExampleRunGrid declares a working-set sweep as a point grid and runs it

@@ -80,9 +80,6 @@ func AllReplacements() []ReplacementKind {
 	return []ReplacementKind{ReplaceLRU, ReplaceFIFO, ReplaceClock, ReplaceSLRU, Replace2Q}
 }
 
-// NewTraceSlice adapts in-memory ops to a TraceSource.
-func NewTraceSlice(ops []TraceOp) TraceSource { return trace.NewSliceSource(ops) }
-
 // OpenBinaryTrace returns a TraceSource reading the repository's binary
 // trace format (as written by cmd/tracegen).
 func OpenBinaryTrace(r io.Reader) (TraceSource, error) { return trace.NewBinaryReader(r) }
@@ -369,6 +366,12 @@ func (c *Config) Validate() error {
 	}
 	if f := c.Workload.WorkingSetFraction; math.IsNaN(f) || f < 0 || f > 1 {
 		return fmt.Errorf("flashsim: working set fraction %v out of [0,1]", f)
+	}
+	if m := c.Workload.MeanIOBlocks; math.IsNaN(m) || math.IsInf(m, 0) || m < 0 {
+		return fmt.Errorf("flashsim: mean I/O size %v must be finite and non-negative", m)
+	}
+	if f := c.RecoveryDirtyFraction; math.IsNaN(f) || f < 0 || f > 1 {
+		return fmt.Errorf("flashsim: recovery dirty fraction %v out of [0,1]", f)
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("flashsim: negative shard count")

@@ -33,9 +33,6 @@ type (
 // LoadScenario reads and validates a scenario JSON file.
 func LoadScenario(path string) (*Scenario, error) { return scenario.Load(path) }
 
-// ParseScenario decodes and validates scenario JSON.
-func ParseScenario(data []byte) (*Scenario, error) { return scenario.Parse(data) }
-
 // BuiltinScenario returns a fresh copy of a built-in scenario (warmup,
 // burst, ws-shift, crash-recovery, churn).
 func BuiltinScenario(name string) (*Scenario, error) { return scenario.Builtin(name) }

@@ -3,6 +3,9 @@ package flashsim
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -210,6 +213,44 @@ func TestRunScenarioDoesNotMutateInput(t *testing.T) {
 	}
 	if sc.SampleEveryMillis != 0 {
 		t.Error("RunScenario normalized the caller's scenario in place")
+	}
+}
+
+// LoadScenario reads a scenario file back to the scenario that wrote it,
+// validated as RunScenario would, and reports a missing file or malformed
+// JSON as an error.
+func TestLoadScenario(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range BuiltinScenarioNames() {
+		sc, _ := BuiltinScenario(name)
+		data, err := sc.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadScenario(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := sc.Validate(); err != nil { // fills the defaults Load fills
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(loaded, sc) {
+			t.Errorf("%s: loaded %+v, wrote %+v", name, loaded, sc)
+		}
+	}
+	if _, err := LoadScenario(filepath.Join(dir, "missing.json")); err == nil {
+		t.Error("missing file accepted")
+	}
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"name": "x", "phases": [`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadScenario(bad); err == nil {
+		t.Error("malformed JSON accepted")
 	}
 }
 

@@ -301,11 +301,11 @@ func resetFeeder(f *feeder) {
 	f.placed = nil
 }
 
-// TestSplitTrace checks the feeder's per-host split — stable order, host
+// TestFeederSplit checks the feeder's per-host split — stable order, host
 // clamping, block volumes — and locks its allocations: they must not grow
 // with the host count, since every per-host queue is a window of one
 // backing array.
-func TestSplitTrace(t *testing.T) {
+func TestFeederSplit(t *testing.T) {
 	ops := make([]trace.Op, 4096)
 	for i := range ops {
 		ops[i] = trace.Op{Host: uint16(i * 7 % 1500), Kind: trace.Read, File: 1, Block: uint32(i), Count: uint32(1 + i%5)}
@@ -355,12 +355,12 @@ func TestSplitTrace(t *testing.T) {
 	}
 }
 
-// TestSplitTraceRefill feeds the same queues twice, as a scenario's
+// TestFeederRefill feeds the same queues twice, as a scenario's
 // successive phases do. Ops still pending from the first feed stay ahead
 // of the second's, in order; and once the queues have drained, the second
 // feed places into the first's array and allocates only its chunks — no
 // queue grows, whatever the host count.
-func TestSplitTraceRefill(t *testing.T) {
+func TestFeederRefill(t *testing.T) {
 	ops := make([]trace.Op, 4096)
 	for i := range ops {
 		ops[i] = trace.Op{Host: uint16(i * 7 % 1500), Thread: uint16(i % 3), Kind: trace.Write, File: 2, Block: uint32(i), Count: 1}
@@ -438,13 +438,13 @@ func feedChunkAllocs(n int) int {
 	return allocs
 }
 
-// TestSplitTraceBytes locks how much the feeder allocates: the drained
+// TestFeederBytes locks how much the feeder allocates: the drained
 // chunks and the placed array hold the trace twice, with at most one
 // partly filled chunk on top. A slice grown by append leaves copies behind
 // that add up to several times the trace, and how many of them the
 // collector has freed by the time the placed array is allocated is a
 // matter of timing.
-func TestSplitTraceBytes(t *testing.T) {
+func TestFeederBytes(t *testing.T) {
 	const n = 100_000
 	ops := make([]trace.Op, n)
 	for i := range ops {

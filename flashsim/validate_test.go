@@ -42,6 +42,16 @@ func TestConfigValidate(t *testing.T) {
 			c.Timing.ObjectRead = c.Timing.FilerSlowRead / 2
 		}, "below"},
 		{"nan prefetch rate", func(c *Config) { c.Timing.FilerFastReadRate = math.NaN() }, "rate"},
+		// A NaN mean request size never ends rng.Poisson's draw loop.
+		{"mean io 0 (default)", func(c *Config) { c.Workload.MeanIOBlocks = 0 }, ""},
+		{"mean io NaN", func(c *Config) { c.Workload.MeanIOBlocks = math.NaN() }, "mean I/O size"},
+		{"mean io +Inf", func(c *Config) { c.Workload.MeanIOBlocks = math.Inf(1) }, "mean I/O size"},
+		{"mean io negative", func(c *Config) { c.Workload.MeanIOBlocks = -1 }, "mean I/O size"},
+		{"recovery dirty 0 (default)", func(c *Config) { c.RecoveryDirtyFraction = 0 }, ""},
+		{"recovery dirty 1", func(c *Config) { c.RecoveryDirtyFraction = 1 }, ""},
+		{"recovery dirty negative", func(c *Config) { c.RecoveryDirtyFraction = -0.5 }, "recovery dirty fraction"},
+		{"recovery dirty above 1", func(c *Config) { c.RecoveryDirtyFraction = 2 }, "recovery dirty fraction"},
+		{"recovery dirty NaN", func(c *Config) { c.RecoveryDirtyFraction = math.NaN() }, "recovery dirty fraction"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
@@ -60,15 +70,21 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// Run and RunScenario both reject the bad fractions up front.
+// Run and RunScenario both reject the bad values up front; a NaN mean
+// request size used to hang Run instead.
 func TestRunRejectsBadFractions(t *testing.T) {
-	cfg := ScaledConfig(4096)
-	cfg.Workload.WriteFraction = math.NaN()
-	if _, err := Run(cfg); err == nil {
-		t.Error("Run accepted NaN write fraction")
-	}
 	sc, _ := BuiltinScenario("warmup")
-	if _, err := RunScenario(cfg, sc); err == nil {
-		t.Error("RunScenario accepted NaN write fraction")
+	for _, mut := range []func(*Config){
+		func(c *Config) { c.Workload.WriteFraction = math.NaN() },
+		func(c *Config) { c.Workload.MeanIOBlocks = math.NaN() },
+	} {
+		cfg := ScaledConfig(4096)
+		mut(&cfg)
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("Run accepted %+v", cfg.Workload)
+		}
+		if _, err := RunScenario(cfg, sc); err == nil {
+			t.Errorf("RunScenario accepted %+v", cfg.Workload)
+		}
 	}
 }

@@ -252,9 +252,6 @@ func (c *LRU) initLRU(capacity int, m Medium) {
 	c.lru.init(false)
 }
 
-// Medium returns the cache's storage medium.
-func (c *LRU) Medium() Medium { return c.medium }
-
 // Get looks up key, promoting it to MRU on hit and counting the outcome.
 func (c *LRU) Get(key Key) *Entry {
 	e := c.lookup(key)

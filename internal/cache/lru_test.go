@@ -19,8 +19,8 @@ func TestLRUBasicHitMiss(t *testing.T) {
 	if c.Hits() != 1 || c.Misses() != 1 {
 		t.Fatalf("hits=%d misses=%d", c.Hits(), c.Misses())
 	}
-	if c.Medium() != RAM {
-		t.Fatal("wrong medium")
+	if c.Peek(1).Medium() != RAM {
+		t.Fatal("entry not on the cache's medium")
 	}
 }
 

@@ -11,7 +11,6 @@ type BlockCache interface {
 	Capacity() int
 	Len() int
 	DirtyLen() int
-	Medium() Medium
 
 	Get(key Key) *Entry
 	Peek(key Key) *Entry

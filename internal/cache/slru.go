@@ -29,9 +29,6 @@ func NewSLRU(capacity int, m Medium) *SLRU {
 	return s
 }
 
-// Medium returns the cache's storage medium.
-func (s *SLRU) Medium() Medium { return s.medium }
-
 // ProtectedLen reports the protected segment's population (for tests).
 func (s *SLRU) ProtectedLen() int { return s.protected.len }
 

@@ -44,9 +44,6 @@ func NewTwoQ(capacity int, m Medium) *TwoQ {
 	return q
 }
 
-// Medium returns the cache's storage medium.
-func (q *TwoQ) Medium() Medium { return q.medium }
-
 // A1inLen reports A1in's population (for tests).
 func (q *TwoQ) A1inLen() int { return q.a1in.len }
 

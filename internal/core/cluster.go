@@ -59,14 +59,16 @@ import (
 // runs — rather than byte-compared against sequential goldens.
 // docs/ARCHITECTURE.md spells out the contract.
 //
-// Beyond the one-shot Run, the cluster exposes a step API — Start, Advance
-// (run barrier cycles to idle or to a pause time), Close — that scenario
-// runs and crash-recovery prestarts drive: scripted fault events execute
-// between epochs with every shard quiescent, per-phase trace is fed to the
-// per-host drivers at barriers, and telemetry samples are taken at barrier
-// times forced onto the sampling grid. All of those decisions are
-// functions of global state at shard-count-invariant barrier times, so the
-// invariance contract extends to scenario runs.
+// The cluster is driven in steps: Start, StartDrivers, then Advance (run
+// barrier cycles to idle or to a pause time) or RunToCompletion (run until
+// the trace drains), and Close. Steady-state runs, scenario runs and
+// crash-recovery prestarts all drive it this way. In scenario runs,
+// scripted fault events execute between epochs with every shard
+// quiescent, per-phase trace is fed to the per-host drivers at barriers,
+// and telemetry samples are taken at barrier times forced onto the
+// sampling grid. All of those decisions are functions of global state at
+// shard-count-invariant barrier times, so the invariance contract extends
+// to scenario runs.
 
 // filerMsg is one host→filer service request crossing a shard boundary.
 type filerMsg struct {
@@ -290,8 +292,8 @@ func (sh *clusterShard) applyInvalidations(batch []invMsg) {
 
 // ClusterSpec describes a sharded simulation.
 type ClusterSpec struct {
-	// Shards is the number of engine partitions; <= 0 selects
-	// runtime.GOMAXPROCS(0). It is clamped to the host count.
+	// Shards is the number of engine partitions, at least one. It is
+	// clamped to the host count.
 	Shards int
 
 	// Hosts configures each host; host i runs on shard i % Shards.
@@ -402,13 +404,10 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 	if spec.NewFiler == nil {
 		return nil, fmt.Errorf("core: cluster needs a filer constructor")
 	}
-	shards := spec.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
+	if spec.Shards < 1 {
+		return nil, fmt.Errorf("core: cluster needs at least one shard")
 	}
-	if shards > n {
-		shards = n
-	}
+	shards := min(spec.Shards, n)
 
 	c := &Cluster{
 		shards:    make([]*clusterShard, shards),
@@ -793,8 +792,8 @@ func (c *Cluster) eventHorizon() (sim.Time, bool) {
 	return minAt, found
 }
 
-// Start spawns the shard worker goroutines. It must be called (directly
-// or via Run) before Advance; pair it with Close.
+// Start spawns the shard worker goroutines. It must be called before
+// StartDrivers, Advance or RunToCompletion; pair it with Close.
 func (c *Cluster) Start() {
 	if c.started {
 		panic("core: cluster already started")
@@ -817,8 +816,7 @@ func (c *Cluster) Start() {
 	}
 }
 
-// Close stops the shard workers. Safe to call more than
-// once; Run calls it automatically.
+// Close stops the shard workers. Safe to call more than once.
 func (c *Cluster) Close() {
 	if !c.started || c.closed {
 		return
@@ -835,8 +833,8 @@ func (c *Cluster) Close() {
 // StartDrivers primes every per-host trace driver: host i collects
 // statistics once it has issued warmup[i] blocks (nil: from the first
 // block), and the initial op windows are pumped, scheduling each host's
-// first events. Run calls it; step-mode users call it once after any
-// prestart work (e.g. crash recovery) has drained.
+// first events. Call it once, after Start and after any prestart work
+// (e.g. crash recovery) has drained.
 func (c *Cluster) StartDrivers(warmup []int64) {
 	if c.driversStarted {
 		panic("core: cluster drivers already started")

@@ -196,6 +196,13 @@ func TestClusterSpecValidation(t *testing.T) {
 		t.Error("missing filer constructor should fail")
 	}
 
+	// The caller names the shard count; 0 is not a default.
+	for _, shards := range []int{0, -1} {
+		if _, err := NewCluster(clusterSpecForTest(2, shards)); err == nil {
+			t.Errorf("shards %d should fail", shards)
+		}
+	}
+
 	// A zero filer service latency leaves no conservative lookahead.
 	spec = clusterSpecForTest(2, 2)
 	tm := spec.Timing

@@ -35,10 +35,6 @@ type Options struct {
 	// runtime.NumCPU() and 1 forces sequential execution. Reports are
 	// identical for every setting.
 	Parallel int
-	// Shards partitions each fleet-scale simulation (ext-fleet) over
-	// this many parallel event engines; <= 0 selects GOMAXPROCS.
-	// Cluster results are identical for every shard count.
-	Shards int
 	// Progress, if non-nil, receives one line per completed simulation.
 	Progress io.Writer
 }

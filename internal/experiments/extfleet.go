@@ -89,13 +89,7 @@ func ExtFleet(o Options) (*Report, error) {
 	// Always run on the cluster executor — its results are identical for
 	// every shard count, so the report does not depend on the machine's
 	// core count even though the wall-clock time does.
-	shardCount := o.Shards
-	if shardCount <= 0 {
-		shardCount = runtime.GOMAXPROCS(0)
-	}
-	if shardCount < 2 {
-		shardCount = 2
-	}
+	shardCount := max(runtime.GOMAXPROCS(0), 2)
 
 	// The protocol sweep is capped: a write-acquire calls back every
 	// holder, so on a fully shared working set the message volume grows

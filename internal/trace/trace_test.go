@@ -148,6 +148,9 @@ func TestTextRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	if w.Count() != uint64(len(ops)) {
+		t.Fatalf("count = %d", w.Count())
+	}
 	r := NewTextReader(&buf)
 	for i, want := range ops {
 		got, ok := r.Next()

@@ -35,7 +35,7 @@ type Config struct {
 	// 4x the aggregate working set size.
 	TotalBlocks int64
 
-	// MeanIOBlocks is the Poisson mean request size.
+	// MeanIOBlocks is the Poisson mean request size; 0 selects 4.
 	MeanIOBlocks float64
 
 	// MeanRegionBlocks is the Poisson mean working-set region size.
@@ -58,13 +58,17 @@ func (c *Config) Validate() error {
 	if c.WorkingSetBlocks <= 0 {
 		return fmt.Errorf("tracegen: working set size must be positive")
 	}
-	if c.WorkingSetFraction < 0 || c.WorkingSetFraction > 1 {
-		return fmt.Errorf("tracegen: working set fraction out of range")
+	if f := c.WorkingSetFraction; math.IsNaN(f) || f < 0 || f > 1 {
+		return fmt.Errorf("tracegen: working set fraction %v out of [0,1]", f)
 	}
-	if c.WriteFraction < 0 || c.WriteFraction > 1 {
-		return fmt.Errorf("tracegen: write fraction out of range")
+	if f := c.WriteFraction; math.IsNaN(f) || f < 0 || f > 1 {
+		return fmt.Errorf("tracegen: write fraction %v out of [0,1]", f)
 	}
-	if c.MeanIOBlocks <= 0 {
+	// A NaN mean would never end rng.Poisson's loop.
+	if m := c.MeanIOBlocks; math.IsNaN(m) || math.IsInf(m, 0) || m < 0 {
+		return fmt.Errorf("tracegen: mean I/O size %v must be finite and non-negative", m)
+	}
+	if c.MeanIOBlocks == 0 {
 		c.MeanIOBlocks = 4
 	}
 	if c.MeanRegionBlocks <= 0 {

@@ -353,11 +353,23 @@ func TestGeneratorConfigValidation(t *testing.T) {
 		{FileSet: fs, Hosts: 1, ThreadsPerHost: 1, WorkingSetBlocks: 0},
 		{FileSet: fs, Hosts: 1, ThreadsPerHost: 1, WorkingSetBlocks: 10, WriteFraction: 1.5},
 		{FileSet: fs, Hosts: 1, ThreadsPerHost: 1, WorkingSetBlocks: 10, WorkingSetFraction: -1},
+		// NaN fails every range comparison, so each bound must test it.
+		{FileSet: fs, Hosts: 1, ThreadsPerHost: 1, WorkingSetBlocks: 10, WriteFraction: math.NaN()},
+		{FileSet: fs, Hosts: 1, ThreadsPerHost: 1, WorkingSetBlocks: 10, WorkingSetFraction: math.NaN()},
+		// A NaN mean never ends rng.Poisson's draw loop.
+		{FileSet: fs, Hosts: 1, ThreadsPerHost: 1, WorkingSetBlocks: 10, MeanIOBlocks: math.NaN()},
+		{FileSet: fs, Hosts: 1, ThreadsPerHost: 1, WorkingSetBlocks: 10, MeanIOBlocks: math.Inf(1)},
+		{FileSet: fs, Hosts: 1, ThreadsPerHost: 1, WorkingSetBlocks: 10, MeanIOBlocks: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewGenerator(cfg); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
+	}
+	ok := defaultGenConfig(fs)
+	ok.MeanIOBlocks = 0
+	if err := ok.Validate(); err != nil || ok.MeanIOBlocks != 4 {
+		t.Errorf("mean I/O 0: err %v, mean %v; want the default of 4", err, ok.MeanIOBlocks)
 	}
 }
 

@@ -1,10 +1,9 @@
 // Command linkcheck verifies the repository-relative links in Markdown
 // files: every [text](path) whose target is not an absolute URL must name
 // an existing file or directory (anchors are stripped). CI runs it over
-// README.md, ROADMAP.md, docs/ and examples/ so documentation links
-// cannot rot.
+// README.md, ROADMAP.md and docs/ so documentation links cannot rot.
 //
-//	go run ./tools/linkcheck README.md docs examples
+//	go run ./tools/linkcheck README.md ROADMAP.md docs
 package main
 
 import (
