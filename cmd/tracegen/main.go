@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/trace"
 	"repro/internal/tracegen"
@@ -99,9 +100,15 @@ func main() {
 		count, gen.TotalBlocks(), gen.WarmupBlocks(), *out)
 }
 
+// die exits on err, naming the command once: the generator's own errors
+// already start with "tracegen:".
 func die(err error) {
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "tracegen:") {
+			msg = "tracegen: " + msg
+		}
+		fmt.Fprintln(os.Stderr, msg)
 		os.Exit(1)
 	}
 }

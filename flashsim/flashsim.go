@@ -29,7 +29,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/filer"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -585,16 +584,13 @@ func buildSimulation(cfg Config, src trace.Source, warmupBlocks int64) (*simulat
 	seedRNG := rng.New(cfg.Seed)
 	fsrv := newFiler(eng, seedRNG.Fork(), cfg)
 
-	hosts := make([]*core.Host, cfg.Hosts)
-	for i := range hosts {
-		hc := hostConfig(cfg, i)
-		seg := netsim.NewSegment(eng, cfg.Timing.NetBase, cfg.Timing.NetPerBit)
-		bgSeg := netsim.NewSegment(eng, cfg.Timing.NetBase, cfg.Timing.NetPerBit)
-		h, err := core.NewHost(eng, hc, cfg.Timing, seg, bgSeg, fsrv)
-		if err != nil {
-			return nil, err
-		}
-		hosts[i] = h
+	cfgs := make([]core.HostConfig, cfg.Hosts)
+	for i := range cfgs {
+		cfgs[i] = hostConfig(cfg, i)
+	}
+	hosts, err := core.NewHosts(eng, cfgs, cfg.Timing, fsrv)
+	if err != nil {
+		return nil, err
 	}
 
 	var cons *core.ConsistencyStats

@@ -25,9 +25,9 @@ func TestDeviceAccessAllocationFree(t *testing.T) {
 		name string
 		dev  device
 	}{
-		{"flash", NewFlashDevice(&e, 88, 21, false)},
-		{"persistent", NewFlashDevice(&e, 88, 21, true)},
-		{"ram", NewRAMDevice(&e, 400, 300)},
+		{"flash", newFlashDevice(&e, 88, 21, false)},
+		{"persistent", newFlashDevice(&e, 88, 21, true)},
+		{"ram", newRAMDevice(&e, 400, 300)},
 	} {
 		for i := 0; i < 64; i++ { // warm the engine's heap
 			tc.dev.Read2(count, c)

@@ -32,12 +32,13 @@ type FlashDevice struct {
 	busy          sim.Time
 }
 
-// NewFlashDevice returns a flash device attached to the engine.
-func NewFlashDevice(eng *sim.Engine, readLat, writeLat sim.Time, persistent bool) *FlashDevice {
+// Init attaches an idle flash device to the engine. Owners hold devices
+// by value, so a device costs no allocation of its own.
+func (d *FlashDevice) Init(eng *sim.Engine, readLat, writeLat sim.Time, persistent bool) {
 	if readLat < 0 || writeLat < 0 {
 		panic("blockdev: negative latency")
 	}
-	return &FlashDevice{
+	*d = FlashDevice{
 		eng:        eng,
 		readLat:    readLat,
 		writeLat:   writeLat,
@@ -113,13 +114,13 @@ type RAMDevice struct {
 	writes   uint64
 }
 
-// NewRAMDevice returns a RAM access model with the given per-block
-// latencies.
-func NewRAMDevice(eng *sim.Engine, readLat, writeLat sim.Time) *RAMDevice {
+// Init attaches a RAM access model with the given per-block latencies to
+// the engine.
+func (d *RAMDevice) Init(eng *sim.Engine, readLat, writeLat sim.Time) {
 	if readLat < 0 || writeLat < 0 {
 		panic("blockdev: negative latency")
 	}
-	return &RAMDevice{eng: eng, readLat: readLat, writeLat: writeLat}
+	*d = RAMDevice{eng: eng, readLat: readLat, writeLat: writeLat}
 }
 
 // Read2 runs fn(arg) after one block-read delay; a nil fn schedules the

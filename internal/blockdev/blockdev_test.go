@@ -10,9 +10,21 @@ import (
 // completion.
 func callFunc(a any) { a.(func())() }
 
+func newFlashDevice(eng *sim.Engine, readLat, writeLat sim.Time, persistent bool) *FlashDevice {
+	d := new(FlashDevice)
+	d.Init(eng, readLat, writeLat, persistent)
+	return d
+}
+
+func newRAMDevice(eng *sim.Engine, readLat, writeLat sim.Time) *RAMDevice {
+	d := new(RAMDevice)
+	d.Init(eng, readLat, writeLat)
+	return d
+}
+
 func TestFlashDeviceLatencies(t *testing.T) {
 	var e sim.Engine
-	d := NewFlashDevice(&e, 88*sim.Microsecond, 21*sim.Microsecond, false)
+	d := newFlashDevice(&e, 88*sim.Microsecond, 21*sim.Microsecond, false)
 	var readDone, writeDone sim.Time
 	d.Read2(callFunc, func() { readDone = e.Now() })
 	e.Run()
@@ -31,7 +43,7 @@ func TestFlashDeviceLatencies(t *testing.T) {
 
 func TestUncontendedFlashDeviceParallel(t *testing.T) {
 	var e sim.Engine
-	d := NewFlashDevice(&e, 10, 20, false)
+	d := newFlashDevice(&e, 10, 20, false)
 	var r1, r2 sim.Time
 	d.Read2(callFunc, func() { r1 = e.Now() })
 	d.Read2(callFunc, func() { r2 = e.Now() })
@@ -49,7 +61,7 @@ func TestUncontendedFlashDeviceParallel(t *testing.T) {
 
 func TestFlashDevicePersistenceDoublesWrites(t *testing.T) {
 	var e sim.Engine
-	d := NewFlashDevice(&e, 88, 21, true)
+	d := newFlashDevice(&e, 88, 21, true)
 	var done sim.Time
 	d.Write2(callFunc, func() { done = e.Now() })
 	e.Run()
@@ -76,7 +88,7 @@ func TestFlashDevicePersistenceDoublesWrites(t *testing.T) {
 
 func TestRAMDeviceNoQueueing(t *testing.T) {
 	var e sim.Engine
-	d := NewRAMDevice(&e, 400, 300)
+	d := newRAMDevice(&e, 400, 300)
 	var t1, t2 sim.Time
 	d.Read2(callFunc, func() { t1 = e.Now() })
 	d.Write2(callFunc, func() { t2 = e.Now() })
@@ -100,7 +112,7 @@ func TestNegativeLatencyPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewFlashDevice(&e, -1, 0, false)
+	newFlashDevice(&e, -1, 0, false)
 }
 
 func TestRAMNegativeLatencyPanics(t *testing.T) {
@@ -110,12 +122,12 @@ func TestRAMNegativeLatencyPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewRAMDevice(&e, -1, 0)
+	newRAMDevice(&e, -1, 0)
 }
 
 func TestFlashDeviceAccessors(t *testing.T) {
 	var e sim.Engine
-	d := NewFlashDevice(&e, 10, 20, false)
+	d := newFlashDevice(&e, 10, 20, false)
 	d.Read2(nil, nil)
 	d.Write2(nil, nil)
 	e.Run()
@@ -127,7 +139,7 @@ func TestFlashDeviceAccessors(t *testing.T) {
 	}
 	// Fresh device with no elapsed time reports zero utilisation.
 	var e2 sim.Engine
-	d2 := NewFlashDevice(&e2, 10, 20, false)
+	d2 := newFlashDevice(&e2, 10, 20, false)
 	if d2.Utilisation() != 0 {
 		t.Fatal("fresh device utilisation not 0")
 	}
@@ -137,7 +149,7 @@ func TestFlashDeviceAccessors(t *testing.T) {
 // over elapsed time: overlapping requests add up, and the ratio caps at 1.
 func TestFlashUtilisationIsDemand(t *testing.T) {
 	var e sim.Engine
-	d := NewFlashDevice(&e, 10, 20, false)
+	d := newFlashDevice(&e, 10, 20, false)
 	d.Read2(nil, nil)
 	d.Read2(nil, nil)
 	e.Schedule(100, func() {})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -130,7 +131,7 @@ func TestDriverHeldOpAllocationFree(t *testing.T) {
 		completeOne()
 		// With an endless source the pump only stops by holding an op at
 		// a full queue; the completion's kick may then start one more.
-		if d.QueuedOps() < d.window-1 {
+		if d.QueuedOps() < window-1 {
 			notHeld++
 		}
 	})
@@ -268,9 +269,9 @@ func TestReqArenaCarvesSlabs(t *testing.T) {
 	}
 }
 
-// TestClusterShardsShareReqArena checks that a cluster hands each shard's
-// arena to every host on it, and that shared records stay bound to the
-// host that carved them.
+// TestClusterShardsShareReqArena checks that all hosts of a cluster shard
+// carve from one arena, that shards do not share one, and that shared
+// records stay bound to the host that carved them.
 func TestClusterShardsShareReqArena(t *testing.T) {
 	c, err := NewCluster(clusterSpecForTest(4, 2))
 	if err != nil {
@@ -278,10 +279,13 @@ func TestClusterShardsShareReqArena(t *testing.T) {
 	}
 	for _, sh := range c.shards {
 		for _, h := range sh.hosts {
-			if h.reqs != &sh.reqs {
+			if h.reqs != sh.hosts[0].reqs {
 				t.Fatalf("host %d does not carve from its shard's arena", h.ID())
 			}
 		}
+	}
+	if c.shards[0].hosts[0].reqs == c.shards[1].hosts[0].reqs {
+		t.Fatal("two shards share one arena")
 	}
 	a, b := c.shards[0].hosts[0], c.shards[0].hosts[1]
 	ra, rb := a.getReq(), b.getReq()
@@ -371,9 +375,10 @@ func (s *probeSource) Next() (trace.Op, bool) {
 	return op, true
 }
 
-// TestDriverThreadQueueAllocatedOnce locks the driver's thread queues: each
-// is allocated once, at window capacity, when its thread key first
-// appears, and keeps that backing array for the driver's life.
+// TestDriverThreadQueueAllocatedOnce locks the driver's thread queues:
+// each thread's record, with its queue inline, is carved once, when its
+// thread key first appears, and keeps its place for the driver's life; the
+// queue fills to the window and never past it.
 func TestDriverThreadQueueAllocatedOnce(t *testing.T) {
 	eng, hosts, _ := buildCluster(t, 2, baseCfg(Naive), testTiming(), false)
 	src := &probeSource{}
@@ -388,27 +393,29 @@ func TestDriverThreadQueueAllocatedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backing := make(map[uint32]*trace.Op)
+	records := make(map[uint32]*threadRec)
 	deepest := 0
 	src.probe = func() {
-		for tk, q := range d.queues {
-			deepest = max(deepest, len(q))
-			if cap(q) != d.window {
-				t.Fatalf("thread %#x queue capacity %d, want window %d", tk, cap(q), d.window)
+		for _, tr := range d.threads {
+			if tr == nil {
+				continue
 			}
-			p := &q[:1][0]
-			if prev, ok := backing[tk]; ok && prev != p {
-				t.Fatalf("thread %#x queue reallocated", tk)
+			deepest = max(deepest, int(tr.n))
+			if tr.n > window {
+				t.Fatalf("thread %#x queue holds %d ops, window %d", tr.tk, tr.n, window)
 			}
-			backing[tk] = p
+			if prev, ok := records[tr.tk]; ok && prev != tr {
+				t.Fatalf("thread %#x record reallocated", tr.tk)
+			}
+			records[tr.tk] = tr
 		}
 	}
 	d.Run()
-	if deepest != d.window {
-		t.Fatalf("deepest queue %d, want a full window of %d", deepest, d.window)
+	if deepest != window {
+		t.Fatalf("deepest queue %d, want a full window of %d", deepest, window)
 	}
-	if len(backing) != 6 || d.OpsCompleted() != uint64(total) {
-		t.Fatalf("%d thread queues, %d of %d ops completed", len(backing), d.OpsCompleted(), total)
+	if len(records) != 6 || d.nthreads != 6 || d.OpsCompleted() != uint64(total) {
+		t.Fatalf("%d thread records (%d indexed), %d of %d ops completed", len(records), d.nthreads, d.OpsCompleted(), total)
 	}
 }
 
@@ -462,5 +469,89 @@ func TestFlushRecoverAllocationsPerBlock(t *testing.T) {
 	if r2-r1 >= slack || f2-f1 >= slack {
 		t.Errorf("%d more dirty blocks cost %d more allocations in Recover (%d → %d) and %d in Flush (%d → %d), want < %d",
 			many-few, r2-r1, r1, r2, f2-f1, f1, f2, slack)
+	}
+}
+
+// TestClusterBuildAllocationsFlatInHosts locks the per-engine host
+// arrays: building a 2-shard cluster and running it through a short trace
+// costs the same allocations, up to a small constant, at 64 hosts as at
+// 1024. Hosts, drivers, network segments, filer ports, consistency sinks,
+// thread records, pending fetches, waiters and flush scratch all come from
+// arrays and slabs each engine shares. The cache tier still allocates per
+// host (each cache's structure, index and first entry slab), so the same
+// caches are built alone, one insertion each, and their count taken out.
+//
+// What remains is growth the engines share: the event heap, outboxes and
+// barrier batches, the pending-fetch table, the holder set and the
+// geometric thread-record slabs double as the host count does, plus one
+// request slab per 256 records in flight. Four doublings from 64 to 1024
+// hosts measure about 25 allocations each; one allocation per host would
+// add 960.
+func TestClusterBuildAllocationsFlatInHosts(t *testing.T) {
+	spec := func(hosts int) ClusterSpec {
+		s := clusterSpecForTest(hosts, 2)
+		for i := range s.Sources {
+			var ops []trace.Op
+			for j := 0; j < 8; j++ {
+				kind := trace.Read
+				if j%4 == 3 {
+					kind = trace.Write
+				}
+				ops = append(ops, trace.Op{
+					Host: uint16(i), Thread: uint16(j % 2), Kind: kind,
+					File: 1, Block: uint32(16*i + j%5), Count: 1,
+				})
+			}
+			s.Sources[i] = trace.NewSliceSource(ops)
+		}
+		return s
+	}
+	// No collection runs inside a measurement, so the collector's own
+	// allocations do not count.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	mallocs := func(f func()) int64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return int64(after.Mallocs - before.Mallocs)
+	}
+	measure := func(hosts int) (run, tiers int64) {
+		s := spec(hosts)
+		run = mallocs(func() {
+			c, err := NewCluster(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runTestCluster(c)
+			for _, d := range c.Drivers() {
+				if !d.Done() {
+					t.Fatal("trace not completed")
+				}
+			}
+		})
+		tiers = mallocs(func() {
+			for _, hc := range s.Hosts {
+				ram := cache.NewLRU(hc.RAMBlocks, cache.RAM)
+				flash, err := cache.NewBlockCache(hc.FlashReplacement, hc.FlashBlocks, cache.Flash)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ram.TryInsert(0)
+				flash.TryInsert(0)
+			}
+		})
+		return run, tiers
+	}
+	measure(64) // warm: the runtime's one-off allocations
+	run64, tiers64 := measure(64)
+	run1k, tiers1k := measure(1024)
+	small, large := run64-tiers64, run1k-tiers1k
+	t.Logf("64 hosts: %d allocations (%d cache tier); 1024 hosts: %d (%d cache tier)", run64, tiers64, run1k, tiers1k)
+	const perDoubling, doublings = 48, 4
+	if slack := int64(perDoubling * doublings); large-small > slack {
+		t.Errorf("beyond the cache tier, 1024 hosts allocated %d times and 64 hosts %d: %d more, want <= %d",
+			large, small, large-small, slack)
 	}
 }

@@ -100,16 +100,16 @@ func (h *Host) Flush(fraction float64, done func()) int {
 // every writeback is durable below. Entries already mid-writeback are
 // skipped — their in-flight propagation covers them.
 func (h *Host) flushTier(t tier, next func()) {
-	h.dirtyScratch = h.tiers[t].AppendDirty(h.dirtyScratch[:0])
+	dirty := h.reqs.dirtyOf(h.tiers[t])
 	n := 0
-	for _, e := range h.dirtyScratch {
+	for _, e := range dirty {
 		if !e.WritebackInFlight && !e.Pinned {
 			n++
 		}
 	}
 	join := sim.NewJoin(n, next)
 	mv := h.tierMove(t)
-	for _, e := range h.dirtyScratch {
+	for _, e := range dirty {
 		if e.WritebackInFlight || e.Pinned {
 			continue
 		}

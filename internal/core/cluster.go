@@ -140,7 +140,6 @@ type clusterShard struct {
 	eng     *sim.Engine
 	hosts   []*Host
 	drivers []*Driver
-	reqs    reqArena // request records for every host on the shard (req.go)
 
 	// The shard's outboxes, appended in engine execution order and
 	// canonicalized by the coordinator at the barrier (see gather).
@@ -367,8 +366,8 @@ type Cluster struct {
 	depth      []int
 	cons       ConsistencyStats
 	track      bool
-	proto      *protoCoordinator   // nil outside protocol runs
-	protoPorts []*clusterProtoPort // by host ID; nil outside protocol runs
+	proto      *protoCoordinator  // nil outside protocol runs
+	protoPorts []clusterProtoPort // by host ID; nil outside protocol runs
 
 	// Lifecycle (see Start/StartDrivers/Advance/RunToCompletion/Close).
 	started        bool
@@ -433,53 +432,66 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 
 	if protocol {
 		c.proto = newProtoCoordinator(c)
-		c.protoPorts = make([]*clusterProtoPort, n)
+		c.protoPorts = make([]clusterProtoPort, n)
 	}
 
-	for i, hc := range spec.Hosts {
-		sh := c.shards[i%shards]
-		seg := netsim.NewSegment(sh.eng, spec.Timing.NetBase, spec.Timing.NetPerBit)
-		bgSeg := netsim.NewSegment(sh.eng, spec.Timing.NetBase, spec.Timing.NetPerBit)
-		for _, s := range []*netsim.Segment{seg, bgSeg} {
-			if lk := s.Lookahead(); upTransit < 0 || lk < upTransit {
-				upTransit = lk
-			}
+	// Shard s holds hosts s, s+shards, ...; each shard builds its hosts
+	// with NewHosts and their filer ports, consistency sinks and drivers
+	// into arrays of its own.
+	cfgs := make([]HostConfig, 0, (n+shards-1)/shards)
+	for s, sh := range c.shards {
+		cfgs = cfgs[:0]
+		for i := s; i < n; i += shards {
+			cfgs = append(cfgs, spec.Hosts[i])
 		}
-		h, err := NewHost(sh.eng, hc, spec.Timing, seg, bgSeg,
-			&clusterPort{sh: sh, host: int32(i)})
+		hosts, err := NewHosts(sh.eng, cfgs, spec.Timing, nil)
 		if err != nil {
 			return nil, err
 		}
-		h.reqs = &sh.reqs
-		if spec.Tracer != nil {
-			// Per-host buffers are touched only by the owning shard's
-			// goroutine; the barrier handshake orders the final merge.
-			h.SetTrace(spec.Tracer.Host(i))
+		ports := make([]clusterPort, len(hosts))
+		drivers := make([]Driver, len(hosts))
+		var sinks []clusterSink
+		if c.proto == nil && c.track {
+			sinks = make([]clusterSink, len(hosts))
+			sh.holders = newHolderSet(len(hosts))
 		}
-		if adaptive {
-			h.setUpCounter(&sh.upInFlight)
-		}
-		if c.proto != nil {
-			p := &clusterProtoPort{sh: sh, h: h, host: int32(i), co: c.proto}
-			c.protoPorts[i] = p
-			h.SetConsistencyPort(p)
-		} else if c.track {
-			h.SetConsistencyPort(&clusterSink{sh: sh, h: h})
-			if sh.holders == nil {
-				// Shard s holds hosts s, s+shards, ...
-				sh.holders = newHolderSet((n - i%shards + shards - 1) / shards)
+		sh.hosts = hosts
+		sh.drivers = make([]*Driver, len(hosts))
+		for j, h := range hosts {
+			i := s + j*shards
+			ports[j] = clusterPort{sh: sh, host: int32(i)}
+			h.fsrv = &ports[j]
+			for _, seg := range [...]*netsim.Segment{h.seg, h.bgSeg} {
+				if lk := seg.Lookahead(); upTransit < 0 || lk < upTransit {
+					upTransit = lk
+				}
 			}
-			h.holders, h.holderLocal = sh.holders, int32(i/shards)
+			if spec.Tracer != nil {
+				// Per-host buffers are touched only by the owning shard's
+				// goroutine; the barrier handshake orders the final merge.
+				h.SetTrace(spec.Tracer.Host(i))
+			}
+			if adaptive {
+				h.setUpCounter(&sh.upInFlight)
+			}
+			if c.proto != nil {
+				p := &c.protoPorts[i]
+				*p = clusterProtoPort{sh: sh, h: h, host: int32(i), co: c.proto}
+				h.SetConsistencyPort(p)
+			} else if c.track {
+				sinks[j] = clusterSink{sh: sh, h: h}
+				h.SetConsistencyPort(&sinks[j])
+				h.holders, h.holderLocal = sh.holders, int32(j)
+			}
+			d := &drivers[j]
+			if err := d.init(sh.eng, hosts[j:j+1:j+1], spec.Sources[i], 0); err != nil {
+				return nil, err
+			}
+			sh.drivers[j] = d
+			c.hosts[i] = h
+			c.drivers[i] = d
+			c.hostShard[i] = sh
 		}
-		drv, err := NewDriver(sh.eng, []*Host{h}, spec.Sources[i], 0)
-		if err != nil {
-			return nil, err
-		}
-		sh.hosts = append(sh.hosts, h)
-		sh.drivers = append(sh.drivers, drv)
-		c.hosts[i] = h
-		c.drivers[i] = drv
-		c.hostShard[i] = sh
 	}
 	var err error
 	if c.bound, err = newEdgeLookahead(c.lookahead, upTransit, adaptive); err != nil {
@@ -510,8 +522,8 @@ func (c *Cluster) Consistency() ConsistencyStats {
 	cons := c.cons
 	if c.proto != nil {
 		c.proto.fold(&cons)
-		for _, p := range c.protoPorts {
-			p.fold(&cons)
+		for i := range c.protoPorts {
+			c.protoPorts[i].fold(&cons)
 		}
 	}
 	return cons

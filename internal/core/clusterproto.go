@@ -272,7 +272,7 @@ func (pc *protoCoordinator) writeAcquire(m *protoMsg) {
 // back, then the ack enters the exchange.
 func (pc *protoCoordinator) deliverCallback(at sim.Time, holder *Host, key uint64, id uint64) {
 	c := pc.c
-	port := c.protoPorts[holder.ID()]
+	port := &c.protoPorts[holder.ID()]
 	c.hostShard[holder.ID()].eng.At(at+c.lookahead, func() {
 		holder.sendControl(func() { // callback packet reaches the holder
 			dropped := holder.invalidate(key)
@@ -338,7 +338,7 @@ func (pc *protoCoordinator) readAcquire(m *protoMsg) {
 	id := pc.park(m, 1)
 	c := pc.c
 	owner := c.hosts[o]
-	port := c.protoPorts[o]
+	port := &c.protoPorts[o]
 	c.hostShard[o].eng.At(m.at+c.lookahead, func() {
 		owner.sendControl(func() { // server's callback reaches the owner
 			owner.flushBlock(m.key, func() { // dirty data becomes durable

@@ -28,6 +28,13 @@ func testTiming() Timing {
 	}
 }
 
+// newSegment builds a network segment with the timing's latencies.
+func newSegment(eng *sim.Engine, tm Timing) *netsim.Segment {
+	s := new(netsim.Segment)
+	s.Init(eng, tm.NetBase, tm.NetPerBit)
+	return s
+}
+
 type rig struct {
 	eng  *sim.Engine
 	fsrv *filer.Filer
@@ -38,7 +45,7 @@ func newRig(t *testing.T, cfg HostConfig, tm Timing) *rig {
 	t.Helper()
 	eng := &sim.Engine{}
 	fsrv := filer.New(eng, rng.New(1), tm.FilerFastRead, tm.FilerSlowRead, tm.FilerWrite, tm.FilerFastReadRate)
-	seg := netsim.NewSegment(eng, tm.NetBase, tm.NetPerBit)
+	seg := newSegment(eng, tm)
 	h, err := NewHost(eng, cfg, tm, seg, nil, fsrv)
 	if err != nil {
 		t.Fatal(err)
@@ -188,10 +195,10 @@ func TestBackgroundLaneKeepsReadFillsUncontended(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := &sim.Engine{}
 			fsrv := filer.New(eng, rng.New(1), tm.FilerFastRead, tm.FilerSlowRead, tm.FilerWrite, tm.FilerFastReadRate)
-			seg := netsim.NewSegment(eng, tm.NetBase, tm.NetPerBit)
+			seg := newSegment(eng, tm)
 			var bgSeg *netsim.Segment
 			if tc.separate {
-				bgSeg = netsim.NewSegment(eng, tm.NetBase, tm.NetPerBit)
+				bgSeg = newSegment(eng, tm)
 			}
 			h, err := NewHost(eng, baseCfg(Naive), tm, seg, bgSeg, fsrv)
 			if err != nil {
@@ -650,7 +657,7 @@ func TestInvalidationBetweenHosts(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		cfg := baseCfg(Naive)
 		cfg.ID = i
-		seg := netsim.NewSegment(eng, tm.NetBase, tm.NetPerBit)
+		seg := newSegment(eng, tm)
 		h, err := NewHost(eng, cfg, tm, seg, nil, fsrv)
 		if err != nil {
 			t.Fatal(err)

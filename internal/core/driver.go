@@ -15,20 +15,29 @@ import (
 // consumed from the source in order and distributed to per-thread queues of
 // bounded depth; each thread executes its requests sequentially, accessing
 // the blocks of a multi-block request one at a time.
+//
+// Each (host, thread) pair of the trace has one threadRec, carved from the
+// hosts' engine arena when the pair first appears: its queue is a ring of
+// window ops held inline, and it carries the op in flight, so queueing,
+// starting and stepping ops allocate nothing. The driver finds records by
+// thread key in an open-addressed table that starts inline and doubles, so
+// the sparse keys of a recorded trace cost no more than dense ones.
 type Driver struct {
 	eng   *sim.Engine
 	hosts []*Host
 	src   trace.Source
 
-	queues  map[uint32][]trace.Op
-	qtimes  map[uint32][]sim.Time // per-op enqueue times; only when tracing
-	busy    map[uint32]bool
+	// threads indexes the thread records by key: linear probing from a
+	// multiplicative hash, at most half full; it starts as small and
+	// doubles. nthreads counts the records.
+	threads  []*threadRec
+	nthreads int
+	small    [threadMinSlots]*threadRec
+
 	held    trace.Op // head-of-line op whose thread queue is full
 	hasHeld bool     // held is valid; by value, so pumping never allocates
 	srcDone bool
-	freeOps *opTask // free list of per-op execution records
 
-	window       int
 	issuedBlocks int64
 	warmupBlocks int64
 	collecting   bool
@@ -41,30 +50,127 @@ type Driver struct {
 	queuedOps    int // ops sitting in thread queues, not yet started
 }
 
+// window is the depth of a thread's queue.
+const window = 16
+
+// threadMinSlots is the size of a driver's inline thread table: a driver
+// with up to half as many threads needs no table of its own.
+const threadMinSlots = 16
+
 // threadKey packs (host, thread).
 func threadKey(host, thread uint16) uint32 {
 	return uint32(host)<<16 | uint32(thread)
+}
+
+// threadRec is one trace thread's state: its queue, a ring of n ops from
+// q[head] (with their enqueue times in qt while tracing), whether it has
+// an op in flight, and that op's execution record.
+type threadRec struct {
+	d       *Driver
+	tk      uint32
+	busy    bool
+	head, n uint8
+	q       [window]trace.Op
+	qt      *[window]sim.Time
+	opTask
+}
+
+// opTask is the execution record of a thread's op in flight: the blocks
+// of a multi-block request access the cache sequentially, and the record
+// carries the cursor between completions.
+type opTask struct {
+	op trace.Op
+	i  uint32
+}
+
+// Thread-record slabs start at threadSlabMin records and double up to
+// threadSlabMax, so an engine with few threads carves little ahead of use
+// and a 1024-host shard still takes only a handful of slabs.
+const (
+	threadSlabMin = 16
+	threadSlabMax = 1024
+)
+
+func (a *reqArena) carveThread() *threadRec {
+	if len(a.threads) == 0 {
+		a.threadSlab = min(max(threadSlabMin, 2*a.threadSlab), threadSlabMax)
+		a.threads = make([]threadRec, a.threadSlab)
+	}
+	t := &a.threads[0]
+	a.threads = a.threads[1:]
+	return t
 }
 
 // NewDriver builds a driver over the hosts. warmupBlocks gates statistics:
 // collection starts once that many blocks have been issued (the paper uses
 // half the trace volume).
 func NewDriver(eng *sim.Engine, hosts []*Host, src trace.Source, warmupBlocks int64) (*Driver, error) {
+	d := new(Driver)
+	if err := d.init(eng, hosts, src, warmupBlocks); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// init builds the driver in place. Its thread table starts inline, so a
+// driver must not be copied once built.
+func (d *Driver) init(eng *sim.Engine, hosts []*Host, src trace.Source, warmupBlocks int64) error {
 	if len(hosts) == 0 {
-		return nil, fmt.Errorf("core: driver needs at least one host")
+		return fmt.Errorf("core: driver needs at least one host")
 	}
 	if src == nil {
-		return nil, fmt.Errorf("core: driver needs a trace source")
+		return fmt.Errorf("core: driver needs a trace source")
 	}
-	return &Driver{
+	*d = Driver{
 		eng:          eng,
 		hosts:        hosts,
 		src:          src,
-		queues:       make(map[uint32][]trace.Op),
-		busy:         make(map[uint32]bool),
-		window:       16,
 		warmupBlocks: warmupBlocks,
-	}, nil
+	}
+	d.threads = d.small[:]
+	return nil
+}
+
+// thread returns the record of thread key tk, carving it when tk first
+// appears.
+func (d *Driver) thread(tk uint32) *threadRec {
+	mask := uint64(len(d.threads) - 1)
+	for i := threadHome(tk, mask); ; i = (i + 1) & mask {
+		t := d.threads[i]
+		if t == nil {
+			break
+		}
+		if t.tk == tk {
+			return t
+		}
+	}
+	if 2*(d.nthreads+1) > len(d.threads) {
+		old := d.threads
+		d.threads = make([]*threadRec, 2*len(old))
+		for _, t := range old {
+			if t != nil {
+				d.place(t)
+			}
+		}
+	}
+	t := d.hosts[0].reqs.carveThread() // every host of a driver shares one engine
+	t.d, t.tk = d, tk
+	d.place(t)
+	d.nthreads++
+	return t
+}
+
+func threadHome(tk uint32, mask uint64) uint64 {
+	return uint64(tk) * 0x9E3779B97F4A7C15 >> 32 & mask
+}
+
+func (d *Driver) place(t *threadRec) {
+	mask := uint64(len(d.threads) - 1)
+	i := threadHome(t.tk, mask)
+	for d.threads[i] != nil {
+		i = (i + 1) & mask
+	}
+	d.threads[i] = t
 }
 
 // OpsCompleted returns the number of trace ops fully executed.
@@ -98,70 +204,54 @@ func (d *Driver) pump() {
 			}
 			d.consumed += int64(op.Count)
 		}
-		tk := threadKey(op.Host, op.Thread)
-		q, seen := d.queues[tk]
-		if len(q) >= d.window {
+		t := d.thread(threadKey(op.Host, op.Thread))
+		if t.n == window {
 			d.held, d.hasHeld = op, true
 			return
 		}
 		d.hasHeld = false
-		if !seen {
-			// A queue never holds more than window ops, so allocating it
-			// at that capacity when its thread first appears means it
-			// never grows.
-			q = make([]trace.Op, 0, d.window)
-		}
-		d.queues[tk] = append(q, op)
+		tail := (t.head + t.n) % window
+		t.q[tail] = op
 		if d.tracing() {
-			if d.qtimes == nil {
-				d.qtimes = make(map[uint32][]sim.Time)
+			if t.qt == nil {
+				t.qt = new([window]sim.Time)
 			}
-			qt, seen := d.qtimes[tk]
-			if !seen {
-				qt = make([]sim.Time, 0, d.window)
-			}
-			d.qtimes[tk] = append(qt, d.eng.Now())
+			t.qt[tail] = d.eng.Now()
 		}
+		t.n++
 		d.queuedOps++
-		d.kick(tk)
+		d.kick(t)
 	}
 }
 
 // kick starts the thread's next op if it is idle.
-func (d *Driver) kick(tk uint32) {
-	if d.busy[tk] {
+func (d *Driver) kick(t *threadRec) {
+	if t.busy || t.n == 0 {
 		return
 	}
-	q := d.queues[tk]
-	if len(q) == 0 {
-		return
-	}
-	op := q[0]
-	copy(q, q[1:])
-	d.queues[tk] = q[:len(q)-1]
+	head := t.head
+	t.head = (head + 1) % window
+	t.n--
 	if d.tracing() {
-		d.noteDequeue(tk, op)
+		d.noteDequeue(t.q[head], t.qt[head])
 	}
 	d.queuedOps--
-	d.busy[tk] = true
+	t.busy = true
 	d.opsInFlight++
-	d.runOp(tk, op)
+	t.opTask = opTask{op: t.q[head]}
+	opStep(t)
 }
 
 // tracing reports whether request-lifecycle tracing is attached. A tracer
 // covers every host or none, so host 0 stands for all.
 func (d *Driver) tracing() bool { return d.hosts[0].tr != nil }
 
-// noteDequeue pops the op's enqueue time and records its host-queue wait
-// as a queue span on the track of the op's first block request — which
+// noteDequeue records the host-queue wait of an op enqueued at time at as
+// a queue span on the track of the op's first block request — which
 // opStep issues synchronously next, so it takes the host's next request
 // sequence (NextSampled peeks without consuming). Tracers must attach
-// before any ops are pumped, so qtimes mirrors queues exactly.
-func (d *Driver) noteDequeue(tk uint32, op trace.Op) {
-	qt := d.qtimes[tk]
-	at := qt[0]
-	copy(qt, qt[1:])
-	d.qtimes[tk] = qt[:len(qt)-1]
+// before any ops are pumped, so every queued op has its enqueue time.
+func (d *Driver) noteDequeue(op trace.Op, at sim.Time) {
 	if op.Count == 0 {
 		return // no block requests; nothing to attach the wait to
 	}
@@ -171,55 +261,18 @@ func (d *Driver) noteDequeue(tk uint32, op trace.Op) {
 	}
 }
 
-// opTask is one trace op's execution record: the blocks of a multi-block
-// request access the cache sequentially, and the record carries the cursor
-// between completions. Records recycle through the driver's free list, so
-// the per-block step allocates nothing (the closure-based predecessor
-// allocated one continuation per block).
-type opTask struct {
-	d    *Driver
-	tk   uint32
-	op   trace.Op
-	i    uint32
-	next *opTask // free-list link
-}
-
-func (d *Driver) getOp() *opTask {
-	t := d.freeOps
-	if t == nil {
-		return &opTask{d: d}
-	}
-	d.freeOps = t.next
-	return t
-}
-
-func (d *Driver) putOp(t *opTask) {
-	*t = opTask{d: t.d, next: d.freeOps}
-	d.freeOps = t
-}
-
-// runOp executes one trace op: its blocks access the cache sequentially.
-func (d *Driver) runOp(tk uint32, op trace.Op) {
-	t := d.getOp()
-	t.tk = tk
-	t.op = op
-	opStep(t)
-}
-
-// opStep issues the op's next block, or completes the op and kicks the
-// thread's queue. It is both the initial call and every block's completion
-// continuation.
+// opStep issues the thread's next block of its op in flight, or completes
+// the op and kicks the thread's queue. It is both the initial call and
+// every block's completion continuation.
 func opStep(a any) {
-	t := a.(*opTask)
+	t := a.(*threadRec)
 	d := t.d
 	if t.i >= t.op.Count {
 		d.opsInFlight--
 		d.opsCompleted++
-		d.busy[t.tk] = false
-		tk := t.tk
-		d.putOp(t)
+		t.busy = false
 		d.pump()
-		d.kick(tk)
+		d.kick(t)
 		return
 	}
 	d.noteIssue(1)
@@ -255,15 +308,7 @@ func (d *Driver) Done() bool { return d.done() }
 
 // done reports whether all trace work has completed.
 func (d *Driver) done() bool {
-	if !d.srcDone || d.hasHeld || d.opsInFlight > 0 {
-		return false
-	}
-	for _, q := range d.queues {
-		if len(q) > 0 {
-			return false
-		}
-	}
-	return true
+	return d.srcDone && !d.hasHeld && d.opsInFlight == 0 && d.queuedOps == 0
 }
 
 // OpsInFlight returns the number of trace ops currently executing; it is

@@ -65,8 +65,12 @@ type Host struct {
 	// concrete fields above.
 	tiers [3]tierCache
 
-	ramDev  *blockdev.RAMDevice
-	flashIO FlashDev
+	ramDev blockdev.RAMDevice
+	// flashDev is the paper's fixed-latency device, held by value;
+	// flashIO is the device the request path uses: flashDev, or an FTL
+	// device when the host is FTL-backed.
+	flashDev blockdev.FlashDevice
+	flashIO  FlashDev
 	// seg carries demand traffic (fetches, synchronous write-through,
 	// eviction writebacks that block a requester); bgSeg carries
 	// asynchronous and periodic writeback traffic. Separating the lanes
@@ -79,18 +83,13 @@ type Host struct {
 	fsrv  FilerPort
 	cons  ConsistencyPort // nil when consistency is not modeled
 
-	// pending de-duplicates concurrent demand fetches of the same block:
-	// waiters are woken when the single fetch completes. Waiter slices
-	// are recycled through waiterFree.
-	pending    map[cache.Key][]cont
-	waiterFree [][]cont
-
 	// freeReq is the host-local free list of request records; reqs is
-	// the engine-shared arena they are carved from (req.go).
+	// the engine-shared arena they are carved from (req.go), which also
+	// holds the engine's pending-fetch table and flush scratch. arenaID
+	// is the host's ordinal in the arena, salting its pending-fetch keys.
 	freeReq *hostReq
 	reqs    *reqArena
-	// dirtyScratch is the reusable buffer behind periodic flush scans.
-	dirtyScratch []*cache.Entry
+	arenaID uint32
 
 	collect bool
 	st      HostStats
@@ -115,7 +114,10 @@ type Host struct {
 	holders     *holderSet
 	holderLocal int32
 
-	syncers []*sim.Ticker
+	// syncers are the host's periodic writeback daemons, syncers[:nsync]
+	// armed (writeback.go).
+	syncers [2]syncer
+	nsync   int
 }
 
 // evictionRetryDelay is how long an inserter waits when every eviction
@@ -123,41 +125,77 @@ type Host struct {
 // dirty pressure with tiny caches.
 const evictionRetryDelay = 5 * sim.Microsecond
 
-// NewHost builds a host attached to the shared engine and filer. seg is
-// the host's private link for demand traffic; bgSeg, if nil, defaults to
-// seg (single shared lane).
+// NewHost builds a host of its own attached to the shared engine and
+// filer, with an engine arena of its own. seg is the host's private link
+// for demand traffic; bgSeg, if nil, defaults to seg (single shared lane).
+// Hosts that share an engine are built together by NewHosts.
 func NewHost(eng *sim.Engine, cfg HostConfig, timing Timing,
 	seg *netsim.Segment, bgSeg *netsim.Segment, fsrv FilerPort) (*Host, error) {
-	if err := cfg.Validate(); err != nil {
+	h := new(Host)
+	if err := h.init(eng, cfg, timing, seg, bgSeg, fsrv, new(reqArena)); err != nil {
 		return nil, err
 	}
+	return h, nil
+}
+
+// NewHosts builds one engine's hosts, in the order of cfgs, all reaching
+// the filer through fsrv. The hosts, their demand and background network
+// segments and the engine arena they share come from one array each, so
+// building n hosts costs a constant number of allocations besides each
+// host's caches. The sharded cluster builds every shard's hosts through
+// it and then gives each host its own filer port.
+func NewHosts(eng *sim.Engine, cfgs []HostConfig, timing Timing, fsrv FilerPort) ([]*Host, error) {
+	arena := new(reqArena)
+	hosts := make([]Host, len(cfgs))
+	segs := make([]netsim.Segment, 2*len(cfgs))
+	ptrs := make([]*Host, len(cfgs))
+	for i, hc := range cfgs {
+		seg, bgSeg := &segs[2*i], &segs[2*i+1]
+		seg.Init(eng, timing.NetBase, timing.NetPerBit)
+		bgSeg.Init(eng, timing.NetBase, timing.NetPerBit)
+		if err := hosts[i].init(eng, hc, timing, seg, bgSeg, fsrv, arena); err != nil {
+			return nil, err
+		}
+		ptrs[i] = &hosts[i]
+	}
+	return ptrs, nil
+}
+
+// init builds the host in place: the one host constructor. A host holds
+// its devices and syncers by value and points into the arrays its builder
+// owns, so it must not be copied once built.
+func (h *Host) init(eng *sim.Engine, cfg HostConfig, timing Timing,
+	seg, bgSeg *netsim.Segment, fsrv FilerPort, arena *reqArena) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if err := timing.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if bgSeg == nil {
 		bgSeg = seg
 	}
-	var flashIO FlashDev
-	if cfg.FTLBacked && cfg.FlashBlocks > 0 {
-		fdev, err := newFTLFlashDev(eng, cfg.FlashBlocks, cfg.PersistentFlash, uint64(cfg.ID)+1)
-		if err != nil {
-			return nil, err
-		}
-		flashIO = fdev
-	} else {
-		flashIO = fixedFlashDev{blockdev.NewFlashDevice(eng,
-			timing.FlashRead, timing.FlashWrite, cfg.PersistentFlash)}
-	}
-	h := &Host{
+	*h = Host{
 		eng:     eng,
 		cfg:     cfg,
 		timing:  timing,
-		ramDev:  blockdev.NewRAMDevice(eng, timing.RAMRead, timing.RAMWrite),
-		flashIO: flashIO,
 		seg:     seg,
 		bgSeg:   bgSeg,
 		fsrv:    fsrv,
-		pending: make(map[cache.Key][]cont),
+		reqs:    arena,
+		arenaID: arena.hosts,
+	}
+	arena.hosts++
+	h.ramDev.Init(eng, timing.RAMRead, timing.RAMWrite)
+	if cfg.FTLBacked && cfg.FlashBlocks > 0 {
+		fdev, err := newFTLFlashDev(eng, cfg.FlashBlocks, cfg.PersistentFlash, uint64(cfg.ID)+1)
+		if err != nil {
+			return err
+		}
+		h.flashIO = fdev
+	} else {
+		h.flashDev.Init(eng, timing.FlashRead, timing.FlashWrite, cfg.PersistentFlash)
+		h.flashIO = fixedFlashDev{&h.flashDev}
 	}
 	if cfg.Arch == Unified {
 		h.uni = cache.NewUnified(cfg.RAMBlocks, cfg.FlashBlocks)
@@ -166,13 +204,13 @@ func NewHost(eng *sim.Engine, cfg HostConfig, timing Timing,
 		h.ram = cache.NewLRU(cfg.RAMBlocks, cache.RAM)
 		flash, err := cache.NewBlockCache(cfg.FlashReplacement, cfg.FlashBlocks, cache.Flash)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		h.flash = flash
 		h.tiers[tierRAM], h.tiers[tierFlash] = h.ram, flash
 	}
 	h.startSyncers()
-	return h, nil
+	return nil
 }
 
 // ID returns the host's identifier.
@@ -241,8 +279,8 @@ func (h *Host) SetConsistencyPort(p ConsistencyPort) { h.cons = p }
 // StopSyncers halts periodic writeback daemons so the engine can drain at
 // end of trace.
 func (h *Host) StopSyncers() {
-	for _, s := range h.syncers {
-		s.Stop()
+	for i := range h.syncers[:h.nsync] {
+		h.syncers[i].tick.Stop()
 	}
 }
 
@@ -653,37 +691,34 @@ func commitUnifiedWritten(a any) {
 // untraced): the initiator's sequence labels the wire and filer-service
 // spans; a sampled request that joins another's in-flight fetch records a
 // dedup marker instead.
+//
+// The fetch's record sits in the engine arena's pending table while the
+// fetch is in flight and carries the initiator's continuation; a joining
+// request parks its continuation in a record of its own, linked newest
+// first behind the fetch's (see fetchWake).
 func (h *Host) fetchFromFiler(key cache.Key, c cont, trSeq uint64) {
-	if waiters, inflight := h.pending[key]; inflight {
+	if f := h.reqs.fetching(h, key); f != nil {
 		if trSeq != 0 {
 			h.mark(trSeq, obs.KindDedup, key)
 		}
-		h.pending[key] = append(waiters, c)
+		w := h.getReq()
+		w.c = c
+		w.next, f.next = f.next, w
 		return
 	}
-	h.pending[key] = h.newWaiters(c)
 	if h.collect {
 		h.st.FilerFetches++
 	}
 	r := h.getReq()
 	r.key = key
+	r.c = c
+	h.reqs.pend(r)
 	if trSeq != 0 {
 		r.trSeq = trSeq
 		r.tMark = h.eng.Now()
 	}
 	h.noteUpSend()
 	h.seg.Send2(netsim.ToFiler, 0, fetchSent, r)
-}
-
-// newWaiters starts a pending-fetch waiter list, recycling a previously
-// drained slice when one is available.
-func (h *Host) newWaiters(c cont) []cont {
-	if n := len(h.waiterFree); n > 0 {
-		w := h.waiterFree[n-1]
-		h.waiterFree = h.waiterFree[:n-1]
-		return append(w, c)
-	}
-	return append(make([]cont, 0, 4), c)
 }
 
 func fetchSent(a any) {
@@ -717,18 +752,28 @@ func fetchArrived(a any) {
 }
 
 // fetchWake completes a de-duplicated fetch: every waiter queued while the
-// single filer round trip was in flight resumes, in arrival order.
+// single filer round trip was in flight resumes, in arrival order — the
+// initiator first, then the joiners, whose newest-first links are reversed.
+// Each waiter's record is released before its continuation runs.
 func fetchWake(a any) {
 	r := a.(*hostReq)
 	h := r.h
-	key := r.key
+	h.reqs.unpend(r)
+	c, joined := r.c, r.next
 	h.putReq(r)
-	waiters := h.pending[key]
-	delete(h.pending, key)
-	for _, w := range waiters {
-		w.run()
+	var w *hostReq
+	for joined != nil {
+		next := joined.next
+		joined.next = w
+		w, joined = joined, next
 	}
-	h.waiterFree = append(h.waiterFree, waiters[:0])
+	c.run()
+	for w != nil {
+		c, next := w.c, w.next
+		h.putReq(w)
+		c.run()
+		w = next
+	}
 }
 
 // installAfterFetch places a freshly fetched block into the flash tier

@@ -62,7 +62,7 @@ func (h *Host) Recover(done func()) (dirtyFlushed int) {
 	}
 	resident := h.flash.Len()
 	scanReads := (resident + metadataBlocksPerRead - 1) / metadataBlocksPerRead
-	dirty := h.flash.AppendDirty(nil)
+	dirty := h.reqs.dirtyOf(h.flash)
 	dirtyFlushed = len(dirty)
 
 	join := sim.NewJoin(scanReads+len(dirty), done)

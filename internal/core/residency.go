@@ -42,13 +42,16 @@ func newHolderSet(hosts int) *holderSet {
 	return hs
 }
 
-// grow doubles the slot capacity. The nodes move to a new array, so the
-// index is rebuilt over it.
+// grow doubles the slot capacity. The nodes and the bitmaps move to new
+// arrays, so the index is rebuilt over the nodes.
 func (hs *holderSet) grow() {
 	c := max(holderMinSlots, 2*cap(hs.nodes))
 	nodes := make([]cache.Node, len(hs.nodes), c)
 	copy(nodes, hs.nodes)
 	hs.nodes = nodes
+	bits := make([]uint64, len(hs.bits), c*hs.words)
+	copy(bits, hs.bits)
+	hs.bits = bits
 	hs.index = cache.NewIndex(c)
 	for s := range hs.nodes {
 		hs.index.Insert(&hs.nodes[s])
@@ -64,7 +67,10 @@ func (hs *holderSet) mark(key cache.Key, local int32) {
 		}
 		s := int32(len(hs.nodes))
 		hs.nodes = append(hs.nodes, cache.MakeNode(key, s))
-		hs.bits = append(hs.bits, make([]uint64, hs.words)...)
+		// grow sized bits with nodes, so this reslice stays in place.
+		n := len(hs.bits)
+		hs.bits = hs.bits[:n+hs.words]
+		clear(hs.bits[n:])
 		nd = &hs.nodes[s]
 		hs.index.Insert(nd)
 	}

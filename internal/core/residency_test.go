@@ -176,7 +176,7 @@ func TestHolderSetFillAfterProbe(t *testing.T) {
 		if !probed && c.Consistency().BlocksWritten > 0 {
 			// The first write's barrier probe has run.
 			probed = true
-			if _, inFlight := h0.pending[cache.Key(key)]; !inFlight || h0.holds(key) {
+			if inFlight := h0.reqs.fetching(h0, cache.Key(key)) != nil; !inFlight || h0.holds(key) {
 				t.Fatal("host 0's fetch is not in flight at the first write's probe")
 			}
 		}

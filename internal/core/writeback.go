@@ -367,12 +367,27 @@ func filerWriteArrived(a any) {
 
 // --- periodic syncers ---
 
+// syncer is one periodic writeback daemon: every tick it flushes medium
+// m of tier t, at most limit blocks (<= 0: all). A host holds its syncers
+// by value, and each rides in its ticker's argument slot.
+type syncer struct {
+	h     *Host
+	t     tier
+	m     cache.Medium
+	limit int
+	tick  sim.Ticker
+}
+
+func syncerTick(a any) {
+	s := a.(*syncer)
+	s.h.flush(s.t, s.m, s.limit)
+}
+
 // startSyncers launches the periodic writeback daemons the configured
 // policies require, one per row of the table below that applies, in row
 // order. Each syncer flushes one medium of one tier. Lookaside's flash
 // tier never holds dirty data, so its flash syncer is pointless and
-// skipped. (These closures are built once per host at construction; the
-// per-tick path allocates nothing.)
+// skipped. At most two rows apply to any architecture.
 func (h *Host) startSyncers() {
 	uni := h.cfg.Arch == Unified
 	for _, s := range [...]struct {
@@ -386,18 +401,18 @@ func (h *Host) startSyncers() {
 		{h.cfg.RAMPolicy, tierUnified, cache.RAM, uni},
 		{h.cfg.FlashPolicy, tierUnified, cache.Flash, uni},
 	} {
-		if !s.on {
+		if !s.on || (s.p.Kind != Periodic && s.p.Kind != Trickle) {
 			continue
 		}
-		// limit <= 0 flushes everything (Periodic); Trickle drains one
-		// block per tick.
-		t, m := s.t, s.m
-		switch s.p.Kind {
-		case Periodic:
-			h.syncers = append(h.syncers, sim.NewTicker(h.eng, s.p.Period, func() { h.flush(t, m, 0) }))
-		case Trickle:
-			h.syncers = append(h.syncers, sim.NewTicker(h.eng, s.p.Period, func() { h.flush(t, m, 1) }))
+		// Periodic flushes everything; Trickle drains one block per tick.
+		limit := 0
+		if s.p.Kind == Trickle {
+			limit = 1
 		}
+		sy := &h.syncers[h.nsync]
+		h.nsync++
+		*sy = syncer{h: h, t: s.t, m: s.m, limit: limit}
+		sy.tick.Start(h.eng, s.p.Period, syncerTick, sy)
 	}
 }
 
@@ -407,8 +422,8 @@ func (h *Host) startSyncers() {
 func (h *Host) flush(t tier, m cache.Medium, limit int) {
 	mv := h.tierMove(t)
 	flushed := 0
-	h.dirtyScratch = h.tiers[t].AppendDirty(h.dirtyScratch[:0])
-	for _, e := range h.dirtyScratch {
+	dirty := h.reqs.dirtyOf(h.tiers[t])
+	for _, e := range dirty {
 		if limit > 0 && flushed >= limit {
 			break
 		}

@@ -75,7 +75,8 @@ func ftlAmplification(o Options) float64 {
 	eng := &sim.Engine{}
 	tm := core.DefaultTiming()
 	fsrv := filer.New(eng, rng.New(2), tm.FilerFastRead, tm.FilerSlowRead, tm.FilerWrite, tm.FilerFastReadRate)
-	seg := netsim.NewSegment(eng, tm.NetBase, tm.NetPerBit)
+	var seg netsim.Segment
+	seg.Init(eng, tm.NetBase, tm.NetPerBit)
 	hc := core.HostConfig{
 		RAMBlocks:   64,
 		FlashBlocks: 2048,
@@ -84,7 +85,7 @@ func ftlAmplification(o Options) float64 {
 		FlashPolicy: core.PolicyNone,
 		FTLBacked:   true,
 	}
-	h, err := core.NewHost(eng, hc, tm, seg, nil, fsrv)
+	h, err := core.NewHost(eng, hc, tm, &seg, nil, fsrv)
 	if err != nil {
 		return 0
 	}

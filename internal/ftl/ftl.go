@@ -77,7 +77,7 @@ const (
 type Device struct {
 	cfg Config
 	eng *sim.Engine
-	die *sim.Server
+	die sim.Server
 	rnd *rng.RNG
 
 	logicalPages int
@@ -127,7 +127,6 @@ func NewDevice(eng *sim.Engine, cfg Config) (*Device, error) {
 	d := &Device{
 		cfg:          cfg,
 		eng:          eng,
-		die:          sim.NewServer(eng),
 		rnd:          rng.New(cfg.Seed),
 		logicalPages: logical,
 		mapping:      make([]int32, logical),
@@ -135,6 +134,7 @@ func NewDevice(eng *sim.Engine, cfg Config) (*Device, error) {
 		valid:        make([]int, cfg.EraseBlocks),
 		erases:       make([]int, cfg.EraseBlocks),
 	}
+	d.die.Init(eng)
 	for i := range d.mapping {
 		d.mapping[i] = invalidPPN
 	}

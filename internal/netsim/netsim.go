@@ -17,9 +17,10 @@ import "repro/internal/sim"
 // Segment is one host's link to the filer: one FIFO wire toward the filer
 // and one back, each carrying one packet at a time. Packets in opposite
 // directions never wait for each other; packets in the same direction
-// queue in order.
+// queue in order. Both wires are held by value, and a segment is built
+// in place by Init, so owners keep segments in arrays of their own.
 type Segment struct {
-	up, down *sim.Server
+	up, down sim.Server
 	baseLat  sim.Time
 	perBit   sim.Time
 	packets  uint64
@@ -34,15 +35,12 @@ const (
 	FromFiler
 )
 
-// NewSegment returns a segment with the given fixed per-packet latency and
-// per-bit data latency.
-func NewSegment(eng *sim.Engine, baseLat, perBit sim.Time) *Segment {
-	return &Segment{
-		up:      sim.NewServer(eng),
-		down:    sim.NewServer(eng),
-		baseLat: baseLat,
-		perBit:  perBit,
-	}
+// Init attaches an idle segment to the engine, with the given fixed
+// per-packet latency and per-bit data latency.
+func (s *Segment) Init(eng *sim.Engine, baseLat, perBit sim.Time) {
+	*s = Segment{baseLat: baseLat, perBit: perBit}
+	s.up.Init(eng)
+	s.down.Init(eng)
 }
 
 // PacketTime returns the wire time for a packet carrying dataBytes of
@@ -63,9 +61,9 @@ func (s *Segment) Lookahead() sim.Time { return s.PacketTime(0) }
 // func(any); a nil fn schedules the engine's shared placeholder.
 func (s *Segment) Send2(dir Direction, dataBytes int, fn func(any), arg any) {
 	s.packets++
-	srv := s.up
+	srv := &s.up
 	if dir == FromFiler {
-		srv = s.down
+		srv = &s.down
 	}
 	srv.Use2(s.PacketTime(dataBytes), fn, arg)
 }

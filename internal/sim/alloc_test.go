@@ -46,7 +46,8 @@ func TestSchedule2AllocationFree(t *testing.T) {
 
 func TestServerUseAllocationFree(t *testing.T) {
 	var e Engine
-	s := NewServer(&e)
+	var s Server
+	s.Init(&e)
 	s.Use2(1, nil, nil)
 	e.RunAll()
 
@@ -83,7 +84,8 @@ func TestServerUseAllocationFree(t *testing.T) {
 func TestTickerTickAllocationFree(t *testing.T) {
 	var e Engine
 	ticks := 0
-	NewTicker(&e, 10, func() { ticks++ })
+	var tk Ticker
+	tk.Start(&e, 10, func(a any) { *a.(*int)++ }, &ticks)
 	e.Step() // first tick; rearms itself
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.Step()

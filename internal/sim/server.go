@@ -18,10 +18,10 @@ type Server struct {
 	requests uint64
 }
 
-// NewServer returns a FIFO server attached to the engine.
-func NewServer(eng *Engine) *Server {
-	return &Server{eng: eng}
-}
+// Init attaches the server to the engine, idle and with zeroed
+// accounting. Models hold their servers by value (a network segment's two
+// wires, an FTL device's die), so a server costs no allocation of its own.
+func (s *Server) Init(eng *Engine) { *s = Server{eng: eng} }
 
 // Use2 enqueues a request with the given service duration and runs
 // fn(arg) when the request completes service. fn is a static func(any)

@@ -145,7 +145,8 @@ func TestHeapOrderingProperty(t *testing.T) {
 
 func TestServerSerializes(t *testing.T) {
 	var e Engine
-	s := NewServer(&e)
+	var s Server
+	s.Init(&e)
 	var finish []Time
 	s.Use2(10, callFunc, func() { finish = append(finish, e.Now()) })
 	s.Use2(10, callFunc, func() { finish = append(finish, e.Now()) })
@@ -170,7 +171,8 @@ func TestServerSerializes(t *testing.T) {
 
 func TestServerIdleGap(t *testing.T) {
 	var e Engine
-	s := NewServer(&e)
+	var s Server
+	s.Init(&e)
 	var finished Time
 	s.Use2(5, nil, nil)
 	e.Schedule(100, func() {
@@ -187,7 +189,8 @@ func TestServerIdleGap(t *testing.T) {
 
 func TestServerUtilisation(t *testing.T) {
 	var e Engine
-	s := NewServer(&e)
+	var s Server
+	s.Init(&e)
 	s.Use2(50, nil, nil)
 	e.Schedule(100, func() {}) // stretch the clock
 	e.Run()
@@ -198,7 +201,8 @@ func TestServerUtilisation(t *testing.T) {
 
 func TestServerNegativeServicePanics(t *testing.T) {
 	var e Engine
-	s := NewServer(&e)
+	var s Server
+	s.Init(&e)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative service did not panic")
@@ -212,7 +216,8 @@ func TestServerBusyConservation(t *testing.T) {
 	// last completion is at least that sum (single server).
 	f := func(svcs []uint8) bool {
 		var e Engine
-		s := NewServer(&e)
+		var s Server
+		s.Init(&e)
 		var sum Time
 		var last Time
 		for _, v := range svcs {
@@ -231,7 +236,8 @@ func TestServerBusyConservation(t *testing.T) {
 func TestTicker(t *testing.T) {
 	var e Engine
 	fired := []Time{}
-	tk := NewTicker(&e, 10, func() {
+	var tk Ticker
+	tk.Start(&e, 10, callFunc, func() {
 		fired = append(fired, e.Now())
 	})
 	e.Schedule(35, func() { tk.Stop() })
@@ -252,8 +258,8 @@ func TestTicker(t *testing.T) {
 func TestTickerStopInsideCallback(t *testing.T) {
 	var e Engine
 	count := 0
-	var tk *Ticker
-	tk = NewTicker(&e, 5, func() {
+	var tk Ticker
+	tk.Start(&e, 5, callFunc, func() {
 		count++
 		if count == 2 {
 			tk.Stop()
@@ -267,7 +273,8 @@ func TestTickerStopInsideCallback(t *testing.T) {
 
 func TestDaemonEventsDoNotKeepRunAlive(t *testing.T) {
 	var e Engine
-	NewTicker(&e, 10, func() {})
+	var tk Ticker
+	tk.Start(&e, 10, func(any) {}, nil)
 	ran := false
 	e.Schedule(25, func() { ran = true })
 	e.Run() // must terminate despite the armed ticker
@@ -289,7 +296,8 @@ func TestTickerZeroPeriodPanics(t *testing.T) {
 			t.Fatal("zero period did not panic")
 		}
 	}()
-	NewTicker(&e, 0, func() {})
+	var tk Ticker
+	tk.Start(&e, 0, nil, nil)
 }
 
 func TestJoin(t *testing.T) {
@@ -354,7 +362,8 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 
 func BenchmarkServerUse(b *testing.B) {
 	var e Engine
-	s := NewServer(&e)
+	var s Server
+	s.Init(&e)
 	for i := 0; i < b.N; i++ {
 		s.Use2(1, nil, nil)
 	}

@@ -3,24 +3,27 @@ package sim
 // Ticker invokes a callback at a fixed simulated period, modeling daemon
 // threads such as the periodic writeback syncer. Ticks are daemon events:
 // they fire whenever foreground work advances the clock past them, but an
-// armed ticker does not by itself keep Engine.Run alive.
+// armed ticker does not by itself keep Engine.Run alive. Owners hold
+// tickers by value and arm them in place with Start.
 type Ticker struct {
 	eng     *Engine
 	period  Time
-	fn      func()
+	fn      func(any)
+	arg     any
 	stopped bool
 	fires   uint64
 }
 
-// NewTicker schedules fn every period, first firing one period from now.
-// It panics if period <= 0.
-func NewTicker(eng *Engine, period Time, fn func()) *Ticker {
+// Start arms the ticker to run fn(arg) every period, first firing one
+// period from now. fn is a static func(any) and arg its state, as in
+// every other completion form, so neither starting nor ticking
+// allocates. It panics if period <= 0.
+func (t *Ticker) Start(eng *Engine, period Time, fn func(any), arg any) {
 	if period <= 0 {
 		panic("sim: ticker period must be positive")
 	}
-	t := &Ticker{eng: eng, period: period, fn: fn}
+	*t = Ticker{eng: eng, period: period, fn: fn, arg: arg}
 	t.arm()
-	return t
 }
 
 // tickerFire is the shared tick callback: the ticker itself rides in the
@@ -31,7 +34,7 @@ func tickerFire(a any) {
 		return
 	}
 	t.fires++
-	t.fn()
+	t.fn(t.arg)
 	if !t.stopped {
 		t.arm()
 	}

@@ -180,29 +180,23 @@ func (fs *FileSet) SampleWorkingSet(r *rng.RNG, targetBlocks int64, meanRegionBl
 // already in it) until it covers targetBlocks. It is the sampling core
 // shared by SampleWorkingSet and ShiftWorkingSet.
 func (fs *FileSet) appendRegions(r *rng.RNG, ws *WorkingSet, targetBlocks int64, meanRegionBlocks float64) {
-	// Each file's regions form a chain over ws.Regions: head[f] is the
-	// index of f's latest region and link[i] the one before region i (-1
-	// ends a chain), so the overlap check allocates nothing per file.
-	head := make(map[uint32]int32)
+	// Each file's regions form a chain over ws.Regions: head[f]-1 is the
+	// index of f's latest region (head[f] == 0: none yet) and link[i] the
+	// one before region i (-1 ends a chain), so the overlap check
+	// allocates nothing per file. GenerateFileSet numbers the files
+	// 0..len(Files)-1, so head is indexed by file ID.
+	head := make([]int32, len(fs.Files))
 	link := make([]int32, 0, len(ws.Regions))
 	chain := func(i int) {
 		f := ws.Regions[i].File
-		prev, ok := head[f]
-		if !ok {
-			prev = -1
-		}
-		link = append(link, prev)
-		head[f] = int32(i)
+		link = append(link, head[f]-1)
+		head[f] = int32(i) + 1
 	}
 	for i := range ws.Regions {
 		chain(i)
 	}
 	overlaps := func(f uint32, start, n uint32) bool {
-		i, ok := head[f]
-		if !ok {
-			return false
-		}
-		for ; i >= 0; i = link[i] {
+		for i := head[f] - 1; i >= 0; i = link[i] {
 			reg := &ws.Regions[i]
 			if start < reg.Start+reg.Blocks && reg.Start < start+n {
 				return true
