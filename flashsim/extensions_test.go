@@ -1,6 +1,9 @@
 package flashsim
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestPercentilesOrdered(t *testing.T) {
 	res, err := Run(smallConfig())
@@ -93,6 +96,29 @@ func TestFTLBackedThroughPublicAPI(t *testing.T) {
 	if res.ReadLatencyMicros <= fixed.ReadLatencyMicros {
 		t.Fatalf("FTL-backed reads (%.1f) not above fixed-latency reads (%.1f)",
 			res.ReadLatencyMicros, fixed.ReadLatencyMicros)
+	}
+	// Every host write programs at least one NAND page; the fixed device
+	// has no NAND to amplify.
+	if res.FTLWriteAmplification < 1 || fixed.FTLWriteAmplification != 0 {
+		t.Fatalf("write amplification %v FTL-backed, %v fixed; want >= 1 and 0",
+			res.FTLWriteAmplification, fixed.FTLWriteAmplification)
+	}
+}
+
+// TestFTLWriteAmplificationShardInvariant: the run's write amplification
+// sums every host's FTL counters, so like the rest of an FTL-backed
+// Result it is the same at any shard count. Four hosts at 1:4096 fill
+// their flash enough for garbage collection to amplify.
+func TestFTLWriteAmplificationShardInvariant(t *testing.T) {
+	cfg := ScaledConfig(4096)
+	cfg.FTLBackedFlash = true
+	cfg.Hosts = 4
+	one, two := runWithShards(t, cfg, 1), runWithShards(t, cfg, 2)
+	if one.FTLWriteAmplification <= 1 {
+		t.Fatalf("write amplification %v, want above 1", one.FTLWriteAmplification)
+	}
+	if !reflect.DeepEqual(one, two) {
+		t.Fatalf("2 shards diverged from 1:\n%+v\n%+v", two, one)
 	}
 }
 
@@ -206,6 +232,60 @@ func TestRecoveredStartLookasideScanOnly(t *testing.T) {
 		if defaulted != scan {
 			t.Errorf("shards=%d: recovery took %.6fs, the scan alone %.6fs", shards, defaulted, scan)
 		}
+	}
+}
+
+// TestHostWithoutCaches: with no RAM and no flash every architecture is
+// the same host, sending each read and write straight to the filer, so
+// naive, lookaside and unified give equal Results, Events included (no
+// architecture ticks a syncer over an empty tier). The one difference is
+// accounting: a unified host counts every miss at both levels, a layered
+// host counts flash misses only when it has a flash tier. A recovered
+// start on a unified host without flash has nothing to prefill, scan or
+// flush, so it equals the cold start it replaces but for the one event
+// that signals recovery done. With RAM but no flash, naive and lookaside
+// are the same layered host too: neither has a flash tier to write
+// through or fill.
+func TestHostWithoutCaches(t *testing.T) {
+	run := func(arch Architecture, ram int, start func(*Config)) *Result {
+		t.Helper()
+		cfg := ScaledConfig(4096)
+		cfg.Arch = arch
+		cfg.RAMBlocks, cfg.FlashBlocks = ram, 0
+		start(&cfg)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return scrubRuntime(res)
+	}
+	steady := func(*Config) {}
+	want := run(Naive, 0, steady)
+	if want.RAMHitRate != 0 || want.FlashHitRate != 0 || want.FilerWrites == 0 {
+		t.Fatalf("cacheless host hit a cache or wrote nothing to the filer: %v", want)
+	}
+	for _, arch := range []Architecture{Lookaside, Unified} {
+		got := run(arch, 0, steady)
+		if arch == Unified {
+			if got.Hosts.FlashMisses != got.Hosts.RAMMisses {
+				t.Errorf("unified counted %d flash misses for %d misses", got.Hosts.FlashMisses, got.Hosts.RAMMisses)
+			}
+			got.Hosts.FlashMisses = 0
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v differs from naive:\n%v\nwant\n%v", arch, got, want)
+		}
+	}
+
+	ram := ScaledConfig(4096).RAMBlocks
+	if got, want := run(Lookaside, ram, steady), run(Naive, ram, steady); !reflect.DeepEqual(got, want) {
+		t.Errorf("RAM-only lookaside differs from naive:\n%v\nwant\n%v", got, want)
+	}
+	cold := run(Unified, ram, func(c *Config) { c.ColdStart = true })
+	rec := run(Unified, ram, func(c *Config) { c.RecoveredStart = true })
+	rec.Events--
+	if rec.RecoverySeconds != 0 || !reflect.DeepEqual(rec, cold) {
+		t.Errorf("recovered unified host without flash:\n%v\nwant its cold start\n%v", rec, cold)
 	}
 }
 

@@ -78,6 +78,12 @@ type Result struct {
 	FlashDeviceReads  uint64
 	FlashDeviceWrites uint64
 
+	// FTLWriteAmplification is the FTL-backed flash's NAND page programs
+	// over host page writes, summed across hosts (FTLBackedFlash runs
+	// only; 0 on the fixed-latency device). Excluded from String(): the
+	// golden-hash surface predates it.
+	FTLWriteAmplification float64
+
 	// Aggregate per-host counters (summed over hosts).
 	Hosts HostStats
 
@@ -146,13 +152,21 @@ func buildResult(res *Result, hosts []*core.Host, fsrv *filer.Filer, cons core.C
 		res.FilerPartitions[p] = fsrv.PartitionStats(p)
 	}
 	var busy float64
+	var programs, writes uint64
 	for _, h := range hosts {
 		res.Hosts.Merge(h.Stats())
 		busy += h.FlashDevice().Utilisation()
 		res.FlashDeviceReads += h.FlashDevice().Reads()
 		res.FlashDeviceWrites += h.FlashDevice().Writes()
+		if snap, ok := h.FTLSnapshot(); ok {
+			programs += snap.NANDPrograms
+			writes += snap.HostWrites
+		}
 	}
 	res.FlashBusyFraction = busy / float64(len(hosts))
+	if writes > 0 {
+		res.FTLWriteAmplification = float64(programs) / float64(writes)
+	}
 	res.ReadLatencyMicros = res.Hosts.ReadLat.MeanMicros()
 	res.WriteLatencyMicros = res.Hosts.WriteLat.MeanMicros()
 	res.ReadP50Micros = res.Hosts.ReadHist.Quantile(0.5).Micros()

@@ -58,9 +58,9 @@ func TestWarmBlockPathAllocationBudget(t *testing.T) {
 				i := 0
 				request := func() {
 					if i%3 == 0 {
-						r.host.Write(key(i), nil)
+						r.host.write(key(i), cont{})
 					} else {
-						r.host.Read(key(i), nil)
+						r.host.read(key(i), cont{})
 					}
 					i++
 					r.eng.RunUntil(r.eng.Now() + sim.Millisecond)
@@ -87,10 +87,10 @@ func TestWarmRAMHitAllocationFree(t *testing.T) {
 	cfg := baseCfg(Naive)
 	r := newRig(t, cfg, testTiming())
 
-	r.host.Read(1, nil)
+	r.host.read(1, cont{})
 	r.eng.Run()
 	allocs := testing.AllocsPerRun(2000, func() {
-		r.host.Read(1, nil)
+		r.host.read(1, cont{})
 		r.eng.Run()
 	})
 	if allocs != 0 {
@@ -217,8 +217,8 @@ func TestPhase2WorkersAllocationFree(t *testing.T) {
 		const n = 64
 		for i := 0; i < n; i++ {
 			c.msgBatch = append(c.msgBatch, filerMsg{
-				at: sim.Time(i), host: int32(i % 4), seq: uint64(i),
-				write: i%2 == 0, key: uint64(i),
+				arrival: arrival{sim.Time(i), int32(i % 4), uint64(i)},
+				write:   i%2 == 0, key: uint64(i),
 			})
 		}
 		allocs := testing.AllocsPerRun(200, func() {
@@ -295,6 +295,43 @@ func TestClusterShardsShareReqArena(t *testing.T) {
 	a.putReq(ra)
 	if a.getReq() != ra {
 		t.Fatal("a released record did not recycle through its host's free list")
+	}
+}
+
+// TestExchangeGatherAllocationFree locks the barrier gather: sorting each
+// outbox's equal-time runs by the arrival key and merging the outboxes
+// into a reused batch allocates nothing, and yields the global key order.
+func TestExchangeGatherAllocationFree(t *testing.T) {
+	// Two outboxes, non-decreasing in time, with same-instant runs out of
+	// (host, seq) order inside each.
+	fill := func(out []invMsg, hosts ...int32) []invMsg {
+		out = out[:0]
+		for i, h := range hosts {
+			out = append(out, invMsg{arrival: arrival{sim.Time(i / 3), h, uint64(8 - i)}})
+		}
+		return out
+	}
+	a := make([]invMsg, 0, 9)
+	b := make([]invMsg, 0, 9)
+	srcs := make([][]invMsg, 0, 2)
+	var dst []invMsg
+	gather := func() {
+		a, b = fill(a, 4, 2, 2, 6, 0, 4, 2, 2, 2), fill(b, 5, 1, 3, 3, 7, 1, 1, 5, 3)
+		canonicalizeRuns(a)
+		canonicalizeRuns(b)
+		dst = mergeSorted(dst[:0], append(srcs[:0], a, b))
+	}
+	gather() // size dst
+	if allocs := testing.AllocsPerRun(100, gather); allocs != 0 {
+		t.Errorf("gather allocated %v times, want 0", allocs)
+	}
+	if len(dst) != 18 {
+		t.Fatalf("merged %d messages, want 18", len(dst))
+	}
+	for i := 1; i < len(dst); i++ {
+		if dst[i-1].arrival.compare(dst[i].arrival) >= 0 {
+			t.Fatalf("batch out of order at %d: %+v then %+v", i, dst[i-1].arrival, dst[i].arrival)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -71,11 +72,10 @@ import (
 // to scenario runs.
 
 // filerMsg is one host→filer service request crossing a shard boundary.
+// Its arrival time is the up-segment transit's end.
 type filerMsg struct {
-	at    sim.Time // arrival time at the filer (up-segment transit end)
-	host  int32
-	seq   uint64 // per-host issue counter; breaks same-instant ties
-	part  int32  // filer backend partition the key routes to (service phase 1)
+	arrival
+	part  int32 // filer backend partition the key routes to (service phase 1)
 	write bool
 	fast  bool  // reads: the pre-drawn fast/slow outcome (service phase 1)
 	rep   int32 // reads: the pre-drawn serving replica (service phase 1)
@@ -85,10 +85,9 @@ type filerMsg struct {
 }
 
 // invMsg is one write notification awaiting barrier-deferred invalidation.
+// Its arrival key's host is the writer.
 type invMsg struct {
-	at      sim.Time
-	writer  int32
-	seq     uint64
+	arrival
 	key     uint64
 	collect bool
 }
@@ -104,13 +103,13 @@ type clusterPort struct {
 func (p *clusterPort) Read2(key uint64, fn func(any), arg any) {
 	p.seq++
 	p.sh.outMsgs = append(p.sh.outMsgs,
-		filerMsg{at: p.sh.eng.Now(), host: p.host, seq: p.seq, key: key, fn: fn, arg: arg})
+		filerMsg{arrival: arrival{p.sh.eng.Now(), p.host, p.seq}, key: key, fn: fn, arg: arg})
 }
 
 func (p *clusterPort) Write2(key uint64, fn func(any), arg any) {
 	p.seq++
 	p.sh.outMsgs = append(p.sh.outMsgs,
-		filerMsg{at: p.sh.eng.Now(), host: p.host, seq: p.seq, key: key, write: true, fn: fn, arg: arg})
+		filerMsg{arrival: arrival{p.sh.eng.Now(), p.host, p.seq}, key: key, write: true, fn: fn, arg: arg})
 }
 
 // clusterSink is the per-host ConsistencyPort of a sharded instant-mode
@@ -128,7 +127,7 @@ func (s *clusterSink) AcquireRead(_ uint64, fn func(any), arg any) { fn(arg) }
 func (s *clusterSink) AcquireWrite(key uint64, fn func(any), arg any) {
 	s.seq++
 	s.sh.outInv = append(s.sh.outInv,
-		invMsg{at: s.sh.eng.Now(), writer: int32(s.h.cfg.ID), seq: s.seq, key: key, collect: s.h.collect})
+		invMsg{arrival: arrival{s.sh.eng.Now(), int32(s.h.cfg.ID), s.seq}, key: key, collect: s.h.collect})
 	fn(arg)
 }
 
@@ -184,47 +183,25 @@ type clusterShard struct {
 }
 
 // schedEvent is one barrier-serviced completion awaiting delivery onto a
-// shard engine. The arrival key (arrAt, host, seq) rides along so delivery
-// order is canonical: the engine runs equal-time events in insertion
-// order, and inserting by (at, then arrival key) fixes that order for
-// every shard count.
+// shard engine. The request's arrival key rides along so delivery order
+// is canonical: the engine runs equal-time events in insertion order, and
+// inserting by (at, then arrival key) fixes that order for every shard
+// count.
 type schedEvent struct {
-	at    sim.Time // completion time on the host's engine
-	arrAt sim.Time // arrival time at the filer (the service-order key)
-	host  int32
-	seq   uint64
-	fn    func(any)
-	arg   any
+	at  sim.Time // completion time on the host's engine
+	arr arrival  // the request's arrival at the filer (the service-order key)
+	fn  func(any)
+	arg any
 }
 
 // cmpSchedEvent orders inbox completions for delivery: completion
-// time first, then the partition-independent arrival key. The key triple
-// is unique per message, so the order is total and sort-algorithm
-// independent.
+// time first, then the partition-independent arrival key, which is unique
+// per message, so the order is total and sort-algorithm independent.
 func cmpSchedEvent(a, b schedEvent) int {
-	switch {
-	case a.at != b.at:
-		if a.at < b.at {
-			return -1
-		}
-		return 1
-	case a.arrAt != b.arrAt:
-		if a.arrAt < b.arrAt {
-			return -1
-		}
-		return 1
-	case a.host != b.host:
-		if a.host < b.host {
-			return -1
-		}
-		return 1
-	case a.seq != b.seq:
-		if a.seq < b.seq {
-			return -1
-		}
-		return 1
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
 	}
-	return 0
+	return a.arr.compare(b.arr)
 }
 
 // beginEpoch is the worker-side barrier entry: deliver the completions
@@ -274,7 +251,7 @@ func (sh *clusterShard) applyInvalidations(batch []invMsg) {
 				b := word & -word
 				word &^= b
 				h := sh.hosts[w<<6|bits.TrailingZeros64(b)]
-				if h.ID() == int(m.writer) {
+				if h.ID() == int(m.host) {
 					continue
 				}
 				set[w] &^= b
@@ -669,16 +646,16 @@ func (c *Cluster) gather() {
 	c.srcInv = c.srcInv[:0]
 	c.srcProto = c.srcProto[:0]
 	for _, sh := range c.shards {
-		canonicalizeRuns(sh.outMsgs, filerMsgAt, cmpFilerMsg)
-		canonicalizeRuns(sh.outInv, invMsgAt, cmpInvMsg)
-		canonicalizeRuns(sh.outProto, protoMsgAt, cmpProtoMsg)
+		canonicalizeRuns(sh.outMsgs)
+		canonicalizeRuns(sh.outInv)
+		canonicalizeRuns(sh.outProto)
 		c.srcMsgs = append(c.srcMsgs, sh.outMsgs)
 		c.srcInv = append(c.srcInv, sh.outInv)
 		c.srcProto = append(c.srcProto, sh.outProto)
 	}
-	c.msgBatch = mergeSorted(c.msgBatch, c.srcMsgs, cmpFilerMsg)
-	c.invBatch = mergeSorted(c.invBatch, c.srcInv, cmpInvMsg)
-	c.protoBatch = mergeSorted(c.protoBatch, c.srcProto, cmpProtoMsg)
+	c.msgBatch = mergeSorted(c.msgBatch, c.srcMsgs)
+	c.invBatch = mergeSorted(c.invBatch, c.srcInv)
+	c.protoBatch = mergeSorted(c.protoBatch, c.srcProto)
 	c.barrierMsgs += uint64(len(c.msgBatch) + len(c.invBatch) + len(c.protoBatch))
 	for _, sh := range c.shards {
 		sh.outMsgs = sh.outMsgs[:0]
@@ -739,7 +716,7 @@ func (c *Cluster) serviceFiler() {
 			sh.inboxMin = at
 		}
 		sh.inbox = append(sh.inbox,
-			schedEvent{at: at, arrAt: m.at, host: m.host, seq: m.seq, fn: m.fn, arg: m.arg})
+			schedEvent{at: at, arr: m.arrival, fn: m.fn, arg: m.arg})
 	}
 	if c.wall != nil {
 		c.wall.AddFiler2(time.Since(t0))

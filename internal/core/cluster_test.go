@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/filer"
-	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -49,8 +48,7 @@ func clusterSpecForTest(hosts, shards int) ClusterSpec {
 		Hosts:  cfgs,
 		Timing: tm,
 		NewFiler: func(eng *sim.Engine) *filer.Filer {
-			return filer.New(eng, rng.New(7),
-				tm.FilerFastRead, tm.FilerSlowRead, tm.FilerWrite, tm.FilerFastReadRate)
+			return newTestFiler(eng, 7, tm)
 		},
 		Sources: sources,
 	}
@@ -206,8 +204,9 @@ func TestClusterSpecValidation(t *testing.T) {
 	// A zero filer service latency leaves no conservative lookahead.
 	spec = clusterSpecForTest(2, 2)
 	tm := spec.Timing
+	tm.FilerFastRead, tm.FilerSlowRead, tm.FilerWrite = 0, 0, 0
 	spec.NewFiler = func(eng *sim.Engine) *filer.Filer {
-		return filer.New(eng, rng.New(7), 0, 0, 0, tm.FilerFastReadRate)
+		return newTestFiler(eng, 7, tm)
 	}
 	if _, err := NewCluster(spec); err == nil {
 		t.Error("zero filer latency should fail (no lookahead)")

@@ -59,10 +59,9 @@ const (
 // protoMsg is one host→server protocol message crossing a shard boundary;
 // acquire kinds carry the parked request continuation, ack kinds the
 // pending-request ID.
+// Its arrival time is the control transit's end at the server.
 type protoMsg struct {
-	at      sim.Time // arrival time at the server (control transit end)
-	host    int32
-	seq     uint64
+	arrival
 	kind    protoKind
 	key     uint64
 	req     uint64 // pending-request ID (ack kinds)
@@ -98,9 +97,7 @@ type clusterProtoPort struct {
 func (p *clusterProtoPort) send(m protoMsg) {
 	p.h.sendControl(func() {
 		p.seq++
-		m.at = p.sh.eng.Now()
-		m.host = p.host
-		m.seq = p.seq
+		m.arrival = arrival{p.sh.eng.Now(), p.host, p.seq}
 		p.sh.outProto = append(p.sh.outProto, m)
 	})
 }
@@ -279,8 +276,8 @@ func (pc *protoCoordinator) deliverCallback(at sim.Time, holder *Host, key uint6
 			holder.sendControl(func() { // ack packet returns
 				port.seq++
 				port.sh.outProto = append(port.sh.outProto, protoMsg{
-					at: port.sh.eng.Now(), host: port.host, seq: port.seq,
-					kind: protoWriteAck, req: id, dropped: dropped,
+					arrival: arrival{port.sh.eng.Now(), port.host, port.seq},
+					kind:    protoWriteAck, req: id, dropped: dropped,
 				})
 			})
 		})
@@ -345,8 +342,8 @@ func (pc *protoCoordinator) readAcquire(m *protoMsg) {
 				owner.sendControl(func() { // ack packet returns
 					port.seq++
 					port.sh.outProto = append(port.sh.outProto, protoMsg{
-						at: port.sh.eng.Now(), host: port.host, seq: port.seq,
-						kind: protoReadAck, req: id,
+						arrival: arrival{port.sh.eng.Now(), port.host, port.seq},
+						kind:    protoReadAck, req: id,
 					})
 				})
 			})

@@ -25,7 +25,7 @@ func newRegistryRig(t *testing.T, n int, protocol, collect bool) (*sim.Engine, [
 
 // fetch runs one read of key on h to completion.
 func fetch(eng *sim.Engine, h *Host, key cache.Key) {
-	h.Read(key, nil)
+	h.read(key, cont{})
 	eng.Run()
 }
 
@@ -33,7 +33,7 @@ func fetch(eng *sim.Engine, h *Host, key cache.Key) {
 // completed.
 func store(eng *sim.Engine, h *Host, key cache.Key) bool {
 	done := false
-	h.Write(key, func() { done = true })
+	h.write(key, funcCont(func() { done = true }))
 	eng.Run()
 	return done
 }
@@ -138,7 +138,7 @@ func TestProtocolAcquireReadDowngrade(t *testing.T) {
 
 	// Host 1 reads: owner must flush and downgrade.
 	done := false
-	b.Read(5, func() { done = true })
+	b.read(5, funcCont(func() { done = true }))
 	eng.Run()
 	if !done {
 		t.Fatal("read acquire never completed")

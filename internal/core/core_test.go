@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/filer"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -28,11 +27,20 @@ func testTiming() Timing {
 	}
 }
 
-// newSegment builds a network segment with the timing's latencies.
-func newSegment(eng *sim.Engine, tm Timing) *netsim.Segment {
-	s := new(netsim.Segment)
-	s.Init(eng, tm.NetBase, tm.NetPerBit)
-	return s
+// newTestFiler builds the paper's single-partition block filer with the
+// timing's service latencies.
+func newTestFiler(eng *sim.Engine, seed uint64, tm Timing) *filer.Filer {
+	f, err := filer.NewPartitioned(eng, rng.New(seed), filer.Config{
+		Partitions:   1,
+		FastRead:     tm.FilerFastRead,
+		SlowRead:     tm.FilerSlowRead,
+		Write:        tm.FilerWrite,
+		PrefetchRate: tm.FilerFastReadRate,
+	})
+	if err != nil {
+		panic(err)
+	}
+	return f
 }
 
 type rig struct {
@@ -44,21 +52,20 @@ type rig struct {
 func newRig(t *testing.T, cfg HostConfig, tm Timing) *rig {
 	t.Helper()
 	eng := &sim.Engine{}
-	fsrv := filer.New(eng, rng.New(1), tm.FilerFastRead, tm.FilerSlowRead, tm.FilerWrite, tm.FilerFastReadRate)
-	seg := newSegment(eng, tm)
-	h, err := NewHost(eng, cfg, tm, seg, nil, fsrv)
+	fsrv := newTestFiler(eng, 1, tm)
+	hosts, err := NewHosts(eng, []HostConfig{cfg}, tm, fsrv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.SetCollect(true)
-	return &rig{eng: eng, fsrv: fsrv, host: h}
+	hosts[0].SetCollect(true)
+	return &rig{eng: eng, fsrv: fsrv, host: hosts[0]}
 }
 
 // readLat runs a single read to completion and returns its latency.
 func (r *rig) readLat(key cache.Key) sim.Time {
 	start := r.eng.Now()
 	var end sim.Time
-	r.host.Read(key, func() { end = r.eng.Now() })
+	r.host.read(key, funcCont(func() { end = r.eng.Now() }))
 	r.eng.Run()
 	return end - start
 }
@@ -66,7 +73,7 @@ func (r *rig) readLat(key cache.Key) sim.Time {
 func (r *rig) writeLat(key cache.Key) sim.Time {
 	start := r.eng.Now()
 	var end sim.Time
-	r.host.Write(key, func() { end = r.eng.Now() })
+	r.host.write(key, funcCont(func() { end = r.eng.Now() }))
 	r.eng.Run()
 	return end - start
 }
@@ -181,46 +188,27 @@ func TestNaiveReadMissPath(t *testing.T) {
 // has two segments: background writeback data rides its own lane, so a
 // cold read miss issued alongside it costs exactly the uncontended 1202
 // of TestNaiveReadMissPath. On one shared lane the read's request packet
-// queues behind the writeback's data packet for one packet time.
+// would queue behind the writeback's data packet for one packet time.
 func TestBackgroundLaneKeepsReadFillsUncontended(t *testing.T) {
-	tm := testTiming()
-	for _, tc := range []struct {
-		name     string
-		separate bool
-		want     sim.Time
-	}{
-		{"separate-lanes", true, 1202},
-		{"shared-lane", false, 1202 + tm.NetBase},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			eng := &sim.Engine{}
-			fsrv := filer.New(eng, rng.New(1), tm.FilerFastRead, tm.FilerSlowRead, tm.FilerWrite, tm.FilerFastReadRate)
-			seg := newSegment(eng, tm)
-			var bgSeg *netsim.Segment
-			if tc.separate {
-				bgSeg = newSegment(eng, tm)
-			}
-			h, err := NewHost(eng, baseCfg(Naive), tm, seg, bgSeg, fsrv)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wbDone := sim.Time(-1)
-			h.writeBlockToFiler(99, bgLane, funcCont(func() { wbDone = eng.Now() }), 0)
-			var readDone sim.Time
-			h.Read(1, func() { readDone = eng.Now() })
-			eng.Run()
-			if wbDone < 0 {
-				t.Fatal("background writeback never completed")
-			}
-			if readDone != tc.want {
-				t.Fatalf("cold miss beside a background writeback took %v, want %v", readDone, tc.want)
-			}
-			if tc.separate && (h.bgSeg == h.seg || bgSeg.Packets() != 2 || seg.Packets() != 2) {
-				t.Fatalf("lanes not separate: demand %d packets, background %d",
-					seg.Packets(), bgSeg.Packets())
-			}
-		})
-	}
+	t.Run("separate-lanes", func(t *testing.T) {
+		r := newRig(t, baseCfg(Naive), testTiming())
+		h := r.host
+		wbDone := sim.Time(-1)
+		h.writeBlockToFiler(99, bgLane, funcCont(func() { wbDone = r.eng.Now() }), 0)
+		var readDone sim.Time
+		h.read(1, funcCont(func() { readDone = r.eng.Now() }))
+		r.eng.Run()
+		if wbDone < 0 {
+			t.Fatal("background writeback never completed")
+		}
+		if readDone != 1202 {
+			t.Fatalf("cold miss beside a background writeback took %v, want 1202", readDone)
+		}
+		if h.bgSeg.Packets() != 2 || h.seg.Packets() != 2 {
+			t.Fatalf("lanes not separate: demand %d packets, background %d",
+				h.seg.Packets(), h.bgSeg.Packets())
+		}
+	})
 }
 
 func TestNaiveReadRAMHit(t *testing.T) {
@@ -318,7 +306,7 @@ func TestPeriodicSyncerFlushes(t *testing.T) {
 	cfg.RAMPolicy = Policy{Kind: Periodic, Period: 10000}
 	cfg.FlashPolicy = PolicyNone
 	r := newRig(t, cfg, testTiming())
-	r.host.Write(1, nil)
+	r.host.write(1, cont{})
 	r.eng.RunUntil(5000)
 	if e := r.host.ram.Peek(1); e == nil || !e.Dirty {
 		t.Fatal("block should still be dirty before syncer fires")
@@ -545,7 +533,7 @@ func TestZeroRAMLookasideWriteFilerFirst(t *testing.T) {
 	}
 	start := r.eng.Now()
 	var end sim.Time
-	r.host.Write(1, func() { end = r.eng.Now() })
+	r.host.write(1, funcCont(func() { end = r.eng.Now() }))
 	// Packet (100) + filer write (500) + ack (100) = 700: just before the
 	// ack the filer holds the write and flash has not been touched.
 	r.eng.RunUntil(start + 699)
@@ -624,8 +612,8 @@ func TestFetchDeduplication(t *testing.T) {
 	cfg := baseCfg(Naive)
 	r := newRig(t, cfg, testTiming())
 	var done int
-	r.host.Read(1, func() { done++ })
-	r.host.Read(1, func() { done++ })
+	r.host.read(1, funcCont(func() { done++ }))
+	r.host.read(1, funcCont(func() { done++ }))
 	r.eng.Run()
 	if done != 2 {
 		t.Fatalf("both readers should complete, got %d", done)
@@ -652,24 +640,20 @@ func TestPersistentFlashHasSlowerDeviceWrites(t *testing.T) {
 func TestInvalidationBetweenHosts(t *testing.T) {
 	tm := testTiming()
 	eng := &sim.Engine{}
-	fsrv := filer.New(eng, rng.New(1), tm.FilerFastRead, tm.FilerSlowRead, tm.FilerWrite, tm.FilerFastReadRate)
-	var hosts []*Host
-	for i := 0; i < 2; i++ {
-		cfg := baseCfg(Naive)
-		cfg.ID = i
-		seg := newSegment(eng, tm)
-		h, err := NewHost(eng, cfg, tm, seg, nil, fsrv)
-		if err != nil {
-			t.Fatal(err)
-		}
+	cfgs := []HostConfig{baseCfg(Naive), baseCfg(Naive)}
+	cfgs[1].ID = 1
+	hosts, err := NewHosts(eng, cfgs, tm, newTestFiler(eng, 1, tm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range hosts {
 		h.SetCollect(true)
-		hosts = append(hosts, h)
 	}
 	reg := TrackConsistency(hosts, false)
 
 	// Host 0 reads block 1 (cached), then host 1 writes it.
 	var step int
-	hosts[0].Read(1, func() { step = 1 })
+	hosts[0].read(1, funcCont(func() { step = 1 }))
 	eng.Run()
 	if step != 1 {
 		t.Fatal("read never completed")
@@ -677,7 +661,7 @@ func TestInvalidationBetweenHosts(t *testing.T) {
 	if hosts[0].flash.Peek(1) == nil {
 		t.Fatal("host 0 should cache block 1")
 	}
-	hosts[1].Write(1, nil)
+	hosts[1].write(1, cont{})
 	eng.Run()
 	if hosts[0].flash.Peek(1) != nil || hosts[0].ram.Peek(1) != nil {
 		t.Fatal("host 0's stale copy not invalidated")
@@ -702,11 +686,11 @@ func TestWriteCoalescingEpochs(t *testing.T) {
 	cfg.RAMPolicy = PolicyAsync
 	cfg.FlashPolicy = PolicyNone
 	r := newRig(t, cfg, testTiming())
-	r.host.Write(1, nil)
+	r.host.write(1, cont{})
 	// Before the async writeback (which takes >= 20) completes, write
 	// again at time 5.
 	r.eng.RunUntil(3)
-	r.host.Write(1, nil)
+	r.host.write(1, cont{})
 	r.eng.Run()
 	// The second write's own writeback eventually cleans it; what must
 	// never happen is data loss. Drain and verify the final state is

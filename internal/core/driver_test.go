@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/filer"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -15,17 +14,14 @@ import (
 func buildCluster(t *testing.T, n int, cfg HostConfig, tm Timing, withReg bool) (*sim.Engine, []*Host, *ConsistencyStats) {
 	t.Helper()
 	eng := &sim.Engine{}
-	fsrv := filer.New(eng, rng.New(11), tm.FilerFastRead, tm.FilerSlowRead, tm.FilerWrite, tm.FilerFastReadRate)
-	var hosts []*Host
-	for i := 0; i < n; i++ {
-		c := cfg
-		c.ID = i
-		seg := newSegment(eng, tm)
-		h, err := NewHost(eng, c, tm, seg, nil, fsrv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hosts = append(hosts, h)
+	cfgs := make([]HostConfig, n)
+	for i := range cfgs {
+		cfgs[i] = cfg
+		cfgs[i].ID = i
+	}
+	hosts, err := NewHosts(eng, cfgs, tm, newTestFiler(eng, 11, tm))
+	if err != nil {
+		t.Fatal(err)
 	}
 	var reg *ConsistencyStats
 	if withReg {
@@ -292,9 +288,7 @@ func BenchmarkDriverNaive(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		eng := &sim.Engine{}
-		fsrv := filer.New(eng, rng.New(1), tm.FilerFastRead, tm.FilerSlowRead, tm.FilerWrite, tm.FilerFastReadRate)
-		seg := newSegment(eng, tm)
-		h, err := NewHost(eng, cfg, tm, seg, nil, fsrv)
+		hosts, err := NewHosts(eng, []HostConfig{cfg}, tm, newTestFiler(eng, 1, tm))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -310,7 +304,7 @@ func BenchmarkDriverNaive(b *testing.B) {
 				File: 1, Block: uint32(r.Intn(8192)), Count: 1,
 			})
 		}
-		d, err := NewDriver(eng, []*Host{h}, trace.NewSliceSource(ops), 10000)
+		d, err := NewDriver(eng, hosts, trace.NewSliceSource(ops), 10000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -330,12 +324,12 @@ func TestUnifiedInvalidationAcrossHosts(t *testing.T) {
 		h.SetCollect(true)
 	}
 	var done bool
-	hosts[0].Read(7, func() { done = true })
+	hosts[0].read(7, funcCont(func() { done = true }))
 	eng.Run()
 	if !done || hosts[0].uni.Peek(7) == nil {
 		t.Fatal("host 0 did not cache the block")
 	}
-	hosts[1].Write(7, nil)
+	hosts[1].write(7, cont{})
 	eng.Run()
 	if hosts[0].uni.Peek(7) != nil {
 		t.Fatal("unified stale copy survived a remote write")

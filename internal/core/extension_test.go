@@ -62,11 +62,11 @@ func TestDelayedPolicyCoalesces(t *testing.T) {
 	r := newRig(t, cfg, testTiming())
 	// Three writes inside one delay window coalesce to a single flash
 	// writeback (the first two timers see a newer epoch and skip).
-	r.host.Write(1, nil)
+	r.host.write(1, cont{})
 	r.eng.RunUntil(100)
-	r.host.Write(1, nil)
+	r.host.write(1, cont{})
 	r.eng.RunUntil(200)
-	r.host.Write(1, nil)
+	r.host.write(1, cont{})
 	r.eng.Run()
 	if got := r.host.Stats().FlashWritebacks; got != 1 {
 		t.Fatalf("flash writebacks = %d, want 1 (coalesced)", got)
@@ -82,7 +82,7 @@ func TestTricklePolicyDrainsSlowly(t *testing.T) {
 	cfg.FlashPolicy = PolicyNone
 	r := newRig(t, cfg, testTiming())
 	for k := cache.Key(1); k <= 4; k++ {
-		r.host.Write(k, nil)
+		r.host.write(k, cont{})
 	}
 	r.eng.RunUntil(500)
 	if r.host.ram.DirtyLen() != 4 {
@@ -138,7 +138,7 @@ func TestTrickleUnified(t *testing.T) {
 	cfg.FlashPolicy = Policy{Kind: Trickle, Period: 1000}
 	r := newRig(t, cfg, testTiming())
 	for k := cache.Key(1); k <= 6; k++ {
-		r.host.Write(k, nil)
+		r.host.write(k, cont{})
 	}
 	r.eng.RunUntil(20000)
 	if got := r.host.uni.DirtyLen(); got != 0 {

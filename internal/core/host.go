@@ -41,8 +41,9 @@ type ConsistencyPort interface {
 
 // Host is one compute server's cache stack: a RAM buffer cache and a flash
 // cache in front of the shared filer, reached over a private network
-// segment. All block I/O enters through Read and Write; completions are
-// delivered by callback in simulated time.
+// segment. All block I/O enters through read and write, issued by the
+// trace driver; completions are delivered by continuation in simulated
+// time.
 //
 // The request path is written in explicit continuation-passing style over
 // pooled hostReq records (see req.go): every asynchronous hand-off goes
@@ -125,19 +126,6 @@ type Host struct {
 // dirty pressure with tiny caches.
 const evictionRetryDelay = 5 * sim.Microsecond
 
-// NewHost builds a host of its own attached to the shared engine and
-// filer, with an engine arena of its own. seg is the host's private link
-// for demand traffic; bgSeg, if nil, defaults to seg (single shared lane).
-// Hosts that share an engine are built together by NewHosts.
-func NewHost(eng *sim.Engine, cfg HostConfig, timing Timing,
-	seg *netsim.Segment, bgSeg *netsim.Segment, fsrv FilerPort) (*Host, error) {
-	h := new(Host)
-	if err := h.init(eng, cfg, timing, seg, bgSeg, fsrv, new(reqArena)); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
 // NewHosts builds one engine's hosts, in the order of cfgs, all reaching
 // the filer through fsrv. The hosts, their demand and background network
 // segments and the engine arena they share come from one array each, so
@@ -171,9 +159,6 @@ func (h *Host) init(eng *sim.Engine, cfg HostConfig, timing Timing,
 	}
 	if err := timing.Validate(); err != nil {
 		return err
-	}
-	if bgSeg == nil {
-		bgSeg = seg
 	}
 	*h = Host{
 		eng:     eng,
@@ -304,10 +289,7 @@ func (h *Host) invalidate(key uint64) bool {
 	return dropped
 }
 
-// Read performs a one-block application read; done runs at completion.
-func (h *Host) Read(key cache.Key, done func()) { h.read(key, funcCont(done)) }
-
-// read is the pooled-record form of Read.
+// read performs a one-block application read; done runs at completion.
 func (h *Host) read(key cache.Key, done cont) {
 	r := h.getReq()
 	r.key = key
@@ -356,12 +338,9 @@ func finishRead(a any) {
 	done.run()
 }
 
-// Write performs a one-block application write; done runs when the write
+// write performs a one-block application write; done runs when the write
 // is durable to the degree the configured policies require (normally: when
 // it lands in the RAM cache).
-func (h *Host) Write(key cache.Key, done func()) { h.write(key, funcCont(done)) }
-
-// write is the pooled-record form of Write.
 func (h *Host) write(key cache.Key, done cont) {
 	r := h.getReq()
 	r.key = key
@@ -553,12 +532,6 @@ func (h *Host) writeNoRAM(key cache.Key, c cont, trSeq uint64) {
 func writeNoRAMEntry(a any, e *cache.Entry) {
 	r := a.(*hostReq)
 	h := r.h
-	if e == nil { // could not place (transient); go straight through
-		key, c, trSeq := r.key, r.c, r.trSeq
-		h.putReq(r)
-		h.writeBlockToFiler(key, demandLane, c, trSeq)
-		return
-	}
 	e.DirtyEpoch++
 	if h.cfg.Arch == Lookaside {
 		// Lookaside flash never holds dirty data: write the filer
@@ -830,13 +803,10 @@ func installFlashRoom(a any) {
 }
 
 // ensureFlashEntry makes key resident in the flash cache (inserting and
-// evicting as needed) and hands the entry to fn(arg, e). fn receives nil
-// only if the flash tier has zero capacity.
+// evicting as needed) and hands the entry to fn(arg, e). The flash tier
+// must have capacity; both callers send the block on to the filer instead
+// when it has none.
 func (h *Host) ensureFlashEntry(key cache.Key, fn func(any, *cache.Entry), arg any) {
-	if h.flash.Capacity() == 0 {
-		fn(arg, nil)
-		return
-	}
 	if e := h.flash.Peek(key); e != nil {
 		h.flash.Touch(e)
 		fn(arg, e)

@@ -40,9 +40,9 @@ func (c cont) run() {
 	}
 }
 
-// callFunc adapts a caller-supplied func() completion (the public Read/
-// Write API) to the cont shape. Wrapping a func value in an interface does
-// not allocate.
+// callFunc adapts a func() completion (a protocol hop's, see sendControl)
+// to the cont shape. Wrapping a func value in an interface does not
+// allocate.
 func callFunc(a any) { a.(func())() }
 
 // joinDone signals one completion of the *sim.Join riding in the arg
@@ -105,8 +105,8 @@ const reqSlab = 256
 // the trace driver's per-thread records in slabs, keeps the pending-fetch
 // table of every host on the engine and lends them one flush scratch
 // buffer. Every host of an engine shares its arena — NewHosts builds one
-// per engine, and a host built alone by NewHost gets its own — and an
-// engine runs on one goroutine, so nothing here is locked.
+// per engine — and an engine runs on one goroutine, so nothing here is
+// locked.
 //
 // A carved request record belongs to one host for life (r.h is set at
 // carving) and recycles through that host's free list, so the arena only

@@ -68,11 +68,11 @@ func TestTierInvariantsAcrossFaultHooks(t *testing.T) {
 					for i := 0; i < 4*span; i++ {
 						switch {
 						case i%2 == 0:
-							h.Read(cache.Key(i/2%hot), nil)
+							h.read(cache.Key(i/2%hot), cont{})
 						case i%3 == 0:
-							h.Write(cache.Key(hot+i*7%span), nil)
+							h.write(cache.Key(hot+i*7%span), cont{})
 						default:
-							h.Read(cache.Key(hot+i*7%span), nil)
+							h.read(cache.Key(hot+i*7%span), cont{})
 						}
 						r.eng.RunUntil(r.eng.Now() + sim.Millisecond)
 					}

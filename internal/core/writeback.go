@@ -234,12 +234,6 @@ func (h *Host) writeBlockToFlash(key cache.Key, ln lane, c cont, trSeq uint64) {
 func flashWBEntry(a any, e *cache.Entry) {
 	r := a.(*hostReq)
 	h := r.h
-	if e == nil {
-		key, ln, c, trSeq := r.key, r.ln, r.c, r.trSeq
-		h.putReq(r)
-		h.writeBlockToFiler(key, ln, c, trSeq)
-		return
-	}
 	e.DirtyEpoch++
 	h.flash.MarkDirty(e)
 	r.e = e
@@ -385,9 +379,10 @@ func syncerTick(a any) {
 
 // startSyncers launches the periodic writeback daemons the configured
 // policies require, one per row of the table below that applies, in row
-// order. Each syncer flushes one medium of one tier. Lookaside's flash
-// tier never holds dirty data, so its flash syncer is pointless and
-// skipped. At most two rows apply to any architecture.
+// order. Each syncer flushes one medium of one tier; a medium with no
+// blocks gets none. Lookaside's flash tier never holds dirty data, so its
+// flash syncer is pointless and skipped. At most two rows apply to any
+// architecture.
 func (h *Host) startSyncers() {
 	uni := h.cfg.Arch == Unified
 	for _, s := range [...]struct {
@@ -398,8 +393,8 @@ func (h *Host) startSyncers() {
 	}{
 		{h.cfg.RAMPolicy, tierRAM, cache.RAM, !uni && h.cfg.RAMBlocks > 0},
 		{h.cfg.FlashPolicy, tierFlash, cache.Flash, !uni && h.cfg.FlashBlocks > 0 && h.cfg.Arch != Lookaside},
-		{h.cfg.RAMPolicy, tierUnified, cache.RAM, uni},
-		{h.cfg.FlashPolicy, tierUnified, cache.Flash, uni},
+		{h.cfg.RAMPolicy, tierUnified, cache.RAM, uni && h.cfg.RAMBlocks > 0},
+		{h.cfg.FlashPolicy, tierUnified, cache.Flash, uni && h.cfg.FlashBlocks > 0},
 	} {
 		if !s.on || (s.p.Kind != Periodic && s.p.Kind != Trickle) {
 			continue

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/flashsim"
 )
 
 func TestExtReplacementShape(t *testing.T) {
@@ -92,6 +95,48 @@ func TestExtFTLShape(t *testing.T) {
 			t.Fatalf("table missing %q:\n%s", want, tbl)
 		}
 	}
+	// Each row's WA column is its own run's write amplification: rerun
+	// every point and match the printed value, "-" on the fixed device.
+	o := quickOpts()
+	fs, err := sharedServer(o, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var was []float64
+	for _, wf := range []float64{0.3, 0.7} {
+		for _, ftlBacked := range []bool{false, true} {
+			res, err := flashsim.Run(extFTLConfig(o, fs, wf, ftlBacked))
+			if err != nil {
+				t.Fatal(err)
+			}
+			name, want := fmt.Sprintf("fixed (%.0f%% wr)", wf*100), "-"
+			if ftlBacked {
+				name = fmt.Sprintf("ftl-backed (%.0f%% wr)", wf*100)
+				want = fmt.Sprintf("%.2f", res.FTLWriteAmplification)
+				was = append(was, res.FTLWriteAmplification)
+			}
+			row := tableRow(t, tbl, name)
+			if got := row[len(row)-1]; got != want {
+				t.Errorf("%s: WA column %q, want its own run's %q", name, got, want)
+			}
+		}
+	}
+	if was[0] <= 1 || was[1] <= 1 || was[0] == was[1] {
+		t.Errorf("write amplification %v: want two distinct values above 1", was)
+	}
+}
+
+// tableRow returns the whitespace-separated fields of the table line that
+// starts with name.
+func tableRow(t *testing.T, tbl, name string) []string {
+	t.Helper()
+	for _, line := range strings.Split(tbl, "\n") {
+		if strings.HasPrefix(line, name) {
+			return strings.Fields(line)
+		}
+	}
+	t.Fatalf("table has no row %q:\n%s", name, tbl)
+	return nil
 }
 
 func TestValidateExperiment(t *testing.T) {

@@ -5,12 +5,8 @@ import (
 	"strings"
 
 	"repro/flashsim"
-	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/filer"
-	"repro/internal/netsim"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/validate"
 )
@@ -23,9 +19,8 @@ func init() {
 // ExtFTL compares the paper's fixed-average-latency flash device with the
 // FTL-backed device (extension, paper §8): same workload, same cache
 // stack, but the FTL version pays for garbage collection and die
-// contention, and reports NAND-level write amplification.
+// contention, and reports the run's own NAND-level write amplification.
 func ExtFTL(o Options) (*Report, error) {
-	scale := o.scale()
 	fs, err := sharedServer(o, 60)
 	if err != nil {
 		return nil, err
@@ -36,12 +31,7 @@ func ExtFTL(o Options) (*Report, error) {
 	s := newSweep(o, "ext-ftl")
 	for _, wf := range []float64{0.3, 0.7} {
 		for _, ftlBacked := range []bool{false, true} {
-			cfg := baseline(o)
-			cfg.FTLBackedFlash = ftlBacked
-			cfg.Workload.WriteFraction = wf
-			cfg.Workload.FileSet = fs
-			// A somewhat smaller flash keeps the FTL geometry busy.
-			cfg.FlashBlocks = int(gb(64, scale))
+			cfg := extFTLConfig(o, fs, wf, ftlBacked)
 			name := fmt.Sprintf("fixed (%.0f%% wr)", wf*100)
 			if ftlBacked {
 				name = fmt.Sprintf("ftl-backed (%.0f%% wr)", wf*100)
@@ -49,10 +39,7 @@ func ExtFTL(o Options) (*Report, error) {
 			s.add("ext-ftl "+name, cfg, func(res *flashsim.Result) {
 				wa := "-"
 				if ftlBacked {
-					// The FTL's write amplification is not in Result; a
-					// second tiny churn through core exposes it via the
-					// host snapshot below.
-					wa = fmt.Sprintf("%.2f", ftlAmplification(o))
+					wa = fmt.Sprintf("%.2f", res.FTLWriteAmplification)
 				}
 				fmt.Fprintf(&table, "%-22s %12.1f %12.1f %12.1f %8s\n",
 					name, res.ReadLatencyMicros, res.WriteLatencyMicros, res.ReadP99Micros, wa)
@@ -69,45 +56,16 @@ func ExtFTL(o Options) (*Report, error) {
 	}, nil
 }
 
-// ftlAmplification measures write amplification of the FTL-backed cache
-// under a small direct churn (host-level snapshot).
-func ftlAmplification(o Options) float64 {
-	eng := &sim.Engine{}
-	tm := core.DefaultTiming()
-	fsrv := filer.New(eng, rng.New(2), tm.FilerFastRead, tm.FilerSlowRead, tm.FilerWrite, tm.FilerFastReadRate)
-	var seg netsim.Segment
-	seg.Init(eng, tm.NetBase, tm.NetPerBit)
-	hc := core.HostConfig{
-		RAMBlocks:   64,
-		FlashBlocks: 2048,
-		Arch:        core.Naive,
-		RAMPolicy:   core.PolicyAsync,
-		FlashPolicy: core.PolicyNone,
-		FTLBacked:   true,
-	}
-	h, err := core.NewHost(eng, hc, tm, &seg, nil, fsrv)
-	if err != nil {
-		return 0
-	}
-	r := rng.New(11)
-	churn := 6000
-	if o.Quick {
-		churn = 2000
-	}
-	var pump func(i int)
-	pump = func(i int) {
-		if i >= churn {
-			return
-		}
-		h.Write(cache.Key(r.Intn(4096)), func() { pump(i + 1) })
-	}
-	pump(0)
-	eng.Run()
-	snap, ok := h.FTLSnapshot()
-	if !ok {
-		return 0
-	}
-	return snap.WriteAmplification
+// extFTLConfig is one ext-ftl point: the baseline at write fraction wf
+// over the shared file set, on a fixed or an FTL-backed flash device.
+func extFTLConfig(o Options, fs *flashsim.FileSet, wf float64, ftlBacked bool) flashsim.Config {
+	cfg := baseline(o)
+	cfg.FTLBackedFlash = ftlBacked
+	cfg.Workload.WriteFraction = wf
+	cfg.Workload.FileSet = fs
+	// A somewhat smaller flash keeps the FTL geometry busy.
+	cfg.FlashBlocks = int(gb(64, o.scale()))
+	return cfg
 }
 
 // Validate runs the simulator self-validation that stands in for the

@@ -287,24 +287,6 @@ type Filer struct {
 	parts []partition
 }
 
-// New returns a single-partition, block-tier-only filer with the given
-// service latencies and prefetch (fast-read) success rate in [0, 1] — the
-// paper's classic model. It panics on invalid parameters; use
-// NewPartitioned for error returns and the partition/replica/tier knobs.
-func New(eng *sim.Engine, rnd *rng.RNG, fastRead, slowRead, write sim.Time, prefetchRate float64) *Filer {
-	f, err := NewPartitioned(eng, rnd, Config{
-		Partitions:   1,
-		FastRead:     fastRead,
-		SlowRead:     slowRead,
-		Write:        write,
-		PrefetchRate: prefetchRate,
-	})
-	if err != nil {
-		panic(err.Error())
-	}
-	return f
-}
-
 // NewPartitioned returns the filer described by the configuration.
 func NewPartitioned(eng *sim.Engine, rnd *rng.RNG, cfg Config) (*Filer, error) {
 	if err := cfg.Validate(); err != nil {

@@ -24,6 +24,16 @@ func blockConfig(parts int, rate float64) Config {
 	}
 }
 
+// newFiler builds the filer cfg describes on e, seeded with seed.
+func newFiler(t *testing.T, e *sim.Engine, seed uint64, cfg Config) *Filer {
+	t.Helper()
+	f, err := NewPartitioned(e, rng.New(seed), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // readLatency issues one read through Read2, drains the engine and
 // returns the read's service time.
 func readLatency(f *Filer, key uint64) sim.Time { return serviceTime(f, key, f.Read2) }
@@ -41,7 +51,7 @@ func serviceTime(f *Filer, key uint64, issue func(uint64, func(any), any)) sim.T
 
 func TestWriteAlwaysFast(t *testing.T) {
 	var e sim.Engine
-	f := New(&e, rng.New(1), fastRead, slowRead, writeLat, 0.9)
+	f := newFiler(t, &e, 1, blockConfig(1, 0.9))
 	for i := 0; i < 100; i++ {
 		start := e.Now()
 		var done sim.Time
@@ -58,7 +68,7 @@ func TestWriteAlwaysFast(t *testing.T) {
 
 func TestReadFastSlowMix(t *testing.T) {
 	var e sim.Engine
-	f := New(&e, rng.New(2), fastRead, slowRead, writeLat, 0.9)
+	f := newFiler(t, &e, 2, blockConfig(1, 0.9))
 	const n = 20000
 	for i := 0; i < n; i++ {
 		f.Read2(uint64(i), nil, nil)
@@ -75,7 +85,7 @@ func TestReadFastSlowMix(t *testing.T) {
 
 func TestReadLatenciesAreFastOrSlow(t *testing.T) {
 	var e sim.Engine
-	f := New(&e, rng.New(3), fastRead, slowRead, writeLat, 0.5)
+	f := newFiler(t, &e, 3, blockConfig(1, 0.5))
 	for i := 0; i < 50; i++ {
 		start := e.Now()
 		var done sim.Time
@@ -90,7 +100,7 @@ func TestReadLatenciesAreFastOrSlow(t *testing.T) {
 
 func TestPrefetchRateExtremes(t *testing.T) {
 	var e sim.Engine
-	f := New(&e, rng.New(4), fastRead, slowRead, writeLat, 1.0)
+	f := newFiler(t, &e, 4, blockConfig(1, 1.0))
 	for i := 0; i < 100; i++ {
 		f.Read2(uint64(i), nil, nil)
 	}
@@ -98,7 +108,7 @@ func TestPrefetchRateExtremes(t *testing.T) {
 	if f.SlowReads() != 0 {
 		t.Fatal("slow reads at prefetch rate 1.0")
 	}
-	f2 := New(&e, rng.New(5), fastRead, slowRead, writeLat, 0.0)
+	f2 := newFiler(t, &e, 5, blockConfig(1, 0.0))
 	for i := 0; i < 100; i++ {
 		f2.Read2(uint64(i), nil, nil)
 	}
@@ -110,7 +120,7 @@ func TestPrefetchRateExtremes(t *testing.T) {
 
 func TestMeanReadLatency(t *testing.T) {
 	var e sim.Engine
-	f := New(&e, rng.New(6), 100, 1000, 50, 0.9)
+	f := newFiler(t, &e, 6, Config{Partitions: 1, FastRead: 100, SlowRead: 1000, Write: 50, PrefetchRate: 0.9})
 	want := sim.Time(0.9*100 + 0.1*1000)
 	if got := f.MeanReadLatency(); got != want {
 		t.Fatalf("mean read latency %v, want %v", got, want)
@@ -124,7 +134,7 @@ func TestFilerConcurrent(t *testing.T) {
 	// The filer serves requests concurrently: two simultaneous fast
 	// reads both finish at fastRead, not serialized.
 	var e sim.Engine
-	f := New(&e, rng.New(7), fastRead, slowRead, writeLat, 1.0)
+	f := newFiler(t, &e, 7, blockConfig(1, 1.0))
 	var d1, d2 sim.Time
 	f.Read2(1, func(any) { d1 = e.Now() }, nil)
 	f.Read2(2, func(any) { d2 = e.Now() }, nil)
@@ -134,30 +144,37 @@ func TestFilerConcurrent(t *testing.T) {
 	}
 }
 
-func TestBadPrefetchRatePanics(t *testing.T) {
+// classicRejected checks that the paper's classic filer — one partition,
+// block tier only — with the given latencies and prefetch rate is refused
+// at construction: NewPartitioned returns an error and no filer.
+func classicRejected(t *testing.T, fast, slow, write sim.Time, rate float64) {
+	t.Helper()
 	var e sim.Engine
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	New(&e, rng.New(1), 1, 1, 1, 1.5)
+	f, err := NewPartitioned(&e, rng.New(1), Config{
+		Partitions: 1, FastRead: fast, SlowRead: slow, Write: write, PrefetchRate: rate,
+	})
+	if err == nil || f != nil {
+		t.Fatalf("classic filer built (%v, %v), want rejection", f, err)
+	}
 }
 
+// TestBadPrefetchRatePanics checks that a prefetch rate above one is
+// refused when the classic filer is built. The refusal is an error now; the
+// name is kept from when it was a panic.
+func TestBadPrefetchRatePanics(t *testing.T) {
+	classicRejected(t, 1, 1, 1, 1.5)
+}
+
+// TestNegativeLatencyPanics checks that a negative fast-read latency is
+// refused when the classic filer is built.
 func TestNegativeLatencyPanics(t *testing.T) {
-	var e sim.Engine
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	New(&e, rng.New(1), -1, 1, 1, 0.5)
+	classicRejected(t, -1, 1, 1, 0.5)
 }
 
 // TestConfigValidate is the table-driven contract for every rejection the
 // configuration promises: partition counts below one, negative or NaN
 // latencies and rates, and an object tier faster than the block tier it
-// backs.
+// backs. NewPartitioned must reject exactly the configs Validate does.
 func TestConfigValidate(t *testing.T) {
 	valid := blockConfig(4, 0.9)
 	cases := []struct {
@@ -201,6 +218,10 @@ func TestConfigValidate(t *testing.T) {
 			}
 			if !tc.ok && err == nil {
 				t.Fatal("config accepted, want rejection")
+			}
+			var e sim.Engine
+			if _, err := NewPartitioned(&e, rng.New(1), cfg); (err == nil) != tc.ok {
+				t.Fatalf("NewPartitioned error %v, want rejection %v", err, !tc.ok)
 			}
 		})
 	}

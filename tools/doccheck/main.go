@@ -1,6 +1,6 @@
 // Command doccheck fails when an exported identifier in the named packages
-// lacks a doc comment. CI runs it over the public flashsim package (and
-// the audited internal packages) so the godoc surface cannot rot.
+// lacks a doc comment. CI runs it over every package of the module
+// outside cmd/ and tools/ so the godoc surface cannot rot.
 //
 //	go run ./tools/doccheck ./flashsim ./internal/scenario ./internal/stats
 package main
