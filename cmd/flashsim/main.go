@@ -27,7 +27,9 @@
 // (the default) picks GOMAXPROCS for multi-host runs; a single-host
 // steady-state run stays on the sequential engine, and a single-host
 // scenario runs as a one-shard cluster. Any value >= 1 forces the cluster
-// executor:
+// executor; a count above -hosts runs as one shard per host. Reports
+// (-report-json) echo the resolved configuration (flashsim.Resolve): the
+// shard count that ran and the filer layout a scenario's filer block set:
 //
 //	flashsim -hosts 256 -shared-wss -shards 0
 //	flashsim -hosts 256 -shared-wss -protocol -shards 8
@@ -110,10 +112,14 @@ func main() {
 	if *traceOut != "" && rc.TraceSample == 0 {
 		rc.TraceSample = 0.01
 	}
-	point := func(wss, wr float64) flashsim.Config {
+	// point is the resolved configuration of one grid point: the one the
+	// run executes and its report echoes.
+	point := func(wss, wr float64, sc *flashsim.Scenario) flashsim.Config {
 		p := rc
 		p.WSSGB, p.WritePct = wss, wr
 		cfg, err := p.Config()
+		die(err)
+		cfg, err = flashsim.Resolve(cfg, sc)
 		die(err)
 		return cfg
 	}
@@ -141,7 +147,7 @@ func main() {
 		// RunConfig.Config) picks GOMAXPROCS — scenario results are
 		// bit-identical for every shard count, so the output does not
 		// depend on this machine's core count.
-		cfg := point(wssList[0], writesList[0])
+		cfg := point(wssList[0], writesList[0], sc)
 		res, err := flashsim.RunScenario(cfg, sc)
 		die(err)
 		fmt.Println(header(wssList[0], writesList[0]))
@@ -165,7 +171,7 @@ func main() {
 		defer f.Close()
 		r, err := trace.NewBinaryReader(f)
 		die(err)
-		cfg := point(wssList[0], writesList[0])
+		cfg := point(wssList[0], writesList[0], nil)
 		res, err := flashsim.RunTrace(cfg, r, *warmupBlocks)
 		die(err)
 		die(r.Err())
@@ -183,7 +189,7 @@ func main() {
 	var cfgs []flashsim.Config
 	for _, wss := range wssList {
 		for _, wr := range writesList {
-			cfgs = append(cfgs, point(wss, wr))
+			cfgs = append(cfgs, point(wss, wr, nil))
 		}
 	}
 	if len(cfgs) > 1 && (*traceOut != "" || *reportJSON != "" || *epochstatsJSON != "") {

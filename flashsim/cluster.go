@@ -302,7 +302,11 @@ func runCluster(cfg Config, src trace.Source, warmupBlocks int64, pre prestartFn
 // cluster. hooks and ctl are the streaming surfaces (stream.go); batch
 // runs pass zero values and take exactly the batch path.
 func runScenarioCluster(cfg Config, sc *Scenario, period sim.Time, hooks ScenarioHooks, ctl *RunController) (*ScenarioResult, error) {
-	gen, err := newGenerator(cfg, scenarioTraceBlocks)
+	tc, err := traceConfig(cfg, scenarioTraceBlocks)
+	if err != nil {
+		return nil, err
+	}
+	gen, err := tracegen.NewGenerator(tc)
 	if err != nil {
 		return nil, err
 	}

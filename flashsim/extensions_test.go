@@ -238,9 +238,8 @@ func TestRecoveredStartLookasideScanOnly(t *testing.T) {
 // TestHostWithoutCaches: with no RAM and no flash every architecture is
 // the same host, sending each read and write straight to the filer, so
 // naive, lookaside and unified give equal Results, Events included (no
-// architecture ticks a syncer over an empty tier). The one difference is
-// accounting: a unified host counts every miss at both levels, a layered
-// host counts flash misses only when it has a flash tier. A recovered
+// architecture ticks a syncer over an empty tier), flash misses included:
+// no architecture counts a flash miss on a host without flash. A recovered
 // start on a unified host without flash has nothing to prefill, scan or
 // flush, so it equals the cold start it replaces but for the one event
 // that signals recovery done. With RAM but no flash, naive and lookaside
@@ -266,12 +265,6 @@ func TestHostWithoutCaches(t *testing.T) {
 	}
 	for _, arch := range []Architecture{Lookaside, Unified} {
 		got := run(arch, 0, steady)
-		if arch == Unified {
-			if got.Hosts.FlashMisses != got.Hosts.RAMMisses {
-				t.Errorf("unified counted %d flash misses for %d misses", got.Hosts.FlashMisses, got.Hosts.RAMMisses)
-			}
-			got.Hosts.FlashMisses = 0
-		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%v differs from naive:\n%v\nwant\n%v", arch, got, want)
 		}

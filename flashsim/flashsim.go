@@ -31,6 +31,7 @@ import (
 	"repro/internal/filer"
 	"repro/internal/obs"
 	"repro/internal/rng"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/tracegen"
@@ -139,11 +140,10 @@ type Workload struct {
 	TotalBlocks int64
 	// MeanIOBlocks is the Poisson mean I/O request size (default 4).
 	MeanIOBlocks float64
-	// FileServerBlocks sizes the synthetic file server; zero means
-	// 5x the working set (the paper's 1.4 TB model scaled similarly).
-	FileServerBlocks int64
 	// FileSet, when non-nil, overrides file-set generation so sweeps
-	// can share one server model as the paper does.
+	// can share one server model as the paper does; otherwise each run
+	// generates a file server of 5x the working set (the paper's 1.4 TB
+	// model scaled similarly).
 	FileSet *FileSet
 	// Seed drives all workload randomness.
 	Seed uint64
@@ -211,8 +211,8 @@ type Config struct {
 	// tier residency and (on sharded runs) barrier queue gauges.
 	// Partitioning never changes simulated results — they are
 	// bit-identical for every (Shards × FilerPartitions) combination —
-	// only the backend load accounting. 0 selects one partition; negative
-	// values are rejected.
+	// only the backend load accounting. Resolve turns 0 into one
+	// partition; negative values are rejected.
 	FilerPartitions int
 
 	// FilerReplicas replicates each filer partition over that many
@@ -223,11 +223,11 @@ type Config struct {
 	// results are bit-identical for every replica count; the knob buys
 	// redundancy (filer-crash/filer-recover scenario events) and the
 	// one-slow-backend study (FilerSlowReplica), not different numbers.
-	// 0 selects one replica, the classic single backend.
+	// Resolve turns 0 into one replica, the classic single backend.
 	FilerReplicas int
 
-	// FilerWriteQuorum is the ack count a filer write waits for; 0
-	// selects the majority quorum FilerReplicas/2+1. Must be within
+	// FilerWriteQuorum is the ack count a filer write waits for; Resolve
+	// turns 0 into the majority quorum FilerReplicas/2+1. Must be within
 	// [1, FilerReplicas] when set.
 	FilerWriteQuorum int
 
@@ -285,8 +285,9 @@ type Config struct {
 	// the cluster's (slightly different, fully deterministic) semantics
 	// rather than the sequential path's — see docs/ARCHITECTURE.md. For
 	// steady-state Run/RunTrace, 0 selects the classic sequential engine;
-	// scenarios (RunScenario and friends) always run on the cluster, with
-	// 0 meaning one shard. A value larger than Hosts is clamped to Hosts.
+	// scenarios (RunScenario and friends) always run on the cluster, and
+	// Resolve turns their 0 into one shard. Resolve clamps a count above
+	// Hosts to Hosts.
 	Shards int
 
 	// Seed drives simulator randomness (filer prefetch outcomes).
@@ -375,18 +376,13 @@ func (c *Config) Validate() error {
 	if c.Shards < 0 {
 		return fmt.Errorf("flashsim: negative shard count")
 	}
-	if c.FilerPartitions < 0 {
-		return fmt.Errorf("flashsim: negative filer partition count")
-	}
-	if c.FilerReplicas < 0 {
-		return fmt.Errorf("flashsim: negative filer replica count")
-	}
 	if f := c.TraceSample; math.IsNaN(f) || f < 0 || f > 1 {
 		return fmt.Errorf("flashsim: trace sample rate %v out of [0,1]", f)
 	}
 	// The filer's own Validate covers the partition count (after the
-	// 0-means-one normalization), tier latencies, and the object-read vs
-	// block-tier relation when the object tier is enabled.
+	// 0-means-one normalization), the replica group, tier latencies, and
+	// the object-read vs block-tier relation when the object tier is
+	// enabled.
 	if err := filerConfig(*c).Validate(); err != nil {
 		return err
 	}
@@ -403,9 +399,70 @@ func (c *Config) Validate() error {
 	return c.Timing.Validate()
 }
 
+// Resolve validates a run and returns the configuration it runs: the
+// one that reports, run controllers and the daemon's run view show. sc is
+// the run's scenario, nil for a steady-state run. Resolve is the only code
+// that gives the configuration's zero values their meaning:
+//
+//   - a scenario's filer spec is folded in first (ApplyFilerSpec);
+//   - FilerPartitions, FilerReplicas and FilerWriteQuorum take the
+//     filer's defaults: one partition, one replica and the majority
+//     quorum of the resolved replica count;
+//   - a scenario's Shards 0 becomes one shard, and a count above Hosts is
+//     clamped to Hosts (a steady-state 0 stays 0, the sequential engine).
+//
+// Every scripted event is then checked against the resolved hosts,
+// partitions and replicas (scenario.CheckLive, the rule injected events
+// are admitted by). Resolve is idempotent; Run, RunTrace and the scenario
+// entry points call it first, so passing them its result changes nothing.
+func Resolve(cfg Config, sc *Scenario) (Config, error) {
+	cfg, _, _, err := resolve(cfg, sc)
+	return cfg, err
+}
+
+// resolve is Resolve that also returns the validated clone of the
+// scenario (normalization never mutates the caller's copy) and its
+// sampling period; both are zero for a steady-state run.
+func resolve(cfg Config, sc *Scenario) (Config, *Scenario, sim.Time, error) {
+	if err := cfg.Validate(); err != nil {
+		return cfg, nil, 0, err
+	}
+	var period sim.Time
+	if sc != nil {
+		sc = sc.Clone()
+		if err := sc.Validate(); err != nil {
+			return cfg, nil, 0, err
+		}
+		period = sim.Time(sc.SampleEveryMillis * float64(sim.Millisecond))
+		if period <= 0 {
+			return cfg, nil, 0, fmt.Errorf("flashsim: scenario %s sampling period %vms rounds to zero",
+				sc.Name, sc.SampleEveryMillis)
+		}
+		var err error
+		if cfg, err = ApplyFilerSpec(cfg, sc.Filer); err != nil {
+			return cfg, nil, 0, fmt.Errorf("flashsim: scenario %s: %w", sc.Name, err)
+		}
+		cfg.Shards = max(cfg.Shards, 1)
+	}
+	fc := filerConfig(cfg).WithDefaults()
+	cfg.FilerPartitions, cfg.FilerReplicas, cfg.FilerWriteQuorum = fc.Partitions, fc.Replicas, fc.WriteQuorum
+	cfg.Shards = min(cfg.Shards, cfg.Hosts)
+	if sc != nil {
+		for pi := range sc.Phases {
+			ph := &sc.Phases[pi]
+			for j := range ph.Events {
+				if err := scenario.CheckLive(&ph.Events[j], cfg.Hosts, cfg.FilerPartitions, cfg.FilerReplicas); err != nil {
+					return cfg, nil, 0, fmt.Errorf("flashsim: scenario %s phase %s: %w", sc.Name, ph.Name, err)
+				}
+			}
+		}
+	}
+	return cfg, sc, period, nil
+}
+
 // filerConfig translates the public configuration into the filer's own:
-// FilerPartitions 0 normalizes to one partition (mirroring Shards'
-// 0-means-default), and the object tier is attached only when enabled.
+// FilerPartitions 0 normalizes to one partition, and the object tier is
+// attached only when enabled. Resolve writes the partition count back.
 func filerConfig(cfg Config) filer.Config {
 	fc := filer.Config{
 		Partitions:        cfg.FilerPartitions,
@@ -448,24 +505,20 @@ func workloadFileSet(cfg Config) (*FileSet, error) {
 	if fs := cfg.Workload.FileSet; fs != nil {
 		return fs, nil
 	}
-	serverBlocks := cfg.Workload.FileServerBlocks
-	if serverBlocks == 0 {
-		serverBlocks = 5 * cfg.Workload.WorkingSetBlocks
-	}
-	fsCfg := tracegen.DefaultFileSetConfig(serverBlocks)
+	fsCfg := tracegen.DefaultFileSetConfig(5 * cfg.Workload.WorkingSetBlocks)
 	fsCfg.Seed = cfg.Workload.Seed + 1000
 	return tracegen.GenerateFileSet(fsCfg)
 }
 
-// newGenerator builds the trace generator of the configuration's
-// workload, bounded at totalBlocks (0 lets the generator pick its
-// default volume).
-func newGenerator(cfg Config, totalBlocks int64) (*tracegen.Generator, error) {
+// traceConfig returns the validated trace-generator configuration of the
+// workload, bounded at totalBlocks; tracegen fills in its defaults, the
+// volume of a 0 bound among them.
+func traceConfig(cfg Config, totalBlocks int64) (tracegen.Config, error) {
 	fs, err := workloadFileSet(cfg)
 	if err != nil {
-		return nil, err
+		return tracegen.Config{}, err
 	}
-	return tracegen.NewGenerator(tracegen.Config{
+	tc := tracegen.Config{
 		Seed:               cfg.Workload.Seed,
 		Hosts:              cfg.Hosts,
 		ThreadsPerHost:     cfg.ThreadsPerHost,
@@ -476,25 +529,26 @@ func newGenerator(cfg Config, totalBlocks int64) (*tracegen.Generator, error) {
 		TotalBlocks:        totalBlocks,
 		MeanIOBlocks:       cfg.Workload.MeanIOBlocks,
 		FileSet:            fs,
-	})
+	}
+	return tc, tc.Validate()
 }
 
 // Run executes the simulation and returns its results.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	cfg, err := Resolve(cfg, nil)
+	if err != nil {
 		return nil, err
 	}
-
-	total := cfg.Workload.TotalBlocks
+	tc, err := traceConfig(cfg, cfg.Workload.TotalBlocks)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.ColdStart || cfg.RecoveredStart {
 		// Run only the measured half against post-crash caches: the
 		// warmup the trace would have provided was "lost in the crash".
-		if total == 0 {
-			total = 4 * cfg.Workload.WorkingSetBlocks * workingSets(cfg)
-		}
-		total /= 2
+		tc.TotalBlocks /= 2
 	}
-	gen, err := newGenerator(cfg, total)
+	gen, err := tracegen.NewGenerator(tc)
 	if err != nil {
 		return nil, err
 	}
@@ -544,6 +598,10 @@ type prestartFn func(h *core.Host, hostIndex int, done func())
 // RunTrace executes the simulation over an explicit trace source (e.g. a
 // trace file) with the given warmup volume in blocks.
 func RunTrace(cfg Config, src trace.Source, warmupBlocks int64) (*Result, error) {
+	cfg, err := Resolve(cfg, nil)
+	if err != nil {
+		return nil, err
+	}
 	return runTrace(cfg, src, warmupBlocks, nil)
 }
 
@@ -620,10 +678,8 @@ func attachTracer(cfg Config, hosts []*core.Host) *obs.Tracer {
 	return tr
 }
 
+// runTrace executes a resolved configuration over src.
 func runTrace(cfg Config, src trace.Source, warmupBlocks int64, pre prestartFn) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	wallStart := time.Now()
 	if cfg.Shards >= 1 {
 		res, err := runCluster(cfg, src, warmupBlocks, pre)

@@ -33,7 +33,9 @@ type HistogramBucket = stats.HistogramBucket
 
 // ReportConfig is the configuration summary embedded in a report —
 // the knobs that shape the run, not the full Config (whose workload
-// may carry a multi-megabyte file-set model).
+// may carry a multi-megabyte file-set model). It echoes the Config the
+// report is built from; built from Resolve's result, it is the
+// configuration that ran.
 type ReportConfig struct {
 	Hosts            int     `json:"hosts"`
 	ThreadsPerHost   int     `json:"threads_per_host"`
@@ -179,6 +181,8 @@ func reportConfig(cfg Config) ReportConfig {
 }
 
 // NewReport assembles a run's report from its configuration and result.
+// Pass the resolved configuration (Resolve), so the report's config
+// shows the shard count and filer layout that ran.
 func NewReport(cfg Config, res *Result) *Report {
 	rep := &Report{
 		Schema:             ReportSchema,

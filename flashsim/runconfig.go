@@ -66,8 +66,8 @@ func DefaultRunConfig(scale int) RunConfig {
 // paper GB to blocks at 1:Scale, folds the filer block in through
 // ApplyFilerSpec, and applies the auto shard rule — Shards 0 on a
 // multi-host run picks GOMAXPROCS shards (at least two). It checks the
-// scale, sizes and write percentage; the rest is left to Config.Validate
-// and CheckScenario, which run before the simulation does.
+// scale, sizes and write percentage; the rest is left to Resolve, which
+// runs before the simulation does.
 func (rc RunConfig) Config() (Config, error) {
 	if rc.Scale < 1 {
 		return Config{}, fmt.Errorf("scale %d out of range", rc.Scale)
@@ -162,7 +162,7 @@ func (rc *RunConfig) RegisterFlags(fs *flag.FlagSet) {
 	fs.BoolFunc("object-write-through", "copy buffered writes to the object tier in the background (default true)", setOptBool(&f.WriteThrough))
 	fs.BoolFunc("object-read-promote", "install object-served blocks into the block tier (default true)", setOptBool(&f.ReadPromote))
 
-	fs.IntVar(&rc.Shards, "shards", rc.Shards, "engine shards within one simulation: hosts are partitioned over this many parallel event engines, results identical at every count (0 = GOMAXPROCS cluster for multi-host; for one host, a one-shard cluster for scenarios and the sequential engine for steady-state runs; >= 1 forces the cluster)")
+	fs.IntVar(&rc.Shards, "shards", rc.Shards, "engine shards within one simulation: hosts are partitioned over this many parallel event engines, results identical at every count (0 = GOMAXPROCS cluster for multi-host; for one host, a one-shard cluster for scenarios and the sequential engine for steady-state runs; >= 1 forces the cluster, at most one shard per host; reports show the count that ran)")
 	fs.Float64Var(&rc.TraceSample, "trace-sample", rc.TraceSample, "fraction of requests to trace through their pipeline stages (0 disables; the sampled set is deterministic and shard-invariant)")
 	fs.BoolVar(&rc.WallProfile, "wall-profile", rc.WallProfile, "profile where wall-clock time goes inside a sharded run (barrier wait, exchange merge, filer service); reported by -epochstats and the report's wall_clock section")
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/filer"
 	"repro/internal/runner/pool"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -282,64 +281,6 @@ func RunScenario(cfg Config, sc *Scenario) (*ScenarioResult, error) {
 	return RunScenarioStream(cfg, sc, ScenarioHooks{}, nil)
 }
 
-// prepareScenario runs the shared prelude of every scenario entry point:
-// configuration and scenario validation, the host/churn cross-checks, the
-// sampling-period resolution, the fold of the scenario's filer spec into
-// the configuration, and the shard-count normalization (Shards 0 means one
-// shard). The scenario is cloned, so normalization never mutates the
-// caller's copy.
-func prepareScenario(cfg Config, sc *Scenario) (Config, *Scenario, sim.Time, error) {
-	if err := cfg.Validate(); err != nil {
-		return cfg, nil, 0, err
-	}
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
-	}
-	sc = sc.Clone()
-	if err := sc.Validate(); err != nil {
-		return cfg, nil, 0, err
-	}
-	if maxHost := sc.MaxHost(); maxHost >= cfg.Hosts {
-		return cfg, nil, 0, fmt.Errorf("flashsim: scenario %s targets host %d but config has %d hosts",
-			sc.Name, maxHost, cfg.Hosts)
-	}
-	if sc.HasChurn() && cfg.Hosts < 2 {
-		return cfg, nil, 0, fmt.Errorf("flashsim: scenario %s has host churn; need at least 2 hosts", sc.Name)
-	}
-	period := sim.Time(sc.SampleEveryMillis * float64(sim.Millisecond))
-	if period <= 0 {
-		return cfg, nil, 0, fmt.Errorf("flashsim: scenario %s sampling period %vms rounds to zero",
-			sc.Name, sc.SampleEveryMillis)
-	}
-	cfg, err := applyScenarioFiler(cfg, sc)
-	if err != nil {
-		return cfg, nil, 0, err
-	}
-	return cfg, sc, period, nil
-}
-
-// CheckScenario validates a (configuration, scenario) pair without running
-// it — every admission check RunScenario would apply — and returns the
-// effective configuration with the scenario's filer spec folded in and
-// Shards normalized to at least one. It is
-// the fail-fast gate for services that accept runs and execute them later.
-func CheckScenario(cfg Config, sc *Scenario) (Config, error) {
-	cfg, _, _, err := prepareScenario(cfg, sc)
-	return cfg, err
-}
-
-// FilerLayout reports the effective filer geometry of a configuration:
-// the partition count and the replica-group size, both normalized to at
-// least 1. Live-injected filer events are bounds-checked against it.
-func FilerLayout(cfg Config) (partitions, replicas int) {
-	fc := filerConfig(cfg)
-	partitions, replicas = fc.Partitions, fc.Replicas
-	if replicas == 0 {
-		replicas = 1
-	}
-	return partitions, replicas
-}
-
 // ApplyFilerSpec folds a scenario-style filer specification into the
 // configuration — partition/replica layout, quorum, slow-replica factor
 // and the object tier — then re-validates the resulting filer layout (a
@@ -384,49 +325,6 @@ func ApplyFilerSpec(cfg Config, f *ScenarioFilerSpec) (Config, error) {
 		return cfg, err
 	}
 	return cfg, nil
-}
-
-// applyScenarioFiler folds the scenario's filer specification into the
-// configuration before the cluster builds its filer, and checks the
-// scenario's filer events against the resulting layout.
-func applyScenarioFiler(cfg Config, sc *Scenario) (Config, error) {
-	if sc.Filer == nil {
-		return cfg, nil
-	}
-	cfg, err := ApplyFilerSpec(cfg, sc.Filer)
-	if err != nil {
-		return cfg, fmt.Errorf("flashsim: scenario %s: %w", sc.Name, err)
-	}
-	if err := checkFilerEvents(sc, filerConfig(cfg)); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
-}
-
-// checkFilerEvents verifies every filer-crash/filer-recover event against
-// the effective filer layout, so a typo'd partition or replica index fails
-// before the run instead of mid-scenario.
-func checkFilerEvents(sc *Scenario, fc filer.Config) error {
-	reps := fc.Replicas
-	if reps == 0 {
-		reps = 1
-	}
-	for pi := range sc.Phases {
-		for _, ev := range sc.Phases[pi].Events {
-			if ev.Kind != scenario.EventFilerCrash && ev.Kind != scenario.EventFilerRecover {
-				continue
-			}
-			if ev.Partition >= fc.Partitions {
-				return fmt.Errorf("flashsim: scenario %s phase %s: %s targets filer partition %d but the run has %d",
-					sc.Name, sc.Phases[pi].Name, ev.Kind, ev.Partition, fc.Partitions)
-			}
-			if ev.Replica >= reps {
-				return fmt.Errorf("flashsim: scenario %s phase %s: %s targets filer replica %d but groups have %d",
-					sc.Name, sc.Phases[pi].Name, ev.Kind, ev.Replica, reps)
-			}
-		}
-	}
-	return nil
 }
 
 // phaseBlocks resolves a phase's block bound against the configuration's

@@ -131,7 +131,7 @@ func TestShardedValidation(t *testing.T) {
 		t.Error("negative shard count should fail")
 	}
 
-	// A single-host cluster clamps to one shard and runs.
+	// Resolve clamps a single-host cluster to one shard, and it runs.
 	cfg = ScaledConfig(4096)
 	cfg.Shards = 2
 	if _, err := Run(cfg); err != nil {

@@ -52,14 +52,14 @@ type RunController struct {
 	pending  []ScenarioEvent
 }
 
-// NewRunController builds a controller for a run of the given effective
-// configuration — the one CheckScenario returns, whose filer layout
-// already includes the scenario's filer spec. Injected events are
-// bounds-checked against that layout at Inject time, so an invalid
-// injection fails at the API edge instead of aborting the run.
+// NewRunController builds a controller for a run of the given resolved
+// configuration — the one Resolve returns, whose filer layout already
+// includes the scenario's filer spec. Injected events are bounds-checked
+// against that layout at Inject time (scenario.CheckLive, the rule
+// Resolve applies to scripted events), so an invalid injection fails at
+// the API edge instead of aborting the run.
 func NewRunController(cfg Config) *RunController {
-	parts, reps := FilerLayout(cfg)
-	return &RunController{hosts: cfg.Hosts, partitions: parts, replicas: reps}
+	return &RunController{hosts: cfg.Hosts, partitions: cfg.FilerPartitions, replicas: cfg.FilerReplicas}
 }
 
 // Cancel requests a cooperative stop: the run returns ErrRunCanceled at
@@ -118,7 +118,7 @@ func (c *RunController) takePending() []ScenarioEvent {
 // not bit-for-bit.
 func RunScenarioStream(cfg Config, sc *Scenario, hooks ScenarioHooks, ctl *RunController) (*ScenarioResult, error) {
 	wallStart := time.Now()
-	cfg, sc, period, err := prepareScenario(cfg, sc)
+	cfg, sc, period, err := resolve(cfg, sc)
 	if err != nil {
 		return nil, err
 	}

@@ -21,6 +21,17 @@ func streamConfig() Config {
 	return cfg
 }
 
+// resolved returns Resolve(cfg, sc), failing the test on an error: the
+// configuration a run controller is built for.
+func resolved(t *testing.T, cfg Config, sc *Scenario) Config {
+	t.Helper()
+	cfg, err := Resolve(cfg, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
 // streamScenario is a short two-phase scenario with one scripted flush.
 func streamScenario() *Scenario {
 	return &Scenario{
@@ -60,7 +71,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 		Phase: func(p PhaseResult) { phases = append(phases, p) },
 		Event: func(e EventResult) { events = append(events, e) },
 	}
-	live, err := RunScenarioStream(cfg, sc, hooks, NewRunController(cfg))
+	live, err := RunScenarioStream(cfg, sc, hooks, NewRunController(resolved(t, cfg, sc)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +124,7 @@ func TestStreamSampleEncodesLikeBatchExport(t *testing.T) {
 // TestStreamCancel covers cooperative cancellation from inside a run.
 func TestStreamCancel(t *testing.T) {
 	cfg := streamConfig()
-	ctl := NewRunController(cfg)
+	ctl := NewRunController(resolved(t, cfg, streamScenario()))
 	n := 0
 	hooks := ScenarioHooks{Sample: func(float64, []float64) {
 		if n++; n == 2 {
@@ -150,7 +161,7 @@ func TestStreamInjectsEvents(t *testing.T) {
 		{Kind: scenario.EventFilerCrash, Partition: 0, Replica: 1},
 		{Kind: scenario.EventFilerRecover, Partition: 0, Replica: 1},
 	}
-	ctl := NewRunController(cfg)
+	ctl := NewRunController(resolved(t, cfg, streamScenario()))
 	next := 0
 	var hooked []EventResult
 	hooks := ScenarioHooks{
@@ -201,7 +212,7 @@ func TestStreamInjectsEvents(t *testing.T) {
 // and the second would leave no host to serve the trace.
 func TestStreamInjectedLeaveLastHostFails(t *testing.T) {
 	cfg := streamConfig()
-	ctl := NewRunController(cfg)
+	ctl := NewRunController(resolved(t, cfg, streamScenario()))
 	for h := 0; h < cfg.Hosts; h++ {
 		if err := ctl.Inject(ScenarioEvent{Kind: scenario.EventLeave, Host: h}); err != nil {
 			t.Fatalf("Inject leave host %d: %v", h, err)
@@ -217,7 +228,7 @@ func TestStreamInjectedLeaveLastHostFails(t *testing.T) {
 // checks against the run layout.
 func TestRunControllerInjectValidation(t *testing.T) {
 	cfg := streamConfig() // 2 hosts, 1 partition, 1 replica
-	ctl := NewRunController(cfg)
+	ctl := NewRunController(resolved(t, cfg, streamScenario()))
 	for _, tc := range []struct {
 		name string
 		ev   ScenarioEvent
@@ -242,27 +253,40 @@ func TestRunControllerInjectValidation(t *testing.T) {
 	}
 }
 
-// TestCheckScenarioAndLayout covers the fail-fast admission gate and the
-// effective filer geometry helper.
+// TestCheckScenarioAndLayout covers the fail-fast admission gate
+// (Resolve) and the filer geometry it resolves: the scenario's filer spec
+// folded in, the defaults of a steady-state run, and a scripted event
+// checked against the resolved hosts.
 func TestCheckScenarioAndLayout(t *testing.T) {
 	cfg := streamConfig()
 	sc := streamScenario()
 	sc.Filer = &ScenarioFilerSpec{Partitions: 2, Replicas: 2}
-	eff, err := CheckScenario(cfg, sc)
+	eff, err := Resolve(cfg, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, r := FilerLayout(eff); p != 2 || r != 2 {
-		t.Fatalf("FilerLayout = (%d, %d), want (2, 2)", p, r)
+	if eff.FilerPartitions != 2 || eff.FilerReplicas != 2 || eff.FilerWriteQuorum != 2 {
+		t.Fatalf("scenario layout = (%d, %d, quorum %d), want (2, 2, quorum 2)",
+			eff.FilerPartitions, eff.FilerReplicas, eff.FilerWriteQuorum)
 	}
-	if p, r := FilerLayout(cfg); p != 1 || r != 1 {
-		t.Fatalf("FilerLayout(base) = (%d, %d), want (1, 1)", p, r)
+	base, err := Resolve(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.FilerPartitions != 1 || base.FilerReplicas != 1 || base.FilerWriteQuorum != 1 {
+		t.Fatalf("base layout = (%d, %d, quorum %d), want (1, 1, quorum 1)",
+			base.FilerPartitions, base.FilerReplicas, base.FilerWriteQuorum)
 	}
 
 	bad := streamScenario()
 	bad.Phases[1].Events[0].Host = 7
-	if _, err := CheckScenario(cfg, bad); err == nil || !strings.Contains(err.Error(), "host 7") {
-		t.Fatalf("CheckScenario accepted out-of-range host: %v", err)
+	_, err = Resolve(cfg, bad)
+	if err == nil || !strings.Contains(err.Error(), "host 7") ||
+		!strings.Contains(err.Error(), "scenario "+bad.Name+" phase "+bad.Phases[1].Name) {
+		t.Fatalf("Resolve accepted out-of-range host or did not name the phase: %v", err)
+	}
+	if bad.Phases[1].Events[0].Host != 7 {
+		t.Fatal("Resolve mutated the caller's scenario")
 	}
 }
 

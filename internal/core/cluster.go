@@ -237,7 +237,7 @@ func (sh *clusterShard) deliverInbox() {
 // applyInvalidations drops local copies named by the sorted batch, before
 // any of the epoch's events run. Invalidation messages come only from
 // instant-mode runs, in which NewCluster gives every shard a holder set
-// (shards are clamped to the host count, so each holds a host). The
+// (a cluster has no more shards than hosts, so each holds a host). The
 // per-message work is therefore proportional to the hosts that may hold
 // the block, visited in ascending local (= global, within a shard) ID
 // order; a visited host holds no copy afterwards, so its bit is cleared.
@@ -268,8 +268,8 @@ func (sh *clusterShard) applyInvalidations(batch []invMsg) {
 
 // ClusterSpec describes a sharded simulation.
 type ClusterSpec struct {
-	// Shards is the number of engine partitions, at least one. It is
-	// clamped to the host count.
+	// Shards is the number of engine partitions, from one to the host
+	// count.
 	Shards int
 
 	// Hosts configures each host; host i runs on shard i % Shards.
@@ -380,10 +380,10 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 	if spec.NewFiler == nil {
 		return nil, fmt.Errorf("core: cluster needs a filer constructor")
 	}
-	if spec.Shards < 1 {
-		return nil, fmt.Errorf("core: cluster needs at least one shard")
+	shards := spec.Shards
+	if shards < 1 || shards > n {
+		return nil, fmt.Errorf("core: %d shards out of [1,%d] for %d hosts", shards, n, n)
 	}
-	shards := min(spec.Shards, n)
 
 	c := &Cluster{
 		shards:    make([]*clusterShard, shards),

@@ -194,8 +194,9 @@ func TestClusterSpecValidation(t *testing.T) {
 		t.Error("missing filer constructor should fail")
 	}
 
-	// The caller names the shard count; 0 is not a default.
-	for _, shards := range []int{0, -1} {
+	// The caller names the shard count, from one to the host count: 0 is
+	// not a default, and a count above the host count is not clamped.
+	for _, shards := range []int{0, -1, 3, 64} {
 		if _, err := NewCluster(clusterSpecForTest(2, shards)); err == nil {
 			t.Errorf("shards %d should fail", shards)
 		}
@@ -212,13 +213,11 @@ func TestClusterSpecValidation(t *testing.T) {
 		t.Error("zero filer latency should fail (no lookahead)")
 	}
 
-	// Shard count clamps to the host population.
-	spec = clusterSpecForTest(2, 64)
-	c, err := NewCluster(spec)
+	c, err := NewCluster(clusterSpecForTest(2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Shards(); got != 2 {
-		t.Errorf("Shards() = %d, want clamp to 2", got)
+		t.Errorf("Shards() = %d, want 2", got)
 	}
 }

@@ -591,7 +591,9 @@ func (h *Host) readUnified(r *hostReq) {
 	}
 	if r.collect {
 		h.st.RAMMisses++
-		h.st.FlashMisses++
+		if h.cfg.FlashBlocks > 0 {
+			h.st.FlashMisses++
+		}
 	}
 	if r.trSeq != 0 {
 		h.mark(r.trSeq, obs.KindMiss, r.key)

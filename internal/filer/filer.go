@@ -117,45 +117,39 @@ type Config struct {
 	Object *ObjectTier
 }
 
-// replicas returns the effective replica count (0 means 1).
-func (c Config) replicas() int {
+// WithDefaults returns the configuration with its zero values resolved:
+// one replica, the majority write quorum Replicas/2+1 and a homogeneous
+// group (slow-replica factor 1). Negative values pass through for
+// Validate to reject.
+func (c Config) WithDefaults() Config {
 	if c.Replicas == 0 {
-		return 1
+		c.Replicas = 1
 	}
-	return c.Replicas
-}
-
-// writeQuorum returns the effective write quorum (0 means majority).
-func (c Config) writeQuorum() int {
 	if c.WriteQuorum == 0 {
-		return c.replicas()/2 + 1
+		c.WriteQuorum = c.Replicas/2 + 1
 	}
-	return c.WriteQuorum
-}
-
-// slowFactor returns the effective slow-replica scale (0 means 1).
-func (c Config) slowFactor() float64 {
 	if c.SlowReplicaFactor == 0 {
-		return 1
+		c.SlowReplicaFactor = 1
 	}
-	return c.SlowReplicaFactor
+	return c
 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Partitions < 1 {
-		return fmt.Errorf("filer: partitions %d < 1", c.Partitions)
+		return fmt.Errorf("filer: partition count %d below 1", c.Partitions)
 	}
-	if c.Replicas < 0 || c.replicas() > MaxReplicas {
+	d := c.WithDefaults()
+	if c.Replicas < 0 || d.Replicas > MaxReplicas {
 		return fmt.Errorf("filer: replicas %d out of [1,%d]", c.Replicas, MaxReplicas)
 	}
-	if c.WriteQuorum < 0 || c.writeQuorum() > c.replicas() {
-		return fmt.Errorf("filer: write quorum %d out of [1,%d]", c.writeQuorum(), c.replicas())
+	if c.WriteQuorum < 0 || d.WriteQuorum > d.Replicas {
+		return fmt.Errorf("filer: write quorum %d out of [1,%d]", d.WriteQuorum, d.Replicas)
 	}
 	if f := c.SlowReplicaFactor; math.IsNaN(f) || math.IsInf(f, 0) || (f != 0 && f < 1) {
 		return fmt.Errorf("filer: slow replica factor %v below 1", f)
 	}
-	if c.slowFactor() > 1 && c.replicas() < 2 {
+	if d.SlowReplicaFactor > 1 && d.Replicas < 2 {
 		return fmt.Errorf("filer: slow replica factor %v needs at least 2 replicas", c.SlowReplicaFactor)
 	}
 	if c.FastRead < 0 || c.SlowRead < 0 || c.Write < 0 {
@@ -279,10 +273,7 @@ type partition struct {
 type Filer struct {
 	eng *sim.Engine
 	rnd *rng.RNG
-	cfg Config
-
-	nreps  int
-	quorum int
+	cfg Config // with defaults resolved
 
 	parts []partition
 }
@@ -292,32 +283,31 @@ func NewPartitioned(eng *sim.Engine, rnd *rng.RNG, cfg Config) (*Filer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.WithDefaults()
 	f := &Filer{
-		eng:    eng,
-		rnd:    rnd,
-		cfg:    cfg,
-		nreps:  cfg.replicas(),
-		quorum: cfg.writeQuorum(),
-		parts:  make([]partition, cfg.Partitions),
+		eng:   eng,
+		rnd:   rnd,
+		cfg:   cfg,
+		parts: make([]partition, cfg.Partitions),
 	}
 	for i := range f.parts {
 		p := &f.parts[i]
 		if cfg.Object != nil {
 			p.resident = make(map[uint64]struct{})
 		}
-		p.reps = make([]replica, f.nreps)
-		p.live = f.nreps
+		p.reps = make([]replica, cfg.Replicas)
+		p.live = cfg.Replicas
 		for r := range p.reps {
 			rep := &p.reps[r]
 			rep.live = true
 			rep.fastLat = cfg.FastRead
 			rep.slowLat = cfg.SlowRead
 			rep.writeLat = cfg.Write
-			if r == f.nreps-1 && cfg.slowFactor() > 1 {
+			if r == cfg.Replicas-1 && cfg.SlowReplicaFactor > 1 {
 				// The group's one slow backend: every latency scaled by
 				// the factor (a pure function of the configuration, so
 				// identical on every run and executor).
-				s := cfg.slowFactor()
+				s := cfg.SlowReplicaFactor
 				rep.fastLat = sim.Time(math.Round(float64(cfg.FastRead) * s))
 				rep.slowLat = sim.Time(math.Round(float64(cfg.SlowRead) * s))
 				rep.writeLat = sim.Time(math.Round(float64(cfg.Write) * s))
@@ -331,10 +321,10 @@ func NewPartitioned(eng *sim.Engine, rnd *rng.RNG, cfg Config) (*Filer, error) {
 func (f *Filer) Partitions() int { return len(f.parts) }
 
 // Replicas returns the replica group size of every partition.
-func (f *Filer) Replicas() int { return f.nreps }
+func (f *Filer) Replicas() int { return f.cfg.Replicas }
 
 // WriteQuorum returns the configured write quorum.
-func (f *Filer) WriteQuorum() int { return f.quorum }
+func (f *Filer) WriteQuorum() int { return f.cfg.WriteQuorum }
 
 // LiveReplicas returns how many of a partition's replicas are serving.
 func (f *Filer) LiveReplicas(part int) int { return f.parts[part].live }
@@ -371,7 +361,7 @@ func (f *Filer) Route(key uint64) int {
 // too. The returned replica is -1 when the whole group is down (the
 // object tier serves; see ServeRead).
 func (f *Filer) DrawReadAt(part int) (fast bool, rep int32) {
-	if f.nreps == 1 {
+	if f.cfg.Replicas == 1 {
 		fast = f.rnd.Bool(f.cfg.PrefetchRate)
 		if !f.parts[part].reps[0].live {
 			return fast, -1
@@ -441,7 +431,7 @@ func (f *Filer) ServeRead(part int, rep int32, key uint64, fast bool) sim.Time {
 		return o.Read
 	}
 	r := &p.reps[rep]
-	if p.live < f.nreps {
+	if p.live < f.cfg.Replicas {
 		p.degradedReads++
 	}
 	if fast {
@@ -489,7 +479,7 @@ func (f *Filer) ServeWrite(part int, key uint64) sim.Time {
 		}
 		return lat
 	}
-	if f.nreps == 1 {
+	if f.cfg.Replicas == 1 {
 		p.reps[0].writes++
 		return p.reps[0].writeLat
 	}
@@ -512,7 +502,7 @@ func (f *Filer) ServeWrite(part int, key uint64) sim.Time {
 		acks[j] = lat
 		n++
 	}
-	w := f.quorum
+	w := f.cfg.WriteQuorum
 	if w > n {
 		// Degraded: fewer survivors than the quorum; complete at the
 		// last surviving ack.
@@ -533,8 +523,8 @@ func (f *Filer) CrashReplica(part, rep int) error {
 		return fmt.Errorf("filer: partition %d out of [0,%d)", part, len(f.parts))
 	}
 	p := &f.parts[part]
-	if rep < 0 || rep >= f.nreps {
-		return fmt.Errorf("filer: replica %d out of [0,%d)", rep, f.nreps)
+	if rep < 0 || rep >= f.cfg.Replicas {
+		return fmt.Errorf("filer: replica %d out of [0,%d)", rep, f.cfg.Replicas)
 	}
 	r := &p.reps[rep]
 	if !r.live {
@@ -559,8 +549,8 @@ func (f *Filer) RecoverReplica(part, rep int) (blocks int, source string, err er
 		return 0, "", fmt.Errorf("filer: partition %d out of [0,%d)", part, len(f.parts))
 	}
 	p := &f.parts[part]
-	if rep < 0 || rep >= f.nreps {
-		return 0, "", fmt.Errorf("filer: replica %d out of [0,%d)", rep, f.nreps)
+	if rep < 0 || rep >= f.cfg.Replicas {
+		return 0, "", fmt.Errorf("filer: replica %d out of [0,%d)", rep, f.cfg.Replicas)
 	}
 	r := &p.reps[rep]
 	if r.live {

@@ -306,12 +306,11 @@ func (e *Event) validate() error {
 	return nil
 }
 
-// CheckLive validates one event against a live run's layout — the host
-// count and the effective filer partition/replica geometry — and
-// normalizes it in place (a zero flush fraction becomes 1). It is the
-// admission check for events injected into a running cluster, where the
-// scenario-level validation has already happened and only the target
-// bounds remain to be enforced.
+// CheckLive validates one event against a run's layout — the host count
+// and the resolved filer partition/replica geometry — and normalizes it
+// in place (a zero flush fraction becomes 1). It is the one bounds rule
+// for fault events: flashsim.Resolve applies it to every scripted event,
+// and a run controller to every event injected into a running cluster.
 func CheckLive(e *Event, hosts, partitions, replicas int) error {
 	if err := e.validate(); err != nil {
 		return err
@@ -333,33 +332,6 @@ func CheckLive(e *Event, hosts, partitions, replicas int) error {
 		}
 	}
 	return nil
-}
-
-// MaxHost returns the largest host index referenced by any event, or -1.
-// The runner checks it against the configured host count.
-func (s *Scenario) MaxHost() int {
-	max := -1
-	for _, p := range s.Phases {
-		for _, e := range p.Events {
-			if e.Host > max {
-				max = e.Host
-			}
-		}
-	}
-	return max
-}
-
-// HasChurn reports whether the scenario detaches hosts, which requires a
-// multi-host configuration.
-func (s *Scenario) HasChurn() bool {
-	for _, p := range s.Phases {
-		for _, e := range p.Events {
-			if e.Kind == EventLeave || e.Kind == EventJoin {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Clone returns a deep copy, so normalization during a run never mutates

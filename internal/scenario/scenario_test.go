@@ -206,17 +206,26 @@ func TestBuiltinsValidateAndAreFresh(t *testing.T) {
 	}
 }
 
+// TestChurnAndMaxHost checks the churn builtin's events against host
+// counts: its highest target is host 1, so it needs two hosts, and its
+// leave/join churn needs a multi-host run anyway.
 func TestChurnAndMaxHost(t *testing.T) {
 	churn, _ := Builtin("churn")
-	if !churn.HasChurn() {
-		t.Error("churn builtin reports no churn")
+	check := func(hosts int) error {
+		for _, p := range churn.Phases {
+			for _, e := range p.Events {
+				if err := CheckLive(&e, hosts, 1, 1); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
 	}
-	if churn.MaxHost() != 1 {
-		t.Errorf("churn max host %d, want 1", churn.MaxHost())
+	if err := check(2); err != nil {
+		t.Errorf("churn rejected on 2 hosts: %v", err)
 	}
-	warm, _ := Builtin("warmup")
-	if warm.HasChurn() || warm.MaxHost() != -1 {
-		t.Error("warmup misreports churn/hosts")
+	if err := check(1); err == nil || !strings.Contains(err.Error(), "host 1 out of range") {
+		t.Errorf("churn on 1 host: err = %v, want host 1 out of range", err)
 	}
 }
 

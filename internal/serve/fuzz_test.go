@@ -46,7 +46,7 @@ func FuzzRunRequest(f *testing.F) {
 		}
 		// The accepted config must stand on its own: a spec that passed
 		// admission can never fail validation at execution time.
-		cfg := spec.Effective
+		cfg := spec.Config
 		if verr := cfg.Validate(); verr != nil {
 			t.Fatalf("accepted config fails Validate: %v\nbody: %s", verr, body)
 		}

@@ -31,16 +31,15 @@ type RunRequest struct {
 	Scenario json.RawMessage `json:"scenario,omitempty"`
 }
 
-// RunSpec is a fully validated, ready-to-execute run: the simulation
-// configuration (with any request filer spec already folded in) and the
-// scenario, nil for a steady-state run. Effective carries the
-// scenario-effective configuration — the one whose filer geometry live
-// injections are validated against.
+// RunSpec is a fully validated, ready-to-execute run: the configuration
+// the run executes (flashsim.Resolve's result: the request and scenario
+// filer specs folded in, every default resolved) and the scenario, nil
+// for a steady-state run. Reports, the run view and live injections all
+// see this configuration.
 type RunSpec struct {
-	Config    flashsim.Config
-	Effective flashsim.Config
-	Scenario  *flashsim.Scenario
-	Builtin   string
+	Config   flashsim.Config
+	Scenario *flashsim.Scenario
+	Builtin  string
 }
 
 // ScenarioName names the run's scenario, or "" for a steady-state run.
@@ -71,7 +70,7 @@ func ParseRunRequest(data []byte) (*RunSpec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("run request: %w", err)
 	}
-	spec := &RunSpec{Config: cfg, Effective: cfg, Builtin: req.Builtin}
+	spec := &RunSpec{Builtin: req.Builtin}
 	switch {
 	case req.Builtin != "" && len(req.Scenario) > 0:
 		return nil, errors.New(`run request: "builtin" and "scenario" are mutually exclusive`)
@@ -84,11 +83,7 @@ func ParseRunRequest(data []byte) (*RunSpec, error) {
 			return nil, fmt.Errorf("run request: %w", err)
 		}
 	}
-	if spec.Scenario != nil {
-		if spec.Effective, err = flashsim.CheckScenario(cfg, spec.Scenario); err != nil {
-			return nil, fmt.Errorf("run request: %w", err)
-		}
-	} else if err := cfg.Validate(); err != nil {
+	if spec.Config, err = flashsim.Resolve(cfg, spec.Scenario); err != nil {
 		return nil, fmt.Errorf("run request: %w", err)
 	}
 	return spec, nil

@@ -13,8 +13,9 @@ import (
 // registered over.
 const cliScale = 128
 
-// flagConfig builds a configuration the way cmd/flashsim does: flags
-// parsed over DefaultRunConfig(cliScale), then RunConfig.Config.
+// flagConfig builds a steady-state run's configuration the way
+// cmd/flashsim does: flags parsed over DefaultRunConfig(cliScale), then
+// RunConfig.Config, then flashsim.Resolve.
 func flagConfig(t *testing.T, argv []string) (flashsim.Config, error) {
 	t.Helper()
 	rc := flashsim.DefaultRunConfig(cliScale)
@@ -23,7 +24,11 @@ func flagConfig(t *testing.T, argv []string) (flashsim.Config, error) {
 	if err := fs.Parse(argv); err != nil {
 		t.Fatalf("%v: %v", argv, err)
 	}
-	return rc.Config()
+	cfg, err := rc.Config()
+	if err != nil {
+		return cfg, err
+	}
+	return flashsim.Resolve(cfg, nil)
 }
 
 // TestCLIEqualsWire checks that the same run asked for on the command

@@ -80,7 +80,7 @@ func (s *Server) Close() {
 func (s *Server) submit(spec *RunSpec) (*Run, error) {
 	var ctl *flashsim.RunController
 	if spec.Scenario != nil {
-		ctl = flashsim.NewRunController(spec.Effective)
+		ctl = flashsim.NewRunController(spec.Config)
 	}
 	r, err := s.reg.add(spec, ctl)
 	if err != nil {

@@ -303,6 +303,39 @@ func TestSteadyStateRun(t *testing.T) {
 	}
 }
 
+// TestRunViewsResolved: the run view and the report show the
+// configuration the run executed — the shard count clamped to the hosts
+// and the filer layout of the scenario's filer block — not the request.
+func TestRunViewsResolved(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	id := createRun(t, ts, `{"config": {"hosts": 2, "shards": 8}, "builtin": "filer-crash"}`)
+	status, b := do(t, http.MethodGet, ts.URL+"/v1/runs/"+id, "")
+	if status != http.StatusOK {
+		t.Fatalf("get = %d: %s", status, b)
+	}
+	var info RunInfo
+	if err := json.Unmarshal(b, &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Shards != 2 {
+		t.Errorf("run view shards %d, want 2", info.Shards)
+	}
+	streamLines(t, ts, id)
+	status, b = do(t, http.MethodGet, ts.URL+"/v1/runs/"+id+"/report", "")
+	if status != http.StatusOK {
+		t.Fatalf("report = %d: %s", status, b)
+	}
+	rep, err := flashsim.ReadReport(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := rep.Config; c.Shards != 2 || c.FilerPartitions != 2 || c.FilerReplicas != 2 || !c.ObjectTier ||
+		len(rep.FilerPartitions) != 2 {
+		t.Errorf("report config %+v with %d partition rows, want 2 shards, 2 partitions x 2 replicas, object tier",
+			c, len(rep.FilerPartitions))
+	}
+}
+
 // TestPendingRun drives the pending state deterministically by occupying
 // the single worker: report answers 409, valid injections queue, invalid
 // ones fail at the API edge, and DELETE cancels without execution.
@@ -466,7 +499,11 @@ func TestParseRunRequestMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	def := flashsim.ScaledConfig(DefaultScale)
+	// A run spec holds the resolved configuration.
+	def, err := flashsim.Resolve(flashsim.ScaledConfig(DefaultScale), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if spec.Config.RAMBlocks != def.RAMBlocks || spec.Config.Hosts != def.Hosts {
 		t.Errorf("empty request config %+v != ScaledConfig(%d)", spec.Config, DefaultScale)
 	}
@@ -492,8 +529,9 @@ func TestParseRunRequestMapping(t *testing.T) {
 	if cfg.Hosts != 4 || cfg.Shards < 2 {
 		t.Errorf("hosts %d shards %d, want 4 hosts and auto cluster shards", cfg.Hosts, cfg.Shards)
 	}
-	if p, r := flashsim.FilerLayout(cfg); p != 2 || r != 3 {
-		t.Errorf("filer layout (%d, %d), want (2, 3)", p, r)
+	if cfg.FilerPartitions != 2 || cfg.FilerReplicas != 3 || cfg.FilerWriteQuorum != 2 {
+		t.Errorf("filer layout (%d, %d, quorum %d), want (2, 3, quorum 2)",
+			cfg.FilerPartitions, cfg.FilerReplicas, cfg.FilerWriteQuorum)
 	}
 	if spec.Scenario == nil || spec.Scenario.Name != "crash-recovery" {
 		t.Errorf("builtin scenario %+v", spec.Scenario)
@@ -517,6 +555,6 @@ func TestParseRunRequestMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(spec.Config, def) {
-		t.Errorf("null config = %+v, want ScaledConfig(%d)", spec.Config, DefaultScale)
+		t.Errorf("null config = %+v, want ScaledConfig(%d) resolved", spec.Config, DefaultScale)
 	}
 }

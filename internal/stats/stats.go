@@ -165,32 +165,6 @@ func (h *Histogram) Buckets() []HistogramBucket {
 	return out
 }
 
-// Counter is a named monotonic counter map with stable iteration order.
-type Counter struct {
-	names  []string
-	values map[string]uint64
-}
-
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter {
-	return &Counter{values: make(map[string]uint64)}
-}
-
-// Add increments name by delta.
-func (c *Counter) Add(name string, delta uint64) {
-	if _, ok := c.values[name]; !ok {
-		c.names = append(c.names, name)
-		sort.Strings(c.names)
-	}
-	c.values[name] += delta
-}
-
-// Get returns the value of name.
-func (c *Counter) Get(name string) uint64 { return c.values[name] }
-
-// Names returns the registered names, sorted.
-func (c *Counter) Names() []string { return append([]string(nil), c.names...) }
-
 // Point is one (x, y) sample of a plotted series.
 type Point struct {
 	X float64

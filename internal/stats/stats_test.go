@@ -112,20 +112,6 @@ func TestHistogramExtremes(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Add("b", 2)
-	c.Add("a", 1)
-	c.Add("b", 3)
-	if c.Get("b") != 5 || c.Get("a") != 1 || c.Get("zzz") != 0 {
-		t.Fatal("counter values wrong")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names = %v", names)
-	}
-}
-
 func TestSeriesAndFigureCSV(t *testing.T) {
 	fig := NewFigure("Read Latency", "wss", "us")
 	s1 := fig.AddSeries("no flash")
