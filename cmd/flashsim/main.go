@@ -58,7 +58,6 @@
 //	flashsim -trace-sample 0.01 -trace-out trace.json
 //	flashsim -report-json report.json
 //	flashsim -hosts 8 -shards 4 -wall-profile -epochstats
-//	flashsim -hosts 8 -shards 4 -epochstats-json stats.json
 package main
 
 import (
@@ -86,7 +85,6 @@ func main() {
 	tracePath := flag.String("trace", "", "replay a binary trace file instead of synthesizing")
 	warmupBlocks := flag.Int64("warmup-blocks", 0, "warmup volume when replaying a trace")
 	epochstats := flag.Bool("epochstats", false, "after a sharded run, print barrier-schedule statistics: epochs executed, mean epoch length, messages per barrier (plus the wall-clock breakdown with -wall-profile)")
-	epochstatsJSON := flag.String("epochstats-json", "", "write the -epochstats data as JSON to this file (- for stdout)")
 	traceOut := flag.String("trace-out", "", "write sampled request-lifecycle spans as Chrome trace-event JSON to this file (- for stdout; load in ui.perfetto.dev); implies -trace-sample 0.01 when that is unset")
 	reportJSON := flag.String("report-json", "", "write a machine-readable run report (schema flashsim-report/2) to this file (- for stdout)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -154,7 +152,7 @@ func main() {
 		fmt.Print(res)
 		printEpochStats(*epochstats, &res.Result)
 		die(exportRun(cfg, &res.Result, func() *flashsim.Report { return flashsim.NewScenarioReport(cfg, res) },
-			*traceOut, *reportJSON, *epochstatsJSON))
+			*traceOut, *reportJSON))
 		die(writeTelemetry(*telemetryPath, res.Telemetry))
 		return
 	}
@@ -179,7 +177,7 @@ func main() {
 		fmt.Print(res)
 		printEpochStats(*epochstats, res)
 		die(exportRun(cfg, res, func() *flashsim.Report { return flashsim.NewReport(cfg, res) },
-			*traceOut, *reportJSON, *epochstatsJSON))
+			*traceOut, *reportJSON))
 		return
 	}
 
@@ -192,15 +190,15 @@ func main() {
 			cfgs = append(cfgs, point(wss, wr, nil))
 		}
 	}
-	if len(cfgs) > 1 && (*traceOut != "" || *reportJSON != "" || *epochstatsJSON != "") {
-		die(fmt.Errorf("-trace-out, -report-json and -epochstats-json take a single -wss/-writes point"))
+	if len(cfgs) > 1 && (*traceOut != "" || *reportJSON != "") {
+		die(fmt.Errorf("-trace-out and -report-json take a single -wss/-writes point"))
 	}
 	_, err = flashsim.RunGrid(cfgs, *parallel, func(i int, res *flashsim.Result) {
 		fmt.Println(header(wssList[i/len(writesList)], writesList[i%len(writesList)]))
 		fmt.Print(res)
 		printEpochStats(*epochstats, res)
 		die(exportRun(cfgs[i], res, func() *flashsim.Report { return flashsim.NewReport(cfgs[i], res) },
-			*traceOut, *reportJSON, *epochstatsJSON))
+			*traceOut, *reportJSON))
 		if len(cfgs) > 1 && i < len(cfgs)-1 {
 			fmt.Println()
 		}
@@ -208,11 +206,11 @@ func main() {
 	die(err)
 }
 
-// exportRun writes one run's observability artifacts — the Chrome trace,
-// the machine-readable report (built by report) and the epoch-stats
-// snapshot — each gated on its flag.
+// exportRun writes one run's observability artifacts — the Chrome trace
+// and the machine-readable report (built by report) — each gated on its
+// flag.
 func exportRun(cfg flashsim.Config, res *flashsim.Result, report func() *flashsim.Report,
-	traceOut, reportJSON, epochstatsJSON string) error {
+	traceOut, reportJSON string) error {
 	if traceOut != "" {
 		if err := withOutput(traceOut, func(w io.Writer) error {
 			return flashsim.WriteChromeTrace(w, res.Trace, cfg.Timing)
@@ -221,14 +219,7 @@ func exportRun(cfg flashsim.Config, res *flashsim.Result, report func() *flashsi
 		}
 	}
 	if reportJSON != "" {
-		if err := withOutput(reportJSON, report().WriteJSON); err != nil {
-			return err
-		}
-	}
-	if epochstatsJSON != "" {
-		if err := withOutput(epochstatsJSON, flashsim.NewEpochStatsReport(res).WriteJSON); err != nil {
-			return err
-		}
+		return withOutput(reportJSON, report().WriteJSON)
 	}
 	return nil
 }
@@ -326,7 +317,11 @@ func parseFloats(s string) ([]float64, error) {
 func die(err error) {
 	if err != nil {
 		profiling.Flush() // os.Exit skips defers; salvage requested profiles
-		fmt.Fprintf(os.Stderr, "flashsim: %v\n", err)
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "flashsim:") {
+			msg = "flashsim: " + msg
+		}
+		fmt.Fprintln(os.Stderr, msg)
 		os.Exit(1)
 	}
 }

@@ -76,6 +76,37 @@ func ExampleRunGrid() {
 	// point 2: 8196 blocks issued
 }
 
+// ExampleRunBatch runs a write-fraction sweep as one batch and reads the
+// results back in declaration order.
+func ExampleRunBatch() {
+	var cfgs []flashsim.Config
+	for _, writes := range []float64{0, 0.5} {
+		cfg := flashsim.ScaledConfig(8192)
+		cfg.Workload.WriteFraction = writes
+		cfgs = append(cfgs, cfg)
+	}
+	results, err := flashsim.RunBatch(cfgs, 2)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, res := range results {
+		fmt.Printf("writes %.0f%%: %d blocks written\n", 100*cfgs[i].Workload.WriteFraction, res.Hosts.BlocksWritten)
+	}
+	// Output:
+	// writes 0%: 0 blocks written
+	// writes 50%: 1839 blocks written
+}
+
+// ExampleDefaultConfig shows the baseline configuration's shape: the
+// paper's single host at 1:64 of its sizes.
+func ExampleDefaultConfig() {
+	cfg := flashsim.DefaultConfig()
+	fmt.Printf("%d host, %d RAM blocks, %d flash blocks, %d-block working set\n",
+		cfg.Hosts, cfg.RAMBlocks, cfg.FlashBlocks, cfg.Workload.WorkingSetBlocks)
+	// Output:
+	// 1 host, 32768 RAM blocks, 262144 flash blocks, 245760-block working set
+}
+
 // ExampleRunScenario executes a scripted multi-phase workload — the
 // "warmup" built-in — and walks its per-phase results.
 func ExampleRunScenario() {

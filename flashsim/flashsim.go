@@ -361,6 +361,9 @@ func (c *Config) Validate() error {
 	if c.Workload.WorkingSetBlocks <= 0 {
 		return fmt.Errorf("flashsim: working set size must be positive")
 	}
+	if c.Workload.TotalBlocks < 0 {
+		return fmt.Errorf("flashsim: negative trace volume %d", c.Workload.TotalBlocks)
+	}
 	if f := c.Workload.WriteFraction; math.IsNaN(f) || f < 0 || f > 1 {
 		return fmt.Errorf("flashsim: write fraction %v out of [0,1]", f)
 	}

@@ -264,28 +264,3 @@ func TestReadReportSchemas(t *testing.T) {
 		t.Error("malformed input accepted")
 	}
 }
-
-func TestEpochStatsReport(t *testing.T) {
-	rep := NewEpochStatsReport(&Result{Epochs: 100, BarrierMessages: 400, SimulatedSeconds: 1})
-	if rep.MeanEpochMicros != 10000 || rep.MessagesPerBarrier != 4 {
-		t.Errorf("epoch stats %v/%v", rep.MeanEpochMicros, rep.MessagesPerBarrier)
-	}
-	if rep.WallClock != nil {
-		t.Error("nil profile produced a wall_clock section")
-	}
-	seq := NewEpochStatsReport(&Result{SimulatedSeconds: 1})
-	if seq.MeanEpochMicros != 0 || seq.MessagesPerBarrier != 0 {
-		t.Errorf("sequential epoch stats %v/%v", seq.MeanEpochMicros, seq.MessagesPerBarrier)
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back EpochStatsReport
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rep, &back) {
-		t.Error("epoch stats did not survive the JSON round trip")
-	}
-}

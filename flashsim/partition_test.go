@@ -207,7 +207,7 @@ func TestScenarioPartitionCountInvariance(t *testing.T) {
 			h := sha256.New()
 			h.Write([]byte(got.String()))
 			h.Write([]byte(got.Telemetry.CSV()))
-			h.Write([]byte(got.Telemetry.NDJSON()))
+			got.Telemetry.WriteNDJSON(h)
 			if sum := hex.EncodeToString(h.Sum(nil)); sum != partitionScenarioGolden {
 				t.Errorf("shards=%d partitions=%d checksum drifted:\ngot  %s\nwant %s",
 					shards, parts, sum, partitionScenarioGolden)

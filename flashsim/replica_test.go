@@ -100,7 +100,7 @@ func TestScenarioReplicaCountInvariance(t *testing.T) {
 			h := sha256.New()
 			h.Write([]byte(got.String()))
 			h.Write([]byte(got.Telemetry.CSV()))
-			h.Write([]byte(got.Telemetry.NDJSON()))
+			got.Telemetry.WriteNDJSON(h)
 			if sum := hex.EncodeToString(h.Sum(nil)); sum != want {
 				t.Errorf("shards=%d replicas=%d checksum drifted:\ngot  %s\nwant %s",
 					shards, reps, sum, want)

@@ -356,35 +356,6 @@ func NewScenarioReport(cfg Config, res *ScenarioResult) *Report {
 	return rep
 }
 
-// EpochStatsReport is the machine-readable form of cmd/flashsim's
-// -epochstats output (-epochstats-json): the barrier schedule, the
-// per-partition filer load, and — when the run profiled itself — the
-// wall-clock breakdown. Epochs is 0 on sequential runs.
-type EpochStatsReport struct {
-	Epochs             uint64            `json:"epochs"`
-	BarrierMessages    uint64            `json:"barrier_messages"`
-	MeanEpochMicros    float64           `json:"mean_epoch_us"`
-	MessagesPerBarrier float64           `json:"messages_per_barrier"`
-	FilerPartitions    []ReportPartition `json:"filer_partitions"`
-	WallClock          *ReportWallClock  `json:"wall_clock,omitempty"`
-}
-
-// NewEpochStatsReport assembles the epoch-stats snapshot of a run's
-// result (a scenario's embedded Result included).
-func NewEpochStatsReport(res *Result) *EpochStatsReport {
-	rep := &EpochStatsReport{
-		Epochs:          res.Epochs,
-		BarrierMessages: res.BarrierMessages,
-		FilerPartitions: reportPartitions(res.FilerPartitions),
-		WallClock:       reportWallClock(res.WallProfile),
-	}
-	if res.Epochs > 0 {
-		rep.MeanEpochMicros = 1e6 * res.SimulatedSeconds / float64(res.Epochs)
-		rep.MessagesPerBarrier = float64(res.BarrierMessages) / float64(res.Epochs)
-	}
-	return rep
-}
-
 // ReadReport decodes a run report, accepting every schema version this
 // build knows (flashsim-report/1 and /2): version 1 reports simply
 // decode with the replica-layer fields empty. Unknown versions and
@@ -406,13 +377,8 @@ func ReadReport(data []byte) (*Report, error) {
 }
 
 // WriteJSON renders the report as indented JSON.
-func (r *Report) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
-
-// WriteJSON renders the epoch-stats report as indented JSON.
-func (r *EpochStatsReport) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
-
-func writeJSON(w io.Writer, v any) error {
+func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(v)
+	return enc.Encode(r)
 }

@@ -3,6 +3,7 @@ package flashsim
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -39,7 +40,7 @@ func scenarioChecksum(t *testing.T, cfg Config, name string) string {
 	h := sha256.New()
 	h.Write([]byte(scrubScenarioRuntime(res).String()))
 	h.Write([]byte(res.Telemetry.CSV()))
-	h.Write([]byte(res.Telemetry.NDJSON()))
+	res.Telemetry.WriteNDJSON(h)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -223,7 +224,7 @@ func TestLoadScenario(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range BuiltinScenarioNames() {
 		sc, _ := BuiltinScenario(name)
-		data, err := sc.JSON()
+		data, err := json.MarshalIndent(sc, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +269,11 @@ func TestWarmupScenarioRamp(t *testing.T) {
 		t.Errorf("steady flash hit %.3f not above cold %.3f",
 			steady.FlashHitRate, cold.FlashHitRate)
 	}
-	hits := res.Telemetry.Column(ColFlashHit, nil)
+	ci := res.Telemetry.ColumnIndex(ColFlashHit)
+	hits := make([]float64, res.Telemetry.Len())
+	for i := range hits {
+		hits[i] = res.Telemetry.Row(i)[ci]
+	}
 	if len(hits) < 6 {
 		t.Fatalf("only %d telemetry samples", len(hits))
 	}
@@ -302,7 +307,7 @@ func TestCrashRecoveryScenarioTransient(t *testing.T) {
 	// Locate the crash on the telemetry clock and compare RAM hit rates
 	// around it: the RAM cache dies in the crash even when flash survives.
 	crashAt := res.Phases[1].StartSeconds
-	ramHit := res.Telemetry.Column(ColRAMHit, nil)
+	ci := res.Telemetry.ColumnIndex(ColRAMHit)
 	var beforeIdx, afterIdx = -1, -1
 	for i := 0; i < res.Telemetry.Len(); i++ {
 		if res.Telemetry.Time(i) < crashAt {
@@ -314,9 +319,9 @@ func TestCrashRecoveryScenarioTransient(t *testing.T) {
 	if beforeIdx < 0 || afterIdx < 0 {
 		t.Fatal("could not bracket the crash in telemetry")
 	}
-	if ramHit[afterIdx] >= ramHit[beforeIdx] {
-		t.Errorf("RAM hit rate did not drop across the crash: %.3f -> %.3f",
-			ramHit[beforeIdx], ramHit[afterIdx])
+	before, after := res.Telemetry.Row(beforeIdx)[ci], res.Telemetry.Row(afterIdx)[ci]
+	if after >= before {
+		t.Errorf("RAM hit rate did not drop across the crash: %.3f -> %.3f", before, after)
 	}
 }
 

@@ -29,6 +29,7 @@ func TestConfigValidate(t *testing.T) {
 		{"no threads", func(c *Config) { c.ThreadsPerHost = 0 }, "thread"},
 		{"negative cache", func(c *Config) { c.RAMBlocks = -1 }, "negative cache size"},
 		{"empty working set", func(c *Config) { c.Workload.WorkingSetBlocks = 0 }, "working set size"},
+		{"negative trace volume", func(c *Config) { c.Workload.TotalBlocks = -1 }, "trace volume"},
 		{"partitions 0 (auto)", func(c *Config) { c.FilerPartitions = 0 }, ""},
 		{"partitions 4", func(c *Config) { c.FilerPartitions = 4 }, ""},
 		{"negative partitions", func(c *Config) { c.FilerPartitions = -1 }, "partition count"},

@@ -66,9 +66,6 @@ func (d *FlashDevice) Write2(fn func(any), arg any) {
 	d.access(d.WriteLatency(), fn, arg)
 }
 
-// ReadLatency returns the configured per-block read latency.
-func (d *FlashDevice) ReadLatency() sim.Time { return d.readLat }
-
 // WriteLatency returns the effective per-block write latency, including the
 // persistence metadata write if enabled.
 func (d *FlashDevice) WriteLatency() sim.Time {
@@ -78,17 +75,11 @@ func (d *FlashDevice) WriteLatency() sim.Time {
 	return d.writeLat
 }
 
-// Persistent reports whether the device journals cache metadata.
-func (d *FlashDevice) Persistent() bool { return d.persistent }
-
 // Reads returns the number of block reads serviced.
 func (d *FlashDevice) Reads() uint64 { return d.reads }
 
 // Writes returns the number of block writes serviced.
 func (d *FlashDevice) Writes() uint64 { return d.writes }
-
-// Busy returns the total service time demanded of the device.
-func (d *FlashDevice) Busy() sim.Time { return d.busy }
 
 // Utilisation returns service time over elapsed time, capped at 1. Since
 // requests overlap, it is a demand estimate rather than a hard occupancy.
@@ -135,12 +126,6 @@ func (d *RAMDevice) Write2(fn func(any), arg any) {
 	d.writes++
 	d.eng.Schedule2(d.writeLat, fn, arg)
 }
-
-// ReadLatency returns the per-block read time.
-func (d *RAMDevice) ReadLatency() sim.Time { return d.readLat }
-
-// WriteLatency returns the per-block write time.
-func (d *RAMDevice) WriteLatency() sim.Time { return d.writeLat }
 
 // Reads returns the number of block reads serviced.
 func (d *RAMDevice) Reads() uint64 { return d.reads }

@@ -3,9 +3,10 @@ package cache
 import "fmt"
 
 // base is the bookkeeping every replacement policy embeds: the index, the
-// entry pool, the dirty list, the hit, miss and eviction counters and the capacity. A policy adds only its own resident
-// lists and the order it keeps them in. The dirty list's sentinel holds
-// self-pointers, so a policy must never be copied after initialisation.
+// entry pool, the dirty list and the capacity. A policy adds only its own
+// resident lists and the order it keeps them in. The dirty list's sentinel
+// holds self-pointers, so a policy must never be copied after
+// initialisation.
 type base struct {
 	capacity int
 	// medium is the medium admit gives a new entry; the unified cache
@@ -14,8 +15,6 @@ type base struct {
 	index   Index
 	pool    entryPool
 	dirties list
-
-	hits, misses, evictions uint64
 }
 
 func (b *base) init(capacity int, m Medium) {
@@ -41,17 +40,8 @@ func (b *base) DirtyLen() int { return b.dirties.len }
 // NeedsEviction reports whether inserting one more block requires a victim.
 func (b *base) NeedsEviction() bool { return b.index.n >= b.capacity }
 
-// Peek looks up key without promoting or counting.
+// Peek looks up key without promoting.
 func (b *base) Peek(key Key) *Entry { return b.index.entry(key) }
-
-// Hits returns the number of Get calls that found their block.
-func (b *base) Hits() uint64 { return b.hits }
-
-// Misses returns the number of Get calls that did not.
-func (b *base) Misses() uint64 { return b.misses }
-
-// Evictions returns the number of blocks removed from the cache.
-func (b *base) Evictions() uint64 { return b.evictions }
 
 // MarkDirty flags e dirty and places it on the dirty list.
 func (b *base) MarkDirty(e *Entry) {
@@ -80,18 +70,6 @@ func (b *base) AppendDirty(dst []*Entry) []*Entry {
 	return dst
 }
 
-// lookup is the shared half of every Get: it finds key's entry and counts
-// the hit or the miss, leaving promotion to the policy.
-func (b *base) lookup(key Key) *Entry {
-	e := b.index.entry(key)
-	if e == nil {
-		b.misses++
-		return nil
-	}
-	b.hits++
-	return e
-}
-
 // admit is the shared half of every TryInsert, with one probe of the
 // index. It returns key's resident entry (inserted false), or nil, false
 // when key is absent and the cache is full. Otherwise it takes a fresh
@@ -112,7 +90,7 @@ func (b *base) admit(key Key) (e *Entry, inserted bool) {
 
 // drop is the shared half of every Remove: it unindexes e, takes it off
 // the dirty list and unlinks it from l, the policy list holding it, then
-// counts the eviction and recycles the entry.
+// recycles the entry.
 // Dirty state is the caller's problem: the cache only keeps the books.
 func (b *base) drop(e *Entry, l *list) {
 	if !b.index.Delete(&e.n) {
@@ -124,7 +102,6 @@ func (b *base) drop(e *Entry, l *list) {
 		e.Dirty = false
 	}
 	l.remove(e)
-	b.evictions++
 	b.pool.put(e)
 }
 
@@ -142,7 +119,7 @@ func (b *base) checkLists(each func(e *Entry, i int) error, lists ...*list) erro
 	seen, dirty := 0, 0
 	for i, l := range lists {
 		n := 0
-		for e := l.front(); e != nil && e != &l.sentinel; e = e.next {
+		for e := l.sentinel.next; e != &l.sentinel; e = e.next {
 			if b.index.entry(e.n.key) != e {
 				return fmt.Errorf("entry %d on list but not indexed", e.n.key)
 			}

@@ -20,9 +20,6 @@ type Node struct {
 // MakeNode returns a node for key carrying ref.
 func MakeNode(key Key, ref int32) Node { return Node{key: key, Ref: ref} }
 
-// Key returns the node's key.
-func (n *Node) Key() Key { return n.key }
-
 // hashMul is 2^64 divided by the golden ratio: multiplying by it spreads
 // consecutive keys (a file's consecutive blocks) across the high bits,
 // which pick the home slot.

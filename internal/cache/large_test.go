@@ -26,12 +26,12 @@ func randomKeys(n int) []Key {
 // benchGetHitLarge fills c with largeCapacity random keys and times hits
 // in a random order.
 func benchGetHitLarge(b *testing.B, c interface {
-	Insert(Key) *Entry
+	TryInsert(Key) (*Entry, bool)
 	Get(Key) *Entry
 }) {
 	keys := randomKeys(largeCapacity)
 	for _, k := range keys {
-		c.Insert(k)
+		c.TryInsert(k)
 	}
 	order := rand.New(rand.NewSource(1)).Perm(largeCapacity)
 	b.ResetTimer()
@@ -51,7 +51,7 @@ func benchInsertEvictLarge(b *testing.B, c slabCache) {
 		if c.NeedsEviction() {
 			c.Remove(c.Victim())
 		}
-		c.Insert(keys[i&(4*largeCapacity-1)])
+		c.TryInsert(keys[i&(4*largeCapacity-1)])
 	}
 	for i := 0; i < 4*largeCapacity; i++ {
 		step(i)

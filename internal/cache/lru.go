@@ -3,8 +3,8 @@
 // tracking on a second intrusive list (so the periodic syncer can flush in
 // O(dirty)), and a two-medium unified variant for the paper's "unified"
 // architecture. Every policy, the unified cache included, embeds one
-// bookkeeping core (base.go) — index, entry pool, dirty list, counters —
-// and adds only its own lists and their order. Blocks are found through
+// bookkeeping core (base.go) — index, entry pool, dirty list — and adds
+// only its own lists and their order. Blocks are found through
 // one Index: an open-addressed, linear-probing table of pointers to the
 // entries, sized once from the cache's capacity, so a lookup is one hash
 // and usually one probe and a cache makes no allocation after
@@ -104,7 +104,7 @@ const (
 // list threads through the (otherwise nil) LRU next pointer. While a cache
 // fills, fresh entries are carved from slabs that double from
 // entrySlabMin to entrySlabMax, each clamped to the budget not yet carved.
-// The budget starts at the cache's capacity and Insert refuses a full
+// The budget starts at the cache's capacity and TryInsert refuses a full
 // cache, so a pool never holds more entries than its cache can, and the
 // carved-but-unused slack stays under one slab.
 type entryPool struct {
@@ -203,15 +203,6 @@ func (l *list) back() *Entry {
 	return *sp
 }
 
-// front returns the MRU-end entry, or nil if empty.
-func (l *list) front() *Entry {
-	_, sn := l.links(&l.sentinel)
-	if *sn == &l.sentinel {
-		return nil
-	}
-	return *sn
-}
-
 // lastUnpinned returns the unpinned entry nearest l's LRU end, or nil.
 func (l *list) lastUnpinned() *Entry {
 	for e := l.back(); e != nil && e != &l.sentinel; e = e.prev {
@@ -220,14 +211,6 @@ func (l *list) lastUnpinned() *Entry {
 		}
 	}
 	return nil
-}
-
-// appendKeys appends l's keys, MRU first, to dst and returns it.
-func (l *list) appendKeys(dst []Key) []Key {
-	for e := l.front(); e != nil && e != &l.sentinel; e = e.next {
-		dst = append(dst, e.n.key)
-	}
-	return dst
 }
 
 // LRU is a fixed-capacity single-medium LRU cache of blocks.
@@ -252,16 +235,16 @@ func (c *LRU) initLRU(capacity int, m Medium) {
 	c.lru.init(false)
 }
 
-// Get looks up key, promoting it to MRU on hit and counting the outcome.
+// Get looks up key, promoting it to MRU on hit.
 func (c *LRU) Get(key Key) *Entry {
-	e := c.lookup(key)
+	e := c.Peek(key)
 	if e != nil {
 		c.Touch(e)
 	}
 	return e
 }
 
-// Touch promotes an entry to MRU without counting a hit.
+// Touch promotes an entry to MRU.
 func (c *LRU) Touch(e *Entry) {
 	c.lru.remove(e)
 	c.lru.pushFront(e)
@@ -275,7 +258,19 @@ func (c *LRU) Victim() *Entry { return c.lru.lastUnpinned() }
 // Insert adds key at MRU. The caller must have made room: Insert panics if
 // the cache is full (use Victim/Remove first) or if key is present.
 // Zero-capacity caches ignore the insert and return nil.
-func (c *LRU) Insert(key Key) *Entry { return mustInsert(c, key, "cache") }
+func (c *LRU) Insert(key Key) *Entry {
+	if c.capacity == 0 {
+		return nil
+	}
+	e, inserted := c.TryInsert(key)
+	if !inserted {
+		if e != nil {
+			panic(fmt.Sprintf("cache: duplicate insert of key %d", key))
+		}
+		panic("cache: insert into full cache")
+	}
+	return e
+}
 
 // TryInsert returns key's entry: the resident one (inserted false), or,
 // when the cache has room, a new one at MRU (inserted true). It returns
@@ -291,9 +286,6 @@ func (c *LRU) TryInsert(key Key) (e *Entry, inserted bool) {
 // Remove evicts e from the cache. Dirty state is the caller's problem: the
 // cache only maintains the bookkeeping.
 func (c *LRU) Remove(e *Entry) { c.drop(e, &c.lru) }
-
-// Keys appends all resident keys, MRU first, to dst and returns it.
-func (c *LRU) Keys(dst []Key) []Key { return c.lru.appendKeys(dst) }
 
 // CheckInvariants verifies internal consistency; tests call this after
 // random operation sequences.

@@ -18,7 +18,6 @@ type BlockCache interface {
 
 	NeedsEviction() bool
 	Victim() *Entry
-	Insert(key Key) *Entry
 	TryInsert(key Key) (e *Entry, inserted bool)
 	Remove(e *Entry)
 
@@ -26,31 +25,7 @@ type BlockCache interface {
 	MarkClean(e *Entry)
 	AppendDirty(dst []*Entry) []*Entry
 
-	Keys(dst []Key) []Key
-	Hits() uint64
-	Misses() uint64
-	Evictions() uint64
 	CheckInvariants() error
-}
-
-// mustInsert is every policy's Insert, on top of its TryInsert: a
-// zero-capacity cache ignores the insert, and a duplicate key or a full
-// cache (what names the policy) is the caller's bug.
-func mustInsert(c interface {
-	Capacity() int
-	TryInsert(Key) (*Entry, bool)
-}, key Key, what string) *Entry {
-	if c.Capacity() == 0 {
-		return nil
-	}
-	e, inserted := c.TryInsert(key)
-	if !inserted {
-		if e != nil {
-			panic(fmt.Sprintf("cache: duplicate insert of key %d", key))
-		}
-		panic("cache: insert into full " + what)
-	}
-	return e
 }
 
 // Statically verify the implementations.
@@ -142,7 +117,7 @@ func NewFIFO(capacity int, m Medium) *FIFO {
 }
 
 // Get looks up key without promoting.
-func (f *FIFO) Get(key Key) *Entry { return f.lookup(key) }
+func (f *FIFO) Get(key Key) *Entry { return f.Peek(key) }
 
 // Touch is a no-op: FIFO order is insertion order.
 func (f *FIFO) Touch(e *Entry) {}
@@ -163,7 +138,7 @@ func NewClock(capacity int, m Medium) *Clock {
 
 // Get looks up key and sets its referenced bit.
 func (c *Clock) Get(key Key) *Entry {
-	e := c.lookup(key)
+	e := c.Peek(key)
 	if e != nil {
 		e.Referenced = true
 	}

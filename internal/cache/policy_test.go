@@ -39,14 +39,14 @@ func TestFIFOIgnoresRecency(t *testing.T) {
 	f.Insert(1)
 	f.Insert(2)
 	f.Insert(3)
-	f.Get(1) // would save 1 under LRU
-	f.Get(1)
+	for i := 0; i < 2; i++ { // would save 1 under LRU
+		if f.Get(1) == nil {
+			t.Fatal("FIFO missed a resident block")
+		}
+	}
 	v := f.Victim()
 	if v.Key() != 1 {
 		t.Fatalf("FIFO victim = %d, want 1 (insertion order)", v.Key())
-	}
-	if f.Hits() != 2 {
-		t.Fatalf("hits = %d", f.Hits())
 	}
 }
 
@@ -102,17 +102,17 @@ func TestClockPinnedRotation(t *testing.T) {
 
 func TestSLRUPromotion(t *testing.T) {
 	s := NewSLRU(4, Flash) // protected cap 2
-	s.Insert(1)
-	s.Insert(2)
-	s.Insert(3)
-	s.Insert(4)
-	if s.ProtectedLen() != 0 {
+	mustInsert(t, s, 1)
+	mustInsert(t, s, 2)
+	mustInsert(t, s, 3)
+	mustInsert(t, s, 4)
+	if s.protected.len != 0 {
 		t.Fatal("inserts should land in probation")
 	}
 	s.Get(1)
 	s.Get(2)
-	if s.ProtectedLen() != 2 {
-		t.Fatalf("protected len = %d, want 2", s.ProtectedLen())
+	if s.protected.len != 2 {
+		t.Fatalf("protected len = %d, want 2", s.protected.len)
 	}
 	// Victim comes from probation: 3 is its LRU end.
 	if v := s.Victim(); v.Key() != 3 {
@@ -126,13 +126,13 @@ func TestSLRUPromotion(t *testing.T) {
 func TestSLRUProtectedQuotaDemotion(t *testing.T) {
 	s := NewSLRU(4, Flash) // protected cap 2
 	for k := Key(1); k <= 4; k++ {
-		s.Insert(k)
+		mustInsert(t, s, k)
 	}
 	s.Get(1)
 	s.Get(2)
 	s.Get(3) // promoting 3 must demote 1 (protected LRU) to probation
-	if s.ProtectedLen() != 2 {
-		t.Fatalf("protected len = %d, want 2", s.ProtectedLen())
+	if s.protected.len != 2 {
+		t.Fatalf("protected len = %d, want 2", s.protected.len)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -148,14 +148,14 @@ func TestSLRUScanResistance(t *testing.T) {
 	// would flush plain LRU.
 	s := NewSLRU(8, Flash)
 	for k := Key(1); k <= 4; k++ {
-		s.Insert(k)
+		mustInsert(t, s, k)
 		s.Get(k) // promote to protected
 	}
 	for k := Key(100); k < 120; k++ {
 		for s.NeedsEviction() {
 			s.Remove(s.Victim())
 		}
-		s.Insert(k)
+		mustInsert(t, s, k)
 	}
 	survivors := 0
 	for k := Key(1); k <= 4; k++ {
@@ -170,9 +170,9 @@ func TestSLRUScanResistance(t *testing.T) {
 
 func TestSLRUVictimFallsBackToProtected(t *testing.T) {
 	s := NewSLRU(2, Flash) // protected cap 1
-	s.Insert(1)
+	mustInsert(t, s, 1)
 	s.Get(1) // protected
-	s.Insert(2)
+	mustInsert(t, s, 2)
 	e2 := s.Peek(2)
 	e2.Pinned = true
 	v := s.Victim()
@@ -183,12 +183,12 @@ func TestSLRUVictimFallsBackToProtected(t *testing.T) {
 
 func TestTwoQFirstTouchGoesToA1in(t *testing.T) {
 	q := NewTwoQ(8, Flash) // a1in cap 2, ghost cap 4
-	q.Insert(1)
-	if q.A1inLen() != 1 {
+	mustInsert(t, q, 1)
+	if q.a1in.len != 1 {
 		t.Fatal("first touch not in A1in")
 	}
 	q.Get(1) // correlated reference: stays in A1in
-	if q.A1inLen() != 1 {
+	if q.a1in.len != 1 {
 		t.Fatal("A1in hit should not migrate")
 	}
 	if err := q.CheckInvariants(); err != nil {
@@ -198,17 +198,17 @@ func TestTwoQFirstTouchGoesToA1in(t *testing.T) {
 
 func TestTwoQGhostPromotion(t *testing.T) {
 	q := NewTwoQ(8, Flash)
-	q.Insert(1)
+	mustInsert(t, q, 1)
 	e := q.Peek(1)
 	q.Remove(e) // A1in eviction -> ghost
-	if q.GhostLen() != 1 {
+	if q.ghost.len != 1 {
 		t.Fatal("eviction not remembered in ghost queue")
 	}
-	q.Insert(1) // remembered: goes to Am
-	if q.A1inLen() != 0 {
+	mustInsert(t, q, 1) // remembered: goes to Am
+	if q.a1in.len != 0 {
 		t.Fatal("ghosted reinsert went to A1in")
 	}
-	if q.GhostLen() != 0 {
+	if q.ghost.len != 0 {
 		t.Fatal("ghost entry not consumed")
 	}
 	if err := q.CheckInvariants(); err != nil {
@@ -220,16 +220,16 @@ func TestTwoQScanResistance(t *testing.T) {
 	q := NewTwoQ(8, Flash)
 	// Build a hot set in Am via ghost promotion.
 	for k := Key(1); k <= 4; k++ {
-		q.Insert(k)
+		mustInsert(t, q, k)
 		q.Remove(q.Peek(k))
-		q.Insert(k) // now in Am
+		mustInsert(t, q, k) // now in Am
 	}
 	// One-shot scan of 40 cold blocks.
 	for k := Key(100); k < 140; k++ {
 		for q.NeedsEviction() {
 			q.Remove(q.Victim())
 		}
-		q.Insert(k)
+		mustInsert(t, q, k)
 		if err := q.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
@@ -251,10 +251,10 @@ func TestTwoQGhostCapBounded(t *testing.T) {
 		if q.NeedsEviction() {
 			q.Remove(q.Victim())
 		}
-		q.Insert(k)
+		mustInsert(t, q, k)
 	}
-	if q.GhostLen() > 4 {
-		t.Fatalf("ghost %d over cap", q.GhostLen())
+	if q.ghost.len > 4 {
+		t.Fatalf("ghost %d over cap", q.ghost.len)
 	}
 	if err := q.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -288,7 +288,7 @@ func TestAllPoliciesRandomOps(t *testing.T) {
 							c.Remove(v)
 						}
 						if !c.NeedsEviction() {
-							c.Insert(k)
+							mustInsert(t, c, k)
 						}
 					}
 				case 2:
@@ -320,9 +320,6 @@ func TestAllPoliciesRandomOps(t *testing.T) {
 			if len(dirty) != c.DirtyLen() {
 				t.Fatalf("AppendDirty %d != DirtyLen %d", len(dirty), c.DirtyLen())
 			}
-			if got := len(c.Keys(nil)); got != c.Len() {
-				t.Fatalf("Keys %d != Len %d", got, c.Len())
-			}
 		})
 	}
 }
@@ -336,10 +333,14 @@ func TestPolicyHitRateOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := rng.New(42)
-		z := rng.NewZipf(r, 512, 1.1)
-		for i := 0; i < 50000; i++ {
-			k := Key(z.Next())
+		const reads = 50000
+		hits := 0
+		for i := 0; i < reads; i++ {
+			// Low keys are hot: key j has probability (H(512)-H(j))/512,
+			// about ln(512/j)/512.
+			k := Key(r.Intn(1 + r.Intn(512)))
 			if c.Get(k) != nil {
+				hits++
 				continue
 			}
 			for c.NeedsEviction() {
@@ -350,10 +351,10 @@ func TestPolicyHitRateOrdering(t *testing.T) {
 				c.Remove(v)
 			}
 			if !c.NeedsEviction() {
-				c.Insert(k)
+				mustInsert(t, c, k)
 			}
 		}
-		return float64(c.Hits()) / float64(c.Hits()+c.Misses())
+		return float64(hits) / reads
 	}
 	lru := hitRate(ReplaceLRU)
 	fifo := hitRate(ReplaceFIFO)

@@ -9,10 +9,20 @@ type slabCache interface {
 	Len() int
 	NeedsEviction() bool
 	Victim() *Entry
-	Insert(key Key) *Entry
 	TryInsert(key Key) (*Entry, bool)
 	Remove(e *Entry)
 	CheckInvariants() error
+}
+
+// mustInsert adds key through TryInsert and fails the test unless key was
+// absent and c had room.
+func mustInsert(t testing.TB, c interface{ TryInsert(Key) (*Entry, bool) }, key Key) *Entry {
+	t.Helper()
+	e, inserted := c.TryInsert(key)
+	if !inserted {
+		t.Fatalf("TryInsert(%d) did not insert", key)
+	}
+	return e
 }
 
 // slabsToFill is the number of slabs a pool carves to fill capacity
@@ -45,9 +55,9 @@ func TestEntrySlabsBoundedByCapacity(t *testing.T) {
 		{"2q", func(n int) (slabCache, *entryPool) { c := NewTwoQ(n, Flash); return c, &c.pool }},
 		{"unified", func(n int) (slabCache, *entryPool) { c := NewUnified(n/4, n-n/4); return c, &c.pool }},
 	}
-	fill := func(c slabCache, from Key) {
+	fill := func(t *testing.T, c slabCache, from Key) {
 		for k := from; c.Len() < c.Capacity(); k++ {
-			c.Insert(k)
+			mustInsert(t, c, k)
 		}
 	}
 	for _, tc := range cases {
@@ -61,7 +71,7 @@ func TestEntrySlabsBoundedByCapacity(t *testing.T) {
 				}
 			}
 
-			fill(c, 0)
+			fill(t, c, 0)
 			check("fill")
 			if carved() != capacity {
 				t.Fatalf("fill carved %d entries, want %d", carved(), capacity)
@@ -71,7 +81,7 @@ func TestEntrySlabsBoundedByCapacity(t *testing.T) {
 				if c.NeedsEviction() {
 					c.Remove(c.Victim())
 				}
-				c.Insert(k)
+				mustInsert(t, c, k)
 			}
 			check("churn")
 
@@ -82,7 +92,7 @@ func TestEntrySlabsBoundedByCapacity(t *testing.T) {
 				c.Remove(e)
 			}
 			check("empty")
-			fill(c, 10*capacity)
+			fill(t, c, 10*capacity)
 			check("refill")
 			for e, g := range gens {
 				if e.Gen() <= g {
@@ -97,7 +107,7 @@ func TestEntrySlabsBoundedByCapacity(t *testing.T) {
 				build := testing.AllocsPerRun(20, func() { tc.make(n) })
 				built := testing.AllocsPerRun(20, func() {
 					c, _ := tc.make(n)
-					fill(c, 0)
+					fill(t, c, 0)
 				})
 				slabs := float64(slabsToFill(n))
 				if got := built - build; got > slabs {
@@ -108,7 +118,7 @@ func TestEntrySlabsBoundedByCapacity(t *testing.T) {
 			// capped slab at every step of a large fill.
 			big, bigPool := tc.make(5000)
 			for k := Key(0); big.Len() < big.Capacity(); k++ {
-				big.Insert(k)
+				mustInsert(t, big, k)
 				if len(bigPool.slab) >= entrySlabMax {
 					t.Fatalf("%d entries carved ahead of use at %d resident", len(bigPool.slab), big.Len())
 				}
@@ -165,8 +175,8 @@ func TestFullCacheChurnAllocationFree(t *testing.T) {
 		for i := 0; i < 8*capacity; i++ {
 			step()
 		}
-		if q, ok := c.(*TwoQ); ok && (q.GhostLen() == 0 || q.am.len == 0) {
-			t.Fatalf("2q: ghost %d, Am %d: the churn does not exercise the ghost queue", q.GhostLen(), q.am.len)
+		if q, ok := c.(*TwoQ); ok && (q.ghost.len == 0 || q.am.len == 0) {
+			t.Fatalf("2q: ghost %d, Am %d: the churn does not exercise the ghost queue", q.ghost.len, q.am.len)
 		}
 		allocs := testing.AllocsPerRun(1, func() {
 			for i := 0; i < 20*capacity; i++ {

@@ -29,19 +29,16 @@ func NewSLRU(capacity int, m Medium) *SLRU {
 	return s
 }
 
-// ProtectedLen reports the protected segment's population (for tests).
-func (s *SLRU) ProtectedLen() int { return s.protected.len }
-
 // Get looks up key, promoting probation hits into the protected segment.
 func (s *SLRU) Get(key Key) *Entry {
-	e := s.lookup(key)
+	e := s.Peek(key)
 	if e != nil {
 		s.promote(e)
 	}
 	return e
 }
 
-// Touch promotes without counting a hit.
+// Touch promotes e as a hit would.
 func (s *SLRU) Touch(e *Entry) { s.promote(e) }
 
 func (s *SLRU) promote(e *Entry) {
@@ -77,10 +74,8 @@ func (s *SLRU) Victim() *Entry {
 	return s.protected.lastUnpinned()
 }
 
-// Insert adds key to the probationary segment's MRU end.
-func (s *SLRU) Insert(key Key) *Entry { return mustInsert(s, key, "SLRU") }
-
-// TryInsert implements BlockCache, inserting into probation.
+// TryInsert implements BlockCache, inserting at the probationary
+// segment's MRU end.
 func (s *SLRU) TryInsert(key Key) (e *Entry, inserted bool) {
 	if e, inserted = s.admit(key); inserted {
 		e.seg = segProbation
@@ -96,11 +91,6 @@ func (s *SLRU) Remove(e *Entry) {
 	} else {
 		s.drop(e, &s.probation)
 	}
-}
-
-// Keys implements BlockCache: protected MRU first, then probation.
-func (s *SLRU) Keys(dst []Key) []Key {
-	return s.probation.appendKeys(s.protected.appendKeys(dst))
 }
 
 // CheckInvariants implements BlockCache.

@@ -44,17 +44,10 @@ func NewTwoQ(capacity int, m Medium) *TwoQ {
 	return q
 }
 
-// A1inLen reports A1in's population (for tests).
-func (q *TwoQ) A1inLen() int { return q.a1in.len }
-
-// GhostLen reports how many evicted keys the ghost queue remembers (for
-// tests).
-func (q *TwoQ) GhostLen() int { return q.ghost.len }
-
 // Get looks up key. Hits in Am promote to MRU; hits in A1in stay put (2Q
 // deliberately ignores correlated references inside A1in).
 func (q *TwoQ) Get(key Key) *Entry {
-	e := q.lookup(key)
+	e := q.Peek(key)
 	if e != nil {
 		q.Touch(e)
 	}
@@ -82,10 +75,8 @@ func (q *TwoQ) Victim() *Entry {
 	return second.lastUnpinned()
 }
 
-// Insert adds key: to Am if the ghost queue remembers it, else to A1in.
-func (q *TwoQ) Insert(key Key) *Entry { return mustInsert(q, key, "2Q") }
-
-// TryInsert implements BlockCache, inserting as Insert describes.
+// TryInsert implements BlockCache, inserting key into Am if the ghost
+// queue remembers it, else into A1in.
 func (q *TwoQ) TryInsert(key Key) (e *Entry, inserted bool) {
 	if e, inserted = q.admit(key); !inserted {
 		return e, false
@@ -135,11 +126,6 @@ func (q *TwoQ) ghostRemove(g *Entry) {
 	q.ghostPool.put(g)
 }
 
-// Keys implements BlockCache: Am MRU first, then A1in.
-func (q *TwoQ) Keys(dst []Key) []Key {
-	return q.a1in.appendKeys(q.am.appendKeys(dst))
-}
-
 // CheckInvariants implements BlockCache.
 func (q *TwoQ) CheckInvariants() error {
 	segs := [...]uint8{segA1in, segAm}
@@ -156,7 +142,7 @@ func (q *TwoQ) CheckInvariants() error {
 		return err
 	}
 	gs := 0
-	for g := q.ghost.front(); g != nil && g != &q.ghost.sentinel; g = g.next {
+	for g := q.ghost.sentinel.next; g != &q.ghost.sentinel; g = g.next {
 		if q.ghostIndex.entry(g.n.key) != g {
 			return fmt.Errorf("ghost %d not indexed", g.n.key)
 		}

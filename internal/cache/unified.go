@@ -11,9 +11,8 @@ type Unified struct {
 	base
 	lru list
 
-	ramBufs, flashBufs int // total buffers per medium
-	residentRAM        int // resident entries backed by RAM
-	hitsRAM            uint64
+	ramBufs, flashBufs int  // total buffers per medium
+	residentRAM        int  // resident entries backed by RAM
 	allocFlipFlop      bool // tie-breaker for free-buffer allocation
 }
 
@@ -28,22 +27,11 @@ func NewUnified(ramBufs, flashBufs int) *Unified {
 	return u
 }
 
-// ResidentRAM returns how many resident blocks live in RAM buffers.
-func (u *Unified) ResidentRAM() int { return u.residentRAM }
-
-// HitsByMedium splits Hits by the medium of the buffer hit.
-func (u *Unified) HitsByMedium() (ram, flash uint64) {
-	return u.hitsRAM, u.hits - u.hitsRAM
-}
-
-// Get looks up key, promoting to MRU and counting the outcome.
+// Get looks up key, promoting it to MRU on hit.
 func (u *Unified) Get(key Key) *Entry {
-	e := u.lookup(key)
+	e := u.Peek(key)
 	if e == nil {
 		return nil
-	}
-	if e.medium == RAM {
-		u.hitsRAM++
 	}
 	u.lru.remove(e)
 	u.lru.pushFront(e)
@@ -53,17 +41,14 @@ func (u *Unified) Get(key Key) *Entry {
 // Victim returns the least recently used unpinned entry, or nil.
 func (u *Unified) Victim() *Entry { return u.lru.lastUnpinned() }
 
-// Insert adds key at MRU, choosing the buffer medium. While free buffers
-// remain, allocation draws from whichever pool has proportionally more free
-// buffers (alternating on ties) so the initial mix matches the configured
-// ratio without preferring RAM. Once full, callers must first Remove a
-// victim obtained from Victim; the freed buffer's medium is then inherited,
-// which is exactly "placed into the least recently used buffer".
-func (u *Unified) Insert(key Key) *Entry { return mustInsert(u, key, "unified cache") }
-
 // TryInsert returns key's entry: the resident one (inserted false), or,
-// while a buffer is free, a new one placed as Insert places it (inserted
-// true). It returns nil, false when key is absent and no buffer is free.
+// while a buffer is free, a new one at MRU (inserted true). It returns
+// nil, false when key is absent and no buffer is free. A new entry takes
+// its medium from whichever pool has proportionally more free buffers
+// (alternating on ties), so the initial mix matches the configured ratio
+// without preferring RAM. Once full, callers must first Remove a victim
+// obtained from Victim; the freed buffer's medium is then inherited, which
+// is exactly "placed into the least recently used buffer".
 func (u *Unified) TryInsert(key Key) (e *Entry, inserted bool) {
 	if e, inserted = u.admit(key); !inserted {
 		return e, false

@@ -6,12 +6,12 @@ import (
 	"repro/internal/rng"
 )
 
-func fillUnified(u *Unified, n int) {
+func fillUnified(t testing.TB, u *Unified, n int) {
 	for k := Key(0); k < Key(n); k++ {
 		if u.NeedsEviction() {
 			u.Remove(u.Victim())
 		}
-		u.Insert(k)
+		mustInsert(t, u, k)
 	}
 }
 
@@ -19,12 +19,12 @@ func TestUnifiedAllocationMix(t *testing.T) {
 	// 8 RAM + 64 flash buffers: after filling, the resident RAM fraction
 	// must be exactly 8/72 because every buffer gets used.
 	u := NewUnified(8, 64)
-	fillUnified(u, 72)
+	fillUnified(t, u, 72)
 	if u.Len() != 72 {
 		t.Fatalf("len = %d", u.Len())
 	}
-	if u.ResidentRAM() != 8 {
-		t.Fatalf("residentRAM = %d, want 8", u.ResidentRAM())
+	if u.residentRAM != 8 {
+		t.Fatalf("residentRAM = %d, want 8", u.residentRAM)
 	}
 	if err := u.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -35,19 +35,19 @@ func TestUnifiedProportionalFill(t *testing.T) {
 	// While filling, the mix should roughly track the configured ratio
 	// rather than exhausting one pool first.
 	u := NewUnified(10, 90)
-	fillUnified(u, 50)
-	if u.ResidentRAM() < 3 || u.ResidentRAM() > 7 {
-		t.Fatalf("after half fill residentRAM = %d, want ~5", u.ResidentRAM())
+	fillUnified(t, u, 50)
+	if u.residentRAM < 3 || u.residentRAM > 7 {
+		t.Fatalf("after half fill residentRAM = %d, want ~5", u.residentRAM)
 	}
 }
 
 func TestUnifiedVictimMediumInherited(t *testing.T) {
 	u := NewUnified(1, 1)
-	fillUnified(u, 2)
+	fillUnified(t, u, 2)
 	v := u.Victim()
 	vm := v.Medium()
 	u.Remove(v)
-	e := u.Insert(100)
+	e := mustInsert(t, u, 100)
 	if e.Medium() != vm {
 		t.Fatalf("new entry medium %v, want inherited %v", e.Medium(), vm)
 	}
@@ -55,7 +55,7 @@ func TestUnifiedVictimMediumInherited(t *testing.T) {
 
 func TestUnifiedNoMigration(t *testing.T) {
 	u := NewUnified(2, 2)
-	fillUnified(u, 4)
+	fillUnified(t, u, 4)
 	for k := Key(0); k < 4; k++ {
 		before := u.Peek(k).Medium()
 		u.Get(k) // promote
@@ -67,23 +67,25 @@ func TestUnifiedNoMigration(t *testing.T) {
 
 func TestUnifiedHitsByMedium(t *testing.T) {
 	u := NewUnified(1, 1)
-	fillUnified(u, 2)
+	fillUnified(t, u, 2)
 	var ramKey, flashKey Key = 0, 1
 	if u.Peek(0).Medium() != RAM {
 		ramKey, flashKey = 1, 0
 	}
-	u.Get(ramKey)
-	u.Get(flashKey)
-	u.Get(flashKey)
-	ram, flash := u.HitsByMedium()
-	if ram != 1 || flash != 2 {
-		t.Fatalf("hits by medium = %d/%d, want 1/2", ram, flash)
+	// A hit reports the medium of the buffer it hit, which is how the
+	// host splits unified hits between RAM and flash.
+	hits := map[Medium]int{}
+	for _, k := range []Key{ramKey, flashKey, flashKey} {
+		hits[u.Get(k).Medium()]++
+	}
+	if hits[RAM] != 1 || hits[Flash] != 2 {
+		t.Fatalf("hits by medium = %d/%d, want 1/2", hits[RAM], hits[Flash])
 	}
 }
 
 func TestUnifiedDirty(t *testing.T) {
 	u := NewUnified(2, 2)
-	e := u.Insert(1)
+	e := mustInsert(t, u, 1)
 	u.MarkDirty(e)
 	if u.DirtyLen() != 1 {
 		t.Fatal("dirty len wrong")
@@ -106,7 +108,7 @@ func TestUnifiedAppendDirtyOldestFirst(t *testing.T) {
 	u := NewUnified(4, 4)
 	var order []Key
 	for k := Key(0); k < 4; k++ {
-		e := u.Insert(k)
+		e := mustInsert(t, u, k)
 		u.MarkDirty(e)
 		order = append(order, k)
 	}
@@ -120,7 +122,7 @@ func TestUnifiedAppendDirtyOldestFirst(t *testing.T) {
 
 func TestUnifiedEvictionLRUOrder(t *testing.T) {
 	u := NewUnified(1, 2)
-	fillUnified(u, 3)
+	fillUnified(t, u, 3)
 	u.Get(0)
 	v := u.Victim()
 	if v.Key() != 1 {
@@ -130,8 +132,8 @@ func TestUnifiedEvictionLRUOrder(t *testing.T) {
 
 func TestUnifiedPinnedSkipped(t *testing.T) {
 	u := NewUnified(1, 1)
-	e0 := u.Insert(0)
-	u.Insert(1)
+	e0 := mustInsert(t, u, 0)
+	mustInsert(t, u, 1)
 	e0.Pinned = true
 	u.Get(1) // 0 would be LRU but is pinned... promote 1 so 0 is LRU
 	if v := u.Victim(); v == nil || v.Key() != 1 {
@@ -158,7 +160,7 @@ func TestUnifiedBufferConservation(t *testing.T) {
 		if u.NeedsEviction() {
 			u.Remove(u.Victim())
 		}
-		u.Insert(k)
+		mustInsert(t, u, k)
 		if i%500 == 0 {
 			if err := u.CheckInvariants(); err != nil {
 				t.Fatalf("step %d: %v", i, err)
@@ -172,8 +174,8 @@ func TestUnifiedBufferConservation(t *testing.T) {
 
 func TestUnifiedZeroRAM(t *testing.T) {
 	u := NewUnified(0, 4)
-	fillUnified(u, 4)
-	if u.ResidentRAM() != 0 {
+	fillUnified(t, u, 4)
+	if u.residentRAM != 0 {
 		t.Fatal("resident RAM in zero-RAM cache")
 	}
 	for k := Key(0); k < 4; k++ {
@@ -183,31 +185,28 @@ func TestUnifiedZeroRAM(t *testing.T) {
 	}
 }
 
-func TestUnifiedDuplicateInsertPanics(t *testing.T) {
+func TestUnifiedTryInsertDuplicate(t *testing.T) {
 	u := NewUnified(1, 1)
-	u.Insert(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate insert did not panic")
-		}
-	}()
-	u.Insert(1)
+	e1 := mustInsert(t, u, 1)
+	if e, inserted := u.TryInsert(1); e != e1 || inserted {
+		t.Fatalf("duplicate TryInsert = %p, %v; want the resident %p, false", e, inserted, e1)
+	}
+	if u.Len() != 1 {
+		t.Fatalf("len = %d after a duplicate TryInsert, want 1", u.Len())
+	}
 }
 
-func TestUnifiedInsertFullPanics(t *testing.T) {
+func TestUnifiedTryInsertFull(t *testing.T) {
 	u := NewUnified(1, 0)
-	u.Insert(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("insert into full unified did not panic")
-		}
-	}()
-	u.Insert(2)
+	mustInsert(t, u, 1)
+	if e, inserted := u.TryInsert(2); e != nil || inserted {
+		t.Fatalf("TryInsert into a full unified cache = %p, %v; want nil, false", e, inserted)
+	}
 }
 
 func BenchmarkUnifiedGetHit(b *testing.B) {
 	u := NewUnified(128, 896)
-	fillUnified(u, 1024)
+	fillUnified(b, u, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u.Get(Key(i & 1023))

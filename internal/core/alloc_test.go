@@ -131,7 +131,7 @@ func TestDriverHeldOpAllocationFree(t *testing.T) {
 		completeOne()
 		// With an endless source the pump only stops by holding an op at
 		// a full queue; the completion's kick may then start one more.
-		if d.QueuedOps() < window-1 {
+		if d.queuedOps < window-1 {
 			notHeld++
 		}
 	})

@@ -477,9 +477,6 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 	return c, nil
 }
 
-// Shards returns the number of engine partitions.
-func (c *Cluster) Shards() int { return len(c.shards) }
-
 // Hosts returns the hosts in ID order.
 func (c *Cluster) Hosts() []*Host { return c.hosts }
 

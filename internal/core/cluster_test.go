@@ -97,8 +97,8 @@ func TestClusterSingleShardMatchesMulti(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewCluster(shards=%d): %v", shards, err)
 		}
-		if got := c.Shards(); got != shards {
-			t.Fatalf("Shards() = %d, want %d", got, shards)
+		if got := len(c.shards); got != shards {
+			t.Fatalf("%d shards, want %d", got, shards)
 		}
 		runTestCluster(c)
 		snap := snapshotCluster(c)
@@ -217,7 +217,7 @@ func TestClusterSpecValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Shards(); got != 2 {
-		t.Errorf("Shards() = %d, want 2", got)
+	if got := len(c.shards); got != 2 {
+		t.Errorf("%d shards, want 2", got)
 	}
 }

@@ -179,9 +179,6 @@ func (d *Driver) OpsCompleted() uint64 { return d.opsCompleted }
 // BlocksIssued returns the number of block accesses issued.
 func (d *Driver) BlocksIssued() uint64 { return d.blocksIssued }
 
-// Collecting reports whether warmup has ended.
-func (d *Driver) Collecting() bool { return d.collecting }
-
 // hostFor returns the host for a trace op, clamping out-of-range host IDs
 // (a trace recorded on more hosts than configured wraps around).
 func (d *Driver) hostFor(op trace.Op) *Host {
@@ -314,9 +311,6 @@ func (d *Driver) done() bool {
 // OpsInFlight returns the number of trace ops currently executing; it is
 // the scenario telemetry probe's queue-depth signal.
 func (d *Driver) OpsInFlight() int { return d.opsInFlight }
-
-// QueuedOps returns the number of ops waiting in thread queues.
-func (d *Driver) QueuedOps() int { return d.queuedOps }
 
 // BlocksConsumed returns the number of blocks taken from the trace source.
 func (d *Driver) BlocksConsumed() int64 { return d.consumed }

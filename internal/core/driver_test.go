@@ -66,7 +66,7 @@ func TestDriverWarmupGating(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Run()
-	if !d.Collecting() {
+	if !d.collecting {
 		t.Fatal("never started collecting")
 	}
 	st := hosts[0].Stats()

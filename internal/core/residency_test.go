@@ -50,10 +50,19 @@ func checkHolderSuperset(t *testing.T, c *Cluster) (highWord int) {
 		if n, err := hs.index.Check(); err != nil || n != len(hs.nodes) {
 			t.Fatalf("shard %d: index holds %d keys, %d slots (%v)", s, n, len(hs.nodes), err)
 		}
-		for slot := range hs.nodes {
-			if nd := hs.index.Get(hs.nodes[slot].Key()); nd != &hs.nodes[slot] || nd.Ref != int32(slot) {
-				t.Fatalf("shard %d key %d: slot %d not indexed", s, hs.nodes[slot].Key(), slot)
+		// An op starts below block 96 and spans up to three blocks.
+		indexed := 0
+		for b := uint32(0); b < 96+2; b++ {
+			key := trace.BlockKey(1, b)
+			if nd := hs.index.Get(cache.Key(key)); nd != nil {
+				if nd.Ref < 0 || int(nd.Ref) >= len(hs.nodes) || nd != &hs.nodes[nd.Ref] {
+					t.Fatalf("shard %d key %d: indexed node is not slot %d", s, key, nd.Ref)
+				}
+				indexed++
 			}
+		}
+		if indexed != len(hs.nodes) {
+			t.Fatalf("shard %d: %d of %d slots indexed under a working-set key", s, indexed, len(hs.nodes))
 		}
 		for b := 0; b < 96; b++ {
 			key := sharedWSKey(b)

@@ -9,6 +9,9 @@ import (
 	"repro/internal/sim"
 )
 
+// tierKeys bounds every key TestTierInvariantsAcrossFaultHooks touches.
+const tierKeys = 8 + 256
+
 // checkTiers asserts the cross-tier invariants every architecture keeps at
 // a quiescent instant: each tier's own books balance, a naive host's clean
 // RAM blocks are backed by flash (RAM ⊆ flash), and a lookaside flash
@@ -25,8 +28,8 @@ func checkTiers(t *testing.T, h *Host, step string) {
 	}
 	switch h.cfg.Arch {
 	case Naive:
-		for _, k := range h.ram.Keys(nil) {
-			if !h.ram.Peek(k).Dirty && h.flash.Peek(k) == nil {
+		for k := cache.Key(0); k < tierKeys; k++ {
+			if e := h.ram.Peek(k); e != nil && !e.Dirty && h.flash.Peek(k) == nil {
 				t.Errorf("%s: clean RAM block %d has no flash copy", step, k)
 			}
 		}

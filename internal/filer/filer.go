@@ -320,15 +320,6 @@ func NewPartitioned(eng *sim.Engine, rnd *rng.RNG, cfg Config) (*Filer, error) {
 // Partitions returns the number of backend partitions.
 func (f *Filer) Partitions() int { return len(f.parts) }
 
-// Replicas returns the replica group size of every partition.
-func (f *Filer) Replicas() int { return f.cfg.Replicas }
-
-// WriteQuorum returns the configured write quorum.
-func (f *Filer) WriteQuorum() int { return f.cfg.WriteQuorum }
-
-// LiveReplicas returns how many of a partition's replicas are serving.
-func (f *Filer) LiveReplicas(part int) int { return f.parts[part].live }
-
 // Route maps a block key to its one backend partition: a SplitMix64-style
 // finalizer over the key, reduced mod the partition count. The hash is a
 // pure function of (key, partition count) — stable across runs, instances
@@ -584,9 +575,6 @@ func (f *Filer) ObserveBarrierQueue(part, depth int) {
 	p.queueObs++
 }
 
-// PrefetchRate returns the configured fast-read rate.
-func (f *Filer) PrefetchRate() float64 { return f.cfg.PrefetchRate }
-
 // FastReads reports fast-path reads summed over partitions.
 func (f *Filer) FastReads() uint64 { return f.sum(func(p *partition) uint64 { return p.fastReads }) }
 
@@ -607,18 +595,6 @@ func (f *Filer) Writes() uint64 { return f.sum(func(p *partition) uint64 { retur
 // tier, summed over partitions.
 func (f *Filer) ObjectWrites() uint64 {
 	return f.sum(func(p *partition) uint64 { return p.objectWrites })
-}
-
-// DegradedReads reports reads served while a group was below full
-// strength, summed over partitions (see PartitionStats).
-func (f *Filer) DegradedReads() uint64 {
-	return f.sum(func(p *partition) uint64 { return p.degradedReads })
-}
-
-// DegradedWrites reports writes acknowledged by fewer live replicas than
-// the quorum, summed over partitions (see PartitionStats).
-func (f *Filer) DegradedWrites() uint64 {
-	return f.sum(func(p *partition) uint64 { return p.degradedWrites })
 }
 
 func (f *Filer) sum(get func(*partition) uint64) uint64 {
@@ -660,13 +636,6 @@ func (f *Filer) PartitionStats(part int) PartitionStats {
 		}
 	}
 	return st
-}
-
-// MeanReadLatency returns the expected block-tier read service time given
-// the configured rates — useful for analytic cross-checks in tests.
-func (f *Filer) MeanReadLatency() sim.Time {
-	mean := f.cfg.PrefetchRate*float64(f.cfg.FastRead) + (1-f.cfg.PrefetchRate)*float64(f.cfg.SlowRead)
-	return sim.Time(math.Round(mean))
 }
 
 // Read2 services a one-block read: fn is a static func(any) run with arg

@@ -118,15 +118,19 @@ func TestPrefetchRateExtremes(t *testing.T) {
 	}
 }
 
+// TestMeanReadLatency: reads average the prefetch-weighted mix of the fast
+// and slow latencies, 0.9*100 + 0.1*1000 = 190, within a few standard
+// errors (one read's deviation is 270).
 func TestMeanReadLatency(t *testing.T) {
 	var e sim.Engine
 	f := newFiler(t, &e, 6, Config{Partitions: 1, FastRead: 100, SlowRead: 1000, Write: 50, PrefetchRate: 0.9})
-	want := sim.Time(0.9*100 + 0.1*1000)
-	if got := f.MeanReadLatency(); got != want {
-		t.Fatalf("mean read latency %v, want %v", got, want)
+	const n = 10000
+	var sum sim.Time
+	for i := 0; i < n; i++ {
+		sum += readLatency(f, uint64(i))
 	}
-	if f.PrefetchRate() != 0.9 {
-		t.Fatal("prefetch rate accessor wrong")
+	if mean := float64(sum) / n; mean < 175 || mean > 205 {
+		t.Fatalf("mean read latency %.1f, want 190", mean)
 	}
 }
 

@@ -225,8 +225,8 @@ func TestCrashRecoverSemantics(t *testing.T) {
 	if err := f.CrashReplica(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if f.LiveReplicas(0) != 1 {
-		t.Fatalf("live = %d after one crash", f.LiveReplicas(0))
+	if live := liveReplicas(f, 0); live != 1 {
+		t.Fatalf("live = %d after one crash", live)
 	}
 	if err := f.CrashReplica(0, 1); err == nil {
 		t.Fatal("double crash accepted")
@@ -234,7 +234,7 @@ func TestCrashRecoverSemantics(t *testing.T) {
 	if lat := writeLatency(f, 8); lat != writeLat {
 		t.Fatalf("degraded write latency %v, want surviving ack %v", lat, writeLat)
 	}
-	if f.DegradedWrites() == 0 {
+	if f.PartitionStats(0).DegradedWrites == 0 {
 		t.Fatal("write below quorum not counted degraded")
 	}
 
@@ -249,7 +249,7 @@ func TestCrashRecoverSemantics(t *testing.T) {
 	if lat := writeLatency(f, 10); lat != objWrite {
 		t.Fatalf("group-down write latency %v, want object %v", lat, objWrite)
 	}
-	if f.DegradedReads() == 0 {
+	if f.PartitionStats(0).DegradedReads == 0 {
 		t.Fatal("group-down read not counted degraded")
 	}
 
@@ -346,6 +346,18 @@ func TestCrashedReplicaTakesNoTraffic(t *testing.T) {
 	}
 }
 
+// liveReplicas counts the serving replicas of a partition, as the run
+// report's per-replica stats show them.
+func liveReplicas(f *Filer, part int) int {
+	live := 0
+	for _, r := range f.PartitionStats(part).Replicas {
+		if r.Live {
+			live++
+		}
+	}
+	return live
+}
+
 // TestReplicaAccessors: the trivial surface — group size, quorum
 // normalization, live counts.
 func TestReplicaAccessors(t *testing.T) {
@@ -354,14 +366,14 @@ func TestReplicaAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Replicas() != 3 {
-		t.Fatalf("replicas = %d", f.Replicas())
+	if n := len(f.PartitionStats(1).Replicas); n != 3 {
+		t.Fatalf("replicas = %d", n)
 	}
-	if f.WriteQuorum() != 2 {
-		t.Fatalf("default quorum = %d, want majority 2", f.WriteQuorum())
+	if f.cfg.WriteQuorum != 2 {
+		t.Fatalf("default quorum = %d, want majority 2", f.cfg.WriteQuorum)
 	}
-	if f.LiveReplicas(1) != 3 {
-		t.Fatalf("live = %d", f.LiveReplicas(1))
+	if live := liveReplicas(f, 1); live != 3 {
+		t.Fatalf("live = %d", live)
 	}
 	// The lookahead floor ignores replication entirely.
 	if f.MinServiceLatency() != fastRead {

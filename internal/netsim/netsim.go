@@ -23,7 +23,6 @@ type Segment struct {
 	up, down sim.Server
 	baseLat  sim.Time
 	perBit   sim.Time
-	packets  uint64
 }
 
 // Direction selects which way a packet travels.
@@ -60,19 +59,9 @@ func (s *Segment) Lookahead() sim.Time { return s.PacketTime(0) }
 // direction and runs fn(arg) when it has fully arrived. fn is a static
 // func(any); a nil fn schedules the engine's shared placeholder.
 func (s *Segment) Send2(dir Direction, dataBytes int, fn func(any), arg any) {
-	s.packets++
 	srv := &s.up
 	if dir == FromFiler {
 		srv = &s.down
 	}
 	srv.Use2(s.PacketTime(dataBytes), fn, arg)
 }
-
-// Packets returns the number of packets sent.
-func (s *Segment) Packets() uint64 { return s.packets }
-
-// Busy returns total wire-busy time, summed over both directions.
-func (s *Segment) Busy() sim.Time { return s.up.Busy() + s.down.Busy() }
-
-// Waited returns total packet queueing delay, summed over both directions.
-func (s *Segment) Waited() sim.Time { return s.up.Waited() + s.down.Waited() }

@@ -44,9 +44,6 @@ func TestDuplexParallelDirections(t *testing.T) {
 	if done[0] != 100 || done[1] != 100 {
 		t.Fatalf("duplex completions %v, want [100 100]", done)
 	}
-	if s.Packets() != 2 {
-		t.Fatalf("packets = %d", s.Packets())
-	}
 }
 
 func TestDuplexSerializesSameDirection(t *testing.T) {
@@ -68,11 +65,10 @@ func TestBusyAndWaited(t *testing.T) {
 	s.Send2(ToFiler, 0, nil, nil)
 	s.Send2(FromFiler, 0, nil, nil)
 	e.Run()
-	if s.Busy() != 100 {
-		t.Fatalf("busy = %v", s.Busy())
-	}
-	if s.Waited() != 0 {
-		t.Fatalf("waited = %v", s.Waited())
+	for _, w := range []*sim.Server{&s.up, &s.down} {
+		if w.Busy() != 50 || w.Waited() != 0 {
+			t.Fatalf("wire busy %v waited %v, want 50 and 0", w.Busy(), w.Waited())
+		}
 	}
 }
 
@@ -97,20 +93,16 @@ func TestDuplexBusyAndWaitedAggregate(t *testing.T) {
 	var e sim.Engine
 	s := newSegment(&e, 50, 0)
 	// Two packets per direction: each wire is busy 100 and queues one
-	// packet for 50; the segment reports the sum of both directions.
+	// packet for 50, independently of the other direction.
 	s.Send2(ToFiler, 0, nil, nil)
 	s.Send2(ToFiler, 0, nil, nil)
 	s.Send2(FromFiler, 0, nil, nil)
 	s.Send2(FromFiler, 0, nil, nil)
 	e.Run()
-	if s.Busy() != 200 {
-		t.Fatalf("duplex busy = %v, want 200", s.Busy())
-	}
-	if s.Waited() != 100 {
-		t.Fatalf("duplex waited = %v, want 100", s.Waited())
-	}
-	if s.Packets() != 4 {
-		t.Fatalf("packets = %d", s.Packets())
+	for _, w := range []*sim.Server{&s.up, &s.down} {
+		if w.Busy() != 100 || w.Waited() != 50 {
+			t.Fatalf("wire busy %v waited %v, want 100 and 50", w.Busy(), w.Waited())
+		}
 	}
 }
 

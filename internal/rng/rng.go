@@ -167,12 +167,3 @@ func (r *RNG) Poisson(lambda float64) int {
 		k++
 	}
 }
-
-// Exp returns an exponential variate with the given mean.
-func (r *RNG) Exp(mean float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
-}

@@ -182,19 +182,6 @@ func TestPoissonMean(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := New(19)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.Exp(5)
-	}
-	mean := sum / n
-	if math.Abs(mean-5) > 0.1 {
-		t.Fatalf("Exp(5) mean = %v", mean)
-	}
-}
-
 func TestLogNormalPositive(t *testing.T) {
 	r := New(23)
 	for i := 0; i < 10000; i++ {
@@ -210,47 +197,6 @@ func TestParetoMinimum(t *testing.T) {
 		if v := r.Pareto(3, 1.5); v < 3 {
 			t.Fatalf("Pareto below xm: %v", v)
 		}
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	r := New(31)
-	z := NewZipf(r, 100, 1.0)
-	counts := make([]int, 100)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[z.Next()]++
-	}
-	if counts[0] <= counts[50] {
-		t.Fatal("Zipf not skewed toward low ranks")
-	}
-	// Rank 0 should have roughly weight 1/H(100) ~= 0.192.
-	p0 := float64(counts[0]) / n
-	if math.Abs(p0-0.192) > 0.02 {
-		t.Errorf("rank-0 mass = %v, want ~0.192", p0)
-	}
-}
-
-func TestZipfRange(t *testing.T) {
-	r := New(37)
-	z := NewZipf(r, 17, 0.8)
-	f := func(uint32) bool {
-		v := z.Next()
-		return v >= 0 && v < 17
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestZipfWeightsSumToOne(t *testing.T) {
-	z := NewZipf(New(41), 50, 1.2)
-	sum := 0.0
-	for i := 0; i < z.N(); i++ {
-		sum += z.Weight(i)
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("weights sum to %v", sum)
 	}
 }
 
@@ -276,14 +222,5 @@ func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Uint64()
-	}
-}
-
-func BenchmarkZipfNext(b *testing.B) {
-	r := New(1)
-	z := NewZipf(r, 10000, 1.0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = z.Next()
 	}
 }

@@ -2,64 +2,6 @@ package rng
 
 import "math"
 
-// Zipf samples integers in [0, n) with probability proportional to
-// 1/(i+1)^s. It precomputes the cumulative distribution and samples by
-// binary search, which is fast and exact for the modest n (file and
-// working-set counts) used by the trace generator.
-type Zipf struct {
-	cdf []float64
-	rng *RNG
-}
-
-// NewZipf returns a Zipfian sampler over [0, n) with exponent s > 0.
-// It panics if n <= 0 or s <= 0.
-func NewZipf(r *RNG, n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("rng: NewZipf called with n <= 0")
-	}
-	if s <= 0 {
-		panic("rng: NewZipf called with s <= 0")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), s)
-		cdf[i] = sum
-	}
-	inv := 1 / sum
-	for i := range cdf {
-		cdf[i] *= inv
-	}
-	cdf[n-1] = 1 // guard against rounding
-	return &Zipf{cdf: cdf, rng: r}
-}
-
-// N returns the size of the sampled domain.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Next returns the next Zipf-distributed value in [0, N()).
-func (z *Zipf) Next() int {
-	u := z.rng.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Weight returns the probability mass of value i.
-func (z *Zipf) Weight(i int) float64 {
-	if i == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[i] - z.cdf[i-1]
-}
-
 // SmallZipfPopularity draws a small integer popularity in [1, max] from a
 // Zipfian distribution with exponent s, as the paper's trace generator
 // assigns "small integer popularities ... generated from a Zipfian

@@ -37,9 +37,6 @@ func NewQueue(workers int) *Queue {
 	return q
 }
 
-// Workers returns the concurrent worker count.
-func (q *Queue) Workers() int { return q.workers }
-
 // Submit enqueues one job. It never blocks on job execution; it fails only
 // after Close.
 func (q *Queue) Submit(job func()) error {

@@ -48,8 +48,8 @@ func TestQueueBoundsConcurrency(t *testing.T) {
 
 func TestQueueCloseRejectsAndIsIdempotent(t *testing.T) {
 	q := NewQueue(0) // clamps to 1 worker
-	if q.Workers() != 1 {
-		t.Fatalf("workers = %d, want clamped 1", q.Workers())
+	if q.workers != 1 {
+		t.Fatalf("workers = %d, want clamped 1", q.workers)
 	}
 	ran := false
 	q.Submit(func() { ran = true })

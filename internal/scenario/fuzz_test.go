@@ -1,13 +1,14 @@
 package scenario
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 )
 
 // FuzzParseScenario throws arbitrary bytes at the scenario parser. The
 // parser must never panic, and any input it accepts must survive a
-// serialize/re-parse round trip unchanged — the JSON() form is the
+// serialize/re-parse round trip unchanged — the JSON form is the
 // on-disk exchange format, so a lossy round trip would corrupt saved
 // scenarios.
 func FuzzParseScenario(f *testing.F) {
@@ -16,7 +17,7 @@ func FuzzParseScenario(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		data, err := sc.JSON()
+		data, err := json.MarshalIndent(sc, "", "  ")
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -32,7 +33,7 @@ func FuzzParseScenario(f *testing.F) {
 		if err != nil {
 			return
 		}
-		out, err := sc.JSON()
+		out, err := json.MarshalIndent(sc, "", "  ")
 		if err != nil {
 			t.Fatalf("accepted scenario failed to serialize: %v", err)
 		}

@@ -396,8 +396,3 @@ func Load(path string) (*Scenario, error) {
 	}
 	return Parse(data)
 }
-
-// JSON renders the scenario as indented JSON.
-func (s *Scenario) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}

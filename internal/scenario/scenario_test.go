@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"reflect"
@@ -80,7 +81,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := s.JSON()
+	data, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestCheckLive(t *testing.T) {
 func TestLoad(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/s.json"
-	data, err := validScenario().JSON()
+	data, err := json.MarshalIndent(validScenario(), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestFilerSpecJSON(t *testing.T) {
 		t.Error("absent read_promote not normalized to true")
 	}
 
-	data, err := s.JSON()
+	data, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,9 +185,18 @@ func TestStreamAllocations(t *testing.T) {
 	// the caches, and a goroutine moving between processors moves records
 	// from one cache to another; with the collector off and one
 	// processor, a warm-up round fills the cache for the measured one.
+	//
+	// A collection also wakes runtime goroutines that allocate when they
+	// run, such as the unique package's map cleanup. Collecting on the one
+	// processor and then yielding runs them to their next wait before the
+	// warm-up. Left queued, one can run inside the measured window: the
+	// lockstep pair hand the processor back and forth within one time
+	// slice, which starves every other queued goroutine until the
+	// scheduler preempts the pair.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.Gosched()
 	lockstep(t, &hub{}, 1000, line)
 	if got, limit := lockstep(t, &hub{}, n, line), uint64(chunks+growth); got > limit {
 		t.Errorf("publishing %d lines of %d B: %d allocations, want at most %d (%d chunks, %d index growths)",

@@ -13,7 +13,7 @@ func TestScheduleStepAllocationFree(t *testing.T) {
 	for i := 0; i < 1024; i++ {
 		e.Schedule(Time(i), fn)
 	}
-	e.RunAll()
+	e.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.Schedule(10, fn)
 		e.Step()
@@ -31,7 +31,7 @@ func TestSchedule2AllocationFree(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		e.Schedule2(Time(i), fn, p)
 	}
-	e.RunAll()
+	e.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.Schedule2(10, fn, p)
 		e.Step()
@@ -49,7 +49,7 @@ func TestServerUseAllocationFree(t *testing.T) {
 	var s Server
 	s.Init(&e)
 	s.Use2(1, nil, nil)
-	e.RunAll()
+	e.Run()
 
 	// A static completion with its state in arg, a func() passed through
 	// callFunc, and the nil-fn placeholder path must all be

@@ -135,12 +135,9 @@ func (e *Engine) Now() Time { return e.now }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of scheduled, not-yet-run events.
-func (e *Engine) Pending() int { return len(e.events) }
-
 // NonDaemonPending returns the number of scheduled non-daemon events. A
-// zero count with Pending() > 0 means only background daemons (ticker
-// rearms) remain — the condition under which Run returns and under which
+// zero count with events still queued means only background daemons
+// (ticker rearms) remain — the condition under which Run returns and under which
 // a sharded run's drain phase may stop.
 func (e *Engine) NonDaemonPending() int { return e.nonDaemon }
 
@@ -257,13 +254,6 @@ func (e *Engine) Step() bool {
 // Run executes events until only daemon events (if any) remain.
 func (e *Engine) Run() {
 	for e.nonDaemon > 0 && e.Step() {
-	}
-}
-
-// RunAll executes events until none remain, daemons included. Callers must
-// ensure daemon sources (tickers) have been stopped.
-func (e *Engine) RunAll() {
-	for e.Step() {
 	}
 }
 

@@ -13,9 +13,8 @@ type Server struct {
 	freeAt Time
 
 	// Utilisation accounting.
-	busy     Time // total service time granted
-	waited   Time // total queueing delay experienced
-	requests uint64
+	busy   Time // total service time granted
+	waited Time // total queueing delay experienced
 }
 
 // Init attaches the server to the engine, idle and with zeroed
@@ -56,7 +55,6 @@ func (s *Server) admit(arrive, service Time) Time {
 	if start > arrive {
 		s.waited += start - arrive
 	}
-	s.requests++
 	return finish
 }
 
@@ -65,9 +63,6 @@ func (s *Server) Busy() Time { return s.busy }
 
 // Waited returns the total queueing delay experienced by all requests.
 func (s *Server) Waited() Time { return s.waited }
-
-// Requests returns the number of requests served or in service.
-func (s *Server) Requests() uint64 { return s.requests }
 
 // Utilisation returns busy time divided by elapsed time, in [0, 1].
 func (s *Server) Utilisation() float64 {

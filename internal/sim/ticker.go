@@ -11,7 +11,6 @@ type Ticker struct {
 	fn      func(any)
 	arg     any
 	stopped bool
-	fires   uint64
 }
 
 // Start arms the ticker to run fn(arg) every period, first firing one
@@ -33,7 +32,6 @@ func tickerFire(a any) {
 	if t.stopped {
 		return
 	}
-	t.fires++
 	t.fn(t.arg)
 	if !t.stopped {
 		t.arm()
@@ -46,9 +44,6 @@ func (t *Ticker) arm() {
 
 // Stop cancels future firings. Safe to call multiple times.
 func (t *Ticker) Stop() { t.stopped = true }
-
-// Fires returns how many times the ticker has fired.
-func (t *Ticker) Fires() uint64 { return t.fires }
 
 // Join calls done after n completions have been signalled via its Done
 // method. It is the simulation analogue of sync.WaitGroup for fan-out

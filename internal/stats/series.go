@@ -33,9 +33,6 @@ func NewTimeSeries(name string, columns ...string) *TimeSeries {
 	return &TimeSeries{name: name, columns: append([]string(nil), columns...)}
 }
 
-// Columns returns the value column names.
-func (ts *TimeSeries) Columns() []string { return append([]string(nil), ts.columns...) }
-
 // NumColumns returns the number of value columns.
 func (ts *TimeSeries) NumColumns() int { return len(ts.columns) }
 
@@ -69,18 +66,6 @@ func (ts *TimeSeries) ColumnIndex(name string) int {
 		}
 	}
 	return -1
-}
-
-// Column appends the named column's values to dst and returns it.
-func (ts *TimeSeries) Column(name string, dst []float64) []float64 {
-	ci := ts.ColumnIndex(name)
-	if ci < 0 {
-		return dst
-	}
-	for i := 0; i < ts.Len(); i++ {
-		dst = append(dst, ts.Row(i)[ci])
-	}
-	return dst
 }
 
 // appendFloat renders v with the shortest round-trip representation, the
@@ -152,11 +137,4 @@ func (ts *TimeSeries) WriteNDJSON(w io.Writer) error {
 	}
 	_, err := w.Write(b)
 	return err
-}
-
-// NDJSON renders the series as an NDJSON string.
-func (ts *TimeSeries) NDJSON() string {
-	var sb strings.Builder
-	ts.WriteNDJSON(&sb)
-	return sb.String()
 }

@@ -14,16 +14,13 @@ import (
 
 // LatencyAccum accumulates a stream of latencies.
 type LatencyAccum struct {
-	count    uint64
-	sum      sim.Time
-	min, max sim.Time
+	count uint64
+	sum   sim.Time
+	max   sim.Time
 }
 
 // Add records one sample.
 func (a *LatencyAccum) Add(t sim.Time) {
-	if a.count == 0 || t < a.min {
-		a.min = t
-	}
 	if t > a.max {
 		a.max = t
 	}
@@ -37,14 +34,6 @@ func (a *LatencyAccum) Count() uint64 { return a.count }
 // Sum returns the total of all samples.
 func (a *LatencyAccum) Sum() sim.Time { return a.sum }
 
-// Mean returns the average sample, or 0 with no samples.
-func (a *LatencyAccum) Mean() sim.Time {
-	if a.count == 0 {
-		return 0
-	}
-	return a.sum / sim.Time(a.count)
-}
-
 // MeanMicros returns the mean in microseconds as a float64.
 func (a *LatencyAccum) MeanMicros() float64 {
 	if a.count == 0 {
@@ -53,25 +42,11 @@ func (a *LatencyAccum) MeanMicros() float64 {
 	return float64(a.sum) / float64(a.count) / float64(sim.Microsecond)
 }
 
-// Min returns the smallest sample (0 with no samples).
-func (a *LatencyAccum) Min() sim.Time {
-	if a.count == 0 {
-		return 0
-	}
-	return a.min
-}
-
 // Max returns the largest sample (0 with no samples).
 func (a *LatencyAccum) Max() sim.Time { return a.max }
 
 // Merge folds other into a.
 func (a *LatencyAccum) Merge(other *LatencyAccum) {
-	if other.count == 0 {
-		return
-	}
-	if a.count == 0 || other.min < a.min {
-		a.min = other.min
-	}
 	if other.max > a.max {
 		a.max = other.max
 	}
@@ -105,9 +80,6 @@ func (h *Histogram) Add(t sim.Time) {
 	h.buckets[bucketFor(t)]++
 	h.accum.Add(t)
 }
-
-// Count returns the number of samples.
-func (h *Histogram) Count() uint64 { return h.accum.Count() }
 
 // Merge folds other into h.
 func (h *Histogram) Merge(other *Histogram) {

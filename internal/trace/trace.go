@@ -61,9 +61,6 @@ func (o Op) Validate() error {
 	return nil
 }
 
-// Bytes returns the op's transfer size in bytes.
-func (o Op) Bytes() int64 { return int64(o.Count) * BlockSize }
-
 // String renders the op for diagnostics, e.g. "h0 t1 R f2 b100 n8".
 func (o Op) String() string {
 	return fmt.Sprintf("h%d t%d %s f%d b%d n%d", o.Host, o.Thread, o.Kind, o.File, o.Block, o.Count)
@@ -72,11 +69,6 @@ func (o Op) String() string {
 // BlockKey packs a (file, block) pair into the cache key space.
 func BlockKey(file, block uint32) uint64 {
 	return uint64(file)<<32 | uint64(block)
-}
-
-// SplitKey unpacks a cache key into (file, block).
-func SplitKey(key uint64) (file, block uint32) {
-	return uint32(key >> 32), uint32(key)
 }
 
 // Source streams trace operations. Next returns ok=false at end of trace.

@@ -13,7 +13,6 @@ import (
 	"math"
 
 	"repro/internal/rng"
-	"repro/internal/trace"
 )
 
 // File is one file in the server model.
@@ -135,9 +134,6 @@ func (fs *FileSet) SampleFile(r *rng.RNG) *File {
 	}
 	return &fs.Files[lo]
 }
-
-// NumFiles returns the population size.
-func (fs *FileSet) NumFiles() int { return len(fs.Files) }
 
 // Region is a contiguous block range within one file.
 type Region struct {
@@ -308,16 +304,4 @@ func (ws *WorkingSet) SampleRegion(r *rng.RNG) *Region {
 		}
 	}
 	return &ws.Regions[lo]
-}
-
-// UniqueBlocks returns the number of distinct blocks covered by the working
-// set (regions may overlap; used by tests and capacity planning).
-func (ws *WorkingSet) UniqueBlocks() int64 {
-	seen := make(map[uint64]bool)
-	for _, reg := range ws.Regions {
-		for b := uint32(0); b < reg.Blocks; b++ {
-			seen[trace.BlockKey(reg.File, reg.Start+b)] = true
-		}
-	}
-	return int64(len(seen))
 }

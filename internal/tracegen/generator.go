@@ -71,10 +71,13 @@ func (c *Config) Validate() error {
 	if c.MeanIOBlocks == 0 {
 		c.MeanIOBlocks = 4
 	}
+	if c.TotalBlocks < 0 {
+		return fmt.Errorf("tracegen: negative trace volume %d", c.TotalBlocks)
+	}
 	if c.MeanRegionBlocks <= 0 {
 		c.MeanRegionBlocks = 64
 	}
-	if c.TotalBlocks <= 0 {
+	if c.TotalBlocks == 0 {
 		sets := int64(c.Hosts)
 		if c.SharedWorkingSet {
 			sets = 1

@@ -45,7 +45,7 @@ func TestFileSetTotalSize(t *testing.T) {
 func TestFileSetDeterministic(t *testing.T) {
 	a := testFileSet(t, 50000)
 	b := testFileSet(t, 50000)
-	if a.NumFiles() != b.NumFiles() {
+	if len(a.Files) != len(b.Files) {
 		t.Fatal("same seed, different file counts")
 	}
 	for i := range a.Files {
@@ -163,7 +163,13 @@ func TestWorkingSetUniqueBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uniq := ws.UniqueBlocks()
+	seen := make(map[uint64]bool)
+	for _, reg := range ws.Regions {
+		for b := uint32(0); b < reg.Blocks; b++ {
+			seen[trace.BlockKey(reg.File, reg.Start+b)] = true
+		}
+	}
+	uniq := int64(len(seen))
 	if uniq <= 0 || uniq > ws.TotalBlocks {
 		t.Fatalf("unique blocks %d out of range (total %d)", uniq, ws.TotalBlocks)
 	}
@@ -360,6 +366,8 @@ func TestGeneratorConfigValidation(t *testing.T) {
 		{FileSet: fs, Hosts: 1, ThreadsPerHost: 1, WorkingSetBlocks: 10, MeanIOBlocks: math.NaN()},
 		{FileSet: fs, Hosts: 1, ThreadsPerHost: 1, WorkingSetBlocks: 10, MeanIOBlocks: math.Inf(1)},
 		{FileSet: fs, Hosts: 1, ThreadsPerHost: 1, WorkingSetBlocks: 10, MeanIOBlocks: -1},
+		// A negative volume is a typo, not a request for the default.
+		{FileSet: fs, Hosts: 1, ThreadsPerHost: 1, WorkingSetBlocks: 10, TotalBlocks: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewGenerator(cfg); err == nil {
