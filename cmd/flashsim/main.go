@@ -70,7 +70,6 @@ import (
 
 	"repro/flashsim"
 	"repro/internal/profiling"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -167,12 +166,11 @@ func main() {
 		f, err := os.Open(*tracePath)
 		die(err)
 		defer f.Close()
-		r, err := trace.NewBinaryReader(f)
+		r, err := flashsim.OpenBinaryTrace(f)
 		die(err)
 		cfg := point(wssList[0], writesList[0], nil)
 		res, err := flashsim.RunTrace(cfg, r, *warmupBlocks)
 		die(err)
-		die(r.Err())
 		fmt.Println(header(wssList[0], writesList[0]))
 		fmt.Print(res)
 		printEpochStats(*epochstats, res)

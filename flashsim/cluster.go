@@ -153,12 +153,9 @@ func feedChunkOps(n int) int { return min(max(n, 256), 8192) }
 // feedChunkBlocks returns the coordinator's trace top-up quantum for
 // time-bounded phases: enough to keep every thread's queue full across a
 // barrier interval, scaled conservatively so mid-epoch dry spells (hosts
-// idling until the next top-up barrier) stay rare.
-func feedChunkBlocks(cfg Config) int64 {
-	meanIO := cfg.Workload.MeanIOBlocks
-	if meanIO < 1 {
-		meanIO = 1
-	}
+// idling until the next top-up barrier) stay rare. meanIO is the
+// generator's resolved mean request size.
+func feedChunkBlocks(cfg Config, meanIO float64) int64 {
 	chunk := int64(float64(cfg.Hosts*cfg.ThreadsPerHost) * 64 * meanIO)
 	if chunk < 4096 {
 		chunk = 4096
@@ -255,6 +252,9 @@ func runCluster(cfg Config, src trace.Source, warmupBlocks int64, pre prestartFn
 	// chunks are garbage before the hosts allocate their caches.
 	f := newFeeder(cfg.Hosts)
 	total := f.feed(src, math.MaxInt64)
+	if cs, ok := src.(*checkedSource); ok && cs.err != nil {
+		return nil, cs.err
+	}
 	// Each host warms up on its own share of the trace, preserving the
 	// global warmup fraction (the sequential driver flips collection once
 	// the global volume passes warmupBlocks; per-host flips are what keep
@@ -337,6 +337,7 @@ func runScenarioCluster(cfg Config, sc *Scenario, period sim.Time, hooks Scenari
 	defer cl.Close()
 	cl.StartDrivers(nil) // no warmup: collection is on from the first block
 
+	chunk := feedChunkBlocks(cfg, tc.MeanIOBlocks)
 	var phaseStart, phaseEnd aggSnap
 	for pi := range sc.Phases {
 		ph := &sc.Phases[pi]
@@ -362,7 +363,7 @@ func runScenarioCluster(cfg Config, sc *Scenario, period sim.Time, hooks Scenari
 			}
 		} else {
 			deadline := start + sim.Time(ph.Seconds*float64(sim.Second))
-			if err := r.runTimedPhase(deadline); err != nil {
+			if err := r.runTimedPhase(deadline, chunk); err != nil {
 				return nil, fmt.Errorf("flashsim: scenario %s phase %s: %w", sc.Name, ph.Name, err)
 			}
 		}
@@ -471,8 +472,7 @@ func (r *clusterRun) runBlockPhase(blocks int64) error {
 
 // runTimedPhase feeds barrier-timed chunks until the deadline, then cuts
 // consumption (discarding undispatched feed) and drains.
-func (r *clusterRun) runTimedPhase(deadline sim.Time) error {
-	chunk := feedChunkBlocks(r.cfg)
+func (r *clusterRun) runTimedPhase(deadline sim.Time, chunk int64) error {
 	for {
 		if buffered := r.fed - r.consumed(); buffered < chunk/2 {
 			r.feed(chunk - buffered)

@@ -599,13 +599,50 @@ func workingSetKeys(ws *tracegen.WorkingSet, limit int) []cache.Key {
 type prestartFn func(h *core.Host, hostIndex int, done func())
 
 // RunTrace executes the simulation over an explicit trace source (e.g. a
-// trace file) with the given warmup volume in blocks.
+// trace file) with the given warmup volume in blocks. It fails on an op
+// that trace.Op.Validate rejects and, for a source with an Err() error
+// method such as OpenBinaryTrace's, on a trace it could not decode.
 func RunTrace(cfg Config, src trace.Source, warmupBlocks int64) (*Result, error) {
 	cfg, err := Resolve(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	return runTrace(cfg, src, warmupBlocks, nil)
+	cs := &checkedSource{src: src}
+	res, err := runTrace(cfg, cs, warmupBlocks, nil)
+	if err == nil && cs.err != nil {
+		return nil, cs.err
+	}
+	return res, err
+}
+
+// checkedSource is RunTrace's view of a caller's trace: it ends the trace
+// at the first invalid op or decode error and keeps the error. The cluster
+// drains it before building anything and fails at once; the sequential
+// engine pulls ops as it runs and fails after the valid prefix.
+type checkedSource struct {
+	src trace.Source
+	ops int64 // ops passed through
+	err error
+}
+
+// Next implements trace.Source.
+func (c *checkedSource) Next() (trace.Op, bool) {
+	if c.err != nil {
+		return trace.Op{}, false
+	}
+	op, ok := c.src.Next()
+	if !ok {
+		if e, has := c.src.(interface{ Err() error }); has && e.Err() != nil {
+			c.err = fmt.Errorf("flashsim: trace unreadable after %d ops: %w", c.ops, e.Err())
+		}
+		return trace.Op{}, false
+	}
+	if err := op.Validate(); err != nil {
+		c.err = fmt.Errorf("flashsim: trace op %d (%v): %w", c.ops, op, err)
+		return trace.Op{}, false
+	}
+	c.ops++
+	return op, true
 }
 
 // simulation bundles the engine-level objects of one run: the engine, the

@@ -1,7 +1,9 @@
 package flashsim
 
 import (
+	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -150,6 +152,45 @@ func TestRunTraceExplicitSource(t *testing.T) {
 	}
 	if res.BlocksIssued != 16 {
 		t.Fatalf("blocks issued = %d, want 16", res.BlocksIssued)
+	}
+}
+
+// TestRunTraceRejectsBadTrace: a binary trace cut mid-record and a
+// zero-length op both fail the run on either executor, instead of running
+// the prefix and reporting success.
+func TestRunTraceRejectsBadTrace(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := trace.NewBinaryWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		if err := w.Write(trace.Op{Thread: uint16(i % 8), Kind: trace.Read, File: 1, Block: uint32(i), Count: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	cut := buf.Bytes()[:8+1000*17+5] // header, 1,000 whole 17-byte records and part of one
+	zero := []trace.Op{
+		{Kind: trace.Read, File: 1, Count: 8},
+		{Kind: trace.Write, File: 1, Block: 8},
+		{Kind: trace.Read, File: 1, Count: 8},
+	}
+	for _, shards := range []int{0, 1} {
+		cfg := smallConfig()
+		cfg.Shards = shards
+		src, err := OpenBinaryTrace(bytes.NewReader(cut))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := RunTrace(cfg, src, 0); err == nil || !strings.Contains(err.Error(), "after 1000 ops") {
+			t.Errorf("shards %d: truncated trace gave %v, %v; want an error after 1000 ops", shards, res, err)
+		}
+		if res, err := RunTrace(cfg, trace.NewSliceSource(zero), 0); err == nil || !strings.Contains(err.Error(), "zero-length") {
+			t.Errorf("shards %d: zero-length op gave %v, %v; want an error", shards, res, err)
+		}
 	}
 }
 

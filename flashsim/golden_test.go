@@ -41,7 +41,7 @@ var goldenRuns = []struct {
 	{"delayed-trickle", func() Config {
 		cfg := ScaledConfig(4096)
 		cfg.RAMPolicy = Policy{Kind: core.Delayed, Period: 250 * sim.Millisecond}
-		cfg.FlashPolicy = Policy{Kind: core.Trickle, Period: 10 * sim.Millisecond}
+		cfg.FlashPolicy = mustPolicy("t100") // one flush per 10 ms
 		return cfg
 	}, "80a767a6cc3392f0e00b89b568f573e2e18bc3d52aa835e5c257ce52cf0591ef"},
 	{"none-none-small", func() Config {
@@ -94,7 +94,7 @@ var goldenRuns = []struct {
 	{"unified-periodic-trickle", func() Config {
 		cfg := ScaledConfig(4096)
 		cfg.Arch = Unified
-		cfg.FlashPolicy = Policy{Kind: core.Trickle, Period: 10 * sim.Millisecond}
+		cfg.FlashPolicy = mustPolicy("t100") // one flush per 10 ms
 		return cfg
 	}, "227a378b83385d2188b572364ec5e265851a97f3ec29cbc4071eb882e08bb045"},
 	{"unified-none-small", func() Config {
@@ -149,4 +149,13 @@ func TestGoldenResultChecksums(t *testing.T) {
 			}
 		})
 	}
+}
+
+// mustPolicy parses a policy shorthand that the test knows is valid.
+func mustPolicy(s string) Policy {
+	p, err := ParsePolicy(s)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }

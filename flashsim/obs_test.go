@@ -264,3 +264,16 @@ func TestReadReportSchemas(t *testing.T) {
 		t.Error("malformed input accepted")
 	}
 }
+
+// TestTraceNamerKeepsStretchedFilerSpans: a filer span whose duration
+// matches no tier latency keeps the generic stage name.
+func TestTraceNamerKeepsStretchedFilerSpans(t *testing.T) {
+	tm := DefaultConfig().Timing
+	name := traceNamer(tm)
+	if got := name(obs.Span{Kind: obs.KindFiler, End: tm.FilerFastRead}); got != "filer_fast" {
+		t.Fatalf("fast read named %q", got)
+	}
+	if got := name(obs.Span{Kind: obs.KindFiler, End: tm.FilerFastRead + 1}); got != "" {
+		t.Fatalf("stretched filer span named %q, want the generic name", got)
+	}
+}

@@ -313,18 +313,25 @@ type ReportScenario struct {
 type ReportEvent = EventResult
 
 // NewScenarioReport assembles a scripted run's report: the same schema as
-// NewReport with the scenario section filled in. Its headline metrics and
-// counters are a scenario's own set: the latency percentiles, the
-// histograms and the flash busy fraction stay zero, and the counters omit
-// the host, device and consistency totals the embedded Result carries.
+// NewReport with the scenario section filled in. Its headline metrics are
+// NewReport's: mean and p50/p99 read and write latency, hit rates, flash
+// busy fraction and simulated time, over the whole run. Its counters are
+// a scenario's own set, which omits the host, device and consistency
+// totals the embedded Result carries, and the latency histograms stay
+// empty: both would cost a live run allocations for every report.
 func NewScenarioReport(cfg Config, res *ScenarioResult) *Report {
 	rep := &Report{
 		Schema:             ReportSchema,
 		Config:             reportConfig(cfg),
 		ReadLatencyMicros:  res.ReadLatencyMicros,
 		WriteLatencyMicros: res.WriteLatencyMicros,
+		ReadP50Micros:      res.ReadP50Micros,
+		ReadP99Micros:      res.ReadP99Micros,
+		WriteP50Micros:     res.WriteP50Micros,
+		WriteP99Micros:     res.WriteP99Micros,
 		RAMHitRate:         res.RAMHitRate,
 		FlashHitRate:       res.FlashHitRate,
+		FlashBusyFraction:  res.FlashBusyFraction,
 		SimulatedSeconds:   res.SimulatedSeconds,
 		Counters: map[string]uint64{
 			"blocks_issued":       res.BlocksIssued,

@@ -219,3 +219,77 @@ func TestScenarioSharedInvalidations(t *testing.T) {
 		}
 	}
 }
+
+// TestScenarioTimedPhaseRunsDry: with telemetry ticks far apart, a timed
+// phase's feed runs dry between top-ups and the cluster goes quiescent
+// before the deadline; the coordinator tops up and carries on until the
+// deadline, identically at one and two shards. The first phase's join
+// of a host that never left is a no-op.
+func TestScenarioTimedPhaseRunsDry(t *testing.T) {
+	cfg := ScaledConfig(4096)
+	cfg.Hosts = 2
+	sc := &Scenario{
+		Name:              "dry",
+		SampleEveryMillis: 60000,
+		Phases: []ScenarioPhase{
+			{Name: "warm", Blocks: 2000, Events: []ScenarioEvent{{Kind: scenario.EventJoin, Host: 1}}},
+			{Name: "timed", Seconds: 3},
+		},
+	}
+	var ref *ScenarioResult
+	for _, shards := range []int{1, 2} {
+		c := cfg
+		c.Shards = shards
+		res, err := RunScenario(c, sc.Clone())
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		scrubScenarioRuntime(res)
+		ph := res.Phases[1]
+		if got := ph.EndSeconds - ph.StartSeconds; got < 3 {
+			t.Errorf("shards=%d: timed phase lasted %.3fs, want >= 3", shards, got)
+		}
+		if chunk := feedChunkBlocks(c, 4); int64(ph.BlocksIssued) <= chunk {
+			t.Errorf("shards=%d: timed phase issued %d blocks, not past one %d-block top-up", shards, ph.BlocksIssued, chunk)
+		}
+		if ref == nil {
+			ref = res
+			continue
+		}
+		if !reflect.DeepEqual(ref, res) {
+			t.Errorf("shards=%d diverged:\nref: %s\ngot: %s", shards, ref, res)
+		}
+	}
+}
+
+// TestScenarioPhaseOverrides: a phase can change the working-set
+// locality and sharing and go write-only; the write-only phase reports
+// no read latency and no hit rate.
+func TestScenarioPhaseOverrides(t *testing.T) {
+	cfg := ScaledConfig(4096)
+	cfg.Hosts = 2
+	locality, shared, writes := 0.5, true, 1.0
+	sc := &Scenario{
+		Name: "overrides",
+		Phases: []ScenarioPhase{
+			{Name: "mixed", Blocks: 2000, WorkingSetFraction: &locality, SharedWorkingSet: &shared},
+			{Name: "writes", Blocks: 2000, WriteFraction: &writes},
+		},
+	}
+	res, err := RunScenario(cfg, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ph := res.Phases[0]; ph.ReadLatencyMicros == 0 {
+		t.Fatalf("mixed phase has no reads: %+v", ph)
+	}
+	if ph := res.Phases[1]; ph.ReadLatencyMicros != 0 || ph.RAMHitRate != 0 || ph.FlashHitRate != 0 {
+		t.Fatalf("write-only phase reports reads: %+v", ph)
+	}
+}
+
+func TestScaledConfigClampsScale(t *testing.T) {
+	if !reflect.DeepEqual(ScaledConfig(0), ScaledConfig(1)) {
+		t.Fatal("scale 0 is not scale 1")
+	}
+}

@@ -63,12 +63,12 @@ func (d *FlashDevice) Read2(fn func(any), arg any) {
 // second write.
 func (d *FlashDevice) Write2(fn func(any), arg any) {
 	d.writes++
-	d.access(d.WriteLatency(), fn, arg)
+	d.access(d.writeLatency(), fn, arg)
 }
 
-// WriteLatency returns the effective per-block write latency, including the
+// writeLatency returns the effective per-block write latency, including the
 // persistence metadata write if enabled.
-func (d *FlashDevice) WriteLatency() sim.Time {
+func (d *FlashDevice) writeLatency() sim.Time {
 	if d.persistent {
 		return d.writeLat * 2
 	}
@@ -101,8 +101,6 @@ type RAMDevice struct {
 	eng      *sim.Engine
 	readLat  sim.Time
 	writeLat sim.Time
-	reads    uint64
-	writes   uint64
 }
 
 // Init attaches a RAM access model with the given per-block latencies to
@@ -117,18 +115,10 @@ func (d *RAMDevice) Init(eng *sim.Engine, readLat, writeLat sim.Time) {
 // Read2 runs fn(arg) after one block-read delay; a nil fn schedules the
 // shared placeholder.
 func (d *RAMDevice) Read2(fn func(any), arg any) {
-	d.reads++
 	d.eng.Schedule2(d.readLat, fn, arg)
 }
 
 // Write2 runs fn(arg) after one block-write delay.
 func (d *RAMDevice) Write2(fn func(any), arg any) {
-	d.writes++
 	d.eng.Schedule2(d.writeLat, fn, arg)
 }
-
-// Reads returns the number of block reads serviced.
-func (d *RAMDevice) Reads() uint64 { return d.reads }
-
-// Writes returns the number of block writes serviced.
-func (d *RAMDevice) Writes() uint64 { return d.writes }

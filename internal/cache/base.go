@@ -93,7 +93,7 @@ func (b *base) admit(key Key) (e *Entry, inserted bool) {
 // recycles the entry.
 // Dirty state is the caller's problem: the cache only keeps the books.
 func (b *base) drop(e *Entry, l *list) {
-	if !b.index.Delete(&e.n) {
+	if !b.index.delete(&e.n) {
 		panic("cache: removing entry not in cache")
 	}
 	if e.inDirty {

@@ -98,10 +98,10 @@ func (x *Index) Insert(n *Node) *Node {
 	return old
 }
 
-// Delete removes n and reports whether it was indexed. The nodes after it
+// delete removes n and reports whether it was indexed. The nodes after it
 // in its probe run shift back to close the gap, so every node stays
 // reachable from its home slot without crossing an empty one.
-func (x *Index) Delete(n *Node) bool {
+func (x *Index) delete(n *Node) bool {
 	mask := uint64(len(x.tab) - 1)
 	i := x.home(n.key)
 	for x.tab[i] != n {

@@ -78,10 +78,10 @@ func (im *indexModel) step(op, ki int) {
 		}
 	case 2:
 		_, present := im.m[k]
-		if got := im.x.Delete(n); got != present {
+		if got := im.x.delete(n); got != present {
 			t.Fatalf("Delete(%d) = %v, model holds it: %v", k, got, present)
 		}
-		if im.x.Delete(&im.dup[ki]) {
+		if im.x.delete(&im.dup[ki]) {
 			t.Fatalf("Delete of an unindexed node with key %d succeeded", k)
 		}
 		delete(im.m, k)
@@ -135,7 +135,7 @@ func TestIndexRuns(t *testing.T) {
 				t.Fatalf("home %d: key %d not in slot %d", home, keys[i], want)
 			}
 		}
-		if !x.Delete(&nodes[1]) {
+		if !x.delete(&nodes[1]) {
 			t.Fatalf("home %d: delete from the middle of the run failed", home)
 		}
 		if _, err := x.Check(); err != nil {

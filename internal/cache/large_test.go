@@ -68,16 +68,16 @@ func BenchmarkLRUInsertEvictLarge(b *testing.B) {
 	benchInsertEvictLarge(b, NewLRU(largeCapacity, Flash))
 }
 
-func BenchmarkSLRUGetHitLarge(b *testing.B) { benchGetHitLarge(b, NewSLRU(largeCapacity, RAM)) }
+func BenchmarkSLRUGetHitLarge(b *testing.B) { benchGetHitLarge(b, newSLRU(largeCapacity, RAM)) }
 
 func BenchmarkSLRUInsertEvictLarge(b *testing.B) {
-	benchInsertEvictLarge(b, NewSLRU(largeCapacity, Flash))
+	benchInsertEvictLarge(b, newSLRU(largeCapacity, Flash))
 }
 
-func BenchmarkTwoQGetHitLarge(b *testing.B) { benchGetHitLarge(b, NewTwoQ(largeCapacity, RAM)) }
+func BenchmarkTwoQGetHitLarge(b *testing.B) { benchGetHitLarge(b, newTwoQ(largeCapacity, RAM)) }
 
 func BenchmarkTwoQInsertEvictLarge(b *testing.B) {
-	benchInsertEvictLarge(b, NewTwoQ(largeCapacity, Flash))
+	benchInsertEvictLarge(b, newTwoQ(largeCapacity, Flash))
 }
 
 func BenchmarkUnifiedGetHitLarge(b *testing.B) {

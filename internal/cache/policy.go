@@ -31,10 +31,10 @@ type BlockCache interface {
 // Statically verify the implementations.
 var (
 	_ BlockCache = (*LRU)(nil)
-	_ BlockCache = (*FIFO)(nil)
-	_ BlockCache = (*Clock)(nil)
-	_ BlockCache = (*SLRU)(nil)
-	_ BlockCache = (*TwoQ)(nil)
+	_ BlockCache = (*fifo)(nil)
+	_ BlockCache = (*clock)(nil)
+	_ BlockCache = (*slru)(nil)
+	_ BlockCache = (*twoQ)(nil)
 )
 
 // ReplacementKind names a replacement policy.
@@ -91,53 +91,53 @@ func NewBlockCache(kind ReplacementKind, capacity int, m Medium) (BlockCache, er
 	case ReplaceLRU:
 		return NewLRU(capacity, m), nil
 	case ReplaceFIFO:
-		return NewFIFO(capacity, m), nil
+		return newFIFO(capacity, m), nil
 	case ReplaceClock:
-		return NewClock(capacity, m), nil
+		return newClock(capacity, m), nil
 	case ReplaceSLRU:
-		return NewSLRU(capacity, m), nil
+		return newSLRU(capacity, m), nil
 	case Replace2Q:
-		return NewTwoQ(capacity, m), nil
+		return newTwoQ(capacity, m), nil
 	default:
 		return nil, fmt.Errorf("cache: unknown replacement kind %d", kind)
 	}
 }
 
-// FIFO evicts in insertion order: lookups do not promote. It is the
+// fifo evicts in insertion order: lookups do not promote. It is the
 // no-recency baseline for the replacement study.
-type FIFO struct {
+type fifo struct {
 	LRU
 }
 
-// NewFIFO returns a FIFO cache.
-func NewFIFO(capacity int, m Medium) *FIFO {
-	f := &FIFO{}
+// newFIFO returns a FIFO cache.
+func newFIFO(capacity int, m Medium) *fifo {
+	f := &fifo{}
 	f.initLRU(capacity, m)
 	return f
 }
 
 // Get looks up key without promoting.
-func (f *FIFO) Get(key Key) *Entry { return f.Peek(key) }
+func (f *fifo) Get(key Key) *Entry { return f.Peek(key) }
 
 // Touch is a no-op: FIFO order is insertion order.
-func (f *FIFO) Touch(e *Entry) {}
+func (f *fifo) Touch(e *Entry) {}
 
-// Clock is the classic second-chance approximation of LRU: entries sit in
+// clock is the classic second-chance approximation of LRU: entries sit in
 // a ring; lookups set a referenced bit; the victim hand sweeps the ring
 // clearing referenced bits and evicts the first unreferenced entry.
-type Clock struct {
+type clock struct {
 	LRU
 }
 
-// NewClock returns a CLOCK cache.
-func NewClock(capacity int, m Medium) *Clock {
-	c := &Clock{}
+// newClock returns a CLOCK cache.
+func newClock(capacity int, m Medium) *clock {
+	c := &clock{}
 	c.initLRU(capacity, m)
 	return c
 }
 
 // Get looks up key and sets its referenced bit.
-func (c *Clock) Get(key Key) *Entry {
+func (c *clock) Get(key Key) *Entry {
 	e := c.Peek(key)
 	if e != nil {
 		e.Referenced = true
@@ -146,12 +146,12 @@ func (c *Clock) Get(key Key) *Entry {
 }
 
 // Touch sets the referenced bit.
-func (c *Clock) Touch(e *Entry) { e.Referenced = true }
+func (c *clock) Touch(e *Entry) { e.Referenced = true }
 
 // Victim sweeps the ring: referenced entries get a second chance (bit
 // cleared, moved to the front), the first unreferenced unpinned entry is
 // the victim. The underlying list's back is the hand position.
-func (c *Clock) Victim() *Entry {
+func (c *clock) Victim() *Entry {
 	// Bound the sweep to two full revolutions: after one revolution all
 	// referenced bits are clear, so the second must find a victim unless
 	// everything is pinned.

@@ -32,10 +32,13 @@ func TestParseReplacement(t *testing.T) {
 	if _, err := NewBlockCache(ReplacementKind(99), 8, Flash); err == nil {
 		t.Fatal("bogus kind accepted")
 	}
+	if s := ReplacementKind(99).String(); s != "replacement(99)" {
+		t.Fatalf("unknown kind prints %q", s)
+	}
 }
 
 func TestFIFOIgnoresRecency(t *testing.T) {
-	f := NewFIFO(3, Flash)
+	f := newFIFO(3, Flash)
 	f.Insert(1)
 	f.Insert(2)
 	f.Insert(3)
@@ -51,7 +54,7 @@ func TestFIFOIgnoresRecency(t *testing.T) {
 }
 
 func TestClockSecondChance(t *testing.T) {
-	c := NewClock(3, Flash)
+	c := newClock(3, Flash)
 	c.Insert(1)
 	c.Insert(2)
 	c.Insert(3)
@@ -72,7 +75,7 @@ func TestClockSecondChance(t *testing.T) {
 }
 
 func TestClockAllReferenced(t *testing.T) {
-	c := NewClock(3, Flash)
+	c := newClock(3, Flash)
 	c.Insert(1)
 	c.Insert(2)
 	c.Insert(3)
@@ -85,7 +88,7 @@ func TestClockAllReferenced(t *testing.T) {
 }
 
 func TestClockPinnedRotation(t *testing.T) {
-	c := NewClock(2, Flash)
+	c := newClock(2, Flash)
 	e1 := c.Insert(1)
 	c.Insert(2)
 	e1.Pinned = true
@@ -101,7 +104,7 @@ func TestClockPinnedRotation(t *testing.T) {
 }
 
 func TestSLRUPromotion(t *testing.T) {
-	s := NewSLRU(4, Flash) // protected cap 2
+	s := newSLRU(4, Flash) // protected cap 2
 	mustInsert(t, s, 1)
 	mustInsert(t, s, 2)
 	mustInsert(t, s, 3)
@@ -124,7 +127,7 @@ func TestSLRUPromotion(t *testing.T) {
 }
 
 func TestSLRUProtectedQuotaDemotion(t *testing.T) {
-	s := NewSLRU(4, Flash) // protected cap 2
+	s := newSLRU(4, Flash) // protected cap 2
 	for k := Key(1); k <= 4; k++ {
 		mustInsert(t, s, k)
 	}
@@ -146,7 +149,7 @@ func TestSLRUProtectedQuotaDemotion(t *testing.T) {
 func TestSLRUScanResistance(t *testing.T) {
 	// A hot set that has been promoted survives a one-shot scan that
 	// would flush plain LRU.
-	s := NewSLRU(8, Flash)
+	s := newSLRU(8, Flash)
 	for k := Key(1); k <= 4; k++ {
 		mustInsert(t, s, k)
 		s.Get(k) // promote to protected
@@ -169,7 +172,7 @@ func TestSLRUScanResistance(t *testing.T) {
 }
 
 func TestSLRUVictimFallsBackToProtected(t *testing.T) {
-	s := NewSLRU(2, Flash) // protected cap 1
+	s := newSLRU(2, Flash) // protected cap 1
 	mustInsert(t, s, 1)
 	s.Get(1) // protected
 	mustInsert(t, s, 2)
@@ -182,7 +185,7 @@ func TestSLRUVictimFallsBackToProtected(t *testing.T) {
 }
 
 func TestTwoQFirstTouchGoesToA1in(t *testing.T) {
-	q := NewTwoQ(8, Flash) // a1in cap 2, ghost cap 4
+	q := newTwoQ(8, Flash) // a1in cap 2, ghost cap 4
 	mustInsert(t, q, 1)
 	if q.a1in.len != 1 {
 		t.Fatal("first touch not in A1in")
@@ -197,7 +200,7 @@ func TestTwoQFirstTouchGoesToA1in(t *testing.T) {
 }
 
 func TestTwoQGhostPromotion(t *testing.T) {
-	q := NewTwoQ(8, Flash)
+	q := newTwoQ(8, Flash)
 	mustInsert(t, q, 1)
 	e := q.Peek(1)
 	q.Remove(e) // A1in eviction -> ghost
@@ -217,7 +220,7 @@ func TestTwoQGhostPromotion(t *testing.T) {
 }
 
 func TestTwoQScanResistance(t *testing.T) {
-	q := NewTwoQ(8, Flash)
+	q := newTwoQ(8, Flash)
 	// Build a hot set in Am via ghost promotion.
 	for k := Key(1); k <= 4; k++ {
 		mustInsert(t, q, k)
@@ -246,7 +249,7 @@ func TestTwoQScanResistance(t *testing.T) {
 }
 
 func TestTwoQGhostCapBounded(t *testing.T) {
-	q := NewTwoQ(8, Flash) // ghost cap 4
+	q := newTwoQ(8, Flash) // ghost cap 4
 	for k := Key(0); k < 20; k++ {
 		if q.NeedsEviction() {
 			q.Remove(q.Victim())
@@ -364,5 +367,81 @@ func TestPolicyHitRateOrdering(t *testing.T) {
 	}
 	if clock <= fifo-0.02 {
 		t.Fatalf("CLOCK (%.3f) should not trail FIFO (%.3f)", clock, fifo)
+	}
+}
+
+// TestClockEmptyAndAllPinned: the hand finds no victim in an empty ring
+// or in a ring whose every entry is pinned.
+func TestClockEmptyAndAllPinned(t *testing.T) {
+	c := newClock(2, Flash)
+	if v := c.Victim(); v != nil {
+		t.Fatalf("empty clock victim = %v, want none", v)
+	}
+	c.Insert(1).Pinned = true
+	c.Insert(2).Pinned = true
+	c.Get(1)
+	if v := c.Victim(); v != nil {
+		t.Fatalf("all-pinned clock victim = %v, want none", v)
+	}
+}
+
+// TestSLRURemoveProtected: removing a protected entry takes it off the
+// protected segment, not probation.
+func TestSLRURemoveProtected(t *testing.T) {
+	s := newSLRU(4, Flash) // protected cap 2
+	mustInsert(t, s, 1)
+	mustInsert(t, s, 2)
+	s.Get(1)
+	s.Remove(s.Peek(1))
+	if s.protected.len != 0 || s.probation.len != 1 || s.Peek(1) != nil {
+		t.Fatalf("protected %d, probation %d after removing the protected entry", s.protected.len, s.probation.len)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSLRUZeroProtectedQuota: a one-block SLRU has no protected segment;
+// a hit keeps the entry in probation.
+func TestSLRUZeroProtectedQuota(t *testing.T) {
+	s := newSLRU(1, Flash) // protected cap 0
+	mustInsert(t, s, 1)
+	s.Get(1)
+	if s.protected.len != 0 || s.probation.len != 1 {
+		t.Fatalf("protected %d, probation %d, want 0 and 1", s.protected.len, s.probation.len)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTwoQTinyCapacity: below four blocks A1in still holds one block, and
+// with no room for a ghost queue an A1in eviction is forgotten.
+func TestTwoQTinyCapacity(t *testing.T) {
+	q := newTwoQ(1, Flash)
+	if q.a1inCap != 1 || q.ghostCap != 0 {
+		t.Fatalf("a1in cap %d, ghost cap %d, want 1 and 0", q.a1inCap, q.ghostCap)
+	}
+	mustInsert(t, q, 1)
+	q.Remove(q.Victim())
+	if q.ghost.len != 0 {
+		t.Fatalf("ghost holds %d keys with no capacity", q.ghost.len)
+	}
+	if err := q.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTwoQVictimFallsBackToSecondQueue: when the preferred queue is
+// fully pinned, the victim comes from the other one.
+func TestTwoQVictimFallsBackToSecondQueue(t *testing.T) {
+	q := newTwoQ(8, Flash) // a1in cap 2
+	mustInsert(t, q, 1)
+	q.Remove(q.Peek(1)) // 1 remembered in the ghost queue
+	mustInsert(t, q, 1) // ghost hit: into Am
+	mustInsert(t, q, 2) // A1in, within quota: Am is preferred
+	q.Peek(1).Pinned = true
+	if v := q.Victim(); v == nil || v.Key() != 2 {
+		t.Fatalf("victim = %v, want A1in's 2 behind a pinned Am", v)
 	}
 }

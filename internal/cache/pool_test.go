@@ -49,10 +49,10 @@ func TestEntrySlabsBoundedByCapacity(t *testing.T) {
 		make func(capacity int) (slabCache, *entryPool)
 	}{
 		{"lru", func(n int) (slabCache, *entryPool) { c := NewLRU(n, Flash); return c, &c.pool }},
-		{"fifo", func(n int) (slabCache, *entryPool) { c := NewFIFO(n, Flash); return c, &c.pool }},
-		{"clock", func(n int) (slabCache, *entryPool) { c := NewClock(n, Flash); return c, &c.pool }},
-		{"slru", func(n int) (slabCache, *entryPool) { c := NewSLRU(n, Flash); return c, &c.pool }},
-		{"2q", func(n int) (slabCache, *entryPool) { c := NewTwoQ(n, Flash); return c, &c.pool }},
+		{"fifo", func(n int) (slabCache, *entryPool) { c := newFIFO(n, Flash); return c, &c.pool }},
+		{"clock", func(n int) (slabCache, *entryPool) { c := newClock(n, Flash); return c, &c.pool }},
+		{"slru", func(n int) (slabCache, *entryPool) { c := newSLRU(n, Flash); return c, &c.pool }},
+		{"2q", func(n int) (slabCache, *entryPool) { c := newTwoQ(n, Flash); return c, &c.pool }},
 		{"unified", func(n int) (slabCache, *entryPool) { c := NewUnified(n/4, n-n/4); return c, &c.pool }},
 	}
 	fill := func(t *testing.T, c slabCache, from Key) {
@@ -133,10 +133,10 @@ var policyConstructors = []struct {
 	make func(capacity int) slabCache
 }{
 	{"lru", func(n int) slabCache { return NewLRU(n, Flash) }},
-	{"fifo", func(n int) slabCache { return NewFIFO(n, Flash) }},
-	{"clock", func(n int) slabCache { return NewClock(n, Flash) }},
-	{"slru", func(n int) slabCache { return NewSLRU(n, Flash) }},
-	{"2q", func(n int) slabCache { return NewTwoQ(n, Flash) }},
+	{"fifo", func(n int) slabCache { return newFIFO(n, Flash) }},
+	{"clock", func(n int) slabCache { return newClock(n, Flash) }},
+	{"slru", func(n int) slabCache { return newSLRU(n, Flash) }},
+	{"2q", func(n int) slabCache { return newTwoQ(n, Flash) }},
 	{"unified", func(n int) slabCache { return NewUnified(n/4, n-n/4) }},
 }
 
@@ -175,7 +175,7 @@ func TestFullCacheChurnAllocationFree(t *testing.T) {
 		for i := 0; i < 8*capacity; i++ {
 			step()
 		}
-		if q, ok := c.(*TwoQ); ok && (q.ghost.len == 0 || q.am.len == 0) {
+		if q, ok := c.(*twoQ); ok && (q.ghost.len == 0 || q.am.len == 0) {
 			t.Fatalf("2q: ghost %d, Am %d: the churn does not exercise the ghost queue", q.ghost.len, q.am.len)
 		}
 		allocs := testing.AllocsPerRun(1, func() {

@@ -8,21 +8,21 @@ const (
 	segProtected
 )
 
-// SLRU is a segmented LRU: new blocks enter a probationary segment and are
+// slru is a segmented LRU: new blocks enter a probationary segment and are
 // promoted to a protected segment on re-reference; victims come from
 // probation first. Scan-resistant relative to plain LRU, which matters for
 // a flash cache polluted by the workload's 20% whole-file-server traffic.
-type SLRU struct {
+type slru struct {
 	base
 	protectedCap int
 	probation    list
 	protected    list
 }
 
-// NewSLRU returns a segmented LRU with the protected segment sized to half
+// newSLRU returns a segmented LRU with the protected segment sized to half
 // the capacity.
-func NewSLRU(capacity int, m Medium) *SLRU {
-	s := &SLRU{protectedCap: capacity / 2}
+func newSLRU(capacity int, m Medium) *slru {
+	s := &slru{protectedCap: capacity / 2}
 	s.init(capacity, m)
 	s.probation.init(false)
 	s.protected.init(false)
@@ -30,7 +30,7 @@ func NewSLRU(capacity int, m Medium) *SLRU {
 }
 
 // Get looks up key, promoting probation hits into the protected segment.
-func (s *SLRU) Get(key Key) *Entry {
+func (s *slru) Get(key Key) *Entry {
 	e := s.Peek(key)
 	if e != nil {
 		s.promote(e)
@@ -39,9 +39,9 @@ func (s *SLRU) Get(key Key) *Entry {
 }
 
 // Touch promotes e as a hit would.
-func (s *SLRU) Touch(e *Entry) { s.promote(e) }
+func (s *slru) Touch(e *Entry) { s.promote(e) }
 
-func (s *SLRU) promote(e *Entry) {
+func (s *slru) promote(e *Entry) {
 	if e.seg == segProtected {
 		s.protected.remove(e)
 		s.protected.pushFront(e)
@@ -67,7 +67,7 @@ func (s *SLRU) promote(e *Entry) {
 
 // Victim returns the probationary LRU entry, falling back to the
 // protected segment when probation is empty or fully pinned.
-func (s *SLRU) Victim() *Entry {
+func (s *slru) Victim() *Entry {
 	if e := s.probation.lastUnpinned(); e != nil {
 		return e
 	}
@@ -76,7 +76,7 @@ func (s *SLRU) Victim() *Entry {
 
 // TryInsert implements BlockCache, inserting at the probationary
 // segment's MRU end.
-func (s *SLRU) TryInsert(key Key) (e *Entry, inserted bool) {
+func (s *slru) TryInsert(key Key) (e *Entry, inserted bool) {
 	if e, inserted = s.admit(key); inserted {
 		e.seg = segProbation
 		s.probation.pushFront(e)
@@ -85,7 +85,7 @@ func (s *SLRU) TryInsert(key Key) (e *Entry, inserted bool) {
 }
 
 // Remove evicts e.
-func (s *SLRU) Remove(e *Entry) {
+func (s *slru) Remove(e *Entry) {
 	if e.seg == segProtected {
 		s.drop(e, &s.protected)
 	} else {
@@ -94,7 +94,7 @@ func (s *SLRU) Remove(e *Entry) {
 }
 
 // CheckInvariants implements BlockCache.
-func (s *SLRU) CheckInvariants() error {
+func (s *slru) CheckInvariants() error {
 	segs := [...]uint8{segProbation, segProtected}
 	err := s.checkLists(func(e *Entry, i int) error {
 		if e.seg != segs[i] {

@@ -8,12 +8,12 @@ const (
 	segAm
 )
 
-// TwoQ implements the 2Q replacement policy (Johnson & Shasha 1994):
+// twoQ implements the 2Q replacement policy (Johnson & Shasha 1994):
 // first-touch blocks enter a small FIFO (A1in); blocks re-referenced after
 // falling out of A1in — remembered in a ghost queue of keys (A1out) —
 // enter the main LRU (Am). One-shot scans wash through A1in without
 // displacing the hot set, a property frequently proposed for flash caches.
-type TwoQ struct {
+type twoQ struct {
 	base
 	a1inCap  int
 	ghostCap int
@@ -27,14 +27,14 @@ type TwoQ struct {
 	ghostPool  entryPool
 }
 
-// NewTwoQ returns a 2Q cache with A1in sized to a quarter of capacity and
+// newTwoQ returns a 2Q cache with A1in sized to a quarter of capacity and
 // a ghost queue remembering half a capacity's worth of evicted keys.
-func NewTwoQ(capacity int, m Medium) *TwoQ {
+func newTwoQ(capacity int, m Medium) *twoQ {
 	a1 := capacity / 4
 	if a1 < 1 && capacity > 0 {
 		a1 = 1
 	}
-	q := &TwoQ{a1inCap: a1, ghostCap: capacity / 2}
+	q := &twoQ{a1inCap: a1, ghostCap: capacity / 2}
 	q.init(capacity, m)
 	q.ghostIndex = NewIndex(capacity / 2)
 	q.ghostPool = entryPool{budget: capacity / 2}
@@ -46,7 +46,7 @@ func NewTwoQ(capacity int, m Medium) *TwoQ {
 
 // Get looks up key. Hits in Am promote to MRU; hits in A1in stay put (2Q
 // deliberately ignores correlated references inside A1in).
-func (q *TwoQ) Get(key Key) *Entry {
+func (q *twoQ) Get(key Key) *Entry {
 	e := q.Peek(key)
 	if e != nil {
 		q.Touch(e)
@@ -55,7 +55,7 @@ func (q *TwoQ) Get(key Key) *Entry {
 }
 
 // Touch promotes Am entries; A1in entries stay put.
-func (q *TwoQ) Touch(e *Entry) {
+func (q *twoQ) Touch(e *Entry) {
 	if e.seg == segAm {
 		q.am.remove(e)
 		q.am.pushFront(e)
@@ -64,7 +64,7 @@ func (q *TwoQ) Touch(e *Entry) {
 
 // Victim prefers A1in's FIFO tail when A1in is over quota (or Am is
 // empty), otherwise Am's LRU tail.
-func (q *TwoQ) Victim() *Entry {
+func (q *twoQ) Victim() *Entry {
 	first, second := &q.am, &q.a1in
 	if q.a1in.len > q.a1inCap || q.am.len == 0 {
 		first, second = second, first
@@ -77,7 +77,7 @@ func (q *TwoQ) Victim() *Entry {
 
 // TryInsert implements BlockCache, inserting key into Am if the ghost
 // queue remembers it, else into A1in.
-func (q *TwoQ) TryInsert(key Key) (e *Entry, inserted bool) {
+func (q *twoQ) TryInsert(key Key) (e *Entry, inserted bool) {
 	if e, inserted = q.admit(key); !inserted {
 		return e, false
 	}
@@ -93,7 +93,7 @@ func (q *TwoQ) TryInsert(key Key) (e *Entry, inserted bool) {
 }
 
 // Remove evicts e; A1in evictions are remembered in the ghost queue.
-func (q *TwoQ) Remove(e *Entry) {
+func (q *twoQ) Remove(e *Entry) {
 	if e.seg == segAm {
 		q.drop(e, &q.am)
 		return
@@ -106,7 +106,7 @@ func (q *TwoQ) Remove(e *Entry) {
 // ghostAdd remembers key at the front of the ghost queue, forgetting the
 // oldest key when the queue is full. Only a block leaving A1in is added,
 // and a resident block is never remembered, so key is not in the queue.
-func (q *TwoQ) ghostAdd(key Key) {
+func (q *twoQ) ghostAdd(key Key) {
 	if q.ghostCap == 0 {
 		return
 	}
@@ -120,14 +120,14 @@ func (q *TwoQ) ghostAdd(key Key) {
 	q.ghost.pushFront(g)
 }
 
-func (q *TwoQ) ghostRemove(g *Entry) {
-	q.ghostIndex.Delete(&g.n)
+func (q *twoQ) ghostRemove(g *Entry) {
+	q.ghostIndex.delete(&g.n)
 	q.ghost.remove(g)
 	q.ghostPool.put(g)
 }
 
 // CheckInvariants implements BlockCache.
-func (q *TwoQ) CheckInvariants() error {
+func (q *twoQ) CheckInvariants() error {
 	segs := [...]uint8{segA1in, segAm}
 	err := q.checkLists(func(e *Entry, i int) error {
 		if e.seg != segs[i] {

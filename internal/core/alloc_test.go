@@ -39,7 +39,7 @@ func TestWarmBlockPathAllocationBudget(t *testing.T) {
 		{"none/none", PolicyNone, PolicyNone},
 		{"sync/sync", PolicySync, PolicySync},
 		{"delayed/trickle", Policy{Kind: Delayed, Period: 5 * sim.Millisecond},
-			Policy{Kind: Trickle, Period: sim.Millisecond}},
+			Policy{Kind: trickle, Period: sim.Millisecond}},
 	}
 	for _, arch := range []Architecture{Naive, Lookaside, Unified} {
 		for _, pol := range policies {
@@ -280,7 +280,7 @@ func TestClusterShardsShareReqArena(t *testing.T) {
 	for _, sh := range c.shards {
 		for _, h := range sh.hosts {
 			if h.reqs != sh.hosts[0].reqs {
-				t.Fatalf("host %d does not carve from its shard's arena", h.ID())
+				t.Fatalf("host %d does not carve from its shard's arena", h.id())
 			}
 		}
 	}

@@ -81,7 +81,7 @@ func (h *Host) Crash() int {
 func (h *Host) Flush(fraction float64, done func()) int {
 	dirty := h.DirtyBlocks()
 	next := func() {
-		h.DropColdest(fraction)
+		h.dropColdest(fraction)
 		if done != nil {
 			done()
 		}
@@ -117,12 +117,12 @@ func (h *Host) flushTier(t tier, next func()) {
 	}
 }
 
-// DropColdest removes the coldest fraction of each tier's resident blocks
+// dropColdest removes the coldest fraction of each tier's resident blocks
 // (clean removal; callers flush first if the dirty data matters), flash
 // before RAM. Flash drops shoot down clean RAM copies so the naive
 // architecture's RAM ⊆ flash property survives. Returns the number of
 // blocks dropped.
-func (h *Host) DropColdest(fraction float64) int {
+func (h *Host) dropColdest(fraction float64) int {
 	if fraction <= 0 {
 		return 0
 	}

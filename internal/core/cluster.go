@@ -131,14 +131,13 @@ func (s *clusterSink) AcquireWrite(key uint64, fn func(any), arg any) {
 	fn(arg)
 }
 
-// clusterShard is one shard: a private engine plus the hosts and per-host
-// drivers assigned to it. Everything inside is touched either by the
+// clusterShard is one shard: a private engine plus the hosts assigned to
+// it. Everything inside is touched either by the
 // shard's worker goroutine (during an epoch) or by the coordinator
 // (between epochs); the channel handshake orders the two.
 type clusterShard struct {
-	eng     *sim.Engine
-	hosts   []*Host
-	drivers []*Driver
+	eng   *sim.Engine
+	hosts []*Host
 
 	// The shard's outboxes, appended in engine execution order and
 	// canonicalized by the coordinator at the barrier (see gather).
@@ -251,7 +250,7 @@ func (sh *clusterShard) applyInvalidations(batch []invMsg) {
 				b := word & -word
 				word &^= b
 				h := sh.hosts[w<<6|bits.TrailingZeros64(b)]
-				if h.ID() == int(m.host) {
+				if h.id() == int(m.host) {
 					continue
 				}
 				set[w] &^= b
@@ -433,7 +432,6 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 			sh.holders = newHolderSet(len(hosts))
 		}
 		sh.hosts = hosts
-		sh.drivers = make([]*Driver, len(hosts))
 		for j, h := range hosts {
 			i := s + j*shards
 			ports[j] = clusterPort{sh: sh, host: int32(i)}
@@ -454,17 +452,16 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 			if c.proto != nil {
 				p := &c.protoPorts[i]
 				*p = clusterProtoPort{sh: sh, h: h, host: int32(i), co: c.proto}
-				h.SetConsistencyPort(p)
+				h.setConsistencyPort(p)
 			} else if c.track {
 				sinks[j] = clusterSink{sh: sh, h: h}
-				h.SetConsistencyPort(&sinks[j])
+				h.setConsistencyPort(&sinks[j])
 				h.holders, h.holderLocal = sh.holders, int32(j)
 			}
 			d := &drivers[j]
 			if err := d.init(sh.eng, hosts[j:j+1:j+1], spec.Sources[i], 0); err != nil {
 				return nil, err
 			}
-			sh.drivers[j] = d
 			c.hosts[i] = h
 			c.drivers[i] = d
 			c.hostShard[i] = sh
@@ -838,7 +835,7 @@ func (c *Cluster) StartDrivers(warmup []int64) {
 // call it during wind-down, exactly like the sequential path.
 func (c *Cluster) StopSyncers() {
 	for _, h := range c.hosts {
-		h.StopSyncers()
+		h.stopSyncers()
 	}
 }
 

@@ -221,3 +221,29 @@ func TestClusterSpecValidation(t *testing.T) {
 		t.Errorf("%d shards, want 2", got)
 	}
 }
+
+// TestClusterAdvancePullsBackOvershoot: a pause nearer the last one than
+// an epoch still stops the cluster at the pause, and a second Close is a
+// no-op.
+func TestClusterAdvancePullsBackOvershoot(t *testing.T) {
+	c, err := NewCluster(clusterSpecForTest(4, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	c.StartDrivers(nil)
+	p1 := sim.Millisecond
+	if c.Advance(p1) {
+		t.Fatal("cluster idle at the first pause")
+	}
+	p2 := p1 + 1
+	if c.Advance(p2) {
+		t.Fatal("cluster idle at the second pause")
+	}
+	if now := c.Now(); now > p2 {
+		t.Fatalf("cluster ran to %v, past the pause at %v", now, p2)
+	}
+	c.RunToCompletion()
+	c.Close()
+	c.Close()
+}

@@ -246,7 +246,7 @@ func (pc *protoCoordinator) writeAcquire(m *protoMsg) {
 	}
 	holders := pc.holderScratch[:0]
 	for _, h := range pc.c.hosts {
-		if int32(h.ID()) != m.host && h.holds(m.key) {
+		if int32(h.id()) != m.host && h.holds(m.key) {
 			holders = append(holders, h)
 		}
 	}
@@ -269,8 +269,8 @@ func (pc *protoCoordinator) writeAcquire(m *protoMsg) {
 // back, then the ack enters the exchange.
 func (pc *protoCoordinator) deliverCallback(at sim.Time, holder *Host, key uint64, id uint64) {
 	c := pc.c
-	port := &c.protoPorts[holder.ID()]
-	c.hostShard[holder.ID()].eng.At(at+c.lookahead, func() {
+	port := &c.protoPorts[holder.id()]
+	c.hostShard[holder.id()].eng.At(at+c.lookahead, func() {
 		holder.sendControl(func() { // callback packet reaches the holder
 			dropped := holder.invalidate(key)
 			holder.sendControl(func() { // ack packet returns

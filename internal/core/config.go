@@ -106,10 +106,10 @@ func (c HostConfig) Validate() error {
 	if c.Arch > Unified {
 		return fmt.Errorf("core: unknown architecture %d", c.Arch)
 	}
-	if err := c.RAMPolicy.Validate(); err != nil {
+	if err := c.RAMPolicy.validate(); err != nil {
 		return fmt.Errorf("core: RAM policy: %w", err)
 	}
-	if err := c.FlashPolicy.Validate(); err != nil {
+	if err := c.FlashPolicy.validate(); err != nil {
 		return fmt.Errorf("core: flash policy: %w", err)
 	}
 	return nil

@@ -66,7 +66,7 @@ func TrackConsistency(hosts []*Host, protocol bool) *ConsistencyStats {
 	ports := make([]registryPort, len(hosts))
 	for i, h := range hosts {
 		ports[i] = registryPort{r: r, h: h}
-		h.SetConsistencyPort(&ports[i])
+		h.setConsistencyPort(&ports[i])
 	}
 	return &r.st
 }

@@ -18,7 +18,7 @@ func newRegistryRig(t *testing.T, n int, protocol, collect bool) (*sim.Engine, [
 	cfg.FlashPolicy = PolicyNone
 	eng, hosts, _ := buildCluster(t, n, cfg, testTiming(), false)
 	for _, h := range hosts {
-		h.SetCollect(collect)
+		h.setCollect(collect)
 	}
 	return eng, hosts, TrackConsistency(hosts, protocol)
 }

@@ -57,7 +57,7 @@ func newRig(t *testing.T, cfg HostConfig, tm Timing) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hosts[0].SetCollect(true)
+	hosts[0].setCollect(true)
 	return &rig{eng: eng, fsrv: fsrv, host: hosts[0]}
 }
 
@@ -314,7 +314,7 @@ func TestPeriodicSyncerFlushes(t *testing.T) {
 	if e := r.host.flash.Peek(1); e == nil || !e.Dirty {
 		t.Fatal("flushed block should be dirty in flash (flash policy none)")
 	}
-	r.host.StopSyncers()
+	r.host.stopSyncers()
 	r.eng.Run()
 }
 
@@ -412,7 +412,7 @@ func TestSubsetPropertyCleanRAMInFlash(t *testing.T) {
 			r.readLat(k)
 		}
 	}
-	r.host.StopSyncers()
+	r.host.stopSyncers()
 	r.eng.Run()
 	// Every clean RAM block must also be in flash (paper §3.2/3.3: the
 	// RAM cache is a subset of the flash cache in naive and lookaside).
@@ -476,7 +476,7 @@ func TestUnifiedWriteExposesFlashLatency(t *testing.T) {
 	if lat := r.writeLat(1); lat != 20 {
 		t.Fatalf("unified flash-buffer write %v, want 20", lat)
 	}
-	r.host.StopSyncers()
+	r.host.stopSyncers()
 	r.eng.Run()
 }
 
@@ -516,7 +516,7 @@ func TestZeroRAMWriteGoesToFlash(t *testing.T) {
 	if e := r.host.flash.Peek(1); e == nil || !e.Dirty {
 		t.Fatal("block not dirty in flash")
 	}
-	r.host.StopSyncers()
+	r.host.stopSyncers()
 	r.eng.Run()
 }
 
@@ -635,7 +635,7 @@ func TestPersistentFlashHasSlowerDeviceWrites(t *testing.T) {
 	if lat := r.writeLat(1); lat != 42 {
 		t.Fatalf("persistent flash write-through %v, want 42", lat)
 	}
-	r.host.StopSyncers()
+	r.host.stopSyncers()
 	r.eng.Run()
 }
 
@@ -649,7 +649,7 @@ func TestInvalidationBetweenHosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, h := range hosts {
-		h.SetCollect(true)
+		h.setCollect(true)
 	}
 	reg := TrackConsistency(hosts, false)
 
@@ -676,7 +676,7 @@ func TestInvalidationBetweenHosts(t *testing.T) {
 		t.Fatal("invalidation fraction zero")
 	}
 	for _, h := range hosts {
-		h.StopSyncers()
+		h.stopSyncers()
 	}
 	eng.Run()
 }
@@ -703,5 +703,81 @@ func TestWriteCoalescingEpochs(t *testing.T) {
 	// Two writes => two write-through propagations to flash.
 	if got := r.host.Stats().FlashWritebacks; got != 2 {
 		t.Fatalf("flash writebacks = %d, want 2 (write-through, no coalescing)", got)
+	}
+}
+
+// TestTracedFlashWritebackSpans: with every request sampled, a naive
+// host whose RAM writes through to flash records each write's flash leg
+// as a wb_flash span lasting one flash write.
+func TestTracedFlashWritebackSpans(t *testing.T) {
+	cfg := baseCfg(Naive)
+	cfg.RAMPolicy = PolicySync
+	tm := testTiming()
+	r := newRig(t, cfg, tm)
+	tr := obs.NewTracer(1)
+	r.host.SetTrace(tr.Host(0))
+	const writes = 4
+	for k := cache.Key(1); k <= writes; k++ {
+		r.writeLat(k)
+	}
+	n := 0
+	for _, s := range tr.Spans() {
+		if s.Kind != obs.KindWBFlash {
+			continue
+		}
+		n++
+		if d := s.End - s.Start; d != tm.FlashWrite {
+			t.Errorf("wb_flash span of key %d lasts %v, want one flash write %v", s.Key, d, tm.FlashWrite)
+		}
+	}
+	if n != writes {
+		t.Fatalf("%d wb_flash spans, want %d", n, writes)
+	}
+}
+
+// TestFaultHooksLeavePinnedEntries: a crash and a full drop remove only
+// what the caches offer as victims, so pinned entries stay resident.
+func TestFaultHooksLeavePinnedEntries(t *testing.T) {
+	r := newRig(t, baseCfg(Naive), testTiming())
+	h := r.host
+	for k := cache.Key(1); k <= 4; k++ {
+		r.readLat(k)
+	}
+	pinned := 0
+	for _, c := range h.tiers {
+		for k := cache.Key(1); c != nil && k <= 4; k++ {
+			if e := c.Peek(k); e != nil {
+				e.Pinned = true
+				pinned++
+			}
+		}
+	}
+	if pinned == 0 {
+		t.Fatal("reads left nothing resident")
+	}
+	if n := h.dropColdest(1); n != 0 {
+		t.Fatalf("drop removed %d pinned entries", n)
+	}
+	if n := h.Crash(); n != 0 {
+		t.Fatalf("crash removed %d pinned entries", n)
+	}
+	if got := h.ResidentBlocks(); got != pinned {
+		t.Fatalf("%d blocks resident, want the %d pinned", got, pinned)
+	}
+}
+
+func TestEnumStringsUnknown(t *testing.T) {
+	for _, c := range []struct{ got, want string }{
+		{Architecture(9).String(), "arch(9)"},
+		{PolicyKind(9).String(), "kind(9)"},
+		{Policy{Kind: 9}.String(), "policy(9)"},
+		{Policy{Kind: trickle}.String(), "t?"},
+	} {
+		if c.got != c.want {
+			t.Errorf("got %q, want %q", c.got, c.want)
+		}
+	}
+	if err := (Policy{Kind: 9}).validate(); err == nil {
+		t.Error("unknown policy kind validated")
 	}
 }

@@ -246,12 +246,11 @@ func (d *Driver) tracing() bool { return d.hosts[0].tr != nil }
 // noteDequeue records the host-queue wait of an op enqueued at time at as
 // a queue span on the track of the op's first block request — which
 // opStep issues synchronously next, so it takes the host's next request
-// sequence (NextSampled peeks without consuming). Tracers must attach
-// before any ops are pumped, so every queued op has its enqueue time.
+// sequence (NextSampled peeks without consuming); every op has a block,
+// since the public entry points reject zero-length ops. Tracers must
+// attach before any ops are pumped, so every queued op has its enqueue
+// time.
 func (d *Driver) noteDequeue(op trace.Op, at sim.Time) {
-	if op.Count == 0 {
-		return // no block requests; nothing to attach the wait to
-	}
 	h := d.hostFor(op)
 	if seq := h.tr.NextSampled(); seq != 0 {
 		h.tr.Add(seq, obs.KindQueue, 0, at, d.eng.Now())
@@ -293,7 +292,7 @@ func (d *Driver) noteIssue(blocks int64) {
 	if d.issuedBlocks >= d.warmupBlocks {
 		d.collecting = true
 		for _, h := range d.hosts {
-			h.SetCollect(true)
+			h.setCollect(true)
 		}
 	}
 }
@@ -335,7 +334,7 @@ func (d *Driver) start() {
 		d.noteIssue(0)
 		d.collecting = true
 		for _, h := range d.hosts {
-			h.SetCollect(true)
+			h.setCollect(true)
 		}
 	}
 	d.pump()
@@ -351,7 +350,7 @@ func (d *Driver) Run() {
 	// The trace is complete: halt the periodic syncers so the event queue
 	// can drain, then let in-flight writebacks finish.
 	for _, h := range d.hosts {
-		h.StopSyncers()
+		h.stopSyncers()
 	}
 	d.eng.Run()
 	if !d.done() {

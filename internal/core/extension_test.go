@@ -17,19 +17,19 @@ func TestParseExtensionPolicies(t *testing.T) {
 		t.Fatalf("String = %q", d.String())
 	}
 	tr, err := ParsePolicy("t100")
-	if err != nil || tr.Kind != Trickle || tr.Period != sim.Second/100 {
+	if err != nil || tr.Kind != trickle || tr.Period != sim.Second/100 {
 		t.Fatalf("t100 parsed as %v (%v)", tr, err)
 	}
 	if tr.String() != "t100" {
 		t.Fatalf("String = %q", tr.String())
 	}
-	if err := (Policy{Kind: Delayed}).Validate(); err == nil {
+	if err := (Policy{Kind: Delayed}).validate(); err == nil {
 		t.Fatal("delayed without period accepted")
 	}
-	if err := (Policy{Kind: Trickle}).Validate(); err == nil {
+	if err := (Policy{Kind: trickle}).validate(); err == nil {
 		t.Fatal("trickle without period accepted")
 	}
-	for _, k := range []PolicyKind{WriteThroughSync, WriteThroughAsync, Periodic, None, Delayed, Trickle} {
+	for _, k := range []PolicyKind{writeThroughSync, writeThroughAsync, Periodic, none, Delayed, trickle} {
 		if k.String() == "" {
 			t.Fatal("empty kind name")
 		}
@@ -78,7 +78,7 @@ func TestDelayedPolicyCoalesces(t *testing.T) {
 
 func TestTricklePolicyDrainsSlowly(t *testing.T) {
 	cfg := baseCfg(Naive)
-	cfg.RAMPolicy = Policy{Kind: Trickle, Period: 1000} // one block per 1000 units
+	cfg.RAMPolicy = Policy{Kind: trickle, Period: 1000} // one block per 1000 units
 	cfg.FlashPolicy = PolicyNone
 	r := newRig(t, cfg, testTiming())
 	for k := cache.Key(1); k <= 4; k++ {
@@ -96,7 +96,7 @@ func TestTricklePolicyDrainsSlowly(t *testing.T) {
 	if got := r.host.ram.DirtyLen(); got != 0 {
 		t.Fatalf("dirty after four ticks = %d, want 0", got)
 	}
-	r.host.StopSyncers()
+	r.host.stopSyncers()
 	r.eng.Run()
 }
 
@@ -119,7 +119,7 @@ func TestFlashReplacementPolicies(t *testing.T) {
 				r.readLat(k)
 			}
 		}
-		r.host.StopSyncers()
+		r.host.stopSyncers()
 		r.eng.Run()
 		if err := r.host.flash.CheckInvariants(); err != nil {
 			t.Fatalf("%s: %v", kind, err)
@@ -134,8 +134,8 @@ func TestTrickleUnified(t *testing.T) {
 	cfg := baseCfg(Unified)
 	cfg.RAMBlocks = 2
 	cfg.FlashBlocks = 8
-	cfg.RAMPolicy = Policy{Kind: Trickle, Period: 1000}
-	cfg.FlashPolicy = Policy{Kind: Trickle, Period: 1000}
+	cfg.RAMPolicy = Policy{Kind: trickle, Period: 1000}
+	cfg.FlashPolicy = Policy{Kind: trickle, Period: 1000}
 	r := newRig(t, cfg, testTiming())
 	for k := cache.Key(1); k <= 6; k++ {
 		r.host.write(k, cont{})
@@ -144,7 +144,7 @@ func TestTrickleUnified(t *testing.T) {
 	if got := r.host.uni.DirtyLen(); got != 0 {
 		t.Fatalf("unified dirty after trickle draining = %d", got)
 	}
-	r.host.StopSyncers()
+	r.host.stopSyncers()
 	r.eng.Run()
 }
 
@@ -163,7 +163,7 @@ func TestFTLBackedHost(t *testing.T) {
 			r.readLat(k)
 		}
 	}
-	r.host.StopSyncers()
+	r.host.stopSyncers()
 	r.eng.Run()
 	snap, ok := r.host.FTLSnapshot()
 	if !ok {
@@ -185,6 +185,45 @@ func TestFixedHostHasNoFTLSnapshot(t *testing.T) {
 	if _, ok := r.host.FTLSnapshot(); ok {
 		t.Fatal("fixed-latency host reported an FTL snapshot")
 	}
-	r.host.StopSyncers()
+	r.host.stopSyncers()
 	r.eng.Run()
+}
+
+// TestFTLUtilisationBounds: an FTL-backed device reports no utilisation
+// before the clock moves, and caps it at 1 while queued NAND work runs
+// ahead of the clock.
+func TestFTLUtilisationBounds(t *testing.T) {
+	cfg := baseCfg(Naive)
+	cfg.FTLBacked = true
+	r := newRig(t, cfg, testTiming())
+	dev := r.host.FlashDevice()
+	if u := dev.Utilisation(); u != 0 {
+		t.Fatalf("utilisation %v at time 0, want 0", u)
+	}
+	for k := cache.Key(0); k < 16; k++ {
+		dev.Write2(k, nil, nil)
+	}
+	r.eng.Step() // the first write ack: the die holds 16 queued programs
+	if u := dev.Utilisation(); u != 1 {
+		t.Fatalf("utilisation %v with the die booked past the clock, want 1", u)
+	}
+}
+
+// TestPrefillSkipsResidentAndStopsWhenFull: prefill installs each key
+// once and stops at the flash tier's capacity.
+func TestPrefillSkipsResidentAndStopsWhenFull(t *testing.T) {
+	cfg := baseCfg(Naive)
+	cfg.FlashBlocks = 4
+	r := newRig(t, cfg, testTiming())
+	keys := []cache.Key{1, 1, 2, 3, 4, 5, 6}
+	if n := r.host.Prefill(keys, 0, rng.New(1)); n != 4 {
+		t.Fatalf("prefilled %d blocks, want the 4 that fit", n)
+	}
+	if r.host.flash.Peek(5) != nil {
+		t.Fatal("prefill ran past the flash capacity")
+	}
+	var empty HostStats
+	if empty.ReadHitRateRAM() != 0 || empty.ReadHitRateFlash() != 0 {
+		t.Fatal("hit rates of no reads are not 0")
+	}
 }

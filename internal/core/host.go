@@ -50,9 +50,8 @@ type ConsistencyPort interface {
 // through a static func(any) plus a recycled record, so a warm host serves
 // block requests without allocating.
 type Host struct {
-	eng    *sim.Engine
-	cfg    HostConfig
-	timing Timing
+	eng *sim.Engine
+	cfg HostConfig
 
 	// Layered architectures (naive, lookaside).
 	ram   *cache.LRU
@@ -163,7 +162,6 @@ func (h *Host) init(eng *sim.Engine, cfg HostConfig, timing Timing,
 	*h = Host{
 		eng:     eng,
 		cfg:     cfg,
-		timing:  timing,
 		seg:     seg,
 		bgSeg:   bgSeg,
 		fsrv:    fsrv,
@@ -198,8 +196,8 @@ func (h *Host) init(eng *sim.Engine, cfg HostConfig, timing Timing,
 	return nil
 }
 
-// ID returns the host's identifier.
-func (h *Host) ID() int { return h.cfg.ID }
+// id returns the host's identifier.
+func (h *Host) id() int { return h.cfg.ID }
 
 // Stats returns the host's accumulated statistics.
 func (h *Host) Stats() *HostStats { return &h.st }
@@ -254,16 +252,16 @@ func (h *Host) mark(seq uint64, kind obs.Kind, key cache.Key) {
 	h.tr.Add(seq, kind, uint64(key), now, now)
 }
 
-// SetCollect enables statistics collection (called after warmup).
-func (h *Host) SetCollect(on bool) { h.collect = on }
+// setCollect enables statistics collection (called after warmup).
+func (h *Host) setCollect(on bool) { h.collect = on }
 
-// SetConsistencyPort routes this host's reads and writes through p (nil:
+// setConsistencyPort routes this host's reads and writes through p (nil:
 // no consistency is modeled).
-func (h *Host) SetConsistencyPort(p ConsistencyPort) { h.cons = p }
+func (h *Host) setConsistencyPort(p ConsistencyPort) { h.cons = p }
 
-// StopSyncers halts periodic writeback daemons so the engine can drain at
+// stopSyncers halts periodic writeback daemons so the engine can drain at
 // end of trace.
-func (h *Host) StopSyncers() {
+func (h *Host) stopSyncers() {
 	for i := range h.syncers[:h.nsync] {
 		h.syncers[i].tick.Stop()
 	}
@@ -282,9 +280,6 @@ func (h *Host) invalidate(key uint64) bool {
 			c.Remove(e)
 			dropped = true
 		}
-	}
-	if dropped && h.collect {
-		h.st.InvalidatedHere++
 	}
 	return dropped
 }
@@ -484,11 +479,6 @@ func writeLayeredRoom(a any) {
 	r := a.(*hostReq)
 	h := r.h
 	e, _ := h.tryInsert(tierRAM, r.key)
-	if e == nil {
-		// Room vanished to a racing insert; retry.
-		h.writeLayered(r)
-		return
-	}
 	h.commitRAMWrite(e, cont{finishWrite, r}, r.trSeq)
 }
 
@@ -618,10 +608,6 @@ func writeUnifiedRoom(a any) {
 	r := a.(*hostReq)
 	h := r.h
 	e, _ := h.tryInsert(tierUnified, r.key)
-	if e == nil {
-		h.writeUnified(r)
-		return
-	}
 	h.commitUnifiedWrite(e, cont{finishWrite, r}, r.trSeq)
 }
 
@@ -826,11 +812,6 @@ func ensureFlashRoom(a any) {
 	key, ec := r.key, r.ec
 	h.putReq(r)
 	e, _ := h.tryInsert(tierFlash, key)
-	if e == nil {
-		// Lost the race for the freed slot; try again.
-		h.ensureFlashEntry(key, ec.fn, ec.arg)
-		return
-	}
 	ec.fn(ec.arg, e)
 }
 
@@ -841,6 +822,9 @@ func ensureFlashRoom(a any) {
 // how the "none" policy's eviction convoys arise (paper §7.1): a RAM
 // victim takes the architecture's downward move (to flash under naive, to
 // the filer under lookaside), a flash or unified victim goes to the filer.
+// c runs synchronously once the tier has room, so its insert always
+// succeeds or finds the key resident: TryInsert returns nil only on a
+// full tier.
 func (h *Host) makeRoom(t tier, c cont) {
 	tc := h.tiers[t]
 	if !tc.NeedsEviction() {

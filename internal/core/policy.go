@@ -11,27 +11,27 @@ type PolicyKind uint8
 
 // Policy kinds.
 const (
-	// WriteThroughSync writes dirty data to the next tier immediately,
+	// writeThroughSync writes dirty data to the next tier immediately,
 	// blocking the requester until completion ("s").
-	WriteThroughSync PolicyKind = iota
-	// WriteThroughAsync writes dirty data to the next tier immediately
+	writeThroughSync PolicyKind = iota
+	// writeThroughAsync writes dirty data to the next tier immediately
 	// without blocking the requester ("a").
-	WriteThroughAsync
+	writeThroughAsync
 	// Periodic leaves dirty data in the cache until a syncer thread
 	// flushes it ("p1", "p5", "p15", "p30").
 	Periodic
-	// None leaves dirty data in the cache until evicted for capacity
+	// none leaves dirty data in the cache until evicted for capacity
 	// reasons; evictions then write back synchronously ("n").
-	None
+	none
 	// Delayed writes each dirty block back Period after the write that
 	// dirtied it, coalescing rewrites within the window ("dN", N
 	// seconds). One of the "more elaborate policies" the paper mentions
 	// but does not evaluate (§3.6); implemented as an extension.
 	Delayed
-	// Trickle drains at most one dirty block per Period, bounding
+	// trickle drains at most one dirty block per Period, bounding
 	// writeback bandwidth ("tN", N flushes per second). Extension,
 	// paper §3.6's "trickle-flushing".
-	Trickle
+	trickle
 )
 
 // Policy is a writeback policy: a kind plus, for Periodic, the syncer
@@ -43,13 +43,13 @@ type Policy struct {
 
 // Canonical policies, matching the paper's seven-policy sweep.
 var (
-	PolicySync  = Policy{Kind: WriteThroughSync}
-	PolicyAsync = Policy{Kind: WriteThroughAsync}
+	PolicySync  = Policy{Kind: writeThroughSync}
+	PolicyAsync = Policy{Kind: writeThroughAsync}
 	PolicyP1    = Policy{Kind: Periodic, Period: 1 * sim.Second}
 	PolicyP5    = Policy{Kind: Periodic, Period: 5 * sim.Second}
 	PolicyP15   = Policy{Kind: Periodic, Period: 15 * sim.Second}
 	PolicyP30   = Policy{Kind: Periodic, Period: 30 * sim.Second}
-	PolicyNone  = Policy{Kind: None}
+	PolicyNone  = Policy{Kind: none}
 )
 
 // AllPolicies returns the paper's seven writeback policies in figure order
@@ -80,7 +80,7 @@ func ParsePolicy(s string) (Policy, error) {
 			case 'd':
 				return Policy{Kind: Delayed, Period: sim.Time(n) * sim.Second}, nil
 			case 't':
-				return Policy{Kind: Trickle, Period: sim.Second / sim.Time(n)}, nil
+				return Policy{Kind: trickle, Period: sim.Second / sim.Time(n)}, nil
 			}
 		}
 	}
@@ -90,17 +90,17 @@ func ParsePolicy(s string) (Policy, error) {
 // String returns the paper's shorthand for the policy.
 func (p Policy) String() string {
 	switch p.Kind {
-	case WriteThroughSync:
+	case writeThroughSync:
 		return "s"
-	case WriteThroughAsync:
+	case writeThroughAsync:
 		return "a"
 	case Periodic:
 		return fmt.Sprintf("p%d", int(p.Period/sim.Second))
-	case None:
+	case none:
 		return "n"
 	case Delayed:
 		return fmt.Sprintf("d%d", int(p.Period/sim.Second))
-	case Trickle:
+	case trickle:
 		if p.Period <= 0 {
 			return "t?"
 		}
@@ -110,12 +110,12 @@ func (p Policy) String() string {
 	}
 }
 
-// Validate reports configuration errors.
-func (p Policy) Validate() error {
+// validate reports configuration errors.
+func (p Policy) validate() error {
 	switch p.Kind {
-	case WriteThroughSync, WriteThroughAsync, None:
+	case writeThroughSync, writeThroughAsync, none:
 		return nil
-	case Periodic, Delayed, Trickle:
+	case Periodic, Delayed, trickle:
 		if p.Period <= 0 {
 			return fmt.Errorf("core: %s policy needs a positive period", p.Kind)
 		}
@@ -128,17 +128,17 @@ func (p Policy) Validate() error {
 // String returns the kind's lower-case name.
 func (k PolicyKind) String() string {
 	switch k {
-	case WriteThroughSync:
+	case writeThroughSync:
 		return "sync"
-	case WriteThroughAsync:
+	case writeThroughAsync:
 		return "async"
 	case Periodic:
 		return "periodic"
-	case None:
+	case none:
 		return "none"
 	case Delayed:
 		return "delayed"
-	case Trickle:
+	case trickle:
 		return "trickle"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))

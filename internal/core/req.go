@@ -50,13 +50,8 @@ func callFunc(a any) { a.(func())() }
 // building the method value join.Done once per block.
 func joinDone(a any) { a.(*sim.Join).Done() }
 
-// funcCont wraps a possibly-nil func() as a cont.
-func funcCont(done func()) cont {
-	if done == nil {
-		return cont{}
-	}
-	return cont{fn: callFunc, arg: done}
-}
+// funcCont wraps a func() as a cont.
+func funcCont(done func()) cont { return cont{fn: callFunc, arg: done} }
 
 // entryCont is a continuation receiving a cache entry (ensureFlashEntry's
 // callback shape).

@@ -75,7 +75,7 @@ func checkHolderSuperset(t *testing.T, c *Cluster) (highWord int) {
 					continue
 				}
 				if set == nil || set[li>>6]&(1<<uint(li&63)) == 0 {
-					t.Fatalf("shard %d: host %d holds key %d but is not in its holder set", s, h.ID(), key)
+					t.Fatalf("shard %d: host %d holds key %d but is not in its holder set", s, h.id(), key)
 				}
 				if li >= 64 {
 					highWord++
@@ -202,8 +202,8 @@ func TestHolderSetFillAfterProbe(t *testing.T) {
 	if h0.holds(key) {
 		t.Fatal("host 1's second write left host 0's stale copy")
 	}
-	if got, all := h0.Stats().InvalidatedHere, c.Consistency().Invalidations; got != 1 || all != 1 {
-		t.Fatalf("host 0 invalidated %d times, the cluster %d, want 1 and 1", got, all)
+	if all := c.Consistency().Invalidations; all != 1 {
+		t.Fatalf("the cluster invalidated %d times, want 1", all)
 	}
 }
 

@@ -28,7 +28,6 @@ type HostStats struct {
 	FlashFills      uint64 // clean fills installed into flash
 	FlashWritebacks uint64 // dirty RAM blocks written down to flash
 	SyncEvictions   uint64 // evictions that had to write back synchronously
-	InvalidatedHere uint64 // copies dropped by remote writes
 	CoalescedSkips  uint64 // syncer flushes skipped (writeback in flight)
 	EvictionRetries uint64 // eviction stalls (all victims pinned)
 	BlocksRead      uint64
@@ -68,7 +67,6 @@ func (s *HostStats) Merge(other *HostStats) {
 	s.FlashFills += other.FlashFills
 	s.FlashWritebacks += other.FlashWritebacks
 	s.SyncEvictions += other.SyncEvictions
-	s.InvalidatedHere += other.InvalidatedHere
 	s.CoalescedSkips += other.CoalescedSkips
 	s.EvictionRetries += other.EvictionRetries
 	s.BlocksRead += other.BlocksRead

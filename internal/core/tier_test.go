@@ -84,7 +84,7 @@ func TestTierInvariantsAcrossFaultHooks(t *testing.T) {
 				}
 
 				drive("drive")
-				if h.DirtyBlocks() == 0 && pol.ram.Kind == None {
+				if h.DirtyBlocks() == 0 && pol.ram.Kind == none {
 					t.Fatal("none/none left no dirty blocks to exercise")
 				}
 				h.Crash()
@@ -108,7 +108,7 @@ func TestTierInvariantsAcrossFaultHooks(t *testing.T) {
 				}
 
 				drive("drive before drop")
-				if h.DropColdest(0.5) == 0 {
+				if h.dropColdest(0.5) == 0 {
 					t.Error("DropColdest dropped nothing")
 				}
 				checkTiers(t, h, "drop")

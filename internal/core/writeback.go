@@ -115,9 +115,9 @@ func (h *Host) tierMove(t tier) moveKind {
 // downstream stages re-verify before mutating it.
 func (h *Host) applyPolicy(p Policy, t tier, key cache.Key, e *cache.Entry, gen uint64, c cont, trSeq uint64) {
 	switch p.Kind {
-	case WriteThroughSync:
+	case writeThroughSync:
 		h.propagate(h.tierMove(t), t, key, e, gen, demandLane, c, trSeq)
-	case WriteThroughAsync:
+	case writeThroughAsync:
 		// The async writeback still belongs to the triggering request's
 		// trace: its spans show the background work the write spawned.
 		h.propagate(h.tierMove(t), t, key, e, gen, bgLane, cont{}, trSeq)
@@ -256,9 +256,9 @@ func flashWBWritten(a any) {
 	// when it reaches the filer. A synchronous flash policy inside a
 	// demand chain keeps blocking the requester on the demand lane.
 	switch h.cfg.FlashPolicy.Kind {
-	case WriteThroughSync:
+	case writeThroughSync:
 		h.propagate(moveToFiler, tierFlash, key, e, gen, ln, c, trSeq)
-	case WriteThroughAsync:
+	case writeThroughAsync:
 		h.propagate(moveToFiler, tierFlash, key, e, gen, bgLane, cont{}, trSeq)
 		c.run()
 	default:
@@ -396,12 +396,12 @@ func (h *Host) startSyncers() {
 		{h.cfg.RAMPolicy, tierUnified, cache.RAM, uni && h.cfg.RAMBlocks > 0},
 		{h.cfg.FlashPolicy, tierUnified, cache.Flash, uni && h.cfg.FlashBlocks > 0},
 	} {
-		if !s.on || (s.p.Kind != Periodic && s.p.Kind != Trickle) {
+		if !s.on || (s.p.Kind != Periodic && s.p.Kind != trickle) {
 			continue
 		}
 		// Periodic flushes everything; Trickle drains one block per tick.
 		limit := 0
-		if s.p.Kind == Trickle {
+		if s.p.Kind == trickle {
 			limit = 1
 		}
 		sy := &h.syncers[h.nsync]

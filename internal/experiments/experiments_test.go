@@ -301,3 +301,29 @@ func TestFig12Shape(t *testing.T) {
 		t.Fatalf("fitting-WS invalidation rate only %.1f%%, want high", pointAt(t, flash, 40))
 	}
 }
+
+// TestOptionDefaults: the zero Options run at the default 1:128 scale
+// over the full working-set sweep.
+func TestOptionDefaults(t *testing.T) {
+	var o Options
+	if o.scale() != 128 {
+		t.Fatalf("default scale %d, want 128", o.scale())
+	}
+	if n := len(wssSweepGB(o)); n != 12 {
+		t.Fatalf("full sweep has %d points, want 12", n)
+	}
+}
+
+// TestTimeToThresholdCensored: a series that never reaches the threshold
+// reports the censoring value.
+func TestTimeToThresholdCensored(t *testing.T) {
+	ts := stats.NewTimeSeries("t", "hit")
+	ts.Append(1, []float64{0.2})
+	ts.Append(2, []float64{0.4})
+	if got := timeToThreshold(ts, "hit", 0, 0.9, 99); got != 99 {
+		t.Fatalf("got %v, want the censoring value 99", got)
+	}
+	if got := timeToThreshold(ts, "hit", 0, 0.3, 99); got != 2 {
+		t.Fatalf("got %v, want 2", got)
+	}
+}

@@ -5,9 +5,6 @@ import (
 	"strings"
 
 	"repro/flashsim"
-	"repro/internal/ftl"
-	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -123,64 +120,48 @@ func ExtWriteback(o Options) (*Report, error) {
 
 // ExtWear addresses the paper's lifetime future work (§8): how many flash
 // device writes each architecture performs per application write, and the
-// NAND-level write amplification an FTL adds at cache-like occupancy —
-// together, the endurance cost of client-side flash caching.
+// NAND-level write amplification the FTL under each cache adds to them —
+// together, the endurance cost of client-side flash caching. Every row
+// runs on FTL-backed flash and prints its own run's amplification.
 func ExtWear(o Options) (*Report, error) {
-	scale := o.scale()
 	fs, err := sharedServer(o, 60)
 	if err != nil {
 		return nil, err
 	}
 	var table strings.Builder
-	fmt.Fprintf(&table, "%-10s %18s %18s %20s\n",
-		"arch", "dev writes/app wr", "dev writes/app op", "flash busy (%)")
+	fmt.Fprintf(&table, "%-10s %18s %18s %20s %8s\n",
+		"arch", "dev writes/app wr", "dev writes/app op", "flash busy (%)", "FTL WA")
 	s := newSweep(o, "ext-wear")
 	for _, arch := range []flashsim.Architecture{flashsim.Naive, flashsim.Lookaside, flashsim.Unified} {
-		cfg := baseline(o)
-		cfg.Arch = arch
-		cfg.Workload.FileSet = fs
-		s.add("ext-wear "+arch.String(), cfg, func(res *flashsim.Result) {
+		s.add("ext-wear "+arch.String(), extWearConfig(o, fs, arch), func(res *flashsim.Result) {
 			appWrites := float64(res.Hosts.BlocksWritten)
 			appOps := float64(res.Hosts.BlocksWritten + res.Hosts.BlocksRead)
-			fmt.Fprintf(&table, "%-10s %18.2f %18.2f %20.1f\n",
+			fmt.Fprintf(&table, "%-10s %18.2f %18.2f %20.1f %8.2f\n",
 				arch,
 				float64(res.FlashDeviceWrites)/appWrites,
 				float64(res.FlashDeviceWrites)/appOps,
-				100*res.FlashBusyFraction)
+				100*res.FlashBusyFraction,
+				res.FTLWriteAmplification)
 		})
 	}
 	if err := s.run(); err != nil {
 		return nil, err
 	}
-
-	// NAND-level amplification below the block interface: churn an FTL
-	// at high occupancy, the regime a cache keeps its device in.
-	var eng sim.Engine
-	devCfg := ftl.DefaultConfig(int(gb(4, scale/8+1)) + 4096)
-	dev, err := ftl.NewDevice(&eng, devCfg)
-	if err != nil {
-		return nil, err
-	}
-	r := rng.New(3)
-	n := dev.LogicalPages()
-	churn := 10 * n
-	if o.Quick {
-		churn = 4 * n
-	}
-	for i := 0; i < churn; i++ {
-		dev.Write2(r.Intn(n), nil, nil)
-		eng.Run()
-	}
-	snap := dev.Snapshot()
-	fmt.Fprintf(&table,
-		"\nFTL at cache occupancy: write amplification %.2f, %d erases, wear spread %d..%d\n"+
-			"effective NAND writes per application write = device rate x %.2f\n",
-		snap.WriteAmplification, snap.Erases, snap.MinErase, snap.MaxErase,
-		snap.WriteAmplification)
+	table.WriteString("\neffective NAND writes per application write = dev writes/app wr x FTL WA\n")
 
 	return &Report{
 		Name:        "ext-wear",
 		Description: "Flash lifetime: device writes per app write and FTL amplification (extension, paper §8)",
 		Tables:      []string{table.String()},
 	}, nil
+}
+
+// extWearConfig is one ext-wear row: the baseline architecture arch over
+// the shared file set, on FTL-backed flash.
+func extWearConfig(o Options, fs *flashsim.FileSet, arch flashsim.Architecture) flashsim.Config {
+	cfg := baseline(o)
+	cfg.Arch = arch
+	cfg.FTLBackedFlash = true
+	cfg.Workload.FileSet = fs
+	return cfg
 }

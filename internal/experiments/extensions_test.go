@@ -74,9 +74,24 @@ func TestExtWearShape(t *testing.T) {
 		t.Fatal("table missing")
 	}
 	tbl := rep.Tables[0]
-	for _, want := range []string{"naive", "lookaside", "unified", "write amplification"} {
-		if !strings.Contains(tbl, want) {
-			t.Fatalf("table missing %q:\n%s", want, tbl)
+	// Each row's FTL WA column is its own run's write amplification:
+	// rerun every row and match the printed value.
+	o := quickOpts()
+	fs, err := sharedServer(o, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arch := range []flashsim.Architecture{flashsim.Naive, flashsim.Lookaside, flashsim.Unified} {
+		res, err := flashsim.Run(extWearConfig(o, fs, arch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FTLWriteAmplification <= 1 {
+			t.Errorf("%s: FTL write amplification %.3f, want above 1", arch, res.FTLWriteAmplification)
+		}
+		row := tableRow(t, tbl, arch.String())
+		if got, want := row[len(row)-1], fmt.Sprintf("%.2f", res.FTLWriteAmplification); got != want {
+			t.Errorf("%s: FTL WA column %q, want its own run's %q", arch, got, want)
 		}
 	}
 }

@@ -222,9 +222,6 @@ func ExtFleet(o Options) (*Report, error) {
 		s.add(fmt.Sprintf("ext-fleet hosts=%d shards=%d wall-profile", wallHosts, shards), cfg,
 			func(res *flashsim.Result) {
 				wp := res.WallProfile
-				if wp == nil {
-					return
-				}
 				x := float64(shards)
 				barrierShare.Add(x, 100*wp.BarrierShare())
 				execImb.Add(x, 100*wp.Imbalance())

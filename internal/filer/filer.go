@@ -66,9 +66,9 @@ import (
 	"repro/internal/sim"
 )
 
-// MaxReplicas bounds a partition's replica group size; quorum fan-out is
+// maxReplicas bounds a partition's replica group size; quorum fan-out is
 // O(R) on the write path, so the bound keeps the hot loop small.
-const MaxReplicas = 8
+const maxReplicas = 8
 
 // ObjectTier configures the optional object store behind the block tier.
 type ObjectTier struct {
@@ -93,7 +93,7 @@ type Config struct {
 	Partitions int
 
 	// Replicas is the number of copies in each partition's replica group
-	// (1..MaxReplicas); 0 selects 1, the classic single backend.
+	// (1..maxReplicas); 0 selects 1, the classic single backend.
 	Replicas int
 
 	// WriteQuorum is the ack count a write waits for (1..Replicas); 0
@@ -140,8 +140,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("filer: partition count %d below 1", c.Partitions)
 	}
 	d := c.WithDefaults()
-	if c.Replicas < 0 || d.Replicas > MaxReplicas {
-		return fmt.Errorf("filer: replicas %d out of [1,%d]", c.Replicas, MaxReplicas)
+	if c.Replicas < 0 || d.Replicas > maxReplicas {
+		return fmt.Errorf("filer: replicas %d out of [1,%d]", c.Replicas, maxReplicas)
 	}
 	if c.WriteQuorum < 0 || d.WriteQuorum > d.Replicas {
 		return fmt.Errorf("filer: write quorum %d out of [1,%d]", d.WriteQuorum, d.Replicas)
@@ -306,7 +306,9 @@ func NewPartitioned(eng *sim.Engine, rnd *rng.RNG, cfg Config) (*Filer, error) {
 			if r == cfg.Replicas-1 && cfg.SlowReplicaFactor > 1 {
 				// The group's one slow backend: every latency scaled by
 				// the factor (a pure function of the configuration, so
-				// identical on every run and executor).
+				// identical on every run and executor). It is the last
+				// replica, so live write latencies never decrease in
+				// replica order, which ServeWrite's quorum relies on.
 				s := cfg.SlowReplicaFactor
 				rep.fastLat = sim.Time(math.Round(float64(cfg.FastRead) * s))
 				rep.slowLat = sim.Time(math.Round(float64(cfg.SlowRead) * s))
@@ -380,7 +382,7 @@ func (f *Filer) pickReplica(part int, fast bool, tie uint64) int32 {
 	if p.live == 0 {
 		return -1
 	}
-	var cand [MaxReplicas]int32
+	var cand [maxReplicas]int32
 	n := 0
 	best := sim.Time(math.MaxInt64)
 	for i := range p.reps {
@@ -474,9 +476,17 @@ func (f *Filer) ServeWrite(part int, key uint64) sim.Time {
 		p.reps[0].writes++
 		return p.reps[0].writeLat
 	}
-	// Insertion-sort the live replicas' write latencies (R <= MaxReplicas,
-	// so the sort is a handful of compares) and complete at the quorum-th.
-	var acks [MaxReplicas]sim.Time
+	// Live write latencies never decrease in replica order (only the last
+	// replica is slowed, see NewPartitioned), so the quorum-th smallest
+	// ack is the quorum-th live replica's.
+	w := f.cfg.WriteQuorum
+	if w > p.live {
+		// Degraded: fewer survivors than the quorum; complete at the
+		// last surviving ack.
+		p.degradedWrites++
+		w = p.live
+	}
+	var lat sim.Time
 	n := 0
 	for i := range p.reps {
 		r := &p.reps[i]
@@ -484,23 +494,11 @@ func (f *Filer) ServeWrite(part int, key uint64) sim.Time {
 			continue
 		}
 		r.writes++
-		lat := r.writeLat
-		j := n
-		for j > 0 && acks[j-1] > lat {
-			acks[j] = acks[j-1]
-			j--
+		if n++; n == w {
+			lat = r.writeLat
 		}
-		acks[j] = lat
-		n++
 	}
-	w := f.cfg.WriteQuorum
-	if w > n {
-		// Degraded: fewer survivors than the quorum; complete at the
-		// last surviving ack.
-		p.degradedWrites++
-		w = n
-	}
-	return acks[w-1]
+	return lat
 }
 
 // CrashReplica takes one replica of a partition group out of service:

@@ -28,8 +28,8 @@ func TestReplicaConfigValidate(t *testing.T) {
 		{"zero replicas means one", func(c *Config) { c.Replicas = 0 }, true},
 		{"one replica", func(c *Config) { c.Replicas = 1 }, true},
 		{"three replicas", func(c *Config) { c.Replicas = 3 }, true},
-		{"max replicas", func(c *Config) { c.Replicas = MaxReplicas }, true},
-		{"replicas above max", func(c *Config) { c.Replicas = MaxReplicas + 1 }, false},
+		{"max replicas", func(c *Config) { c.Replicas = maxReplicas }, true},
+		{"replicas above max", func(c *Config) { c.Replicas = maxReplicas + 1 }, false},
 		{"negative replicas", func(c *Config) { c.Replicas = -1 }, false},
 		{"quorum within group", func(c *Config) { c.Replicas = 3; c.WriteQuorum = 3 }, true},
 		{"quorum of one", func(c *Config) { c.Replicas = 3; c.WriteQuorum = 1 }, true},
@@ -394,5 +394,39 @@ func TestRecoverReplicaBadIndices(t *testing.T) {
 	}
 	if _, _, err := f.RecoverReplica(0, 5); err == nil {
 		t.Fatal("out-of-range replica accepted")
+	}
+}
+
+// TestGroupDownWriteFloor: with the whole group down, a write pays the
+// object-tier write, but never less than the block-tier write, the floor
+// the sharded lookahead relies on.
+func TestGroupDownWriteFloor(t *testing.T) {
+	var e sim.Engine
+	cfg := replicaConfig(1, 1, 0)
+	cfg.Object = &ObjectTier{Read: 2 * slowRead, Write: writeLat / 2}
+	f, err := NewPartitioned(&e, rng.New(1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.CrashReplica(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if lat := writeLatency(f, 1); lat != writeLat {
+		t.Fatalf("group-down write latency %v, want the block-tier floor %v", lat, writeLat)
+	}
+}
+
+// TestMinServiceLatencySlowReadFirst: a slow read faster than the fast
+// read sets the floor.
+func TestMinServiceLatencySlowReadFirst(t *testing.T) {
+	var e sim.Engine
+	cfg := blockConfig(1, 0.5)
+	cfg.SlowRead = fastRead / 2
+	f, err := NewPartitioned(&e, rng.New(1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.MinServiceLatency(); got != fastRead/2 {
+		t.Fatalf("min service latency %v, want the slow read %v", got, fastRead/2)
 	}
 }

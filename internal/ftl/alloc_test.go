@@ -37,9 +37,8 @@ func TestClosedLoopAllocationFree(t *testing.T) {
 		t.Errorf("closed-loop write, write, read allocated %v per run, want 0", allocs)
 	}
 	after := d.Snapshot()
-	if after.GCRuns == before.GCRuns || after.Erases == before.Erases {
-		t.Fatalf("no device GC during the measurement (%d GC runs, %d erases before and after)",
-			after.GCRuns, after.Erases)
+	if after.Erases == before.Erases {
+		t.Fatalf("no device GC during the measurement (%d erases before and after)", after.Erases)
 	}
 	if p.count == 0 || p.total <= 0 {
 		t.Fatal("latency probe never completed")

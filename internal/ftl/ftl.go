@@ -91,12 +91,9 @@ type Device struct {
 	writePtr   int   // next free page within openBlock
 
 	// Statistics.
-	hostReads, hostWrites uint64
-	nandReads             uint64
-	nandPrograms          uint64
-	gcPrograms            uint64
-	eraseCount            uint64
-	gcRuns                uint64
+	hostWrites   uint64
+	nandPrograms uint64
+	eraseCount   uint64
 }
 
 // NewDevice builds the device and its free-block pool.
@@ -172,13 +169,11 @@ func (d *Device) Read2(lpn int, fn func(any), arg any) {
 	if lpn < 0 || lpn >= d.logicalPages {
 		panic(fmt.Sprintf("ftl: read of LPN %d out of range", lpn))
 	}
-	d.hostReads++
 	if d.mapping[lpn] == invalidPPN {
 		// Unwritten page: device returns zeroes without touching NAND.
 		d.eng.Schedule2(d.jitter(d.cfg.WriteAckLat/2), fn, arg)
 		return
 	}
-	d.nandReads++
 	d.die.Use2(d.jitter(d.cfg.PageReadLat), fn, arg)
 }
 
@@ -192,13 +187,13 @@ func (d *Device) Write2(lpn int, fn func(any), arg any) {
 	}
 	d.hostWrites++
 	d.eng.Schedule2(d.jitter(d.cfg.WriteAckLat), fn, arg)
-	d.program(lpn, false)
+	d.program(lpn)
 	d.maybeGC()
 }
 
 // program maps lpn to the next free physical page and enqueues the NAND
 // program on the die.
-func (d *Device) program(lpn int, fromGC bool) {
+func (d *Device) program(lpn int) {
 	if d.writePtr >= d.cfg.PagesPerBlock {
 		d.advanceOpenBlock()
 	}
@@ -214,9 +209,6 @@ func (d *Device) program(lpn int, fromGC bool) {
 	d.reverse[ppn] = int32(lpn)
 	d.valid[d.openBlock]++
 	d.nandPrograms++
-	if fromGC {
-		d.gcPrograms++
-	}
 	d.die.Use2(d.jitter(d.cfg.PageProgramLat), nil, nil)
 }
 
@@ -238,7 +230,6 @@ func (d *Device) maybeGC() {
 		if victim < 0 {
 			return // nothing reclaimable
 		}
-		d.gcRuns++
 		base := victim * d.cfg.PagesPerBlock
 		for p := 0; p < d.cfg.PagesPerBlock; p++ {
 			lpn := d.reverse[base+p]
@@ -246,9 +237,8 @@ func (d *Device) maybeGC() {
 				continue
 			}
 			// Relocate: NAND read + program.
-			d.nandReads++
 			d.die.Use2(d.jitter(d.cfg.PageReadLat), nil, nil)
-			d.program(int(lpn), true)
+			d.program(int(lpn))
 		}
 		if d.valid[victim] != 0 {
 			panic("ftl: victim still has valid pages after relocation")
@@ -290,8 +280,8 @@ func (d *Device) isFree(b int) bool {
 	return false
 }
 
-// WriteAmplification returns total NAND programs divided by host writes.
-func (d *Device) WriteAmplification() float64 {
+// writeAmplification returns total NAND programs divided by host writes.
+func (d *Device) writeAmplification() float64 {
 	if d.hostWrites == 0 {
 		return 0
 	}
@@ -300,30 +290,22 @@ func (d *Device) WriteAmplification() float64 {
 
 // Stats snapshot.
 type Stats struct {
-	HostReads, HostWrites    uint64
-	NANDReads, NANDPrograms  uint64
-	GCPrograms, Erases       uint64
-	GCRuns                   uint64
+	HostWrites, NANDPrograms uint64
+	Erases                   uint64
 	WriteAmplification       float64
 	MaxErase, MinErase       int
-	DieBusy, DieWaited       sim.Time
-	FreeBlocks, LogicalPages int
+	DieBusy                  sim.Time
+	LogicalPages             int
 }
 
 // Snapshot returns current device statistics.
 func (d *Device) Snapshot() Stats {
 	s := Stats{
-		HostReads:          d.hostReads,
 		HostWrites:         d.hostWrites,
-		NANDReads:          d.nandReads,
 		NANDPrograms:       d.nandPrograms,
-		GCPrograms:         d.gcPrograms,
 		Erases:             d.eraseCount,
-		GCRuns:             d.gcRuns,
-		WriteAmplification: d.WriteAmplification(),
+		WriteAmplification: d.writeAmplification(),
 		DieBusy:            d.die.Busy(),
-		DieWaited:          d.die.Waited(),
-		FreeBlocks:         len(d.freeBlocks),
 		LogicalPages:       d.logicalPages,
 	}
 	s.MinErase = 1 << 30

@@ -95,11 +95,12 @@ func TestUnwrittenReadReturnsWithoutNAND(t *testing.T) {
 	p := &latProbe{eng: &e}
 	p.read(d, 5)
 	e.Run()
-	if d.Snapshot().NANDReads != 0 {
-		t.Fatal("unwritten read touched NAND")
+	// An unwritten page answers at half the write ack, without the die.
+	if p.count != 1 || p.lat != smallConfig().WriteAckLat/2 {
+		t.Fatalf("unwritten read took %v, want %v", p.lat, smallConfig().WriteAckLat/2)
 	}
-	if p.count != 1 || p.lat <= 0 {
-		t.Fatal("zero latency for unwritten read")
+	if busy := d.Snapshot().DieBusy; busy != 0 {
+		t.Fatalf("unwritten read kept the die busy for %v", busy)
 	}
 }
 
@@ -108,11 +109,12 @@ func TestReadAfterWriteUsesNAND(t *testing.T) {
 	d := mustDevice(t, &e, smallConfig())
 	d.Write2(7, nil, nil)
 	e.Run()
+	busy := d.Snapshot().DieBusy
 	p := &latProbe{eng: &e}
 	p.read(d, 7)
 	e.Run()
-	if d.Snapshot().NANDReads != 1 {
-		t.Fatalf("NAND reads = %d, want 1", d.Snapshot().NANDReads)
+	if got := d.Snapshot().DieBusy - busy; got != smallConfig().PageReadLat {
+		t.Fatalf("read kept the die busy for %v, want one page read", got)
 	}
 	if p.lat < 60*sim.Microsecond {
 		t.Fatalf("read latency %v below page read time", p.lat)

@@ -42,10 +42,10 @@ func (s *Segment) Init(eng *sim.Engine, baseLat, perBit sim.Time) {
 	s.down.Init(eng)
 }
 
-// PacketTime returns the wire time for a packet carrying dataBytes of
+// packetTime returns the wire time for a packet carrying dataBytes of
 // payload. The bit count is computed in sim.Time (int64) arithmetic so
 // large payloads cannot overflow the intermediate product on any platform.
-func (s *Segment) PacketTime(dataBytes int) sim.Time {
+func (s *Segment) packetTime(dataBytes int) sim.Time {
 	return s.baseLat + sim.Time(dataBytes)*8*s.perBit
 }
 
@@ -53,7 +53,7 @@ func (s *Segment) PacketTime(dataBytes int) sim.Time {
 // of an empty packet. No event on the far side of the segment can be
 // caused sooner than Lookahead after its cause, which is the conservative
 // synchronization bound sharded runs build their epoch barrier from.
-func (s *Segment) Lookahead() sim.Time { return s.PacketTime(0) }
+func (s *Segment) Lookahead() sim.Time { return s.packetTime(0) }
 
 // Send2 transmits a packet with dataBytes of payload in the given
 // direction and runs fn(arg) when it has fully arrived. fn is a static
@@ -63,5 +63,5 @@ func (s *Segment) Send2(dir Direction, dataBytes int, fn func(any), arg any) {
 	if dir == FromFiler {
 		srv = &s.down
 	}
-	srv.Use2(s.PacketTime(dataBytes), fn, arg)
+	srv.Use2(s.packetTime(dataBytes), fn, arg)
 }

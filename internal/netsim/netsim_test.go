@@ -24,12 +24,12 @@ func newSegment(eng *sim.Engine, baseLat, perBit sim.Time) *Segment {
 func TestPacketTime(t *testing.T) {
 	var e sim.Engine
 	s := newSegment(&e, baseLat, perBit)
-	if got := s.PacketTime(0); got != baseLat {
+	if got := s.packetTime(0); got != baseLat {
 		t.Fatalf("empty packet time %v", got)
 	}
 	// 4 KiB = 32768 bits at 1 ns/bit.
 	want := baseLat + 32768*sim.Nanosecond
-	if got := s.PacketTime(4096); got != want {
+	if got := s.packetTime(4096); got != want {
 		t.Fatalf("4K packet time %v, want %v", got, want)
 	}
 }
@@ -61,14 +61,20 @@ func TestDuplexSerializesSameDirection(t *testing.T) {
 func TestBusyAndWaited(t *testing.T) {
 	var e sim.Engine
 	s := newSegment(&e, 50, 0)
-	// Opposite directions overlap: both wires are busy, nobody queues.
-	s.Send2(ToFiler, 0, nil, nil)
-	s.Send2(FromFiler, 0, nil, nil)
+	// Opposite directions overlap: both wires are busy, nobody queues,
+	// so both packets arrive after one packet time.
+	var done []sim.Time
+	for _, d := range []Direction{ToFiler, FromFiler} {
+		s.Send2(d, 0, callFunc, func() { done = append(done, e.Now()) })
+	}
 	e.Run()
 	for _, w := range []*sim.Server{&s.up, &s.down} {
-		if w.Busy() != 50 || w.Waited() != 0 {
-			t.Fatalf("wire busy %v waited %v, want 50 and 0", w.Busy(), w.Waited())
+		if w.Busy() != 50 {
+			t.Fatalf("wire busy %v, want 50", w.Busy())
 		}
+	}
+	if len(done) != 2 || done[0] != 50 || done[1] != 50 {
+		t.Fatalf("completions %v, want both at 50", done)
 	}
 }
 
@@ -94,15 +100,18 @@ func TestDuplexBusyAndWaitedAggregate(t *testing.T) {
 	s := newSegment(&e, 50, 0)
 	// Two packets per direction: each wire is busy 100 and queues one
 	// packet for 50, independently of the other direction.
-	s.Send2(ToFiler, 0, nil, nil)
-	s.Send2(ToFiler, 0, nil, nil)
-	s.Send2(FromFiler, 0, nil, nil)
-	s.Send2(FromFiler, 0, nil, nil)
+	var done []sim.Time
+	for _, d := range []Direction{ToFiler, ToFiler, FromFiler, FromFiler} {
+		s.Send2(d, 0, callFunc, func() { done = append(done, e.Now()) })
+	}
 	e.Run()
 	for _, w := range []*sim.Server{&s.up, &s.down} {
-		if w.Busy() != 100 || w.Waited() != 50 {
-			t.Fatalf("wire busy %v waited %v, want 100 and 50", w.Busy(), w.Waited())
+		if w.Busy() != 100 {
+			t.Fatalf("wire busy %v, want 100", w.Busy())
 		}
+	}
+	if len(done) != 4 || done[0] != 50 || done[1] != 50 || done[2] != 100 || done[3] != 100 {
+		t.Fatalf("completions %v, want two at 50 and two at 100", done)
 	}
 }
 
@@ -136,10 +145,10 @@ func TestPacketTimeLargePayload(t *testing.T) {
 	s := newSegment(&e, baseLat, perBit)
 	const big = 1 << 29 // 512 MiB payload: big*8 wraps a 32-bit int
 	want := baseLat + sim.Time(big)*8*perBit
-	if got := s.PacketTime(big); got != want {
+	if got := s.packetTime(big); got != want {
 		t.Fatalf("PacketTime(%d) = %v, want %v", big, got, want)
 	}
-	if got := s.PacketTime(big); got <= baseLat {
+	if got := s.packetTime(big); got <= baseLat {
 		t.Fatalf("PacketTime(%d) = %v not past base latency (overflow?)", big, got)
 	}
 }

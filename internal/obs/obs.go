@@ -24,6 +24,7 @@
 package obs
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -172,34 +173,8 @@ func (t *Tracer) Spans() []Span {
 		}
 	}
 	slices.SortFunc(all, func(a, b Span) int {
-		switch {
-		case a.Start != b.Start:
-			if a.Start < b.Start {
-				return -1
-			}
-			return 1
-		case a.Host != b.Host:
-			if a.Host < b.Host {
-				return -1
-			}
-			return 1
-		case a.Seq != b.Seq:
-			if a.Seq < b.Seq {
-				return -1
-			}
-			return 1
-		case a.Kind != b.Kind:
-			if a.Kind < b.Kind {
-				return -1
-			}
-			return 1
-		case a.End != b.End:
-			if a.End < b.End {
-				return -1
-			}
-			return 1
-		}
-		return 0
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Host, b.Host),
+			cmp.Compare(a.Seq, b.Seq), cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.End, b.End))
 	})
 	return all
 }

@@ -75,15 +75,20 @@ func TestSpansOrdering(t *testing.T) {
 	a.Add(1, KindRead, 10, 100, 300)
 	b.Add(1, KindQueue, 0, 100, 100)
 	b.Add(1, KindWrite, 12, 100, 400)
+	// Same start, host, sequence and kind: the earlier end goes first.
+	b.Add(3, KindRead, 13, 700, 800)
+	b.Add(3, KindRead, 14, 700, 750)
 	spans := tr.Spans()
-	if len(spans) != 4 {
-		t.Fatalf("merged %d spans, want 4", len(spans))
+	if len(spans) != 6 {
+		t.Fatalf("merged %d spans, want 6", len(spans))
 	}
 	want := []Span{
 		{Host: 0, Kind: KindQueue, Seq: 1, Key: 0, Start: 100, End: 100},
 		{Host: 0, Kind: KindWrite, Seq: 1, Key: 12, Start: 100, End: 400},
 		{Host: 1, Kind: KindRead, Seq: 1, Key: 10, Start: 100, End: 300},
 		{Host: 1, Kind: KindRead, Seq: 2, Key: 11, Start: 500, End: 900},
+		{Host: 0, Kind: KindRead, Seq: 3, Key: 14, Start: 700, End: 750},
+		{Host: 0, Kind: KindRead, Seq: 3, Key: 13, Start: 700, End: 800},
 	}
 	for i, s := range spans {
 		if s != want[i] {
@@ -180,6 +185,7 @@ func TestValidateChromeTraceRejects(t *testing.T) {
 		`{"traceEvents":[{"name":"x","ph":"X","pid":0,"tid":0,"dur":1}]}`, // no ts
 		`{"traceEvents":[{"name":"x","ph":"B","ts":1,"pid":0,"tid":0}]}`,  // bad phase
 		`{"traceEvents":[{"name":"x","ph":"X","ts":-1,"dur":1,"pid":0,"tid":0}]}`,
+		`{"traceEvents":[{"name":"x","ph":"X","ts":1,"pid":0,"tid":0}]}`, // no dur
 	}
 	for _, s := range bad {
 		if _, err := ValidateChromeTrace(strings.NewReader(s)); err == nil {
@@ -292,5 +298,12 @@ func TestWallCollectorInlineNoBarrier(t *testing.T) {
 func TestImbalanceEdgeCases(t *testing.T) {
 	if imbalance(nil) != 0 || imbalance([]int64{0, 0}) != 0 || imbalance([]int64{5000}) != 0 {
 		t.Error("degenerate imbalance not 0")
+	}
+}
+
+func TestWallProfileEmptyBarrierShare(t *testing.T) {
+	var p WallProfile
+	if s := p.BarrierShare(); s != 0 {
+		t.Fatalf("empty profile barrier share %v, want 0", s)
 	}
 }

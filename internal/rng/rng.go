@@ -29,33 +29,33 @@ type RNG struct {
 
 // New returns a generator seeded with seed on the default stream.
 func New(seed uint64) *RNG {
-	return NewStream(seed, 0)
+	return newStream(seed, 0)
 }
 
-// NewStream returns a generator seeded with seed on the given stream.
+// newStream returns a generator seeded with seed on the given stream.
 // Generators with the same seed but different streams are independent.
-func NewStream(seed, stream uint64) *RNG {
+func newStream(seed, stream uint64) *RNG {
 	sm := seed
 	r := &RNG{
 		state: splitMix64(&sm),
 		inc:   (splitMix64(&sm)+2*stream)*2 + 1,
 	}
 	// Advance past the (weak) initial state.
-	r.Uint32()
-	r.Uint32()
+	r.uint32()
+	r.uint32()
 	return r
 }
 
 // Fork derives a new independent generator from r. The parent advances,
 // so successive Forks yield distinct children.
 func (r *RNG) Fork() *RNG {
-	seed := uint64(r.Uint32())<<32 | uint64(r.Uint32())
-	stream := uint64(r.Uint32())
-	return NewStream(seed, stream)
+	seed := uint64(r.uint32())<<32 | uint64(r.uint32())
+	stream := uint64(r.uint32())
+	return newStream(seed, stream)
 }
 
-// Uint32 returns the next 32 uniformly distributed bits.
-func (r *RNG) Uint32() uint32 {
+// uint32 returns the next 32 uniformly distributed bits.
+func (r *RNG) uint32() uint32 {
 	old := r.state
 	r.state = old*6364136223846793005 + r.inc
 	xorshifted := uint32(((old >> 18) ^ old) >> 27)
@@ -65,7 +65,7 @@ func (r *RNG) Uint32() uint32 {
 
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	return uint64(r.Uint32())<<32 | uint64(r.Uint32())
+	return uint64(r.uint32())<<32 | uint64(r.uint32())
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
@@ -73,12 +73,12 @@ func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn called with n <= 0")
 	}
-	return int(r.Uint64n(uint64(n)))
+	return int(r.uint64n(uint64(n)))
 }
 
-// Uint64n returns a uniform uint64 in [0, n) using Lemire's multiply-shift
+// uint64n returns a uniform uint64 in [0, n) using Lemire's multiply-shift
 // rejection method. It panics if n == 0.
-func (r *RNG) Uint64n(n uint64) uint64 {
+func (r *RNG) uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n called with n == 0")
 	}

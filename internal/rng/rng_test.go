@@ -21,7 +21,7 @@ func TestSeedSeparation(t *testing.T) {
 	b := New(2)
 	same := 0
 	for i := 0; i < 1000; i++ {
-		if a.Uint32() == b.Uint32() {
+		if a.uint32() == b.uint32() {
 			same++
 		}
 	}
@@ -31,11 +31,11 @@ func TestSeedSeparation(t *testing.T) {
 }
 
 func TestStreamsIndependent(t *testing.T) {
-	a := NewStream(7, 0)
-	b := NewStream(7, 1)
+	a := newStream(7, 0)
+	b := newStream(7, 1)
 	same := 0
 	for i := 0; i < 1000; i++ {
-		if a.Uint32() == b.Uint32() {
+		if a.uint32() == b.uint32() {
 			same++
 		}
 	}
@@ -50,7 +50,7 @@ func TestForkIndependent(t *testing.T) {
 	c2 := parent.Fork()
 	same := 0
 	for i := 0; i < 1000; i++ {
-		if c1.Uint32() == c2.Uint32() {
+		if c1.uint32() == c2.uint32() {
 			same++
 		}
 	}
@@ -65,7 +65,7 @@ func TestUint64nRange(t *testing.T) {
 		if n == 0 {
 			n = 1
 		}
-		v := r.Uint64n(n)
+		v := r.uint64n(n)
 		return v < n
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -88,7 +88,7 @@ func TestUint64nUniformity(t *testing.T) {
 	const draws = 100000
 	counts := make([]int, n)
 	for i := 0; i < draws; i++ {
-		counts[r.Uint64n(n)]++
+		counts[r.uint64n(n)]++
 	}
 	want := float64(draws) / n
 	for i, c := range counts {

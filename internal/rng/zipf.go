@@ -17,11 +17,11 @@ func SmallZipfPopularity(r *RNG, max int, s float64) int {
 	}
 	u := r.Float64() * sum
 	acc := 0.0
-	for i := 1; i <= max; i++ {
+	for i := 1; i < max; i++ {
 		acc += 1 / math.Pow(float64(i), s)
 		if u <= acc {
 			return i
 		}
 	}
-	return max
+	return max // u falls in the last bucket (or past it by rounding)
 }

@@ -14,13 +14,13 @@ import (
 	"sync/atomic"
 )
 
-// ForEach runs fn(0), fn(1), ... fn(n-1) on up to parallel concurrent
+// forEach runs fn(0), fn(1), ... fn(n-1) on up to parallel concurrent
 // workers. parallel <= 0 selects runtime.NumCPU(). After any job returns an
 // error no new jobs are dispatched (jobs already in flight finish), and the
 // error of the lowest-index failed job is returned — the same error a
 // sequential run would have stopped on. With parallel == 1 jobs run
 // strictly in index order on the calling goroutine.
-func ForEach(n, parallel int, fn func(i int) error) error {
+func forEach(n, parallel int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -80,7 +80,7 @@ func ForEach(n, parallel int, fn func(i int) error) error {
 	return firstErr
 }
 
-// Collect runs exec for every index on a ForEach pool and gathers the
+// Collect runs exec for every index on a forEach pool and gathers the
 // results into a slice ordered like the inputs. deliver, when non-nil, is
 // invoked once per completed job in strict index order — job i is delivered
 // only after jobs 0..i-1 — as soon as that prefix is complete, so callers
@@ -88,7 +88,7 @@ func ForEach(n, parallel int, fn func(i int) error) error {
 // runs under an internal lock: it must not call back into the pool.
 //
 // On error the slice built so far is discarded and the lowest-index error
-// is returned, exactly as ForEach.
+// is returned, exactly as forEach.
 func Collect[R any](n, parallel int, exec func(i int) (R, error), deliver func(i int, r R)) ([]R, error) {
 	results := make([]R, n)
 	done := make([]bool, n)
@@ -96,7 +96,7 @@ func Collect[R any](n, parallel int, exec func(i int) (R, error), deliver func(i
 		mu        sync.Mutex
 		delivered int
 	)
-	err := ForEach(n, parallel, func(i int) error {
+	err := forEach(n, parallel, func(i int) error {
 		r, err := exec(i)
 		if err != nil {
 			return err

@@ -10,7 +10,7 @@ import (
 func TestForEachRunsAll(t *testing.T) {
 	for _, parallel := range []int{0, 1, 4, 100} {
 		var hits [50]atomic.Int32
-		if err := ForEach(len(hits), parallel, func(i int) error {
+		if err := forEach(len(hits), parallel, func(i int) error {
 			hits[i].Add(1)
 			return nil
 		}); err != nil {
@@ -25,7 +25,7 @@ func TestForEachRunsAll(t *testing.T) {
 }
 
 func TestForEachEmpty(t *testing.T) {
-	if err := ForEach(0, 4, func(int) error { t.Fatal("ran"); return nil }); err != nil {
+	if err := forEach(0, 4, func(int) error { t.Fatal("ran"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -33,7 +33,7 @@ func TestForEachEmpty(t *testing.T) {
 func TestForEachSequentialAbortsAtFirstError(t *testing.T) {
 	boom := errors.New("boom")
 	var ran []int
-	err := ForEach(10, 1, func(i int) error {
+	err := forEach(10, 1, func(i int) error {
 		ran = append(ran, i)
 		if i == 3 {
 			return boom
@@ -52,7 +52,7 @@ func TestForEachSequentialAbortsAtFirstError(t *testing.T) {
 // failing instantly, far fewer than n jobs run.
 func TestForEachParallelStopsDispatching(t *testing.T) {
 	var ran atomic.Int32
-	err := ForEach(10000, 4, func(i int) error {
+	err := forEach(10000, 4, func(i int) error {
 		ran.Add(1)
 		return fmt.Errorf("job %d", i)
 	})
@@ -68,7 +68,7 @@ func TestForEachParallelStopsDispatching(t *testing.T) {
 // error a sequential run stops on.
 func TestForEachLowestIndexErrorWins(t *testing.T) {
 	for _, parallel := range []int{1, 2, 8} {
-		err := ForEach(64, parallel, func(i int) error {
+		err := forEach(64, parallel, func(i int) error {
 			if i%2 == 1 { // 1, 3, 5, ... all fail
 				return fmt.Errorf("job %d", i)
 			}

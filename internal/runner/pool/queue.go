@@ -5,22 +5,21 @@ import (
 	"sync"
 )
 
-// ErrQueueClosed is returned by Submit after Close.
-var ErrQueueClosed = errors.New("pool: queue closed")
+// errQueueClosed is returned by Submit after Close.
+var errQueueClosed = errors.New("pool: queue closed")
 
-// Queue is the long-lived sibling of ForEach: a fixed set of workers
+// Queue is the long-lived sibling of forEach: a fixed set of workers
 // draining an unbounded job list, for callers — like the simulation
 // daemon — that accept work continuously instead of in one batch. At most
 // `workers` jobs run concurrently; excess submissions wait in FIFO order.
-// Unlike ForEach there is no error short-circuit: each job owns its own
+// Unlike forEach there is no error short-circuit: each job owns its own
 // failure reporting.
 type Queue struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	jobs    []func()
-	workers int
-	closed  bool
-	wg      sync.WaitGroup
+	mu     sync.Mutex
+	cond   *sync.Cond
+	jobs   []func()
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // NewQueue starts a queue with the given worker count (minimum 1).
@@ -28,7 +27,7 @@ func NewQueue(workers int) *Queue {
 	if workers < 1 {
 		workers = 1
 	}
-	q := &Queue{workers: workers}
+	q := &Queue{}
 	q.cond = sync.NewCond(&q.mu)
 	q.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -43,7 +42,7 @@ func (q *Queue) Submit(job func()) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return ErrQueueClosed
+		return errQueueClosed
 	}
 	q.jobs = append(q.jobs, job)
 	q.cond.Signal()

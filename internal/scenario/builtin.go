@@ -17,12 +17,12 @@ func ptr[T any](v T) *T { return &v }
 
 // builtins maps name -> constructor.
 var builtins = map[string]func() *Scenario{
-	"warmup":         Warmup,
-	"burst":          Burst,
-	"ws-shift":       WSShift,
-	"crash-recovery": CrashRecovery,
-	"churn":          Churn,
-	"filer-crash":    FilerCrash,
+	"warmup":         warmup,
+	"burst":          burst,
+	"ws-shift":       wsShift,
+	"crash-recovery": crashRecovery,
+	"churn":          churn,
+	"filer-crash":    filerCrash,
 }
 
 // BuiltinNames returns the built-in scenario names, sorted.
@@ -44,11 +44,11 @@ func Builtin(name string) (*Scenario, error) {
 	return mk(), nil
 }
 
-// Warmup is the cold-start transient the paper's warmup discards: caches
+// warmup is the cold-start transient the paper's warmup discards: caches
 // start empty and telemetry watches the hit rate and latency ramp toward
 // steady state, the cold-start-vs-steady-state distinction Brooker et al.
 // make for AWS Lambda.
-func Warmup() *Scenario {
+func warmup() *Scenario {
 	return &Scenario{
 		Name:        "warmup",
 		Description: "cold caches warming to steady state; the transient the paper discards",
@@ -59,10 +59,10 @@ func Warmup() *Scenario {
 	}
 }
 
-// Burst models a write burst: steady state, then a spike to 90% writes
+// burst models a write burst: steady state, then a spike to 90% writes
 // from twice as many threads, then the recovery back to baseline while
 // the accumulated dirty backlog drains.
-func Burst() *Scenario {
+func burst() *Scenario {
 	return &Scenario{
 		Name:        "burst",
 		Description: "write burst: steady state, a 90%-write spike, and the drain back",
@@ -76,10 +76,10 @@ func Burst() *Scenario {
 	}
 }
 
-// WSShift models working-set drift: after warmup, half of every working
+// wsShift models working-set drift: after warmup, half of every working
 // set's blocks are replaced; telemetry watches the miss spike and the
 // re-warming ramp.
-func WSShift() *Scenario {
+func wsShift() *Scenario {
 	return &Scenario{
 		Name:        "ws-shift",
 		Description: "working-set drift: half the hot data changes mid-run",
@@ -90,11 +90,11 @@ func WSShift() *Scenario {
 	}
 }
 
-// CrashRecovery is the recovery transient the paper declined to simulate
+// crashRecovery is the recovery transient the paper declined to simulate
 // (§7.8): a warmed host crashes; with a persistent flash cache it scans
 // metadata and flushes crash-dirty blocks before serving again, otherwise
 // it restarts cold. Either way telemetry resolves the transient.
-func CrashRecovery() *Scenario {
+func crashRecovery() *Scenario {
 	return &Scenario{
 		Name:        "crash-recovery",
 		Description: "host crash after warmup; the recovery transient of paper §7.8",
@@ -106,12 +106,12 @@ func CrashRecovery() *Scenario {
 	}
 }
 
-// FilerCrash exercises the filer tier's availability story: two backend
+// filerCrash exercises the filer tier's availability story: two backend
 // partitions, each a two-replica group over the object tier. After
 // warmup, partition 0 loses replica 1 — reads route to the survivor and
 // writes degrade to the surviving quorum — then the replica recovers,
 // re-synced from its group, and service returns to full strength.
-func FilerCrash() *Scenario {
+func filerCrash() *Scenario {
 	return &Scenario{
 		Name:        "filer-crash",
 		Description: "filer replica crash and recovery; degraded quorum service between",
@@ -130,10 +130,10 @@ func FilerCrash() *Scenario {
 	}
 }
 
-// Churn models population churn on a multi-host cluster (hosts >= 2):
+// churn models population churn on a multi-host cluster (hosts >= 2):
 // host 1 leaves gracefully (flush, drop, redistribute), the survivors
 // absorb its traffic, then it rejoins cold and re-warms.
-func Churn() *Scenario {
+func churn() *Scenario {
 	return &Scenario{
 		Name:        "churn",
 		Description: "host leave/rejoin churn; requires at least two hosts",

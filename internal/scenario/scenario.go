@@ -181,7 +181,7 @@ type Scenario struct {
 	Description string `json:"description,omitempty"`
 
 	// SampleEveryMillis is the telemetry sampling period in simulated
-	// milliseconds; 0 is normalized to DefaultSampleMillis.
+	// milliseconds; 0 is normalized to defaultSampleMillis.
 	SampleEveryMillis float64 `json:"sample_every_ms,omitempty"`
 
 	// Filer, when present, overrides the simulator configuration's filer
@@ -191,9 +191,9 @@ type Scenario struct {
 	Phases []Phase `json:"phases"`
 }
 
-// DefaultSampleMillis is the telemetry period applied when a scenario
+// defaultSampleMillis is the telemetry period applied when a scenario
 // does not set one.
-const DefaultSampleMillis = 50
+const defaultSampleMillis = 50
 
 // badFrac reports a fraction outside [0,1] (NaN included).
 func badFrac(f float64) bool { return math.IsNaN(f) || f < 0 || f > 1 }
@@ -211,7 +211,7 @@ func (s *Scenario) Validate() error {
 		return fmt.Errorf("scenario %s: bad sampling period %v", s.Name, s.SampleEveryMillis)
 	}
 	if s.SampleEveryMillis == 0 {
-		s.SampleEveryMillis = DefaultSampleMillis
+		s.SampleEveryMillis = defaultSampleMillis
 	}
 	if s.Filer != nil {
 		if err := s.Filer.Validate(); err != nil {

@@ -32,8 +32,8 @@ func TestValidateNormalizesDefaults(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if s.SampleEveryMillis != DefaultSampleMillis {
-		t.Errorf("sampling period %v, want default %v", s.SampleEveryMillis, DefaultSampleMillis)
+	if s.SampleEveryMillis != defaultSampleMillis {
+		t.Errorf("sampling period %v, want default %v", s.SampleEveryMillis, defaultSampleMillis)
 	}
 	if s.Phases[0].Events[0].Fraction != 1 {
 		t.Errorf("flush fraction %v, want normalized 1", s.Phases[0].Events[0].Fraction)

@@ -73,7 +73,7 @@ func TestStreamDeterministicAcrossShards(t *testing.T) {
 		}
 	}
 
-	spec, err := ParseRunRequest([]byte(body(1)))
+	spec, err := parseRunRequest([]byte(body(1)))
 	if err != nil {
 		t.Fatal(err)
 	}

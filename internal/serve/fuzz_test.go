@@ -10,7 +10,7 @@ import (
 
 // FuzzRunRequest fuzzes the full POST /v1/runs admission path: decoding,
 // configuration building, scenario parsing, and scenario-vs-config cross
-// validation. Any input must either produce a fully validated RunSpec or
+// validation. Any input must either produce a fully validated runSpec or
 // a non-empty error — never a panic and never a spec that the simulator
 // would later reject.
 func FuzzRunRequest(f *testing.F) {
@@ -31,7 +31,7 @@ func FuzzRunRequest(f *testing.F) {
 		f.Add(fmt.Sprintf(`{"scenario": %s}`, pc.JSON))
 	}
 	f.Fuzz(func(t *testing.T, body string) {
-		spec, err := ParseRunRequest([]byte(body))
+		spec, err := parseRunRequest([]byte(body))
 		if err != nil {
 			if spec != nil {
 				t.Fatalf("error %v with non-nil spec", err)
@@ -55,7 +55,7 @@ func FuzzRunRequest(f *testing.F) {
 				t.Fatalf("accepted scenario fails Validate: %v\nbody: %s", verr, body)
 			}
 		}
-		if _, err := json.Marshal(RunInfo{ID: "r1", State: string(StatePending), Scenario: spec.ScenarioName()}); err != nil {
+		if _, err := json.Marshal(RunInfo{ID: "r1", State: string(StatePending), Scenario: spec.scenarioName()}); err != nil {
 			t.Fatalf("run info marshal: %v", err)
 		}
 	})

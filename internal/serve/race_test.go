@@ -146,7 +146,7 @@ func TestConcurrentInjectAndCancel(t *testing.T) {
 	if err := unmarshal(b, &info); err != nil {
 		t.Fatal(err)
 	}
-	if !RunState(info.State).Terminal() {
+	if !RunState(info.State).terminal() {
 		t.Fatalf("run state %q not terminal after stream closed", info.State)
 	}
 }
@@ -155,9 +155,9 @@ func TestConcurrentInjectAndCancel(t *testing.T) {
 // running work and requires every stream to terminate.
 func TestCloseCancelsEverything(t *testing.T) {
 	s := New(Config{MaxConcurrent: 1})
-	specs := make([]*Run, 0, 3)
+	specs := make([]*run, 0, 3)
 	for i := 0; i < 3; i++ {
-		spec, err := ParseRunRequest([]byte(tinyScenarioBody))
+		spec, err := parseRunRequest([]byte(tinyScenarioBody))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,14 +169,14 @@ func TestCloseCancelsEverything(t *testing.T) {
 	}
 	s.Close()
 	for _, run := range specs {
-		if st := run.State(); !st.Terminal() {
+		if st := run.State(); !st.terminal() {
 			t.Errorf("run %s state %s after Close", run.ID(), st)
 		}
 		if _, done := run.hub.next(1 << 30); !done {
 			t.Errorf("run %s stream still open after Close", run.ID())
 		}
 	}
-	if _, err := s.submit(&RunSpec{}); err == nil {
+	if _, err := s.submit(&runSpec{}); err == nil {
 		t.Fatal("submit after Close succeeded")
 	}
 }

@@ -21,17 +21,17 @@ const (
 	StateCanceled RunState = "canceled"
 )
 
-// Terminal reports whether s is a terminal state.
-func (s RunState) Terminal() bool {
+// terminal reports whether s is a terminal state.
+func (s RunState) terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// Run is one submitted simulation: its spec, its live controller (nil for
+// run is one submitted simulation: its spec, its live controller (nil for
 // steady-state runs, which have no injection surface), its stream hub,
 // and the mutable lifecycle state.
-type Run struct {
+type run struct {
 	id   string
-	spec *RunSpec
+	spec *runSpec
 	ctl  *flashsim.RunController
 	hub  *hub
 
@@ -42,23 +42,23 @@ type Run struct {
 }
 
 // ID returns the run's registry identifier.
-func (r *Run) ID() string { return r.id }
+func (r *run) ID() string { return r.id }
 
 // State returns the run's current lifecycle state.
-func (r *Run) State() RunState {
+func (r *run) State() RunState {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.state
 }
 
 // Info returns a point-in-time public view of the run.
-func (r *Run) Info() RunInfo {
+func (r *run) Info() RunInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return RunInfo{
 		ID:       r.id,
 		State:    string(r.state),
-		Scenario: r.spec.ScenarioName(),
+		Scenario: r.spec.scenarioName(),
 		Builtin:  r.spec.Builtin,
 		Hosts:    r.spec.Config.Hosts,
 		Shards:   r.spec.Config.Shards,
@@ -81,7 +81,7 @@ type RunInfo struct {
 // start moves a pending run to running. It returns false when the run was
 // canceled before a worker reached it, in which case the worker must not
 // execute it.
-func (r *Run) start() bool {
+func (r *run) start() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.state != StatePending {
@@ -92,7 +92,7 @@ func (r *Run) start() bool {
 }
 
 // finish records the run's terminal state and, when done, its report.
-func (r *Run) finish(state RunState, report []byte, errMsg string) {
+func (r *run) finish(state RunState, report []byte, errMsg string) {
 	r.mu.Lock()
 	r.state = state
 	r.report = report
@@ -105,7 +105,7 @@ func (r *Run) finish(state RunState, report []byte, errMsg string) {
 // controller at the next epoch barrier. Running steady-state runs have
 // no checkpoint surface, so cancel only reaches them while pending.
 // Returns the state observed after the request.
-func (r *Run) cancel() RunState {
+func (r *run) cancel() RunState {
 	r.mu.Lock()
 	if r.state == StatePending {
 		r.state = StateCanceled
@@ -124,7 +124,7 @@ func (r *Run) cancel() RunState {
 
 // Report returns the stored report bytes, or false when the run has not
 // produced one (not yet done, failed, or canceled).
-func (r *Run) Report() ([]byte, bool) {
+func (r *run) Report() ([]byte, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.state != StateDone || r.report == nil {
@@ -138,14 +138,14 @@ func (r *Run) Report() ([]byte, bool) {
 // so a deleted run's URL cannot silently start naming a different run.
 type registry struct {
 	mu      sync.Mutex
-	runs    map[string]*Run
+	runs    map[string]*run
 	order   []string
 	nextID  int
 	maxRuns int
 }
 
 func newRegistry(maxRuns int) *registry {
-	return &registry{runs: make(map[string]*Run), maxRuns: maxRuns}
+	return &registry{runs: make(map[string]*run), maxRuns: maxRuns}
 }
 
 // errRegistryFull is returned by add when the run table is at capacity;
@@ -153,14 +153,14 @@ func newRegistry(maxRuns int) *registry {
 var errRegistryFull = fmt.Errorf("run table full")
 
 // add registers a new pending run for the given spec.
-func (g *registry) add(spec *RunSpec, ctl *flashsim.RunController) (*Run, error) {
+func (g *registry) add(spec *runSpec, ctl *flashsim.RunController) (*run, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if len(g.runs) >= g.maxRuns {
 		return nil, errRegistryFull
 	}
 	g.nextID++
-	r := &Run{
+	r := &run{
 		id:    fmt.Sprintf("r%d", g.nextID),
 		spec:  spec,
 		ctl:   ctl,
@@ -173,7 +173,7 @@ func (g *registry) add(spec *RunSpec, ctl *flashsim.RunController) (*Run, error)
 }
 
 // get looks a run up by ID.
-func (g *registry) get(id string) (*Run, bool) {
+func (g *registry) get(id string) (*run, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	r, ok := g.runs[id]
@@ -189,7 +189,7 @@ func (g *registry) remove(id string) error {
 	if !ok {
 		return fmt.Errorf("unknown run %q", id)
 	}
-	if !r.State().Terminal() {
+	if !r.State().terminal() {
 		return fmt.Errorf("run %s is %s; cancel it first", id, r.State())
 	}
 	delete(g.runs, id)
@@ -203,10 +203,10 @@ func (g *registry) remove(id string) error {
 }
 
 // list returns every known run in submission order.
-func (g *registry) list() []*Run {
+func (g *registry) list() []*run {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([]*Run, 0, len(g.order))
+	out := make([]*run, 0, len(g.order))
 	for _, id := range g.order {
 		out = append(out, g.runs[id])
 	}

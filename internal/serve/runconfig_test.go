@@ -69,7 +69,7 @@ func TestCLIEqualsWire(t *testing.T) {
 			if err != nil {
 				t.Fatalf("flags %q: %v", tc.argv, err)
 			}
-			spec, err := ParseRunRequest([]byte(tc.body))
+			spec, err := parseRunRequest([]byte(tc.body))
 			if err != nil {
 				t.Fatalf("body %s: %v", tc.body, err)
 			}

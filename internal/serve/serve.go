@@ -77,7 +77,7 @@ func (s *Server) Close() {
 }
 
 // submit registers a run and hands it to the worker queue.
-func (s *Server) submit(spec *RunSpec) (*Run, error) {
+func (s *Server) submit(spec *runSpec) (*run, error) {
 	var ctl *flashsim.RunController
 	if spec.Scenario != nil {
 		ctl = flashsim.NewRunController(spec.Config)
@@ -96,7 +96,7 @@ func (s *Server) submit(spec *RunSpec) (*Run, error) {
 
 // execute runs one simulation to completion on a worker goroutine,
 // publishing stream lines as it goes and recording the terminal state.
-func (s *Server) execute(r *Run) {
+func (s *Server) execute(r *run) {
 	if !r.start() {
 		// Canceled while pending; cancel already published the end line.
 		return
@@ -165,13 +165,13 @@ func appendSampleLine(dst []byte, cols []string, sec float64, row []float64) []b
 
 // helloLine builds the stream's opening envelope: the run identity and
 // the telemetry column order that all sample lines follow.
-func helloLine(r *Run) []byte {
+func helloLine(r *run) []byte {
 	b, err := json.Marshal(struct {
 		Type     string   `json:"type"`
 		ID       string   `json:"id"`
 		Scenario string   `json:"scenario,omitempty"`
 		Columns  []string `json:"columns,omitempty"`
-	}{Type: "hello", ID: r.id, Scenario: r.spec.ScenarioName(), Columns: flashsim.TelemetryColumns()})
+	}{Type: "hello", ID: r.id, Scenario: r.spec.scenarioName(), Columns: flashsim.TelemetryColumns()})
 	if err != nil {
 		panic(err) // static struct of plain strings; cannot fail
 	}

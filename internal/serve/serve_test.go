@@ -495,23 +495,23 @@ func TestStreamSSE(t *testing.T) {
 // TestParseRunRequestMapping locks the wire-to-Config conversions against
 // the CLI's semantics.
 func TestParseRunRequestMapping(t *testing.T) {
-	spec, err := ParseRunRequest([]byte(`{}`))
+	spec, err := parseRunRequest([]byte(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A run spec holds the resolved configuration.
-	def, err := flashsim.Resolve(flashsim.ScaledConfig(DefaultScale), nil)
+	def, err := flashsim.Resolve(flashsim.ScaledConfig(defaultScale), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spec.Config.RAMBlocks != def.RAMBlocks || spec.Config.Hosts != def.Hosts {
-		t.Errorf("empty request config %+v != ScaledConfig(%d)", spec.Config, DefaultScale)
+		t.Errorf("empty request config %+v != ScaledConfig(%d)", spec.Config, defaultScale)
 	}
 	if spec.Scenario != nil {
 		t.Error("empty request produced a scenario")
 	}
 
-	spec, err = ParseRunRequest([]byte(`{"config": {
+	spec, err = parseRunRequest([]byte(`{"config": {
 		"scale": 1024, "arch": "unified", "ram_gb": 4, "write_pct": 25,
 		"hosts": 4, "shared_wss": true, "seed": 7,
 		"filer": {"partitions": 2, "replicas": 3}
@@ -536,13 +536,13 @@ func TestParseRunRequestMapping(t *testing.T) {
 	if spec.Scenario == nil || spec.Scenario.Name != "crash-recovery" {
 		t.Errorf("builtin scenario %+v", spec.Scenario)
 	}
-	if spec.ScenarioName() != "crash-recovery" {
-		t.Errorf("ScenarioName() = %q", spec.ScenarioName())
+	if spec.scenarioName() != "crash-recovery" {
+		t.Errorf("ScenarioName() = %q", spec.scenarioName())
 	}
 
 	// An explicit zero is zero, not the default; a null config is the
 	// defaults; wall_profile reaches the config.
-	spec, err = ParseRunRequest([]byte(`{"config": {"write_pct": 0, "prefetch": 0, "wall_profile": true}}`))
+	spec, err = parseRunRequest([]byte(`{"config": {"write_pct": 0, "prefetch": 0, "wall_profile": true}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,11 +550,11 @@ func TestParseRunRequestMapping(t *testing.T) {
 		t.Errorf("write fraction %v, fast-read rate %v, wall profile %v; want 0, 0, true",
 			cfg.Workload.WriteFraction, cfg.Timing.FilerFastReadRate, cfg.WallProfile)
 	}
-	spec, err = ParseRunRequest([]byte(`{"config": null}`))
+	spec, err = parseRunRequest([]byte(`{"config": null}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(spec.Config, def) {
-		t.Errorf("null config = %+v, want ScaledConfig(%d) resolved", spec.Config, DefaultScale)
+		t.Errorf("null config = %+v, want ScaledConfig(%d) resolved", spec.Config, defaultScale)
 	}
 }

@@ -62,7 +62,7 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 }
 
 // lookup resolves the {id} path value, answering 404 when unknown.
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*Run, bool) {
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*run, bool) {
 	id := r.PathValue("id")
 	run, ok := s.reg.get(id)
 	if !ok {
@@ -115,7 +115,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	spec, err := ParseRunRequest(body)
+	spec, err := parseRunRequest(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -149,7 +149,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if !run.State().Terminal() {
+	if !run.State().terminal() {
 		run.cancel()
 		writeJSON(w, http.StatusAccepted, run.Info())
 		return
@@ -182,7 +182,7 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 			"run %s is a steady-state run; events can only be injected into scenario runs", run.ID())
 		return
 	}
-	if st := run.State(); st.Terminal() {
+	if st := run.State(); st.terminal() {
 		writeError(w, http.StatusConflict, "run %s already %s", run.ID(), st)
 		return
 	}

@@ -175,10 +175,10 @@ func (e *Engine) Schedule2(d Time, fn func(any), arg any) {
 	e.at2(e.now+d, fn, arg, false)
 }
 
-// ScheduleDaemon2 is Schedule2 for daemon events: background activity
+// scheduleDaemon2 is Schedule2 for daemon events: background activity
 // (e.g. a periodic syncer's next tick) that should not by itself keep Run
 // alive. Run returns when only daemon events remain.
-func (e *Engine) ScheduleDaemon2(d Time, fn func(any), arg any) {
+func (e *Engine) scheduleDaemon2(d Time, fn func(any), arg any) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}

@@ -12,9 +12,7 @@ type Server struct {
 	eng    *Engine
 	freeAt Time
 
-	// Utilisation accounting.
-	busy   Time // total service time granted
-	waited Time // total queueing delay experienced
+	busy Time // total service time granted (utilisation accounting)
 }
 
 // Init attaches the server to the engine, idle and with zeroed
@@ -29,18 +27,6 @@ func (s *Server) Init(eng *Engine) { *s = Server{eng: eng} }
 // return while the server is still busy (callers rely on a drained
 // engine meaning idle hardware).
 func (s *Server) Use2(service Time, fn func(any), arg any) {
-	s.UseAt2(s.eng.Now(), service, fn, arg)
-}
-
-// UseAt2 is Use2 for a request that arrived at the given time: service
-// starts no earlier than now, but queueing delay is counted from arrive.
-func (s *Server) UseAt2(arrive, service Time, fn func(any), arg any) {
-	s.eng.At2(s.admit(arrive, service), fn, arg)
-}
-
-// admit performs the FIFO bookkeeping of Use2 and UseAt2 and returns
-// the request's completion time.
-func (s *Server) admit(arrive, service Time) Time {
 	if service < 0 {
 		panic("sim: negative service time")
 	}
@@ -49,29 +35,10 @@ func (s *Server) admit(arrive, service Time) Time {
 	if start < now {
 		start = now
 	}
-	finish := start + service
-	s.freeAt = finish
+	s.freeAt = start + service
 	s.busy += service
-	if start > arrive {
-		s.waited += start - arrive
-	}
-	return finish
+	s.eng.At2(s.freeAt, fn, arg)
 }
 
 // Busy returns the total service time granted so far.
 func (s *Server) Busy() Time { return s.busy }
-
-// Waited returns the total queueing delay experienced by all requests.
-func (s *Server) Waited() Time { return s.waited }
-
-// Utilisation returns busy time divided by elapsed time, in [0, 1].
-func (s *Server) Utilisation() float64 {
-	if s.eng.Now() == 0 {
-		return 0
-	}
-	u := float64(s.busy) / float64(s.eng.Now())
-	if u > 1 {
-		u = 1
-	}
-	return u
-}

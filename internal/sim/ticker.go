@@ -39,7 +39,7 @@ func tickerFire(a any) {
 }
 
 func (t *Ticker) arm() {
-	t.eng.ScheduleDaemon2(t.period, tickerFire, t)
+	t.eng.scheduleDaemon2(t.period, tickerFire, t)
 }
 
 // Stop cancels future firings. Safe to call multiple times.

@@ -66,9 +66,6 @@ func bucketFor(t sim.Time) int {
 		t = 1
 	}
 	b := int(math.Floor(10 * math.Log10(float64(t))))
-	if b < 0 {
-		b = 0
-	}
 	if b >= 121 {
 		b = 120
 	}
@@ -94,12 +91,6 @@ func (h *Histogram) Merge(other *Histogram) {
 func (h *Histogram) Quantile(q float64) sim.Time {
 	if h.accum.Count() == 0 {
 		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
 	}
 	target := uint64(q * float64(h.accum.Count()))
 	var cum uint64
@@ -219,12 +210,6 @@ func (f *Figure) CSV() string {
 // ASCII renders a crude monospace plot of the figure, good enough to read
 // shapes in a terminal.
 func (f *Figure) ASCII(width, height int) string {
-	if width < 20 {
-		width = 20
-	}
-	if height < 5 {
-		height = 5
-	}
 	var minX, maxX, minY, maxY float64
 	first := true
 	for _, s := range f.Series {

@@ -47,7 +47,7 @@ func TestOpAccessors(t *testing.T) {
 	if got := op.String(); got != "h1 t2 W f3 b4 n5" {
 		t.Fatalf("String() = %q", got)
 	}
-	if Read.String() != "R" || Write.String() != "W" {
+	if Read.String() != "R" || Write.String() != "W" || Kind(9).String() != "kind(9)" {
 		t.Fatal("kind strings wrong")
 	}
 }
@@ -253,5 +253,32 @@ func TestSliceSourceAndCollect(t *testing.T) {
 	src.Reset()
 	if _, ok := src.Next(); !ok {
 		t.Fatal("reset source empty")
+	}
+}
+
+// TestReadersStopAfterError: a binary record that decodes to an invalid
+// op is an error, and once either reader has failed it stays failed.
+func TestReadersStopAfterError(t *testing.T) {
+	var buf bytes.Buffer
+	w, _ := NewBinaryWriter(&buf)
+	w.Write(Op{Kind: Read, Count: 1})
+	w.Write(Op{Kind: Read, Count: 1})
+	w.Flush()
+	data := buf.Bytes()
+	copy(data[8+13:8+17], []byte{0, 0, 0, 0}) // first record's count := 0
+	r, err := NewBinaryReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, ok := r.Next(); ok || r.Err() == nil {
+			t.Fatalf("call %d: zero-count record decoded (err %v)", i, r.Err())
+		}
+	}
+	tr := NewTextReader(strings.NewReader("0 0 R 1 2 0\n0 0 R 1 2 3\n"))
+	for i := 0; i < 2; i++ {
+		if _, ok := tr.Next(); ok || tr.Err() == nil {
+			t.Fatalf("call %d: text reader went on past an error (err %v)", i, tr.Err())
+		}
 	}
 }

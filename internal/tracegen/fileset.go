@@ -119,8 +119,8 @@ func (fs *FileSet) buildIndex() {
 	}
 }
 
-// SampleFile draws a file weighted by popularity.
-func (fs *FileSet) SampleFile(r *rng.RNG) *File {
+// sampleFile draws a file weighted by popularity.
+func (fs *FileSet) sampleFile(r *rng.RNG) *File {
 	total := fs.cumPop[len(fs.cumPop)-1]
 	u := r.Float64() * total
 	lo, hi := 0, len(fs.cumPop)-1
@@ -140,7 +140,6 @@ type Region struct {
 	File   uint32
 	Start  uint32
 	Blocks uint32
-	Weight float64 // sampling weight (popularity of the owning file)
 }
 
 // WorkingSet is a set of file subregions totalling roughly a target size,
@@ -152,10 +151,10 @@ type WorkingSet struct {
 	cum []float64
 }
 
-// SampleWorkingSet draws subregions (uniform start, Poisson length clamped
+// sampleWorkingSet draws subregions (uniform start, Poisson length clamped
 // to the file) from popularity-weighted files until the target size is
 // reached.
-func (fs *FileSet) SampleWorkingSet(r *rng.RNG, targetBlocks int64, meanRegionBlocks float64) (*WorkingSet, error) {
+func (fs *FileSet) sampleWorkingSet(r *rng.RNG, targetBlocks int64, meanRegionBlocks float64) (*WorkingSet, error) {
 	if targetBlocks <= 0 {
 		return nil, fmt.Errorf("tracegen: working set target must be positive")
 	}
@@ -201,7 +200,7 @@ func (fs *FileSet) appendRegions(r *rng.RNG, ws *WorkingSet, targetBlocks int64,
 		return false
 	}
 	for ws.TotalBlocks < targetBlocks {
-		f := fs.SampleFile(r)
+		f := fs.sampleFile(r)
 		n := uint32(r.Poisson(meanRegionBlocks))
 		if n == 0 {
 			n = 1
@@ -236,7 +235,6 @@ func (fs *FileSet) appendRegions(r *rng.RNG, ws *WorkingSet, targetBlocks int64,
 			File:   f.ID,
 			Start:  start,
 			Blocks: n,
-			Weight: float64(f.Popularity),
 		}
 		ws.Regions = append(ws.Regions, reg)
 		ws.TotalBlocks += int64(n)
@@ -244,12 +242,12 @@ func (fs *FileSet) appendRegions(r *rng.RNG, ws *WorkingSet, targetBlocks int64,
 	}
 }
 
-// ShiftWorkingSet returns a new working set in which roughly fraction of
+// shiftWorkingSet returns a new working set in which roughly fraction of
 // ws's blocks have been replaced by freshly sampled regions, modeling
 // working-set drift (new data becomes hot, old data goes cold). The oldest
 // regions — those sampled first — are retired first, and the total size is
 // preserved. ws itself is not modified.
-func (fs *FileSet) ShiftWorkingSet(r *rng.RNG, ws *WorkingSet, fraction float64,
+func (fs *FileSet) shiftWorkingSet(r *rng.RNG, ws *WorkingSet, fraction float64,
 	meanRegionBlocks float64) (*WorkingSet, error) {
 	if badFraction(fraction) {
 		return nil, fmt.Errorf("tracegen: shift fraction %v out of [0,1]", fraction)
@@ -290,8 +288,8 @@ func (ws *WorkingSet) buildIndex() {
 	}
 }
 
-// SampleRegion draws a region weighted by size (see buildIndex).
-func (ws *WorkingSet) SampleRegion(r *rng.RNG) *Region {
+// sampleRegion draws a region weighted by size (see buildIndex).
+func (ws *WorkingSet) sampleRegion(r *rng.RNG) *Region {
 	total := ws.cum[len(ws.cum)-1]
 	u := r.Float64() * total
 	lo, hi := 0, len(ws.cum)-1

@@ -108,7 +108,7 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		nsets = 1
 	}
 	for i := 0; i < nsets; i++ {
-		ws, err := cfg.FileSet.SampleWorkingSet(r.Fork(), cfg.WorkingSetBlocks, cfg.MeanRegionBlocks)
+		ws, err := cfg.FileSet.sampleWorkingSet(r.Fork(), cfg.WorkingSetBlocks, cfg.MeanRegionBlocks)
 		if err != nil {
 			return nil, err
 		}
@@ -194,11 +194,8 @@ func (g *Generator) ShiftWorkingSets(fraction float64) error {
 	if badFraction(fraction) {
 		return fmt.Errorf("tracegen: shift fraction %v out of [0,1]", fraction)
 	}
-	if fraction == 0 {
-		return nil
-	}
 	for i, ws := range g.sets {
-		shifted, err := g.cfg.FileSet.ShiftWorkingSet(g.rnd, ws, fraction, g.cfg.MeanRegionBlocks)
+		shifted, err := g.cfg.FileSet.shiftWorkingSet(g.rnd, ws, fraction, g.cfg.MeanRegionBlocks)
 		if err != nil {
 			return err
 		}
@@ -222,7 +219,7 @@ func (g *Generator) Next() (trace.Op, bool) {
 		n = 1
 	}
 	if g.rnd.Bool(g.cfg.WorkingSetFraction) {
-		reg := g.WorkingSet(host).SampleRegion(g.rnd)
+		reg := g.WorkingSet(host).sampleRegion(g.rnd)
 		file = reg.File
 		if n > reg.Blocks {
 			n = reg.Blocks
@@ -234,7 +231,7 @@ func (g *Generator) Next() (trace.Op, bool) {
 		start = reg.Start + off
 		count = n
 	} else {
-		f := g.cfg.FileSet.SampleFile(g.rnd)
+		f := g.cfg.FileSet.sampleFile(g.rnd)
 		file = f.ID
 		if n > f.Blocks {
 			n = f.Blocks

@@ -163,11 +163,11 @@ func TestGeneratorSetSharedWorkingSet(t *testing.T) {
 func TestShiftWorkingSet(t *testing.T) {
 	fs := testFileSet(t, 400000)
 	r := rng.New(9)
-	ws, err := fs.SampleWorkingSet(r, 20000, 64)
+	ws, err := fs.sampleWorkingSet(r, 20000, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shifted, err := fs.ShiftWorkingSet(r, ws, 0.5, 64)
+	shifted, err := fs.shiftWorkingSet(r, ws, 0.5, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestShiftWorkingSet(t *testing.T) {
 		t.Fatalf("retained fraction %.3f after 0.5 shift, want ~0.5", frac)
 	}
 
-	if _, err := fs.ShiftWorkingSet(r, ws, 1.5, 64); err == nil {
+	if _, err := fs.shiftWorkingSet(r, ws, 1.5, 64); err == nil {
 		t.Error("shift fraction 1.5 accepted")
 	}
 }

@@ -96,7 +96,7 @@ func TestSampleFilePopularityBias(t *testing.T) {
 	r := rng.New(7)
 	counts := make(map[uint32]int)
 	for i := 0; i < 50000; i++ {
-		counts[fs.SampleFile(r).ID]++
+		counts[fs.sampleFile(r).ID]++
 	}
 	// Average draw rate of popularity >= 10 files should exceed that of
 	// popularity 1 files.
@@ -122,7 +122,7 @@ func TestSampleFilePopularityBias(t *testing.T) {
 func TestWorkingSetSize(t *testing.T) {
 	fs := testFileSet(t, 100000)
 	r := rng.New(3)
-	ws, err := fs.SampleWorkingSet(r, 20000, 64)
+	ws, err := fs.sampleWorkingSet(r, 20000, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,14 +152,14 @@ func TestWorkingSetSize(t *testing.T) {
 
 func TestWorkingSetTooLarge(t *testing.T) {
 	fs := testFileSet(t, 1000)
-	if _, err := fs.SampleWorkingSet(rng.New(1), 10000, 64); err == nil {
+	if _, err := fs.sampleWorkingSet(rng.New(1), 10000, 64); err == nil {
 		t.Fatal("oversized working set accepted")
 	}
 }
 
 func TestWorkingSetUniqueBlocks(t *testing.T) {
 	fs := testFileSet(t, 50000)
-	ws, err := fs.SampleWorkingSet(rng.New(5), 10000, 64)
+	ws, err := fs.sampleWorkingSet(rng.New(5), 10000, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,5 +423,27 @@ func BenchmarkGeneratorNext(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Next()
+	}
+}
+
+// TestWorkingSetSubBlockMeanRegion: a mean region size below one block
+// samples regions of at least one block, and a shift keeps the size.
+func TestWorkingSetSubBlockMeanRegion(t *testing.T) {
+	fs := testFileSet(t, 50000)
+	ws, err := fs.sampleWorkingSet(rng.New(3), 500, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, reg := range ws.Regions {
+		if reg.Blocks == 0 {
+			t.Fatal("empty region sampled")
+		}
+	}
+	shifted, err := fs.shiftWorkingSet(rng.New(4), ws, 0.5, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws.TotalBlocks != 500 || shifted.TotalBlocks != 500 {
+		t.Fatalf("sizes %d and %d, want 500", ws.TotalBlocks, shifted.TotalBlocks)
 	}
 }
