@@ -69,7 +69,13 @@ type Result struct {
 	// predates partitioning, and the per-backend split is diagnostic.
 	FilerPartitions []FilerPartitionStats
 
-	// Flash device utilisation across hosts.
+	// FlashBusyFraction is the mean over hosts of each flash device's
+	// booked service time over elapsed simulated time, clamped at 1. It
+	// is offered load, not occupancy, and saturates: the fixed-latency
+	// device serves overlapping requests, so its booked time can pass
+	// the clock, and the FTL device books die time past the clock while
+	// requests queue. A saturated device and a backlogged one both read
+	// 1 (the built-in crash-recovery scenario does).
 	FlashBusyFraction float64
 
 	// Flash device operation totals across hosts; FlashDeviceWrites per

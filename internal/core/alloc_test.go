@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"runtime/debug"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -414,8 +415,8 @@ func (s *probeSource) Next() (trace.Op, bool) {
 
 // TestDriverThreadQueueAllocatedOnce locks the driver's thread queues:
 // each thread's record, with its queue inline, is carved once, when its
-// thread key first appears, and keeps its place for the driver's life; the
-// queue fills to the window and never past it.
+// thread key first appears, and keeps its place on its host's list for the
+// driver's life; the queue fills to the window and never past it.
 func TestDriverThreadQueueAllocatedOnce(t *testing.T) {
 	eng, hosts, _ := buildCluster(t, 2, baseCfg(Naive), testTiming(), false)
 	src := &probeSource{}
@@ -431,29 +432,117 @@ func TestDriverThreadQueueAllocatedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	records := make(map[uint32]*threadRec)
-	deepest := 0
+	deepest, listed := 0, 0
 	src.probe = func() {
-		for _, tr := range d.threads {
-			if tr == nil {
-				continue
+		listed = 0
+		for _, h := range hosts {
+			for tr := h.threads; tr != nil; tr = tr.next {
+				listed++
+				deepest = max(deepest, int(tr.n))
+				if tr.n > window {
+					t.Fatalf("thread %#x queue holds %d ops, window %d", tr.tk, tr.n, window)
+				}
+				if prev, ok := records[tr.tk]; ok && prev != tr {
+					t.Fatalf("thread %#x record reallocated", tr.tk)
+				}
+				records[tr.tk] = tr
 			}
-			deepest = max(deepest, int(tr.n))
-			if tr.n > window {
-				t.Fatalf("thread %#x queue holds %d ops, window %d", tr.tk, tr.n, window)
-			}
-			if prev, ok := records[tr.tk]; ok && prev != tr {
-				t.Fatalf("thread %#x record reallocated", tr.tk)
-			}
-			records[tr.tk] = tr
 		}
 	}
 	d.Run()
 	if deepest != window {
 		t.Fatalf("deepest queue %d, want a full window of %d", deepest, window)
 	}
-	if len(records) != 6 || d.nthreads != 6 || d.OpsCompleted() != uint64(total) {
-		t.Fatalf("%d thread records (%d indexed), %d of %d ops completed", len(records), d.nthreads, d.OpsCompleted(), total)
+	if len(records) != 6 || listed != 6 || d.OpsCompleted() != uint64(total) {
+		t.Fatalf("%d thread records (%d listed), %d of %d ops completed", len(records), listed, d.OpsCompleted(), total)
 	}
+}
+
+// TestHostListsBoundedByThreads checks the bound the per-host lists rely
+// on: each host's thread list holds exactly the (trace host, thread) pairs
+// routed to it, a host never has more fetches in flight than thread
+// records, and every fetch is off its list when the run ends. The trace's
+// host IDs wrap past the host count, and it runs on the sequential driver
+// and on a two-shard cluster.
+func TestHostListsBoundedByThreads(t *testing.T) {
+	const hosts, traceHosts, threads = 3, 6, 4
+	var all []trace.Op
+	ops := make([][]trace.Op, hosts) // by serving host
+	for j := 0; j < 3000; j++ {
+		op := trace.Op{
+			Host: uint16(j % traceHosts), Thread: uint16(j / traceHosts % threads),
+			Kind: trace.Read, File: 1, Block: uint32(j * 7 % 300), Count: uint32(1 + j%2),
+		}
+		all = append(all, op)
+		ops[int(op.Host)%hosts] = append(ops[int(op.Host)%hosts], op)
+	}
+	// check probes the hosts a source's driver serves, on the goroutine
+	// that runs them; busy counts the probes that saw a fetch in flight.
+	var busy atomic.Int64
+	check := func(hs []*Host) {
+		for _, h := range hs {
+			nt, nf := 0, 0
+			for tr := h.threads; tr != nil; tr = tr.next {
+				nt++
+			}
+			for r := h.fetches; r != nil; r = r.pend {
+				nf++
+			}
+			if nf > nt {
+				t.Errorf("host %d has %d fetches in flight and %d thread records", h.id(), nf, nt)
+			}
+			if nf > 0 {
+				busy.Add(1)
+			}
+		}
+	}
+	verify := func(name string, hs []*Host) {
+		t.Helper()
+		for i, h := range hs {
+			want := make(map[uint32]bool)
+			for _, op := range ops[i] {
+				want[threadKey(op.Host, op.Thread)] = true
+			}
+			got := make(map[uint32]bool)
+			for tr := h.threads; tr != nil; tr = tr.next {
+				if got[tr.tk] || !want[tr.tk] {
+					t.Errorf("%s: host %d lists thread %#x twice or unrouted", name, i, tr.tk)
+				}
+				got[tr.tk] = true
+			}
+			if len(got) != len(want) {
+				t.Errorf("%s: host %d lists %d threads, %d routed to it", name, i, len(got), len(want))
+			}
+			if h.fetches != nil {
+				t.Errorf("%s: host %d has a fetch on its list after the run", name, i)
+			}
+		}
+		if busy.Load() == 0 {
+			t.Errorf("%s: no probe saw a fetch in flight", name)
+		}
+	}
+
+	eng, hs, _ := buildCluster(t, hosts, baseCfg(Naive), testTiming(), false)
+	d, err := NewDriver(eng, hs, &probeSource{ops: all, probe: func() { check(hs) }}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Run()
+	verify("sequential", hs)
+
+	busy.Store(0)
+	spec := clusterSpecForTest(hosts, 2)
+	var shardHosts []*Host
+	for i := range hosts {
+		spec.Sources[i] = &probeSource{ops: ops[i], probe: func() { check(shardHosts[i : i+1]) }}
+	}
+	c, err := NewCluster(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardHosts = c.Hosts()
+	runTestCluster(c)
+	verify("two shards", shardHosts)
 }
 
 // TestFlushRecoverAllocationsPerBlock locks the fan-out completions of

@@ -19,20 +19,14 @@ import (
 // Each (host, thread) pair of the trace has one threadRec, carved from the
 // hosts' engine arena when the pair first appears: its queue is a ring of
 // window ops held inline, and it carries the op in flight, so queueing,
-// starting and stepping ops allocate nothing. The driver finds records by
-// thread key in an open-addressed table that starts inline and doubles, so
-// the sparse keys of a recorded trace cost no more than dense ones.
+// starting and stepping ops allocate nothing. A record sits on the list of
+// the host that serves its thread (Host.threads), and the driver finds it
+// by walking that list: a host serves a handful of threads (every program
+// here runs at most eight per host), so the walk is a few compares.
 type Driver struct {
 	eng   *sim.Engine
 	hosts []*Host
 	src   trace.Source
-
-	// threads indexes the thread records by key: linear probing from a
-	// multiplicative hash, at most half full; it starts as small and
-	// doubles. nthreads counts the records.
-	threads  []*threadRec
-	nthreads int
-	small    [threadMinSlots]*threadRec
 
 	held    trace.Op // head-of-line op whose thread queue is full
 	hasHeld bool     // held is valid; by value, so pumping never allocates
@@ -53,10 +47,6 @@ type Driver struct {
 // window is the depth of a thread's queue.
 const window = 16
 
-// threadMinSlots is the size of a driver's inline thread table: a driver
-// with up to half as many threads needs no table of its own.
-const threadMinSlots = 16
-
 // threadKey packs (host, thread).
 func threadKey(host, thread uint16) uint32 {
 	return uint32(host)<<16 | uint32(thread)
@@ -64,9 +54,12 @@ func threadKey(host, thread uint16) uint32 {
 
 // threadRec is one trace thread's state: its queue, a ring of n ops from
 // q[head] (with their enqueue times in qt while tracing), whether it has
-// an op in flight, and that op's execution record.
+// an op in flight, and that op's execution record. h is the host that
+// serves the thread, and next links the records on h's list.
 type threadRec struct {
 	d       *Driver
+	h       *Host
+	next    *threadRec
 	tk      uint32
 	busy    bool
 	head, n uint8
@@ -112,8 +105,8 @@ func NewDriver(eng *sim.Engine, hosts []*Host, src trace.Source, warmupBlocks in
 	return d, nil
 }
 
-// init builds the driver in place. Its thread table starts inline, so a
-// driver must not be copied once built.
+// init builds the driver in place. A host is served by one driver for
+// its life, which keeps its thread records on the host's list.
 func (d *Driver) init(eng *sim.Engine, hosts []*Host, src trace.Source, warmupBlocks int64) error {
 	if len(hosts) == 0 {
 		return fmt.Errorf("core: driver needs at least one host")
@@ -127,50 +120,25 @@ func (d *Driver) init(eng *sim.Engine, hosts []*Host, src trace.Source, warmupBl
 		src:          src,
 		warmupBlocks: warmupBlocks,
 	}
-	d.threads = d.small[:]
 	return nil
 }
 
-// thread returns the record of thread key tk, carving it when tk first
-// appears.
-func (d *Driver) thread(tk uint32) *threadRec {
-	mask := uint64(len(d.threads) - 1)
-	for i := threadHome(tk, mask); ; i = (i + 1) & mask {
-		t := d.threads[i]
-		if t == nil {
-			break
-		}
+// thread returns the record of op's thread on the host that serves it,
+// carving the record when the thread first appears. A trace recorded on
+// more hosts than configured wraps around; the match is on the trace's own
+// host ID, so it keeps one record per trace host.
+func (d *Driver) thread(op trace.Op) *threadRec {
+	h := d.hosts[int(op.Host)%len(d.hosts)]
+	tk := threadKey(op.Host, op.Thread)
+	for t := h.threads; t != nil; t = t.next {
 		if t.tk == tk {
 			return t
 		}
 	}
-	if 2*(d.nthreads+1) > len(d.threads) {
-		old := d.threads
-		d.threads = make([]*threadRec, 2*len(old))
-		for _, t := range old {
-			if t != nil {
-				d.place(t)
-			}
-		}
-	}
-	t := d.hosts[0].reqs.carveThread() // every host of a driver shares one engine
-	t.d, t.tk = d, tk
-	d.place(t)
-	d.nthreads++
+	t := h.reqs.carveThread()
+	t.d, t.h, t.tk = d, h, tk
+	t.next, h.threads = h.threads, t
 	return t
-}
-
-func threadHome(tk uint32, mask uint64) uint64 {
-	return uint64(tk) * 0x9E3779B97F4A7C15 >> 32 & mask
-}
-
-func (d *Driver) place(t *threadRec) {
-	mask := uint64(len(d.threads) - 1)
-	i := threadHome(t.tk, mask)
-	for d.threads[i] != nil {
-		i = (i + 1) & mask
-	}
-	d.threads[i] = t
 }
 
 // OpsCompleted returns the number of trace ops fully executed.
@@ -178,12 +146,6 @@ func (d *Driver) OpsCompleted() uint64 { return d.opsCompleted }
 
 // BlocksIssued returns the number of block accesses issued.
 func (d *Driver) BlocksIssued() uint64 { return d.blocksIssued }
-
-// hostFor returns the host for a trace op, clamping out-of-range host IDs
-// (a trace recorded on more hosts than configured wraps around).
-func (d *Driver) hostFor(op trace.Op) *Host {
-	return d.hosts[int(op.Host)%len(d.hosts)]
-}
 
 // pump moves ops from the source into per-thread queues until a queue
 // fills or the source drains.
@@ -201,7 +163,7 @@ func (d *Driver) pump() {
 			}
 			d.consumed += int64(op.Count)
 		}
-		t := d.thread(threadKey(op.Host, op.Thread))
+		t := d.thread(op)
 		if t.n == window {
 			d.held, d.hasHeld = op, true
 			return
@@ -230,7 +192,7 @@ func (d *Driver) kick(t *threadRec) {
 	t.head = (head + 1) % window
 	t.n--
 	if d.tracing() {
-		d.noteDequeue(t.q[head], t.qt[head])
+		d.noteDequeue(t.h, t.qt[head])
 	}
 	d.queuedOps--
 	t.busy = true
@@ -243,15 +205,14 @@ func (d *Driver) kick(t *threadRec) {
 // covers every host or none, so host 0 stands for all.
 func (d *Driver) tracing() bool { return d.hosts[0].tr != nil }
 
-// noteDequeue records the host-queue wait of an op enqueued at time at as
-// a queue span on the track of the op's first block request — which
-// opStep issues synchronously next, so it takes the host's next request
-// sequence (NextSampled peeks without consuming); every op has a block,
-// since the public entry points reject zero-length ops. Tracers must
-// attach before any ops are pumped, so every queued op has its enqueue
-// time.
-func (d *Driver) noteDequeue(op trace.Op, at sim.Time) {
-	h := d.hostFor(op)
+// noteDequeue records the host-queue wait of an op on host h enqueued at
+// time at as a queue span on the track of the op's first block request —
+// which opStep issues synchronously next, so it takes the host's next
+// request sequence (NextSampled peeks without consuming); every op has a
+// block, since the public entry points reject zero-length ops. Tracers
+// must attach before any ops are pumped, so every queued op has its
+// enqueue time.
+func (d *Driver) noteDequeue(h *Host, at sim.Time) {
 	if seq := h.tr.NextSampled(); seq != 0 {
 		h.tr.Add(seq, obs.KindQueue, 0, at, d.eng.Now())
 	}
@@ -274,11 +235,10 @@ func opStep(a any) {
 	d.noteIssue(1)
 	key := cache.Key(trace.BlockKey(t.op.File, t.op.Block+t.i))
 	t.i++
-	h := d.hostFor(t.op)
 	if t.op.Kind == trace.Write {
-		h.write(key, cont{opStep, t})
+		t.h.write(key, cont{opStep, t})
 	} else {
-		h.read(key, cont{opStep, t})
+		t.h.read(key, cont{opStep, t})
 	}
 }
 

@@ -50,16 +50,6 @@ type ftlFlashDev struct {
 
 func newFTLFlashDev(eng *sim.Engine, blocks int, persistent bool, seed uint64) (*ftlFlashDev, error) {
 	cfg := ftl.DefaultConfig(blocks)
-	if cfg.EraseBlocks < 8 {
-		// Tiny caches (tests, extreme scales): shrink the erase-block
-		// geometry so the device still has room for garbage collection.
-		cfg.PagesPerBlock = 32
-		phys := int(float64(blocks)/(1-cfg.OverProvision))/cfg.PagesPerBlock + 2
-		if phys < 8 {
-			phys = 8
-		}
-		cfg.EraseBlocks = phys
-	}
 	cfg.Seed = seed
 	dev, err := ftl.NewDevice(eng, cfg)
 	if err != nil {

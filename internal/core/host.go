@@ -85,11 +85,15 @@ type Host struct {
 
 	// freeReq is the host-local free list of request records; reqs is
 	// the engine-shared arena they are carved from (req.go), which also
-	// holds the engine's pending-fetch table and flush scratch. arenaID
-	// is the host's ordinal in the arena, salting its pending-fetch keys.
+	// holds the engine's flush scratch.
 	freeReq *hostReq
 	reqs    *reqArena
-	arenaID uint32
+
+	// fetches lists the host's in-flight filer fetches, newest first,
+	// linked through hostReq.pend; threads lists the records of the
+	// trace threads it serves, newest first (driver.go).
+	fetches *hostReq
+	threads *threadRec
 
 	collect bool
 	st      HostStats
@@ -160,15 +164,13 @@ func (h *Host) init(eng *sim.Engine, cfg HostConfig, timing Timing,
 		return err
 	}
 	*h = Host{
-		eng:     eng,
-		cfg:     cfg,
-		seg:     seg,
-		bgSeg:   bgSeg,
-		fsrv:    fsrv,
-		reqs:    arena,
-		arenaID: arena.hosts,
+		eng:   eng,
+		cfg:   cfg,
+		seg:   seg,
+		bgSeg: bgSeg,
+		fsrv:  fsrv,
+		reqs:  arena,
 	}
-	arena.hosts++
 	h.ramDev.Init(eng, timing.RAMRead, timing.RAMWrite)
 	if cfg.FTLBacked && cfg.FlashBlocks > 0 {
 		fdev, err := newFTLFlashDev(eng, cfg.FlashBlocks, cfg.PersistentFlash, uint64(cfg.ID)+1)
@@ -646,6 +648,17 @@ func commitUnifiedWritten(a any) {
 
 // --- demand fetch ---
 
+// fetching returns the record of h's in-flight fetch of key, or nil. A
+// host has at most one fetch in flight per trace thread it serves, so the
+// walk is short.
+func (h *Host) fetching(key cache.Key) *hostReq {
+	r := h.fetches
+	for r != nil && r.key != key {
+		r = r.pend
+	}
+	return r
+}
+
 // fetchFromFiler fetches key from the filer, de-duplicating concurrent
 // requests for the same block, installs it in the appropriate cache, and
 // wakes all waiters. trSeq is the requesting chain's trace sequence (0 =
@@ -653,12 +666,12 @@ func commitUnifiedWritten(a any) {
 // spans; a sampled request that joins another's in-flight fetch records a
 // dedup marker instead.
 //
-// The fetch's record sits in the engine arena's pending table while the
+// The fetch's record sits on the host's pending-fetch list while the
 // fetch is in flight and carries the initiator's continuation; a joining
 // request parks its continuation in a record of its own, linked newest
 // first behind the fetch's (see fetchWake).
 func (h *Host) fetchFromFiler(key cache.Key, c cont, trSeq uint64) {
-	if f := h.reqs.fetching(h, key); f != nil {
+	if f := h.fetching(key); f != nil {
 		if trSeq != 0 {
 			h.mark(trSeq, obs.KindDedup, key)
 		}
@@ -673,7 +686,7 @@ func (h *Host) fetchFromFiler(key cache.Key, c cont, trSeq uint64) {
 	r := h.getReq()
 	r.key = key
 	r.c = c
-	h.reqs.pend(r)
+	r.pend, h.fetches = h.fetches, r
 	if trSeq != 0 {
 		r.trSeq = trSeq
 		r.tMark = h.eng.Now()
@@ -712,14 +725,19 @@ func fetchArrived(a any) {
 	h.installAfterFetch(r.key, cont{fetchWake, r})
 }
 
-// fetchWake completes a de-duplicated fetch: every waiter queued while the
-// single filer round trip was in flight resumes, in arrival order — the
-// initiator first, then the joiners, whose newest-first links are reversed.
-// Each waiter's record is released before its continuation runs.
+// fetchWake completes a de-duplicated fetch: it takes the fetch off the
+// host's pending list, and every waiter queued while the single filer
+// round trip was in flight resumes, in arrival order — the initiator
+// first, then the joiners, whose newest-first links are reversed. Each
+// waiter's record is released before its continuation runs.
 func fetchWake(a any) {
 	r := a.(*hostReq)
 	h := r.h
-	h.reqs.unpend(r)
+	p := &h.fetches
+	for *p != r {
+		p = &(*p).pend
+	}
+	*p = r.pend
 	c, joined := r.c, r.next
 	h.putReq(r)
 	var w *hostReq

@@ -88,8 +88,10 @@ type hostReq struct {
 	tMark sim.Time
 
 	// next links the free list; while a fetch is pending it links the
-	// requests that joined it, newest first (Host.fetchFromFiler).
+	// requests that joined it, newest first (Host.fetchFromFiler), and
+	// pend links the host's pending fetches.
 	next *hostReq
+	pend *hostReq
 }
 
 // reqSlab is the number of records a request arena carves per
@@ -97,30 +99,22 @@ type hostReq struct {
 const reqSlab = 256
 
 // reqArena is an engine's shared scratch: it carves hostReq records and
-// the trace driver's per-thread records in slabs, keeps the pending-fetch
-// table of every host on the engine and lends them one flush scratch
-// buffer. Every host of an engine shares its arena — NewHosts builds one
-// per engine — and an engine runs on one goroutine, so nothing here is
-// locked.
+// the trace driver's per-thread records in slabs and lends every host on
+// the engine one flush scratch buffer. Every host of an engine shares its
+// arena — NewHosts builds one per engine — and an engine runs on one
+// goroutine, so nothing here is locked.
 //
 // A carved request record belongs to one host for life (r.h is set at
 // carving) and recycles through that host's free list, so the arena only
 // grows with the engine's total in-flight high-water mark — never a slab
 // per host, which on a 1024-host fleet would strand most of each slab.
 type reqArena struct {
-	slab  []hostReq // the uncarved tail of the current record slab
-	hosts uint32    // hosts built on the arena, numbering their arenaID
+	slab []hostReq // the uncarved tail of the current record slab
 
 	// threads is the uncarved tail of the current thread-record slab, of
 	// threadSlab records (driver.go).
 	threads    []threadRec
 	threadSlab int
-
-	// fetches is the pending-fetch table: open addressing with linear
-	// probing over (host, key), at most half full, doubling when it
-	// would pass that. nfetch counts the records in it.
-	fetches []*hostReq
-	nfetch  int
 
 	// dirty is the flush scratch (dirtyOf).
 	dirty []*cache.Entry
@@ -143,75 +137,6 @@ func (a *reqArena) carve(h *Host) *hostReq {
 func (a *reqArena) dirtyOf(c tierCache) []*cache.Entry {
 	a.dirty = c.AppendDirty(a.dirty[:0])
 	return a.dirty
-}
-
-// fetchMinSlots is the pending-fetch table's initial size.
-const fetchMinSlots = 64
-
-// fetchHome returns the home slot of h's fetch of key in a table of the
-// given mask: the block key, salted by the host's ordinal so that hosts
-// fetching one shared block do not pile onto one probe run, spread by a
-// multiplicative (golden-ratio) hash.
-func fetchHome(h *Host, key cache.Key, mask uint64) uint64 {
-	x := (uint64(key) ^ uint64(h.arenaID)*0xBF58476D1CE4E5B9) * 0x9E3779B97F4A7C15
-	return x >> 32 & mask
-}
-
-// fetching returns the record of h's in-flight fetch of key, or nil.
-func (a *reqArena) fetching(h *Host, key cache.Key) *hostReq {
-	if len(a.fetches) == 0 {
-		return nil
-	}
-	mask := uint64(len(a.fetches) - 1)
-	for i := fetchHome(h, key, mask); ; i = (i + 1) & mask {
-		r := a.fetches[i]
-		if r == nil || r.h == h && r.key == key {
-			return r
-		}
-	}
-}
-
-// pend enters r, a fetch no record in the table shares (host, key) with.
-func (a *reqArena) pend(r *hostReq) {
-	if 2*(a.nfetch+1) > len(a.fetches) {
-		old := a.fetches
-		a.fetches = make([]*hostReq, max(fetchMinSlots, 2*len(old)))
-		for _, o := range old {
-			if o != nil {
-				a.place(o)
-			}
-		}
-	}
-	a.place(r)
-	a.nfetch++
-}
-
-func (a *reqArena) place(r *hostReq) {
-	mask := uint64(len(a.fetches) - 1)
-	i := fetchHome(r.h, r.key, mask)
-	for a.fetches[i] != nil {
-		i = (i + 1) & mask
-	}
-	a.fetches[i] = r
-}
-
-// unpend removes r from the table. The records after it in its probe run
-// shift back to close the gap, as cache.Index deletes, so the table keeps
-// no tombstones.
-func (a *reqArena) unpend(r *hostReq) {
-	mask := uint64(len(a.fetches) - 1)
-	i := fetchHome(r.h, r.key, mask)
-	for a.fetches[i] != r {
-		i = (i + 1) & mask
-	}
-	for j := (i + 1) & mask; a.fetches[j] != nil; j = (j + 1) & mask {
-		if o := a.fetches[j]; (j-fetchHome(o.h, o.key, mask))&mask >= (j-i)&mask {
-			a.fetches[i] = o
-			i = j
-		}
-	}
-	a.fetches[i] = nil
-	a.nfetch--
 }
 
 // getReq takes a record from the host's free list, carving from the arena

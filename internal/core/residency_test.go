@@ -185,7 +185,7 @@ func TestHolderSetFillAfterProbe(t *testing.T) {
 		if !probed && c.Consistency().BlocksWritten > 0 {
 			// The first write's barrier probe has run.
 			probed = true
-			if inFlight := h0.reqs.fetching(h0, cache.Key(key)) != nil; !inFlight || h0.holds(key) {
+			if inFlight := h0.fetching(cache.Key(key)) != nil; !inFlight || h0.holds(key) {
 				t.Fatal("host 0's fetch is not in flight at the first write's probe")
 			}
 		}

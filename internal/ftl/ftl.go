@@ -49,15 +49,23 @@ type Config struct {
 
 // DefaultConfig returns a geometry sized in 4 KiB pages for the given
 // logical capacity in blocks, with timings consistent with the paper's
-// Table 1 (88 us reads, 21 us buffered write ack).
+// Table 1 (88 us reads, 21 us buffered write ack). Erase blocks are 1 MiB
+// unless that leaves fewer than 8: a tiny device (tests, extreme scales)
+// gets at least 8 blocks of 32 pages, so garbage collection still has
+// room.
 func DefaultConfig(logicalPages int) Config {
-	const pagesPerBlock = 256 // 1 MiB erase blocks
-	// 7% over-provisioning, consumer-grade.
-	phys := int(float64(logicalPages)/(1-0.07))/pagesPerBlock + 2
+	const overProvision = 0.07 // consumer-grade
+	physPages := int(float64(logicalPages) / (1 - overProvision))
+	pagesPerBlock := 256
+	phys := physPages/pagesPerBlock + 2
+	if phys < 8 {
+		pagesPerBlock = 32
+		phys = max(8, physPages/pagesPerBlock+2)
+	}
 	return Config{
 		EraseBlocks:          phys,
 		PagesPerBlock:        pagesPerBlock,
-		OverProvision:        0.07,
+		OverProvision:        overProvision,
 		PageReadLat:          60 * sim.Microsecond,
 		PageProgramLat:       180 * sim.Microsecond,
 		EraseLat:             1500 * sim.Microsecond,

@@ -267,6 +267,31 @@ func TestDefaultConfigSane(t *testing.T) {
 	}
 }
 
+// TestDefaultConfigTinyDevice checks the tiny-device geometry: a capacity
+// that 1 MiB erase blocks would cover with fewer than 8 gets at least 8
+// blocks of 32 pages, which hold the whole capacity.
+func TestDefaultConfigTinyDevice(t *testing.T) {
+	for _, tc := range []struct{ logical, blocks, pages int }{
+		{64, 8, 32},
+		{1000, 35, 32},
+		{2000, 10, 256},
+	} {
+		cfg := DefaultConfig(tc.logical)
+		if cfg.EraseBlocks != tc.blocks || cfg.PagesPerBlock != tc.pages {
+			t.Errorf("DefaultConfig(%d) = %d blocks of %d pages, want %d of %d",
+				tc.logical, cfg.EraseBlocks, cfg.PagesPerBlock, tc.blocks, tc.pages)
+		}
+		var e sim.Engine
+		d, err := NewDevice(&e, cfg)
+		if err != nil {
+			t.Fatalf("DefaultConfig(%d): %v", tc.logical, err)
+		}
+		if tc.pages == 32 && d.LogicalPages() < tc.logical {
+			t.Errorf("DefaultConfig(%d) holds %d logical pages", tc.logical, d.LogicalPages())
+		}
+	}
+}
+
 func TestJitterBounded(t *testing.T) {
 	var e sim.Engine
 	cfg := smallConfig()

@@ -67,8 +67,10 @@ func New(cfg Config) *Server {
 // Handler returns the daemon's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close shuts the server down: every live run is canceled, then the
-// worker queue drains. New submissions after Close are rejected.
+// Close shuts the server down: every pending run and every running
+// scenario run is canceled, then the worker queue drains, waiting for
+// running steady-state runs to finish. New submissions after Close are
+// rejected.
 func (s *Server) Close() {
 	for _, r := range s.reg.list() {
 		r.cancel()

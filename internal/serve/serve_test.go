@@ -382,6 +382,40 @@ func TestPendingRun(t *testing.T) {
 	}
 }
 
+// TestDeleteRunningSteadyStateRun checks that a DELETE says what happens
+// to a steady-state run: a pending one cancels (202), but a running one
+// has no barrier to stop at, so the DELETE answers 409 and the run stays
+// running.
+func TestDeleteRunningSteadyStateRun(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxConcurrent: 1})
+	block := make(chan struct{})
+	release := make(chan struct{})
+	if err := s.queue.Submit(func() { close(block); <-release }); err != nil {
+		t.Fatal(err)
+	}
+	<-block
+	defer close(release)
+
+	id := createRun(t, ts, tinySteadyBody)
+	if status, b := do(t, http.MethodDelete, ts.URL+"/v1/runs/"+id, ""); status != http.StatusAccepted {
+		t.Fatalf("cancel pending steady-state run = %d: %s", status, b)
+	}
+	id = createRun(t, ts, tinySteadyBody)
+	r, _ := s.reg.get(id)
+	// Hold the run in running without executing it: its worker, when it
+	// comes, finds it started and skips it.
+	if !r.start() {
+		t.Fatal("run left pending before the test started it")
+	}
+	status, b := do(t, http.MethodDelete, ts.URL+"/v1/runs/"+id, "")
+	if status != http.StatusConflict || !bytes.Contains(b, []byte("steady-state")) {
+		t.Fatalf("cancel running steady-state run = %d: %s", status, b)
+	}
+	if st := r.State(); st != StateRunning {
+		t.Fatalf("run is %s after the refused cancel, want running", st)
+	}
+}
+
 func TestUnknownRunIs404(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, tc := range []struct{ method, path, body string }{

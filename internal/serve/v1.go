@@ -143,14 +143,19 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDelete cancels a live run, or removes a finished one from the
-// table (freeing its slot and forgetting its stream).
+// table (freeing its slot and forgetting its stream). A running
+// steady-state run has no barrier to stop at, so it cannot be canceled.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	run, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
 	if !run.State().terminal() {
-		run.cancel()
+		if run.cancel() == StateRunning && run.ctl == nil {
+			writeError(w, http.StatusConflict,
+				"run %s is a running steady-state run; it cannot be canceled and runs to completion", run.ID())
+			return
+		}
 		writeJSON(w, http.StatusAccepted, run.Info())
 		return
 	}
