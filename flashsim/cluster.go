@@ -214,7 +214,8 @@ func newClusterRun(cfg Config, queues []*trace.QueueSource, fixedLookahead bool)
 		Tracer:      r.tr,
 		WallProfile: cfg.WallProfile,
 		NewFiler: func(eng *sim.Engine) *filer.Filer {
-			return newFiler(eng, seedRNG.Fork(), cfg)
+			rnd := seedRNG.Fork()
+			return newFiler(eng, &rnd, cfg)
 		},
 		Sources:             sources,
 		ConsistencyProtocol: cfg.ConsistencyProtocol,

@@ -679,8 +679,8 @@ func hostConfig(cfg Config, id int) core.HostConfig {
 // described by the configuration around the given trace source.
 func buildSimulation(cfg Config, src trace.Source, warmupBlocks int64) (*simulation, error) {
 	eng := &sim.Engine{}
-	seedRNG := rng.New(cfg.Seed)
-	fsrv := newFiler(eng, seedRNG.Fork(), cfg)
+	rnd := rng.New(cfg.Seed).Fork()
+	fsrv := newFiler(eng, &rnd, cfg)
 
 	cfgs := make([]core.HostConfig, cfg.Hosts)
 	for i := range cfgs {

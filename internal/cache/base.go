@@ -17,14 +17,13 @@ type base struct {
 	dirties list
 }
 
-func (b *base) init(capacity int, m Medium) {
-	if capacity < 0 {
-		panic("cache: negative capacity")
-	}
+// init initialises the core in place, carving its index table and first
+// entry slab from a, which has them reserved.
+func (b *base) init(a *Arena, capacity int, m Medium) {
 	b.capacity = capacity
 	b.medium = m
-	b.index = NewIndex(capacity)
-	b.pool = entryPool{budget: capacity}
+	b.index = a.index(capacity)
+	b.pool = a.pool(capacity)
 	b.dirties.init(true)
 }
 

@@ -38,15 +38,27 @@ type Index struct {
 }
 
 // NewIndex returns an index for at most capacity nodes, in one allocation.
+// A cache's index is carved from its Arena instead, with the same size.
 func NewIndex(capacity int) Index {
 	if capacity < 0 {
 		panic("cache: negative index capacity")
 	}
-	lg := 0
-	if capacity > 0 {
-		lg = bits.Len(uint(2*capacity - 1))
+	return indexOver(make([]*Node, indexSlots(capacity)))
+}
+
+// indexSlots is the table size of an index for at most capacity nodes:
+// twice the capacity rounded up to a power of two, and one slot for none.
+func indexSlots(capacity int) int {
+	if capacity == 0 {
+		return 1
 	}
-	return Index{tab: make([]*Node, 1<<lg), shift: uint8(64 - lg)}
+	return 1 << bits.Len(uint(2*capacity-1))
+}
+
+// indexOver returns an empty index over tab, whose length is a power of
+// two.
+func indexOver(tab []*Node) Index {
+	return Index{tab: tab, shift: uint8(64 - bits.TrailingZeros(uint(len(tab))))}
 }
 
 // home returns key's home slot. A shift of 64 (a one-slot table) yields 0.

@@ -81,5 +81,5 @@ func BenchmarkTwoQInsertEvictLarge(b *testing.B) {
 }
 
 func BenchmarkUnifiedGetHitLarge(b *testing.B) {
-	benchGetHitLarge(b, NewUnified(largeCapacity/8, largeCapacity-largeCapacity/8))
+	benchGetHitLarge(b, newUnified(largeCapacity/8, largeCapacity-largeCapacity/8))
 }

@@ -8,7 +8,13 @@
 // one Index: an open-addressed, linear-probing table of pointers to the
 // entries, sized once from the cache's capacity, so a lookup is one hash
 // and usually one probe and a cache makes no allocation after
-// construction beyond its entry slabs.
+// construction beyond its entry slabs after the first.
+//
+// Caches are built through an Arena (arena.go): the caller reserves every
+// cache of a group, then builds each one, and the arena carves the cache
+// structs, their index tables and their first entry slabs from one
+// exactly-sized array each. A simulation engine builds all its hosts'
+// caches through one arena, so their number costs no allocations.
 //
 // The package is purely a data structure: it tracks which blocks are
 // resident and in what state, but knows nothing about latencies or devices.
@@ -219,19 +225,20 @@ type LRU struct {
 	lru list
 }
 
-// NewLRU returns an LRU cache holding at most capacity blocks on medium m.
-// A zero capacity cache is valid and caches nothing.
+// NewLRU returns an LRU cache holding at most capacity blocks on medium m,
+// built through an arena of its own. A zero capacity cache is valid and
+// caches nothing.
 func NewLRU(capacity int, m Medium) *LRU {
-	c := &LRU{}
-	c.initLRU(capacity, m)
-	return c
+	var a Arena
+	a.Reserve(ReplaceLRU, capacity)
+	return a.LRU(capacity, m)
 }
 
-// initLRU initialises the cache in place. The intrusive list sentinels
-// hold self-pointers, so an LRU must never be copied after initialisation;
-// embedding types initialise through this method.
-func (c *LRU) initLRU(capacity int, m Medium) {
-	c.init(capacity, m)
+// initLRU initialises the cache in place from a. The intrusive list
+// sentinels hold self-pointers, so an LRU must never be copied after
+// initialisation; embedding types initialise through this method.
+func (c *LRU) initLRU(a *Arena, capacity int, m Medium) {
+	c.init(a, capacity, m)
 	c.lru.init(false)
 }
 

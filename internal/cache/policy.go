@@ -85,35 +85,10 @@ func ParseReplacement(s string) (ReplacementKind, error) {
 	}
 }
 
-// NewBlockCache builds a cache of the given kind.
-func NewBlockCache(kind ReplacementKind, capacity int, m Medium) (BlockCache, error) {
-	switch kind {
-	case ReplaceLRU:
-		return NewLRU(capacity, m), nil
-	case ReplaceFIFO:
-		return newFIFO(capacity, m), nil
-	case ReplaceClock:
-		return newClock(capacity, m), nil
-	case ReplaceSLRU:
-		return newSLRU(capacity, m), nil
-	case Replace2Q:
-		return newTwoQ(capacity, m), nil
-	default:
-		return nil, fmt.Errorf("cache: unknown replacement kind %d", kind)
-	}
-}
-
 // fifo evicts in insertion order: lookups do not promote. It is the
 // no-recency baseline for the replacement study.
 type fifo struct {
 	LRU
-}
-
-// newFIFO returns a FIFO cache.
-func newFIFO(capacity int, m Medium) *fifo {
-	f := &fifo{}
-	f.initLRU(capacity, m)
-	return f
 }
 
 // Get looks up key without promoting.
@@ -127,13 +102,6 @@ func (f *fifo) Touch(e *Entry) {}
 // clearing referenced bits and evicts the first unreferenced entry.
 type clock struct {
 	LRU
-}
-
-// newClock returns a CLOCK cache.
-func newClock(capacity int, m Medium) *clock {
-	c := &clock{}
-	c.initLRU(capacity, m)
-	return c
 }
 
 // Get looks up key and sets its referenced bit.

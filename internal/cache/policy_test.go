@@ -15,10 +15,7 @@ func TestParseReplacement(t *testing.T) {
 		if k.String() != s {
 			t.Fatalf("round trip %q -> %q", s, k.String())
 		}
-		c, err := NewBlockCache(k, 8, Flash)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := newBlockCache(k, 8, Flash)
 		if c.Capacity() != 8 {
 			t.Fatal("capacity wrong")
 		}
@@ -28,9 +25,6 @@ func TestParseReplacement(t *testing.T) {
 	}
 	if _, err := ParseReplacement("mru"); err == nil {
 		t.Fatal("bogus policy accepted")
-	}
-	if _, err := NewBlockCache(ReplacementKind(99), 8, Flash); err == nil {
-		t.Fatal("bogus kind accepted")
 	}
 	if s := ReplacementKind(99).String(); s != "replacement(99)" {
 		t.Fatalf("unknown kind prints %q", s)
@@ -271,10 +265,7 @@ func TestAllPoliciesRandomOps(t *testing.T) {
 	for _, kind := range kinds {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			c, err := NewBlockCache(kind, 16, Flash)
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := newBlockCache(kind, 16, Flash)
 			r := rng.New(uint64(kind) + 100)
 			for i := 0; i < 20000; i++ {
 				k := Key(r.Intn(64))
@@ -331,10 +322,7 @@ func TestAllPoliciesRandomOps(t *testing.T) {
 // workload: recency-aware policies beat FIFO.
 func TestPolicyHitRateOrdering(t *testing.T) {
 	hitRate := func(kind ReplacementKind) float64 {
-		c, err := NewBlockCache(kind, 64, Flash)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := newBlockCache(kind, 64, Flash)
 		r := rng.New(42)
 		const reads = 50000
 		hits := 0

@@ -19,14 +19,13 @@ type slru struct {
 	protected    list
 }
 
-// newSLRU returns a segmented LRU with the protected segment sized to half
-// the capacity.
-func newSLRU(capacity int, m Medium) *slru {
-	s := &slru{protectedCap: capacity / 2}
-	s.init(capacity, m)
+// initSLRU initialises a segmented LRU in place from a, with the
+// protected segment sized to half the capacity.
+func (s *slru) initSLRU(a *Arena, capacity int, m Medium) {
+	s.protectedCap = capacity / 2
+	s.init(a, capacity, m)
 	s.probation.init(false)
 	s.protected.init(false)
-	return s
 }
 
 // Get looks up key, promoting probation hits into the protected segment.

@@ -27,21 +27,22 @@ type twoQ struct {
 	ghostPool  entryPool
 }
 
-// newTwoQ returns a 2Q cache with A1in sized to a quarter of capacity and
-// a ghost queue remembering half a capacity's worth of evicted keys.
-func newTwoQ(capacity int, m Medium) *twoQ {
-	a1 := capacity / 4
-	if a1 < 1 && capacity > 0 {
-		a1 = 1
+// initTwoQ initialises a 2Q cache in place from a, with A1in sized to a
+// quarter of capacity and a ghost queue remembering half a capacity's
+// worth of evicted keys. The ghost index is carved from a; the ghost pool
+// carves its slabs as the queue first fills.
+func (q *twoQ) initTwoQ(a *Arena, capacity int, m Medium) {
+	q.a1inCap = capacity / 4
+	if q.a1inCap < 1 && capacity > 0 {
+		q.a1inCap = 1
 	}
-	q := &twoQ{a1inCap: a1, ghostCap: capacity / 2}
-	q.init(capacity, m)
-	q.ghostIndex = NewIndex(capacity / 2)
-	q.ghostPool = entryPool{budget: capacity / 2}
+	q.ghostCap = capacity / 2
+	q.init(a, capacity, m)
+	q.ghostIndex = a.index(q.ghostCap)
+	q.ghostPool = entryPool{budget: q.ghostCap}
 	q.a1in.init(false)
 	q.am.init(false)
 	q.ghost.init(false)
-	return q
 }
 
 // Get looks up key. Hits in Am promote to MRU; hits in A1in stay put (2Q

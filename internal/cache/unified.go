@@ -16,15 +16,12 @@ type Unified struct {
 	allocFlipFlop      bool // tie-breaker for free-buffer allocation
 }
 
-// NewUnified returns a unified cache with the given buffer counts.
-func NewUnified(ramBufs, flashBufs int) *Unified {
-	if ramBufs < 0 || flashBufs < 0 {
-		panic("cache: negative buffer count")
-	}
-	u := &Unified{ramBufs: ramBufs, flashBufs: flashBufs}
-	u.init(ramBufs+flashBufs, RAM)
+// initUnified initialises a unified cache in place from a, with the
+// given buffer counts.
+func (u *Unified) initUnified(a *Arena, ramBufs, flashBufs int) {
+	u.ramBufs, u.flashBufs = ramBufs, flashBufs
+	u.init(a, ramBufs+flashBufs, RAM)
 	u.lru.init(false)
-	return u
 }
 
 // Get looks up key, promoting it to MRU on hit.

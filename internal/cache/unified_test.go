@@ -18,7 +18,7 @@ func fillUnified(t testing.TB, u *Unified, n int) {
 func TestUnifiedAllocationMix(t *testing.T) {
 	// 8 RAM + 64 flash buffers: after filling, the resident RAM fraction
 	// must be exactly 8/72 because every buffer gets used.
-	u := NewUnified(8, 64)
+	u := newUnified(8, 64)
 	fillUnified(t, u, 72)
 	if u.Len() != 72 {
 		t.Fatalf("len = %d", u.Len())
@@ -34,7 +34,7 @@ func TestUnifiedAllocationMix(t *testing.T) {
 func TestUnifiedProportionalFill(t *testing.T) {
 	// While filling, the mix should roughly track the configured ratio
 	// rather than exhausting one pool first.
-	u := NewUnified(10, 90)
+	u := newUnified(10, 90)
 	fillUnified(t, u, 50)
 	if u.residentRAM < 3 || u.residentRAM > 7 {
 		t.Fatalf("after half fill residentRAM = %d, want ~5", u.residentRAM)
@@ -42,7 +42,7 @@ func TestUnifiedProportionalFill(t *testing.T) {
 }
 
 func TestUnifiedVictimMediumInherited(t *testing.T) {
-	u := NewUnified(1, 1)
+	u := newUnified(1, 1)
 	fillUnified(t, u, 2)
 	v := u.Victim()
 	vm := v.Medium()
@@ -54,7 +54,7 @@ func TestUnifiedVictimMediumInherited(t *testing.T) {
 }
 
 func TestUnifiedNoMigration(t *testing.T) {
-	u := NewUnified(2, 2)
+	u := newUnified(2, 2)
 	fillUnified(t, u, 4)
 	for k := Key(0); k < 4; k++ {
 		before := u.Peek(k).Medium()
@@ -66,7 +66,7 @@ func TestUnifiedNoMigration(t *testing.T) {
 }
 
 func TestUnifiedHitsByMedium(t *testing.T) {
-	u := NewUnified(1, 1)
+	u := newUnified(1, 1)
 	fillUnified(t, u, 2)
 	var ramKey, flashKey Key = 0, 1
 	if u.Peek(0).Medium() != RAM {
@@ -84,7 +84,7 @@ func TestUnifiedHitsByMedium(t *testing.T) {
 }
 
 func TestUnifiedDirty(t *testing.T) {
-	u := NewUnified(2, 2)
+	u := newUnified(2, 2)
 	e := mustInsert(t, u, 1)
 	u.MarkDirty(e)
 	if u.DirtyLen() != 1 {
@@ -105,7 +105,7 @@ func TestUnifiedDirty(t *testing.T) {
 }
 
 func TestUnifiedAppendDirtyOldestFirst(t *testing.T) {
-	u := NewUnified(4, 4)
+	u := newUnified(4, 4)
 	var order []Key
 	for k := Key(0); k < 4; k++ {
 		e := mustInsert(t, u, k)
@@ -121,7 +121,7 @@ func TestUnifiedAppendDirtyOldestFirst(t *testing.T) {
 }
 
 func TestUnifiedEvictionLRUOrder(t *testing.T) {
-	u := NewUnified(1, 2)
+	u := newUnified(1, 2)
 	fillUnified(t, u, 3)
 	u.Get(0)
 	v := u.Victim()
@@ -131,7 +131,7 @@ func TestUnifiedEvictionLRUOrder(t *testing.T) {
 }
 
 func TestUnifiedPinnedSkipped(t *testing.T) {
-	u := NewUnified(1, 1)
+	u := newUnified(1, 1)
 	e0 := mustInsert(t, u, 0)
 	mustInsert(t, u, 1)
 	e0.Pinned = true
@@ -143,7 +143,7 @@ func TestUnifiedPinnedSkipped(t *testing.T) {
 
 func TestUnifiedBufferConservation(t *testing.T) {
 	r := rng.New(7)
-	u := NewUnified(4, 12)
+	u := newUnified(4, 12)
 	for i := 0; i < 20000; i++ {
 		k := Key(r.Intn(50))
 		if e := u.Peek(k); e != nil {
@@ -173,7 +173,7 @@ func TestUnifiedBufferConservation(t *testing.T) {
 }
 
 func TestUnifiedZeroRAM(t *testing.T) {
-	u := NewUnified(0, 4)
+	u := newUnified(0, 4)
 	fillUnified(t, u, 4)
 	if u.residentRAM != 0 {
 		t.Fatal("resident RAM in zero-RAM cache")
@@ -186,7 +186,7 @@ func TestUnifiedZeroRAM(t *testing.T) {
 }
 
 func TestUnifiedTryInsertDuplicate(t *testing.T) {
-	u := NewUnified(1, 1)
+	u := newUnified(1, 1)
 	e1 := mustInsert(t, u, 1)
 	if e, inserted := u.TryInsert(1); e != e1 || inserted {
 		t.Fatalf("duplicate TryInsert = %p, %v; want the resident %p, false", e, inserted, e1)
@@ -197,7 +197,7 @@ func TestUnifiedTryInsertDuplicate(t *testing.T) {
 }
 
 func TestUnifiedTryInsertFull(t *testing.T) {
-	u := NewUnified(1, 0)
+	u := newUnified(1, 0)
 	mustInsert(t, u, 1)
 	if e, inserted := u.TryInsert(2); e != nil || inserted {
 		t.Fatalf("TryInsert into a full unified cache = %p, %v; want nil, false", e, inserted)
@@ -205,7 +205,7 @@ func TestUnifiedTryInsertFull(t *testing.T) {
 }
 
 func BenchmarkUnifiedGetHit(b *testing.B) {
-	u := NewUnified(128, 896)
+	u := newUnified(128, 896)
 	fillUnified(b, u, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -602,10 +602,10 @@ func TestFlushRecoverAllocationsPerBlock(t *testing.T) {
 // arrays: building a 2-shard cluster and running it through a short trace
 // costs the same allocations, up to a small constant, at 64 hosts as at
 // 1024. Hosts, drivers, network segments, filer ports, consistency sinks,
-// thread records, pending fetches, waiters and flush scratch all come from
-// arrays and slabs each engine shares. The cache tier still allocates per
-// host (each cache's structure, index and first entry slab), so the same
-// caches are built alone, one insertion each, and their count taken out.
+// thread records, pending fetches, waiters, flush scratch and every
+// host's caches (structures, index tables and first entry slabs, carved
+// from the engine's cache.Arena) all come from arrays and slabs each
+// engine shares.
 //
 // What remains is growth the engines share: the event heap, outboxes and
 // barrier batches, the pending-fetch table, the holder set and the
@@ -643,9 +643,9 @@ func TestClusterBuildAllocationsFlatInHosts(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return int64(after.Mallocs - before.Mallocs)
 	}
-	measure := func(hosts int) (run, tiers int64) {
+	measure := func(hosts int) int64 {
 		s := spec(hosts)
-		run = mallocs(func() {
+		return mallocs(func() {
 			c, err := NewCluster(s)
 			if err != nil {
 				t.Fatal(err)
@@ -657,27 +657,13 @@ func TestClusterBuildAllocationsFlatInHosts(t *testing.T) {
 				}
 			}
 		})
-		tiers = mallocs(func() {
-			for _, hc := range s.Hosts {
-				ram := cache.NewLRU(hc.RAMBlocks, cache.RAM)
-				flash, err := cache.NewBlockCache(hc.FlashReplacement, hc.FlashBlocks, cache.Flash)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ram.TryInsert(0)
-				flash.TryInsert(0)
-			}
-		})
-		return run, tiers
 	}
 	measure(64) // warm: the runtime's one-off allocations
-	run64, tiers64 := measure(64)
-	run1k, tiers1k := measure(1024)
-	small, large := run64-tiers64, run1k-tiers1k
-	t.Logf("64 hosts: %d allocations (%d cache tier); 1024 hosts: %d (%d cache tier)", run64, tiers64, run1k, tiers1k)
+	small, large := measure(64), measure(1024)
+	t.Logf("64 hosts: %d allocations; 1024 hosts: %d", small, large)
 	const perDoubling, doublings = 48, 4
 	if slack := int64(perDoubling * doublings); large-small > slack {
-		t.Errorf("beyond the cache tier, 1024 hosts allocated %d times and 64 hosts %d: %d more, want <= %d",
+		t.Errorf("1024 hosts allocated %d times and 64 hosts %d: %d more, want <= %d",
 			large, small, large-small, slack)
 	}
 }

@@ -106,6 +106,9 @@ func (c HostConfig) Validate() error {
 	if c.Arch > Unified {
 		return fmt.Errorf("core: unknown architecture %d", c.Arch)
 	}
+	if c.FlashReplacement > cache.Replace2Q {
+		return fmt.Errorf("core: unknown flash replacement %v", c.FlashReplacement)
+	}
 	if err := c.RAMPolicy.validate(); err != nil {
 		return fmt.Errorf("core: RAM policy: %w", err)
 	}

@@ -143,6 +143,20 @@ func TestConfigValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero period accepted")
 	}
+	bad = good
+	bad.FlashReplacement = cache.ReplacementKind(99)
+	if err := bad.Validate(); err == nil {
+		t.Fatal("unknown flash replacement accepted")
+	}
+	// NewHosts validates every config, and the timing, before it sizes
+	// the engine's caches from them.
+	eng := &sim.Engine{}
+	if _, err := NewHosts(eng, []HostConfig{good, bad}, testTiming(), newTestFiler(eng, 1, testTiming())); err == nil {
+		t.Fatal("NewHosts accepted an unknown flash replacement")
+	}
+	if _, err := NewHosts(eng, []HostConfig{good}, Timing{RAMRead: -1}, newTestFiler(eng, 1, testTiming())); err == nil {
+		t.Fatal("NewHosts accepted a negative timing")
+	}
 	if err := (Timing{RAMRead: -1}).Validate(); err == nil {
 		t.Fatal("negative timing accepted")
 	}

@@ -305,8 +305,10 @@ func (d *Driver) start() {
 // final.
 func (d *Driver) Run() {
 	d.start()
-	// Threads were kicked as their queues filled; now run to completion.
-	d.eng.RunWhile(func() bool { return !d.done() })
+	// Threads were kicked as their queues filled; now run to completion,
+	// or until only the syncers' daemon ticks are left, which cannot
+	// finish a stranded request.
+	d.eng.RunWhile(func() bool { return !d.done() && d.eng.NonDaemonPending() > 0 })
 	// The trace is complete: halt the periodic syncers so the event queue
 	// can drain, then let in-flight writebacks finish.
 	for _, h := range d.hosts {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/rng"
@@ -51,6 +52,60 @@ func TestDriverCompletesAllOps(t *testing.T) {
 	st := hosts[0].Stats()
 	if st.BlocksRead != 5 || st.BlocksWritten != 2 {
 		t.Fatalf("block stats %d/%d, want 5/2", st.BlocksRead, st.BlocksWritten)
+	}
+}
+
+// swallowFirstRead is a filer port that never answers its first read.
+type swallowFirstRead struct {
+	FilerPort
+	swallowed bool
+}
+
+func (s *swallowFirstRead) Read2(key uint64, fn func(any), arg any) {
+	if !s.swallowed {
+		s.swallowed = true
+		return
+	}
+	s.FilerPort.Read2(key, fn, arg)
+}
+
+// TestDriverRunPanicsOnStrandedRequest: a read the filer never answers
+// strands its op. With a periodic syncer armed, whose ticks never end,
+// Driver.Run must still stop and report the outstanding work instead of
+// running ticks forever; the test gives up after ten seconds rather than
+// hang.
+func TestDriverRunPanicsOnStrandedRequest(t *testing.T) {
+	eng := &sim.Engine{}
+	tm := testTiming()
+	cfg := baseCfg(Naive)
+	if cfg.RAMPolicy.Kind != Periodic {
+		t.Fatalf("RAM policy %v arms no syncer", cfg.RAMPolicy)
+	}
+	port := &swallowFirstRead{FilerPort: newTestFiler(eng, 11, tm)}
+	hosts, err := NewHosts(eng, []HostConfig{cfg}, tm, port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := []trace.Op{
+		{Host: 0, Thread: 0, Kind: trace.Write, File: 1, Block: 0, Count: 2},
+		{Host: 0, Thread: 1, Kind: trace.Read, File: 2, Block: 0, Count: 1},
+	}
+	d, err := NewDriver(eng, hosts, trace.NewSliceSource(ops), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	result := make(chan any, 1)
+	go func() {
+		defer func() { result <- recover() }()
+		d.Run()
+	}()
+	select {
+	case r := <-result:
+		if msg, _ := r.(string); msg != "core: driver finished with work outstanding" {
+			t.Fatalf("Run ended with %v, want the outstanding-work panic", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Driver.Run still running 10 s after a stranded read")
 	}
 }
 

@@ -130,13 +130,34 @@ type Host struct {
 const evictionRetryDelay = 5 * sim.Microsecond
 
 // NewHosts builds one engine's hosts, in the order of cfgs, all reaching
-// the filer through fsrv. The hosts, their demand and background network
-// segments and the engine arena they share come from one array each, so
-// building n hosts costs a constant number of allocations besides each
-// host's caches. The sharded cluster builds every shard's hosts through
-// it and then gives each host its own filer port.
+// the filer through fsrv. It validates every config first, then sizes the
+// engine's storage from them: the hosts, their demand and background
+// network segments, the engine arena they share and its flush scratch
+// come from one array each, and every host's caches from one cache.Arena,
+// so building n hosts costs a constant number of allocations. The sharded
+// cluster builds every shard's hosts through it and then gives each host
+// its own filer port.
 func NewHosts(eng *sim.Engine, cfgs []HostConfig, timing Timing, fsrv FilerPort) ([]*Host, error) {
-	arena := new(reqArena)
+	var caches cache.Arena
+	widest := 0
+	for _, hc := range cfgs {
+		if err := hc.Validate(); err != nil {
+			return nil, err
+		}
+		if hc.Arch == Unified {
+			caches.ReserveUnified(hc.RAMBlocks, hc.FlashBlocks)
+			widest = max(widest, hc.RAMBlocks+hc.FlashBlocks)
+		} else {
+			caches.Reserve(cache.ReplaceLRU, hc.RAMBlocks)
+			caches.Reserve(hc.FlashReplacement, hc.FlashBlocks)
+			widest = max(widest, hc.RAMBlocks, hc.FlashBlocks)
+		}
+	}
+	if err := timing.Validate(); err != nil {
+		return nil, err
+	}
+	// No tier holds more dirty blocks than its capacity.
+	arena := &reqArena{dirty: make([]*cache.Entry, 0, widest)}
 	hosts := make([]Host, len(cfgs))
 	segs := make([]netsim.Segment, 2*len(cfgs))
 	ptrs := make([]*Host, len(cfgs))
@@ -144,7 +165,7 @@ func NewHosts(eng *sim.Engine, cfgs []HostConfig, timing Timing, fsrv FilerPort)
 		seg, bgSeg := &segs[2*i], &segs[2*i+1]
 		seg.Init(eng, timing.NetBase, timing.NetPerBit)
 		bgSeg.Init(eng, timing.NetBase, timing.NetPerBit)
-		if err := hosts[i].init(eng, hc, timing, seg, bgSeg, fsrv, arena); err != nil {
+		if err := hosts[i].init(eng, hc, timing, seg, bgSeg, fsrv, arena, &caches); err != nil {
 			return nil, err
 		}
 		ptrs[i] = &hosts[i]
@@ -152,17 +173,12 @@ func NewHosts(eng *sim.Engine, cfgs []HostConfig, timing Timing, fsrv FilerPort)
 	return ptrs, nil
 }
 
-// init builds the host in place: the one host constructor. A host holds
-// its devices and syncers by value and points into the arrays its builder
-// owns, so it must not be copied once built.
+// init builds the host in place from a config NewHosts validated: the one
+// host constructor. Its caches come from caches, which NewHosts reserved
+// them in. A host holds its devices and syncers by value and points into
+// the arrays its builder owns, so it must not be copied once built.
 func (h *Host) init(eng *sim.Engine, cfg HostConfig, timing Timing,
-	seg, bgSeg *netsim.Segment, fsrv FilerPort, arena *reqArena) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if err := timing.Validate(); err != nil {
-		return err
-	}
+	seg, bgSeg *netsim.Segment, fsrv FilerPort, arena *reqArena, caches *cache.Arena) error {
 	*h = Host{
 		eng:   eng,
 		cfg:   cfg,
@@ -183,16 +199,12 @@ func (h *Host) init(eng *sim.Engine, cfg HostConfig, timing Timing,
 		h.flashIO = fixedFlashDev{&h.flashDev}
 	}
 	if cfg.Arch == Unified {
-		h.uni = cache.NewUnified(cfg.RAMBlocks, cfg.FlashBlocks)
+		h.uni = caches.Unified(cfg.RAMBlocks, cfg.FlashBlocks)
 		h.tiers[tierUnified] = h.uni
 	} else {
-		h.ram = cache.NewLRU(cfg.RAMBlocks, cache.RAM)
-		flash, err := cache.NewBlockCache(cfg.FlashReplacement, cfg.FlashBlocks, cache.Flash)
-		if err != nil {
-			return err
-		}
-		h.flash = flash
-		h.tiers[tierRAM], h.tiers[tierFlash] = h.ram, flash
+		h.ram = caches.LRU(cfg.RAMBlocks, cache.RAM)
+		h.flash = caches.BlockCache(cfg.FlashReplacement, cfg.FlashBlocks, cache.Flash)
+		h.tiers[tierRAM], h.tiers[tierFlash] = h.ram, h.flash
 	}
 	h.startSyncers()
 	return nil

@@ -116,7 +116,9 @@ type reqArena struct {
 	threads    []threadRec
 	threadSlab int
 
-	// dirty is the flush scratch (dirtyOf).
+	// dirty is the flush scratch (dirtyOf). NewHosts sizes it to the
+	// largest tier capacity among the engine's hosts, which bounds every
+	// dirty list, so it never grows.
 	dirty []*cache.Entry
 }
 

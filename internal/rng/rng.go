@@ -29,14 +29,15 @@ type RNG struct {
 
 // New returns a generator seeded with seed on the default stream.
 func New(seed uint64) *RNG {
-	return newStream(seed, 0)
+	r := newStream(seed, 0)
+	return &r
 }
 
 // newStream returns a generator seeded with seed on the given stream.
 // Generators with the same seed but different streams are independent.
-func newStream(seed, stream uint64) *RNG {
+func newStream(seed, stream uint64) RNG {
 	sm := seed
-	r := &RNG{
+	r := RNG{
 		state: splitMix64(&sm),
 		inc:   (splitMix64(&sm)+2*stream)*2 + 1,
 	}
@@ -46,9 +47,10 @@ func newStream(seed, stream uint64) *RNG {
 	return r
 }
 
-// Fork derives a new independent generator from r. The parent advances,
-// so successive Forks yield distinct children.
-func (r *RNG) Fork() *RNG {
+// Fork derives a new independent generator from r, by value, so a caller
+// that keeps it in a variable or a struct of its own allocates nothing.
+// The parent advances, so successive Forks yield distinct children.
+func (r *RNG) Fork() RNG {
 	seed := uint64(r.uint32())<<32 | uint64(r.uint32())
 	stream := uint64(r.uint32())
 	return newStream(seed, stream)

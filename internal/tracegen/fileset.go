@@ -151,57 +151,65 @@ type WorkingSet struct {
 	cum []float64
 }
 
-// sampleWorkingSet draws subregions (uniform start, Poisson length clamped
-// to the file) from popularity-weighted files until the target size is
-// reached.
-func (fs *FileSet) sampleWorkingSet(r *rng.RNG, targetBlocks int64, meanRegionBlocks float64) (*WorkingSet, error) {
-	if targetBlocks <= 0 {
-		return nil, fmt.Errorf("tracegen: working set target must be positive")
-	}
-	if targetBlocks > fs.TotalBlocks {
-		return nil, fmt.Errorf("tracegen: working set %d exceeds file server %d blocks",
-			targetBlocks, fs.TotalBlocks)
-	}
-	if meanRegionBlocks < 1 {
-		meanRegionBlocks = 1
-	}
-	ws := &WorkingSet{}
-	fs.appendRegions(r, ws, targetBlocks, meanRegionBlocks)
-	ws.buildIndex()
-	return ws, nil
+// regionSampler samples working-set regions from one file set: uniform
+// start, Poisson length clamped to the file, from popularity-weighted
+// files. It keeps its overlap-check scratch across the sets it samples.
+type regionSampler struct {
+	fs   *FileSet
+	mean float64 // Poisson mean region size, at least 1
+	// Each file's regions in the set being sampled form a chain:
+	// head[f]-1 is the set-relative index of f's latest region (head[f]
+	// == 0: none yet) and link[i] the one before region i (-1 ends a
+	// chain), so the overlap check allocates nothing per file.
+	// GenerateFileSet numbers the files 0..len(Files)-1, so head is
+	// indexed by file ID; every entry is zero between sets.
+	head []int32
+	link []int32
+	// perSet is the region count reserved per set: regions come out
+	// about 1.7 times target/mean, because most are cut short at the end
+	// of their file, so it reserves twice that plus 16 for the spread of
+	// small sets, and never more regions than the target has blocks.
+	perSet int
 }
 
-// appendRegions grows ws with freshly sampled regions (disjoint from those
-// already in it) until it covers targetBlocks. It is the sampling core
-// shared by SampleWorkingSet and ShiftWorkingSet.
-func (fs *FileSet) appendRegions(r *rng.RNG, ws *WorkingSet, targetBlocks int64, meanRegionBlocks float64) {
-	// Each file's regions form a chain over ws.Regions: head[f]-1 is the
-	// index of f's latest region (head[f] == 0: none yet) and link[i] the
-	// one before region i (-1 ends a chain), so the overlap check
-	// allocates nothing per file. GenerateFileSet numbers the files
-	// 0..len(Files)-1, so head is indexed by file ID.
-	head := make([]int32, len(fs.Files))
-	link := make([]int32, 0, len(ws.Regions))
-	chain := func(i int) {
-		f := ws.Regions[i].File
-		link = append(link, head[f]-1)
-		head[f] = int32(i) + 1
+func (fs *FileSet) newRegionSampler(target int64, mean float64) regionSampler {
+	mean = max(mean, 1)
+	perSet := int(min(target, int64(2*float64(target)/mean)+16))
+	return regionSampler{
+		fs:     fs,
+		mean:   mean,
+		head:   make([]int32, len(fs.Files)),
+		link:   make([]int32, 0, perSet),
+		perSet: perSet,
 	}
-	for i := range ws.Regions {
+}
+
+// fill appends freshly sampled regions to regs until regs[from:], the set
+// being sampled, covers target blocks; covered is what regs[from:] covers
+// already. New regions are disjoint from every region of the set. It
+// returns regs and the set's size.
+func (s *regionSampler) fill(r *rng.RNG, regs []Region, from int, covered, target int64) ([]Region, int64) {
+	s.link = s.link[:0]
+	chain := func(i int) {
+		f := regs[from+i].File
+		s.link = append(s.link, s.head[f]-1)
+		s.head[f] = int32(i) + 1
+	}
+	for i := range regs[from:] {
 		chain(i)
 	}
 	overlaps := func(f uint32, start, n uint32) bool {
-		for i := head[f] - 1; i >= 0; i = link[i] {
-			reg := &ws.Regions[i]
+		for i := s.head[f] - 1; i >= 0; i = s.link[i] {
+			reg := &regs[from+int(i)]
 			if start < reg.Start+reg.Blocks && reg.Start < start+n {
 				return true
 			}
 		}
 		return false
 	}
-	for ws.TotalBlocks < targetBlocks {
-		f := fs.sampleFile(r)
-		n := uint32(r.Poisson(meanRegionBlocks))
+	for covered < target {
+		f := s.fs.sampleFile(r)
+		n := uint32(r.Poisson(s.mean))
 		if n == 0 {
 			n = 1
 		}
@@ -227,53 +235,93 @@ func (fs *FileSet) appendRegions(r *rng.RNG, ws *WorkingSet, targetBlocks int64,
 		if !found {
 			continue // heavily covered file; sample another
 		}
-		remaining := targetBlocks - ws.TotalBlocks
-		if int64(n) > remaining {
+		if remaining := target - covered; int64(n) > remaining {
 			n = uint32(remaining)
 		}
-		reg := Region{
-			File:   f.ID,
-			Start:  start,
-			Blocks: n,
-		}
-		ws.Regions = append(ws.Regions, reg)
-		ws.TotalBlocks += int64(n)
-		chain(len(ws.Regions) - 1)
+		regs = append(regs, Region{File: f.ID, Start: start, Blocks: n})
+		covered += int64(n)
+		chain(len(regs) - 1 - from)
 	}
+	for _, reg := range regs[from:] {
+		s.head[reg.File] = 0
+	}
+	return regs, covered
 }
 
-// shiftWorkingSet returns a new working set in which roughly fraction of
-// ws's blocks have been replaced by freshly sampled regions, modeling
-// working-set drift (new data becomes hot, old data goes cold). The oldest
-// regions — those sampled first — are retired first, and the total size is
-// preserved. ws itself is not modified.
-func (fs *FileSet) shiftWorkingSet(r *rng.RNG, ws *WorkingSet, fraction float64,
-	meanRegionBlocks float64) (*WorkingSet, error) {
+// sampleWorkingSets samples n working sets of targetBlocks each, set i
+// from the i-th fork of r, as the paper's generator samples one: regions
+// from popularity-weighted files until the target size is reached. Every
+// set's regions and sampling index come from one array each.
+func (fs *FileSet) sampleWorkingSets(r *rng.RNG, n int, targetBlocks int64, meanRegionBlocks float64) ([]WorkingSet, error) {
+	if targetBlocks <= 0 {
+		return nil, fmt.Errorf("tracegen: working set target must be positive")
+	}
+	if targetBlocks > fs.TotalBlocks {
+		return nil, fmt.Errorf("tracegen: working set %d exceeds file server %d blocks",
+			targetBlocks, fs.TotalBlocks)
+	}
+	s := fs.newRegionSampler(targetBlocks, meanRegionBlocks)
+	sets := make([]WorkingSet, n)
+	regs := make([]Region, 0, n*s.perSet)
+	for i := range sets {
+		fr := r.Fork()
+		from := len(regs)
+		regs, sets[i].TotalBlocks = s.fill(&fr, regs, from, 0, targetBlocks)
+		sets[i].Regions = regs[from:]
+	}
+	carveSets(sets, regs)
+	return sets, nil
+}
+
+// shiftWorkingSets returns new working sets in which roughly fraction of
+// each old set's blocks have been replaced by freshly sampled regions
+// drawn from r, modeling working-set drift (new data becomes hot, old
+// data goes cold). The oldest regions — those sampled first — are retired
+// first, and each set's total size is preserved. The old sets are not
+// modified.
+func (fs *FileSet) shiftWorkingSets(r *rng.RNG, old []WorkingSet, fraction float64,
+	meanRegionBlocks float64) ([]WorkingSet, error) {
 	if badFraction(fraction) {
 		return nil, fmt.Errorf("tracegen: shift fraction %v out of [0,1]", fraction)
 	}
-	if meanRegionBlocks < 1 {
-		meanRegionBlocks = 1
-	}
-	target := ws.TotalBlocks
-	dropTarget := int64(fraction * float64(target))
-	out := &WorkingSet{}
-	var dropped int64
-	for _, reg := range ws.Regions {
-		if dropped < dropTarget {
-			dropped += int64(reg.Blocks)
-			continue
+	s := fs.newRegionSampler(old[0].TotalBlocks, meanRegionBlocks)
+	sets := make([]WorkingSet, len(old))
+	regs := make([]Region, 0, len(old)*s.perSet)
+	for i, ws := range old {
+		from := len(regs)
+		dropTarget := int64(fraction * float64(ws.TotalBlocks))
+		var dropped, kept int64
+		for _, reg := range ws.Regions {
+			if dropped < dropTarget {
+				dropped += int64(reg.Blocks)
+				continue
+			}
+			regs = append(regs, reg)
+			kept += int64(reg.Blocks)
 		}
-		out.Regions = append(out.Regions, reg)
-		out.TotalBlocks += int64(reg.Blocks)
+		regs, sets[i].TotalBlocks = s.fill(r, regs, from, kept, ws.TotalBlocks)
+		sets[i].Regions = regs[from:]
 	}
-	fs.appendRegions(r, out, target, meanRegionBlocks)
-	out.buildIndex()
-	return out, nil
+	carveSets(sets, regs)
+	return sets, nil
 }
 
+// carveSets points each set at its own run of regs, in order, each set's
+// Regions giving only its length so far, and builds every set's sampling
+// index in one shared array.
+func carveSets(sets []WorkingSet, regs []Region) {
+	cum := make([]float64, len(regs))
+	off := 0
+	for i := range sets {
+		end := off + len(sets[i].Regions)
+		sets[i].Regions, sets[i].cum = regs[off:end:end], cum[off:end:end]
+		sets[i].buildIndex()
+		off = end
+	}
+}
+
+// buildIndex fills ws.cum, which has one slot per region.
 func (ws *WorkingSet) buildIndex() {
-	ws.cum = make([]float64, len(ws.Regions))
 	sum := 0.0
 	for i, reg := range ws.Regions {
 		// Weight regions by size only, making I/O uniform per block over

@@ -91,9 +91,9 @@ func (c *Config) Validate() error {
 type Generator struct {
 	cfg      Config
 	rnd      *rng.RNG
-	sets     []*WorkingSet // per host, or a single shared one
-	emitted  int64         // blocks emitted so far
-	warmupAt int64         // blocks after which stats should start
+	sets     []WorkingSet // per host, or a single shared one
+	emitted  int64        // blocks emitted so far
+	warmupAt int64        // blocks after which stats should start
 }
 
 // NewGenerator samples working sets and returns a streaming generator.
@@ -101,19 +101,16 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	r := rng.New(cfg.Seed)
-	g := &Generator{cfg: cfg, rnd: r}
+	g := &Generator{cfg: cfg, rnd: rng.New(cfg.Seed)}
 	nsets := cfg.Hosts
 	if cfg.SharedWorkingSet {
 		nsets = 1
 	}
-	for i := 0; i < nsets; i++ {
-		ws, err := cfg.FileSet.sampleWorkingSet(r.Fork(), cfg.WorkingSetBlocks, cfg.MeanRegionBlocks)
-		if err != nil {
-			return nil, err
-		}
-		g.sets = append(g.sets, ws)
+	sets, err := cfg.FileSet.sampleWorkingSets(g.rnd, nsets, cfg.WorkingSetBlocks, cfg.MeanRegionBlocks)
+	if err != nil {
+		return nil, err
 	}
+	g.sets = sets
 	g.warmupAt = cfg.TotalBlocks / 2
 	return g, nil
 }
@@ -128,9 +125,9 @@ func (g *Generator) TotalBlocks() int64 { return g.cfg.TotalBlocks }
 // WorkingSet returns host h's working set.
 func (g *Generator) WorkingSet(h int) *WorkingSet {
 	if g.cfg.SharedWorkingSet {
-		return g.sets[0]
+		return &g.sets[0]
 	}
-	return g.sets[h]
+	return &g.sets[h]
 }
 
 // --- phase-aware mutation -------------------------------------------------
@@ -191,16 +188,11 @@ func (g *Generator) SetSharedWorkingSet(shared bool) error {
 // set's blocks with freshly sampled regions, modeling working-set drift.
 // The sets' total sizes are preserved.
 func (g *Generator) ShiftWorkingSets(fraction float64) error {
-	if badFraction(fraction) {
-		return fmt.Errorf("tracegen: shift fraction %v out of [0,1]", fraction)
+	sets, err := g.cfg.FileSet.shiftWorkingSets(g.rnd, g.sets, fraction, g.cfg.MeanRegionBlocks)
+	if err != nil {
+		return err
 	}
-	for i, ws := range g.sets {
-		shifted, err := g.cfg.FileSet.shiftWorkingSet(g.rnd, ws, fraction, g.cfg.MeanRegionBlocks)
-		if err != nil {
-			return err
-		}
-		g.sets[i] = shifted
-	}
+	g.sets = sets
 	return nil
 }
 

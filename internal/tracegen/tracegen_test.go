@@ -2,6 +2,7 @@ package tracegen
 
 import (
 	"math"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/rng"
@@ -16,6 +17,24 @@ func testFileSet(t *testing.T, total int64) *FileSet {
 		t.Fatal(err)
 	}
 	return fs
+}
+
+// sampleWorkingSet samples one working set from the first fork of r.
+func (fs *FileSet) sampleWorkingSet(r *rng.RNG, targetBlocks int64, meanRegionBlocks float64) (*WorkingSet, error) {
+	sets, err := fs.sampleWorkingSets(r, 1, targetBlocks, meanRegionBlocks)
+	if err != nil {
+		return nil, err
+	}
+	return &sets[0], nil
+}
+
+// shiftWorkingSet shifts one working set, leaving ws as it was.
+func (fs *FileSet) shiftWorkingSet(r *rng.RNG, ws *WorkingSet, fraction, meanRegionBlocks float64) (*WorkingSet, error) {
+	sets, err := fs.shiftWorkingSets(r, []WorkingSet{*ws}, fraction, meanRegionBlocks)
+	if err != nil {
+		return nil, err
+	}
+	return &sets[0], nil
 }
 
 func TestFileSetTotalSize(t *testing.T) {
@@ -154,6 +173,9 @@ func TestWorkingSetTooLarge(t *testing.T) {
 	fs := testFileSet(t, 1000)
 	if _, err := fs.sampleWorkingSet(rng.New(1), 10000, 64); err == nil {
 		t.Fatal("oversized working set accepted")
+	}
+	if _, err := fs.sampleWorkingSet(rng.New(1), 0, 64); err == nil {
+		t.Fatal("empty working set accepted")
 	}
 }
 
@@ -445,5 +467,32 @@ func TestWorkingSetSubBlockMeanRegion(t *testing.T) {
 	}
 	if ws.TotalBlocks != 500 || shifted.TotalBlocks != 500 {
 		t.Fatalf("sizes %d and %d, want 500", ws.TotalBlocks, shifted.TotalBlocks)
+	}
+}
+
+// TestGeneratorAllocationsFlatInHosts locks the run-wide working-set
+// arrays: a generator with private sets allocates as often at 1,024 hosts
+// as at 16, because every set's regions, sampling index and struct come
+// from one array each, the overlap scratch is reused from set to set and
+// each set's stream is a by-value fork.
+func TestGeneratorAllocationsFlatInHosts(t *testing.T) {
+	fs := testFileSet(t, 50000)
+	build := func(hosts int) func() {
+		cfg := defaultGenConfig(fs)
+		cfg.Hosts = hosts
+		cfg.WorkingSetBlocks = 2000
+		return func() {
+			if _, err := NewGenerator(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// No collection runs inside a measurement, so the collector's own
+	// allocations do not count.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	small := testing.AllocsPerRun(5, build(16))
+	large := testing.AllocsPerRun(5, build(1024))
+	if small != large {
+		t.Errorf("NewGenerator made %v allocations for 16 private sets, %v for 1024", small, large)
 	}
 }
